@@ -14,7 +14,6 @@ from .metrics import (
     MetricSeries,
     PresenceMap,
     build_series,
-    compute_daily,
     origin_presence,
 )
 from .outage import CatalogEvent, OutageEvent, annotate, detect_dips, load_seed_catalog
@@ -22,12 +21,9 @@ from .pipeline import AnalysisResult, RunConfig, run_analysis, write_outputs
 from .reachability import (
     ReachabilityReport,
     average_pct,
-    baseline_origins,
     diff_reachability,
-    neighbor_timeline,
     offline_days,
     pct_lost,
-    unreachable_origins,
 )
 from .rtingest import (
     DateRange,
@@ -35,9 +31,7 @@ from .rtingest import (
     Snapshot,
     SnapshotSchema,
     SnapshotSeries,
-    attribute_country,
     load_series,
-    normalize_path,
     parse_snapshot,
 )
 from .synth import GroundTruth, ScenarioSpec, generate, load_scenario, random_scenario, verify

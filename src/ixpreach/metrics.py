@@ -1,5 +1,11 @@
 """Daily per-IXP per-country visibility metrics and their time series.
 
+Country attribution happens here and only here: `build_series` makes one
+pass over each snapshot for every analysed country, looking up each row's
+origin and neighbor in the ASN database.  Everything else per country is
+derived from what that pass returns: the presence maps below, and the
+reachability sets in `reachability`.
+
 Four counts are taken from each snapshot for a given country:
 
 * announcements: routing-table rows whose origin AS is in-country
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .asndb import AsnDb
-from .rtingest import Snapshot, SnapshotSeries
+from .rtingest import SnapshotSeries
 
 METRIC_NAMES = ("announcements", "distinct_origins", "distinct_prefixes", "distinct_neighbors")
 
@@ -89,57 +95,62 @@ class PresenceMap(Mapping):
         return f"PresenceMap({len(self._by_asn)} asns over {len(self.snapshot_dates)} days)"
 
 
-def compute_daily(snapshot: Snapshot, db: AsnDb, country: str) -> DailyMetrics:
-    """Reduce one snapshot to the four counts for one country.
+def build_series(
+    series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
+) -> dict[str, tuple[MetricSeries, dict[dt.date, set[int]]]]:
+    """Attribute every snapshot's rows to the given countries in one pass.
 
-    Pure; the result does not depend on row order.
+    For each distinct country: its MetricSeries (one DailyMetrics per
+    snapshot, order preserved, gaps carried over) and its in-country
+    origins on each snapshot date, the input of `origin_presence`.  The
+    result does not depend on row order or on repeated countries.
     """
-    check_country(country)
-    records = db.records
-    announcements = 0
-    origins: set[int] = set()
-    prefixes: set[str] = set()
-    neighbors: set[int] = set()
-    for entry in snapshot.entries:
-        path = entry.as_path
-        rec = records.get(path[-1])
-        if rec is not None and rec.country == country:
-            announcements += 1
-            origins.add(path[-1])
-            prefixes.add(entry.prefix)
-        rec = records.get(path[0])
-        if rec is not None and rec.country == country:
-            neighbors.add(path[0])
-    return DailyMetrics(
-        ixp=snapshot.ixp,
-        date=snapshot.date,
-        country=country,
-        announcements=announcements,
-        distinct_origins=len(origins),
-        distinct_prefixes=len(prefixes),
-        distinct_neighbors=len(neighbors),
-    )
-
-
-def build_series(series: SnapshotSeries, db: AsnDb, country: str) -> MetricSeries:
-    """One DailyMetrics per snapshot, order preserved, gaps carried over."""
-    points = tuple(compute_daily(snap, db, country) for snap in series.snapshots)
-    return MetricSeries(ixp=series.ixp, country=country, points=points, gaps=series.gaps)
-
-
-def origin_presence(series: SnapshotSeries, db: AsnDb, country: str) -> PresenceMap:
-    """For each in-country origin ever seen, the exact snapshot dates on
-    which at least one route with that origin exists."""
-    check_country(country)
-    records = db.records
-    seen: dict[int, set[dt.date]] = {}
+    wanted = {check_country(cc) for cc in countries}
+    country_of = {asn: rec.country for asn, rec in db.records.items() if rec.country in wanted}
+    points: dict[str, list[DailyMetrics]] = {cc: [] for cc in wanted}
+    daily_origins: dict[str, dict[dt.date, set[int]]] = {cc: {} for cc in wanted}
     for snap in series.snapshots:
+        announcements = dict.fromkeys(wanted, 0)
+        origins: dict[str, set[int]] = {cc: set() for cc in wanted}
+        prefixes: dict[str, set[str]] = {cc: set() for cc in wanted}
+        neighbors: dict[str, set[int]] = {cc: set() for cc in wanted}
         for entry in snap.entries:
-            origin = entry.as_path[-1]
-            rec = records.get(origin)
-            if rec is not None and rec.country == country:
-                seen.setdefault(origin, set()).add(snap.date)
-    return PresenceMap({asn: frozenset(dates) for asn, dates in seen.items()}, series.dates())
+            path = entry.as_path
+            cc = country_of.get(path[-1])
+            if cc is not None:
+                announcements[cc] += 1
+                origins[cc].add(path[-1])
+                prefixes[cc].add(entry.prefix)
+            cc = country_of.get(path[0])
+            if cc is not None:
+                neighbors[cc].add(path[0])
+        for cc in wanted:
+            points[cc].append(DailyMetrics(
+                ixp=snap.ixp,
+                date=snap.date,
+                country=cc,
+                announcements=announcements[cc],
+                distinct_origins=len(origins[cc]),
+                distinct_prefixes=len(prefixes[cc]),
+                distinct_neighbors=len(neighbors[cc]),
+            ))
+            daily_origins[cc][snap.date] = origins[cc]
+    return {
+        cc: (MetricSeries(ixp=series.ixp, country=cc, points=tuple(points[cc]), gaps=series.gaps),
+             daily_origins[cc])
+        for cc in sorted(wanted)
+    }
+
+
+def origin_presence(daily_origins: Mapping[dt.date, Iterable[int]]) -> PresenceMap:
+    """For each origin ever seen, the exact snapshot dates on which it
+    appears, from one country's per-date origins as `build_series` returns
+    them (one key per snapshot date)."""
+    seen: dict[int, set[dt.date]] = {}
+    for day, origins in daily_origins.items():
+        for asn in origins:
+            seen.setdefault(asn, set()).add(day)
+    return PresenceMap({asn: frozenset(dates) for asn, dates in seen.items()}, daily_origins)
 
 
 def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
-from .metrics import METRIC_NAMES, MetricSeries
+from .metrics import MetricSeries
 
 DEFAULT_TRAILING_WINDOW = 7
 DEFAULT_THRESHOLD = 0.05
@@ -208,9 +208,3 @@ def read_events_csv(stream: IO[str]) -> list[OutageEvent]:
                                float(reference), float(minimum), float(drop),
                                annotation or None))
     return out
-
-
-def check_metric(metric: str) -> str:
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}; valid metrics: {', '.join(METRIC_NAMES)}")
-    return metric

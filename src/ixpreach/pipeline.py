@@ -76,13 +76,14 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
         series = rtingest.load_series(config.snapshot_root, ixp, window, schema)
         if not series.snapshots:
             raise ValueError(f"no snapshots for IXP {ixp!r} inside {window.start}..{window.end}")
-        for country in config.countries:
+        attributed = metrics.build_series(series, db, config.countries)
+        del series  # free this IXP's rows before the next IXP's are read
+        for country, (mseries, daily_origins) in attributed.items():
             key = (ixp, country)
-            mseries = metrics.build_series(series, db, country)
             result.series[key] = mseries
-            result.presence[key] = metrics.origin_presence(series, db, country)
+            presence = result.presence[key] = metrics.origin_presence(daily_origins)
             result.reports[key] = reachability.diff_reachability(
-                series, db, country,
+                presence, ixp, country,
                 config.baseline_date, config.final_date, config.confirmation_window)
             events: list[outage.OutageEvent] = []
             for metric in metrics.METRIC_NAMES:

@@ -2,9 +2,10 @@
 
 An origin is pronounced unreachable when it was visible in the baseline
 snapshot but is absent from the final one, confirmed by also being absent
-on the available snapshots of the preceding confirmation window.  Loss
-percentages truncate to one decimal; cross-IXP averages round half-up to
-two decimals.
+on the available snapshots of the preceding confirmation window.  Every
+set is read off one country's PresenceMap; no snapshot is scanned here.
+Loss percentages truncate to one decimal; cross-IXP averages round
+half-up to two decimals.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import datetime as dt
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .asndb import AsnDb
-from .metrics import PresenceMap, check_country
-from .rtingest import DateRange, Snapshot, SnapshotSeries
+from .metrics import PresenceMap
+from .rtingest import DateRange
 
 
 @dataclass(frozen=True)
@@ -35,62 +35,6 @@ class ReachabilityReport:
     # Origins absent on the final day but seen inside the confirmation
     # window: flaps, not losses.  Reported so the window's effect is visible.
     flapping_asns: tuple[int, ...] = ()
-
-
-def _snapshot_or_fail(series: SnapshotSeries, day: dt.date, what: str) -> Snapshot:
-    snap = series.snapshot_on(day)
-    if snap is None:
-        raise ValueError(f"{what} {day} has no snapshot for IXP {series.ixp!r}")
-    return snap
-
-
-def _country_origins(snapshot: Snapshot, db: AsnDb, country: str) -> frozenset[int]:
-    records = db.records
-    out = set()
-    for entry in snapshot.entries:
-        origin = entry.as_path[-1]
-        rec = records.get(origin)
-        if rec is not None and rec.country == country:
-            out.add(origin)
-    return frozenset(out)
-
-
-def baseline_origins(
-    series: SnapshotSeries, db: AsnDb, country: str, baseline_date: dt.date
-) -> frozenset[int]:
-    """Distinct in-country origins in the baseline snapshot."""
-    check_country(country)
-    return _country_origins(_snapshot_or_fail(series, baseline_date, "baseline date"), db, country)
-
-
-def unreachable_origins(
-    series: SnapshotSeries,
-    db: AsnDb,
-    country: str,
-    baseline_date: dt.date,
-    final_date: dt.date,
-    window: int = 3,
-) -> frozenset[int]:
-    """Baseline origins absent on the final day and on every available
-    snapshot of the `window` days before it.
-
-    Gap dates inside the window neither confirm nor refute an absence.
-    """
-    if window < 0:
-        raise ValueError("confirmation window must be >= 0")
-    base = baseline_origins(series, db, country, baseline_date)
-    final_present = _country_origins(_snapshot_or_fail(series, final_date, "final date"), db, country)
-
-    check_days = []
-    for back in range(1, window + 1):
-        snap = series.snapshot_on(final_date - dt.timedelta(days=back))
-        if snap is not None:
-            check_days.append(_country_origins(snap, db, country))
-
-    lost = base - final_present
-    for present in check_days:
-        lost -= present
-    return frozenset(lost)
 
 
 def pct_lost(total: int, lost: int) -> float:
@@ -125,36 +69,41 @@ def offline_days(presence: PresenceMap, origin: int, window: DateRange) -> int:
     return sum(1 for day in presence.snapshot_dates if day in window and day not in present)
 
 
-def neighbor_timeline(series: SnapshotSeries, db: AsnDb, country: str) -> PresenceMap:
-    """For each in-country neighbor ever seen, the dates on which it is the
-    first hop of at least one route."""
-    check_country(country)
-    records = db.records
-    seen: dict[int, set[dt.date]] = {}
-    for snap in series.snapshots:
-        for entry in snap.entries:
-            neighbor = entry.as_path[0]
-            rec = records.get(neighbor)
-            if rec is not None and rec.country == country:
-                seen.setdefault(neighbor, set()).add(snap.date)
-    return PresenceMap({asn: frozenset(dates) for asn, dates in seen.items()}, series.dates())
-
-
 def diff_reachability(
-    series: SnapshotSeries,
-    db: AsnDb,
+    presence: PresenceMap,
+    ixp: str,
     country: str,
     baseline_date: dt.date,
     final_date: dt.date,
     window: int = 3,
 ) -> ReachabilityReport:
-    """Full baseline-vs-final report for one (IXP, country) pair."""
-    base = baseline_origins(series, db, country, baseline_date)
-    final_present = _country_origins(_snapshot_or_fail(series, final_date, "final date"), db, country)
-    confirmed = unreachable_origins(series, db, country, baseline_date, final_date, window)
+    """Full baseline-vs-final report for one (IXP, country) pair, from the
+    pair's origin presence map.
+
+    Lost origins are baseline origins absent on the final day and on every
+    available snapshot of the `window` days before it; gap dates inside
+    the window neither confirm nor refute an absence.  Baseline origins
+    absent on the final day but seen inside the window are flapping.
+    """
+    for what, day in (("baseline date", baseline_date), ("final date", final_date)):
+        if day not in presence.snapshot_dates:
+            raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
+    if window < 0:
+        raise ValueError("confirmation window must be >= 0")
+    check_days = {final_date - dt.timedelta(days=back) for back in range(1, window + 1)}
+    base: set[int] = set()
+    final_present: set[int] = set()
+    confirmed: set[int] = set()
+    for asn, days in presence.items():
+        if final_date in days:
+            final_present.add(asn)
+        if baseline_date in days:
+            base.add(asn)
+            if final_date not in days and days.isdisjoint(check_days):
+                confirmed.add(asn)
     unconfirmed = (base - final_present) - confirmed
     return ReachabilityReport(
-        ixp=series.ixp,
+        ixp=ixp,
         country=country,
         baseline_date=baseline_date,
         final_date=final_date,

@@ -3,6 +3,13 @@
 A snapshot file is one IXP's routing table for one day: a UTF-8 CSV with a
 header row, where one column holds the announced prefix and another the
 space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
+
+Parsing goes through an `InternTable`: each distinct raw prefix cell,
+AS-path cell and (prefix, AS path) row is parsed once, and every row
+holding it shares the parsed object.  `load_series` keeps one table per
+IXP for the whole series, so the table is bounded by that IXP's distinct
+cells and rows over the window, and it is dropped once the series is
+loaded.
 """
 
 from __future__ import annotations
@@ -11,12 +18,11 @@ import csv
 import datetime as dt
 import ipaddress
 import logging
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .asndb import ASN_MAX, AsnDb
+from .asndb import ASN_MAX
 
 log = logging.getLogger(__name__)
 
@@ -100,12 +106,6 @@ class SnapshotSeries:
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(s.date for s in self.snapshots)
 
-    def snapshot_on(self, day: dt.date) -> Snapshot | None:
-        for snap in self.snapshots:
-            if snap.date == day:
-                return snap
-        return None
-
 
 @dataclass(frozen=True)
 class SnapshotSchema:
@@ -144,27 +144,60 @@ class SnapshotSchema:
 DEFAULT_SCHEMA = SnapshotSchema()
 
 
-@lru_cache(maxsize=1 << 16)
+_UNSEEN = object()
+
+
+@dataclass
+class InternTable:
+    """The parsed form of every distinct raw cell and row seen so far.
+
+    `prefixes` maps a raw prefix cell to its canonical CIDR text, `paths` a
+    raw AS-path cell to its ASN tuple, and `rows` a (prefix cell, AS-path
+    cell) pair to its RouteEntry; None marks a cell or row that is skipped.
+    A repeated cell is parsed once, and every row holding it shares one
+    str, tuple or RouteEntry.
+    """
+
+    prefixes: dict[str, str | None] = field(default_factory=dict)
+    paths: dict[str, tuple[int, ...] | None] = field(default_factory=dict)
+    rows: dict[tuple[str, str], RouteEntry | None] = field(default_factory=dict)
+
+    def entry(self, prefix_cell: str, path_cell: str) -> RouteEntry | None:
+        """The RouteEntry for a row not seen before, or None when its path
+        or prefix is defective; memoised in `rows`."""
+        path = self.paths.get(path_cell, _UNSEEN)
+        if path is _UNSEEN:
+            path = self.paths[path_cell] = _parse_path(path_cell)
+        prefix = None
+        if path is not None:
+            prefix = self.prefixes.get(prefix_cell, _UNSEEN)
+            if prefix is _UNSEEN:
+                prefix = self.prefixes[prefix_cell] = _normalize_prefix(prefix_cell)
+        entry = None if prefix is None else RouteEntry(prefix, path)
+        self.rows[prefix_cell, path_cell] = entry
+        return entry
+
+
 def _normalize_prefix(text: str) -> str | None:
     """Canonical CIDR text for a prefix cell, or None when unparseable."""
     try:
-        return str(ipaddress.ip_network(text, strict=False))
+        return str(ipaddress.ip_network(text.strip(), strict=False))
     except ValueError:
         return None
 
 
-def normalize_path(path: Iterable[int]) -> tuple[int, ...]:
-    """Collapse consecutive duplicate ASNs (prepend removal).
-
-    Order is otherwise preserved and the endpoints never change.
-    """
-    out: list[int] = []
-    for asn in path:
-        if not out or out[-1] != asn:
-            out.append(asn)
-    if not out:
-        raise ValueError("cannot normalize an empty path")
-    return tuple(out)
+def _parse_path(text: str) -> tuple[int, ...] | None:
+    """ASN tuple for an AS-path cell, or None when it is empty or holds a
+    token that is not a plain ASN (brace-delimited AS_SETs included)."""
+    path: list[int] = []
+    for token in text.split():
+        if not (token.isascii() and token.isdigit()):
+            return None
+        asn = int(token)
+        if asn > ASN_MAX:
+            return None
+        path.append(asn)
+    return tuple(path) or None
 
 
 def _resolve_column(header: list[str], name: str) -> int:
@@ -179,13 +212,15 @@ def parse_snapshot(
     ixp: str,
     date: dt.date,
     schema: SnapshotSchema = DEFAULT_SCHEMA,
+    intern: InternTable | None = None,
 ) -> Snapshot:
     """Parse one snapshot CSV stream.
 
     Every data row yields either a RouteEntry or a +1 on the skipped
     counter; duplicate rows are kept, each being one announcement.  Rows
     with empty paths, non-numeric path tokens (including brace-delimited
-    AS_SET segments) or unparseable prefixes are skipped.
+    AS_SET segments) or unparseable prefixes are skipped.  `intern` is
+    shared by the snapshots of one series; a fresh one is used when None.
     """
     reader = csv.reader(source)
     header = next(reader, None)
@@ -196,42 +231,32 @@ def parse_snapshot(
     o_idx = _resolve_column(header, schema.origin) if schema.origin else None
     n_idx = _resolve_column(header, schema.neighbor) if schema.neighbor else None
 
+    if intern is None:
+        intern = InternTable()
+    seen = intern.rows
     entries: list[RouteEntry] = []
     skipped = 0
     for row in reader:
         if not row:
             continue
         try:
-            prefix_cell = row[p_idx]
-            tokens = row[a_idx].split()
+            cells = (row[p_idx], row[a_idx])
         except IndexError:
             skipped += 1
             continue
-        if not tokens:
+        entry = seen.get(cells, _UNSEEN)
+        if entry is _UNSEEN:
+            entry = intern.entry(*cells)
+        if entry is None:
             skipped += 1
             continue
-        path: list[int] = []
-        for token in tokens:
-            if not (token.isascii() and token.isdigit()):
-                break
-            asn = int(token)
-            if asn > ASN_MAX:
-                break
-            path.append(asn)
-        if len(path) != len(tokens):
+        if o_idx is not None and row[o_idx].strip() != str(entry.as_path[-1]):
             skipped += 1
             continue
-        prefix = _normalize_prefix(prefix_cell.strip())
-        if prefix is None:
+        if n_idx is not None and row[n_idx].strip() != str(entry.as_path[0]):
             skipped += 1
             continue
-        if o_idx is not None and row[o_idx].strip() != str(path[-1]):
-            skipped += 1
-            continue
-        if n_idx is not None and row[n_idx].strip() != str(path[0]):
-            skipped += 1
-            continue
-        entries.append(RouteEntry(prefix, tuple(path)))
+        entries.append(entry)
 
     return Snapshot(ixp=ixp, date=date, entries=tuple(entries), skipped=skipped)
 
@@ -244,28 +269,28 @@ def load_series(
 ) -> SnapshotSeries:
     """Load every `<root>/<ixp>/<date>.csv` inside the window.
 
-    Window days with no file become gaps; an unreadable file is logged
-    and treated as a gap rather than fabricated.  A missing IXP directory
-    is a hard error.
+    Window days with no file become gaps.  So does a file that cannot be
+    used, with a warning naming the file and the reason: one that cannot
+    be opened or read, is not UTF-8, is not valid CSV, has no header row
+    (an empty file) or lacks a mapped column.  Nothing is fabricated for a
+    gap.  A missing IXP directory is a hard error.
     """
     ixp_dir = Path(root) / ixp
     if not ixp_dir.is_dir():
         raise FileNotFoundError(f"no snapshot directory for IXP {ixp!r} under {root}")
+    intern = InternTable()
     snapshots: list[Snapshot] = []
     gaps: list[dt.date] = []
     for day in window.days():
         path = ixp_dir / f"{day.isoformat()}.csv"
         try:
             with open(path, newline="", encoding="utf-8") as handle:
-                snapshots.append(parse_snapshot(handle, ixp, day, schema))
+                snapshots.append(parse_snapshot(handle, ixp, day, schema, intern))
         except FileNotFoundError:
             gaps.append(day)
-        except OSError as exc:
-            log.warning("treating unreadable snapshot %s as a gap: %s", path, exc)
+        except (OSError, ValueError, csv.Error) as exc:
+            # ValueError covers UnicodeDecodeError and parse_snapshot's
+            # missing-header and missing-column rejections.
+            log.warning("treating snapshot %s as a gap: %s", path, exc)
             gaps.append(day)
     return SnapshotSeries(ixp=ixp, snapshots=tuple(snapshots), gaps=tuple(gaps))
-
-
-def attribute_country(entry: RouteEntry, db: AsnDb) -> str | None:
-    """Country of the entry's originating AS, or None when unknown."""
-    return db.lookup(entry.origin)

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from ixpreach.asndb import AsnDb, AsnRecord
+from ixpreach.metrics import build_series, origin_presence
+from ixpreach.reachability import diff_reachability
 from ixpreach.rtingest import RouteEntry, Snapshot, SnapshotSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,6 +35,22 @@ def make_series(days_rows, ixp="testix", gaps=()) -> SnapshotSeries:
         make_snapshot(rows, ixp=ixp, date=d) for d, rows in sorted(days_rows.items())
     )
     return SnapshotSeries(ixp=ixp, snapshots=snapshots, gaps=tuple(sorted(gaps)))
+
+
+def country_series(series, db, country):
+    """One country's (MetricSeries, per-date origins) from build_series."""
+    return build_series(series, db, [country])[country]
+
+
+def presence_of(series, db, country):
+    """The country's origin presence map, built as the pipeline builds it."""
+    return origin_presence(country_series(series, db, country)[1])
+
+
+def reach(series, db, country, baseline, final, window=3):
+    """The pipeline's reachability report for one (series, country)."""
+    return diff_reachability(presence_of(series, db, country), series.ixp, country,
+                             baseline, final, window)
 
 
 @pytest.fixture

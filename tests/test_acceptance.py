@@ -16,11 +16,11 @@ import pytest
 from ixpreach import asndb, cli, pipeline, synth
 from ixpreach.metrics import DailyMetrics, MetricSeries
 from ixpreach.outage import detect_dips
-from ixpreach.reachability import average_pct, pct_lost, unreachable_origins
+from ixpreach.reachability import average_pct, pct_lost
 from ixpreach.rtingest import DateRange, parse_snapshot
 from ixpreach.synth import CountrySpec, ScenarioSpec
 
-from conftest import BASE, day, make_db, make_series
+from conftest import BASE, day, make_db, make_series, reach
 
 
 @contextmanager
@@ -109,7 +109,7 @@ def test_criterion_4_confirmation_window_property():
                     if day(i) not in absent:
                         present[day(i)].add(o)
             series = _presence_series(present, db)
-            by_window = {w: unreachable_origins(series, db, "UA", BASE, final, window=w)
+            by_window = {w: set(reach(series, db, "UA", BASE, final, window=w).lost_asns)
                          for w in (0, 1, 2, 3, 4, 5)}
             if not flappers <= by_window[0]:
                 violations += 1

@@ -112,6 +112,42 @@ class TestAnalyze:
         for rel in files1:
             assert (tmp_path / "out1" / rel).read_bytes() == (tmp_path / "out2" / rel).read_bytes()
 
+    def test_joint_countries_match_single_country_runs(self, tmp_path):
+        spec = ScenarioSpec(
+            seed=21,
+            window=DateRange(BASE, day(11)),
+            ixps=("amsix", "linx"),
+            countries={cc: CountrySpec(origin_count=n, prefixes_per_origin=(1, 3), neighbor_count=2)
+                       for cc, n in (("UA", 12), ("RU", 9), ("DE", 7))},
+            gap_dates=(day(4),),
+            disruptions=(
+                Disruption("permanent_loss", "amsix", "UA", day(5), count=3),
+                Disruption("permanent_loss", "linx", "RU", day(6), count=2),
+                Disruption("prefix_shrink", "linx", "DE", day(7), day(8), magnitude=0.5),
+            ),
+        )
+        scen = tmp_path / "scen"
+        gt = synth.generate(spec, scen)
+        assert run(["build-asndb", "--rir", f"ripencc={scen / 'delegated.txt'}",
+                    "--out", str(tmp_path / "asndb.txt")]) == 0
+
+        def analyze(out, countries):
+            args = self.analyze_args(tmp_path, scen, gt, out=out)
+            args[args.index("--countries") + 1] = countries
+            assert run(args) == 0
+            root = tmp_path / out
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        joint = analyze("joint", "UA,RU,DE")
+        for cc in ("UA", "RU", "DE"):
+            alone = analyze(f"alone-{cc}", cc)
+            mine = {rel for rel in joint if rel.endswith(f"_{cc}.csv") or rel.startswith(f"reachability/{cc}_")}
+            assert len(mine) == 2 * len(gt.ixps) + 2
+            assert mine == {rel for rel in alone if rel != "summary.txt"}
+            for rel in mine:
+                assert joint[rel] == alone[rel], rel
+        assert analyze("twice", "UA,UA") == analyze("once", "UA")
+
     def test_empty_snapshot_tree_fails_with_data_error(self, tmp_path, capsys):
         (tmp_path / "snapshots").mkdir()
         (tmp_path / "asndb.txt").write_text("# asndb 1\n# records 0 conflicts 0\n")

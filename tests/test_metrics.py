@@ -3,9 +3,16 @@ import random
 import pytest
 
 from ixpreach import metrics
-from ixpreach.metrics import build_series, compute_daily, origin_presence
+from ixpreach.metrics import DailyMetrics, build_series
 
-from conftest import BASE, day, make_db, make_series, make_snapshot
+from conftest import BASE, country_series, day, make_db, make_series, presence_of
+
+
+def compute_daily(rows, db, country):
+    """The single point build_series gives a one-snapshot series."""
+    points = country_series(make_series({BASE: rows}), db, country)[0].points
+    assert len(points) == 1
+    return points[0]
 
 
 def brute_counts(rows, countries, country):
@@ -21,12 +28,12 @@ class TestComputeDaily:
     def test_three_row_hand_enumerated_example(self):
         # db: 20->UA, 21->UA, 10->DE, 11->UA; rows announce p1 twice, p2 once
         db = make_db({20: "UA", 21: "UA", 10: "DE", 11: "UA"})
-        snap = make_snapshot([
+        rows = [
             ("192.0.2.0/24", [10, 20]),
             ("192.0.2.0/24", [11, 20]),
             ("198.51.100.0/24", [10, 21]),
-        ])
-        result = compute_daily(snap, db, "UA")
+        ]
+        result = compute_daily(rows, db, "UA")
         assert result.announcements == 3
         assert result.distinct_origins == 2
         assert result.distinct_prefixes == 2
@@ -34,14 +41,13 @@ class TestComputeDaily:
 
     def test_empty_snapshot_is_all_zero(self):
         db = make_db({20: "UA"})
-        result = compute_daily(make_snapshot([]), db, "UA")
+        result = compute_daily([], db, "UA")
         assert (result.announcements, result.distinct_origins,
                 result.distinct_prefixes, result.distinct_neighbors) == (0, 0, 0, 0)
 
     def test_no_in_country_origin(self):
         db = make_db({20: "UA"})
-        snap = make_snapshot([("192.0.2.0/24", [10, 30])])
-        result = compute_daily(snap, db, "UA")
+        result = compute_daily([("192.0.2.0/24", [10, 30])], db, "UA")
         assert result.announcements == 0
         assert result.distinct_origins == 0
         assert result.distinct_prefixes == 0
@@ -51,10 +57,10 @@ class TestComputeDaily:
         countries = {i: ("UA" if i % 3 else "RU") for i in range(1, 30)}
         db = make_db(countries)
         rows = [(f"10.{i}.0.0/16", [rng.randint(1, 29), rng.randint(1, 29)]) for i in range(40)]
-        base = compute_daily(make_snapshot(rows), db, "UA")
+        base = compute_daily(rows, db, "UA")
         for _ in range(5):
             rng.shuffle(rows)
-            assert compute_daily(make_snapshot(rows), db, "UA") == base
+            assert compute_daily(rows, db, "UA") == base
 
     def test_matches_brute_force_on_random_snapshots(self):
         rng = random.Random(11)
@@ -66,23 +72,26 @@ class TestComputeDaily:
                  [rng.randint(1, 30) for _ in range(rng.randint(1, 4))])
                 for _ in range(rng.randint(0, 60))
             ]
-            got = compute_daily(make_snapshot(rows), db, "UA")
-            assert (got.announcements, got.distinct_origins,
-                    got.distinct_prefixes, got.distinct_neighbors) == brute_counts(rows, countries, "UA")
+            joint = build_series(make_series({BASE: rows}), db, ["UA", "RU", "DE"])
+            for cc in ("UA", "RU", "DE"):
+                got = joint[cc][0].points[0]
+                assert (got.announcements, got.distinct_origins,
+                        got.distinct_prefixes, got.distinct_neighbors) == brute_counts(rows, countries, cc)
+                assert joint[cc][1] == {BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
 
     def test_country_totals_bounded_by_entry_count(self):
         rng = random.Random(13)
         countries = {i: rng.choice(["UA", "RU"]) for i in range(1, 20)}
         db = make_db(countries)
         rows = [(f"10.{i}.0.0/16", [rng.randint(1, 25), rng.randint(1, 25)]) for i in range(30)]
-        snap = make_snapshot(rows)
-        total = sum(compute_daily(snap, db, cc).announcements for cc in ("UA", "RU"))
+        joint = build_series(make_series({BASE: rows}), db, ["UA", "RU"])
+        total = sum(joint[cc][0].points[0].announcements for cc in ("UA", "RU"))
         assert total <= len(rows)
 
     def test_zz_placeholder_is_not_a_country_filter(self):
-        db = make_db({20: "ZZ"})
+        db = make_db({20: "ZZ", 21: "UA"})
         with pytest.raises(ValueError):
-            compute_daily(make_snapshot([]), db, "ZZ")
+            build_series(make_series({BASE: []}), db, ["UA", "ZZ"])
 
 
 class TestBuildSeries:
@@ -90,19 +99,32 @@ class TestBuildSeries:
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(5)}
         series = make_series(days, gaps=[day(5), day(6)])
-        mseries = build_series(series, db, "UA")
+        mseries, daily_origins = country_series(series, db, "UA")
         assert len(mseries.points) == 5
         assert mseries.gaps == (day(5), day(6))
+        assert sorted(daily_origins) == [day(i) for i in range(5)]
 
-    def test_single_snapshot_series_equals_compute_daily(self):
+    def test_joint_pass_equals_single_country_passes(self):
+        rng = random.Random(7)
+        countries = {i: rng.choice(["UA", "RU", "DE", "FR"]) for i in range(1, 40)}
+        db = make_db(countries)
+        days = {day(i): [(f"10.{rng.randint(0, 20)}.0.0/16", [rng.randint(1, 45), rng.randint(1, 45)])
+                         for _ in range(rng.randint(0, 50))] for i in range(6)}
+        series = make_series(days, gaps=[day(6)])
+        joint = build_series(series, db, ["UA", "RU", "DE", "FR"])
+        assert list(joint) == ["DE", "FR", "RU", "UA"]
+        for cc in joint:
+            assert joint[cc] == build_series(series, db, [cc])[cc]
+        assert build_series(series, db, ["UA", "UA"]) == build_series(series, db, ["UA"])
+
+    def test_single_snapshot_series_equals_hand_counts(self):
         db = make_db({20: "UA"})
-        snap = make_snapshot([("192.0.2.0/24", [20])])
         series = make_series({BASE: [("192.0.2.0/24", [20])]})
-        assert build_series(series, db, "UA").points == (compute_daily(snap, db, "UA"),)
+        assert country_series(series, db, "UA")[0].points == (DailyMetrics("testix", BASE, "UA", 1, 1, 1, 1),)
 
     def test_values_accessor_validates_metric_name(self):
         db = make_db({20: "UA"})
-        series = build_series(make_series({BASE: []}), db, "UA")
+        series = country_series(make_series({BASE: []}), db, "UA")[0]
         with pytest.raises(ValueError, match="unknown metric"):
             series.values("uptime")
 
@@ -111,14 +133,14 @@ class TestOriginPresence:
     def test_present_every_day(self):
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(70)}
-        presence = origin_presence(make_series(days), db, "UA")
+        presence = presence_of(make_series(days), db, "UA")
         assert len(presence[20]) == 70
 
     def test_present_only_on_baseline(self):
         db = make_db({20: "UA", 21: "UA"})
         days = {day(i): [("192.0.2.0/24", [21])] for i in range(1, 10)}
         days[BASE] = [("192.0.2.0/24", [21]), ("198.51.100.0/24", [20])]
-        presence = origin_presence(make_series(days), db, "UA")
+        presence = presence_of(make_series(days), db, "UA")
         assert presence[20] == frozenset({BASE})
 
     def test_presence_consistent_with_daily_origin_counts(self):
@@ -130,7 +152,7 @@ class TestOriginPresence:
             rows = [(f"10.{o}.0.0/16", [o]) for o in rng.sample(range(1, 15), rng.randint(0, 8))]
             days[day(i)] = rows
         series = make_series(days)
-        presence = origin_presence(series, db, "UA")
+        presence = presence_of(series, db, "UA")
         for snap in series.snapshots:
             for origin in presence:
                 restricted = [(p, path) for p, path in
@@ -141,7 +163,7 @@ class TestOriginPresence:
 
     def test_mapping_interface(self):
         db = make_db({20: "UA"})
-        presence = origin_presence(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
+        presence = presence_of(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
         assert 20 in presence
         assert len(presence) == 1
         assert list(presence) == [20]
@@ -152,7 +174,7 @@ class TestMetricsCsv:
         import io
         db = make_db({20: "UA", 30: "RU"})
         days = {day(i): [("192.0.2.0/24", [20]), ("198.51.100.0/24", [30])] for i in range(3)}
-        series = [build_series(make_series(days), db, cc) for cc in ("UA", "RU")]
+        series = [mseries for mseries, _ in build_series(make_series(days), db, ["UA", "RU"]).values()]
         buf = io.StringIO()
         metrics.write_metrics_csv(buf, series)
         buf.seek(0)

@@ -3,19 +3,10 @@ import random
 import pytest
 
 from ixpreach import reachability
-from ixpreach.metrics import origin_presence
-from ixpreach.reachability import (
-    average_pct,
-    baseline_origins,
-    diff_reachability,
-    neighbor_timeline,
-    offline_days,
-    pct_lost,
-    unreachable_origins,
-)
+from ixpreach.reachability import average_pct, offline_days, pct_lost
 from ixpreach.rtingest import DateRange
 
-from conftest import BASE, day, make_db, make_series
+from conftest import BASE, country_series, day, make_db, make_series, presence_of, reach
 
 
 def series_from_presence(present_by_day, db_countries, gaps=()):
@@ -29,22 +20,37 @@ def series_from_presence(present_by_day, db_countries, gaps=()):
 UA_DB = make_db({o: "UA" for o in range(1, 200)})
 
 
+def baseline_origins(series, db, country, baseline):
+    """In-country origins present on the baseline day."""
+    presence = presence_of(series, db, country)
+    return frozenset(asn for asn, days in presence.items() if baseline in days)
+
+
+def unreachable_origins(series, db, country, baseline, final, window=3):
+    return frozenset(reach(series, db, country, baseline, final, window).lost_asns)
+
+
 class TestBaselineOrigins:
     def test_distinctness(self):
         series = make_series({BASE: [
             ("10.0.0.0/24", [9, 1]), ("10.0.1.0/24", [9, 1]), ("10.0.2.0/24", [9, 2]),
         ]})
         assert baseline_origins(series, UA_DB, "UA", BASE) == {1, 2}
+        assert reach(series, UA_DB, "UA", BASE, BASE).total_baseline == 2
 
     def test_empty_when_no_in_country_origin(self):
         db = make_db({500: "RU"})
         series = make_series({BASE: [("10.0.0.0/24", [9, 1])]})
         assert baseline_origins(series, db, "RU", BASE) == frozenset()
+        report = reach(series, db, "RU", BASE, BASE)
+        assert (report.total_baseline, report.pct_lost) == (0, 0.0)
 
     def test_gap_baseline_is_a_hard_error(self):
-        series = series_from_presence({day(1): {1}}, UA_DB)
-        with pytest.raises(ValueError, match="baseline"):
-            baseline_origins(series, UA_DB, "UA", BASE)
+        series = series_from_presence({day(1): {1}}, UA_DB, gaps=[BASE])
+        with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'testix'"):
+            reach(series, UA_DB, "UA", BASE, day(1))
+        with pytest.raises(ValueError, match="final date 2022-02-21 has no snapshot"):
+            reach(series, UA_DB, "UA", day(1), day(2))
 
 
 class TestUnreachableOrigins:
@@ -141,38 +147,42 @@ class TestOfflineDays:
     def test_never_absent(self):
         present = {day(i): {1} for i in range(70)}
         series = series_from_presence(present, UA_DB)
-        presence = origin_presence(series, UA_DB, "UA")
+        presence = presence_of(series, UA_DB, "UA")
         assert offline_days(presence, 1, DateRange(BASE, day(69))) == 0
 
     def test_fifty_day_absence(self):
         present = {day(i): ({1, 2} if i < 10 or i >= 60 else {1}) for i in range(70)}
         series = series_from_presence(present, UA_DB)
-        presence = origin_presence(series, UA_DB, "UA")
+        presence = presence_of(series, UA_DB, "UA")
         assert offline_days(presence, 2, DateRange(BASE, day(69))) == 50
 
     def test_present_only_on_baseline_of_ten_snapshots(self):
         present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(10)}
-        presence = origin_presence(series_from_presence(present, UA_DB), UA_DB, "UA")
+        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
         assert offline_days(presence, 2, DateRange(BASE, day(9))) == 9
 
     def test_gap_days_are_not_counted(self):
         present = {day(i): {1} for i in (0, 2, 4)}
         series = series_from_presence(present, UA_DB, gaps=[day(1), day(3)])
-        presence = origin_presence(series, UA_DB, "UA")
+        presence = presence_of(series, UA_DB, "UA")
         assert offline_days(presence, 1, DateRange(BASE, day(4))) == 0
 
     def test_unknown_origin_is_an_error(self):
-        presence = origin_presence(series_from_presence({BASE: {1}}, UA_DB), UA_DB, "UA")
+        presence = presence_of(series_from_presence({BASE: {1}}, UA_DB), UA_DB, "UA")
         with pytest.raises(KeyError):
             offline_days(presence, 999, DateRange(BASE, BASE))
+
+
+def neighbor_days(series, db, country):
+    """Snapshot dates on which the country has at least one in-country first hop."""
+    return {p.date for p in country_series(series, db, country)[0].points if p.distinct_neighbors}
 
 
 class TestNeighborTimeline:
     def test_neighbor_present_all_days(self):
         db = make_db({7: "UA", 1: "UA"})
         days = {day(i): [("10.0.0.0/24", [7, 1])] for i in range(5)}
-        timeline = neighbor_timeline(make_series(days), db, "UA")
-        assert timeline[7] == frozenset(day(i) for i in range(5))
+        assert neighbor_days(make_series(days), db, "UA") == {day(i) for i in range(5)}
 
     def test_disconnected_days_missing(self):
         db = make_db({7: "UA", 8: "UA", 1: "UA"})
@@ -182,21 +192,21 @@ class TestNeighborTimeline:
             if i not in (2, 3):
                 rows.append(("10.0.1.0/24", [7, 1]))
             days[day(i)] = rows
-        timeline = neighbor_timeline(make_series(days), db, "UA")
-        assert timeline[7] == frozenset(day(i) for i in (0, 1, 4, 5))
+        points = country_series(make_series(days), db, "UA")[0].points
+        assert [p.distinct_neighbors for p in points] == [2, 2, 1, 1, 2, 2]
 
     def test_country_with_no_neighbors_yields_empty_map(self):
         db = make_db({1: "UA", 9999: "US"})
         days = {day(i): [("10.0.0.0/24", [9999, 1])] for i in range(3)}
-        timeline = neighbor_timeline(make_series(days), db, "UA")
-        assert len(timeline) == 0
+        assert neighbor_days(make_series(days), db, "UA") == set()
+        assert neighbor_days(make_series(days), db, "US") == {day(i) for i in range(3)}
 
 
 class TestDiffReachability:
     def test_report_fields_are_consistent(self):
         present = {day(i): ({1, 2, 3} if i == 0 else {1, 4}) for i in range(8)}
         series = series_from_presence(present, UA_DB)
-        report = diff_reachability(series, UA_DB, "UA", BASE, day(7), window=3)
+        report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
         assert report.total_baseline == 3
         assert report.lost == len(report.lost_asns) == 2
         assert report.lost_asns == (2, 3)
@@ -208,7 +218,7 @@ class TestDiffReachability:
         rng = random.Random(31)
         present = {day(i): {o for o in range(1, 40) if rng.random() < 0.8} for i in range(9)}
         series = series_from_presence(present, UA_DB)
-        report = diff_reachability(series, UA_DB, "UA", BASE, day(8), window=3)
+        report = reach(series, UA_DB, "UA", BASE, day(8), window=3)
         base = baseline_origins(series, UA_DB, "UA", BASE)
         retained = base - set(report.lost_asns)
         assert retained | set(report.lost_asns) == base
@@ -219,14 +229,14 @@ class TestDiffReachability:
         present = {day(i): {1, 2} for i in range(7)}
         present[day(7)] = {1}
         series = series_from_presence(present, UA_DB)
-        report = diff_reachability(series, UA_DB, "UA", BASE, day(7), window=3)
+        report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
         assert report.lost_asns == ()
         assert report.flapping_asns == (2,)
 
     def test_record_format_round_trips_key_facts(self):
         present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)}
         series = series_from_presence(present, UA_DB)
-        report = diff_reachability(series, UA_DB, "UA", BASE, day(7), window=3)
+        report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
         record = reachability.format_report_record(report)
         assert "ixp=testix" in record
         assert "total_baseline=2" in record
@@ -236,7 +246,7 @@ class TestDiffReachability:
     def test_table_reproduces_truncated_percentages(self):
         present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)}
         series = series_from_presence(present, UA_DB)
-        report = diff_reachability(series, UA_DB, "UA", BASE, day(7), window=3)
+        report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
         table = reachability.format_report_table([report])
         assert "50.0%" in table
         assert "average % lost: 50.00" in table

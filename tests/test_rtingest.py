@@ -1,19 +1,21 @@
+import csv
 import io
-import random
+import ipaddress
+import logging
 
 import pytest
 
-from ixpreach import rtingest
+from ixpreach import pipeline, rtingest
 from ixpreach.rtingest import (
     DateRange,
+    InternTable,
     RouteEntry,
     SnapshotSchema,
     load_series,
-    normalize_path,
     parse_snapshot,
 )
 
-from conftest import BASE, day, make_db
+from conftest import BASE, country_series, day, make_db, make_series
 
 # Ten data rows exercising every defect class; the oracle below classifies
 # them independently of the parser.
@@ -69,31 +71,6 @@ class TestRouteEntry:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             RouteEntry("192.0.2.0/24", ())
-
-
-class TestNormalizePath:
-    def test_collapses_prepends(self):
-        assert normalize_path([6939, 6939, 6939, 12389]) == (6939, 12389)
-
-    def test_identity_without_repeats(self):
-        assert normalize_path([174, 3216, 25133]) == (174, 3216, 25133)
-
-    def test_only_consecutive_duplicates_collapse(self):
-        assert normalize_path([1, 2, 2, 1]) == (1, 2, 1)
-
-    def test_empty_input_is_an_error(self):
-        with pytest.raises(ValueError):
-            normalize_path([])
-
-    def test_random_paths_keep_endpoints_and_adjacency_property(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            path = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
-            out = normalize_path(path)
-            assert out[0] == path[0] and out[-1] == path[-1]
-            assert all(a != b for a, b in zip(out, out[1:]))
-            it = iter(path)
-            assert all(any(x == want for x in it) for want in out)  # subsequence
 
 
 class TestParseSnapshot:
@@ -161,6 +138,18 @@ class TestParseSnapshot:
         b = parse_text(TEN_ROW_FIXTURE)
         assert a == b
 
+    def test_shared_intern_table_parses_like_a_fresh_one(self):
+        intern = InternTable()
+        other_day = "prefix,as_path\n192.0.2.7/24,174 3216 25133\n10.0.0.0/8,\n2001:DB8::/32,6939 25133\n"
+        parse_snapshot(io.StringIO(other_day), "testix", day(-1), intern=intern)
+        for text in (TEN_ROW_FIXTURE, other_day):
+            shared = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
+            assert shared == parse_text(text)
+        assert intern.paths["174 3216 25133"] == (174, 3216, 25133)
+        assert intern.prefixes["192.0.2.7/24"] == "192.0.2.0/24"
+        assert intern.prefixes["not-a-prefix"] is None
+        assert intern.paths[""] is None
+
     def test_schema_file_round_trip(self, tmp_path):
         path = tmp_path / "schema.cfg"
         path.write_text("# looking-glass export\nprefix = Prefix\nas_path = AS_Path\n")
@@ -208,13 +197,68 @@ class TestLoadSeries:
         series = load_series(tmp_path, "amsix", DateRange(BASE, day(2)))
         assert series.dates() == (day(0),)
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"", "has no header row"),
+        (b"prefix,as_path\n192.0.2.0/24,174 \xff25133\n", "can't decode byte 0xff"),
+        (b"prefix,path\n192.0.2.0/24,174 25133\n", "missing mapped column 'as_path'"),
+        (b"prefix,as_path\n192.0.2.0/24,\"" + b"1" * (1 << 18) + b"\"\n", "field larger than field limit"),
+    ], ids=["empty", "undecodable", "missing-column", "oversized-field"])
+    def test_bad_file_becomes_a_logged_gap(self, tmp_path, caplog, content, reason):
+        for offset in range(3):
+            write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
+        bad = tmp_path / "amsix" / f"{day(1).isoformat()}.csv"
+        bad.write_bytes(content)
+        with caplog.at_level(logging.WARNING, logger="ixpreach.rtingest"):
+            series = load_series(tmp_path, "amsix", DateRange(BASE, day(2)))
+        assert series.dates() == (day(0), day(2))
+        assert series.gaps == (day(1),)
+        assert len(caplog.records) == 1
+        assert str(bad) in caplog.text and reason in caplog.text
+        with open(bad, newline="", encoding="utf-8") as handle:
+            with pytest.raises((ValueError, csv.Error), match=reason):
+                parse_snapshot(handle, "amsix", day(1))
+
+    def test_quarantined_baseline_still_fails_the_run(self, tmp_path):
+        for offset in range(3):
+            write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
+        (tmp_path / "amsix" / f"{BASE.isoformat()}.csv").write_bytes(b"")
+        config = pipeline.RunConfig(asndb_path=tmp_path / "unused", snapshot_root=tmp_path,
+                                    output_dir=tmp_path / "out", ixps=("amsix",), countries=("UA",),
+                                    baseline_date=BASE, final_date=day(2))
+        with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'amsix'"):
+            pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+
+    def test_repeated_cells_are_parsed_once_past_the_old_cache_bound(self, tmp_path, monkeypatch):
+        n = (1 << 16) + 4_000
+        prefixes = [f"{10 + (i >> 16)}.{(i >> 8) & 255}.{i & 255}.0/24" for i in range(n)]
+        write_snapshot_file(tmp_path, "amsix", day(0), [(p, [174, 25133 + i % 7]) for i, p in enumerate(prefixes)])
+        # Day 2 repeats every prefix cell, half of them behind a new path.
+        write_snapshot_file(tmp_path, "amsix", day(1), [(p, [174, 25133 + i % 7 + i % 2 * 10])
+                                                        for i, p in enumerate(prefixes)])
+        calls = [0]
+        real = ipaddress.ip_network
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ipaddress, "ip_network", counted)
+        series = load_series(tmp_path, "amsix", DateRange(BASE, day(1)))
+        assert calls[0] == n
+        first, second = series.snapshots
+        assert len(first.entries) == len(second.entries) == n
+        assert all(a.prefix is b.prefix for a, b in zip(first.entries, second.entries))
+        assert all((a is b) == (i % 2 == 0) for i, (a, b) in enumerate(zip(first.entries, second.entries)))
+
 
 class TestAttributeCountry:
     def test_known_and_unknown_origins(self):
         db = make_db({25133: "UA", 31133: "RU"})
-        ua = RouteEntry("192.0.2.0/24", (174, 25133))
-        ru = RouteEntry("198.51.100.0/24", (174, 31133))
-        other = RouteEntry("203.0.113.0/24", (174, 2914))
-        assert rtingest.attribute_country(ua, db) == "UA"
-        assert rtingest.attribute_country(ru, db) == "RU"
-        assert rtingest.attribute_country(other, db) is None
+        series = make_series({BASE: [
+            ("192.0.2.0/24", [174, 25133]),
+            ("198.51.100.0/24", [174, 31133]),
+            ("203.0.113.0/24", [174, 2914]),
+        ]})
+        assert country_series(series, db, "UA")[1] == {BASE: {25133}}
+        assert country_series(series, db, "RU")[1] == {BASE: {31133}}
+        assert country_series(series, db, "US")[1] == {BASE: set()}

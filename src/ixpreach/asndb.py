@@ -18,7 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 REGISTRIES = ("afrinic", "apnic", "arin", "lacnic", "ripencc")
 
@@ -31,9 +31,12 @@ ASN_MAX = 2**32 - 1
 _CC_RE = re.compile(r"^[A-Z]{2}$")
 
 
-@dataclass(frozen=True, slots=True)
-class AsnRecord:
-    """One AS number with the country and registry it is delegated under."""
+class AsnRecord(NamedTuple):
+    """One AS number with the country and registry it is delegated under.
+
+    A named tuple: immutable, hashable and cheap to build, which matters
+    for the hundred thousand records a full database loads on every run.
+    """
 
     asn: int
     country: str
@@ -83,6 +86,19 @@ def _parse_date(text: str) -> dt.date | None:
     return dt.datetime.strptime(text, "%Y%m%d").date()
 
 
+class _DateMemo(dict):
+    """Date text -> parsed date, each distinct text parsed once.
+
+    A database holds about ten times more records than distinct dates.  A
+    text that does not parse raises ValueError on every lookup and is
+    never stored.
+    """
+
+    def __missing__(self, text: str) -> dt.date | None:
+        date = self[text] = _parse_date(text)
+        return date
+
+
 def parse_delegated(source: Iterable[str], registry: str) -> ParsedDelegated:
     """Parse a delegated statistics stream into ASN records.
 
@@ -94,6 +110,7 @@ def parse_delegated(source: Iterable[str], registry: str) -> ParsedDelegated:
     """
     records: list[AsnRecord] = []
     skipped: list[tuple[int, str]] = []
+    dates = _DateMemo()
 
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
@@ -128,7 +145,7 @@ def parse_delegated(source: Iterable[str], registry: str) -> ParsedDelegated:
             skipped.append((lineno, "asn range out of bounds"))
             continue
         try:
-            date = _parse_date(date_text)
+            date = dates[date_text]
         except ValueError:
             skipped.append((lineno, f"bad date {date_text!r}"))
             continue
@@ -204,9 +221,12 @@ def save(db: AsnDb, path: str | Path) -> None:
     for registry, digest in db.source_files:
         lines.append(f"# source {registry} {digest}")
     lines.append(f"# records {len(db.records)} conflicts {db.conflicts}")
+    date_texts: dict[dt.date | None, str] = {None: ""}
     for asn in sorted(db.records):
         rec = db.records[asn]
-        date = rec.date.strftime("%Y%m%d") if rec.date is not None else ""
+        date = date_texts.get(rec.date)
+        if date is None:
+            date = date_texts[rec.date] = rec.date.strftime("%Y%m%d")
         lines.append(f"{rec.asn}|{rec.country}|{rec.registry}|{date}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -215,24 +235,35 @@ def load(path: str | Path) -> AsnDb:
     """Read a database previously written by :func:`save`.
 
     The persisted format does not carry the allocated/assigned status, so
-    loaded records default to "assigned".
+    loaded records default to "assigned".  A malformed line raises
+    ValueError naming `<path>:<lineno>`; so does a file whose distinct
+    records do not number what its `# records N` header says (a truncated
+    file would otherwise leave ASNs without a country).
     """
     records: dict[int, AsnRecord] = {}
     source_files: list[tuple[str, str]] = []
     conflicts = 0
+    expected: int | None = None
+    dates = _DateMemo()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["source"] and len(parts) == 3:
-                    source_files.append((parts[1], parts[2]))
-                elif parts[:1] == ["records"] and len(parts) == 4:
-                    conflicts = int(parts[3])
-                continue
-            asn_text, country, registry, date_text = line.split("|")
-            asn = int(asn_text)
-            records[asn] = AsnRecord(asn, country, registry, "assigned", _parse_date(date_text))
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if parts[:1] == ["source"] and len(parts) == 3:
+                        source_files.append((parts[1], parts[2]))
+                    elif parts[:1] == ["records"] and len(parts) == 4:
+                        expected = int(parts[1])
+                        conflicts = int(parts[3])
+                    continue
+                asn_text, country, registry, date_text = line.split("|")
+                asn = int(asn_text)
+                records[asn] = AsnRecord(asn, country, registry, "assigned", dates[date_text])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed asndb line {line!r}: {exc}") from None
+    if expected is not None and len(records) != expected:
+        raise ValueError(f"{path}: header says {expected} records but {len(records)} were read")
     return AsnDb(records=records, source_files=tuple(sorted(source_files)), conflicts=conflicts)

@@ -218,9 +218,10 @@ def parse_snapshot(
 
     Every data row yields either a RouteEntry or a +1 on the skipped
     counter; duplicate rows are kept, each being one announcement.  Rows
-    with empty paths, non-numeric path tokens (including brace-delimited
-    AS_SET segments) or unparseable prefixes are skipped.  `intern` is
-    shared by the snapshots of one series; a fresh one is used when None.
+    too short to hold every mapped column, with empty paths, non-numeric
+    path tokens (including brace-delimited AS_SET segments) or unparseable
+    prefixes are skipped.  `intern` is shared by the snapshots of one
+    series; a fresh one is used when None.
     """
     reader = csv.reader(source)
     header = next(reader, None)
@@ -230,6 +231,8 @@ def parse_snapshot(
     a_idx = _resolve_column(header, schema.as_path)
     o_idx = _resolve_column(header, schema.origin) if schema.origin else None
     n_idx = _resolve_column(header, schema.neighbor) if schema.neighbor else None
+
+    last_idx = max(i for i in (p_idx, a_idx, o_idx, n_idx) if i is not None)
 
     if intern is None:
         intern = InternTable()
@@ -241,6 +244,7 @@ def parse_snapshot(
             continue
         try:
             cells = (row[p_idx], row[a_idx])
+            row[last_idx]  # a row short of any mapped column is skipped
         except IndexError:
             skipped += 1
             continue

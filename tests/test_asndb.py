@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,34 @@ FIXTURE_TOTAL_RAW = 19
 FIXTURE_TOTAL_MERGED = 17
 FIXTURE_CONFLICTS = 2
 FIXTURE_SKIPPED = 1
+
+# `save` output for the five fixture files, byte for byte.
+PINNED_FIXTURE_DB = """\
+# asndb 1
+# source afrinic sha256:f168ea402c0f429da5fbd0c6520e3d0360260e7c92b4110241a33acbae5ed837
+# source apnic sha256:ce6e987db9d8c5965cce9c49a6e92efbb20fd49536620b7005a559a5d695cf4a
+# source arin sha256:edb3362358ca2bd2ec5807e159d07d13df3bce249662686dcad17151866c12de
+# source lacnic sha256:2a217d79cd0f56afa25bfd93a6561e8f5c043e98f4f4b7b1b0734f543140bc2b
+# source ripencc sha256:4ca2163313fd5ca9c20f45f69e393132c1779c6aad38a9c59e5faaab48779216
+# records 17 conflicts 2
+100|US|arin|19950101
+101|US|arin|19950101
+102|US|arin|19950101
+103|US|arin|19950101
+104|US|arin|19950101
+1221|AU|apnic|20000401
+2497|JP|apnic|19930901
+3741|ZA|afrinic|19940101
+4134|CN|apnic|19970415
+12389|RU|ripencc|19981230
+12963|UA|ripencc|19990325
+25133|UA|ripencc|20020701
+26615|BR|lacnic|20030512
+28573|BR|lacnic|20050110
+33771|KE|afrinic|20050607
+65000|AR|lacnic|20100101
+199995|UA|ripencc|20130711
+"""
 
 
 def parse_text(text, registry="ripencc"):
@@ -86,6 +115,18 @@ class TestParseDelegated:
         result = parse_text("\n".join(rows), "apnic")
         assert len(result) == expected
 
+    def test_repeated_bad_date_is_skipped_on_every_row(self):
+        text = (
+            "ripencc|UA|asn|100|1|20021301|allocated\n"
+            "ripencc|UA|asn|101|1|20020701|allocated\n"
+            "ripencc|UA|asn|102|1|20021301|allocated\n"
+            "ripencc|UA|asn|103|1|20020701|allocated\n"
+        )
+        result = parse_text(text)
+        assert [r.asn for r in result] == [101, 103]
+        assert result.skipped == ((1, "bad date '20021301'"), (3, "bad date '20021301'"))
+        assert all(r.date == dt.date(2002, 7, 1) for r in result)
+
     def test_combined_file_takes_registry_from_each_row(self):
         text = (
             "ripencc|UA|asn|25133|1|20020701|allocated\n"
@@ -93,6 +134,22 @@ class TestParseDelegated:
         )
         result = parse_text(text, "ripencc")
         assert [r.registry for r in result] == ["ripencc", "arin"]
+
+
+class TestAsnRecord:
+    def test_fields_cannot_be_assigned(self):
+        rec = AsnRecord(25133, "UA", "ripencc")
+        with pytest.raises(AttributeError):
+            rec.country = "RU"
+
+    def test_hashable_and_equal_by_value(self):
+        a = AsnRecord(25133, "UA", "ripencc", "allocated", dt.date(2002, 7, 1))
+        b = AsnRecord(25133, "UA", "ripencc", "allocated", dt.date(2002, 7, 1))
+        assert hash(a) == hash(b)
+        assert len({a, b, AsnRecord(25133, "UA", "ripencc")}) == 2
+
+    def test_defaults(self):
+        assert AsnRecord(1, "UA", "ripencc") == AsnRecord(1, "UA", "ripencc", "assigned", None)
 
 
 class TestMerge:
@@ -196,6 +253,46 @@ class TestPersistence:
         assert loaded.records[12389].date is None
         assert loaded.source_files == (("ripencc", "sha256:feed"),)
         assert loaded.conflicts == db.conflicts
+
+    def test_round_trip_with_shared_and_missing_dates(self, tmp_path):
+        shared = dt.date(2002, 7, 1)
+        records = [AsnRecord(asn, "UA", "ripencc", "assigned", shared) for asn in (7, 8, 9)]
+        records += [AsnRecord(10, "RU", "ripencc", "assigned", None),
+                    AsnRecord(11, "RU", "arin", "assigned", None),
+                    AsnRecord(12, "RU", "arin", "assigned", dt.date(1999, 12, 31))]
+        db = asndb.merge([records])
+        path = tmp_path / "asndb.txt"
+        asndb.save(db, path)
+        loaded = asndb.load(path)
+        assert loaded.records == db.records
+        assert loaded.records[7].date is loaded.records[9].date
+
+    def test_saved_fixture_database_is_pinned(self, tmp_path, delegated_dir):
+        db, _ = asndb.build_from_files(
+            [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)])
+        path = tmp_path / "asndb.txt"
+        asndb.save(db, path)
+        assert path.read_bytes() == PINNED_FIXTURE_DB.encode("utf-8")
+
+    @pytest.mark.parametrize("row", [
+        "25133|UA|ripencc",
+        "25133|UA|ripencc|20020701|extra",
+        "AS25133|UA|ripencc|20020701",
+        "25133|UA|ripencc|2002-07-01",
+    ], ids=["too-few-fields", "too-many-fields", "non-integer-asn", "bad-date"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "asndb.txt"
+        path.write_text(f"# asndb 1\n# records 2 conflicts 0\n12389|RU|ripencc|\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4:")):
+            asndb.load(path)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_record_count_must_match_header(self, tmp_path, count):
+        path = tmp_path / "asndb.txt"
+        path.write_text(f"# asndb 1\n# records {count} conflicts 0\n"
+                        "12389|RU|ripencc|\n25133|UA|ripencc|20020701\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header says {count} records but 2")):
+            asndb.load(path)
 
     def test_persisted_bytes_independent_of_merge_order(self, tmp_path, delegated_dir):
         items = [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)]

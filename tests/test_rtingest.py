@@ -133,6 +133,15 @@ class TestParseSnapshot:
         assert len(snap.entries) == 1
         assert snap.skipped == 1
 
+    @pytest.mark.parametrize("column", ["origin", "neighbor"])
+    def test_row_short_of_a_mapped_column_is_skipped(self, column):
+        schema = SnapshotSchema(**{column: column})
+        good = "25133" if column == "origin" else "174"
+        text = f"prefix,as_path,{column}\n192.0.2.0/24,174 25133\n198.51.100.0/24,174 25133,{good}\n"
+        snap = parse_text(text, schema)
+        assert [e.prefix for e in snap.entries] == ["198.51.100.0/24"]
+        assert snap.skipped == 1
+
     def test_parse_is_deterministic(self):
         a = parse_text(TEN_ROW_FIXTURE)
         b = parse_text(TEN_ROW_FIXTURE)

@@ -81,8 +81,19 @@ class AsnDb:
 
 
 def _parse_date(text: str) -> dt.date | None:
+    """The date of a `YYYYMMDD` text, or None for an empty or all-zero one.
+
+    Eight ASCII digits are split by position; any other text, and one
+    that is not a valid date, goes to `strptime`, which decides it and
+    words its ValueError.
+    """
     if not text or text == "00000000":
         return None
+    if len(text) == 8 and text.isascii() and text.isdigit():
+        try:
+            return dt.date(int(text[:4]), int(text[4:6]), int(text[6:]))
+        except ValueError:
+            pass
     return dt.datetime.strptime(text, "%Y%m%d").date()
 
 

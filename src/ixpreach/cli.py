@@ -62,7 +62,9 @@ def build_parser() -> _Parser:
     p.add_argument("--trailing-window", type=int, help="dip detector reference window")
     p.add_argument("--threshold", type=float, help="dip detector drop fraction")
     p.add_argument("--min-reference", type=float, help="dip detector noise guard")
-    p.add_argument("--catalog", help="event catalog file for outage annotation")
+    p.add_argument("--catalog", help="event catalog file for outage annotation; the reserved "
+                   f"word {pipeline.SEED_CATALOG!r} names the catalog packaged with ixpreach "
+                   f"(write ./{pipeline.SEED_CATALOG} for a file of that name)")
     p.add_argument("--annotation-slack", type=int, help="catalog matching slack in days")
     p.add_argument("--schema", help="snapshot column-mapping file")
     p.set_defaults(func=_cmd_analyze)
@@ -172,7 +174,7 @@ def _build_run_config(args: argparse.Namespace) -> pipeline.RunConfig:
                 raise UsageError(f"bad value for {key}: {value!r}") from None
     catalog = pick(args.catalog, "catalog")
     if catalog is not None:
-        kwargs["catalog_path"] = Path(catalog)
+        kwargs["catalog_path"] = catalog if catalog == pipeline.SEED_CATALOG else Path(catalog)
     schema = pick(args.schema, "schema")
     if schema is not None:
         kwargs["schema_path"] = Path(schema)

@@ -19,6 +19,7 @@ DEFAULT_IXPS = ("amsix", "linx", "six", "auix", "spoixbr")
 DEFAULT_COUNTRIES = ("UA", "RU")
 DEFAULT_BASELINE = dt.date(2022, 2, 19)
 DEFAULT_FINAL = dt.date(2022, 4, 29)
+SEED_CATALOG = "seed"  # a catalog_path naming the catalog packaged with ixpreach
 
 
 @dataclass
@@ -36,7 +37,7 @@ class RunConfig:
     trailing_window: int = outage.DEFAULT_TRAILING_WINDOW
     threshold: float = outage.DEFAULT_THRESHOLD
     min_reference: float = outage.DEFAULT_MIN_REFERENCE
-    catalog_path: Path | None = None
+    catalog_path: Path | str | None = None  # a file, or the str SEED_CATALOG
     annotation_slack: int = 0
     schema_path: Path | None = None
 
@@ -66,7 +67,9 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
     schema = (rtingest.SnapshotSchema.from_file(config.schema_path)
               if config.schema_path else rtingest.DEFAULT_SCHEMA)
     catalog = None
-    if config.catalog_path is not None:
+    if config.catalog_path == SEED_CATALOG:
+        catalog = outage.load_seed_catalog()
+    elif config.catalog_path is not None:
         with open(config.catalog_path, encoding="utf-8") as handle:
             catalog = outage.parse_catalog(handle)
 

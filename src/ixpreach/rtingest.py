@@ -4,12 +4,19 @@ A snapshot file is one IXP's routing table for one day: a UTF-8 CSV with a
 header row, where one column holds the announced prefix and another the
 space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
-Parsing goes through an `InternTable`: each distinct raw prefix cell,
-AS-path cell and (prefix, AS path) row is parsed once, and every row
-holding it shares the parsed object.  `load_series` keeps one table per
-IXP for the whole series, so the table is bounded by that IXP's distinct
-cells and rows over the window, and it is dropped once the series is
-loaded.
+Parsing goes through an `InternTable`.  The header is read with
+`csv.reader`; after it, each raw physical line is looked up in a memo kept
+per column layout, so a line repeated from an earlier day costs one dict
+lookup and yields the RouteEntry (or the skip) decided when the line was
+first seen.  A new line is split on commas, and its prefix and AS-path
+cells are parsed through per-cell memos.  A line that csv could split
+differently from a plain comma split (one holding a quote, a NUL, a CR or
+LF before its terminator, or longer than `csv.field_size_limit()`) goes
+through `csv.reader` instead and is not memoised, so quoted and
+multi-line records and csv errors behave exactly as with a plain reader.
+`load_series` keeps one table per IXP for the whole series, so the table
+is bounded by that IXP's distinct lines and cells over the window, and it
+is dropped once the series is loaded.
 """
 
 from __future__ import annotations
@@ -17,7 +24,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import ipaddress
+import itertools
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -146,42 +155,82 @@ DEFAULT_SCHEMA = SnapshotSchema()
 
 _UNSEEN = object()
 
+# Column indices (prefix, as_path, origin, neighbor) of one header; origin
+# and neighbor are None when not mapped.
+Layout = tuple[int, int, int | None, int | None]
+
 
 @dataclass
 class InternTable:
-    """The parsed form of every distinct raw cell and row seen so far.
+    """The parsed form of every distinct raw line and cell seen so far.
 
-    `prefixes` maps a raw prefix cell to its canonical CIDR text, `paths` a
-    raw AS-path cell to its ASN tuple, and `rows` a (prefix cell, AS-path
-    cell) pair to its RouteEntry; None marks a cell or row that is skipped.
-    A repeated cell is parsed once, and every row holding it shares one
-    str, tuple or RouteEntry.
+    `lines` maps a column layout to a memo from a raw physical line, its
+    terminator included, to the RouteEntry it yields, or None for a
+    counted skip; a layout has its own memo because the header can differ
+    between days.  `prefixes` maps a raw prefix cell to its canonical CIDR
+    text and `paths` a raw AS-path cell to its ASN tuple, None marking a
+    defective cell.  A repeated line or cell is parsed once, and every row
+    holding it shares one RouteEntry, str or tuple.  Lines that go through
+    `csv.reader` are not in `lines`, only their cells are.
     """
 
     prefixes: dict[str, str | None] = field(default_factory=dict)
     paths: dict[str, tuple[int, ...] | None] = field(default_factory=dict)
-    rows: dict[tuple[str, str], RouteEntry | None] = field(default_factory=dict)
+    lines: dict[Layout, dict[str, RouteEntry | None]] = field(default_factory=dict)
 
-    def entry(self, prefix_cell: str, path_cell: str) -> RouteEntry | None:
-        """The RouteEntry for a row not seen before, or None when its path
-        or prefix is defective; memoised in `rows`."""
+    def entry(self, row: list[str], layout: Layout) -> RouteEntry | None:
+        """The RouteEntry for a data row, or None when the row is skipped:
+        it is short of a mapped column, its path or prefix is defective, or
+        a mapped origin/neighbor cell disagrees with the path."""
+        p_idx, a_idx, o_idx, n_idx = layout
+        try:
+            prefix_cell, path_cell = row[p_idx], row[a_idx]
+            origin_cell = None if o_idx is None else row[o_idx]
+            neighbor_cell = None if n_idx is None else row[n_idx]
+        except IndexError:
+            return None
         path = self.paths.get(path_cell, _UNSEEN)
         if path is _UNSEEN:
             path = self.paths[path_cell] = _parse_path(path_cell)
-        prefix = None
-        if path is not None:
-            prefix = self.prefixes.get(prefix_cell, _UNSEEN)
-            if prefix is _UNSEEN:
-                prefix = self.prefixes[prefix_cell] = _normalize_prefix(prefix_cell)
-        entry = None if prefix is None else RouteEntry(prefix, path)
-        self.rows[prefix_cell, path_cell] = entry
-        return entry
+        if path is None:
+            return None
+        prefix = self.prefixes.get(prefix_cell, _UNSEEN)
+        if prefix is _UNSEEN:
+            prefix = self.prefixes[prefix_cell] = _normalize_prefix(prefix_cell)
+        if prefix is None:
+            return None
+        if origin_cell is not None and origin_cell.strip() != str(path[-1]):
+            return None
+        if neighbor_cell is not None and neighbor_cell.strip() != str(path[0]):
+            return None
+        return RouteEntry(prefix, path)
+
+
+_IPV4_CIDR = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})/([0-9]{1,2})")
 
 
 def _normalize_prefix(text: str) -> str | None:
-    """Canonical CIDR text for a prefix cell, or None when unparseable."""
+    """Canonical CIDR text for a prefix cell, or None when unparseable.
+
+    A dotted-quad `a.b.c.d/len` with no leading zeros, octets up to 255
+    and a length up to 32 is masked here, giving the text ipaddress would;
+    every other text goes to `ipaddress.ip_network(..., strict=False)`.
+    """
+    text = text.strip()
+    match = _IPV4_CIDR.fullmatch(text)
+    if match is not None:
+        groups = match.groups()
+        if not any(len(g) > 1 and g[0] == "0" for g in groups):
+            a, b, c, d, length = map(int, groups)
+            if a <= 255 and b <= 255 and c <= 255 and d <= 255 and length <= 32:
+                mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+                address = (a << 24) | (b << 16) | (c << 8) | d
+                if address & mask == address:
+                    return text
+                address &= mask
+                return f"{address >> 24}.{address >> 16 & 255}.{address >> 8 & 255}.{address & 255}/{length}"
     try:
-        return str(ipaddress.ip_network(text.strip(), strict=False))
+        return str(ipaddress.ip_network(text, strict=False))
     except ValueError:
         return None
 
@@ -217,50 +266,47 @@ def parse_snapshot(
     """Parse one snapshot CSV stream.
 
     Every data row yields either a RouteEntry or a +1 on the skipped
-    counter; duplicate rows are kept, each being one announcement.  Rows
-    too short to hold every mapped column, with empty paths, non-numeric
-    path tokens (including brace-delimited AS_SET segments) or unparseable
-    prefixes are skipped.  `intern` is shared by the snapshots of one
-    series; a fresh one is used when None.
+    counter; blank lines are ignored and duplicate rows are kept, each
+    being one announcement.  Rows too short to hold every mapped column,
+    with empty paths, non-numeric path tokens (including brace-delimited
+    AS_SET segments), unparseable prefixes or mapped origin/neighbor cells
+    that disagree with the path are skipped.  `intern` is shared by the
+    snapshots of one series; a fresh one is used when None.
     """
-    reader = csv.reader(source)
-    header = next(reader, None)
+    lines = iter(source)
+    header = next(csv.reader(lines), None)
     if header is None:
         raise ValueError(f"snapshot for {ixp} {date} has no header row")
-    p_idx = _resolve_column(header, schema.prefix)
-    a_idx = _resolve_column(header, schema.as_path)
-    o_idx = _resolve_column(header, schema.origin) if schema.origin else None
-    n_idx = _resolve_column(header, schema.neighbor) if schema.neighbor else None
-
-    last_idx = max(i for i in (p_idx, a_idx, o_idx, n_idx) if i is not None)
+    layout: Layout = (
+        _resolve_column(header, schema.prefix),
+        _resolve_column(header, schema.as_path),
+        _resolve_column(header, schema.origin) if schema.origin else None,
+        _resolve_column(header, schema.neighbor) if schema.neighbor else None,
+    )
 
     if intern is None:
         intern = InternTable()
-    seen = intern.rows
+    memo = intern.lines.setdefault(layout, {})
+    field_limit = csv.field_size_limit()
     entries: list[RouteEntry] = []
     skipped = 0
-    for row in reader:
-        if not row:
-            continue
-        try:
-            cells = (row[p_idx], row[a_idx])
-            row[last_idx]  # a row short of any mapped column is skipped
-        except IndexError:
-            skipped += 1
-            continue
-        entry = seen.get(cells, _UNSEEN)
+    for line in lines:
+        entry = memo.get(line, _UNSEEN)
         if entry is _UNSEEN:
-            entry = intern.entry(*cells)
+            body = line.rstrip("\r\n")
+            if not body:
+                continue
+            if ('"' in body or "\0" in body or "\r" in body or "\n" in body
+                    or len(line) > field_limit):
+                # csv could split this differently from a comma split, or
+                # raise; it may also read on into the following lines.
+                entry = intern.entry(next(csv.reader(itertools.chain((line,), lines))), layout)
+            else:
+                entry = memo[line] = intern.entry(body.split(","), layout)
         if entry is None:
             skipped += 1
-            continue
-        if o_idx is not None and row[o_idx].strip() != str(entry.as_path[-1]):
-            skipped += 1
-            continue
-        if n_idx is not None and row[n_idx].strip() != str(entry.as_path[0]):
-            skipped += 1
-            continue
-        entries.append(entry)
+        else:
+            entries.append(entry)
 
     return Snapshot(ixp=ixp, date=date, entries=tuple(entries), skipped=skipped)
 

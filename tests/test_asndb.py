@@ -306,3 +306,28 @@ class TestPersistence:
             asndb.save(db, path)
             blobs.add(path.read_bytes())
         assert len(blobs) == 1
+
+
+def date_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def strptime_date(text):
+    return dt.datetime.strptime(text, "%Y%m%d").date()
+
+
+def test_parse_date_matches_strptime():
+    texts = [f"{year:04d}{mmdd:04d}" for year in (1999, 2000, 2001) for mmdd in range(10_000)]
+    texts += [f"{year}{month:02d}{d:02d}" for year in ("0000", "0001", "1900", "2024", "2100", "9999")
+              for month in range(14) for d in range(33)]
+    texts += ["00000101", "20100230", "20101301", "2010011", "٢٠١٠٠١٠١", "2010-1-1", "201001011",
+              " 20100101", "20100101 ", "+2010101", "2010_101", "１２３４０１０１", "20100000", "0"]
+    assert sum(isinstance(date_outcome(strptime_date, t), dt.date) for t in texts) > 1000
+    for text in texts:
+        if text != "00000000":
+            assert date_outcome(asndb._parse_date, text) == date_outcome(strptime_date, text), text
+    assert asndb._parse_date("00000000") is None
+    assert asndb._parse_date("") is None

@@ -1,10 +1,11 @@
 import datetime as dt
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from ixpreach import cli, synth
+from ixpreach import cli, outage, synth
 from ixpreach.rtingest import DateRange
 from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
 
@@ -111,6 +112,21 @@ class TestAnalyze:
         assert files1 == files2
         for rel in files1:
             assert (tmp_path / "out1" / rel).read_bytes() == (tmp_path / "out2" / rel).read_bytes()
+
+    def test_seed_catalog_matches_the_packaged_file(self, analyzed_scenario):
+        tmp_path, scen, gt = analyzed_scenario
+        packaged = Path(cli.__file__).parent / "data" / "event_catalog.txt"
+        for out, catalog in (("seed", "seed"), ("file", str(packaged))):
+            args = self.analyze_args(tmp_path, scen, gt, out=out)
+            assert run(args + ["--catalog", catalog, "--annotation-slack", "8"]) == 0
+        seed, file = tmp_path / "seed" / "outages", tmp_path / "file" / "outages"
+        names = sorted(p.name for p in seed.iterdir())
+        assert names == sorted(p.name for p in file.iterdir()) and names
+        for name in names:
+            assert (seed / name).read_bytes() == (file / name).read_bytes()
+        with open(seed / "amsix_UA.csv") as handle:
+            annotations = {event.annotation for event in outage.read_events_csv(handle)}
+        assert annotations and annotations <= {entry.id for entry in outage.load_seed_catalog()}
 
     def test_joint_countries_match_single_country_runs(self, tmp_path):
         spec = ScenarioSpec(

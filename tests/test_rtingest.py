@@ -2,10 +2,12 @@ import csv
 import io
 import ipaddress
 import logging
+import random
 
 import pytest
 
 from ixpreach import pipeline, rtingest
+from ixpreach.asndb import ASN_MAX
 from ixpreach.rtingest import (
     DateRange,
     InternTable,
@@ -239,23 +241,34 @@ class TestLoadSeries:
 
     def test_repeated_cells_are_parsed_once_past_the_old_cache_bound(self, tmp_path, monkeypatch):
         n = (1 << 16) + 4_000
+        v6 = 500
         prefixes = [f"{10 + (i >> 16)}.{(i >> 8) & 255}.{i & 255}.0/24" for i in range(n)]
+        prefixes += [f"2001:DB8:{i:x}::/48" for i in range(v6)]
         write_snapshot_file(tmp_path, "amsix", day(0), [(p, [174, 25133 + i % 7]) for i, p in enumerate(prefixes)])
         # Day 2 repeats every prefix cell, half of them behind a new path.
         write_snapshot_file(tmp_path, "amsix", day(1), [(p, [174, 25133 + i % 7 + i % 2 * 10])
                                                         for i, p in enumerate(prefixes)])
-        calls = [0]
-        real = ipaddress.ip_network
+        normalized, networks = [0], [0]
+        real_normalize, real_network = rtingest._normalize_prefix, ipaddress.ip_network
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
+        def counted_normalize(text):
+            normalized[0] += 1
+            return real_normalize(text)
 
-        monkeypatch.setattr(ipaddress, "ip_network", counted)
+        def counted_network(*args, **kwargs):
+            networks[0] += 1
+            return real_network(*args, **kwargs)
+
+        monkeypatch.setattr(rtingest, "_normalize_prefix", counted_normalize)
+        monkeypatch.setattr(ipaddress, "ip_network", counted_network)
         series = load_series(tmp_path, "amsix", DateRange(BASE, day(1)))
-        assert calls[0] == n
+        # Each distinct prefix cell is parsed once; only the IPv6 cells
+        # leave the dotted-quad fast path for ipaddress.
+        assert normalized[0] == n + v6
+        assert networks[0] == v6
         first, second = series.snapshots
-        assert len(first.entries) == len(second.entries) == n
+        assert len(first.entries) == len(second.entries) == n + v6
+        assert first.entries[-1].prefix == f"2001:db8:{v6 - 1:x}::/48"
         assert all(a.prefix is b.prefix for a, b in zip(first.entries, second.entries))
         assert all((a is b) == (i % 2 == 0) for i, (a, b) in enumerate(zip(first.entries, second.entries)))
 
@@ -271,3 +284,180 @@ class TestAttributeCountry:
         assert country_series(series, db, "UA")[1] == {BASE: {25133}}
         assert country_series(series, db, "RU")[1] == {BASE: {31133}}
         assert country_series(series, db, "US")[1] == {BASE: set()}
+
+
+def reference_prefix(text):
+    try:
+        return str(ipaddress.ip_network(text.strip(), strict=False))
+    except ValueError:
+        return None
+
+
+def prefix_corpus():
+    """Prefix cells around every edge of the dotted-quad fast path."""
+    octets = ["0", "1", "9", "00", "01", "010", "001", "10", "99", "100", "199", "200",
+              "249", "250", "255", "256", "260", "299", "300", "999", "0255", "1000", "", "-1", "٣"]
+    lengths = [f"/{n}" for n in range(34)] + ["/00", "/08", "/024", "/0032", "/-1", "/", "", "/24/",
+                                               "/ 24", "/2 4", "/255.255.255.0", "/0.0.0.255", "/255.0.255.0", "/٢٤"]
+    corpus = []
+    for position in range(4):
+        for octet in octets:
+            quad = ["192", "0", "2", "0"]
+            quad[position] = octet
+            corpus += [".".join(quad) + length for length in ("/24", "/32", "/0", "/8", "/33")]
+    corpus += ["10.255.255.255" + length for length in lengths]
+    corpus += ["0.0.0.0" + length for length in lengths]
+    rng = random.Random(20221)
+    for _ in range(3000):
+        address = ".".join(str(rng.randrange(256)) for _ in range(4))
+        corpus.append(f"{address}/{rng.randrange(34)}")
+    corpus += [f"{pad}192.0.2.7/24{end}" for pad in ("", " ", "\t", " ", "　") for end in ("", " ", "\n", "\r\n")]
+    corpus += ["2001:DB8::/32", "2001:db8::1/64", "::/0", "::ffff:192.0.2.7/120", "2001:db8::/129",
+               "192.0.2.0", "192.0.2.7", "2001:db8::", "", " ", "not-a-prefix", "192.0.2/24", "192.0.2.0.0/24",
+               "192.0.2.0/24 x", "192.0.2.0//24", "１９２.0.2.0/24", "192.0.2.0/２４", "192.0.2.0\\24", "+1.2.3.4/8"]
+    return corpus
+
+
+def test_normalize_prefix_matches_ipaddress():
+    corpus = prefix_corpus()
+    assert any(reference_prefix(text) is None for text in corpus)
+    assert any(reference_prefix(text) not in (None, text) for text in corpus)
+    for text in corpus:
+        assert rtingest._normalize_prefix(text) == reference_prefix(text), repr(text)
+
+
+def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):
+    """(prefix, path) pairs and the skip count of a snapshot stream, from
+    one csv.reader over the whole stream and the documented row rules,
+    with no memo and no fast path."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("no header row")
+    columns = []
+    for name in (schema.prefix, schema.as_path, schema.origin, schema.neighbor):
+        if name is not None and name not in header:
+            raise ValueError(f"missing mapped column {name!r}")
+        columns.append(None if name is None else header.index(name))
+    p_idx, a_idx, o_idx, n_idx = columns
+    width = 1 + max(i for i in columns if i is not None)
+    entries, skipped = [], 0
+    for row in reader:
+        if not row:
+            continue
+        entry = None
+        if len(row) >= width:
+            tokens = row[a_idx].split()
+            if tokens and all(t.isascii() and t.isdigit() and int(t) <= ASN_MAX for t in tokens):
+                path = tuple(int(t) for t in tokens)
+                prefix = reference_prefix(row[p_idx])
+                if (prefix is not None
+                        and (o_idx is None or row[o_idx].strip() == str(path[-1]))
+                        and (n_idx is None or row[n_idx].strip() == str(path[0]))):
+                    entry = (prefix, path)
+        if entry is None:
+            skipped += 1
+        else:
+            entries.append(entry)
+    return entries, skipped
+
+
+def outcome(parse):
+    """What a parse returns, or the class of what it raises (with the
+    message for csv errors, which both parsers leave to csv)."""
+    try:
+        result = parse()
+    except csv.Error as exc:
+        return csv.Error, str(exc)
+    except ValueError as exc:
+        return type(exc), None
+    if isinstance(result, rtingest.Snapshot):
+        return [(e.prefix, e.as_path) for e in result.entries], result.skipped
+    return result
+
+
+FIELD_LIMIT = csv.field_size_limit()
+ORIGIN_NEIGHBOR = SnapshotSchema(origin="origin", neighbor="neighbor")
+
+# One IXP's days, in order: each memo is warm with the lines of the days
+# before it.  Every day holds lines a comma split would misread.
+ADVERSARIAL_DAYS = [
+    (rtingest.DEFAULT_SCHEMA, [
+        b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.7/24,174 3216 25133\nnot-a-prefix,174\n25133\n",
+        # A quoted record whose middle line equals a memoised plain line.
+        b'prefix,as_path\n192.0.2.0/24,"174\n10.0.0.0/8,174 25133\n25133"\n10.0.0.0/8,174 25133\n',
+        b'prefix,as_path\n"10.0.0.0/8","174 25133"\n"192.0.2.0/24",174 "3216"\n10.0.0.0/8,"174 ""25133"\n',
+        b'prefix,as_path\n10.0.0.0/8,"174 25133\n192.0.2.0/24,174\n',
+        b"prefix,as_path\r\n10.0.0.0/8,174 25133\r\n198.51.100.0/24,6939\r\n10.0.0.0/8,174 25133\n",
+        b"prefix,as_path\r10.0.0.0/8,174 25133\r198.51.100.0/24,6939\r",
+        b"prefix,as_path\n10.0.0.0/8,174\r25133\n10.0.0.0/8,174 25133\r\r\n198.51.100.0/24,6939",
+        b"prefix,as_path\n\n10.0.0.0/8,174 25133\n   \n\r\n , \n\t\n\n10.0.0.0/8,174 25133\n\n",
+        "prefix,as_path\n10.0.0.0/8,174 25133\x0c\n10.0.0.0/8,174 25133 \n".encode(),
+        b"prefix,as_path\n10.0.0.0/8,174 25133\n10.0.0.0/8,174\x00 25133\n192.0.2.0/24,174\n",
+        b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.0/24," + b"1" * (FIELD_LIMIT + 1) + b"\n",
+        b"prefix,as_path,note\n10.0.0.0/8,174 25133," + b"x" * (FIELD_LIMIT - 5) + b"\n10.0.0.0/8,174 25133,\n",
+        b"as_path,prefix\n174 25133,10.0.0.0/8\n10.0.0.0/8,174 25133\n",
+        b"prefix,as_path,other\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
+        b"other,as_path,prefix\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
+        b"prefix,as_path\n10.0.0.0/8,174 \xff\n",
+        b"",
+        b"\nprefix,as_path\n10.0.0.0/8,174 25133\n",
+        b"prefix,as_path\n",
+    ]),
+    (ORIGIN_NEIGHBOR, [
+        b"prefix,as_path,origin,neighbor\n10.0.0.0/8,174 25133,25133,174\n10.0.0.0/8,174 25133, 25133 ,174\n"
+        b"10.0.0.0/8,174 25133,99,174\n10.0.0.0/8,174 25133,25133,99\n10.0.0.0/8,174 025133,25133,0174\n"
+        b"10.0.0.0/8,174 25133,25133\n10.0.0.0/8,174 25133\n10.0.0.0/8,174 25133,025133,174\n",
+        b"neighbor,origin,as_path,prefix\n174,25133,174 25133,10.0.0.0/8\n10.0.0.0/8,174 25133,25133,174\n"
+        b'174,"25133",174 25133,10.0.0.0/8\n174,25133,174 25133\n',
+        b"prefix,as_path,origin,neighbor\n10.0.0.0/8,174 25133,25133,174\n10.0.0.0/8,174 25133,99,174\n",
+    ]),
+]
+
+
+def reference_series(root, ixp, window, schema):
+    snapshots, gaps = [], []
+    for d in window:
+        try:
+            with open(root / ixp / f"{d.isoformat()}.csv", newline="", encoding="utf-8") as handle:
+                snapshots.append((d, outcome(lambda: reference_parse(handle, schema))))
+        except FileNotFoundError:
+            gaps.append(d)
+            continue
+        if snapshots[-1][1][0] in (csv.Error, ValueError, UnicodeDecodeError):
+            snapshots.pop()
+            gaps.append(d)
+    return snapshots, gaps
+
+
+def test_load_series_matches_a_csv_reader_reference(tmp_path):
+    for schema, days in ADVERSARIAL_DAYS:
+        root = tmp_path / str(len(days))
+        (root / "ix").mkdir(parents=True)
+        window = DateRange(BASE, day(len(days)))  # the last day has no file
+        for offset, content in enumerate(days):
+            (root / "ix" / f"{day(offset).isoformat()}.csv").write_bytes(content)
+        series = load_series(root, "ix", window, schema)
+        snapshots, gaps = reference_series(root, "ix", window, schema)
+        assert [(s.date, outcome(lambda: s)) for s in series.snapshots] == snapshots
+        assert list(series.gaps) == gaps
+        assert len(gaps) < len(days)
+
+
+def test_parse_snapshot_matches_a_csv_reader_reference():
+    def sources(text):
+        yield lambda: io.StringIO(text)
+        yield lambda: text.splitlines(keepends=True)
+        yield lambda: io.StringIO(text, newline="")
+
+    for schema, days in ADVERSARIAL_DAYS:
+        shared = InternTable()
+        for content in days:
+            try:
+                text = content.decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            for source in sources(text):
+                expected = outcome(lambda: reference_parse(source(), schema))
+                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema, shared)) == expected
+                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema)) == expected

@@ -5,18 +5,20 @@ header row, where one column holds the announced prefix and another the
 space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
 Parsing goes through an `InternTable`.  The header is read with
-`csv.reader`; after it, each raw physical line is looked up in a memo kept
-per column layout, so a line repeated from an earlier day costs one dict
-lookup and yields the RouteEntry (or the skip) decided when the line was
-first seen.  A new line is split on commas, and its prefix and AS-path
-cells are parsed through per-cell memos.  A line that csv could split
-differently from a plain comma split (one holding a quote, a NUL, a CR or
-LF before its terminator, or longer than `csv.field_size_limit()`) goes
-through `csv.reader` instead and is not memoised, so quoted and
-multi-line records and csv errors behave exactly as with a plain reader.
-`load_series` keeps one table per IXP for the whole series, so the table
-is bounded by that IXP's distinct lines and cells over the window, and it
-is dropped once the series is loaded.
+`csv.reader`; after it, each row is looked up in a memo kept per column
+layout, so a row repeated from an earlier day yields the RouteEntry (or
+the skip) decided when it was first seen.  When the header maps every one
+of its columns, the key is the raw physical line, so a repeated line costs
+one dict lookup and no split; otherwise the key is the row's mapped cells,
+so unmapped columns that change from row to row do not defeat the memo.
+A line is split on commas unless csv could split it differently (one
+holding a quote, a NUL, a CR or LF before its terminator, or longer than
+`csv.field_size_limit()`); such a line goes through one `csv.reader` kept
+for the file, so quoted and multi-line records and csv errors behave
+exactly as with a plain reader.  A new row's prefix and AS-path cells are
+parsed through per-cell memos.  `load_series` keeps one table per IXP for
+the whole series, so the table is bounded by that IXP's distinct lines
+and cells over the window, and it is dropped once the series is loaded.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import ipaddress
-import itertools
 import logging
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -159,50 +161,55 @@ _UNSEEN = object()
 # and neighbor are None when not mapped.
 Layout = tuple[int, int, int | None, int | None]
 
+# A row's mapped cells: (prefix, as_path) when neither origin nor neighbor
+# is mapped, else (prefix, as_path, origin, neighbor) with None for the one
+# not mapped.
+Cells = tuple[str | None, ...]
+
 
 @dataclass
 class InternTable:
-    """The parsed form of every distinct raw line and cell seen so far.
+    """The parsed form of every distinct raw cell and row seen so far.
 
-    `lines` maps a column layout to a memo from a raw physical line, its
-    terminator included, to the RouteEntry it yields, or None for a
-    counted skip; a layout has its own memo because the header can differ
-    between days.  `prefixes` maps a raw prefix cell to its canonical CIDR
-    text and `paths` a raw AS-path cell to its ASN tuple, None marking a
-    defective cell.  A repeated line or cell is parsed once, and every row
-    holding it shares one RouteEntry, str or tuple.  Lines that go through
-    `csv.reader` are not in `lines`, only their cells are.
+    `prefixes` maps a raw prefix cell to its canonical CIDR text and
+    `paths` a raw AS-path cell to its ASN tuple, None marking a defective
+    cell.  `rows` maps a column layout to a memo from a row key to the
+    row's RouteEntry, or None for a counted skip.  The key of a row read by
+    a comma split is its raw physical line, terminator included, when the
+    header maps every one of its columns, so the line holds nothing but
+    mapped cells; otherwise, and for a row read by `csv.reader`, it is the
+    row's mapped `Cells`, so unmapped columns play no part in it.  What a
+    key of either kind decides depends only on the layout, and a layout
+    has its own memo because a line means other cells under another
+    header.  A repeated
+    cell or row is parsed once, and every row holding it shares one str,
+    tuple or RouteEntry.
     """
 
     prefixes: dict[str, str | None] = field(default_factory=dict)
     paths: dict[str, tuple[int, ...] | None] = field(default_factory=dict)
-    lines: dict[Layout, dict[str, RouteEntry | None]] = field(default_factory=dict)
+    rows: dict[Layout, dict[str | Cells, RouteEntry | None]] = field(default_factory=dict)
 
-    def entry(self, row: list[str], layout: Layout) -> RouteEntry | None:
-        """The RouteEntry for a data row, or None when the row is skipped:
-        it is short of a mapped column, its path or prefix is defective, or
-        a mapped origin/neighbor cell disagrees with the path."""
-        p_idx, a_idx, o_idx, n_idx = layout
-        try:
-            prefix_cell, path_cell = row[p_idx], row[a_idx]
-            origin_cell = None if o_idx is None else row[o_idx]
-            neighbor_cell = None if n_idx is None else row[n_idx]
-        except IndexError:
-            return None
-        path = self.paths.get(path_cell, _UNSEEN)
+    def entry(self, cells: Cells) -> RouteEntry | None:
+        """The RouteEntry for a row's mapped cells, or None when its path or
+        prefix is defective or a mapped origin/neighbor cell disagrees with
+        the path."""
+        path = self.paths.get(cells[1], _UNSEEN)
         if path is _UNSEEN:
-            path = self.paths[path_cell] = _parse_path(path_cell)
+            path = self.paths[cells[1]] = _parse_path(cells[1])
         if path is None:
             return None
-        prefix = self.prefixes.get(prefix_cell, _UNSEEN)
+        prefix = self.prefixes.get(cells[0], _UNSEEN)
         if prefix is _UNSEEN:
-            prefix = self.prefixes[prefix_cell] = _normalize_prefix(prefix_cell)
+            prefix = self.prefixes[cells[0]] = _normalize_prefix(cells[0])
         if prefix is None:
             return None
-        if origin_cell is not None and origin_cell.strip() != str(path[-1]):
-            return None
-        if neighbor_cell is not None and neighbor_cell.strip() != str(path[0]):
-            return None
+        if len(cells) > 2:
+            origin_cell, neighbor_cell = cells[2], cells[3]
+            if origin_cell is not None and origin_cell.strip() != str(path[-1]):
+                return None
+            if neighbor_cell is not None and neighbor_cell.strip() != str(path[0]):
+                return None
         return RouteEntry(prefix, path)
 
 
@@ -256,6 +263,24 @@ def _resolve_column(header: list[str], name: str) -> int:
         raise ValueError(f"snapshot is missing mapped column {name!r} (header: {header})") from None
 
 
+class _LineFeed:
+    """The source of one csv.reader that reads the lines handed to it one
+    at a time, and reads on in `lines` for a record that spans lines."""
+
+    __slots__ = ("lines", "line")
+
+    def __init__(self, lines: Iterator[str]) -> None:
+        self.lines = lines
+        self.line: str | None = None
+
+    def __iter__(self) -> "_LineFeed":
+        return self
+
+    def __next__(self) -> str:
+        line, self.line = self.line, None
+        return next(self.lines) if line is None else line
+
+
 def parse_snapshot(
     source: IO[str] | Iterable[str],
     ixp: str,
@@ -283,26 +308,50 @@ def parse_snapshot(
         _resolve_column(header, schema.origin) if schema.origin else None,
         _resolve_column(header, schema.neighbor) if schema.neighbor else None,
     )
+    p_idx, a_idx, o_idx, n_idx = layout
+    if o_idx is None and n_idx is None:
+        cells_of = operator.itemgetter(p_idx, a_idx)
+    else:
+        def cells_of(row: list[str]) -> Cells:
+            return (row[p_idx], row[a_idx],
+                    None if o_idx is None else row[o_idx],
+                    None if n_idx is None else row[n_idx])
 
     if intern is None:
         intern = InternTable()
-    memo = intern.lines.setdefault(layout, {})
+    memo = intern.rows.setdefault(layout, {})
+    # A plain line that holds nothing but mapped cells is its own memo key,
+    # so a repeated one costs a single lookup.
+    by_line = len(header) == len({p_idx, a_idx, o_idx, n_idx} - {None})
+    feed = _LineFeed(lines)
+    reader = csv.reader(feed)
     field_limit = csv.field_size_limit()
     entries: list[RouteEntry] = []
     skipped = 0
     for line in lines:
-        entry = memo.get(line, _UNSEEN)
+        entry = memo.get(line, _UNSEEN) if by_line else _UNSEEN
         if entry is _UNSEEN:
             body = line.rstrip("\r\n")
             if not body:
                 continue
-            if ('"' in body or "\0" in body or "\r" in body or "\n" in body
-                    or len(line) > field_limit):
-                # csv could split this differently from a comma split, or
-                # raise; it may also read on into the following lines.
-                entry = intern.entry(next(csv.reader(itertools.chain((line,), lines))), layout)
+            # csv could split a line with any of these differently from a
+            # comma split, reject it or read on past it into the next lines.
+            plain = not ('"' in body or "\0" in body or "\r" in body or "\n" in body
+                         or len(line) > field_limit)
+            if plain:
+                row = body.split(",")
             else:
-                entry = memo[line] = intern.entry(body.split(","), layout)
+                feed.line = line
+                row = next(reader)
+            try:
+                cells = cells_of(row)
+            except IndexError:  # a row short of any mapped column is skipped
+                skipped += 1
+                continue
+            key = line if by_line and plain else cells
+            entry = memo.get(key, _UNSEEN)
+            if entry is _UNSEEN:
+                entry = memo[key] = intern.entry(cells)
         if entry is None:
             skipped += 1
         else:

@@ -239,6 +239,28 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'amsix'"):
             pipeline.run_analysis(config, db=make_db({25133: "UA"}))
 
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all-quoted"])
+    @pytest.mark.parametrize("age", [True, False], ids=["unmapped-column", "mapped-only"])
+    def test_rows_share_entries_across_days(self, tmp_path, quoting, age):
+        # The unmapped age column, where there is one, changes on every row
+        # of every day; the mapped cells repeat, so each row shares the
+        # first day's entry, however it is quoted.
+        cells = [("192.0.2.0/24", "174 25133"), ("198.51.100.0/24", "6939 {64512,64513}"),
+                 ("198.51.100.0/24", "6939 31133"), ("bad", "174")]
+        (tmp_path / "amsix").mkdir()
+        for offset in range(3):
+            out = io.StringIO()
+            writer = csv.writer(out, quoting=quoting, lineterminator="\n")
+            writer.writerow(["age"] * age + ["prefix", "as_path"])
+            writer.writerows([f"{offset}d {i}h ago"] * age + [p, a] for i, (p, a) in enumerate(cells))
+            (tmp_path / "amsix" / f"{day(offset).isoformat()}.csv").write_text(out.getvalue())
+        first, *later = load_series(tmp_path, "amsix", DateRange(BASE, day(2))).snapshots
+        assert [e.prefix for e in first.entries] == ["192.0.2.0/24", "198.51.100.0/24"]
+        assert first.skipped == 2
+        for snapshot in later:
+            assert snapshot.skipped == 2
+            assert all(a is b for a, b in zip(first.entries, snapshot.entries, strict=True))
+
     def test_repeated_cells_are_parsed_once_past_the_old_cache_bound(self, tmp_path, monkeypatch):
         n = (1 << 16) + 4_000
         v6 = 500

@@ -76,9 +76,6 @@ class AsnDb:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __contains__(self, asn: int) -> bool:
-        return asn in self.records
-
 
 def _parse_date(text: str) -> dt.date | None:
     """The date of a `YYYYMMDD` text, or None for an empty or all-zero one.

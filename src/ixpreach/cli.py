@@ -2,6 +2,11 @@
 
 Subcommands: `build-asndb`, `analyze`, `plot`, `synth`.  Exit codes:
 0 success, 1 usage error, 2 data error.
+
+`analyze --config FILE` reads `key = value` lines, one setting each; the
+keys are the flag names with `_` for `-` (`baseline_date = 2022-02-19`).
+`#` starts a comment, the last line for a key wins and flags override
+the file.
 """
 
 from __future__ import annotations
@@ -28,15 +33,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_date(text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise UsageError(f"bad date {text!r}, expected YYYY-MM-DD") from None
-
-
 def _split_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _catalog(text: str) -> Path | str:
+    return text if text == pipeline.SEED_CATALOG else Path(text)
+
+
+# Each `analyze` setting once: config key (the flag is `--key` with `_`
+# written as `-`) -> (RunConfig field, converter, help).
+_ANALYZE_SETTINGS = {
+    "asndb": ("asndb_path", Path, "ASN database file (from build-asndb)"),
+    "snapshots": ("snapshot_root", Path, "snapshot root directory (<root>/<ixp>/<date>.csv)"),
+    "out": ("output_dir", Path, "output directory"),
+    "ixps": ("ixps", _split_list, "comma-separated IXP ids"),
+    "countries": ("countries", _split_list, "comma-separated country codes"),
+    "baseline_date": ("baseline_date", dt.date.fromisoformat, "baseline snapshot date (YYYY-MM-DD)"),
+    "final_date": ("final_date", dt.date.fromisoformat, "final snapshot date (YYYY-MM-DD)"),
+    "confirmation_window": ("confirmation_window", int, "days of confirmed absence"),
+    "trailing_window": ("trailing_window", int, "dip detector reference window"),
+    "threshold": ("threshold", float, "dip detector drop fraction"),
+    "min_reference": ("min_reference", float, "dip detector noise guard"),
+    "catalog": ("catalog_path", _catalog, "event catalog file for outage annotation; the reserved "
+                f"word {pipeline.SEED_CATALOG!r} names the catalog packaged with ixpreach "
+                f"(write ./{pipeline.SEED_CATALOG} for a file of that name)"),
+    "annotation_slack": ("annotation_slack", int, "catalog matching slack in days"),
+    "schema": ("schema_path", Path, "snapshot column-mapping file"),
+}
 
 
 def build_parser() -> _Parser:
@@ -51,22 +75,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="run the full per-IXP per-country analysis")
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--asndb", help="ASN database file (from build-asndb)")
-    p.add_argument("--snapshots", help="snapshot root directory (<root>/<ixp>/<date>.csv)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--ixps", help="comma-separated IXP ids")
-    p.add_argument("--countries", help="comma-separated country codes")
-    p.add_argument("--baseline-date", help="baseline snapshot date (YYYY-MM-DD)")
-    p.add_argument("--final-date", help="final snapshot date (YYYY-MM-DD)")
-    p.add_argument("--confirmation-window", type=int, help="days of confirmed absence")
-    p.add_argument("--trailing-window", type=int, help="dip detector reference window")
-    p.add_argument("--threshold", type=float, help="dip detector drop fraction")
-    p.add_argument("--min-reference", type=float, help="dip detector noise guard")
-    p.add_argument("--catalog", help="event catalog file for outage annotation; the reserved "
-                   f"word {pipeline.SEED_CATALOG!r} names the catalog packaged with ixpreach "
-                   f"(write ./{pipeline.SEED_CATALOG} for a file of that name)")
-    p.add_argument("--annotation-slack", type=int, help="catalog matching slack in days")
-    p.add_argument("--schema", help="snapshot column-mapping file")
+    for key, (_, _, help_text) in _ANALYZE_SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), help=help_text)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plot", help="render a metric series as a self-contained SVG chart")
@@ -108,84 +118,29 @@ def _cmd_build_asndb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = {
-    "asndb", "snapshots", "out", "ixps", "countries", "baseline_date", "final_date",
-    "confirmation_window", "trailing_window", "threshold", "min_reference",
-    "catalog", "annotation_slack", "schema",
-}
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown or malformed config entry {line!r}")
-            values[key] = value
-    return values
-
-
 def _build_run_config(args: argparse.Namespace) -> pipeline.RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag, key: str):
-        return flag if flag is not None else file_values.get(key)
-
-    asndb_path = pick(args.asndb, "asndb")
-    snapshot_root = pick(args.snapshots, "snapshots")
-    output_dir = pick(args.out, "out")
-    missing = [name for name, value in
-               (("asndb", asndb_path), ("snapshots", snapshot_root), ("out", output_dir))
-               if value is None]
+    values: dict[str, str] = {}
+    if args.config:
+        try:
+            values = pipeline.read_settings(args.config, _ANALYZE_SETTINGS)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    values.update((key, getattr(args, key)) for key in _ANALYZE_SETTINGS
+                  if getattr(args, key) is not None)
+    missing = [key for key in ("asndb", "snapshots", "out") if key not in values]
     if missing:
         raise UsageError(f"missing required setting(s): {', '.join(missing)} "
                          "(set via flag or config file)")
 
-    kwargs: dict = {}
-    ixps = pick(args.ixps, "ixps")
-    if ixps is not None:
-        kwargs["ixps"] = _split_list(ixps)
-    countries = pick(args.countries, "countries")
-    if countries is not None:
-        kwargs["countries"] = _split_list(countries)
-    baseline = pick(args.baseline_date, "baseline_date")
-    if baseline is not None:
-        kwargs["baseline_date"] = _parse_date(baseline)
-    final = pick(args.final_date, "final_date")
-    if final is not None:
-        kwargs["final_date"] = _parse_date(final)
-    for attr, key, conv in (
-        ("confirmation_window", "confirmation_window", int),
-        ("trailing_window", "trailing_window", int),
-        ("threshold", "threshold", float),
-        ("min_reference", "min_reference", float),
-        ("annotation_slack", "annotation_slack", int),
-    ):
-        value = pick(getattr(args, attr), key)
-        if value is not None:
-            try:
-                kwargs[attr] = conv(value)
-            except ValueError:
-                raise UsageError(f"bad value for {key}: {value!r}") from None
-    catalog = pick(args.catalog, "catalog")
-    if catalog is not None:
-        kwargs["catalog_path"] = catalog if catalog == pipeline.SEED_CATALOG else Path(catalog)
-    schema = pick(args.schema, "schema")
-    if schema is not None:
-        kwargs["schema_path"] = Path(schema)
-
+    kwargs = {}
+    for key, text in values.items():
+        field, convert, help_text = _ANALYZE_SETTINGS[key]
+        try:
+            kwargs[field] = convert(text)
+        except ValueError:
+            raise UsageError(f"bad value for {key}: {text!r} ({help_text})") from None
     try:
-        return pipeline.RunConfig(
-            asndb_path=Path(asndb_path),
-            snapshot_root=Path(snapshot_root),
-            output_dir=Path(output_dir),
-            **kwargs,
-        )
+        return pipeline.RunConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -57,6 +57,14 @@ class CatalogEvent:
             raise ValueError(f"catalog event {self.id!r} ends before it starts")
 
 
+def check_detector(trailing_window: int, threshold: float) -> None:
+    """Reject dip-detector parameters that can never describe a dip."""
+    if trailing_window < 1:
+        raise ValueError("trailing_window must be >= 1")
+    if not 0 < threshold < 1:
+        raise ValueError("threshold must be a fraction in (0, 1)")
+
+
 def detect_dips(
     series: MetricSeries,
     metric: str,
@@ -73,10 +81,7 @@ def detect_dips(
     must reach `min_reference` for a day to qualify, which keeps tiny
     series from generating noise events.
     """
-    if trailing_window < 1:
-        raise ValueError("trailing_window must be >= 1")
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be a fraction in (0, 1)")
+    check_detector(trailing_window, threshold)
     values = series.values(metric)
     dates = series.dates()
     if len(values) < trailing_window + 1:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import datetime as dt
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Container
 
 from . import asndb, metrics, outage, reachability, rtingest
 
@@ -33,7 +34,7 @@ class RunConfig:
     countries: tuple[str, ...] = DEFAULT_COUNTRIES
     baseline_date: dt.date = DEFAULT_BASELINE
     final_date: dt.date = DEFAULT_FINAL
-    confirmation_window: int = 3
+    confirmation_window: int = reachability.DEFAULT_CONFIRMATION_WINDOW
     trailing_window: int = outage.DEFAULT_TRAILING_WINDOW
     threshold: float = outage.DEFAULT_THRESHOLD
     min_reference: float = outage.DEFAULT_MIN_REFERENCE
@@ -44,10 +45,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.ixps:
             raise ValueError("at least one IXP is required")
+        if not self.countries:
+            raise ValueError("at least one country is required")
         if self.baseline_date >= self.final_date:
             raise ValueError("baseline date must precede the final date")
         if self.confirmation_window < 0:
             raise ValueError("confirmation window must be >= 0")
+        for country in self.countries:
+            metrics.check_country(country)
+        outage.check_detector(self.trailing_window, self.threshold)
+        if self.annotation_slack < 0:
+            raise ValueError("annotation slack must be >= 0")
 
 
 @dataclass
@@ -60,12 +68,37 @@ class AnalysisResult:
     averages: dict[str, float] = field(default_factory=dict)
 
 
+def read_settings(path: str | Path, known: Container[str]) -> dict[str, str]:
+    """The `key = value` lines of a settings file, by key.
+
+    `#` starts a comment and blank lines are skipped; the last value for a
+    key wins.  A line without `=`, or whose key is not in `known`, raises
+    ValueError naming `<path>:<lineno>`.
+    """
+    values: dict[str, str] = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
+    return values
+
+
 def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisResult:
     """Run the whole pipeline for every (IXP, country) pair in the config."""
     if db is None:
         db = asndb.load(config.asndb_path)
-    schema = (rtingest.SnapshotSchema.from_file(config.schema_path)
-              if config.schema_path else rtingest.DEFAULT_SCHEMA)
+    schema = rtingest.DEFAULT_SCHEMA
+    if config.schema_path:
+        columns = {f.name for f in fields(rtingest.SnapshotSchema)}
+        schema = rtingest.SnapshotSchema(**read_settings(config.schema_path, columns))
     catalog = None
     if config.catalog_path == SEED_CATALOG:
         catalog = outage.load_seed_catalog()

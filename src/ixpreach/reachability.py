@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 from .metrics import PresenceMap
 from .rtingest import DateRange
 
+DEFAULT_CONFIRMATION_WINDOW = 3
+
 
 @dataclass(frozen=True)
 class ReachabilityReport:
@@ -75,7 +77,7 @@ def diff_reachability(
     country: str,
     baseline_date: dt.date,
     final_date: dt.date,
-    window: int = 3,
+    window: int = DEFAULT_CONFIRMATION_WINDOW,
 ) -> ReachabilityReport:
     """Full baseline-vs-final report for one (IXP, country) pair, from the
     pair's origin presence map.

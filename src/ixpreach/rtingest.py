@@ -61,9 +61,6 @@ class DateRange:
     def __contains__(self, day: dt.date) -> bool:
         return self.start <= day <= self.end
 
-    def __len__(self) -> int:
-        return (self.end - self.start).days + 1
-
 
 @dataclass(frozen=True, slots=True)
 class RouteEntry:
@@ -131,25 +128,6 @@ class SnapshotSchema:
     as_path: str = "as_path"
     origin: str | None = None
     neighbor: str | None = None
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SnapshotSchema":
-        """Load a `key = value` mapping file (# starts a comment)."""
-        known = {"prefix", "as_path", "origin", "neighbor"}
-        values: dict[str, str] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'field = column'")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in known:
-                    raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-                values[key] = value
-        return cls(**values)
 
 
 DEFAULT_SCHEMA = SnapshotSchema()

@@ -28,8 +28,6 @@ def render_chart(
     title: str = "",
     y_label: str = "",
     events: Sequence[tuple[dt.date, dt.date, str]] = (),
-    width: int = WIDTH,
-    height: int = HEIGHT,
 ) -> str:
     """Render a date/value series as an SVG document string.
 
@@ -38,8 +36,8 @@ def render_chart(
     """
     if not points:
         raise ValueError("cannot chart an empty series")
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     first = points[0][0].toordinal()
     last = points[-1][0].toordinal()
@@ -54,12 +52,12 @@ def render_chart(
         return MARGIN_TOP + plot_h - (value / vmax) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
+        parts.append(f'<text x="{WIDTH / 2:.0f}" y="18" text-anchor="middle" '
                      f'font-size="14">{_escape(title)}</text>')
     if y_label:
         parts.append(f'<text x="14" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '

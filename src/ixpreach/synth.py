@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from .asndb import REGISTRIES
 from .metrics import METRIC_NAMES
-from .reachability import offline_days as _offline_days
+from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
+from .reachability import DEFAULT_CONFIRMATION_WINDOW, offline_days as _offline_days
 from .rtingest import DateRange
 
 if TYPE_CHECKING:
@@ -39,7 +40,8 @@ if TYPE_CHECKING:
 
 DISRUPTION_KINDS = ("origin_removal", "permanent_loss", "neighbor_disconnect", "prefix_shrink", "join")
 
-DEFAULT_DETECTOR = {"trailing_window": 7, "threshold": 0.05, "min_reference": 10}
+DEFAULT_DETECTOR = {"trailing_window": DEFAULT_TRAILING_WINDOW, "threshold": DEFAULT_THRESHOLD,
+                    "min_reference": DEFAULT_MIN_REFERENCE}
 
 _COUNTRY_BLOCK_BASE = 10000
 _TRANSIT_REGISTERED = tuple(range(900000, 900006))  # registered under the ZZ placeholder
@@ -88,7 +90,7 @@ class ScenarioSpec:
     gap_dates: tuple[dt.date, ...] = ()
     baseline_date: dt.date | None = None
     final_date: dt.date | None = None
-    confirmation_window: int = 3
+    confirmation_window: int = DEFAULT_CONFIRMATION_WINDOW
     detector: dict = field(default_factory=lambda: dict(DEFAULT_DETECTOR))
 
     @property
@@ -675,7 +677,7 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
             gap_dates=tuple(iso(d) for d in doc.get("gap_dates", [])),
             baseline_date=iso(doc["baseline_date"]) if doc.get("baseline_date") else None,
             final_date=iso(doc["final_date"]) if doc.get("final_date") else None,
-            confirmation_window=int(doc.get("confirmation_window", 3)),
+            confirmation_window=int(doc.get("confirmation_window", DEFAULT_CONFIRMATION_WINDOW)),
             detector=detector,
         )
     except (KeyError, TypeError) as exc:

@@ -1,11 +1,12 @@
 import datetime as dt
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ixpreach import cli, outage, synth
+from ixpreach import cli, outage, pipeline, synth
 from ixpreach.rtingest import DateRange
 from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
 
@@ -198,13 +199,98 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "RU" in out
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("frobnicate = yes\n")
-        assert run(["analyze", "--config", str(config)]) == 1
+        for line in ("frobnicate = yes", "countries UA"):
+            config.write_text(f"# run settings\n{line}\n")
+            assert run(["analyze", "--config", str(config)]) == 1
+            assert f"{config}:2:" in capsys.readouterr().err
+
+    def test_bad_schema_file_is_data_error(self, analyzed_scenario, capsys):
+        tmp_path, scen, gt = analyzed_scenario
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("med = MED\n")
+        assert run(self.analyze_args(tmp_path, scen, gt) + ["--schema", str(schema)]) == 2
+        assert f"{schema}:1:" in capsys.readouterr().err
 
     def test_missing_required_settings_is_usage_error(self):
         assert run(["analyze"]) == 1
+
+
+# Per `analyze` setting: a value unlike the default, and a second value.
+SAMPLES = {
+    "asndb": ("db-a.txt", "db-b.txt"),
+    "snapshots": ("snaps-a", "snaps-b"),
+    "out": ("out-a", "out-b"),
+    "ixps": ("amsix, linx", "six"),
+    "countries": ("DE,FR", "UA"),
+    "baseline_date": ("2022-03-01", "2022-03-02"),
+    "final_date": ("2022-03-30", "2022-03-31"),
+    "confirmation_window": ("5", "1"),
+    "trailing_window": ("4", "9"),
+    "threshold": ("0.2", "0.3"),
+    "min_reference": ("2.5", "3"),
+    "catalog": ("seed", "events.txt"),
+    "annotation_slack": ("2", "4"),
+    "schema": ("schema-a.cfg", "schema-b.cfg"),
+}
+REQUIRED = {"asndb": "db.txt", "snapshots": "snaps", "out": "out"}
+TYPED = ("baseline_date", "final_date", "confirmation_window", "trailing_window",
+         "threshold", "min_reference", "annotation_slack")
+
+
+def flag_args(settings):
+    return [arg for key, value in settings.items() for arg in ("--" + key.replace("_", "-"), value)]
+
+
+def config_args(path, settings):
+    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    return ["--config", str(path)]
+
+
+def run_config(argv):
+    return cli._build_run_config(cli.build_parser().parse_args(["analyze", *argv]))
+
+
+class TestAnalyzeSettings:
+    def test_each_run_config_field_has_one_row(self):
+        table_fields = [field for field, _, _ in cli._ANALYZE_SETTINGS.values()]
+        assert sorted(table_fields) == sorted(f.name for f in fields(pipeline.RunConfig))
+        assert set(SAMPLES) == set(cli._ANALYZE_SETTINGS)
+
+    @pytest.mark.parametrize("key", SAMPLES)
+    def test_flag_equals_config_line_and_overrides_it(self, tmp_path, key):
+        value, other = SAMPLES[key]
+        field = cli._ANALYZE_SETTINGS[key][0]
+        by_flag = run_config(flag_args({**REQUIRED, key: value}))
+        assert getattr(by_flag, field) != getattr(run_config(flag_args(REQUIRED)), field)
+        assert run_config(config_args(tmp_path / "run.cfg", {**REQUIRED, key: value})) == by_flag
+        overridden = config_args(tmp_path / "run.cfg", {**REQUIRED, key: other}) + flag_args({key: value})
+        assert run_config(overridden) == by_flag
+
+    @pytest.mark.parametrize("key", TYPED)
+    def test_bad_typed_value_names_the_key(self, tmp_path, capsys, key):
+        settings = {**REQUIRED, key: "x1"}
+        for argv in (flag_args(settings), config_args(tmp_path / "run.cfg", settings)):
+            assert run(["analyze", *argv]) == 1
+            assert f"bad value for {key}: 'x1' (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        ["--threshold", "1.5"],
+        ["--trailing-window", "0"],
+        ["--countries", "ZZ"],
+        ["--countries", "ua"],
+        ["--countries", ","],
+        ["--annotation-slack", "-1", "--catalog", "seed"],
+        ["--annotation-slack", "-1"],
+    ], ids=" ".join)
+    def test_bad_setting_fails_before_any_read(self, tmp_path, capsys, bad):
+        (tmp_path / "asndb.txt").write_text("# asndb 1\n# records 0 conflicts 0\n")
+        argv = ["analyze", "--asndb", str(tmp_path / "asndb.txt"),
+                "--snapshots", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
+        assert run(argv + bad) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPlot:

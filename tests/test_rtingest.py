@@ -3,6 +3,8 @@ import io
 import ipaddress
 import logging
 import random
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -161,17 +163,21 @@ class TestParseSnapshot:
         assert intern.prefixes["not-a-prefix"] is None
         assert intern.paths[""] is None
 
+    SCHEMA_KEYS = {f.name for f in fields(SnapshotSchema)}
+
     def test_schema_file_round_trip(self, tmp_path):
         path = tmp_path / "schema.cfg"
-        path.write_text("# looking-glass export\nprefix = Prefix\nas_path = AS_Path\n")
-        schema = SnapshotSchema.from_file(path)
-        assert schema == SnapshotSchema(prefix="Prefix", as_path="AS_Path")
+        path.write_text("# looking-glass export\nprefix = Prefix\n\nas_path = AS_Path  # x\n"
+                        "origin = Origin\norigin = OriginAS\n")
+        schema = SnapshotSchema(**pipeline.read_settings(path, self.SCHEMA_KEYS))
+        assert schema == SnapshotSchema(prefix="Prefix", as_path="AS_Path", origin="OriginAS")
 
     def test_schema_file_rejects_unknown_field(self, tmp_path):
         path = tmp_path / "schema.cfg"
-        path.write_text("med = MED\n")
-        with pytest.raises(ValueError, match="med"):
-            SnapshotSchema.from_file(path)
+        for text in ("prefix = Prefix\nmed = MED\n", "prefix = Prefix\nmed\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*med"):
+                pipeline.read_settings(path, self.SCHEMA_KEYS)
 
 
 def write_snapshot_file(root, ixp, d, rows):

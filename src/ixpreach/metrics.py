@@ -1,10 +1,11 @@
-"""Daily per-IXP per-country visibility metrics and their time series.
+"""Daily per-IXP per-country visibility metrics and origin presence.
 
 Country attribution happens here and only here: `build_series` makes one
 pass over each snapshot for every analysed country, looking up each row's
-origin and neighbor in the ASN database.  Everything else per country is
-derived from what that pass returns: the presence maps below, and the
-reachability sets in `reachability`.
+origin and neighbor in the ASN database.  Besides the four counts below
+it keeps each country's in-country origin set per snapshot date; a
+PresenceMap wraps those sets as they are, and `reachability` reads every
+origin set it needs straight off them.
 
 Four counts are taken from each snapshot for a given country:
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .asndb import AsnDb
 from .rtingest import SnapshotSeries
@@ -71,28 +71,16 @@ class MetricSeries:
         return tuple(getattr(p, metric) for p in self.points)
 
 
-class PresenceMap(Mapping):
-    """ASN -> frozenset of snapshot dates on which the ASN was seen.
+@dataclass(frozen=True)
+class PresenceMap:
+    """One country's in-country origins on each snapshot date of one IXP.
 
-    Also remembers every snapshot date of the underlying series, so
-    absence can be counted without conflating gaps with outages.
+    `by_date` has a key for every snapshot date and none for a gap date,
+    so an origin's absence from a snapshot is never confused with a day
+    that has no snapshot.
     """
 
-    def __init__(self, by_asn: dict[int, frozenset[dt.date]], snapshot_dates: Iterable[dt.date]):
-        self._by_asn = by_asn
-        self.snapshot_dates = tuple(sorted(snapshot_dates))
-
-    def __getitem__(self, asn: int) -> frozenset[dt.date]:
-        return self._by_asn[asn]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._by_asn)
-
-    def __len__(self) -> int:
-        return len(self._by_asn)
-
-    def __repr__(self) -> str:
-        return f"PresenceMap({len(self._by_asn)} asns over {len(self.snapshot_dates)} days)"
+    by_date: dict[dt.date, set[int]]
 
 
 def build_series(
@@ -142,15 +130,10 @@ def build_series(
     }
 
 
-def origin_presence(daily_origins: Mapping[dt.date, Iterable[int]]) -> PresenceMap:
-    """For each origin ever seen, the exact snapshot dates on which it
-    appears, from one country's per-date origins as `build_series` returns
-    them (one key per snapshot date)."""
-    seen: dict[int, set[dt.date]] = {}
-    for day, origins in daily_origins.items():
-        for asn in origins:
-            seen.setdefault(asn, set()).add(day)
-    return PresenceMap({asn: frozenset(dates) for asn, dates in seen.items()}, daily_origins)
+def origin_presence(daily_origins: dict[dt.date, set[int]]) -> PresenceMap:
+    """One country's presence from its per-date origins as `build_series`
+    returns them (one key per snapshot date); the sets are kept, not copied."""
+    return PresenceMap(daily_origins)
 
 
 def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> None:

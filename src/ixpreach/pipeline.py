@@ -43,6 +43,7 @@ class RunConfig:
     schema_path: Path | None = None
 
     def __post_init__(self) -> None:
+        self.ixps = tuple(dict.fromkeys(self.ixps))  # a repeated IXP is analysed once
         if not self.ixps:
             raise ValueError("at least one IXP is required")
         if not self.countries:

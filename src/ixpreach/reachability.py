@@ -2,9 +2,10 @@
 
 An origin is pronounced unreachable when it was visible in the baseline
 snapshot but is absent from the final one, confirmed by also being absent
-on the available snapshots of the preceding confirmation window.  Every
-set is read off one country's PresenceMap; no snapshot is scanned here.
-Loss percentages truncate to one decimal; cross-IXP averages round
+on the available snapshots of the preceding confirmation window.  Each of
+those is one date's origin set in the country's PresenceMap, so a report
+is set algebra over at most `window + 2` sets; no snapshot is scanned
+here.  Loss percentages truncate to one decimal; cross-IXP averages round
 half-up to two decimals.
 """
 
@@ -65,10 +66,10 @@ def offline_days(presence: PresenceMap, origin: int, window: DateRange) -> int:
 
     Gap days have no snapshot and are not counted against the origin.
     """
-    if origin not in presence:
+    if not any(origin in origins for origins in presence.by_date.values()):
         raise KeyError(f"origin AS{origin} never appears in the presence map")
-    present = presence[origin]
-    return sum(1 for day in presence.snapshot_dates if day in window and day not in present)
+    return sum(1 for day, origins in presence.by_date.items()
+               if day in window and origin not in origins)
 
 
 def diff_reachability(
@@ -87,23 +88,17 @@ def diff_reachability(
     the window neither confirm nor refute an absence.  Baseline origins
     absent on the final day but seen inside the window are flapping.
     """
+    by_date = presence.by_date
     for what, day in (("baseline date", baseline_date), ("final date", final_date)):
-        if day not in presence.snapshot_dates:
+        if day not in by_date:
             raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
     if window < 0:
         raise ValueError("confirmation window must be >= 0")
-    check_days = {final_date - dt.timedelta(days=back) for back in range(1, window + 1)}
-    base: set[int] = set()
-    final_present: set[int] = set()
-    confirmed: set[int] = set()
-    for asn, days in presence.items():
-        if final_date in days:
-            final_present.add(asn)
-        if baseline_date in days:
-            base.add(asn)
-            if final_date not in days and days.isdisjoint(check_days):
-                confirmed.add(asn)
-    unconfirmed = (base - final_present) - confirmed
+    base, final = by_date[baseline_date], by_date[final_date]
+    seen_in_window = set().union(*(by_date.get(final_date - dt.timedelta(days=back), ())
+                                   for back in range(1, window + 1)))
+    gone = base - final
+    confirmed = gone - seen_in_window
     return ReachabilityReport(
         ixp=ixp,
         country=country,
@@ -114,8 +109,8 @@ def diff_reachability(
         lost=len(confirmed),
         pct_lost=pct_lost(len(base), len(confirmed)) if base else 0.0,
         lost_asns=tuple(sorted(confirmed)),
-        new_asns=tuple(sorted(final_present - base)),
-        flapping_asns=tuple(sorted(unconfirmed)),
+        new_asns=tuple(sorted(final - base)),
+        flapping_asns=tuple(sorted(gone & seen_in_window)),
     )
 
 

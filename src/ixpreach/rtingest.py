@@ -55,9 +55,6 @@ class DateRange:
             yield day
             day += dt.timedelta(days=1)
 
-    def __iter__(self) -> Iterator[dt.date]:
-        return self.days()
-
     def __contains__(self, day: dt.date) -> bool:
         return self.start <= day <= self.end
 
@@ -110,9 +107,6 @@ class SnapshotSeries:
             raise ValueError("snapshot dates must be strictly increasing")
         if set(self.gaps) & set(dates):
             raise ValueError("gap dates overlap snapshot dates")
-
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(s.date for s in self.snapshots)
 
 
 @dataclass(frozen=True)

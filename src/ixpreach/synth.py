@@ -611,7 +611,7 @@ def verify(gt: GroundTruth, result: "AnalysisResult") -> list[str]:
             expected_offline = gt.offline[ixp][cc]
             if pres is None:
                 problems.append(f"{where}: presence map missing")
-            elif sorted(pres) != sorted(expected_offline):
+            elif set().union(*pres.by_date.values()) != set(expected_offline):
                 problems.append(f"{where}: presence covers different origins")
             else:
                 for asn, days in expected_offline.items():

@@ -165,6 +165,19 @@ class TestAnalyze:
                 assert joint[rel] == alone[rel], rel
         assert analyze("twice", "UA,UA") == analyze("once", "UA")
 
+    def test_repeated_ixp_is_analysed_once(self, analyzed_scenario):
+        tmp_path, scen, gt = analyzed_scenario
+        assert gt.ixps == ("amsix", "linx")
+        outputs = {}
+        for out, ixps in (("once", "amsix,linx"), ("repeated", "amsix,linx,amsix")):
+            args = self.analyze_args(tmp_path, scen, gt, out=out)
+            args[args.index("--ixps") + 1] = ixps
+            assert run(args) == 0
+            root = tmp_path / out
+            outputs[out] = {str(p.relative_to(root)): p.read_bytes()
+                            for p in root.rglob("*") if p.is_file()}
+        assert outputs["repeated"] == outputs["once"]
+
     def test_empty_snapshot_tree_fails_with_data_error(self, tmp_path, capsys):
         (tmp_path / "snapshots").mkdir()
         (tmp_path / "asndb.txt").write_text("# asndb 1\n# records 0 conflicts 0\n")

@@ -134,39 +134,38 @@ class TestOriginPresence:
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(70)}
         presence = presence_of(make_series(days), db, "UA")
-        assert len(presence[20]) == 70
+        assert presence.by_date == {day(i): {20} for i in range(70)}
 
     def test_present_only_on_baseline(self):
         db = make_db({20: "UA", 21: "UA"})
         days = {day(i): [("192.0.2.0/24", [21])] for i in range(1, 10)}
         days[BASE] = [("192.0.2.0/24", [21]), ("198.51.100.0/24", [20])]
         presence = presence_of(make_series(days), db, "UA")
-        assert presence[20] == frozenset({BASE})
+        assert [d for d, origins in presence.by_date.items() if 20 in origins] == [BASE]
 
     def test_presence_consistent_with_daily_origin_counts(self):
         rng = random.Random(3)
         countries = {i: "UA" for i in range(1, 15)}
+        countries.update({i: "RU" for i in range(15, 20)})
         db = make_db(countries)
         days = {}
         for i in range(12):
-            rows = [(f"10.{o}.0.0/16", [o]) for o in rng.sample(range(1, 15), rng.randint(0, 8))]
+            rows = [(f"10.{o}.0.0/16", [o]) for o in rng.sample(range(1, 20), rng.randint(0, 10))]
             days[day(i)] = rows
-        series = make_series(days)
+        gaps = [day(i) for i in rng.sample(range(12), 3)]
+        for gap in gaps:
+            del days[gap]
+        series = make_series(days, gaps=gaps)
         presence = presence_of(series, db, "UA")
+        assert list(presence.by_date) == [snap.date for snap in series.snapshots]
         for snap in series.snapshots:
-            for origin in presence:
-                restricted = [(p, path) for p, path in
-                              [(e.prefix, list(e.as_path)) for e in snap.entries]
-                              if path[-1] == origin]
-                present = snap.date in presence[origin]
-                assert present == (len(restricted) > 0)
+            brute = {e.as_path[-1] for e in snap.entries if countries.get(e.as_path[-1]) == "UA"}
+            assert presence.by_date[snap.date] == brute
 
-    def test_mapping_interface(self):
+    def test_keeps_the_per_date_sets_of_build_series(self):
         db = make_db({20: "UA"})
-        presence = presence_of(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
-        assert 20 in presence
-        assert len(presence) == 1
-        assert list(presence) == [20]
+        daily = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")[1]
+        assert metrics.origin_presence(daily).by_date is daily
 
 
 class TestMetricsCsv:

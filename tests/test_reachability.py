@@ -22,8 +22,7 @@ UA_DB = make_db({o: "UA" for o in range(1, 200)})
 
 def baseline_origins(series, db, country, baseline):
     """In-country origins present on the baseline day."""
-    presence = presence_of(series, db, country)
-    return frozenset(asn for asn, days in presence.items() if baseline in days)
+    return frozenset(presence_of(series, db, country).by_date[baseline])
 
 
 def unreachable_origins(series, db, country, baseline, final, window=3):
@@ -87,17 +86,23 @@ class TestUnreachableOrigins:
 
     def test_matches_brute_force(self):
         rng = random.Random(23)
-        for _ in range(30):
+        for _ in range(60):
             present = {day(i): {o for o in range(1, 25) if rng.random() < 0.7}
                        for i in range(8)}
-            series = series_from_presence(present, UA_DB)
-            w = rng.randint(0, 4)
-            base = present[BASE]
-            check = [present[day(8 - 1 - b)] for b in range(1, w + 1) if (8 - 1 - b) >= 0]
-            expected = {o for o in base
-                        if o not in present[day(7)] and all(o not in s for s in check)}
-            got = unreachable_origins(series, UA_DB, "UA", BASE, day(7), window=w)
-            assert got == expected
+            # gaps anywhere between baseline and final, so also inside the window
+            gaps = [day(i) for i in range(1, 7) if rng.random() < 0.3]
+            for gap in gaps:
+                del present[gap]
+            series = series_from_presence(present, UA_DB, gaps=gaps)
+            w = rng.randint(0, 9)  # up to past the baseline day
+            base, final = present[BASE], present[day(7)]
+            check = [present[day(7 - b)] for b in range(1, w + 1) if day(7 - b) in present]
+            gone = base - final
+            report = reach(series, UA_DB, "UA", BASE, day(7), window=w)
+            assert report.total_baseline == len(base)
+            assert set(report.lost_asns) == {o for o in gone if all(o not in s for s in check)}
+            assert set(report.flapping_asns) == {o for o in gone if any(o in s for s in check)}
+            assert set(report.new_asns) == final - base
 
 
 class TestPercentages:

@@ -212,7 +212,7 @@ class TestLoadSeries:
         write_snapshot_file(tmp_path, "amsix", day(-5), [("192.0.2.0/24", [174, 25133])])
         write_snapshot_file(tmp_path, "amsix", day(0), [("192.0.2.0/24", [174, 25133])])
         series = load_series(tmp_path, "amsix", DateRange(BASE, day(2)))
-        assert series.dates() == (day(0),)
+        assert [snap.date for snap in series.snapshots] == [day(0)]
 
     @pytest.mark.parametrize("content, reason", [
         (b"", "has no header row"),
@@ -227,7 +227,7 @@ class TestLoadSeries:
         bad.write_bytes(content)
         with caplog.at_level(logging.WARNING, logger="ixpreach.rtingest"):
             series = load_series(tmp_path, "amsix", DateRange(BASE, day(2)))
-        assert series.dates() == (day(0), day(2))
+        assert [snap.date for snap in series.snapshots] == [day(0), day(2)]
         assert series.gaps == (day(1),)
         assert len(caplog.records) == 1
         assert str(bad) in caplog.text and reason in caplog.text
@@ -445,7 +445,7 @@ ADVERSARIAL_DAYS = [
 
 def reference_series(root, ixp, window, schema):
     snapshots, gaps = [], []
-    for d in window:
+    for d in window.days():
         try:
             with open(root / ixp / f"{d.isoformat()}.csv", newline="", encoding="utf-8") as handle:
                 snapshots.append((d, outcome(lambda: reference_parse(handle, schema))))

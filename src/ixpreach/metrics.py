@@ -103,15 +103,14 @@ def build_series(
         prefixes: dict[str, set[str]] = {cc: set() for cc in wanted}
         neighbors: dict[str, set[int]] = {cc: set() for cc in wanted}
         for entry in snap.entries:
-            path = entry.as_path
-            cc = country_of.get(path[-1])
+            cc = country_of.get(entry.origin)
             if cc is not None:
                 announcements[cc] += 1
-                origins[cc].add(path[-1])
+                origins[cc].add(entry.origin)
                 prefixes[cc].add(entry.prefix)
-            cc = country_of.get(path[0])
+            cc = country_of.get(entry.neighbor)
             if cc is not None:
-                neighbors[cc].add(path[0])
+                neighbors[cc].add(entry.neighbor)
         for cc in wanted:
             points[cc].append(DailyMetrics(
                 ixp=snap.ixp,

@@ -43,7 +43,8 @@ class RunConfig:
     schema_path: Path | None = None
 
     def __post_init__(self) -> None:
-        self.ixps = tuple(dict.fromkeys(self.ixps))  # a repeated IXP is analysed once
+        # A repeated IXP is analysed once.
+        self.ixps = tuple(dict.fromkeys(map(rtingest.check_ixp, self.ixps)))
         if not self.ixps:
             raise ValueError("at least one IXP is required")
         if not self.countries:

@@ -4,21 +4,20 @@ A snapshot file is one IXP's routing table for one day: a UTF-8 CSV with a
 header row, where one column holds the announced prefix and another the
 space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
-Parsing goes through an `InternTable`.  The header is read with
-`csv.reader`; after it, each row is looked up in a memo kept per column
-layout, so a row repeated from an earlier day yields the RouteEntry (or
-the skip) decided when it was first seen.  When the header maps every one
-of its columns, the key is the raw physical line, so a repeated line costs
-one dict lookup and no split; otherwise the key is the row's mapped cells,
-so unmapped columns that change from row to row do not defeat the memo.
-A line is split on commas unless csv could split it differently (one
-holding a quote, a NUL, a CR or LF before its terminator, or longer than
-`csv.field_size_limit()`); such a line goes through one `csv.reader` kept
-for the file, so quoted and multi-line records and csv errors behave
-exactly as with a plain reader.  A new row's prefix and AS-path cells are
-parsed through per-cell memos.  `load_series` keeps one table per IXP for
-the whole series, so the table is bounded by that IXP's distinct lines
-and cells over the window, and it is dropped once the series is loaded.
+Parsing goes through an `InternTable`.  One `csv.reader` per file reads
+the header and every line not seen before, so quoted and multi-line
+records and csv errors behave exactly as with a plain reader.  Each row
+is looked up in a memo kept per column layout, so a row repeated from an
+earlier day yields the RouteEntry (or the skip) decided when it was first
+seen.  When the header maps every one of its columns and csv ends a
+record on the line it starts on, without reading past it, the key is that
+raw line, so a repeated line costs one dict lookup and never reaches csv;
+otherwise the key is the row's mapped cells, so unmapped columns that
+change from row to row do not defeat the memo.  A new row's prefix and
+AS-path cells are parsed through per-cell memos.  `load_series` keeps one
+table per IXP for the whole series, so the table is bounded by that IXP's
+distinct lines and cells over the window, and it is dropped once the
+series is loaded.
 """
 
 from __future__ import annotations
@@ -59,28 +58,27 @@ class DateRange:
         return self.start <= day <= self.end
 
 
+_IXP_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def check_ixp(ixp: str) -> str:
+    """Reject an IXP id that is not a plain directory and file-name part."""
+    if not _IXP_RE.fullmatch(ixp):
+        raise ValueError(f"not a usable IXP id: {ixp!r}")
+    return ixp
+
+
 @dataclass(frozen=True, slots=True)
 class RouteEntry:
-    """One routing-table row: a prefix and the AS path as announced.
+    """One routing-table row: its prefix and the endpoints of its AS path.
 
     The origin is the last path element, the neighbor (the AS facing the
     route server) the first; a single-element path makes them equal.
     """
 
     prefix: str
-    as_path: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.as_path:
-            raise ValueError("as_path must be non-empty")
-
-    @property
-    def origin(self) -> int:
-        return self.as_path[-1]
-
-    @property
-    def neighbor(self) -> int:
-        return self.as_path[0]
+    origin: int
+    neighbor: int
 
 
 @dataclass(frozen=True)
@@ -146,16 +144,15 @@ class InternTable:
     `prefixes` maps a raw prefix cell to its canonical CIDR text and
     `paths` a raw AS-path cell to its ASN tuple, None marking a defective
     cell.  `rows` maps a column layout to a memo from a row key to the
-    row's RouteEntry, or None for a counted skip.  The key of a row read by
-    a comma split is its raw physical line, terminator included, when the
-    header maps every one of its columns, so the line holds nothing but
-    mapped cells; otherwise, and for a row read by `csv.reader`, it is the
+    row's RouteEntry, or None for a counted skip.  The key of a row is its
+    raw physical line, terminator included, when the header maps every one
+    of its columns and csv ended the record on that line without reading
+    past it, so the line alone holds its mapped cells; otherwise it is the
     row's mapped `Cells`, so unmapped columns play no part in it.  What a
     key of either kind decides depends only on the layout, and a layout
     has its own memo because a line means other cells under another
-    header.  A repeated
-    cell or row is parsed once, and every row holding it shares one str,
-    tuple or RouteEntry.
+    header.  A repeated cell or row is parsed once, and every row holding
+    it shares one str, tuple or RouteEntry.
     """
 
     prefixes: dict[str, str | None] = field(default_factory=dict)
@@ -176,13 +173,11 @@ class InternTable:
             prefix = self.prefixes[cells[0]] = _normalize_prefix(cells[0])
         if prefix is None:
             return None
-        if len(cells) > 2:
-            origin_cell, neighbor_cell = cells[2], cells[3]
-            if origin_cell is not None and origin_cell.strip() != str(path[-1]):
+        origin, neighbor = path[-1], path[0]
+        for cell, asn in zip(cells[2:], (origin, neighbor)):  # the origin, neighbor cells
+            if cell is not None and cell.strip() != str(asn):
                 return None
-            if neighbor_cell is not None and neighbor_cell.strip() != str(path[0]):
-                return None
-        return RouteEntry(prefix, path)
+        return RouteEntry(prefix, origin, neighbor)
 
 
 _IPV4_CIDR = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})/([0-9]{1,2})")
@@ -236,20 +231,24 @@ def _resolve_column(header: list[str], name: str) -> int:
 
 
 class _LineFeed:
-    """The source of one csv.reader that reads the lines handed to it one
-    at a time, and reads on in `lines` for a record that spans lines."""
+    """The source of a file's one csv.reader: the line handed to it, or
+    else the next of `lines` (for the header, and for a record that spans
+    lines).  After a record, `read_on` tells whether csv asked past the
+    line handed to it, which it does even when `lines` has none left."""
 
-    __slots__ = ("lines", "line")
+    __slots__ = ("lines", "line", "read_on")
 
     def __init__(self, lines: Iterator[str]) -> None:
         self.lines = lines
         self.line: str | None = None
+        self.read_on = False
 
     def __iter__(self) -> "_LineFeed":
         return self
 
     def __next__(self) -> str:
         line, self.line = self.line, None
+        self.read_on = line is None
         return next(self.lines) if line is None else line
 
 
@@ -267,11 +266,14 @@ def parse_snapshot(
     being one announcement.  Rows too short to hold every mapped column,
     with empty paths, non-numeric path tokens (including brace-delimited
     AS_SET segments), unparseable prefixes or mapped origin/neighbor cells
-    that disagree with the path are skipped.  `intern` is shared by the
-    snapshots of one series; a fresh one is used when None.
+    that disagree with the path are skipped.  One `csv.reader` reads the
+    header and every line the memo has not decided; `intern` is shared by
+    the snapshots of one series, and a fresh one is used when None.
     """
     lines = iter(source)
-    header = next(csv.reader(lines), None)
+    feed = _LineFeed(lines)
+    reader = csv.reader(feed)
+    header = next(reader, None)
     if header is None:
         raise ValueError(f"snapshot for {ixp} {date} has no header row")
     layout: Layout = (
@@ -292,35 +294,26 @@ def parse_snapshot(
     if intern is None:
         intern = InternTable()
     memo = intern.rows.setdefault(layout, {})
-    # A plain line that holds nothing but mapped cells is its own memo key,
-    # so a repeated one costs a single lookup.
+    # A line that holds nothing but mapped cells is its own memo key, so a
+    # repeated one costs a single lookup.
     by_line = len(header) == len({p_idx, a_idx, o_idx, n_idx} - {None})
-    feed = _LineFeed(lines)
-    reader = csv.reader(feed)
-    field_limit = csv.field_size_limit()
     entries: list[RouteEntry] = []
     skipped = 0
     for line in lines:
         entry = memo.get(line, _UNSEEN) if by_line else _UNSEEN
         if entry is _UNSEEN:
-            body = line.rstrip("\r\n")
-            if not body:
+            feed.line = line
+            row = next(reader)
+            if not row:  # a blank line
                 continue
-            # csv could split a line with any of these differently from a
-            # comma split, reject it or read on past it into the next lines.
-            plain = not ('"' in body or "\0" in body or "\r" in body or "\n" in body
-                         or len(line) > field_limit)
-            if plain:
-                row = body.split(",")
-            else:
-                feed.line = line
-                row = next(reader)
             try:
                 cells = cells_of(row)
             except IndexError:  # a row short of any mapped column is skipped
                 skipped += 1
                 continue
-            key = line if by_line and plain else cells
+            # A record csv did not end on this line (it read on into the
+            # next lines, or to the end of the file) is keyed by its cells.
+            key = cells if feed.read_on or not by_line else line
             entry = memo.get(key, _UNSEEN)
             if entry is _UNSEEN:
                 entry = memo[key] = intern.entry(cells)

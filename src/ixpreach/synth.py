@@ -33,7 +33,7 @@ from .asndb import REGISTRIES
 from .metrics import METRIC_NAMES
 from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
 from .reachability import DEFAULT_CONFIRMATION_WINDOW, offline_days as _offline_days
-from .rtingest import DateRange
+from .rtingest import DateRange, check_ixp
 
 if TYPE_CHECKING:
     from .pipeline import AnalysisResult
@@ -199,6 +199,11 @@ class ScenarioError(ValueError):
 def _validate(spec: ScenarioSpec) -> None:
     if not spec.ixps:
         raise ScenarioError("scenario needs at least one IXP")
+    for ixp in spec.ixps:
+        try:
+            check_ixp(ixp)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
     if not spec.countries:
         raise ScenarioError("scenario needs at least one country")
     if spec.baseline >= spec.final:

@@ -24,8 +24,9 @@ def make_db(countries: dict[int, str]) -> AsnDb:
 
 
 def make_snapshot(rows, ixp="testix", date=BASE, skipped=0) -> Snapshot:
-    """Snapshot from (prefix, path) tuples; paths may be lists or tuples."""
-    entries = tuple(RouteEntry(prefix, tuple(path)) for prefix, path in rows)
+    """Snapshot from (prefix, path) tuples; a path is a non-empty list or
+    tuple, whose last element is the origin and first the neighbor."""
+    entries = tuple(RouteEntry(prefix, path[-1], path[0]) for prefix, path in rows)
     return Snapshot(ixp=ixp, date=date, entries=entries, skipped=skipped)
 
 

@@ -296,6 +296,8 @@ class TestAnalyzeSettings:
         ["--countries", ","],
         ["--annotation-slack", "-1", "--catalog", "seed"],
         ["--annotation-slack", "-1"],
+        ["--ixps", "amsix,../x"],
+        ["--ixps", "amsix,ams ix"],
     ], ids=" ".join)
     def test_bad_setting_fails_before_any_read(self, tmp_path, capsys, bad):
         (tmp_path / "asndb.txt").write_text("# asndb 1\n# records 0 conflicts 0\n")

@@ -159,7 +159,7 @@ class TestOriginPresence:
         presence = presence_of(series, db, "UA")
         assert list(presence.by_date) == [snap.date for snap in series.snapshots]
         for snap in series.snapshots:
-            brute = {e.as_path[-1] for e in snap.entries if countries.get(e.as_path[-1]) == "UA"}
+            brute = {e.origin for e in snap.entries if countries.get(e.origin) == "UA"}
             assert presence.by_date[snap.date] == brute
 
     def test_keeps_the_per_date_sets_of_build_series(self):

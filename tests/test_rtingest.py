@@ -62,27 +62,14 @@ def parse_text(text, schema=rtingest.DEFAULT_SCHEMA):
     return parse_snapshot(io.StringIO(text), "testix", BASE, schema)
 
 
-class TestRouteEntry:
-    def test_origin_is_last_neighbor_is_first(self):
-        entry = RouteEntry("192.0.2.0/24", (174, 3216, 25133))
-        assert entry.origin == 25133
-        assert entry.neighbor == 174
-
-    def test_single_element_path_has_equal_endpoints(self):
-        entry = RouteEntry("192.0.2.0/24", (12389,))
-        assert entry.origin == entry.neighbor == 12389
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            RouteEntry("192.0.2.0/24", ())
-
-
 class TestParseSnapshot:
     def test_first_and_last_elements(self):
         snap = parse_text("prefix,as_path\n192.0.2.0/24,174 3216 25133\n")
-        assert len(snap.entries) == 1
-        assert snap.entries[0].origin == 25133
-        assert snap.entries[0].neighbor == 174
+        assert snap.entries == (RouteEntry("192.0.2.0/24", origin=25133, neighbor=174),)
+
+    def test_single_element_path_has_equal_endpoints(self):
+        snap = parse_text("prefix,as_path\n192.0.2.0/24,12389\n")
+        assert snap.entries == (RouteEntry("192.0.2.0/24", origin=12389, neighbor=12389),)
 
     def test_prepending_does_not_change_endpoints(self):
         snap = parse_text("prefix,as_path\n192.0.2.0/24,6939 6939 6939 12389\n")
@@ -96,11 +83,13 @@ class TestParseSnapshot:
 
     def test_ten_row_fixture_against_oracle(self):
         expected_good, expected_bad = oracle_rows(TEN_ROW_FIXTURE)
-        snap = parse_text(TEN_ROW_FIXTURE)
+        intern = InternTable()
+        snap = parse_snapshot(io.StringIO(TEN_ROW_FIXTURE), "testix", BASE, intern=intern)
         assert len(snap.entries) == len(expected_good) == 6
         assert snap.skipped == expected_bad == 4
         for entry, (_, path) in zip(snap.entries, expected_good):
-            assert list(entry.as_path) == path
+            assert intern.paths[" ".join(map(str, path))] == tuple(path)
+            assert (entry.origin, entry.neighbor) == (path[-1], path[0])
 
     def test_duplicate_rows_are_retained(self):
         snap = parse_text(
@@ -314,6 +303,14 @@ class TestAttributeCountry:
         assert country_series(series, db, "US")[1] == {BASE: set()}
 
 
+def test_check_ixp_accepts_plain_names_only():
+    for name in pipeline.DEFAULT_IXPS + ("testix", "ix", "de-cix.fra", "linx_lon1", "6ix"):
+        assert rtingest.check_ixp(name) == name
+    for name in ("", ".", "..", "../x", "a/b", "a\\b", "ams ix", "-x", ".x", "_x", "amsix\n", "ämsix"):
+        with pytest.raises(ValueError, match="not a usable IXP id"):
+            rtingest.check_ixp(name)
+
+
 def reference_prefix(text):
     try:
         return str(ipaddress.ip_network(text.strip(), strict=False))
@@ -355,9 +352,9 @@ def test_normalize_prefix_matches_ipaddress():
 
 
 def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):
-    """(prefix, path) pairs and the skip count of a snapshot stream, from
-    one csv.reader over the whole stream and the documented row rules,
-    with no memo and no fast path."""
+    """(prefix, origin, neighbor) rows and the skip count of a snapshot
+    stream, from one csv.reader over the whole stream and the documented
+    row rules, with no memo."""
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None:
@@ -382,7 +379,7 @@ def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):
                 if (prefix is not None
                         and (o_idx is None or row[o_idx].strip() == str(path[-1]))
                         and (n_idx is None or row[n_idx].strip() == str(path[0]))):
-                    entry = (prefix, path)
+                    entry = (prefix, path[-1], path[0])
         if entry is None:
             skipped += 1
         else:
@@ -400,7 +397,7 @@ def outcome(parse):
     except ValueError as exc:
         return type(exc), None
     if isinstance(result, rtingest.Snapshot):
-        return [(e.prefix, e.as_path) for e in result.entries], result.skipped
+        return [(e.prefix, e.origin, e.neighbor) for e in result.entries], result.skipped
     return result
 
 
@@ -408,13 +405,16 @@ FIELD_LIMIT = csv.field_size_limit()
 ORIGIN_NEIGHBOR = SnapshotSchema(origin="origin", neighbor="neighbor")
 
 # One IXP's days, in order: each memo is warm with the lines of the days
-# before it.  Every day holds lines a comma split would misread.
+# before it.  Every day holds lines a split on commas would misread.
 ADVERSARIAL_DAYS = [
     (rtingest.DEFAULT_SCHEMA, [
         b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.7/24,174 3216 25133\nnot-a-prefix,174\n25133\n",
-        # A quoted record whose middle line equals a memoised plain line.
+        # A quoted record whose middle line equals a line memoised by its raw text.
         b'prefix,as_path\n192.0.2.0/24,"174\n10.0.0.0/8,174 25133\n25133"\n10.0.0.0/8,174 25133\n',
         b'prefix,as_path\n"10.0.0.0/8","174 25133"\n"192.0.2.0/24",174 "3216"\n10.0.0.0/8,"174 ""25133"\n',
+        # A quoted field left open at the end of the file; the next day's
+        # same line opens a record that reads on into the line after it.
+        b'prefix,as_path\n10.0.0.0/8,"174 25133\n',
         b'prefix,as_path\n10.0.0.0/8,"174 25133\n192.0.2.0/24,174\n',
         b"prefix,as_path\r\n10.0.0.0/8,174 25133\r\n198.51.100.0/24,6939\r\n10.0.0.0/8,174 25133\n",
         b"prefix,as_path\r10.0.0.0/8,174 25133\r198.51.100.0/24,6939\r",

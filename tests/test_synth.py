@@ -265,6 +265,7 @@ class TestScenarioIO:
         (lambda d: d["disruptions"][0].update(start="2023-01-01"), "outside window"),
         (lambda d: d.update(gap_dates=["2022-02-19"]), "gap date"),
         (lambda d: d["countries"]["UA"].update(neighbor_count=99), "more neighbors"),
+        (lambda d: d.update(ixps=["amsix", "../x"]), "not a usable IXP id"),
     ])
     def test_validation_rejects_bad_scenarios(self, tmp_path, mutate, message):
         doc = {

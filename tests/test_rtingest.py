@@ -62,6 +62,13 @@ def parse_text(text, schema=rtingest.DEFAULT_SCHEMA):
     return parse_snapshot(io.StringIO(text), "testix", BASE, schema)
 
 
+class TestRouteEntry:
+    def test_origin_is_last_neighbor_is_first(self):
+        entry = InternTable().entry(("192.0.2.0/24", "174 3216 25133", None, None))
+        assert entry.origin == 25133
+        assert entry.neighbor == 174
+
+
 class TestParseSnapshot:
     def test_first_and_last_elements(self):
         snap = parse_text("prefix,as_path\n192.0.2.0/24,174 3216 25133\n")

@@ -27,7 +27,6 @@ from .reachability import (
 )
 from .rtingest import (
     DateRange,
-    RouteEntry,
     Snapshot,
     SnapshotSchema,
     SnapshotSeries,

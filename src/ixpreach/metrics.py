@@ -1,11 +1,14 @@
 """Daily per-IXP per-country visibility metrics and origin presence.
 
-Country attribution happens here and only here: `build_series` makes one
-pass over each snapshot for every analysed country, looking up each row's
-origin and neighbor in the ASN database.  Besides the four counts below
-it keeps each country's in-country origin set per snapshot date; a
-PresenceMap wraps those sets as they are, and `reachability` reads every
-origin set it needs straight off them.
+Country attribution happens here and only here.  `build_series` looks up
+the country of each distinct row id's origin and neighbor once, then
+follows the series day by day: it diffs each snapshot's set of row ids
+against the day before and applies only the added and removed ids to
+per-country reference counts of origins, prefixes and neighbors, whose
+sizes are three of the counts below.  Besides the counts it keeps each
+country's in-country origin set per snapshot date; a PresenceMap wraps
+those sets as they are, and `reachability` reads every origin set it
+needs straight off them.
 
 Four counts are taken from each snapshot for a given country:
 
@@ -22,7 +25,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import IO, Iterable
 
 from .asndb import AsnDb
@@ -83,34 +88,70 @@ class PresenceMap:
     by_date: dict[dt.date, set[int]]
 
 
+def _hold(counts: dict, key: int | str) -> None:
+    counts[key] = counts.get(key, 0) + 1
+
+
+def _release(counts: dict, key: int | str) -> None:
+    left = counts[key] - 1
+    if left:
+        counts[key] = left
+    else:
+        del counts[key]
+
+
 def build_series(
     series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
 ) -> dict[str, tuple[MetricSeries, dict[dt.date, set[int]]]]:
-    """Attribute every snapshot's rows to the given countries in one pass.
+    """Attribute every snapshot's rows to the given countries.
 
     For each distinct country: its MetricSeries (one DailyMetrics per
     snapshot, order preserved, gaps carried over) and its in-country
     origins on each snapshot date, the input of `origin_presence`.  The
     result does not depend on row order or on repeated countries.
+
+    Each row id present on a day holds one reference on its in-country
+    origin, (country, prefix) pair and neighbor; a day costs set algebra
+    over its ids plus the ids that came or went since the day before.
+    Only ids with an in-country origin or neighbor enter the day sets.
     """
     wanted = {check_country(cc) for cc in countries}
-    country_of = {asn: rec.country for asn, rec in db.records.items() if rec.country in wanted}
+    country_of: dict[int, str | None] = {}
+    for asn in set(series.origin_of).union(series.neighbor_of):
+        cc = db.lookup(asn)
+        country_of[asn] = cc if cc in wanted else None
+    origin_cc = list(map(country_of.__getitem__, series.origin_of))
+    neighbor_cc = list(map(country_of.__getitem__, series.neighbor_of))
+    keep = bytes(o is not None or n is not None for o, n in zip(origin_cc, neighbor_cc))
+    prefix_of, origin_of, neighbor_of = series.prefix_of, series.origin_of, series.neighbor_of
+
+    origins: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
+    prefixes: dict[str, dict[str, int]] = {cc: {} for cc in wanted}
+    neighbors: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
     points: dict[str, list[DailyMetrics]] = {cc: [] for cc in wanted}
     daily_origins: dict[str, dict[dt.date, set[int]]] = {cc: {} for cc in wanted}
+    present: set[int] = set()
     for snap in series.snapshots:
-        announcements = dict.fromkeys(wanted, 0)
-        origins: dict[str, set[int]] = {cc: set() for cc in wanted}
-        prefixes: dict[str, set[str]] = {cc: set() for cc in wanted}
-        neighbors: dict[str, set[int]] = {cc: set() for cc in wanted}
-        for entry in snap.entries:
-            cc = country_of.get(entry.origin)
+        kept = list(compress(snap.entries, map(keep.__getitem__, snap.entries)))
+        today = set(kept)
+        for rid in present - today:
+            cc = origin_cc[rid]
             if cc is not None:
-                announcements[cc] += 1
-                origins[cc].add(entry.origin)
-                prefixes[cc].add(entry.prefix)
-            cc = country_of.get(entry.neighbor)
+                _release(origins[cc], origin_of[rid])
+                _release(prefixes[cc], prefix_of[rid])
+            cc = neighbor_cc[rid]
             if cc is not None:
-                neighbors[cc].add(entry.neighbor)
+                _release(neighbors[cc], neighbor_of[rid])
+        for rid in today - present:
+            cc = origin_cc[rid]
+            if cc is not None:
+                _hold(origins[cc], origin_of[rid])
+                _hold(prefixes[cc], prefix_of[rid])
+            cc = neighbor_cc[rid]
+            if cc is not None:
+                _hold(neighbors[cc], neighbor_of[rid])
+        present = today
+        announcements = Counter(map(origin_cc.__getitem__, kept))
         for cc in wanted:
             points[cc].append(DailyMetrics(
                 ixp=snap.ixp,
@@ -121,7 +162,7 @@ def build_series(
                 distinct_prefixes=len(prefixes[cc]),
                 distinct_neighbors=len(neighbors[cc]),
             ))
-            daily_origins[cc][snap.date] = origins[cc]
+            daily_origins[cc][snap.date] = set(origins[cc])
     return {
         cc: (MetricSeries(ixp=series.ixp, country=cc, points=tuple(points[cc]), gaps=series.gaps),
              daily_origins[cc])

@@ -1,4 +1,4 @@
-"""Parse daily route-server snapshot CSVs into typed routing tables.
+"""Parse daily route-server snapshot CSVs into row ids.
 
 A snapshot file is one IXP's routing table for one day: a UTF-8 CSV with a
 header row, where one column holds the announced prefix and another the
@@ -8,15 +8,17 @@ Parsing goes through an `InternTable`.  One `csv.reader` per file reads
 the header and every line not seen before, so quoted and multi-line
 records and csv errors behave exactly as with a plain reader.  Each row
 is looked up in a memo kept per column layout, so a row repeated from an
-earlier day yields the RouteEntry (or the skip) decided when it was first
+earlier day yields the row id (or the skip) decided when it was first
 seen.  When the header maps every one of its columns and csv ends a
 record on the line it starts on, without reading past it, the key is that
 raw line, so a repeated line costs one dict lookup and never reaches csv;
 otherwise the key is the row's mapped cells, so unmapped columns that
 change from row to row do not defeat the memo.  A new row's prefix and
-AS-path cells are parsed through per-cell memos.  `load_series` keeps one
-table per IXP for the whole series, so the table is bounded by that IXP's
-distinct lines and cells over the window, and it is dropped once the
+AS-path cells are parsed through per-cell memos, and a kept row gets the
+next dense row id, whose prefix, origin and neighbor the table records
+once in its columns.  A day is then the tuple of its rows' ids plus a skip
+count.  `load_series` keeps one table per IXP for the whole series and
+hands its columns to the SnapshotSeries; the memos are dropped once the
 series is loaded.
 """
 
@@ -28,9 +30,10 @@ import ipaddress
 import logging
 import operator
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .asndb import ASN_MAX
 
@@ -68,36 +71,36 @@ def check_ixp(ixp: str) -> str:
     return ixp
 
 
-@dataclass(frozen=True, slots=True)
-class RouteEntry:
-    """One routing-table row: its prefix and the endpoints of its AS path.
-
-    The origin is the last path element, the neighbor (the AS facing the
-    route server) the first; a single-element path makes them equal.
-    """
-
-    prefix: str
-    origin: int
-    neighbor: int
-
-
 @dataclass(frozen=True)
 class Snapshot:
-    """One IXP's routing table for one day."""
+    """One IXP's routing table for one day: the row id of every kept row,
+    in file order with duplicates kept, and the count of skipped rows.
+    The ids index the columns of the InternTable that parsed the day (and
+    of the SnapshotSeries that holds it)."""
 
     ixp: str
     date: dt.date
-    entries: tuple[RouteEntry, ...]
+    entries: tuple[int, ...]
     skipped: int = 0
 
 
 @dataclass(frozen=True)
 class SnapshotSeries:
-    """Date-ordered snapshots for one IXP over a study window."""
+    """Date-ordered snapshots for one IXP over a study window.
+
+    `prefix_of`, `origin_of` and `neighbor_of` are the row-id columns of
+    the table that parsed the snapshots: row id i has the canonical prefix
+    `prefix_of[i]`, the origin `origin_of[i]` (the last AS-path element)
+    and the neighbor `neighbor_of[i]` (the first, the AS facing the route
+    server); a single-element path makes them equal.
+    """
 
     ixp: str
     snapshots: tuple[Snapshot, ...]
     gaps: tuple[dt.date, ...] = ()
+    prefix_of: Sequence[str] = ()
+    origin_of: Sequence[int] = ()
+    neighbor_of: Sequence[int] = ()
 
     def __post_init__(self) -> None:
         dates = [s.date for s in self.snapshots]
@@ -144,23 +147,30 @@ class InternTable:
     `prefixes` maps a raw prefix cell to its canonical CIDR text and
     `paths` a raw AS-path cell to its ASN tuple, None marking a defective
     cell.  `rows` maps a column layout to a memo from a row key to the
-    row's RouteEntry, or None for a counted skip.  The key of a row is its
-    raw physical line, terminator included, when the header maps every one
-    of its columns and csv ended the record on that line without reading
-    past it, so the line alone holds its mapped cells; otherwise it is the
-    row's mapped `Cells`, so unmapped columns play no part in it.  What a
-    key of either kind decides depends only on the layout, and a layout
-    has its own memo because a line means other cells under another
-    header.  A repeated cell or row is parsed once, and every row holding
-    it shares one str, tuple or RouteEntry.
+    row's id, or None for a counted skip.  The key of a row is its raw
+    physical line, terminator included, when the header maps every one of
+    its columns and csv ended the record on that line without reading past
+    it, so the line alone holds its mapped cells; otherwise it is the row's
+    mapped `Cells`, so unmapped columns play no part in it.  What a key of
+    either kind decides depends only on the layout, and a layout has its
+    own memo because a line means other cells under another header.
+
+    Row ids are dense, from 0, one per memo key that decided a kept row;
+    `prefix_of`, `origin_of` and `neighbor_of` hold each id's fields, the
+    ASNs as unsigned 32-bit array items (4 bytes a row, not a pointer).
+    Two keys may decide equal fields (say, paths that differ only between
+    their endpoints) and then hold two ids.
     """
 
     prefixes: dict[str, str | None] = field(default_factory=dict)
     paths: dict[str, tuple[int, ...] | None] = field(default_factory=dict)
-    rows: dict[Layout, dict[str | Cells, RouteEntry | None]] = field(default_factory=dict)
+    rows: dict[Layout, dict[str | Cells, int | None]] = field(default_factory=dict)
+    prefix_of: list[str] = field(default_factory=list)
+    origin_of: array = field(default_factory=lambda: array("I"))
+    neighbor_of: array = field(default_factory=lambda: array("I"))
 
-    def entry(self, cells: Cells) -> RouteEntry | None:
-        """The RouteEntry for a row's mapped cells, or None when its path or
+    def entry(self, cells: Cells) -> int | None:
+        """A new row id for a row's mapped cells, or None when its path or
         prefix is defective or a mapped origin/neighbor cell disagrees with
         the path."""
         path = self.paths.get(cells[1], _UNSEEN)
@@ -177,7 +187,10 @@ class InternTable:
         for cell, asn in zip(cells[2:], (origin, neighbor)):  # the origin, neighbor cells
             if cell is not None and cell.strip() != str(asn):
                 return None
-        return RouteEntry(prefix, origin, neighbor)
+        self.prefix_of.append(prefix)
+        self.origin_of.append(origin)
+        self.neighbor_of.append(neighbor)
+        return len(self.prefix_of) - 1
 
 
 _IPV4_CIDR = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})/([0-9]{1,2})")
@@ -261,14 +274,16 @@ def parse_snapshot(
 ) -> Snapshot:
     """Parse one snapshot CSV stream.
 
-    Every data row yields either a RouteEntry or a +1 on the skipped
-    counter; blank lines are ignored and duplicate rows are kept, each
-    being one announcement.  Rows too short to hold every mapped column,
-    with empty paths, non-numeric path tokens (including brace-delimited
-    AS_SET segments), unparseable prefixes or mapped origin/neighbor cells
-    that disagree with the path are skipped.  One `csv.reader` reads the
-    header and every line the memo has not decided; `intern` is shared by
-    the snapshots of one series, and a fresh one is used when None.
+    Every data row yields either its row id in `intern` or a +1 on the
+    skipped counter; blank lines are ignored and duplicate rows are kept,
+    each being one announcement.  Rows too short to hold every mapped
+    column, with empty paths, non-numeric path tokens (including
+    brace-delimited AS_SET segments), unparseable prefixes or mapped
+    origin/neighbor cells that disagree with the path are skipped.  One
+    `csv.reader` reads the header and every line the memo has not decided.
+    `intern` is shared by the snapshots of one series, and its columns
+    give each id's fields; when None a fresh table is used, and the ids
+    then serve only to count rows.
     """
     lines = iter(source)
     feed = _LineFeed(lines)
@@ -297,7 +312,7 @@ def parse_snapshot(
     # A line that holds nothing but mapped cells is its own memo key, so a
     # repeated one costs a single lookup.
     by_line = len(header) == len({p_idx, a_idx, o_idx, n_idx} - {None})
-    entries: list[RouteEntry] = []
+    entries: list[int] = []
     skipped = 0
     for line in lines:
         entry = memo.get(line, _UNSEEN) if by_line else _UNSEEN
@@ -337,7 +352,8 @@ def load_series(
     used, with a warning naming the file and the reason: one that cannot
     be opened or read, is not UTF-8, is not valid CSV, has no header row
     (an empty file) or lacks a mapped column.  Nothing is fabricated for a
-    gap.  A missing IXP directory is a hard error.
+    gap.  A missing IXP directory is a hard error.  The series holds the
+    row-id columns of the one InternTable its snapshots share.
     """
     ixp_dir = Path(root) / ixp
     if not ixp_dir.is_dir():
@@ -357,4 +373,6 @@ def load_series(
             # missing-header and missing-column rejections.
             log.warning("treating snapshot %s as a gap: %s", path, exc)
             gaps.append(day)
-    return SnapshotSeries(ixp=ixp, snapshots=tuple(snapshots), gaps=tuple(gaps))
+    return SnapshotSeries(ixp=ixp, snapshots=tuple(snapshots), gaps=tuple(gaps),
+                          prefix_of=intern.prefix_of, origin_of=intern.origin_of,
+                          neighbor_of=intern.neighbor_of)

@@ -6,7 +6,7 @@ import pytest
 from ixpreach.asndb import AsnDb, AsnRecord
 from ixpreach.metrics import build_series, origin_presence
 from ixpreach.reachability import diff_reachability
-from ixpreach.rtingest import RouteEntry, Snapshot, SnapshotSeries
+from ixpreach.rtingest import Snapshot, SnapshotSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,19 +23,35 @@ def make_db(countries: dict[int, str]) -> AsnDb:
     return AsnDb(records=records)
 
 
-def make_snapshot(rows, ixp="testix", date=BASE, skipped=0) -> Snapshot:
-    """Snapshot from (prefix, path) tuples; a path is a non-empty list or
-    tuple, whose last element is the origin and first the neighbor."""
-    entries = tuple(RouteEntry(prefix, path[-1], path[0]) for prefix, path in rows)
-    return Snapshot(ixp=ixp, date=date, entries=entries, skipped=skipped)
-
-
 def make_series(days_rows, ixp="testix", gaps=()) -> SnapshotSeries:
-    """Series from {date: rows} where rows feed make_snapshot."""
+    """Series from {date: rows} of (prefix, path) tuples; a path is a
+    non-empty list or tuple, whose last element is the origin and first
+    the neighbor.  As in the parser, each distinct (prefix, path) gets one
+    row id, so paths that differ only between their endpoints hold
+    distinct ids with equal fields."""
+    ids: dict = {}
+    columns: tuple[list, list, list] = ([], [], [])
+
+    def row_id(prefix, path):
+        key = (prefix, tuple(path))
+        if key not in ids:
+            ids[key] = len(ids)
+            for column, value in zip(columns, (prefix, path[-1], path[0])):
+                column.append(value)
+        return ids[key]
+
     snapshots = tuple(
-        make_snapshot(rows, ixp=ixp, date=d) for d, rows in sorted(days_rows.items())
+        Snapshot(ixp=ixp, date=d, entries=tuple(row_id(prefix, path) for prefix, path in rows))
+        for d, rows in sorted(days_rows.items())
     )
-    return SnapshotSeries(ixp=ixp, snapshots=snapshots, gaps=tuple(sorted(gaps)))
+    return SnapshotSeries(ixp=ixp, snapshots=snapshots, gaps=tuple(sorted(gaps)),
+                          prefix_of=columns[0], origin_of=columns[1], neighbor_of=columns[2])
+
+
+def rows_of(snapshot, table):
+    """A snapshot's (prefix, origin, neighbor) rows, read through the
+    row-id columns of `table` (an InternTable or a SnapshotSeries)."""
+    return [(table.prefix_of[i], table.origin_of[i], table.neighbor_of[i]) for i in snapshot.entries]
 
 
 def country_series(series, db, country):

@@ -17,10 +17,10 @@ from ixpreach import asndb, cli, pipeline, synth
 from ixpreach.metrics import DailyMetrics, MetricSeries
 from ixpreach.outage import detect_dips
 from ixpreach.reachability import average_pct, pct_lost
-from ixpreach.rtingest import DateRange, parse_snapshot
+from ixpreach.rtingest import DateRange, InternTable, parse_snapshot
 from ixpreach.synth import CountrySpec, ScenarioSpec
 
-from conftest import BASE, day, make_db, make_series, reach
+from conftest import BASE, day, make_db, make_series, reach, rows_of
 
 
 @contextmanager
@@ -172,11 +172,12 @@ def test_criterion_6_parser_robustness_fixture(tmp_path):
                 expected.append((f"10.{i % 250}.{i % 4}.0/24", path[-1], path[0]))
         path = tmp_path / "snapshot.csv"
         path.write_text("\n".join(lines) + "\n")
+        intern = InternTable()
         with open(path, newline="") as handle:
-            snap = parse_snapshot(handle, "testix", BASE)
+            snap = parse_snapshot(handle, "testix", BASE, intern=intern)
         assert len(snap.entries) == 990
         assert snap.skipped == 10
-        assert [(e.prefix, e.origin, e.neighbor) for e in snap.entries] == expected
+        assert rows_of(snap, intern) == expected
 
 
 def test_criterion_7_asndb_determinism_and_range_expansion(tmp_path, delegated_dir):

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -15,6 +16,12 @@ from conftest import BASE, day
 
 def run(argv):
     return cli.main(argv)
+
+
+# sha256 of the `analyze` output directory of the scenario in
+# TestAnalyze.test_output_bytes_are_pinned, over each file's relative path
+# and bytes in sorted order (as perfbench's gate.digest_dir takes it).
+PINNED_OUTPUT_SHA256 = "b70c427db16b95407229d012cb06f2ea88cbea852cf15c2dbc693d74804ac34f"
 
 
 @pytest.fixture
@@ -164,6 +171,35 @@ class TestAnalyze:
             for rel in mine:
                 assert joint[rel] == alone[rel], rel
         assert analyze("twice", "UA,UA") == analyze("once", "UA")
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        spec = ScenarioSpec(
+            seed=31,
+            window=DateRange(BASE, day(15)),
+            ixps=("amsix", "linx", "six"),
+            countries={
+                "UA": CountrySpec(origin_count=12, prefixes_per_origin=(1, 3), neighbor_count=2),
+                "RU": CountrySpec(origin_count=9, prefixes_per_origin=(1, 2), neighbor_count=2),
+            },
+            gap_dates=(day(3), day(9), day(10)),
+            disruptions=(
+                Disruption("origin_removal", "amsix", "UA", day(5), day(7), count=3),
+                Disruption("permanent_loss", "six", "RU", day(11), count=2),
+                Disruption("prefix_shrink", "linx", "UA", day(6), day(8), magnitude=0.5),
+                Disruption("neighbor_disconnect", "linx", "RU", day(12), day(13), count=1),
+            ),
+        )
+        scen = tmp_path / "scen"
+        gt = synth.generate(spec, scen)
+        assert run(["build-asndb", "--rir", f"ripencc={scen / 'delegated.txt'}",
+                    "--out", str(tmp_path / "asndb.txt")]) == 0
+        assert run(self.analyze_args(tmp_path, scen, gt)) == 0
+        out = tmp_path / "out"
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
     def test_repeated_ixp_is_analysed_once(self, analyzed_scenario):
         tmp_path, scen, gt = analyzed_scenario

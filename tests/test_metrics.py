@@ -5,7 +5,7 @@ import pytest
 from ixpreach import metrics
 from ixpreach.metrics import DailyMetrics, build_series
 
-from conftest import BASE, country_series, day, make_db, make_series, presence_of
+from conftest import BASE, country_series, day, make_db, make_series, presence_of, rows_of
 
 
 def compute_daily(rows, db, country):
@@ -117,6 +117,40 @@ class TestBuildSeries:
             assert joint[cc] == build_series(series, db, [cc])[cc]
         assert build_series(series, db, ["UA", "UA"]) == build_series(series, db, ["UA"])
 
+    def test_matches_brute_force_on_random_multi_day_series(self):
+        rng = random.Random(19)
+        shared_prefix = [("192.0.2.0/24", [7, 1]), ("192.0.2.0/24", [8, 2])]  # UA and RU origins
+        cross = ("198.51.100.0/24", [2, 1])  # UA origin behind an RU neighbor
+        duplicated = ("203.0.113.0/24", [3, 1])
+        for _ in range(25):
+            countries = {i: rng.choice(["UA", "RU", "DE"]) for i in range(1, 25)}
+            countries.update({1: "UA", 2: "RU"})
+            db = make_db(countries)
+            pool = [(f"10.{rng.randint(0, 9)}.{rng.randint(0, 9)}.0/24",
+                     [rng.randint(1, 30) for _ in range(rng.randint(1, 4))])
+                    for _ in range(rng.randint(10, 40))]
+            offsets = sorted(rng.sample(range(16), 12))
+            empty = rng.choice(offsets[1:-1])
+            days = {}
+            for n, offset in enumerate(offsets):
+                rows = [row for row in pool if rng.random() < 0.7]
+                rows += rng.choices(rows, k=len(rows) // 4) if rows else []
+                if n % 3 != 1:  # gone every third day, then back
+                    rows += shared_prefix + [cross]
+                rows += [duplicated] * (2 - n % 2)  # held twice, then once
+                rng.shuffle(rows)
+                days[day(offset)] = [] if offset == empty else rows
+            gaps = [day(offset) for offset in range(16) if offset not in offsets]
+            joint = build_series(make_series(days, gaps=gaps), db, ["UA", "RU", "DE"])
+            for cc in ("UA", "RU", "DE"):
+                mseries, daily_origins = joint[cc]
+                assert mseries.dates() == tuple(days) == tuple(daily_origins)
+                assert mseries.gaps == tuple(gaps)
+                for point, (d, rows) in zip(mseries.points, days.items(), strict=True):
+                    assert (point.announcements, point.distinct_origins, point.distinct_prefixes,
+                            point.distinct_neighbors) == brute_counts(rows, countries, cc), (cc, d)
+                    assert daily_origins[d] == {path[-1] for _, path in rows if countries.get(path[-1]) == cc}
+
     def test_single_snapshot_series_equals_hand_counts(self):
         db = make_db({20: "UA"})
         series = make_series({BASE: [("192.0.2.0/24", [20])]})
@@ -159,7 +193,7 @@ class TestOriginPresence:
         presence = presence_of(series, db, "UA")
         assert list(presence.by_date) == [snap.date for snap in series.snapshots]
         for snap in series.snapshots:
-            brute = {e.origin for e in snap.entries if countries.get(e.origin) == "UA"}
+            brute = {origin for _, origin, _ in rows_of(snap, series) if countries.get(origin) == "UA"}
             assert presence.by_date[snap.date] == brute
 
     def test_keeps_the_per_date_sets_of_build_series(self):

@@ -13,13 +13,12 @@ from ixpreach.asndb import ASN_MAX
 from ixpreach.rtingest import (
     DateRange,
     InternTable,
-    RouteEntry,
     SnapshotSchema,
     load_series,
     parse_snapshot,
 )
 
-from conftest import BASE, country_series, day, make_db, make_series
+from conftest import BASE, country_series, day, make_db, make_series, rows_of
 
 # Ten data rows exercising every defect class; the oracle below classifies
 # them independently of the parser.
@@ -62,26 +61,32 @@ def parse_text(text, schema=rtingest.DEFAULT_SCHEMA):
     return parse_snapshot(io.StringIO(text), "testix", BASE, schema)
 
 
+def parse_rows(text, schema=rtingest.DEFAULT_SCHEMA):
+    """The (prefix, origin, neighbor) rows and skip count of one parse."""
+    intern = InternTable()
+    snap = parse_snapshot(io.StringIO(text), "testix", BASE, schema, intern)
+    return rows_of(snap, intern), snap.skipped
+
+
 class TestRouteEntry:
     def test_origin_is_last_neighbor_is_first(self):
-        entry = InternTable().entry(("192.0.2.0/24", "174 3216 25133", None, None))
-        assert entry.origin == 25133
-        assert entry.neighbor == 174
+        intern = InternTable()
+        row = intern.entry(("192.0.2.0/24", "174 3216 25133", None, None))
+        assert (intern.prefix_of[row], intern.origin_of[row], intern.neighbor_of[row]) == (
+            "192.0.2.0/24", 25133, 174)
 
 
 class TestParseSnapshot:
     def test_first_and_last_elements(self):
-        snap = parse_text("prefix,as_path\n192.0.2.0/24,174 3216 25133\n")
-        assert snap.entries == (RouteEntry("192.0.2.0/24", origin=25133, neighbor=174),)
+        assert parse_rows("prefix,as_path\n192.0.2.0/24,174 3216 25133\n") == (
+            [("192.0.2.0/24", 25133, 174)], 0)
 
     def test_single_element_path_has_equal_endpoints(self):
-        snap = parse_text("prefix,as_path\n192.0.2.0/24,12389\n")
-        assert snap.entries == (RouteEntry("192.0.2.0/24", origin=12389, neighbor=12389),)
+        assert parse_rows("prefix,as_path\n192.0.2.0/24,12389\n") == ([("192.0.2.0/24", 12389, 12389)], 0)
 
     def test_prepending_does_not_change_endpoints(self):
-        snap = parse_text("prefix,as_path\n192.0.2.0/24,6939 6939 6939 12389\n")
-        assert snap.entries[0].origin == 12389
-        assert snap.entries[0].neighbor == 6939
+        rows, _ = parse_rows("prefix,as_path\n192.0.2.0/24,6939 6939 6939 12389\n")
+        assert rows[0][1:] == (12389, 6939)
 
     def test_as_set_row_is_skipped_and_counted(self):
         snap = parse_text("prefix,as_path\n192.0.2.0/24,3356 {64512,64513}\n")
@@ -94,9 +99,9 @@ class TestParseSnapshot:
         snap = parse_snapshot(io.StringIO(TEN_ROW_FIXTURE), "testix", BASE, intern=intern)
         assert len(snap.entries) == len(expected_good) == 6
         assert snap.skipped == expected_bad == 4
-        for entry, (_, path) in zip(snap.entries, expected_good):
+        for (_, origin, neighbor), (_, path) in zip(rows_of(snap, intern), expected_good, strict=True):
             assert intern.paths[" ".join(map(str, path))] == tuple(path)
-            assert (entry.origin, entry.neighbor) == (path[-1], path[0])
+            assert (origin, neighbor) == (path[-1], path[0])
 
     def test_duplicate_rows_are_retained(self):
         snap = parse_text(
@@ -109,9 +114,8 @@ class TestParseSnapshot:
         assert len(snap.entries) + snap.skipped == 10
 
     def test_prefixes_are_normalized(self):
-        snap = parse_text("prefix,as_path\n2001:DB8::/32,174 25133\n192.0.2.7/24,174 25133\n")
-        assert snap.entries[0].prefix == "2001:db8::/32"
-        assert snap.entries[1].prefix == "192.0.2.0/24"
+        rows, _ = parse_rows("prefix,as_path\n2001:DB8::/32,174 25133\n192.0.2.7/24,174 25133\n")
+        assert [prefix for prefix, _, _ in rows] == ["2001:db8::/32", "192.0.2.0/24"]
 
     def test_oversized_asn_token_is_a_defect(self):
         snap = parse_text("prefix,as_path\n192.0.2.0/24,174 99999999999\n")
@@ -123,8 +127,8 @@ class TestParseSnapshot:
 
     def test_schema_remaps_columns(self):
         schema = SnapshotSchema(prefix="pfx", as_path="aspath")
-        snap = parse_text("nexthop,pfx,aspath\n10.0.0.1,192.0.2.0/24,174 25133\n", schema)
-        assert snap.entries[0].origin == 25133
+        rows, _ = parse_rows("nexthop,pfx,aspath\n10.0.0.1,192.0.2.0/24,174 25133\n", schema)
+        assert rows == [("192.0.2.0/24", 25133, 174)]
 
     def test_precomputed_origin_column_must_agree(self):
         schema = SnapshotSchema(origin="origin")
@@ -138,9 +142,9 @@ class TestParseSnapshot:
         schema = SnapshotSchema(**{column: column})
         good = "25133" if column == "origin" else "174"
         text = f"prefix,as_path,{column}\n192.0.2.0/24,174 25133\n198.51.100.0/24,174 25133,{good}\n"
-        snap = parse_text(text, schema)
-        assert [e.prefix for e in snap.entries] == ["198.51.100.0/24"]
-        assert snap.skipped == 1
+        rows, skipped = parse_rows(text, schema)
+        assert [prefix for prefix, _, _ in rows] == ["198.51.100.0/24"]
+        assert skipped == 1
 
     def test_parse_is_deterministic(self):
         a = parse_text(TEN_ROW_FIXTURE)
@@ -153,7 +157,7 @@ class TestParseSnapshot:
         parse_snapshot(io.StringIO(other_day), "testix", day(-1), intern=intern)
         for text in (TEN_ROW_FIXTURE, other_day):
             shared = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
-            assert shared == parse_text(text)
+            assert (rows_of(shared, intern), shared.skipped) == parse_rows(text)
         assert intern.paths["174 3216 25133"] == (174, 3216, 25133)
         assert intern.prefixes["192.0.2.7/24"] == "192.0.2.0/24"
         assert intern.prefixes["not-a-prefix"] is None
@@ -256,12 +260,15 @@ class TestLoadSeries:
             writer.writerow(["age"] * age + ["prefix", "as_path"])
             writer.writerows([f"{offset}d {i}h ago"] * age + [p, a] for i, (p, a) in enumerate(cells))
             (tmp_path / "amsix" / f"{day(offset).isoformat()}.csv").write_text(out.getvalue())
-        first, *later = load_series(tmp_path, "amsix", DateRange(BASE, day(2))).snapshots
-        assert [e.prefix for e in first.entries] == ["192.0.2.0/24", "198.51.100.0/24"]
+        series = load_series(tmp_path, "amsix", DateRange(BASE, day(2)))
+        first, *later = series.snapshots
+        assert rows_of(first, series) == [("192.0.2.0/24", 25133, 174), ("198.51.100.0/24", 31133, 6939)]
+        assert first.entries == (0, 1)
         assert first.skipped == 2
         for snapshot in later:
             assert snapshot.skipped == 2
-            assert all(a is b for a, b in zip(first.entries, snapshot.entries, strict=True))
+            assert snapshot.entries == first.entries
+        assert len(series.origin_of) == 2
 
     def test_repeated_cells_are_parsed_once_past_the_old_cache_bound(self, tmp_path, monkeypatch):
         n = (1 << 16) + 4_000
@@ -292,9 +299,11 @@ class TestLoadSeries:
         assert networks[0] == v6
         first, second = series.snapshots
         assert len(first.entries) == len(second.entries) == n + v6
-        assert first.entries[-1].prefix == f"2001:db8:{v6 - 1:x}::/48"
-        assert all(a.prefix is b.prefix for a, b in zip(first.entries, second.entries))
-        assert all((a is b) == (i % 2 == 0) for i, (a, b) in enumerate(zip(first.entries, second.entries)))
+        prefix_of = series.prefix_of
+        assert prefix_of[first.entries[-1]] == f"2001:db8:{v6 - 1:x}::/48"
+        assert all(prefix_of[a] is prefix_of[b] for a, b in zip(first.entries, second.entries))
+        assert all((a == b) == (i % 2 == 0) for i, (a, b) in enumerate(zip(first.entries, second.entries)))
+        assert len(prefix_of) == len(set(first.entries + second.entries)) == (n + v6) * 3 // 2
 
 
 class TestAttributeCountry:
@@ -394,9 +403,10 @@ def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):
     return entries, skipped
 
 
-def outcome(parse):
+def outcome(parse, table=None):
     """What a parse returns, or the class of what it raises (with the
-    message for csv errors, which both parsers leave to csv)."""
+    message for csv errors, which both parsers leave to csv).  A Snapshot's
+    row ids are read through the columns of `table`."""
     try:
         result = parse()
     except csv.Error as exc:
@@ -404,7 +414,7 @@ def outcome(parse):
     except ValueError as exc:
         return type(exc), None
     if isinstance(result, rtingest.Snapshot):
-        return [(e.prefix, e.origin, e.neighbor) for e in result.entries], result.skipped
+        return rows_of(result, table), result.skipped
     return result
 
 
@@ -474,7 +484,7 @@ def test_load_series_matches_a_csv_reader_reference(tmp_path):
             (root / "ix" / f"{day(offset).isoformat()}.csv").write_bytes(content)
         series = load_series(root, "ix", window, schema)
         snapshots, gaps = reference_series(root, "ix", window, schema)
-        assert [(s.date, outcome(lambda: s)) for s in series.snapshots] == snapshots
+        assert [(s.date, outcome(lambda: s, series)) for s in series.snapshots] == snapshots
         assert list(series.gaps) == gaps
         assert len(gaps) < len(days)
 
@@ -494,5 +504,6 @@ def test_parse_snapshot_matches_a_csv_reader_reference():
                 continue
             for source in sources(text):
                 expected = outcome(lambda: reference_parse(source(), schema))
-                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema, shared)) == expected
-                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema)) == expected
+                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema, shared), shared) == expected
+                fresh = InternTable()
+                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema, fresh), fresh) == expected

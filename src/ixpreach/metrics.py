@@ -5,10 +5,13 @@ the country of each distinct row id's origin and neighbor once, then
 follows the series day by day: it diffs each snapshot's set of row ids
 against the day before and applies only the added and removed ids to
 per-country reference counts of origins, prefixes and neighbors, whose
-sizes are three of the counts below.  Besides the counts it keeps each
-country's in-country origin set per snapshot date; a PresenceMap wraps
-those sets as they are, and `reachability` reads every origin set it
-needs straight off them.
+sizes are three of the counts below.  Besides the counts it keeps, per
+in-country origin, the runs of snapshot days on which the origin is
+present: a run opens when the origin's reference count goes from 0 to 1
+and closes when it falls back to 0, so presence grows with the changes
+of a table, not with its days.  A PresenceMap wraps those runs with the
+snapshot dates, and `reachability` reads every origin set it needs off
+them.
 
 Four counts are taken from each snapshot for a given country:
 
@@ -78,42 +81,65 @@ class MetricSeries:
 
 @dataclass(frozen=True)
 class PresenceMap:
-    """One country's in-country origins on each snapshot date of one IXP.
+    """One country's in-country origins over the snapshots of one IXP.
 
-    `by_date` has a key for every snapshot date and none for a gap date,
-    so an origin's absence from a snapshot is never confused with a day
-    that has no snapshot.
+    `dates` holds every snapshot date in order and no gap date; snapshot
+    index i is `dates[i]`.  `runs` maps each origin seen on any snapshot
+    to the half-open runs of snapshot indices on which it is present,
+    flattened as `[start, end, start, end, ...]`: ascending, never empty,
+    and never touching, so a run ends on the index where the origin is
+    first absent.  A gap day has no index, so an origin's absence from a
+    snapshot is never confused with a day that has no snapshot.
     """
 
-    by_date: dict[dt.date, set[int]]
+    dates: tuple[dt.date, ...]
+    runs: dict[int, list[int]]
 
 
-def _hold(counts: dict, key: int | str) -> None:
-    counts[key] = counts.get(key, 0) + 1
+def _hold(counts: dict, key: int | str) -> bool:
+    """Take a reference on `key`; True if it is the first one."""
+    held = counts.get(key, 0)
+    counts[key] = held + 1
+    return not held
 
 
-def _release(counts: dict, key: int | str) -> None:
+def _release(counts: dict, key: int | str) -> bool:
+    """Drop a reference on `key`; True if it was the last one."""
     left = counts[key] - 1
     if left:
         counts[key] = left
+        return False
+    del counts[key]
+    return True
+
+
+def _open_run(runs: dict[int, list[int]], origin: int, index: int) -> None:
+    bounds = runs.get(origin)
+    if bounds is None:
+        runs[origin] = [index]
+    elif bounds[-1] == index:
+        bounds.pop()  # released and held again on the same day: the run goes on
     else:
-        del counts[key]
+        bounds.append(index)
 
 
 def build_series(
     series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
-) -> dict[str, tuple[MetricSeries, dict[dt.date, set[int]]]]:
+) -> dict[str, tuple[MetricSeries, dict[int, list[int]]]]:
     """Attribute every snapshot's rows to the given countries.
 
     For each distinct country: its MetricSeries (one DailyMetrics per
-    snapshot, order preserved, gaps carried over) and its in-country
-    origins on each snapshot date, the input of `origin_presence`.  The
+    snapshot, order preserved, gaps carried over) and the runs of
+    snapshot indices on which each in-country origin is present, as
+    `PresenceMap.runs` holds them and `origin_presence` takes them.  The
     result does not depend on row order or on repeated countries.
 
     Each row id present on a day holds one reference on its in-country
     origin, (country, prefix) pair and neighbor; a day costs set algebra
     over its ids plus the ids that came or went since the day before.
     Only ids with an in-country origin or neighbor enter the day sets.
+    An origin's run opens or closes only when its first reference is
+    taken or its last one dropped.
     """
     wanted = {check_country(cc) for cc in countries}
     country_of: dict[int, str | None] = {}
@@ -129,15 +155,16 @@ def build_series(
     prefixes: dict[str, dict[str, int]] = {cc: {} for cc in wanted}
     neighbors: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
     points: dict[str, list[DailyMetrics]] = {cc: [] for cc in wanted}
-    daily_origins: dict[str, dict[dt.date, set[int]]] = {cc: {} for cc in wanted}
+    runs: dict[str, dict[int, list[int]]] = {cc: {} for cc in wanted}
     present: set[int] = set()
-    for snap in series.snapshots:
+    for index, snap in enumerate(series.snapshots):
         kept = list(compress(snap.entries, map(keep.__getitem__, snap.entries)))
         today = set(kept)
         for rid in present - today:
             cc = origin_cc[rid]
             if cc is not None:
-                _release(origins[cc], origin_of[rid])
+                if _release(origins[cc], origin_of[rid]):
+                    runs[cc][origin_of[rid]].append(index)
                 _release(prefixes[cc], prefix_of[rid])
             cc = neighbor_cc[rid]
             if cc is not None:
@@ -145,7 +172,8 @@ def build_series(
         for rid in today - present:
             cc = origin_cc[rid]
             if cc is not None:
-                _hold(origins[cc], origin_of[rid])
+                if _hold(origins[cc], origin_of[rid]):
+                    _open_run(runs[cc], origin_of[rid], index)
                 _hold(prefixes[cc], prefix_of[rid])
             cc = neighbor_cc[rid]
             if cc is not None:
@@ -162,18 +190,21 @@ def build_series(
                 distinct_prefixes=len(prefixes[cc]),
                 distinct_neighbors=len(neighbors[cc]),
             ))
-            daily_origins[cc][snap.date] = set(origins[cc])
+    end = len(series.snapshots)
+    for cc in wanted:
+        for origin in origins[cc]:
+            runs[cc][origin].append(end)
     return {
         cc: (MetricSeries(ixp=series.ixp, country=cc, points=tuple(points[cc]), gaps=series.gaps),
-             daily_origins[cc])
+             runs[cc])
         for cc in sorted(wanted)
     }
 
 
-def origin_presence(daily_origins: dict[dt.date, set[int]]) -> PresenceMap:
-    """One country's presence from its per-date origins as `build_series`
-    returns them (one key per snapshot date); the sets are kept, not copied."""
-    return PresenceMap(daily_origins)
+def origin_presence(dates: tuple[dt.date, ...], runs: dict[int, list[int]]) -> PresenceMap:
+    """One country's presence from its snapshot dates and the origin runs
+    `build_series` returns for it; the runs are kept, not copied."""
+    return PresenceMap(dates, runs)
 
 
 def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> None:

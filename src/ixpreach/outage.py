@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import statistics
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -57,12 +58,14 @@ class CatalogEvent:
             raise ValueError(f"catalog event {self.id!r} ends before it starts")
 
 
-def check_detector(trailing_window: int, threshold: float) -> None:
+def check_detector(trailing_window: int, threshold: float, min_reference: float) -> None:
     """Reject dip-detector parameters that can never describe a dip."""
     if trailing_window < 1:
         raise ValueError("trailing_window must be >= 1")
     if not 0 < threshold < 1:
         raise ValueError("threshold must be a fraction in (0, 1)")
+    if not math.isfinite(min_reference):
+        raise ValueError("min_reference must be a finite number")
 
 
 def detect_dips(
@@ -81,7 +84,7 @@ def detect_dips(
     must reach `min_reference` for a day to qualify, which keeps tiny
     series from generating noise events.
     """
-    check_detector(trailing_window, threshold)
+    check_detector(trailing_window, threshold, min_reference)
     values = series.values(metric)
     dates = series.dates()
     if len(values) < trailing_window + 1:

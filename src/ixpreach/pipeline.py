@@ -55,7 +55,7 @@ class RunConfig:
             raise ValueError("confirmation window must be >= 0")
         for country in self.countries:
             metrics.check_country(country)
-        outage.check_detector(self.trailing_window, self.threshold)
+        outage.check_detector(self.trailing_window, self.threshold, self.min_reference)
         if self.annotation_slack < 0:
             raise ValueError("annotation slack must be >= 0")
 
@@ -65,6 +65,8 @@ class AnalysisResult:
     config: RunConfig
     series: dict[tuple[str, str], metrics.MetricSeries] = field(default_factory=dict)
     reports: dict[tuple[str, str], reachability.ReachabilityReport] = field(default_factory=dict)
+    # Each origin's runs of snapshot days, small beside the series: kept for
+    # `synth.verify`, which reads each origin's offline days off them.
     presence: dict[tuple[str, str], metrics.PresenceMap] = field(default_factory=dict)
     events: dict[tuple[str, str], list[outage.OutageEvent]] = field(default_factory=dict)
     averages: dict[str, float] = field(default_factory=dict)
@@ -116,10 +118,10 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
             raise ValueError(f"no snapshots for IXP {ixp!r} inside {window.start}..{window.end}")
         attributed = metrics.build_series(series, db, config.countries)
         del series  # free this IXP's rows before the next IXP's are read
-        for country, (mseries, daily_origins) in attributed.items():
+        for country, (mseries, runs) in attributed.items():
             key = (ixp, country)
             result.series[key] = mseries
-            presence = result.presence[key] = metrics.origin_presence(daily_origins)
+            presence = result.presence[key] = metrics.origin_presence(mseries.dates(), runs)
             result.reports[key] = reachability.diff_reachability(
                 presence, ixp, country,
                 config.baseline_date, config.final_date, config.confirmation_window)

@@ -2,16 +2,19 @@
 
 An origin is pronounced unreachable when it was visible in the baseline
 snapshot but is absent from the final one, confirmed by also being absent
-on the available snapshots of the preceding confirmation window.  Each of
-those is one date's origin set in the country's PresenceMap, so a report
-is set algebra over at most `window + 2` sets; no snapshot is scanned
-here.  Loss percentages truncate to one decimal; cross-IXP averages round
+on the available snapshots of the preceding confirmation window.  The
+country's PresenceMap keeps each origin's presence as runs of snapshot
+indices, and the window is one contiguous index range before the final
+snapshot, so a report is one pass over the origins' runs with one
+overlap check per origin for the window; no snapshot is scanned here.
+Loss percentages truncate to one decimal; cross-IXP averages round
 half-up to two decimals.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -66,10 +69,14 @@ def offline_days(presence: PresenceMap, origin: int, window: DateRange) -> int:
 
     Gap days have no snapshot and are not counted against the origin.
     """
-    if not any(origin in origins for origins in presence.by_date.values()):
+    bounds = presence.runs.get(origin)
+    if bounds is None:
         raise KeyError(f"origin AS{origin} never appears in the presence map")
-    return sum(1 for day, origins in presence.by_date.items()
-               if day in window and origin not in origins)
+    lo = bisect_left(presence.dates, window.start)
+    hi = bisect_right(presence.dates, window.end)
+    present = sum(max(0, min(end, hi) - max(start, lo))
+                  for start, end in zip(bounds[::2], bounds[1::2]))
+    return hi - lo - present
 
 
 def diff_reachability(
@@ -88,30 +95,52 @@ def diff_reachability(
     the window neither confirm nor refute an absence.  Baseline origins
     absent on the final day but seen inside the window are flapping.
     """
-    by_date = presence.by_date
-    for what, day in (("baseline date", baseline_date), ("final date", final_date)):
-        if day not in by_date:
-            raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
+    dates = presence.dates
+    b = _snapshot_index(dates, baseline_date, "baseline date", ixp)
+    f = _snapshot_index(dates, final_date, "final date", ixp)
     if window < 0:
         raise ValueError("confirmation window must be >= 0")
-    base, final = by_date[baseline_date], by_date[final_date]
-    seen_in_window = set().union(*(by_date.get(final_date - dt.timedelta(days=back), ())
-                                   for back in range(1, window + 1)))
-    gone = base - final
-    confirmed = gone - seen_in_window
+    # The window's snapshots are the indices [w, f).
+    w = bisect_left(dates, final_date - dt.timedelta(days=window))
+    total = 0
+    lost, new, flapping = [], [], []
+    for origin, bounds in presence.runs.items():
+        # An index is inside a run when an odd number of bounds lie at or
+        # before it; the first and last runs settle most origins unbisected.
+        at_final = f < bounds[-1] and (bounds[-2] <= f or bisect_right(bounds, f) % 2 == 1)
+        if not (bounds[0] <= b and (b < bounds[1] or bisect_right(bounds, b) % 2 == 1)):
+            if at_final:
+                new.append(origin)
+            continue
+        total += 1
+        if at_final:
+            continue
+        # Seen inside the window if present at w, or if a run starts after w and before f.
+        k = bisect_right(bounds, w)
+        if w < f and (k % 2 == 1 or bisect_left(bounds, f) > k):
+            flapping.append(origin)
+        else:
+            lost.append(origin)
     return ReachabilityReport(
         ixp=ixp,
         country=country,
         baseline_date=baseline_date,
         final_date=final_date,
         confirmation_window=window,
-        total_baseline=len(base),
-        lost=len(confirmed),
-        pct_lost=pct_lost(len(base), len(confirmed)) if base else 0.0,
-        lost_asns=tuple(sorted(confirmed)),
-        new_asns=tuple(sorted(final - base)),
-        flapping_asns=tuple(sorted(gone & seen_in_window)),
+        total_baseline=total,
+        lost=len(lost),
+        pct_lost=pct_lost(total, len(lost)) if total else 0.0,
+        lost_asns=tuple(sorted(lost)),
+        new_asns=tuple(sorted(new)),
+        flapping_asns=tuple(sorted(flapping)),
     )
+
+
+def _snapshot_index(dates: tuple[dt.date, ...], day: dt.date, what: str, ixp: str) -> int:
+    i = bisect_left(dates, day)
+    if i == len(dates) or dates[i] != day:
+        raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
+    return i
 
 
 def format_report_table(reports: Iterable[ReachabilityReport]) -> str:

@@ -55,13 +55,29 @@ def rows_of(snapshot, table):
 
 
 def country_series(series, db, country):
-    """One country's (MetricSeries, per-date origins) from build_series."""
+    """One country's (MetricSeries, origin runs) from build_series."""
     return build_series(series, db, [country])[country]
 
 
 def presence_of(series, db, country):
     """The country's origin presence map, built as the pipeline builds it."""
-    return origin_presence(country_series(series, db, country)[1])
+    mseries, runs = country_series(series, db, country)
+    return origin_presence(mseries.dates(), runs)
+
+
+def origins_by_date(presence):
+    """Each snapshot date's origin set, expanded day by day from the runs,
+    after checking each origin's bounds are ascending, never empty and
+    never touching, inside the snapshot indices."""
+    by_date = {d: set() for d in presence.dates}
+    for origin, bounds in presence.runs.items():
+        assert bounds and len(bounds) % 2 == 0, (origin, bounds)
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), (origin, bounds)
+        assert 0 <= bounds[0] and bounds[-1] <= len(presence.dates), (origin, bounds)
+        for start, end in zip(bounds[::2], bounds[1::2]):
+            for i in range(start, end):
+                by_date[presence.dates[i]].add(origin)
+    return by_date
 
 
 def reach(series, db, country, baseline, final, window=3):

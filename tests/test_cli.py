@@ -327,6 +327,8 @@ class TestAnalyzeSettings:
     @pytest.mark.parametrize("bad", [
         ["--threshold", "1.5"],
         ["--trailing-window", "0"],
+        ["--min-reference", "nan"],
+        ["--min-reference", "inf"],
         ["--countries", "ZZ"],
         ["--countries", "ua"],
         ["--countries", ","],

@@ -5,7 +5,8 @@ import pytest
 from ixpreach import metrics
 from ixpreach.metrics import DailyMetrics, build_series
 
-from conftest import BASE, country_series, day, make_db, make_series, presence_of, rows_of
+from conftest import (BASE, country_series, day, make_db, make_series, origins_by_date, presence_of,
+                      rows_of)
 
 
 def compute_daily(rows, db, country):
@@ -77,7 +78,9 @@ class TestComputeDaily:
                 got = joint[cc][0].points[0]
                 assert (got.announcements, got.distinct_origins,
                         got.distinct_prefixes, got.distinct_neighbors) == brute_counts(rows, countries, cc)
-                assert joint[cc][1] == {BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
+                presence = metrics.origin_presence(joint[cc][0].dates(), joint[cc][1])
+                assert origins_by_date(presence) == {
+                    BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
 
     def test_country_totals_bounded_by_entry_count(self):
         rng = random.Random(13)
@@ -94,15 +97,29 @@ class TestComputeDaily:
             build_series(make_series({BASE: []}), db, ["UA", "ZZ"])
 
 
+def brute_runs(daily):
+    """Half-open runs of indices, flattened, from one origin set per index."""
+    runs = {}
+    for i, origins in enumerate(daily):
+        for origin in origins:
+            bounds = runs.setdefault(origin, [])
+            if bounds and bounds[-1] == i:
+                bounds[-1] = i + 1
+            else:
+                bounds += [i, i + 1]
+    return runs
+
+
 class TestBuildSeries:
     def test_point_count_and_gaps_preserved(self):
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(5)}
         series = make_series(days, gaps=[day(5), day(6)])
-        mseries, daily_origins = country_series(series, db, "UA")
+        mseries, runs = country_series(series, db, "UA")
         assert len(mseries.points) == 5
         assert mseries.gaps == (day(5), day(6))
-        assert sorted(daily_origins) == [day(i) for i in range(5)]
+        assert presence_of(series, db, "UA").dates == tuple(day(i) for i in range(5))
+        assert runs == {20: [0, 5]}
 
     def test_joint_pass_equals_single_country_passes(self):
         rng = random.Random(7)
@@ -121,10 +138,11 @@ class TestBuildSeries:
         rng = random.Random(19)
         shared_prefix = [("192.0.2.0/24", [7, 1]), ("192.0.2.0/24", [8, 2])]  # UA and RU origins
         cross = ("198.51.100.0/24", [2, 1])  # UA origin behind an RU neighbor
+        behind_ru = ("198.51.100.128/25", [2, 40])  # ... and its only row, gone every fourth day
         duplicated = ("203.0.113.0/24", [3, 1])
         for _ in range(25):
             countries = {i: rng.choice(["UA", "RU", "DE"]) for i in range(1, 25)}
-            countries.update({1: "UA", 2: "RU"})
+            countries.update({1: "UA", 2: "RU", 40: "UA"})
             db = make_db(countries)
             pool = [(f"10.{rng.randint(0, 9)}.{rng.randint(0, 9)}.0/24",
                      [rng.randint(1, 30) for _ in range(rng.randint(1, 4))])
@@ -138,18 +156,43 @@ class TestBuildSeries:
                 if n % 3 != 1:  # gone every third day, then back
                     rows += shared_prefix + [cross]
                 rows += [duplicated] * (2 - n % 2)  # held twice, then once
+                if n % 4 != 2:
+                    rows.append(behind_ru)
                 rng.shuffle(rows)
                 days[day(offset)] = [] if offset == empty else rows
             gaps = [day(offset) for offset in range(16) if offset not in offsets]
             joint = build_series(make_series(days, gaps=gaps), db, ["UA", "RU", "DE"])
             for cc in ("UA", "RU", "DE"):
-                mseries, daily_origins = joint[cc]
-                assert mseries.dates() == tuple(days) == tuple(daily_origins)
+                mseries, runs = joint[cc]
+                assert mseries.dates() == tuple(days)
                 assert mseries.gaps == tuple(gaps)
+                daily = []
                 for point, (d, rows) in zip(mseries.points, days.items(), strict=True):
                     assert (point.announcements, point.distinct_origins, point.distinct_prefixes,
                             point.distinct_neighbors) == brute_counts(rows, countries, cc), (cc, d)
-                    assert daily_origins[d] == {path[-1] for _, path in rows if countries.get(path[-1]) == cc}
+                    daily.append({path[-1] for _, path in rows if countries.get(path[-1]) == cc})
+                assert runs == brute_runs(daily), cc
+                presence = metrics.origin_presence(mseries.dates(), runs)
+                assert origins_by_date(presence) == dict(zip(days, daily))
+                if cc == "UA":  # both leave and return
+                    assert len(runs[1]) > 2 and len(runs[40]) > 2
+
+    def test_runs_grow_with_changes_not_with_days(self):
+        db = make_db({20: "UA", 21: "UA"})
+        days = {}
+        for i in range(70):
+            rows = [("192.0.2.0/24", [20])]
+            if not 30 <= i < 40:
+                rows.append(("198.51.100.0/24", [21]))
+            days[day(i)] = rows
+        assert country_series(make_series(days), db, "UA")[1] == {20: [0, 70], 21: [0, 30, 40, 70]}
+
+    def test_origin_moving_between_rows_keeps_one_run(self):
+        # day 1 drops the only row of origin 20 and adds another of its rows
+        db = make_db({20: "UA"})
+        days = {day(0): [("192.0.2.0/24", [20])], day(1): [("198.51.100.0/24", [7, 20])],
+                day(2): [("198.51.100.0/24", [7, 20])]}
+        assert country_series(make_series(days), db, "UA")[1] == {20: [0, 3]}
 
     def test_single_snapshot_series_equals_hand_counts(self):
         db = make_db({20: "UA"})
@@ -168,14 +211,14 @@ class TestOriginPresence:
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(70)}
         presence = presence_of(make_series(days), db, "UA")
-        assert presence.by_date == {day(i): {20} for i in range(70)}
+        assert origins_by_date(presence) == {day(i): {20} for i in range(70)}
 
     def test_present_only_on_baseline(self):
         db = make_db({20: "UA", 21: "UA"})
         days = {day(i): [("192.0.2.0/24", [21])] for i in range(1, 10)}
         days[BASE] = [("192.0.2.0/24", [21]), ("198.51.100.0/24", [20])]
         presence = presence_of(make_series(days), db, "UA")
-        assert [d for d, origins in presence.by_date.items() if 20 in origins] == [BASE]
+        assert [d for d, origins in origins_by_date(presence).items() if 20 in origins] == [BASE]
 
     def test_presence_consistent_with_daily_origin_counts(self):
         rng = random.Random(3)
@@ -191,15 +234,18 @@ class TestOriginPresence:
             del days[gap]
         series = make_series(days, gaps=gaps)
         presence = presence_of(series, db, "UA")
-        assert list(presence.by_date) == [snap.date for snap in series.snapshots]
+        assert list(presence.dates) == [snap.date for snap in series.snapshots]
+        by_date = origins_by_date(presence)
         for snap in series.snapshots:
             brute = {origin for _, origin, _ in rows_of(snap, series) if countries.get(origin) == "UA"}
-            assert presence.by_date[snap.date] == brute
+            assert by_date[snap.date] == brute
 
-    def test_keeps_the_per_date_sets_of_build_series(self):
+    def test_keeps_the_runs_of_build_series(self):
         db = make_db({20: "UA"})
-        daily = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")[1]
-        assert metrics.origin_presence(daily).by_date is daily
+        mseries, runs = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
+        presence = metrics.origin_presence(mseries.dates(), runs)
+        assert presence.runs is runs
+        assert presence.dates == (BASE,)
 
 
 class TestMetricsCsv:

@@ -72,6 +72,16 @@ class TestDetectDips:
         values = [3] * 10 + [1] * 3 + [3] * 10
         assert detect_dips(series_of(values, "distinct_neighbors"), "distinct_neighbors") == []
 
+    @pytest.mark.parametrize("min_reference", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_min_reference_is_an_error(self, min_reference):
+        # a NaN floor would silently hide this dip: every comparison with it is false
+        values = [100] * 10 + [60] * 3 + [100] * 10
+        assert len(detect_dips(series_of(values), "announcements", min_reference=10)) == 1
+        with pytest.raises(ValueError, match="min_reference"):
+            detect_dips(series_of(values), "announcements", min_reference=min_reference)
+        with pytest.raises(ValueError, match="min_reference"):
+            outage.check_detector(7, 0.05, min_reference)
+
     def test_reference_median_ignores_single_spike(self):
         values = [100] * 10 + [400] + [100] * 10
         assert detect_dips(series_of(values), "announcements") == []

@@ -1,3 +1,4 @@
+import datetime as dt
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from ixpreach import reachability
 from ixpreach.reachability import average_pct, offline_days, pct_lost
 from ixpreach.rtingest import DateRange
 
-from conftest import BASE, country_series, day, make_db, make_series, presence_of, reach
+from conftest import BASE, country_series, day, make_db, make_series, origins_by_date, presence_of, reach
 
 
 def series_from_presence(present_by_day, db_countries, gaps=()):
@@ -22,7 +23,7 @@ UA_DB = make_db({o: "UA" for o in range(1, 200)})
 
 def baseline_origins(series, db, country, baseline):
     """In-country origins present on the baseline day."""
-    return frozenset(presence_of(series, db, country).by_date[baseline])
+    return frozenset(origins_by_date(presence_of(series, db, country))[baseline])
 
 
 def unreachable_origins(series, db, country, baseline, final, window=3):
@@ -104,6 +105,25 @@ class TestUnreachableOrigins:
             assert set(report.flapping_asns) == {o for o in gone if any(o in s for s in check)}
             assert set(report.new_asns) == final - base
 
+    def test_matches_brute_force_at_any_baseline_and_final(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            present = {day(i): {o for o in range(1, 12) if rng.random() < 0.6} for i in range(12)}
+            gaps = [day(i) for i in range(12) if rng.random() < 0.2]
+            for gap in gaps:
+                del present[gap]
+            dates = sorted(present)
+            series = series_from_presence(present, UA_DB, gaps=gaps)
+            baseline, final = sorted(rng.sample(dates, 2))
+            w = rng.randint(0, 5)
+            base, last = present[baseline], present[final]
+            check = [present[d] for d in dates if final - dt.timedelta(days=w) <= d < final]
+            report = reach(series, UA_DB, "UA", baseline, final, window=w)
+            assert report.total_baseline == len(base)
+            assert set(report.lost_asns) == {o for o in base - last if all(o not in s for s in check)}
+            assert set(report.flapping_asns) == {o for o in base - last if any(o in s for s in check)}
+            assert set(report.new_asns) == last - base
+
 
 class TestPercentages:
     def test_auix_row(self):
@@ -172,6 +192,36 @@ class TestOfflineDays:
         presence = presence_of(series, UA_DB, "UA")
         assert offline_days(presence, 1, DateRange(BASE, day(4))) == 0
 
+    def test_sub_window_counts_only_its_snapshots(self):
+        present = {day(i): ({1, 2} if i < 10 or i >= 20 else {1}) for i in range(30)}
+        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
+        assert offline_days(presence, 2, DateRange(day(5), day(14))) == 5
+        assert offline_days(presence, 2, DateRange(day(12), day(17))) == 6
+        assert offline_days(presence, 2, DateRange(day(20), day(29))) == 0
+        assert offline_days(presence, 2, DateRange(day(40), day(50))) == 0
+
+    def test_gap_days_inside_a_sub_window_are_not_counted(self):
+        present = {day(i): ({1, 2} if i < 3 else {1}) for i in range(10) if i not in (4, 6)}
+        series = series_from_presence(present, UA_DB, gaps=[day(4), day(6)])
+        presence = presence_of(series, UA_DB, "UA")
+        assert offline_days(presence, 2, DateRange(day(2), day(7))) == 3
+
+    def test_matches_brute_force(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            present = {day(i): {o for o in range(1, 8) if rng.random() < 0.6} for i in range(15)}
+            gaps = [day(i) for i in range(15) if rng.random() < 0.2]
+            for gap in gaps:
+                del present[gap]
+            presence = presence_of(series_from_presence(present, UA_DB, gaps=gaps), UA_DB, "UA")
+            by_date = origins_by_date(presence)
+            for _ in range(5):
+                start = day(rng.randint(0, 16))
+                window = DateRange(start, start + dt.timedelta(days=rng.randint(0, 8)))
+                for origin in presence.runs:
+                    want = sum(1 for d, origins in by_date.items() if d in window and origin not in origins)
+                    assert offline_days(presence, origin, window) == want
+
     def test_unknown_origin_is_an_error(self):
         presence = presence_of(series_from_presence({BASE: {1}}, UA_DB), UA_DB, "UA")
         with pytest.raises(KeyError):
@@ -237,6 +287,21 @@ class TestDiffReachability:
         report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
         assert report.lost_asns == ()
         assert report.flapping_asns == (2,)
+
+    def test_runs_ending_on_the_window_start_or_starting_on_the_final_day(self):
+        # window 3 before day(9): snapshots day(6), day(7), day(8)
+        present = {day(i): {1} for i in range(10)}
+        for i in range(6):
+            present[day(i)] |= {2, 3, 4}  # 2 ends on the window's first index
+        present[day(6)] |= {3}  # 3 is seen on the window's first day
+        present[day(9)] |= {4, 5}  # 4 is back and 5 starts on the final day
+        series = series_from_presence(present, UA_DB)
+        presence = presence_of(series, UA_DB, "UA")
+        assert presence.runs[2] == [0, 6] and presence.runs[3] == [0, 7]
+        assert presence.runs[4] == [0, 6, 9, 10] and presence.runs[5] == [9, 10]
+        report = reach(series, UA_DB, "UA", BASE, day(9), window=3)
+        assert (report.total_baseline, report.lost_asns, report.flapping_asns, report.new_asns) == (
+            4, (2,), (3,), (5,))
 
     def test_record_format_round_trips_key_facts(self):
         present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)}

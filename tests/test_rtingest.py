@@ -18,7 +18,7 @@ from ixpreach.rtingest import (
     parse_snapshot,
 )
 
-from conftest import BASE, country_series, day, make_db, make_series, rows_of
+from conftest import BASE, day, make_db, make_series, origins_by_date, presence_of, rows_of
 
 # Ten data rows exercising every defect class; the oracle below classifies
 # them independently of the parser.
@@ -314,9 +314,9 @@ class TestAttributeCountry:
             ("198.51.100.0/24", [174, 31133]),
             ("203.0.113.0/24", [174, 2914]),
         ]})
-        assert country_series(series, db, "UA")[1] == {BASE: {25133}}
-        assert country_series(series, db, "RU")[1] == {BASE: {31133}}
-        assert country_series(series, db, "US")[1] == {BASE: set()}
+        assert origins_by_date(presence_of(series, db, "UA")) == {BASE: {25133}}
+        assert origins_by_date(presence_of(series, db, "RU")) == {BASE: {31133}}
+        assert origins_by_date(presence_of(series, db, "US")) == {BASE: set()}
 
 
 def test_check_ixp_accepts_plain_names_only():

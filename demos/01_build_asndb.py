@@ -36,14 +36,18 @@ arin|US|asn|12389|1|20150601|assigned
 arin||asn|399260|2||reserved
 """
 
-ripe = asndb.parse_delegated(io.StringIO(RIPE_DATA), "ripencc")
-arin = asndb.parse_delegated(io.StringIO(ARIN_DATA), "arin")
-print(f"ripencc rows parsed: {len(ripe)} records (skipped {len(ripe.skipped)})")
+# parse_delegated returns the records plus a log of rows that should have
+# been ASN records but did not parse, as (line number, reason) pairs.
+
+ripe, ripe_skipped = asndb.parse_delegated(io.StringIO(RIPE_DATA))
+arin, _ = asndb.parse_delegated(io.StringIO(ARIN_DATA))
+print(f"ripencc rows parsed: {len(ripe)} records (skipped {len(ripe_skipped)})")
 print(f"arin rows parsed:    {len(arin)} records (note the 100..104 range expansion)")
 
 # --- 2) Merge ------------------------------------------------------------
-# AS 12389 appears in both files; the record with the *latest* allocation
-# date wins, deterministically, and the conflict is counted.
+# merge takes the record lists.  AS 12389 appears in both files; the record
+# with the *latest* allocation date wins, deterministically, and the
+# conflict is counted.
 
 db = asndb.merge([ripe, arin])
 print(f"\nmerged database: {len(db)} ASNs, {db.conflicts} conflict(s) resolved")
@@ -52,7 +56,9 @@ print("AS 25133 ->", db.lookup(25133))
 print("AS 64512 ->", db.lookup(64512), "(never delegated, lookup stays empty)")
 
 # --- 3) Persist and reload ------------------------------------------------
-# The on-disk form is a sorted, diffable asn|country|registry|date file.
+# The on-disk form is a sorted, diffable asn|country|registry|date file
+# under a header with the record and conflict counts; every field of a
+# record is saved, so the reloaded database equals the saved one.
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "asndb.txt"
@@ -60,5 +66,5 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\npersisted form:")
     print(path.read_text())
     reloaded = asndb.load(path)
-    assert reloaded.lookup(12389) == "US"
-    print("reload OK, lookups preserved")
+    assert reloaded == db and reloaded.lookup(12389) == "US"
+    print("reload OK, database preserved")

@@ -18,7 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 REGISTRIES = ("afrinic", "apnic", "arin", "lacnic", "ripencc")
 
@@ -41,23 +41,7 @@ class AsnRecord(NamedTuple):
     asn: int
     country: str
     registry: str
-    status: str = "assigned"
     date: dt.date | None = None
-
-
-@dataclass(frozen=True)
-class ParsedDelegated:
-    """Result of parsing one delegated file: records plus skipped-row log."""
-
-    registry: str
-    records: tuple[AsnRecord, ...]
-    skipped: tuple[tuple[int, str], ...] = ()
-
-    def __iter__(self) -> Iterator[AsnRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -107,14 +91,14 @@ class _DateMemo(dict):
         return date
 
 
-def parse_delegated(source: Iterable[str], registry: str) -> ParsedDelegated:
+def parse_delegated(source: Iterable[str]) -> tuple[list[AsnRecord], list[tuple[int, str]]]:
     """Parse a delegated statistics stream into ASN records.
 
-    `registry` labels the source for provenance; each record's registry
-    comes from the row itself, so combined (NRO-style) files work too.
-    Comment, version, summary, non-asn and availability/reserved rows are
-    skipped silently; rows that should be ASN records but do not parse are
-    skipped and logged with their line number.
+    Returns the records and the skipped-row log as (line number, reason)
+    pairs.  Each record's registry comes from its row, so combined
+    (NRO-style) files work too.  Comment, version, summary, non-asn and
+    availability/reserved rows are skipped silently; rows that should be
+    ASN records but do not parse are logged.
     """
     records: list[AsnRecord] = []
     skipped: list[tuple[int, str]] = []
@@ -158,49 +142,39 @@ def parse_delegated(source: Iterable[str], registry: str) -> ParsedDelegated:
             skipped.append((lineno, f"bad date {date_text!r}"))
             continue
         for asn in range(first, first + count):
-            records.append(AsnRecord(asn, cc, row_registry, status, date))
+            records.append(AsnRecord(asn, cc, row_registry, date))
 
-    return ParsedDelegated(registry, tuple(records), tuple(skipped))
+    return records, skipped
 
 
 def _preference(rec: AsnRecord) -> tuple:
     # Latest allocation date wins (missing date sorts oldest); ties broken
-    # by registry, country and status so the merge is a total order.
+    # by registry and country so the merge is a total order.
     ordinal = rec.date.toordinal() if rec.date is not None else 0
-    return (-ordinal, rec.registry, rec.country, rec.status)
+    return (-ordinal, rec.registry, rec.country)
 
 
 def merge(
-    inputs: Iterable[AsnDb | ParsedDelegated | Iterable[AsnRecord]],
+    inputs: Iterable[Iterable[AsnRecord]],
     sources: Iterable[tuple[str, str]] = (),
 ) -> AsnDb:
-    """Fold parsed record lists and/or existing databases into one AsnDb.
+    """Fold record iterables into one AsnDb with `sources` as provenance.
 
     One record survives per ASN; duplicates bump the conflict counter.
     The result is identical for any permutation of `inputs`.
     """
     chosen: dict[int, AsnRecord] = {}
     total = 0
-    provenance = set(sources)
-
-    for item in inputs:
-        if isinstance(item, AsnDb):
-            candidates: Iterable[AsnRecord] = item.records.values()
-            total += item.conflicts
-            provenance.update(item.source_files)
-        else:
-            candidates = item
-        for rec in candidates:
+    for records in inputs:
+        for rec in records:
             total += 1
             current = chosen.get(rec.asn)
             if current is None or _preference(rec) < _preference(current):
                 chosen[rec.asn] = rec
-
-    ordered = {asn: chosen[asn] for asn in sorted(chosen)}
     return AsnDb(
-        records=ordered,
-        source_files=tuple(sorted(provenance)),
-        conflicts=total - len(ordered),
+        records=chosen,
+        source_files=tuple(sorted(set(sources))),
+        conflicts=total - len(chosen),
     )
 
 
@@ -217,9 +191,9 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[AsnDb, li
     for registry, path in items:
         data = Path(path).read_bytes()
         provenance.append((registry, "sha256:" + hashlib.sha256(data).hexdigest()))
-        result = parse_delegated(data.decode("utf-8", errors="replace").splitlines(), registry)
-        parsed.append(result)
-        skipped.extend((registry, lineno, reason) for lineno, reason in result.skipped)
+        records, rows_skipped = parse_delegated(data.decode("utf-8", errors="replace").splitlines())
+        parsed.append(records)
+        skipped.extend((registry, lineno, reason) for lineno, reason in rows_skipped)
     return merge(parsed, sources=provenance), skipped
 
 
@@ -242,11 +216,11 @@ def save(db: AsnDb, path: str | Path) -> None:
 def load(path: str | Path) -> AsnDb:
     """Read a database previously written by :func:`save`.
 
-    The persisted format does not carry the allocated/assigned status, so
-    loaded records default to "assigned".  A malformed line raises
-    ValueError naming `<path>:<lineno>`; so does a file whose distinct
-    records do not number what its `# records N` header says (a truncated
-    file would otherwise leave ASNs without a country).
+    A malformed line raises ValueError naming `<path>:<lineno>`.  So does,
+    naming `<path>`, a file without the `# records N conflicts M` header
+    (an empty file would otherwise read as a database that knows no ASN)
+    or one whose distinct records do not number what the header says (a
+    truncated file would otherwise leave ASNs without a country).
     """
     records: dict[int, AsnRecord] = {}
     source_files: list[tuple[str, str]] = []
@@ -269,9 +243,11 @@ def load(path: str | Path) -> AsnDb:
                     continue
                 asn_text, country, registry, date_text = line.split("|")
                 asn = int(asn_text)
-                records[asn] = AsnRecord(asn, country, registry, "assigned", dates[date_text])
+                records[asn] = AsnRecord(asn, country, registry, dates[date_text])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed asndb line {line!r}: {exc}") from None
-    if expected is not None and len(records) != expected:
+    if expected is None:
+        raise ValueError(f"{path}: no '# records N conflicts M' header; not a saved asndb")
+    if len(records) != expected:
         raise ValueError(f"{path}: header says {expected} records but {len(records)} were read")
     return AsnDb(records=records, source_files=tuple(sorted(source_files)), conflicts=conflicts)

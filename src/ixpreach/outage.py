@@ -128,11 +128,13 @@ def _close_event(series: MetricSeries, metric: str, ev: dict) -> OutageEvent:
 
 
 def _overlap_days(event: OutageEvent, entry: CatalogEvent, slack: int) -> int:
-    lo = entry.start - dt.timedelta(days=slack)
-    hi = (entry.end + dt.timedelta(days=slack)) if entry.end is not None else event.end
-    first = max(event.start, lo)
-    last = min(event.end, hi)
-    return (last - first).days + 1 if last >= first else 0
+    # Day ordinals, not dates: a slack of any size widens the range
+    # without leaving the date type's years 1..9999.
+    lo = entry.start.toordinal() - slack
+    hi = entry.end.toordinal() + slack if entry.end is not None else event.end.toordinal()
+    first = max(event.start.toordinal(), lo)
+    last = min(event.end.toordinal(), hi)
+    return last - first + 1 if last >= first else 0
 
 
 def annotate(

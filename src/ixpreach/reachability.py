@@ -100,8 +100,13 @@ def diff_reachability(
     f = _snapshot_index(dates, final_date, "final date", ixp)
     if window < 0:
         raise ValueError("confirmation window must be >= 0")
-    # The window's snapshots are the indices [w, f).
-    w = bisect_left(dates, final_date - dt.timedelta(days=window))
+    # The window's snapshots are the indices [w, f).  A window reaching
+    # before the first snapshot starts at index 0; the day counts are
+    # compared as ints first, since a huge timedelta overflows.
+    if window >= (final_date - dates[0]).days:
+        w = 0
+    else:
+        w = bisect_left(dates, final_date - dt.timedelta(days=window))
     total = 0
     lost, new, flapping = [], [], []
     for origin, bounds in presence.runs.items():

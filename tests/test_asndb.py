@@ -45,27 +45,23 @@ PINNED_FIXTURE_DB = """\
 """
 
 
-def parse_text(text, registry="ripencc"):
-    return asndb.parse_delegated(io.StringIO(text), registry)
+def parse_text(text):
+    return asndb.parse_delegated(io.StringIO(text))
 
 
 class TestParseDelegated:
     def test_single_asn_row(self):
-        result = parse_text("ripencc|UA|asn|25133|1|20020701|allocated\n")
-        assert list(result) == [
-            AsnRecord(25133, "UA", "ripencc", "allocated", dt.date(2002, 7, 1))
-        ]
-        assert result.skipped == ()
+        records, skipped = parse_text("ripencc|UA|asn|25133|1|20020701|allocated\n")
+        assert records == [AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1))]
+        assert skipped == []
 
     def test_range_row_expands_to_value_many_records(self):
-        result = parse_text("arin|US|asn|100|5|19950101|assigned\n", "arin")
-        assert [r.asn for r in result] == [100, 101, 102, 103, 104]
-        assert all(r.country == "US" for r in result)
+        records, _ = parse_text("arin|US|asn|100|5|19950101|assigned\n")
+        assert [r.asn for r in records] == [100, 101, 102, 103, 104]
+        assert all(r.country == "US" for r in records)
 
     def test_non_asn_rows_are_skipped_silently(self):
-        result = parse_text("apnic|AU|ipv4|1.0.0.0|256|20110811|allocated\n", "apnic")
-        assert list(result) == []
-        assert result.skipped == ()
+        assert parse_text("apnic|AU|ipv4|1.0.0.0|256|20110811|allocated\n") == ([], [])
 
     def test_version_summary_comment_and_blank_lines(self):
         text = (
@@ -75,18 +71,16 @@ class TestParseDelegated:
             "\n"
             "ripencc|UA|asn|25133|1|20020701|allocated\n"
         )
-        result = parse_text(text)
-        assert len(result) == 1
-        assert result.skipped == ()
+        records, skipped = parse_text(text)
+        assert len(records) == 1
+        assert skipped == []
 
     def test_reserved_and_available_rows_are_filtered(self):
         text = (
             "arin||asn|399260|2||reserved\n"
             "arin|US|asn|400000|1|20200101|available\n"
         )
-        result = parse_text(text, "arin")
-        assert list(result) == []
-        assert result.skipped == ()
+        assert parse_text(text) == ([], [])
 
     @pytest.mark.parametrize("row,reason_part", [
         ("arin|US|asn|notanumber|1|20010101|assigned", "non-numeric"),
@@ -98,10 +92,10 @@ class TestParseDelegated:
         ("too|few|fields", "7 fields"),
     ])
     def test_malformed_rows_recorded_with_line_number(self, row, reason_part):
-        result = parse_text(row + "\n", "arin")
-        assert list(result) == []
-        assert len(result.skipped) == 1
-        lineno, reason = result.skipped[0]
+        records, skipped = parse_text(row + "\n")
+        assert records == []
+        assert len(skipped) == 1
+        lineno, reason = skipped[0]
         assert lineno == 1
         assert reason_part in reason
 
@@ -112,8 +106,8 @@ class TestParseDelegated:
             value = rng.randint(1, 9)
             rows.append(f"apnic|AU|asn|{1000 + 10 * i}|{value}|20200101|allocated")
             expected += value
-        result = parse_text("\n".join(rows), "apnic")
-        assert len(result) == expected
+        records, _ = parse_text("\n".join(rows))
+        assert len(records) == expected
 
     def test_repeated_bad_date_is_skipped_on_every_row(self):
         text = (
@@ -122,18 +116,18 @@ class TestParseDelegated:
             "ripencc|UA|asn|102|1|20021301|allocated\n"
             "ripencc|UA|asn|103|1|20020701|allocated\n"
         )
-        result = parse_text(text)
-        assert [r.asn for r in result] == [101, 103]
-        assert result.skipped == ((1, "bad date '20021301'"), (3, "bad date '20021301'"))
-        assert all(r.date == dt.date(2002, 7, 1) for r in result)
+        records, skipped = parse_text(text)
+        assert [r.asn for r in records] == [101, 103]
+        assert skipped == [(1, "bad date '20021301'"), (3, "bad date '20021301'")]
+        assert all(r.date == dt.date(2002, 7, 1) for r in records)
 
     def test_combined_file_takes_registry_from_each_row(self):
         text = (
             "ripencc|UA|asn|25133|1|20020701|allocated\n"
             "arin|US|asn|100|1|19950101|assigned\n"
         )
-        result = parse_text(text, "ripencc")
-        assert [r.registry for r in result] == ["ripencc", "arin"]
+        records, _ = parse_text(text)
+        assert [r.registry for r in records] == ["ripencc", "arin"]
 
 
 class TestAsnRecord:
@@ -143,32 +137,32 @@ class TestAsnRecord:
             rec.country = "RU"
 
     def test_hashable_and_equal_by_value(self):
-        a = AsnRecord(25133, "UA", "ripencc", "allocated", dt.date(2002, 7, 1))
-        b = AsnRecord(25133, "UA", "ripencc", "allocated", dt.date(2002, 7, 1))
+        a = AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1))
+        b = AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1))
         assert hash(a) == hash(b)
         assert len({a, b, AsnRecord(25133, "UA", "ripencc")}) == 2
 
     def test_defaults(self):
-        assert AsnRecord(1, "UA", "ripencc") == AsnRecord(1, "UA", "ripencc", "assigned", None)
+        assert AsnRecord(1, "UA", "ripencc") == AsnRecord(1, "UA", "ripencc", None)
 
 
 class TestMerge:
     def test_latest_allocation_date_wins(self):
-        a = AsnRecord(65000, "UA", "ripencc", "allocated", dt.date(2001, 1, 1))
-        b = AsnRecord(65000, "RU", "ripencc", "allocated", dt.date(2010, 1, 1))
+        a = AsnRecord(65000, "UA", "ripencc", dt.date(2001, 1, 1))
+        b = AsnRecord(65000, "RU", "ripencc", dt.date(2010, 1, 1))
         db = asndb.merge([[a], [b]])
         assert db.lookup(65000) == "RU"
         assert db.conflicts == 1
 
     def test_missing_date_loses_to_any_date(self):
-        a = AsnRecord(65000, "UA", "ripencc", "allocated", None)
-        b = AsnRecord(65000, "RU", "arin", "allocated", dt.date(1995, 1, 1))
+        a = AsnRecord(65000, "UA", "ripencc", None)
+        b = AsnRecord(65000, "RU", "arin", dt.date(1995, 1, 1))
         assert asndb.merge([[a, b]]).lookup(65000) == "RU"
 
     def test_date_tie_breaks_by_registry_ascending(self):
         same_day = dt.date(2010, 1, 1)
-        a = AsnRecord(65000, "UA", "ripencc", "allocated", same_day)
-        b = AsnRecord(65000, "RU", "apnic", "allocated", same_day)
+        a = AsnRecord(65000, "UA", "ripencc", same_day)
+        b = AsnRecord(65000, "RU", "apnic", same_day)
         assert asndb.merge([[a], [b]]).lookup(65000) == "RU"  # apnic < ripencc
 
     def test_single_input_is_identity_with_zero_conflicts(self):
@@ -184,13 +178,13 @@ class TestMerge:
 
     def test_merge_is_idempotent(self):
         records = [
-            AsnRecord(65000, "UA", "ripencc", "allocated", dt.date(2001, 1, 1)),
-            AsnRecord(65000, "RU", "arin", "allocated", dt.date(2010, 1, 1)),
+            AsnRecord(65000, "UA", "ripencc", dt.date(2001, 1, 1)),
+            AsnRecord(65000, "RU", "arin", dt.date(2010, 1, 1)),
             AsnRecord(7, "UA", "ripencc"),
         ]
         once = asndb.merge([records])
-        twice = asndb.merge([once])
-        assert once == twice
+        twice = asndb.merge([once.records.values()])
+        assert twice.records == once.records
 
     def test_merge_is_order_independent(self):
         rng = random.Random(7)
@@ -198,7 +192,7 @@ class TestMerge:
         for i in range(4):
             lists.append([
                 AsnRecord(rng.randint(1, 40), "UA" if rng.random() < 0.5 else "RU",
-                          REGISTRIES[rng.randrange(5)], "allocated",
+                          REGISTRIES[rng.randrange(5)],
                           dt.date(2000 + rng.randint(0, 20), 1, 1))
                 for _ in range(15)
             ])
@@ -218,8 +212,8 @@ class TestFixtureFiles:
     def test_per_file_record_counts(self, delegated_dir):
         for registry, expected in FIXTURE_RECORDS_PER_FILE.items():
             with open(delegated_dir / f"{registry}.txt") as handle:
-                result = asndb.parse_delegated(handle, registry)
-            assert len(result) == expected, registry
+                records, _ = asndb.parse_delegated(handle)
+            assert len(records) == expected, registry
 
     def test_merged_totals_and_conflicts(self, delegated_dir):
         items = [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)]
@@ -240,8 +234,8 @@ class TestFixtureFiles:
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         records = [
-            AsnRecord(25133, "UA", "ripencc", "allocated", dt.date(2002, 7, 1)),
-            AsnRecord(12389, "RU", "ripencc", "allocated", None),
+            AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1)),
+            AsnRecord(12389, "RU", "ripencc", None),
         ]
         db = asndb.merge([records], sources=[("ripencc", "sha256:feed")])
         path = tmp_path / "asndb.txt"
@@ -256,10 +250,10 @@ class TestPersistence:
 
     def test_round_trip_with_shared_and_missing_dates(self, tmp_path):
         shared = dt.date(2002, 7, 1)
-        records = [AsnRecord(asn, "UA", "ripencc", "assigned", shared) for asn in (7, 8, 9)]
-        records += [AsnRecord(10, "RU", "ripencc", "assigned", None),
-                    AsnRecord(11, "RU", "arin", "assigned", None),
-                    AsnRecord(12, "RU", "arin", "assigned", dt.date(1999, 12, 31))]
+        records = [AsnRecord(asn, "UA", "ripencc", shared) for asn in (7, 8, 9)]
+        records += [AsnRecord(10, "RU", "ripencc", None),
+                    AsnRecord(11, "RU", "arin", None),
+                    AsnRecord(12, "RU", "arin", dt.date(1999, 12, 31))]
         db = asndb.merge([records])
         path = tmp_path / "asndb.txt"
         asndb.save(db, path)
@@ -273,6 +267,13 @@ class TestPersistence:
         path = tmp_path / "asndb.txt"
         asndb.save(db, path)
         assert path.read_bytes() == PINNED_FIXTURE_DB.encode("utf-8")
+
+    def test_fixture_database_round_trips_exactly(self, tmp_path, delegated_dir):
+        db, _ = asndb.build_from_files(
+            [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)])
+        path = tmp_path / "asndb.txt"
+        asndb.save(db, path)
+        assert asndb.load(path) == db
 
     @pytest.mark.parametrize("row", [
         "25133|UA|ripencc",
@@ -292,6 +293,14 @@ class TestPersistence:
         path.write_text(f"# asndb 1\n# records {count} conflicts 0\n"
                         "12389|RU|ripencc|\n25133|UA|ripencc|20020701\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: header says {count} records but 2")):
+            asndb.load(path)
+
+    @pytest.mark.parametrize("text", ["", "# asndb 1\n12389|RU|ripencc|\n25133|UA|ripencc|20020701\n"],
+                             ids=["empty", "records-only"])
+    def test_file_without_header_is_rejected(self, tmp_path, text):
+        path = tmp_path / "asndb.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no '# records N conflicts M' header")):
             asndb.load(path)
 
     def test_persisted_bytes_independent_of_merge_order(self, tmp_path, delegated_dir):

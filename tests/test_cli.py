@@ -223,6 +223,23 @@ class TestAnalyze:
                   "--countries", "UA"])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ["", "12389|RU|ripencc|\n"], ids=["empty", "records-only"])
+    def test_asndb_without_header_is_data_error(self, analyzed_scenario, capsys, text):
+        tmp_path, scen, gt = analyzed_scenario
+        (tmp_path / "asndb.txt").write_text(text)
+        assert run(self.analyze_args(tmp_path, scen, gt)) == 2
+        assert "no '# records N conflicts M' header" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--confirmation-window", "1000000"],
+        ["--catalog", "seed", "--annotation-slack", "1000000"],
+    ], ids=" ".join)
+    def test_huge_day_counts_run_to_the_end(self, analyzed_scenario, extra):
+        tmp_path, scen, gt = analyzed_scenario
+        assert run(self.analyze_args(tmp_path, scen, gt) + extra) == 0
+        assert (tmp_path / "out" / "summary.txt").exists()
+
     def test_missing_baseline_snapshot_is_explicit(self, analyzed_scenario, capsys):
         tmp_path, scen, gt = analyzed_scenario
         args = self.analyze_args(tmp_path, scen, gt)

@@ -148,6 +148,17 @@ class TestAnnotate:
         assert annotate([event], catalog)[0].annotation is None
         assert annotate([event], catalog, slack=2)[0].annotation == "near"
 
+    def test_huge_slack_matches_like_a_century_of_slack(self):
+        events = [self.mk_event(dt.date(2022, 3, d), dt.date(2022, 3, d + 1)) for d in (1, 10, 28)]
+        events.append(self.mk_event(dt.date(1850, 1, 2), dt.date(1850, 1, 3)))
+        catalog = outage.load_seed_catalog() + [
+            CatalogEvent("early", dt.date(1930, 1, 1), dt.date(1930, 1, 2), "far before"),
+            CatalogEvent("late", dt.date(2110, 1, 1), None, "far after"),
+        ]
+        wide = annotate(events, catalog, 36500)
+        assert wide[-1].annotation == "early"
+        assert annotate(events, catalog, 10**6) == wide
+
     def test_open_ended_range_matches_everything_later(self):
         event = self.mk_event(dt.date(2022, 4, 20), dt.date(2022, 4, 21))
         catalog = [CatalogEvent("open", dt.date(2022, 3, 21), None, "ongoing emergency")]

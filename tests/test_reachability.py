@@ -124,6 +124,19 @@ class TestUnreachableOrigins:
             assert set(report.flapping_asns) == {o for o in base - last if any(o in s for s in check)}
             assert set(report.new_asns) == last - base
 
+    def test_huge_window_is_the_whole_series(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            present = {day(i): {o for o in range(1, 12) if rng.random() < 0.6} for i in range(10)}
+            gap = day(rng.randint(1, 8))
+            del present[gap]
+            series = series_from_presence(present, UA_DB, gaps=[gap])
+            whole = reach(series, UA_DB, "UA", BASE, day(9), window=9)
+            for w in (10**6, 10**10):
+                report = reach(series, UA_DB, "UA", BASE, day(9), window=w)
+                assert (report.lost_asns, report.flapping_asns, report.new_asns) == \
+                    (whole.lost_asns, whole.flapping_asns, whole.new_asns)
+
 
 class TestPercentages:
     def test_auix_row(self):

@@ -7,7 +7,7 @@ RIR delegated-statistics data.  A deterministic synthetic-scenario
 generator provides exact ground truth for end-to-end testing.
 """
 
-from .asndb import AsnDb, AsnRecord, build_from_files, merge, parse_delegated
+from .asndb import AsnDb, AsnRecord, MergedRecords, build_from_files, merge, parse_delegated
 from .metrics import (
     METRIC_NAMES,
     DailyMetrics,

@@ -6,9 +6,17 @@ files listing number-resource allocations:
     registry|cc|type|start|value|date|status[|opaque-id...]
 
 For rows of type ``asn`` the start field is the first AS number and the
-value field the count of consecutive ASNs covered.  This module parses
-those rows, merges the per-registry results into a single lookup table,
-and persists it as a sorted pipe-separated text file.
+value field the count of consecutive ASNs covered.  The module has two
+sides:
+
+* building (`parse_delegated` -> `merge` -> `save`, the `build-asndb`
+  path) works on `AsnRecord` rows, one per ASN with its country, registry
+  and allocation date, and persists the merged result as a sorted
+  pipe-separated text file;
+* looking up (`load`, what `analyze` reads) turns that file into an
+  `AsnDb`: an ASN -> country map with one shared `str` per distinct code.
+  Registry and date live only in the saved file: `load` checks that the
+  date parses and keeps neither.
 """
 
 from __future__ import annotations
@@ -32,10 +40,9 @@ _CC_RE = re.compile(r"^[A-Z]{2}$")
 
 
 class AsnRecord(NamedTuple):
-    """One AS number with the country and registry it is delegated under.
-
-    A named tuple: immutable, hashable and cheap to build, which matters
-    for the hundred thousand records a full database loads on every run.
+    """One AS number with the country, registry and date it is delegated
+    under: the row `parse_delegated` yields, `merge` picks and `save`
+    writes.  `load` builds none.
     """
 
     asn: int
@@ -45,20 +52,31 @@ class AsnRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class AsnDb:
-    """Merged ASN lookup table; immutable and safe to share across threads."""
+class MergedRecords:
+    """The merged build-side database: one AsnRecord per ASN, the
+    provenance and the number of duplicate records `merge` resolved."""
 
     records: dict[int, AsnRecord]
     source_files: tuple[tuple[str, str], ...] = ()
     conflicts: int = 0
 
-    def lookup(self, asn: int) -> str | None:
-        """Country code delegated for `asn`, or None when unknown."""
-        rec = self.records.get(asn)
-        return rec.country if rec is not None else None
-
     def __len__(self) -> int:
         return len(self.records)
+
+
+@dataclass(frozen=True)
+class AsnDb:
+    """The ASN -> country lookup that `load` returns and `analyze` reads.
+
+    `countries` maps each ASN to its country code, with one `str` object
+    shared by every ASN of a code; an ASN that is not a key is unknown.
+    Registry and allocation date are kept only in the saved file.
+    Provenance and conflict count are the saved header's.
+    """
+
+    countries: dict[int, str]
+    source_files: tuple[tuple[str, str], ...] = ()
+    conflicts: int = 0
 
 
 def _parse_date(text: str) -> dt.date | None:
@@ -157,8 +175,9 @@ def _preference(rec: AsnRecord) -> tuple:
 def merge(
     inputs: Iterable[Iterable[AsnRecord]],
     sources: Iterable[tuple[str, str]] = (),
-) -> AsnDb:
-    """Fold record iterables into one AsnDb with `sources` as provenance.
+) -> MergedRecords:
+    """Fold record iterables into one MergedRecords with `sources` as
+    provenance.
 
     One record survives per ASN; duplicates bump the conflict counter.
     The result is identical for any permutation of `inputs`.
@@ -171,14 +190,14 @@ def merge(
             current = chosen.get(rec.asn)
             if current is None or _preference(rec) < _preference(current):
                 chosen[rec.asn] = rec
-    return AsnDb(
+    return MergedRecords(
         records=chosen,
         source_files=tuple(sorted(set(sources))),
         conflicts=total - len(chosen),
     )
 
 
-def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[AsnDb, list[tuple[str, int, str]]]:
+def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRecords, list[tuple[str, int, str]]]:
     """Parse and merge delegated files given as (registry, path) pairs.
 
     Returns the merged database plus the combined skipped-row log as
@@ -197,7 +216,7 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[AsnDb, li
     return merge(parsed, sources=provenance), skipped
 
 
-def save(db: AsnDb, path: str | Path) -> None:
+def save(db: MergedRecords, path: str | Path) -> None:
     """Write the database as sorted `asn|country|registry|date` rows."""
     lines = ["# asndb 1"]
     for registry, digest in db.source_files:
@@ -214,15 +233,20 @@ def save(db: AsnDb, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> AsnDb:
-    """Read a database previously written by :func:`save`.
+    """Read a database previously written by :func:`save` as an AsnDb.
 
-    A malformed line raises ValueError naming `<path>:<lineno>`.  So does,
-    naming `<path>`, a file without the `# records N conflicts M` header
-    (an empty file would otherwise read as a database that knows no ASN)
-    or one whose distinct records do not number what the header says (a
-    truncated file would otherwise leave ASNs without a country).
+    The file is streamed a line at a time.  Each record line must hold the
+    four `asn|country|registry|date` fields, an integer ASN and a date
+    text that parses; registry and date are then dropped, and equal
+    country codes share one `str`.  A malformed line raises
+    ValueError naming `<path>:<lineno>`.  So does, naming `<path>`, a file
+    without the `# records N conflicts M` header (an empty file would
+    otherwise read as a database that knows no ASN) or one whose distinct
+    ASNs do not number what the header says (a truncated file would
+    otherwise leave ASNs without a country).
     """
-    records: dict[int, AsnRecord] = {}
+    countries: dict[int, str] = {}
+    codes: dict[str, str] = {}
     source_files: list[tuple[str, str]] = []
     conflicts = 0
     expected: int | None = None
@@ -241,13 +265,14 @@ def load(path: str | Path) -> AsnDb:
                         expected = int(parts[1])
                         conflicts = int(parts[3])
                     continue
-                asn_text, country, registry, date_text = line.split("|")
+                asn_text, country, _registry, date_text = line.split("|")
                 asn = int(asn_text)
-                records[asn] = AsnRecord(asn, country, registry, dates[date_text])
+                dates[date_text]  # raises ValueError for a date that does not parse
+                countries[asn] = codes.setdefault(country, country)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed asndb line {line!r}: {exc}") from None
     if expected is None:
         raise ValueError(f"{path}: no '# records N conflicts M' header; not a saved asndb")
-    if len(records) != expected:
-        raise ValueError(f"{path}: header says {expected} records but {len(records)} were read")
-    return AsnDb(records=records, source_files=tuple(sorted(source_files)), conflicts=conflicts)
+    if len(countries) != expected:
+        raise ValueError(f"{path}: header says {expected} records but {len(countries)} were read")
+    return AsnDb(countries=countries, source_files=tuple(sorted(source_files)), conflicts=conflicts)

@@ -144,7 +144,7 @@ def build_series(
     wanted = {check_country(cc) for cc in countries}
     country_of: dict[int, str | None] = {}
     for asn in set(series.origin_of).union(series.neighbor_of):
-        cc = db.lookup(asn)
+        cc = db.countries.get(asn)
         country_of[asn] = cc if cc in wanted else None
     origin_cc = list(map(country_of.__getitem__, series.origin_of))
     neighbor_cc = list(map(country_of.__getitem__, series.neighbor_of))

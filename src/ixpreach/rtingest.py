@@ -193,7 +193,9 @@ class InternTable:
         return len(self.prefix_of) - 1
 
 
-_IPV4_CIDR = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})/([0-9]{1,2})")
+# Octets and a length written without leading zeros.
+_OCTET = r"(0|[1-9][0-9]{0,2})"
+_IPV4_CIDR = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}/(0|[1-9][0-9]?)")
 
 
 def _normalize_prefix(text: str) -> str | None:
@@ -206,16 +208,14 @@ def _normalize_prefix(text: str) -> str | None:
     text = text.strip()
     match = _IPV4_CIDR.fullmatch(text)
     if match is not None:
-        groups = match.groups()
-        if not any(len(g) > 1 and g[0] == "0" for g in groups):
-            a, b, c, d, length = map(int, groups)
-            if a <= 255 and b <= 255 and c <= 255 and d <= 255 and length <= 32:
-                mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-                address = (a << 24) | (b << 16) | (c << 8) | d
-                if address & mask == address:
-                    return text
-                address &= mask
-                return f"{address >> 24}.{address >> 16 & 255}.{address >> 8 & 255}.{address & 255}/{length}"
+        a, b, c, d, length = map(int, match.groups())
+        if a <= 255 and b <= 255 and c <= 255 and d <= 255 and length <= 32:
+            mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+            address = (a << 24) | (b << 16) | (c << 8) | d
+            if address & mask == address:
+                return text
+            address &= mask
+            return f"{address >> 24}.{address >> 16 & 255}.{address >> 8 & 255}.{address & 255}/{length}"
     try:
         return str(ipaddress.ip_network(text, strict=False))
     except ValueError:

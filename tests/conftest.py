@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ixpreach.asndb import AsnDb, AsnRecord
+from ixpreach.asndb import AsnDb
 from ixpreach.metrics import build_series, origin_presence
 from ixpreach.reachability import diff_reachability
 from ixpreach.rtingest import Snapshot, SnapshotSeries
@@ -19,8 +19,7 @@ def day(offset: int) -> dt.date:
 
 def make_db(countries: dict[int, str]) -> AsnDb:
     """In-memory AsnDb from a plain {asn: country} mapping."""
-    records = {asn: AsnRecord(asn, cc, "ripencc") for asn, cc in sorted(countries.items())}
-    return AsnDb(records=records)
+    return AsnDb(countries=dict(countries))
 
 
 def make_series(days_rows, ixp="testix", gaps=()) -> SnapshotSeries:

@@ -60,8 +60,9 @@ def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
             gt = synth.generate(spec, scen_dir)
             db, skipped = asndb.build_from_files([("ripencc", scen_dir / "delegated.txt")])
             assert skipped == []
+            asndb.save(db, tmp_path / "asndb.txt")
             config = pipeline.RunConfig(
-                asndb_path=tmp_path / "unused",
+                asndb_path=tmp_path / "asndb.txt",
                 snapshot_root=scen_dir / "snapshots",
                 output_dir=tmp_path / "out",
                 ixps=gt.ixps,
@@ -70,7 +71,7 @@ def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
                 final_date=gt.final_date,
                 confirmation_window=gt.confirmation_window,
             )
-            result = pipeline.run_analysis(config, db=db)
+            result = pipeline.run_analysis(config)
             problems = synth.verify(gt, result)
             assert problems == [], f"seed {seed}: {problems[:5]}"
         elapsed = time.monotonic() - started

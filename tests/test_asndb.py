@@ -49,6 +49,17 @@ def parse_text(text):
     return asndb.parse_delegated(io.StringIO(text))
 
 
+def as_loaded(db):
+    """The AsnDb that `load` returns for a saved MergedRecords `db`."""
+    countries = {asn: rec.country for asn, rec in db.records.items()}
+    return asndb.AsnDb(countries=countries, source_files=db.source_files, conflicts=db.conflicts)
+
+
+def save_and_load(db, path):
+    asndb.save(db, path)
+    return asndb.load(path)
+
+
 class TestParseDelegated:
     def test_single_asn_row(self):
         records, skipped = parse_text("ripencc|UA|asn|25133|1|20020701|allocated\n")
@@ -151,19 +162,19 @@ class TestMerge:
         a = AsnRecord(65000, "UA", "ripencc", dt.date(2001, 1, 1))
         b = AsnRecord(65000, "RU", "ripencc", dt.date(2010, 1, 1))
         db = asndb.merge([[a], [b]])
-        assert db.lookup(65000) == "RU"
+        assert db.records[65000].country == "RU"
         assert db.conflicts == 1
 
     def test_missing_date_loses_to_any_date(self):
         a = AsnRecord(65000, "UA", "ripencc", None)
         b = AsnRecord(65000, "RU", "arin", dt.date(1995, 1, 1))
-        assert asndb.merge([[a, b]]).lookup(65000) == "RU"
+        assert asndb.merge([[a, b]]).records[65000].country == "RU"
 
     def test_date_tie_breaks_by_registry_ascending(self):
         same_day = dt.date(2010, 1, 1)
         a = AsnRecord(65000, "UA", "ripencc", same_day)
         b = AsnRecord(65000, "RU", "apnic", same_day)
-        assert asndb.merge([[a], [b]]).lookup(65000) == "RU"  # apnic < ripencc
+        assert asndb.merge([[a], [b]]).records[65000].country == "RU"  # apnic < ripencc
 
     def test_single_input_is_identity_with_zero_conflicts(self):
         records = [AsnRecord(10 + i, "UA", "ripencc") for i in range(5)]
@@ -204,8 +215,8 @@ class TestMerge:
 
     def test_lookup_never_invents_a_country(self):
         db = asndb.merge([[AsnRecord(25133, "UA", "ripencc")]])
-        assert db.lookup(25133) == "UA"
-        assert db.lookup(12389) is None
+        assert db.records[25133].country == "UA"
+        assert 12389 not in db.records
 
 
 class TestFixtureFiles:
@@ -226,9 +237,9 @@ class TestFixtureFiles:
     def test_duplicate_as65000_resolves_to_latest_date(self, delegated_dir):
         items = [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)]
         db, _ = asndb.build_from_files(items)
-        assert db.lookup(65000) == "AR"  # lacnic row, 2010, beats arin 2001 and apnic 1998
-        assert db.lookup(25133) == "UA"
-        assert db.lookup(12389) == "RU"
+        assert db.records[65000].country == "AR"  # lacnic row, 2010, beats arin 2001 and apnic 1998
+        assert db.records[25133].country == "UA"
+        assert db.records[12389].country == "RU"
 
 
 class TestPersistence:
@@ -238,13 +249,8 @@ class TestPersistence:
             AsnRecord(12389, "RU", "ripencc", None),
         ]
         db = asndb.merge([records], sources=[("ripencc", "sha256:feed")])
-        path = tmp_path / "asndb.txt"
-        asndb.save(db, path)
-        loaded = asndb.load(path)
-        assert loaded.lookup(25133) == "UA"
-        assert loaded.lookup(12389) == "RU"
-        assert loaded.records[25133].date == dt.date(2002, 7, 1)
-        assert loaded.records[12389].date is None
+        loaded = save_and_load(db, tmp_path / "asndb.txt")
+        assert loaded.countries == {25133: "UA", 12389: "RU"}
         assert loaded.source_files == (("ripencc", "sha256:feed"),)
         assert loaded.conflicts == db.conflicts
 
@@ -255,11 +261,7 @@ class TestPersistence:
                     AsnRecord(11, "RU", "arin", None),
                     AsnRecord(12, "RU", "arin", dt.date(1999, 12, 31))]
         db = asndb.merge([records])
-        path = tmp_path / "asndb.txt"
-        asndb.save(db, path)
-        loaded = asndb.load(path)
-        assert loaded.records == db.records
-        assert loaded.records[7].date is loaded.records[9].date
+        assert save_and_load(db, tmp_path / "asndb.txt") == as_loaded(db)
 
     def test_saved_fixture_database_is_pinned(self, tmp_path, delegated_dir):
         db, _ = asndb.build_from_files(
@@ -271,9 +273,15 @@ class TestPersistence:
     def test_fixture_database_round_trips_exactly(self, tmp_path, delegated_dir):
         db, _ = asndb.build_from_files(
             [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)])
-        path = tmp_path / "asndb.txt"
-        asndb.save(db, path)
-        assert asndb.load(path) == db
+        assert save_and_load(db, tmp_path / "asndb.txt") == as_loaded(db)
+
+    def test_loaded_countries_share_one_str_per_code(self, tmp_path, delegated_dir):
+        db, _ = asndb.build_from_files(
+            [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)])
+        loaded = save_and_load(db, tmp_path / "asndb.txt")
+        codes = set(loaded.countries.values())
+        assert len(codes) == 10
+        assert len({id(cc) for cc in loaded.countries.values()}) == len(codes)
 
     @pytest.mark.parametrize("row", [
         "25133|UA|ripencc",

@@ -25,8 +25,10 @@ def tiny_spec(days=12, origins=5, disruptions=(), seed=1, neighbor_count=1, **kw
 def analyze_generated(tmp_path, gt, scen_dir="scen"):
     db, skipped = asndb.build_from_files([("ripencc", tmp_path / scen_dir / "delegated.txt")])
     assert skipped == []
+    db_path = tmp_path / f"{scen_dir}-asndb.txt"
+    asndb.save(db, db_path)
     config = pipeline.RunConfig(
-        asndb_path=tmp_path / "unused",
+        asndb_path=db_path,
         snapshot_root=tmp_path / scen_dir / "snapshots",
         output_dir=tmp_path / "out",
         ixps=gt.ixps,
@@ -38,7 +40,7 @@ def analyze_generated(tmp_path, gt, scen_dir="scen"):
         threshold=gt.detector["threshold"],
         min_reference=gt.detector["min_reference"],
     )
-    return pipeline.run_analysis(config, db=db)
+    return pipeline.run_analysis(config)
 
 
 class TestGenerate:

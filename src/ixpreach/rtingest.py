@@ -33,6 +33,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
+from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 from typing import IO, Iterable, Iterator, Sequence
 
 from .asndb import ASN_MAX
@@ -193,29 +194,46 @@ class InternTable:
         return len(self.prefix_of) - 1
 
 
-# Octets and a length written without leading zeros.
-_OCTET = r"(0|[1-9][0-9]{0,2})"
-_IPV4_CIDR = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}/(0|[1-9][0-9]?)")
+# A prefix length in canonical decimal; any other length text is left to
+# ipaddress.  The network masks are indexed by length.
+_LENGTHS = {str(length): length for length in range(129)}
+_MASKS_V4 = tuple((1 << 32) - (1 << (32 - length)) for length in range(33))
+_MASKS_V6 = tuple((1 << 128) - (1 << (128 - length)) for length in range(129))
 
 
 def _normalize_prefix(text: str) -> str | None:
     """Canonical CIDR text for a prefix cell, or None when unparseable.
 
-    A dotted-quad `a.b.c.d/len` with no leading zeros, octets up to 255
-    and a length up to 32 is masked here, giving the text ipaddress would;
-    every other text goes to `ipaddress.ip_network(..., strict=False)`.
+    The fast path takes `address/len` with a canonical decimal length (no
+    leading zeros, up to 32 for IPv4 and 128 for IPv6) and an address the
+    C library's `inet_pton` accepts: four dotted decimal octets up to 255
+    without leading zeros, or an IPv6 address in any case, compressed or
+    exploded.  It masks the host bits and formats the network with
+    `inet_ntop`, which for these forms gives the text ipaddress would.
+    Every other text goes to `ipaddress.ip_network(..., strict=False)`:
+    lengths written otherwise or as a netmask, an address without a length,
+    scope ids and whatever `inet_pton` rejects.  So does an IPv6 network
+    that `inet_ntop` writes with a dotted IPv4 tail (the IPv4-mapped and
+    IPv4-compatible forms), where ipaddress writes hextets.
     """
     text = text.strip()
-    match = _IPV4_CIDR.fullmatch(text)
-    if match is not None:
-        a, b, c, d, length = map(int, match.groups())
-        if a <= 255 and b <= 255 and c <= 255 and d <= 255 and length <= 32:
-            mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-            address = (a << 24) | (b << 16) | (c << 8) | d
-            if address & mask == address:
-                return text
-            address &= mask
-            return f"{address >> 24}.{address >> 16 & 255}.{address >> 8 & 255}.{address & 255}/{length}"
+    address, _, length_text = text.partition("/")
+    length = _LENGTHS.get(length_text)
+    if length is not None:
+        try:
+            if ":" in address:
+                value = int.from_bytes(inet_pton(AF_INET6, address), "big")
+                network = inet_ntop(AF_INET6, (value & _MASKS_V6[length]).to_bytes(16, "big"))
+                if "." not in network:
+                    return f"{network}/{length_text}"
+            elif length <= 32:
+                value = int.from_bytes(inet_pton(AF_INET, address), "big")
+                masked = value & _MASKS_V4[length]
+                if masked == value:
+                    return text
+                return f"{inet_ntop(AF_INET, masked.to_bytes(4, 'big'))}/{length_text}"
+        except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
+            pass
     try:
         return str(ipaddress.ip_network(text, strict=False))
     except ValueError:
@@ -224,12 +242,16 @@ def _normalize_prefix(text: str) -> str | None:
 
 def _parse_path(text: str) -> tuple[int, ...] | None:
     """ASN tuple for an AS-path cell, or None when it is empty or holds a
-    token that is not a plain ASN (brace-delimited AS_SETs included)."""
+    token that is not a plain ASN (brace-delimited AS_SETs included) or
+    is above ASN_MAX."""
     path: list[int] = []
     for token in text.split():
         if not (token.isascii() and token.isdigit()):
             return None
-        asn = int(token)
+        try:
+            asn = int(token)
+        except ValueError:  # more digits than int() reads: sys.get_int_max_str_digits()
+            return None
         if asn > ASN_MAX:
             return None
         path.append(asn)

@@ -4,6 +4,7 @@ import ipaddress
 import logging
 import random
 import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -187,6 +188,10 @@ def write_snapshot_file(root, ixp, d, rows):
     (ixp_dir / f"{d.isoformat()}.csv").write_text("\n".join(lines) + "\n")
 
 
+# Before Python 3.11, csv rejects a line holding a NUL, which makes the file a gap.
+NUL_NEEDS_CSV_311 = pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
+
+
 class TestLoadSeries:
     def test_gap_accounting(self, tmp_path):
         window = DateRange(BASE, day(9))
@@ -234,6 +239,23 @@ class TestLoadSeries:
         with open(bad, newline="", encoding="utf-8") as handle:
             with pytest.raises((ValueError, csv.Error), match=reason):
                 parse_snapshot(handle, "amsix", day(1))
+
+    @pytest.mark.parametrize("row", [
+        pytest.param("192.0.2.0\x00/24,174 25133", marks=NUL_NEEDS_CSV_311),
+        pytest.param("2001:db8::\x00/32,174 25133", marks=NUL_NEEDS_CSV_311),
+        "192.0.2.0/24,174 " + "9" * 5000 + " 25133",
+    ], ids=["nul-ipv4-prefix", "nul-ipv6-prefix", "5000-digit-token"])
+    def test_a_row_that_breaks_a_parser_is_one_skip(self, tmp_path, caplog, row):
+        for offset in range(3):
+            write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
+        with open(tmp_path / "amsix" / f"{BASE.isoformat()}.csv", "a") as handle:
+            handle.write(row + "\n")
+        with caplog.at_level(logging.WARNING, logger="ixpreach.rtingest"):
+            series = load_series(tmp_path, "amsix", DateRange(BASE, day(2)))
+        assert not caplog.records
+        assert series.gaps == ()
+        assert [(snap.date, snap.entries, snap.skipped) for snap in series.snapshots] == [
+            (BASE, (0,), 1), (day(1), (0,), 0), (day(2), (0,), 0)]
 
     def test_quarantined_baseline_still_fails_the_run(self, tmp_path):
         for offset in range(3):
@@ -293,10 +315,10 @@ class TestLoadSeries:
         monkeypatch.setattr(rtingest, "_normalize_prefix", counted_normalize)
         monkeypatch.setattr(ipaddress, "ip_network", counted_network)
         series = load_series(tmp_path, "amsix", DateRange(BASE, day(1)))
-        # Each distinct prefix cell is parsed once; only the IPv6 cells
-        # leave the dotted-quad fast path for ipaddress.
+        # Each distinct prefix cell is parsed once, and the fast path takes
+        # both families: no cell reaches ipaddress.
         assert normalized[0] == n + v6
-        assert networks[0] == v6
+        assert networks[0] == 0
         first, second = series.snapshots
         assert len(first.entries) == len(second.entries) == n + v6
         prefix_of = series.prefix_of
@@ -334,8 +356,40 @@ def reference_prefix(text):
         return None
 
 
+# IPv6 cells around every edge of the inet_pton/inet_ntop fast path.
+IPV6_EDGES = [
+    # Case, exploded forms and hextets with leading zeros.
+    "2001:DB8::/32", "2001:Db8:0:0:0:0:0:1/128", "2001:0db8:0000:0000:0000:0000:0000:0001/128",
+    "2001:0DB8:0000:0000:0000:0000:0000:0000/32", "0:0:0:0:0:0:0:0/0", "0000:0000:0000:0000:0000:0000:0000:0001/128",
+    "2001:0db8:00a0:0b00:000c:0d00:00e0:0f00/128", "FE80:0000:0000:0000:0202:B3FF:FE1E:8329/64",
+    "2001:db8:0001::/48", "2001:db8:001::/48", "2001:db8:01::/48",
+    # Zero runs: the longest is compressed, the leftmost of equal ones,
+    # and a single zero hextet is not.
+    "2001:db8:0:0:1:0:0:1/128", "2001:0:0:1:0:0:0:1/128", "2001:0:0:0:1:0:0:1/128", "1:0:0:2:0:0:3:4/128",
+    "0:0:1:0:0:1:0:0/128", "1:0:0:0:0:0:0:0/128", "0:0:0:0:0:0:0:1/128", "1:0:1:0:1:0:1:0/128",
+    "2001:db8:0:1:1:1:1:1/128", "2001:db8:1:1:1:1:1:0/128", "0:1:1:1:1:1:1:1/128", "1:2:3:4:5:6:7:0/128",
+    "1:2:3:4:5:6:7::/128", "::2:3:4:5:6:7:8/128", "1:2:3:4::5:6:7/128",
+    "::", "::/0", "::/128", "::1/128", "::1", "::/129", "::1/-1", "::1/", "::/+8",
+    # Host bits and lengths; a length past 128 or with a leading zero.
+    "2001:db8::1/64", "2001:db8::/129", "2001:db8::/064", "2001:db8::/0128", "2001:db8::/00", "2001:db8::/ 64",
+    "2001:db8::/ffff:ffff::", "2001:db8::/255.255.0.0", "2001:db8::/1000",
+    # Forms inet_ntop writes with a dotted IPv4 tail, and other IPv4 tails.
+    "::ffff:192.0.2.7/120", "::192.0.2.7/128", "::ffff:192.0.2.7/128", "::ffff:c000:207/128",
+    "::c000:207/128", "::ffff:0:0/96", "::ffff:0.0.0.0/96", "::0.0.0.1/128", "::0.1.0.0/128",
+    "::ffff:192.0.2.7/96", "::ffff:192.0.2.7/80", "::fffe:192.0.2.7/128", "64:ff9b::192.0.2.7/128",
+    "1:2:3:4:5:6:192.0.2.7/128", "::1:192.0.2.7/128", "::ffff:192.0.2.07/128", "::ffff:192.0.2/128",
+    "::ffff:192.0.2.256/128", "192.0.2.7::/128",
+    # Malformed: scope ids, long or bad hextets, wrong group counts.
+    "fe80::1%eth0/64", "fe80::1%1/64", "fe80::1%/64", "2001:db8::12345/64", "2001:db8:00000::/48",
+    "1:2:3:4:5:6:7:8:9/128", "1:2:3:4:5:6:7:8::/128", "::1:2:3:4:5:6:7:8/128", "1:2:3:4:5:6:7/128",
+    ":::/0", ":::1/128", "1::2::3/128", ":1::/16", "1::2:/16", "1:2:3:4:5:6:7:8:/128", "g::/16",
+    "0x1::/16", "2001:db8:: /48", " 2001:db8::/48 ", "2001 :db8::/48", "2001:db8::/４８", "２００１:db8::/32",
+    ":/0", ":", "/64", "2001:db8::/", "2001:db8::/64/", "[2001:db8::]/32",
+]
+
+
 def prefix_corpus():
-    """Prefix cells around every edge of the dotted-quad fast path."""
+    """Prefix cells around every edge of the fast path, both families."""
     octets = ["0", "1", "9", "00", "01", "010", "001", "10", "99", "100", "199", "200",
               "249", "250", "255", "256", "260", "299", "300", "999", "0255", "1000", "", "-1", "٣"]
     lengths = [f"/{n}" for n in range(34)] + ["/00", "/08", "/024", "/0032", "/-1", "/", "", "/24/",
@@ -356,6 +410,13 @@ def prefix_corpus():
     corpus += ["2001:DB8::/32", "2001:db8::1/64", "::/0", "::ffff:192.0.2.7/120", "2001:db8::/129",
                "192.0.2.0", "192.0.2.7", "2001:db8::", "", " ", "not-a-prefix", "192.0.2/24", "192.0.2.0.0/24",
                "192.0.2.0/24 x", "192.0.2.0//24", "１９２.0.2.0/24", "192.0.2.0/２４", "192.0.2.0\\24", "+1.2.3.4/8"]
+    corpus += IPV6_EDGES
+    for length in range(131):
+        corpus += [f"2001:db8:ffff:ffff:ffff:ffff:ffff:ffff/{length}", f"FFFF:{'FFFF:' * 6}FFFF/{length}",
+                   f"::1/{length}", f"8000::/{length}"]
+    for address in ("192.0.2.0", "2001:db8::"):
+        corpus += [f"{address}\x00/24", f"{address}/2\x004", f"\x00{address}/24", f"{address}\ud800/24",
+                   f"{address}/\udc00", f"\ud83d{address}/24"]
     return corpus
 
 
@@ -365,6 +426,58 @@ def test_normalize_prefix_matches_ipaddress():
     assert any(reference_prefix(text) not in (None, text) for text in corpus)
     for text in corpus:
         assert rtingest._normalize_prefix(text) == reference_prefix(text), repr(text)
+
+
+def random_prefix_cells(rng, count, family):
+    """Random cells of one family: IPv4 quads with lengths 0-33, or IPv6
+    addresses (compressed, exploded, upper case, zero-padded hextets,
+    zero runs, a few IPv4 tails) with lengths 0-130."""
+    cells = []
+    for _ in range(count):
+        if family == 4:
+            cells.append(".".join(str(rng.randrange(256)) for _ in range(4)) + f"/{rng.randrange(34)}")
+            continue
+        hextets = [rng.choice(["0", "0", "0", f"{rng.randrange(1 << 16):x}", f"{rng.randrange(1 << 8):x}",
+                               f"{rng.randrange(1 << 16):04x}", f"{rng.randrange(1 << 16):04X}",
+                               f"{rng.randrange(1 << 20):x}"])
+                   for _ in range(rng.choice([8, 8, 8, 7, 9]))]
+        if rng.random() < 0.5:
+            start = rng.randrange(len(hextets))
+            end = rng.randrange(start, len(hextets) + 1)
+            text = ":".join(hextets[:start]) + "::" + ":".join(hextets[end:])
+        else:
+            text = ":".join(hextets)
+        if rng.random() < 0.05:
+            text = text.rsplit(":", 1)[0] + ":" + ".".join(str(rng.randrange(256)) for _ in range(4))
+        cells.append(f"{text}/{rng.randrange(131)}")
+    return cells
+
+
+def test_normalize_prefix_matches_ipaddress_on_random_cells():
+    rng = random.Random(20260)
+    for family in (4, 6):
+        cells = random_prefix_cells(rng, 20_000, family)
+        expected = [reference_prefix(text) for text in cells]
+        assert 5_000 < sum(prefix is not None for prefix in expected) < 20_000
+        assert any(prefix not in (None, text) for prefix, text in zip(expected, cells))
+        assert [rtingest._normalize_prefix(text) for text in cells] == expected
+
+
+def test_ipv4_tail_forms_and_odd_lengths_reach_ipaddress(monkeypatch):
+    fallback = ["::ffff:192.0.2.7/120", "::192.0.2.7/128", "::ffff:c000:207/128", "2001:db8::/064",
+                "192.0.2.0/024", "192.0.2.0", "10.0.0.0/255.0.0.0", "fe80::1%eth0/64", "192.0.2.0\x00/24"]
+    fast = ["2001:DB8:0:0:0:0:0:1/64", "::/0", "::1/128", "192.0.2.7/24", "1:2:3:4:5:6:192.0.2.7/128"]
+    expected = {text: reference_prefix(text) for text in fallback + fast}
+    calls = []
+    real_network = ipaddress.ip_network
+
+    def counted_network(*args, **kwargs):
+        calls.append(args[0])
+        return real_network(*args, **kwargs)
+
+    monkeypatch.setattr(ipaddress, "ip_network", counted_network)
+    assert {text: rtingest._normalize_prefix(text) for text in fallback + fast} == expected
+    assert calls == fallback
 
 
 def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):

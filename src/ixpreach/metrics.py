@@ -6,12 +6,10 @@ follows the series day by day: it diffs each snapshot's set of row ids
 against the day before and applies only the added and removed ids to
 per-country reference counts of origins, prefixes and neighbors, whose
 sizes are three of the counts below.  Besides the counts it keeps, per
-in-country origin, the runs of snapshot days on which the origin is
-present: a run opens when the origin's reference count goes from 0 to 1
-and closes when it falls back to 0, so presence grows with the changes
-of a table, not with its days.  A PresenceMap wraps those runs with the
-snapshot dates, and `reachability` reads every origin set it needs off
-them.
+in-country origin, a bitmask of the snapshot days on which the origin
+is present, set or cleared from the day its reference count leaves or
+returns to 0.  A PresenceMap wraps those masks with the snapshot dates,
+and `reachability` reads every origin set it needs off them.
 
 Four counts are taken from each snapshot for a given country:
 
@@ -68,7 +66,6 @@ class MetricSeries:
     ixp: str
     country: str
     points: tuple[DailyMetrics, ...]
-    gaps: tuple[dt.date, ...] = ()
 
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(p.date for p in self.points)
@@ -84,16 +81,16 @@ class PresenceMap:
     """One country's in-country origins over the snapshots of one IXP.
 
     `dates` holds every snapshot date in order and no gap date; snapshot
-    index i is `dates[i]`.  `runs` maps each origin seen on any snapshot
-    to the half-open runs of snapshot indices on which it is present,
-    flattened as `[start, end, start, end, ...]`: ascending, never empty,
-    and never touching, so a run ends on the index where the origin is
-    first absent.  A gap day has no index, so an origin's absence from a
-    snapshot is never confused with a day that has no snapshot.
+    index i is `dates[i]`.  `masks` maps each origin seen on any snapshot
+    to an int whose bit i is set iff the origin is present on snapshot i,
+    so a mask is > 0 and below `1 << len(dates)`.  A gap day has no
+    index, so an origin's absence from a snapshot is never confused with
+    a day that has no snapshot.  A mask is smaller than a list of run
+    bounds up to about 450 snapshot days.
     """
 
     dates: tuple[dt.date, ...]
-    runs: dict[int, list[int]]
+    masks: dict[int, int]
 
 
 def _hold(counts: dict, key: int | str) -> bool:
@@ -113,33 +110,23 @@ def _release(counts: dict, key: int | str) -> bool:
     return True
 
 
-def _open_run(runs: dict[int, list[int]], origin: int, index: int) -> None:
-    bounds = runs.get(origin)
-    if bounds is None:
-        runs[origin] = [index]
-    elif bounds[-1] == index:
-        bounds.pop()  # released and held again on the same day: the run goes on
-    else:
-        bounds.append(index)
-
-
 def build_series(
     series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
-) -> dict[str, tuple[MetricSeries, dict[int, list[int]]]]:
+) -> dict[str, tuple[MetricSeries, dict[int, int]]]:
     """Attribute every snapshot's rows to the given countries.
 
     For each distinct country: its MetricSeries (one DailyMetrics per
-    snapshot, order preserved, gaps carried over) and the runs of
-    snapshot indices on which each in-country origin is present, as
-    `PresenceMap.runs` holds them and `origin_presence` takes them.  The
-    result does not depend on row order or on repeated countries.
+    snapshot, order preserved) and the mask of snapshot indices on which
+    each in-country origin is present, as `PresenceMap.masks` holds them
+    and `origin_presence` takes them.  The result does not depend on row
+    order or on repeated countries.
 
     Each row id present on a day holds one reference on its in-country
     origin, (country, prefix) pair and neighbor; a day costs set algebra
     over its ids plus the ids that came or went since the day before.
     Only ids with an in-country origin or neighbor enter the day sets.
-    An origin's run opens or closes only when its first reference is
-    taken or its last one dropped.
+    An origin's mask changes only when its first reference is taken or
+    its last one dropped.
     """
     wanted = {check_country(cc) for cc in countries}
     country_of: dict[int, str | None] = {}
@@ -155,7 +142,7 @@ def build_series(
     prefixes: dict[str, dict[str, int]] = {cc: {} for cc in wanted}
     neighbors: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
     points: dict[str, list[DailyMetrics]] = {cc: [] for cc in wanted}
-    runs: dict[str, dict[int, list[int]]] = {cc: {} for cc in wanted}
+    masks: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
     present: set[int] = set()
     for index, snap in enumerate(series.snapshots):
         kept = list(compress(snap.entries, map(keep.__getitem__, snap.entries)))
@@ -164,7 +151,7 @@ def build_series(
             cc = origin_cc[rid]
             if cc is not None:
                 if _release(origins[cc], origin_of[rid]):
-                    runs[cc][origin_of[rid]].append(index)
+                    masks[cc][origin_of[rid]] &= (1 << index) - 1
                 _release(prefixes[cc], prefix_of[rid])
             cc = neighbor_cc[rid]
             if cc is not None:
@@ -172,8 +159,11 @@ def build_series(
         for rid in today - present:
             cc = origin_cc[rid]
             if cc is not None:
-                if _hold(origins[cc], origin_of[rid]):
-                    _open_run(runs[cc], origin_of[rid], index)
+                origin = origin_of[rid]
+                if _hold(origins[cc], origin):
+                    # Held, the mask is negative: an open run sets every bit
+                    # from `index` up, and the release clears those past it.
+                    masks[cc][origin] = masks[cc].get(origin, 0) | -(1 << index)
                 _hold(prefixes[cc], prefix_of[rid])
             cc = neighbor_cc[rid]
             if cc is not None:
@@ -190,21 +180,20 @@ def build_series(
                 distinct_prefixes=len(prefixes[cc]),
                 distinct_neighbors=len(neighbors[cc]),
             ))
-    end = len(series.snapshots)
+    every_day = (1 << len(series.snapshots)) - 1
     for cc in wanted:
         for origin in origins[cc]:
-            runs[cc][origin].append(end)
+            masks[cc][origin] &= every_day
     return {
-        cc: (MetricSeries(ixp=series.ixp, country=cc, points=tuple(points[cc]), gaps=series.gaps),
-             runs[cc])
+        cc: (MetricSeries(ixp=series.ixp, country=cc, points=tuple(points[cc])), masks[cc])
         for cc in sorted(wanted)
     }
 
 
-def origin_presence(dates: tuple[dt.date, ...], runs: dict[int, list[int]]) -> PresenceMap:
-    """One country's presence from its snapshot dates and the origin runs
-    `build_series` returns for it; the runs are kept, not copied."""
-    return PresenceMap(dates, runs)
+def origin_presence(dates: tuple[dt.date, ...], masks: dict[int, int]) -> PresenceMap:
+    """One country's presence from its snapshot dates and the origin masks
+    `build_series` returns for it; the masks are kept, not copied."""
+    return PresenceMap(dates, masks)
 
 
 def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> None:

@@ -65,7 +65,7 @@ class AnalysisResult:
     config: RunConfig
     series: dict[tuple[str, str], metrics.MetricSeries] = field(default_factory=dict)
     reports: dict[tuple[str, str], reachability.ReachabilityReport] = field(default_factory=dict)
-    # Each origin's runs of snapshot days, small beside the series: kept for
+    # Each origin's mask of snapshot days, small beside the series: kept for
     # `synth.verify`, which reads each origin's offline days off them.
     presence: dict[tuple[str, str], metrics.PresenceMap] = field(default_factory=dict)
     events: dict[tuple[str, str], list[outage.OutageEvent]] = field(default_factory=dict)
@@ -118,10 +118,10 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
             raise ValueError(f"no snapshots for IXP {ixp!r} inside {window.start}..{window.end}")
         attributed = metrics.build_series(series, db, config.countries)
         del series  # free this IXP's rows before the next IXP's are read
-        for country, (mseries, runs) in attributed.items():
+        for country, (mseries, masks) in attributed.items():
             key = (ixp, country)
             result.series[key] = mseries
-            presence = result.presence[key] = metrics.origin_presence(mseries.dates(), runs)
+            presence = result.presence[key] = metrics.origin_presence(mseries.dates(), masks)
             result.reports[key] = reachability.diff_reachability(
                 presence, ixp, country,
                 config.baseline_date, config.final_date, config.confirmation_window)

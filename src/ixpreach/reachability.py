@@ -3,10 +3,10 @@
 An origin is pronounced unreachable when it was visible in the baseline
 snapshot but is absent from the final one, confirmed by also being absent
 on the available snapshots of the preceding confirmation window.  The
-country's PresenceMap keeps each origin's presence as runs of snapshot
-indices, and the window is one contiguous index range before the final
-snapshot, so a report is one pass over the origins' runs with one
-overlap check per origin for the window; no snapshot is scanned here.
+country's PresenceMap keeps each origin's presence as a bitmask of
+snapshot indices, and the window is one contiguous index range before
+the final snapshot, so a report is one pass over the origins' masks with
+three bit tests per origin; no snapshot is scanned here.
 Loss percentages truncate to one decimal; cross-IXP averages round
 half-up to two decimals.
 """
@@ -69,14 +69,12 @@ def offline_days(presence: PresenceMap, origin: int, window: DateRange) -> int:
 
     Gap days have no snapshot and are not counted against the origin.
     """
-    bounds = presence.runs.get(origin)
-    if bounds is None:
+    mask = presence.masks.get(origin)
+    if mask is None:
         raise KeyError(f"origin AS{origin} never appears in the presence map")
     lo = bisect_left(presence.dates, window.start)
     hi = bisect_right(presence.dates, window.end)
-    present = sum(max(0, min(end, hi) - max(start, lo))
-                  for start, end in zip(bounds[::2], bounds[1::2]))
-    return hi - lo - present
+    return hi - lo - (mask & (1 << hi) - (1 << lo)).bit_count()
 
 
 def diff_reachability(
@@ -107,22 +105,19 @@ def diff_reachability(
         w = 0
     else:
         w = bisect_left(dates, final_date - dt.timedelta(days=window))
+    in_window = (1 << f) - (1 << w)
     total = 0
     lost, new, flapping = [], [], []
-    for origin, bounds in presence.runs.items():
-        # An index is inside a run when an odd number of bounds lie at or
-        # before it; the first and last runs settle most origins unbisected.
-        at_final = f < bounds[-1] and (bounds[-2] <= f or bisect_right(bounds, f) % 2 == 1)
-        if not (bounds[0] <= b and (b < bounds[1] or bisect_right(bounds, b) % 2 == 1)):
+    for origin, mask in presence.masks.items():
+        at_final = mask >> f & 1
+        if not mask >> b & 1:
             if at_final:
                 new.append(origin)
             continue
         total += 1
         if at_final:
             continue
-        # Seen inside the window if present at w, or if a run starts after w and before f.
-        k = bisect_right(bounds, w)
-        if w < f and (k % 2 == 1 or bisect_left(bounds, f) > k):
+        if mask & in_window:
             flapping.append(origin)
         else:
             lost.append(origin)

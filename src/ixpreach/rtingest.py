@@ -53,10 +53,9 @@ class DateRange:
             raise ValueError(f"date range ends before it starts: {self.start}..{self.end}")
 
     def days(self) -> Iterator[dt.date]:
-        day = self.start
-        while day <= self.end:
-            yield day
-            day += dt.timedelta(days=1)
+        # Counted, not stepped to past `end`: the day after date.max overflows.
+        for offset in range((self.end - self.start).days + 1):
+            yield self.start + dt.timedelta(days=offset)
 
     def __contains__(self, day: dt.date) -> bool:
         return self.start <= day <= self.end

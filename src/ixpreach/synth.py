@@ -616,7 +616,7 @@ def verify(gt: GroundTruth, result: "AnalysisResult") -> list[str]:
             expected_offline = gt.offline[ixp][cc]
             if pres is None:
                 problems.append(f"{where}: presence map missing")
-            elif pres.runs.keys() != expected_offline.keys():
+            elif pres.masks.keys() != expected_offline.keys():
                 problems.append(f"{where}: presence covers different origins")
             else:
                 for asn, days in expected_offline.items():

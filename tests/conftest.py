@@ -65,17 +65,15 @@ def presence_of(series, db, country):
 
 
 def origins_by_date(presence):
-    """Each snapshot date's origin set, expanded day by day from the runs,
-    after checking each origin's bounds are ascending, never empty and
-    never touching, inside the snapshot indices."""
+    """Each snapshot date's origin set, expanded bit by bit from the masks,
+    after checking each origin's mask is not empty and has no bit at or
+    past the last snapshot index."""
     by_date = {d: set() for d in presence.dates}
-    for origin, bounds in presence.runs.items():
-        assert bounds and len(bounds) % 2 == 0, (origin, bounds)
-        assert all(a < b for a, b in zip(bounds, bounds[1:])), (origin, bounds)
-        assert 0 <= bounds[0] and bounds[-1] <= len(presence.dates), (origin, bounds)
-        for start, end in zip(bounds[::2], bounds[1::2]):
-            for i in range(start, end):
-                by_date[presence.dates[i]].add(origin)
+    for origin, mask in presence.masks.items():
+        assert 0 < mask < 1 << len(presence.dates), (origin, mask)
+        for i, d in enumerate(presence.dates):
+            if mask >> i & 1:
+                by_date[d].add(origin)
     return by_date
 
 

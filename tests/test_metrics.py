@@ -97,17 +97,13 @@ class TestComputeDaily:
             build_series(make_series({BASE: []}), db, ["UA", "ZZ"])
 
 
-def brute_runs(daily):
-    """Half-open runs of indices, flattened, from one origin set per index."""
-    runs = {}
+def brute_masks(daily):
+    """Each origin's mask of indices, from one origin set per index."""
+    masks = {}
     for i, origins in enumerate(daily):
         for origin in origins:
-            bounds = runs.setdefault(origin, [])
-            if bounds and bounds[-1] == i:
-                bounds[-1] = i + 1
-            else:
-                bounds += [i, i + 1]
-    return runs
+            masks[origin] = masks.get(origin, 0) | 1 << i
+    return masks
 
 
 class TestBuildSeries:
@@ -115,11 +111,10 @@ class TestBuildSeries:
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(5)}
         series = make_series(days, gaps=[day(5), day(6)])
-        mseries, runs = country_series(series, db, "UA")
+        mseries, masks = country_series(series, db, "UA")
         assert len(mseries.points) == 5
-        assert mseries.gaps == (day(5), day(6))
         assert presence_of(series, db, "UA").dates == tuple(day(i) for i in range(5))
-        assert runs == {20: [0, 5]}
+        assert masks == {20: 0b11111}
 
     def test_joint_pass_equals_single_country_passes(self):
         rng = random.Random(7)
@@ -163,21 +158,20 @@ class TestBuildSeries:
             gaps = [day(offset) for offset in range(16) if offset not in offsets]
             joint = build_series(make_series(days, gaps=gaps), db, ["UA", "RU", "DE"])
             for cc in ("UA", "RU", "DE"):
-                mseries, runs = joint[cc]
+                mseries, masks = joint[cc]
                 assert mseries.dates() == tuple(days)
-                assert mseries.gaps == tuple(gaps)
                 daily = []
                 for point, (d, rows) in zip(mseries.points, days.items(), strict=True):
                     assert (point.announcements, point.distinct_origins, point.distinct_prefixes,
                             point.distinct_neighbors) == brute_counts(rows, countries, cc), (cc, d)
                     daily.append({path[-1] for _, path in rows if countries.get(path[-1]) == cc})
-                assert runs == brute_runs(daily), cc
-                presence = metrics.origin_presence(mseries.dates(), runs)
+                assert masks == brute_masks(daily), cc
+                presence = metrics.origin_presence(mseries.dates(), masks)
                 assert origins_by_date(presence) == dict(zip(days, daily))
-                if cc == "UA":  # both leave and return
-                    assert len(runs[1]) > 2 and len(runs[40]) > 2
+                if cc == "UA":  # both leave and return: a 0 bit between two set ones
+                    assert "0" in f"{masks[1]:b}".rstrip("0") and "0" in f"{masks[40]:b}".rstrip("0")
 
-    def test_runs_grow_with_changes_not_with_days(self):
+    def test_presence_marks_each_snapshot_day(self):
         db = make_db({20: "UA", 21: "UA"})
         days = {}
         for i in range(70):
@@ -185,14 +179,16 @@ class TestBuildSeries:
             if not 30 <= i < 40:
                 rows.append(("198.51.100.0/24", [21]))
             days[day(i)] = rows
-        assert country_series(make_series(days), db, "UA")[1] == {20: [0, 70], 21: [0, 30, 40, 70]}
+        every_day = (1 << 70) - 1
+        assert country_series(make_series(days), db, "UA")[1] == {
+            20: every_day, 21: every_day & ~((1 << 40) - (1 << 30))}
 
     def test_origin_moving_between_rows_keeps_one_run(self):
         # day 1 drops the only row of origin 20 and adds another of its rows
         db = make_db({20: "UA"})
         days = {day(0): [("192.0.2.0/24", [20])], day(1): [("198.51.100.0/24", [7, 20])],
                 day(2): [("198.51.100.0/24", [7, 20])]}
-        assert country_series(make_series(days), db, "UA")[1] == {20: [0, 3]}
+        assert country_series(make_series(days), db, "UA")[1] == {20: 0b111}
 
     def test_single_snapshot_series_equals_hand_counts(self):
         db = make_db({20: "UA"})
@@ -242,9 +238,9 @@ class TestOriginPresence:
 
     def test_keeps_the_runs_of_build_series(self):
         db = make_db({20: "UA"})
-        mseries, runs = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
-        presence = metrics.origin_presence(mseries.dates(), runs)
-        assert presence.runs is runs
+        mseries, masks = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
+        presence = metrics.origin_presence(mseries.dates(), masks)
+        assert presence.masks is masks
         assert presence.dates == (BASE,)
 
 

@@ -103,7 +103,7 @@ class TestDetectDips:
         shifted = [p for p in series.points]
         # drop the point between the dip days to simulate a gap
         kept = [p for p in shifted if p.date != dates[10]]
-        gappy = MetricSeries(series.ixp, series.country, tuple(kept), gaps=(dates[10],))
+        gappy = MetricSeries(series.ixp, series.country, tuple(kept))
         events = detect_dips(gappy, "announcements")
         assert len(events) == 1
 

@@ -107,15 +107,16 @@ class TestUnreachableOrigins:
 
     def test_matches_brute_force_at_any_baseline_and_final(self):
         rng = random.Random(37)
-        for _ in range(60):
-            present = {day(i): {o for o in range(1, 12) if rng.random() < 0.6} for i in range(12)}
-            gaps = [day(i) for i in range(12) if rng.random() < 0.2]
+        # The last series is longer than 64 snapshots, so its masks span machine words.
+        for n, max_window in [(12, 5)] * 60 + [(150, 80)]:
+            present = {day(i): {o for o in range(1, 12) if rng.random() < 0.6} for i in range(n)}
+            gaps = [day(i) for i in range(n) if rng.random() < 0.2]
             for gap in gaps:
                 del present[gap]
             dates = sorted(present)
             series = series_from_presence(present, UA_DB, gaps=gaps)
             baseline, final = sorted(rng.sample(dates, 2))
-            w = rng.randint(0, 5)
+            w = rng.randint(0, max_window)
             base, last = present[baseline], present[final]
             check = [present[d] for d in dates if final - dt.timedelta(days=w) <= d < final]
             report = reach(series, UA_DB, "UA", baseline, final, window=w)
@@ -221,17 +222,18 @@ class TestOfflineDays:
 
     def test_matches_brute_force(self):
         rng = random.Random(29)
-        for _ in range(40):
-            present = {day(i): {o for o in range(1, 8) if rng.random() < 0.6} for i in range(15)}
-            gaps = [day(i) for i in range(15) if rng.random() < 0.2]
+        # The last series is longer than 64 snapshots, so its masks span machine words.
+        for n, span in [(15, 8)] * 40 + [(150, 100)]:
+            present = {day(i): {o for o in range(1, 8) if rng.random() < 0.6} for i in range(n)}
+            gaps = [day(i) for i in range(n) if rng.random() < 0.2]
             for gap in gaps:
                 del present[gap]
             presence = presence_of(series_from_presence(present, UA_DB, gaps=gaps), UA_DB, "UA")
             by_date = origins_by_date(presence)
             for _ in range(5):
-                start = day(rng.randint(0, 16))
-                window = DateRange(start, start + dt.timedelta(days=rng.randint(0, 8)))
-                for origin in presence.runs:
+                start = day(rng.randint(0, n + 1))
+                window = DateRange(start, start + dt.timedelta(days=rng.randint(0, span)))
+                for origin in presence.masks:
                     want = sum(1 for d, origins in by_date.items() if d in window and origin not in origins)
                     assert offline_days(presence, origin, window) == want
 
@@ -310,8 +312,8 @@ class TestDiffReachability:
         present[day(9)] |= {4, 5}  # 4 is back and 5 starts on the final day
         series = series_from_presence(present, UA_DB)
         presence = presence_of(series, UA_DB, "UA")
-        assert presence.runs[2] == [0, 6] and presence.runs[3] == [0, 7]
-        assert presence.runs[4] == [0, 6, 9, 10] and presence.runs[5] == [9, 10]
+        assert presence.masks[2] == 0b0000111111 and presence.masks[3] == 0b0001111111
+        assert presence.masks[4] == 0b1000111111 and presence.masks[5] == 0b1000000000
         report = reach(series, UA_DB, "UA", BASE, day(9), window=3)
         assert (report.total_baseline, report.lost_asns, report.flapping_asns, report.new_asns) == (
             4, (2,), (3,), (5,))

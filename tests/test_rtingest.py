@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 import io
 import ipaddress
 import logging
@@ -190,6 +191,14 @@ def write_snapshot_file(root, ixp, d, rows):
 
 # Before Python 3.11, csv rejects a line holding a NUL, which makes the file a gap.
 NUL_NEEDS_CSV_311 = pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
+
+
+class TestDateRange:
+    def test_range_ending_on_date_max_yields_each_day(self):
+        last = dt.date.max
+        days = [last - dt.timedelta(days=n) for n in (2, 1, 0)]
+        assert list(DateRange(days[0], last).days()) == days
+        assert list(DateRange(last, last).days()) == [last]
 
 
 class TestLoadSeries:

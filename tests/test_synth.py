@@ -77,7 +77,7 @@ class TestGenerate:
         assert not (tmp_path / "scen" / "snapshots" / "amsix" / f"{day(4).isoformat()}.csv").exists()
         assert day(4) not in gt.metrics["amsix"]["UA"]
         result = analyze_generated(tmp_path, gt)
-        assert result.series[("amsix", "UA")].gaps == (day(4),)
+        assert day(4) not in result.series[("amsix", "UA")].dates()
         assert synth.verify(gt, result) == []
 
     def test_ground_truth_json_round_trip(self, tmp_path):

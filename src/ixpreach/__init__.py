@@ -10,7 +10,6 @@ generator provides exact ground truth for end-to-end testing.
 from .asndb import AsnDb, AsnRecord, MergedRecords, build_from_files, merge, parse_delegated
 from .metrics import (
     METRIC_NAMES,
-    DailyMetrics,
     MetricSeries,
     PresenceMap,
     build_series,

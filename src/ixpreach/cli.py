@@ -162,21 +162,18 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         raise UsageError("nothing to do: pass --out and/or --table")
 
     with open(args.metrics, encoding="utf-8") as handle:
-        rows = metrics.read_metrics_csv(handle)
-    if args.ixp:
-        rows = [r for r in rows if r.ixp == args.ixp]
-    if args.country:
-        rows = [r for r in rows if r.country == args.country]
-    pairs = sorted({(r.ixp, r.country) for r in rows})
-    if len(pairs) > 1:
-        listing = ", ".join(f"{i}/{c}" for i, c in pairs)
+        found = [s for s in metrics.read_metrics_csv(handle)
+                 if (not args.ixp or s.ixp == args.ixp)
+                 and (not args.country or s.country == args.country)]
+    if len(found) > 1:
+        listing = ", ".join(f"{s.ixp}/{s.country}" for s in found)
         raise UsageError(f"metrics CSV covers several series ({listing}); "
                          "narrow it down with --ixp/--country")
-    if not rows:
+    if not found:
         raise ValueError("no metric rows left after filtering")
-    rows.sort(key=lambda r: r.date)
-    ixp, country = pairs[0]
-    points = [(r.date, float(getattr(r, args.metric))) for r in rows]
+    [mseries] = found
+    ixp, country = mseries.ixp, mseries.country
+    points = list(zip(mseries.dates, map(float, mseries.values(args.metric))))
 
     spans: list[tuple[dt.date, dt.date, str]] = []
     if args.events:

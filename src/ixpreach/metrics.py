@@ -1,15 +1,21 @@
-"""Daily per-IXP per-country visibility metrics and origin presence.
+"""Daily per-IXP per-country visibility counts and origin presence.
 
 Country attribution happens here and only here.  `build_series` looks up
 the country of each distinct row id's origin and neighbor once, then
 follows the series day by day: it diffs each snapshot's set of row ids
 against the day before and applies only the added and removed ids to
 per-country reference counts of origins, prefixes and neighbors, whose
-sizes are three of the counts below.  Besides the counts it keeps, per
-in-country origin, a bitmask of the snapshot days on which the origin
+sizes are three of the counts below.
+
+Everything is indexed by snapshot: index i is the IXP's i-th snapshot
+date, and gap days have no index.  A MetricSeries holds the IXP's dates
+once and one column of counts per metric, so `values(metric)[i]` is the
+count on `dates[i]`.  Besides the counts, `build_series` keeps, per
+in-country origin, a bitmask of the snapshot indices on which the origin
 is present, set or cleared from the day its reference count leaves or
-returns to 0.  A PresenceMap wraps those masks with the snapshot dates,
-and `reachability` reads every origin set it needs off them.
+returns to 0.  A PresenceMap wraps those masks with the same dates
+tuple, and `reachability` reads every origin set it needs off them;
+`outage` finds dips as runs of indices into the columns.
 
 Four counts are taken from each snapshot for a given country:
 
@@ -48,32 +54,26 @@ def check_country(country: str) -> str:
     return country
 
 
-@dataclass(frozen=True, slots=True)
-class DailyMetrics:
-    ixp: str
-    date: dt.date
-    country: str
-    announcements: int
-    distinct_origins: int
-    distinct_prefixes: int
-    distinct_neighbors: int
-
-
 @dataclass(frozen=True)
 class MetricSeries:
-    """Date-ordered DailyMetrics for one (IXP, country) pair."""
+    """The four counts of one (IXP, country) pair over the IXP's snapshots.
+
+    `dates` holds every snapshot date in order and no gap date; each
+    metric field holds one count per date, in the same order.
+    """
 
     ixp: str
     country: str
-    points: tuple[DailyMetrics, ...]
-
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(p.date for p in self.points)
+    dates: tuple[dt.date, ...]
+    announcements: tuple[int, ...]
+    distinct_origins: tuple[int, ...]
+    distinct_prefixes: tuple[int, ...]
+    distinct_neighbors: tuple[int, ...]
 
     def values(self, metric: str) -> tuple[int, ...]:
         if metric not in METRIC_NAMES:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_NAMES}")
-        return tuple(getattr(p, metric) for p in self.points)
+        return getattr(self, metric)
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,11 @@ def build_series(
 ) -> dict[str, tuple[MetricSeries, dict[int, int]]]:
     """Attribute every snapshot's rows to the given countries.
 
-    For each distinct country: its MetricSeries (one DailyMetrics per
-    snapshot, order preserved) and the mask of snapshot indices on which
-    each in-country origin is present, as `PresenceMap.masks` holds them
-    and `origin_presence` takes them.  The result does not depend on row
+    For each distinct country: its MetricSeries (one count per snapshot
+    in each column, over one dates tuple that every country's series
+    shares) and the mask of snapshot indices on which each in-country
+    origin is present, as `PresenceMap.masks` holds them and
+    `origin_presence` takes them.  The result does not depend on row
     order or on repeated countries.
 
     Each row id present on a day holds one reference on its in-country
@@ -141,7 +142,7 @@ def build_series(
     origins: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
     prefixes: dict[str, dict[str, int]] = {cc: {} for cc in wanted}
     neighbors: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
-    points: dict[str, list[DailyMetrics]] = {cc: [] for cc in wanted}
+    counts: dict[str, list[tuple[int, int, int, int]]] = {cc: [] for cc in wanted}
     masks: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
     present: set[int] = set()
     for index, snap in enumerate(series.snapshots):
@@ -171,21 +172,17 @@ def build_series(
         present = today
         announcements = Counter(map(origin_cc.__getitem__, kept))
         for cc in wanted:
-            points[cc].append(DailyMetrics(
-                ixp=snap.ixp,
-                date=snap.date,
-                country=cc,
-                announcements=announcements[cc],
-                distinct_origins=len(origins[cc]),
-                distinct_prefixes=len(prefixes[cc]),
-                distinct_neighbors=len(neighbors[cc]),
-            ))
+            counts[cc].append((announcements[cc], len(origins[cc]),
+                               len(prefixes[cc]), len(neighbors[cc])))
     every_day = (1 << len(series.snapshots)) - 1
     for cc in wanted:
         for origin in origins[cc]:
             masks[cc][origin] &= every_day
+    dates = tuple(snap.date for snap in series.snapshots)
+    # One column per metric; a series with no snapshot gets empty ones.
     return {
-        cc: (MetricSeries(ixp=series.ixp, country=cc, points=tuple(points[cc])), masks[cc])
+        cc: (MetricSeries(series.ixp, cc, dates,
+                          *(tuple(zip(*counts[cc])) or ((),) * len(METRIC_NAMES))), masks[cc])
         for cc in sorted(wanted)
     }
 
@@ -198,28 +195,28 @@ def origin_presence(dates: tuple[dt.date, ...], masks: dict[int, int]) -> Presen
 
 def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> None:
     """Emit the plot-data CSV, one row per (ixp, country, day), sorted."""
-    rows = []
-    for series in series_list:
-        for p in series.points:
-            rows.append((p.ixp, p.country, p.date.isoformat(), p.announcements,
-                         p.distinct_origins, p.distinct_prefixes, p.distinct_neighbors))
+    rows = [(s.ixp, s.country, day.isoformat(), *counts)
+            for s in series_list
+            for day, *counts in zip(s.dates, *map(s.values, METRIC_NAMES))]
     rows.sort()
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(METRICS_CSV_HEADER)
     writer.writerows(rows)
 
 
-def read_metrics_csv(stream: IO[str]) -> list[DailyMetrics]:
-    """Read rows written by :func:`write_metrics_csv`."""
+def read_metrics_csv(stream: IO[str]) -> list[MetricSeries]:
+    """Read the series written by :func:`write_metrics_csv`: one
+    MetricSeries per (ixp, country), in that order, over its days sorted."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(header) != METRICS_CSV_HEADER:
         raise ValueError(f"not a metrics CSV (header {header!r})")
-    out = []
+    days: dict[tuple[str, str], list[tuple]] = {}
     for row in reader:
         if not row:
             continue
         ixp, country, date_text, ann, orig, pref, neigh = row
-        out.append(DailyMetrics(ixp, dt.date.fromisoformat(date_text), country,
-                                int(ann), int(orig), int(pref), int(neigh)))
-    return out
+        days.setdefault((ixp, country), []).append(
+            (dt.date.fromisoformat(date_text), int(ann), int(orig), int(pref), int(neigh)))
+    return [MetricSeries(ixp, country, *zip(*sorted(rows)))
+            for (ixp, country), rows in sorted(days.items())]

@@ -1,10 +1,13 @@
 """Dip detection over metric series and catalog-based event annotation.
 
-A day dips when its value falls more than a threshold fraction below the
-median of the most recent prior days; runs of dip days form one outage
-event.  Detected events can be annotated from a catalog of known
-real-world disruptions (`id|start|end|label|source` lines, end empty for
-an open-ended range).
+A snapshot day dips when its value falls more than a threshold fraction
+below the median of the values on up to N prior snapshot days.  Dips are
+found as runs of consecutive indices into a MetricSeries' columns, so a
+gap day, which has no index, neither ends nor extends a run.  Each run is
+one outage event: dated by the series' dates at its ends, with the
+reference of its first day and the least value inside it.  Detected
+events can be annotated from a catalog of known real-world disruptions
+(`id|start|end|label|source` lines, end empty for an open-ended range).
 """
 
 from __future__ import annotations
@@ -79,52 +82,37 @@ def detect_dips(
     """Find dips: days where the value drops below (1 - threshold) times
     the median of the up-to-N most recent prior values.
 
-    Consecutive dip days merge into one event (calendar gaps between them
-    do not split an event, since gap days carry no data).  The reference
-    must reach `min_reference` for a day to qualify, which keeps tiny
-    series from generating noise events.
+    Consecutive dip indices merge into one event (calendar gaps between
+    them do not split an event, since gap days have no index).  The
+    reference must reach `min_reference` for a day to qualify, which keeps
+    tiny series from generating noise events.  The first day has no prior
+    value and never dips; the next few are judged against the fewer prior
+    days they have, so a series of any length is judged.
     """
     check_detector(trailing_window, threshold, min_reference)
     values = series.values(metric)
-    dates = series.dates()
-    if len(values) < trailing_window + 1:
-        raise ValueError(
-            f"series has {len(values)} points; need at least {trailing_window + 1}"
-        )
-
-    events: list[OutageEvent] = []
-    open_event: dict | None = None
-    for i, (day, value) in enumerate(zip(dates, values)):
-        is_dip = False
-        if i > 0:
-            ref = statistics.median(values[max(0, i - trailing_window):i])
-            is_dip = ref >= min_reference and value < (1 - threshold) * ref
-        if is_dip:
-            if open_event is None:
-                open_event = {"start": day, "end": day, "reference": ref, "min": value}
+    runs: list[list] = []  # [first, last, reference] per run of dip indices
+    for i in range(1, len(values)):
+        reference = statistics.median(values[max(0, i - trailing_window):i])
+        if reference >= min_reference and values[i] < (1 - threshold) * reference:
+            if runs and runs[-1][1] == i - 1:
+                runs[-1][1] = i
             else:
-                open_event["end"] = day
-                open_event["min"] = min(open_event["min"], value)
-        elif open_event is not None:
-            events.append(_close_event(series, metric, open_event))
-            open_event = None
-    if open_event is not None:
-        events.append(_close_event(series, metric, open_event))
+                runs.append([i, i, reference])
+    events = []
+    for first, last, reference in runs:
+        low = min(values[first:last + 1])
+        events.append(OutageEvent(
+            ixp=series.ixp,
+            country=series.country,
+            metric=metric,
+            start=series.dates[first],
+            end=series.dates[last],
+            reference_level=reference,
+            min_value=low,
+            relative_drop=(reference - low) / reference,
+        ))
     return events
-
-
-def _close_event(series: MetricSeries, metric: str, ev: dict) -> OutageEvent:
-    reference = ev["reference"]
-    return OutageEvent(
-        ixp=series.ixp,
-        country=series.country,
-        metric=metric,
-        start=ev["start"],
-        end=ev["end"],
-        reference_level=reference,
-        min_value=ev["min"],
-        relative_drop=(reference - ev["min"]) / reference,
-    )
 
 
 def _overlap_days(event: OutageEvent, entry: CatalogEvent, slack: int) -> int:

@@ -121,7 +121,7 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
         for country, (mseries, masks) in attributed.items():
             key = (ixp, country)
             result.series[key] = mseries
-            presence = result.presence[key] = metrics.origin_presence(mseries.dates(), masks)
+            presence = result.presence[key] = metrics.origin_presence(mseries.dates, masks)
             result.reports[key] = reachability.diff_reachability(
                 presence, ixp, country,
                 config.baseline_date, config.final_date, config.confirmation_window)

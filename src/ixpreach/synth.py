@@ -589,18 +589,14 @@ def verify(gt: GroundTruth, result: "AnalysisResult") -> list[str]:
                 continue
             expected = gt.metrics[ixp][cc]
             expected_dates = sorted(expected)
-            got_dates = list(series.dates())
+            got_dates = list(series.dates)
             if got_dates != expected_dates:
                 problems.append(
                     f"{where}: series covers {len(got_dates)} days, expected {len(expected_dates)}")
-            for point in series.points:
-                want = expected.get(point.date)
-                if want is None:
-                    continue
-                got = (point.announcements, point.distinct_origins,
-                       point.distinct_prefixes, point.distinct_neighbors)
-                if got != want:
-                    problems.append(f"{where} {point.date}: expected {want}, got {got}")
+            for day, got in zip(series.dates, zip(*map(series.values, METRIC_NAMES))):
+                want = expected.get(day)
+                if want is not None and got != want:
+                    problems.append(f"{where} {day}: expected {want}, got {got}")
 
             report = result.reports.get(key)
             if report is None:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from ixpreach.asndb import AsnDb
-from ixpreach.metrics import build_series, origin_presence
+from ixpreach.metrics import METRIC_NAMES, build_series, origin_presence
 from ixpreach.reachability import diff_reachability
 from ixpreach.rtingest import Snapshot, SnapshotSeries
 
@@ -40,7 +40,7 @@ def make_series(days_rows, ixp="testix", gaps=()) -> SnapshotSeries:
         return ids[key]
 
     snapshots = tuple(
-        Snapshot(ixp=ixp, date=d, entries=tuple(row_id(prefix, path) for prefix, path in rows))
+        Snapshot(date=d, entries=tuple(row_id(prefix, path) for prefix, path in rows))
         for d, rows in sorted(days_rows.items())
     )
     return SnapshotSeries(ixp=ixp, snapshots=snapshots, gaps=tuple(sorted(gaps)),
@@ -61,7 +61,13 @@ def country_series(series, db, country):
 def presence_of(series, db, country):
     """The country's origin presence map, built as the pipeline builds it."""
     mseries, runs = country_series(series, db, country)
-    return origin_presence(mseries.dates(), runs)
+    return origin_presence(mseries.dates, runs)
+
+
+def day_counts(mseries):
+    """Each snapshot date's (announcements, distinct_origins,
+    distinct_prefixes, distinct_neighbors), read off the columns."""
+    return dict(zip(mseries.dates, zip(*map(mseries.values, METRIC_NAMES))))
 
 
 def origins_by_date(presence):

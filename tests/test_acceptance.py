@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from ixpreach import asndb, cli, pipeline, synth
-from ixpreach.metrics import DailyMetrics, MetricSeries
+from ixpreach.metrics import MetricSeries
 from ixpreach.outage import detect_dips
 from ixpreach.reachability import average_pct, pct_lost
 from ixpreach.rtingest import DateRange, InternTable, parse_snapshot
@@ -126,11 +126,9 @@ def test_criterion_4_confirmation_window_property():
 
 
 def _series_of(values):
-    points = tuple(
-        DailyMetrics("testix", BASE + dt.timedelta(days=i), "UA", v, 0, 0, 0)
-        for i, v in enumerate(values)
-    )
-    return MetricSeries(ixp="testix", country="UA", points=points)
+    dates = tuple(BASE + dt.timedelta(days=i) for i in range(len(values)))
+    zeros = (0,) * len(values)
+    return MetricSeries("testix", "UA", dates, tuple(values), zeros, zeros, zeros)
 
 
 def test_criterion_5_detector_soundness_and_sensitivity():

@@ -98,8 +98,9 @@ class TestAnalyze:
         for ixp in gt.ixps:
             for cc in gt.countries:
                 with open(out / "metrics" / f"{ixp}_{cc}.csv") as handle:
-                    rows = read_metrics_csv(handle)  # parses under its own schema
-                assert len(rows) == 13  # 14-day window, one gap
+                    [mseries] = read_metrics_csv(handle)  # parses under its own schema
+                assert (mseries.ixp, mseries.country) == (ixp, cc)
+                assert len(mseries.dates) == 13  # 14-day window, one gap
                 with open(out / "outages" / f"{ixp}_{cc}.csv") as handle:
                     read_events_csv(handle)
         for cc in gt.countries:
@@ -239,6 +240,20 @@ class TestAnalyze:
         tmp_path, scen, gt = analyzed_scenario
         assert run(self.analyze_args(tmp_path, scen, gt) + extra) == 0
         assert (tmp_path / "out" / "summary.txt").exists()
+
+    def test_sparse_ixp_does_not_abort_the_run(self, analyzed_scenario):
+        # linx keeps 3 snapshots, fewer than the dip detector's window
+        tmp_path, scen, gt = analyzed_scenario
+        kept = {gt.baseline_date, day(7), gt.final_date}
+        for path in (scen / "snapshots" / "linx").iterdir():
+            if dt.date.fromisoformat(path.stem) not in kept:
+                path.unlink()
+        assert run(self.analyze_args(tmp_path, scen, gt)) == 0
+        out = tmp_path / "out"
+        for cc in gt.countries:
+            assert len((out / "metrics" / f"linx_{cc}.csv").read_text().splitlines()) == 1 + 3
+            assert len((out / "metrics" / f"amsix_{cc}.csv").read_text().splitlines()) == 1 + 13
+        assert (out / "summary.txt").exists()
 
     def test_missing_baseline_snapshot_is_explicit(self, analyzed_scenario, capsys):
         tmp_path, scen, gt = analyzed_scenario
@@ -414,9 +429,9 @@ class TestPlot:
         # recompute the expected pixel range from the chart geometry
         from ixpreach.metrics import read_metrics_csv
         with open(csv_path) as handle:
-            rows = read_metrics_csv(handle)
-        first = min(r.date for r in rows).toordinal()
-        last = max(r.date for r in rows).toordinal()
+            [mseries] = read_metrics_csv(handle)
+        first = mseries.dates[0].toordinal()
+        last = mseries.dates[-1].toordinal()
         plot_w = svgchart.WIDTH - svgchart.MARGIN_LEFT - svgchart.MARGIN_RIGHT
         for (x_text, w_text), (start, end) in zip(rects, spans):
             expect_x1 = svgchart.MARGIN_LEFT + (start.toordinal() - 0.5 - first) / (last - first) * plot_w

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from ixpreach import metrics
-from ixpreach.metrics import DailyMetrics, build_series
+from ixpreach.metrics import MetricSeries, build_series
 
-from conftest import (BASE, country_series, day, make_db, make_series, origins_by_date, presence_of,
-                      rows_of)
+from conftest import (BASE, country_series, day, day_counts, make_db, make_series, origins_by_date,
+                      presence_of, rows_of)
 
 
 def compute_daily(rows, db, country):
-    """The single point build_series gives a one-snapshot series."""
-    points = country_series(make_series({BASE: rows}), db, country)[0].points
-    assert len(points) == 1
-    return points[0]
+    """The four counts build_series gives a one-snapshot series."""
+    mseries = country_series(make_series({BASE: rows}), db, country)[0]
+    assert mseries.dates == (BASE,)
+    return day_counts(mseries)[BASE]
 
 
 def brute_counts(rows, countries, country):
@@ -34,24 +34,22 @@ class TestComputeDaily:
             ("192.0.2.0/24", [11, 20]),
             ("198.51.100.0/24", [10, 21]),
         ]
-        result = compute_daily(rows, db, "UA")
-        assert result.announcements == 3
-        assert result.distinct_origins == 2
-        assert result.distinct_prefixes == 2
-        assert result.distinct_neighbors == 1  # only first hop 11 is UA
+        announcements, origins, prefixes, neighbors = compute_daily(rows, db, "UA")
+        assert announcements == 3
+        assert origins == 2
+        assert prefixes == 2
+        assert neighbors == 1  # only first hop 11 is UA
 
     def test_empty_snapshot_is_all_zero(self):
         db = make_db({20: "UA"})
-        result = compute_daily([], db, "UA")
-        assert (result.announcements, result.distinct_origins,
-                result.distinct_prefixes, result.distinct_neighbors) == (0, 0, 0, 0)
+        assert compute_daily([], db, "UA") == (0, 0, 0, 0)
 
     def test_no_in_country_origin(self):
         db = make_db({20: "UA"})
-        result = compute_daily([("192.0.2.0/24", [10, 30])], db, "UA")
-        assert result.announcements == 0
-        assert result.distinct_origins == 0
-        assert result.distinct_prefixes == 0
+        announcements, origins, prefixes, _ = compute_daily([("192.0.2.0/24", [10, 30])], db, "UA")
+        assert announcements == 0
+        assert origins == 0
+        assert prefixes == 0
 
     def test_row_order_does_not_matter(self):
         rng = random.Random(5)
@@ -75,10 +73,8 @@ class TestComputeDaily:
             ]
             joint = build_series(make_series({BASE: rows}), db, ["UA", "RU", "DE"])
             for cc in ("UA", "RU", "DE"):
-                got = joint[cc][0].points[0]
-                assert (got.announcements, got.distinct_origins,
-                        got.distinct_prefixes, got.distinct_neighbors) == brute_counts(rows, countries, cc)
-                presence = metrics.origin_presence(joint[cc][0].dates(), joint[cc][1])
+                assert day_counts(joint[cc][0]) == {BASE: brute_counts(rows, countries, cc)}
+                presence = metrics.origin_presence(joint[cc][0].dates, joint[cc][1])
                 assert origins_by_date(presence) == {
                     BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
 
@@ -88,7 +84,7 @@ class TestComputeDaily:
         db = make_db(countries)
         rows = [(f"10.{i}.0.0/16", [rng.randint(1, 25), rng.randint(1, 25)]) for i in range(30)]
         joint = build_series(make_series({BASE: rows}), db, ["UA", "RU"])
-        total = sum(joint[cc][0].points[0].announcements for cc in ("UA", "RU"))
+        total = sum(joint[cc][0].announcements[0] for cc in ("UA", "RU"))
         assert total <= len(rows)
 
     def test_zz_placeholder_is_not_a_country_filter(self):
@@ -112,7 +108,7 @@ class TestBuildSeries:
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(5)}
         series = make_series(days, gaps=[day(5), day(6)])
         mseries, masks = country_series(series, db, "UA")
-        assert len(mseries.points) == 5
+        assert len(mseries.dates) == len(mseries.announcements) == 5
         assert presence_of(series, db, "UA").dates == tuple(day(i) for i in range(5))
         assert masks == {20: 0b11111}
 
@@ -125,6 +121,8 @@ class TestBuildSeries:
         series = make_series(days, gaps=[day(6)])
         joint = build_series(series, db, ["UA", "RU", "DE", "FR"])
         assert list(joint) == ["DE", "FR", "RU", "UA"]
+        # One dates tuple for the IXP, shared by every country's series.
+        assert all(joint[cc][0].dates is joint["DE"][0].dates for cc in joint)
         for cc in joint:
             assert joint[cc] == build_series(series, db, [cc])[cc]
         assert build_series(series, db, ["UA", "UA"]) == build_series(series, db, ["UA"])
@@ -159,14 +157,14 @@ class TestBuildSeries:
             joint = build_series(make_series(days, gaps=gaps), db, ["UA", "RU", "DE"])
             for cc in ("UA", "RU", "DE"):
                 mseries, masks = joint[cc]
-                assert mseries.dates() == tuple(days)
+                assert mseries.dates == tuple(days)
+                counts = day_counts(mseries)
                 daily = []
-                for point, (d, rows) in zip(mseries.points, days.items(), strict=True):
-                    assert (point.announcements, point.distinct_origins, point.distinct_prefixes,
-                            point.distinct_neighbors) == brute_counts(rows, countries, cc), (cc, d)
+                for d, rows in days.items():
+                    assert counts[d] == brute_counts(rows, countries, cc), (cc, d)
                     daily.append({path[-1] for _, path in rows if countries.get(path[-1]) == cc})
                 assert masks == brute_masks(daily), cc
-                presence = metrics.origin_presence(mseries.dates(), masks)
+                presence = metrics.origin_presence(mseries.dates, masks)
                 assert origins_by_date(presence) == dict(zip(days, daily))
                 if cc == "UA":  # both leave and return: a 0 bit between two set ones
                     assert "0" in f"{masks[1]:b}".rstrip("0") and "0" in f"{masks[40]:b}".rstrip("0")
@@ -193,7 +191,13 @@ class TestBuildSeries:
     def test_single_snapshot_series_equals_hand_counts(self):
         db = make_db({20: "UA"})
         series = make_series({BASE: [("192.0.2.0/24", [20])]})
-        assert country_series(series, db, "UA")[0].points == (DailyMetrics("testix", BASE, "UA", 1, 1, 1, 1),)
+        assert country_series(series, db, "UA")[0] == MetricSeries("testix", "UA", (BASE,), (1,), (1,), (1,), (1,))
+
+    def test_series_without_snapshots_has_empty_columns(self):
+        db = make_db({20: "UA"})
+        mseries, masks = country_series(make_series({}), db, "UA")
+        assert mseries == MetricSeries("testix", "UA", (), (), (), (), ())
+        assert masks == {}
 
     def test_values_accessor_validates_metric_name(self):
         db = make_db({20: "UA"})
@@ -239,8 +243,9 @@ class TestOriginPresence:
     def test_keeps_the_runs_of_build_series(self):
         db = make_db({20: "UA"})
         mseries, masks = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
-        presence = metrics.origin_presence(mseries.dates(), masks)
+        presence = metrics.origin_presence(mseries.dates, masks)
         assert presence.masks is masks
+        assert presence.dates is mseries.dates
         assert presence.dates == (BASE,)
 
 
@@ -253,10 +258,22 @@ class TestMetricsCsv:
         buf = io.StringIO()
         metrics.write_metrics_csv(buf, series)
         buf.seek(0)
-        rows = metrics.read_metrics_csv(buf)
-        assert len(rows) == 6
-        assert {r.country for r in rows} == {"UA", "RU"}
-        assert all(r.announcements == 1 for r in rows)
+        loaded = metrics.read_metrics_csv(buf)
+        assert loaded == series
+        assert [s.country for s in loaded] == ["RU", "UA"]
+        assert all(s.announcements == (1, 1, 1) for s in loaded)
+
+    def test_reader_groups_each_series_and_sorts_its_days(self):
+        import io
+        text = ("ixp,country,date,announcements,distinct_origins,distinct_prefixes,distinct_neighbors\n"
+                "linx,UA,2022-02-21,3,3,3,1\n"
+                "amsix,UA,2022-02-20,2,2,2,1\n"
+                "linx,UA,2022-02-19,1,1,1,1\n"
+                "\n")
+        amsix, linx = metrics.read_metrics_csv(io.StringIO(text))
+        assert amsix == MetricSeries("amsix", "UA", (day(1),), (2,), (2,), (2,), (1,))
+        assert linx.dates == (day(0), day(2))
+        assert linx.announcements == (1, 3)
 
     def test_reader_rejects_foreign_header(self):
         import io

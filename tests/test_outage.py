@@ -1,23 +1,23 @@
 import datetime as dt
 import io
 import random
+import statistics
+from dataclasses import replace
 
 import pytest
 
-from ixpreach import outage
-from ixpreach.metrics import DailyMetrics, MetricSeries
+from ixpreach import outage, synth
+from ixpreach.metrics import METRIC_NAMES, MetricSeries
 from ixpreach.outage import CatalogEvent, OutageEvent, annotate, detect_dips, parse_catalog
 
 from conftest import BASE, day
 
 
 def series_of(values, metric="announcements", ixp="testix", country="UA", start=BASE):
-    points = []
-    for i, v in enumerate(values):
-        counts = dict(announcements=0, distinct_origins=0, distinct_prefixes=0, distinct_neighbors=0)
-        counts[metric] = v
-        points.append(DailyMetrics(ixp, start + dt.timedelta(days=i), country, **counts))
-    return MetricSeries(ixp=ixp, country=country, points=tuple(points))
+    columns = dict.fromkeys(METRIC_NAMES, (0,) * len(values))
+    columns[metric] = tuple(values)
+    dates = tuple(start + dt.timedelta(days=i) for i in range(len(values)))
+    return MetricSeries(ixp, country, dates, **columns)
 
 
 class TestDetectDips:
@@ -86,9 +86,28 @@ class TestDetectDips:
         values = [100] * 10 + [400] + [100] * 10
         assert detect_dips(series_of(values), "announcements") == []
 
-    def test_short_series_is_an_error(self):
-        with pytest.raises(ValueError, match="points"):
-            detect_dips(series_of([100] * 7), "announcements", trailing_window=7)
+    def test_short_series_is_judged_with_the_days_it_has(self):
+        assert detect_dips(series_of([]), "announcements") == []
+        assert detect_dips(series_of([100]), "announcements") == []
+        assert detect_dips(series_of([100] * 7), "announcements", trailing_window=7) == []
+        [event] = detect_dips(series_of([100, 100, 60]), "announcements", trailing_window=7)
+        assert (event.start, event.end, event.reference_level, event.min_value) == (day(2), day(2), 100, 60)
+
+    def test_matches_the_plain_rule_on_any_length(self):
+        rng = random.Random(47)
+        for length in range(41):
+            for _ in range(5):
+                values = [rng.choice((rng.randint(0, 15), rng.randint(60, 120))) for _ in range(length)]
+                trailing = rng.randint(1, 9)
+                series = series_of(values)
+                events = detect_dips(series, "announcements", trailing_window=trailing)
+                assert [(e.start, e.end) for e in events] == synth._expected_dip_spans(
+                    series.dates, values, trailing, outage.DEFAULT_THRESHOLD, outage.DEFAULT_MIN_REFERENCE)
+                for e in events:
+                    first, last = series.dates.index(e.start), series.dates.index(e.end)
+                    assert e.reference_level == statistics.median(values[max(0, first - trailing):first])
+                    assert e.min_value == min(values[first:last + 1])
+                    assert e.relative_drop == (e.reference_level - e.min_value) / e.reference_level
 
     def test_bad_metric_name(self):
         with pytest.raises(ValueError, match="unknown metric"):
@@ -98,12 +117,9 @@ class TestDetectDips:
         # the missing calendar day between the two dip days is a gap, not a
         # recovery; they form one event
         values = [100] * 9 + [60, 60] + [100] * 9
-        series = series_of(values)
-        dates = [p.date for p in series.points]
-        shifted = [p for p in series.points]
+        dates = series_of(values).dates
         # drop the point between the dip days to simulate a gap
-        kept = [p for p in shifted if p.date != dates[10]]
-        gappy = MetricSeries(series.ixp, series.country, tuple(kept))
+        gappy = replace(series_of(values[:10] + values[11:]), dates=dates[:10] + dates[11:])
         events = detect_dips(gappy, "announcements")
         assert len(events) == 1
 

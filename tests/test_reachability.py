@@ -245,7 +245,8 @@ class TestOfflineDays:
 
 def neighbor_days(series, db, country):
     """Snapshot dates on which the country has at least one in-country first hop."""
-    return {p.date for p in country_series(series, db, country)[0].points if p.distinct_neighbors}
+    mseries = country_series(series, db, country)[0]
+    return {d for d, count in zip(mseries.dates, mseries.distinct_neighbors) if count}
 
 
 class TestNeighborTimeline:
@@ -262,8 +263,8 @@ class TestNeighborTimeline:
             if i not in (2, 3):
                 rows.append(("10.0.1.0/24", [7, 1]))
             days[day(i)] = rows
-        points = country_series(make_series(days), db, "UA")[0].points
-        assert [p.distinct_neighbors for p in points] == [2, 2, 1, 1, 2, 2]
+        mseries = country_series(make_series(days), db, "UA")[0]
+        assert mseries.distinct_neighbors == (2, 2, 1, 1, 2, 2)
 
     def test_country_with_no_neighbors_yields_empty_map(self):
         db = make_db({1: "UA", 9999: "US"})

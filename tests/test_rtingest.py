@@ -5,7 +5,6 @@ import ipaddress
 import logging
 import random
 import re
-import sys
 from dataclasses import fields
 
 import pytest
@@ -189,8 +188,17 @@ def write_snapshot_file(root, ixp, d, rows):
     (ixp_dir / f"{d.isoformat()}.csv").write_text("\n".join(lines) + "\n")
 
 
-# Before Python 3.11, csv rejects a line holding a NUL, which makes the file a gap.
-NUL_NEEDS_CSV_311 = pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
+CSV_READER = csv.reader
+
+
+def nul_rejecting_reader(lines, *args, **kwargs):
+    """csv.reader as before Python 3.11, which raises on a line holding a NUL."""
+    def checked():
+        for line in lines:
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+    return CSV_READER(checked(), *args, **kwargs)
 
 
 class TestDateRange:
@@ -250,10 +258,11 @@ class TestLoadSeries:
                 parse_snapshot(handle, "amsix", day(1))
 
     @pytest.mark.parametrize("row", [
-        pytest.param("192.0.2.0\x00/24,174 25133", marks=NUL_NEEDS_CSV_311),
-        pytest.param("2001:db8::\x00/32,174 25133", marks=NUL_NEEDS_CSV_311),
+        "192.0.2.0\x00/24,174 25133",
+        "2001:db8::\x00/32,174 25133",
+        "192.0.2.0/24,174 \x0025133",
         "192.0.2.0/24,174 " + "9" * 5000 + " 25133",
-    ], ids=["nul-ipv4-prefix", "nul-ipv6-prefix", "5000-digit-token"])
+    ], ids=["nul-ipv4-prefix", "nul-ipv6-prefix", "nul-path", "5000-digit-token"])
     def test_a_row_that_breaks_a_parser_is_one_skip(self, tmp_path, caplog, row):
         for offset in range(3):
             write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
@@ -265,6 +274,15 @@ class TestLoadSeries:
         assert series.gaps == ()
         assert [(snap.date, snap.entries, snap.skipped) for snap in series.snapshots] == [
             (BASE, (0,), 1), (day(1), (0,), 0), (day(2), (0,), 0)]
+
+    @pytest.mark.parametrize("reader", [csv.reader, nul_rejecting_reader], ids=["csv", "csv-before-3.11"])
+    @pytest.mark.parametrize("age", ["1\x00h", '"1\x00\n\x00h"'], ids=["one-line", "continued"])
+    def test_nul_skips_only_rows_whose_mapped_cells_hold_one(self, monkeypatch, reader, age):
+        monkeypatch.setattr(csv, "reader", reader)
+        text = (f"age,prefix,as_path\n{age},192.0.2.0/24,174 25133\n"
+                "2h,192.0.2.0\x00/24,174 25133\n3h,192.0.2.0/24,174 \x0025133\n")
+        snapshot = parse_snapshot(io.StringIO(text), "amsix", BASE)
+        assert (snapshot.entries, snapshot.skipped) == ((0,), 2)
 
     def test_quarantined_baseline_still_fails_the_run(self, tmp_path):
         for offset in range(3):

@@ -77,7 +77,8 @@ class TestGenerate:
         assert not (tmp_path / "scen" / "snapshots" / "amsix" / f"{day(4).isoformat()}.csv").exists()
         assert day(4) not in gt.metrics["amsix"]["UA"]
         result = analyze_generated(tmp_path, gt)
-        assert day(4) not in result.series[("amsix", "UA")].dates()
+        assert day(4) not in result.series[("amsix", "UA")].dates
+        assert result.presence[("amsix", "UA")].dates is result.series[("amsix", "UA")].dates
         assert synth.verify(gt, result) == []
 
     def test_ground_truth_json_round_trip(self, tmp_path):
@@ -216,11 +217,14 @@ class TestVerifySensitivity:
     def test_single_edited_metric_point_yields_one_discrepancy(self, tmp_path):
         gt, result = self.build(tmp_path)
         target = sorted(gt.metrics["amsix"]["UA"])[3]
-        a, o, p, n = gt.metrics["amsix"]["UA"][target]
-        gt.metrics["amsix"]["UA"][target] = (a + 1, o, p, n)
-        problems = synth.verify(gt, result)
-        assert len(problems) == 1
-        assert str(target) in problems[0]
+        counts = gt.metrics["amsix"]["UA"][target]
+        for column in range(len(counts)):  # each metric's column is read
+            edited = list(counts)
+            edited[column] += 1
+            gt.metrics["amsix"]["UA"][target] = tuple(edited)
+            problems = synth.verify(gt, result)
+            assert len(problems) == 1
+            assert str(target) in problems[0]
 
     def test_tampered_unreachable_set_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)

@@ -206,7 +206,7 @@ def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> N
 
 def read_metrics_csv(stream: IO[str]) -> list[MetricSeries]:
     """Read the series written by :func:`write_metrics_csv`: one
-    MetricSeries per (ixp, country), in that order, over its days sorted."""
+    MetricSeries per (ixp, country), sorted by both, with its days sorted."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(header) != METRICS_CSV_HEADER:

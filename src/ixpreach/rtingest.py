@@ -14,12 +14,13 @@ record on the line it starts on, without reading past it, the key is that
 raw line, so a repeated line costs one dict lookup and never reaches csv;
 otherwise the key is the row's mapped cells, so unmapped columns that
 change from row to row do not defeat the memo.  A new row's prefix and
-AS-path cells are parsed through per-cell memos, and a kept row gets the
-next dense row id, whose prefix, origin and neighbor the table records
-once in its columns.  A day is then the tuple of its rows' ids plus a skip
-count.  `load_series` keeps one table per IXP for the whole series and
-hands its columns to the SnapshotSeries; the memos are dropped once the
-series is loaded.
+AS-path cells are parsed through per-cell memos; the path memo keeps only
+a path's two endpoints, packed into one int, as no row reads the ASNs
+between them.  A kept row gets the next dense row id, whose prefix,
+origin and neighbor the table records once in its columns.  A day is
+then the tuple of its rows' ids plus a skip count.  `load_series` keeps
+one table per IXP for the whole series and hands its columns to the
+SnapshotSeries; the memos are dropped once the series is loaded.
 """
 
 from __future__ import annotations
@@ -144,15 +145,17 @@ class InternTable:
     """The parsed form of every distinct raw cell and row seen so far.
 
     `prefixes` maps a raw prefix cell to its canonical CIDR text and
-    `paths` a raw AS-path cell to its ASN tuple, None marking a defective
-    cell.  `rows` maps a column layout to a memo from a row key to the
-    row's id, or None for a counted skip.  The key of a row is its raw
-    physical line, terminator included, when the header maps every one of
-    its columns and csv ended the record on that line without reading past
-    it, so the line alone holds its mapped cells; otherwise it is the row's
-    mapped `Cells`, so unmapped columns play no part in it.  What a key of
-    either kind decides depends only on the layout, and a layout has its
-    own memo because a line means other cells under another header.
+    `paths` a raw AS-path cell to `origin << 32 | neighbor`, its last and
+    first ASN packed into one int (an ASN fits in 32 bits), None marking
+    a defective cell in either memo.  `rows` maps a column layout to a
+    memo from a row key to the row's id, or None for a counted skip.  The
+    key of a row is its raw physical line, terminator included, when the
+    header maps every one of its columns and csv ended the record on that
+    line without reading past it, so the line alone holds its mapped
+    cells; otherwise it is the row's mapped `Cells`, so unmapped columns
+    play no part in it.  What a key of either kind decides depends only on
+    the layout, and a layout has its own memo because a line means other
+    cells under another header.
 
     Row ids are dense, from 0, one per memo key that decided a kept row;
     `prefix_of`, `origin_of` and `neighbor_of` hold each id's fields, the
@@ -162,7 +165,7 @@ class InternTable:
     """
 
     prefixes: dict[str, str | None] = field(default_factory=dict)
-    paths: dict[str, tuple[int, ...] | None] = field(default_factory=dict)
+    paths: dict[str, int | None] = field(default_factory=dict)
     rows: dict[Layout, dict[str | Cells, int | None]] = field(default_factory=dict)
     prefix_of: list[str] = field(default_factory=list)
     origin_of: array = field(default_factory=lambda: array("I"))
@@ -182,10 +185,11 @@ class InternTable:
             prefix = self.prefixes[cells[0]] = _normalize_prefix(cells[0])
         if prefix is None:
             return None
-        origin, neighbor = path[-1], path[0]
-        for cell, asn in zip(cells[2:], (origin, neighbor)):  # the origin, neighbor cells
-            if cell is not None and cell.strip() != str(asn):
-                return None
+        origin, neighbor = path >> 32, path & ASN_MAX
+        if len(cells) > 2:  # an origin or neighbor column is mapped
+            for cell, asn in zip(cells[2:], (origin, neighbor)):
+                if cell is not None and cell.strip() != str(asn):
+                    return None
         self.prefix_of.append(prefix)
         self.origin_of.append(origin)
         self.neighbor_of.append(neighbor)
@@ -238,11 +242,12 @@ def _normalize_prefix(text: str) -> str | None:
         return None
 
 
-def _parse_path(text: str) -> tuple[int, ...] | None:
-    """ASN tuple for an AS-path cell, or None when it is empty or holds a
-    token that is not a plain ASN (brace-delimited AS_SETs included) or
-    is above ASN_MAX."""
-    path: list[int] = []
+def _parse_path(text: str) -> int | None:
+    """`origin << 32 | neighbor` for an AS-path cell (its last and first
+    ASN), or None when it is empty or holds a token that is not a plain
+    ASN (brace-delimited AS_SETs included) or is above ASN_MAX.  Every
+    token is checked, but only the endpoints are kept."""
+    first = None
     for token in text.split():
         if not (token.isascii() and token.isdigit()):
             return None
@@ -252,8 +257,11 @@ def _parse_path(text: str) -> tuple[int, ...] | None:
             return None
         if asn > ASN_MAX:
             return None
-        path.append(asn)
-    return tuple(path) or None
+        if first is None:
+            first = asn
+    if first is None:
+        return None
+    return asn << 32 | first
 
 
 def _resolve_column(header: list[str], name: str) -> int:
@@ -352,12 +360,16 @@ def parse_snapshot(
             except IndexError:  # a row short of any mapped column is skipped
                 skipped += 1
                 continue
-            # A record csv did not end on this line (it read on into the
-            # next lines, or to the end of the file) is keyed by its cells.
-            key = cells if feed.read_on or not by_line else line
-            entry = memo.get(key, _UNSEEN)
-            if entry is _UNSEEN:
-                entry = memo[key] = intern.entry(cells)
+            if by_line and not feed.read_on:
+                # The line just missed the memo and is the row's key.
+                entry = memo[line] = intern.entry(cells)
+            else:
+                # Under a header with unmapped columns, or for a record
+                # csv did not end on this line (it read on into the next
+                # lines, or to the end of the file), the key is the cells.
+                entry = memo.get(cells, _UNSEEN)
+                if entry is _UNSEEN:
+                    entry = memo[cells] = intern.entry(cells)
         if entry is None:
             skipped += 1
         else:

@@ -58,6 +58,16 @@ def oracle_rows(text):
     return good, bad
 
 
+def endpoints(intern, path_cell):
+    """The (origin, neighbor) an InternTable keeps for an AS-path cell."""
+    return divmod(intern.paths[path_cell], 1 << 32)
+
+
+def assert_paths_are_packed(intern):
+    """Each parsed AS path is held as one int, not a sequence of ASNs."""
+    assert all(type(packed) is int for packed in intern.paths.values() if packed is not None)
+
+
 def parse_text(text, schema=rtingest.DEFAULT_SCHEMA):
     return parse_snapshot(io.StringIO(text), "testix", BASE, schema)
 
@@ -101,8 +111,9 @@ class TestParseSnapshot:
         assert len(snap.entries) == len(expected_good) == 6
         assert snap.skipped == expected_bad == 4
         for (_, origin, neighbor), (_, path) in zip(rows_of(snap, intern), expected_good, strict=True):
-            assert intern.paths[" ".join(map(str, path))] == tuple(path)
+            assert endpoints(intern, " ".join(map(str, path))) == (path[-1], path[0])
             assert (origin, neighbor) == (path[-1], path[0])
+        assert_paths_are_packed(intern)
 
     def test_duplicate_rows_are_retained(self):
         snap = parse_text(
@@ -159,10 +170,65 @@ class TestParseSnapshot:
         for text in (TEN_ROW_FIXTURE, other_day):
             shared = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
             assert (rows_of(shared, intern), shared.skipped) == parse_rows(text)
-        assert intern.paths["174 3216 25133"] == (174, 3216, 25133)
+        assert endpoints(intern, "174 3216 25133") == (25133, 174)
         assert intern.prefixes["192.0.2.7/24"] == "192.0.2.0/24"
         assert intern.prefixes["not-a-prefix"] is None
         assert intern.paths[""] is None
+        assert_paths_are_packed(intern)
+
+    # Each defect in the first, a middle and the last token of a path.
+    PATH_DEFECTS = {"as-set": "{64512,64513}", "non-ascii-digit": "２５１３３",
+                    "above-asn-max": str(ASN_MAX + 1), "4301-digits": "9" * 4301}
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("defect", list(PATH_DEFECTS.values()), ids=list(PATH_DEFECTS))
+    def test_path_defect_in_any_position_is_skipped_and_counted(self, defect, position):
+        tokens = ["174", "3216", "25133"]
+        tokens[position] = defect
+        cell = " ".join(tokens)
+        intern = InternTable()
+        # Quoted, as an AS_SET's comma would otherwise end the cell.
+        text = f'prefix,as_path\n192.0.2.0/24,174 3216 25133\n198.51.100.0/24,"{cell}"\n10.0.0.0/8,"{cell}"\n'
+        snap = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
+        assert (rows_of(snap, intern), snap.skipped) == ([("192.0.2.0/24", 25133, 174)], 2)
+        assert intern.paths[cell] is None
+
+    @pytest.mark.parametrize("path, origin, neighbor", [
+        (f"0 174 {ASN_MAX}", ASN_MAX, 0),
+        (f"{ASN_MAX} 174 0", 0, ASN_MAX),
+        (f"{ASN_MAX} {ASN_MAX}", ASN_MAX, ASN_MAX),
+        ("0", 0, 0),
+        (str(ASN_MAX), ASN_MAX, ASN_MAX),
+        ("25133", 25133, 25133),
+    ])
+    def test_path_endpoints_at_the_asn_bounds(self, path, origin, neighbor):
+        intern = InternTable()
+        row = intern.entry(("192.0.2.0/24", path, None, None))
+        assert (intern.origin_of[row], intern.neighbor_of[row]) == (origin, neighbor)
+        assert endpoints(intern, path) == (origin, neighbor)
+        schema = SnapshotSchema(origin="origin", neighbor="neighbor")
+        text = (f"prefix,as_path,origin,neighbor\n192.0.2.0/24,{path},{origin},{neighbor}\n"
+                f"192.0.2.0/24,{path},{neighbor + 1},{neighbor}\n192.0.2.0/24,{path},{origin},{origin + 1}\n")
+        assert parse_rows(text, schema) == ([("192.0.2.0/24", origin, neighbor)], 2)
+
+    def test_repeated_path_cell_is_a_memo_hit_with_the_same_endpoints(self, monkeypatch):
+        parsed = []
+        real_parse_path = rtingest._parse_path
+
+        def counted_parse_path(text):
+            parsed.append(text)
+            return real_parse_path(text)
+
+        monkeypatch.setattr(rtingest, "_parse_path", counted_parse_path)
+        path = f"{ASN_MAX} 3216 0"
+        intern = InternTable()
+        first = parse_snapshot(io.StringIO(f"prefix,as_path\n192.0.2.0/24,{path}\n198.51.100.0/24,{path}\n"),
+                               "testix", day(0), intern=intern)
+        later = parse_snapshot(io.StringIO(f"prefix,as_path\n203.0.113.0/24,{path}\n"),
+                               "testix", day(1), intern=intern)
+        assert parsed == [path]
+        assert rows_of(first, intern) + rows_of(later, intern) == [
+            (prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24", "203.0.113.0/24")]
 
     SCHEMA_KEYS = {f.name for f in fields(SnapshotSchema)}
 

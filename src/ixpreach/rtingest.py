@@ -275,13 +275,7 @@ class _LineFeed:
     """The source of a file's one csv.reader: the line handed to it, or
     else the next of `lines` (for the header, and for a record that spans
     lines).  After a record, `read_on` tells whether csv asked past the
-    line handed to it, which it does even when `lines` has none left.
-
-    Every line reaches csv with each NUL written as U+FFFD, which csv
-    before Python 3.11 reads where it rejects a NUL.  Neither character
-    can stand in a kept prefix, AS path, origin or neighbor cell, so a row
-    is kept or skipped as it would be with the NUL; memo keys stay the raw
-    lines."""
+    line handed to it, which it does even when `lines` has none left."""
 
     __slots__ = ("lines", "line", "read_on")
 
@@ -296,7 +290,7 @@ class _LineFeed:
     def __next__(self) -> str:
         line, self.line = self.line, None
         self.read_on = line is None
-        return (next(self.lines) if line is None else line).replace("\0", "\ufffd")
+        return next(self.lines) if line is None else line
 
 
 def parse_snapshot(

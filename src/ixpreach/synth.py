@@ -16,6 +16,18 @@ Disruption kinds:
 * ``prefix_shrink``: every origin of a country announces only a
   ``1 - magnitude`` fraction of its prefixes for a date range
 * ``join``: brand-new origins start announcing on a date
+
+A scenario file (``load_scenario``) is one JSON object.  ``seed``,
+``window`` (``{"start": ..., "end": ...}``), ``ixps`` and ``countries``
+are required; ``gap_dates`` (none), ``disruptions`` (none),
+``confirmation_window`` (3) and ``detector`` (``trailing_window`` 7,
+``threshold`` 0.05, ``min_reference`` 10) are optional.  A country takes
+``origin_count`` (one number or an IXP map), ``prefixes_per_origin``
+(``[1, 3]``) and ``neighbor_count`` (1); a disruption takes ``kind``,
+``ixp``, ``country``, ``start`` and, as its kind needs, ``end``,
+``count`` and ``magnitude``.  Any other key is an error, and so is a
+country code or setting ``analyze`` would refuse.  The ground truth's
+baseline and final dates are the window's first and last days.
 """
 
 from __future__ import annotations
@@ -25,13 +37,13 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .asndb import REGISTRIES
-from .metrics import METRIC_NAMES
-from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
+from .metrics import METRIC_NAMES, check_country
+from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW, check_detector
 from .reachability import DEFAULT_CONFIRMATION_WINDOW, offline_days as _offline_days
 from .rtingest import DateRange, check_ixp
 
@@ -76,7 +88,6 @@ class Disruption:
     start: dt.date
     end: dt.date | None = None
     count: int | None = None
-    asns: tuple[int, ...] | None = None
     magnitude: float | None = None
 
 
@@ -88,18 +99,16 @@ class ScenarioSpec:
     countries: dict[str, CountrySpec]
     disruptions: tuple[Disruption, ...] = ()
     gap_dates: tuple[dt.date, ...] = ()
-    baseline_date: dt.date | None = None
-    final_date: dt.date | None = None
     confirmation_window: int = DEFAULT_CONFIRMATION_WINDOW
     detector: dict = field(default_factory=lambda: dict(DEFAULT_DETECTOR))
 
     @property
     def baseline(self) -> dt.date:
-        return self.baseline_date or self.window.start
+        return self.window.start
 
     @property
     def final(self) -> dt.date:
-        return self.final_date or self.window.end
+        return self.window.end
 
     def snapshot_days(self) -> list[dt.date]:
         gaps = set(self.gap_dates)
@@ -199,18 +208,19 @@ class ScenarioError(ValueError):
 def _validate(spec: ScenarioSpec) -> None:
     if not spec.ixps:
         raise ScenarioError("scenario needs at least one IXP")
-    for ixp in spec.ixps:
-        try:
-            check_ixp(ixp)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
     if not spec.countries:
         raise ScenarioError("scenario needs at least one country")
-    if spec.baseline >= spec.final:
-        raise ScenarioError("baseline date must precede the final date")
+    try:  # what analyze would refuse
+        for ixp in spec.ixps:
+            check_ixp(ixp)
+        for cc in spec.countries:
+            check_country(cc)
+        check_detector(**spec.detector)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from None
+    if spec.confirmation_window < 0:
+        raise ScenarioError("confirmation window must be >= 0")
     for day in (spec.baseline, spec.final):
-        if day not in spec.window:
-            raise ScenarioError(f"{day} lies outside the scenario window")
         if day in spec.gap_dates:
             raise ScenarioError(f"{day} cannot be a gap date")
     if len(spec.snapshot_days()) < spec.detector["trailing_window"] + 1:
@@ -236,12 +246,8 @@ def _validate(spec: ScenarioSpec) -> None:
         if d.kind == "prefix_shrink":
             if d.magnitude is None or not 0 < d.magnitude <= 1:
                 raise ScenarioError(f"{where}: magnitude must be in (0, 1]")
-        elif d.kind == "join":
-            # Joining ASNs are minted from the country's reserve block.
-            if d.asns is not None or d.count is None or d.count < 1:
-                raise ScenarioError(f"{where}: joins take a positive count, not explicit asns")
-        elif d.asns is None and (d.count is None or d.count < 1):
-            raise ScenarioError(f"{where}: needs a positive count or explicit asns")
+        elif d.count is None or d.count < 1:
+            raise ScenarioError(f"{where}: needs a positive count")
         if d.kind == "neighbor_disconnect" and spec.countries[d.country].neighbor_count < 1:
             raise ScenarioError(f"{where}: country has no neighbors to disconnect")
 
@@ -383,15 +389,9 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
             joins.setdefault((d.ixp, d.country), []).extend((asn, d.start) for asn in targets)
             continue
         pool = neighbors_at[(d.ixp, d.country)] if d.kind == "neighbor_disconnect" else origins_at[(d.ixp, d.country)]
-        if d.asns:
-            bad = set(d.asns) - set(pool)
-            if bad:
-                raise ScenarioError(f"disruption #{i}: asns {sorted(bad)} not in the {d.country} pool at {d.ixp}")
-            targets = frozenset(d.asns)
-        else:
-            if d.count > len(pool):
-                raise ScenarioError(f"disruption #{i}: count {d.count} exceeds pool of {len(pool)}")
-            targets = frozenset(rng.sample(pool, d.count))
+        if d.count > len(pool):
+            raise ScenarioError(f"disruption #{i}: count {d.count} exceeds pool of {len(pool)}")
+        targets = frozenset(rng.sample(pool, d.count))
         end = spec.window.end if d.kind == "permanent_loss" else d.end
         span = (d.start, end, targets)
         if d.kind == "neighbor_disconnect":
@@ -640,23 +640,32 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     return scenario_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _check_keys(doc: dict, cls: type, where: str) -> None:
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ScenarioError(f"{where}: unknown key {', '.join(map(repr, sorted(unknown)))}")
+
+
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
+    """A validated scenario from its JSON document; every key must name a
+    field of ScenarioSpec, CountrySpec or Disruption."""
     iso = dt.date.fromisoformat
     try:
+        _check_keys(doc, ScenarioSpec, "scenario")
         window = DateRange(iso(doc["window"]["start"]), iso(doc["window"]["end"]))
         countries = {}
         for cc, c in doc["countries"].items():
+            _check_keys(c, CountrySpec, f"country {cc}")
             count = c["origin_count"]
-            ppo = c.get("prefixes_per_origin", [1, 3])
-            if isinstance(ppo, int):
-                ppo = [ppo, ppo]
+            lo, hi = c.get("prefixes_per_origin", (1, 3))
             countries[cc] = CountrySpec(
                 origin_count=count if isinstance(count, int) else dict(count),
-                prefixes_per_origin=(int(ppo[0]), int(ppo[1])),
+                prefixes_per_origin=(int(lo), int(hi)),
                 neighbor_count=int(c.get("neighbor_count", 1)),
             )
         disruptions = []
-        for d in doc.get("disruptions", []):
+        for i, d in enumerate(doc.get("disruptions", [])):
+            _check_keys(d, Disruption, f"disruption #{i}")
             disruptions.append(Disruption(
                 kind=d["kind"],
                 ixp=d["ixp"],
@@ -664,7 +673,6 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
                 start=iso(d["start"]),
                 end=iso(d["end"]) if d.get("end") else None,
                 count=d.get("count"),
-                asns=tuple(d["asns"]) if d.get("asns") else None,
                 magnitude=d.get("magnitude"),
             ))
         detector = dict(DEFAULT_DETECTOR)
@@ -676,34 +684,28 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
             countries=countries,
             disruptions=tuple(disruptions),
             gap_dates=tuple(iso(d) for d in doc.get("gap_dates", [])),
-            baseline_date=iso(doc["baseline_date"]) if doc.get("baseline_date") else None,
-            final_date=iso(doc["final_date"]) if doc.get("final_date") else None,
             confirmation_window=int(doc.get("confirmation_window", DEFAULT_CONFIRMATION_WINDOW)),
             detector=detector,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
     _validate(spec)
     return spec
 
 
-def random_scenario(
-    seed: int,
-    *,
-    ixps: tuple[str, ...] = ("amsix", "linx", "six", "auix", "spoixbr"),
-    days: int = 70,
-    start: dt.date = dt.date(2022, 2, 19),
-    countries: tuple[str, ...] = ("UA", "RU", "DE"),
-    min_origins: int = 18,
-    max_origins: int = 45,
-) -> ScenarioSpec:
-    """A randomized but valid scenario, for oracle-equivalence testing."""
+def random_scenario(seed: int) -> ScenarioSpec:
+    """A randomized but valid scenario over the study's 5 IXPs and 70 days,
+    for oracle-equivalence testing."""
+    ixps = ("amsix", "linx", "six", "auix", "spoixbr")
+    countries = ("UA", "RU", "DE")
+    days = 70
+    start = dt.date(2022, 2, 19)
     rng = random.Random(f"scenario:{seed}")
     window = DateRange(start, start + dt.timedelta(days=days - 1))
     country_specs = {}
     for cc in countries:
         country_specs[cc] = CountrySpec(
-            origin_count=rng.randint(min_origins, max_origins),
+            origin_count=rng.randint(18, 45),
             prefixes_per_origin=(1, rng.randint(2, 4)),
             neighbor_count=rng.randint(0, 3),
         )
@@ -741,7 +743,7 @@ def random_scenario(
     return ScenarioSpec(
         seed=seed,
         window=window,
-        ixps=tuple(ixps),
+        ixps=ixps,
         countries=country_specs,
         disruptions=tuple(disruptions),
         gap_dates=gap_dates,

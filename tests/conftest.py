@@ -54,14 +54,14 @@ def rows_of(snapshot, table):
 
 
 def country_series(series, db, country):
-    """One country's (MetricSeries, origin runs) from build_series."""
+    """One country's (MetricSeries, origin masks) from build_series."""
     return build_series(series, db, [country])[country]
 
 
 def presence_of(series, db, country):
     """The country's origin presence map, built as the pipeline builds it."""
-    mseries, runs = country_series(series, db, country)
-    return origin_presence(mseries.dates, runs)
+    mseries, masks = country_series(series, db, country)
+    return origin_presence(mseries.dates, masks)
 
 
 def day_counts(mseries):

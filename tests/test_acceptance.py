@@ -55,7 +55,7 @@ def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
     with criterion(3, "20 randomized scenarios, zero verify discrepancies, under 60 s"):
         started = time.monotonic()
         for seed in range(101, 121):
-            spec = synth.random_scenario(seed, days=70)
+            spec = synth.random_scenario(seed)
             scen_dir = tmp_path / f"scen{seed}"
             gt = synth.generate(spec, scen_dir)
             db, skipped = asndb.build_from_files([("ripencc", scen_dir / "delegated.txt")])

@@ -254,19 +254,6 @@ def write_snapshot_file(root, ixp, d, rows):
     (ixp_dir / f"{d.isoformat()}.csv").write_text("\n".join(lines) + "\n")
 
 
-CSV_READER = csv.reader
-
-
-def nul_rejecting_reader(lines, *args, **kwargs):
-    """csv.reader as before Python 3.11, which raises on a line holding a NUL."""
-    def checked():
-        for line in lines:
-            if "\0" in line:
-                raise csv.Error("line contains NUL")
-            yield line
-    return CSV_READER(checked(), *args, **kwargs)
-
-
 class TestDateRange:
     def test_range_ending_on_date_max_yields_each_day(self):
         last = dt.date.max
@@ -341,10 +328,8 @@ class TestLoadSeries:
         assert [(snap.date, snap.entries, snap.skipped) for snap in series.snapshots] == [
             (BASE, (0,), 1), (day(1), (0,), 0), (day(2), (0,), 0)]
 
-    @pytest.mark.parametrize("reader", [csv.reader, nul_rejecting_reader], ids=["csv", "csv-before-3.11"])
     @pytest.mark.parametrize("age", ["1\x00h", '"1\x00\n\x00h"'], ids=["one-line", "continued"])
-    def test_nul_skips_only_rows_whose_mapped_cells_hold_one(self, monkeypatch, reader, age):
-        monkeypatch.setattr(csv, "reader", reader)
+    def test_nul_skips_only_rows_whose_mapped_cells_hold_one(self, age):
         text = (f"age,prefix,as_path\n{age},192.0.2.0/24,174 25133\n"
                 "2h,192.0.2.0\x00/24,174 25133\n3h,192.0.2.0/24,174 \x0025133\n")
         snapshot = parse_snapshot(io.StringIO(text), "amsix", BASE)

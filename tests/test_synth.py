@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,37 @@ class TestGenerate:
         assert day(4) not in result.series[("amsix", "UA")].dates
         assert result.presence[("amsix", "UA")].dates is result.series[("amsix", "UA")].dates
         assert synth.verify(gt, result) == []
+
+    def test_generated_tree_bytes_are_pinned(self, tmp_path):
+        # Benchmark trees are regenerated from this code in each checkout, so
+        # any drift in the generated bytes must show here first.  The
+        # scenario has a gap day and one disruption of every kind.
+        spec = ScenarioSpec(
+            seed=17,
+            window=DateRange(BASE, day(13)),
+            ixps=("amsix", "linx"),
+            countries={"UA": CountrySpec(origin_count=12, prefixes_per_origin=(1, 3), neighbor_count=2),
+                       "RU": CountrySpec(origin_count={"amsix": 9, "linx": 7}, neighbor_count=1)},
+            disruptions=(
+                Disruption("origin_removal", "amsix", "UA", day(4), day(5), count=2),
+                Disruption("permanent_loss", "linx", "RU", day(7), count=2),
+                Disruption("neighbor_disconnect", "amsix", "RU", day(9), day(10), count=1),
+                Disruption("prefix_shrink", "linx", "UA", day(3), day(4), magnitude=0.5),
+                Disruption("join", "amsix", "UA", day(8), count=2),
+            ),
+            gap_dates=(day(6),),
+        )
+        assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KINDS)
+        scen = tmp_path / "scen"
+        gt = synth.generate(spec, scen)
+        files = sorted(path for path in scen.rglob("*") if path.is_file())
+        assert [path.relative_to(scen).as_posix() for path in files[:2]] == ["delegated.txt", "ground_truth.json"]
+        assert len(files) == 2 + 2 * 13  # two IXPs, 14 days less the gap
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.relative_to(scen).as_posix().encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == "4dbf31e264c6bf6f62965500cedf0721e1462e37a853b0d83f3ce16753d79fa3"
+        assert synth.verify(gt, analyze_generated(tmp_path, gt)) == []
 
     def test_ground_truth_json_round_trip(self, tmp_path):
         gt = synth.generate(tiny_spec(days=10, origins=6), tmp_path / "scen")
@@ -272,6 +304,16 @@ class TestScenarioIO:
         (lambda d: d.update(gap_dates=["2022-02-19"]), "gap date"),
         (lambda d: d["countries"]["UA"].update(neighbor_count=99), "more neighbors"),
         (lambda d: d.update(ixps=["amsix", "../x"]), "not a usable IXP id"),
+        (lambda d: d.update(baseline_date="2022-02-22"), "scenario: unknown key 'baseline_date'"),
+        (lambda d: d.update(final_date="2022-03-01"), "scenario: unknown key 'final_date'"),
+        (lambda d: d["disruptions"][0].update(asns=[10000]), "disruption #0: unknown key 'asns'"),
+        (lambda d: d["countries"]["UA"].update(neighbour_count=1), "country UA: unknown key 'neighbour_count'"),
+        (lambda d: d["countries"]["UA"].update(prefixes_per_origin=2), "cannot unpack"),
+        (lambda d: d.update(detector={"trailing_window": 0}), "trailing_window must be >= 1"),
+        (lambda d: d.update(detector={"threshold": 2.0}), "threshold must be a fraction"),
+        (lambda d: d.update(detector={"window": 7}), "unexpected keyword argument 'window'"),
+        (lambda d: d.update(confirmation_window=-1), "confirmation window must be >= 0"),
+        (lambda d: d["countries"].update(ZZ={"origin_count": 3}), "not a usable country filter: 'ZZ'"),
     ])
     def test_validation_rejects_bad_scenarios(self, tmp_path, mutate, message):
         doc = {

@@ -56,9 +56,12 @@ print("AS 25133 ->", db.records[25133])
 
 # --- 3) Persist and reload ------------------------------------------------
 # The on-disk form is a sorted, diffable asn|country|registry|date file
-# under a header with the record and conflict counts.  load checks every
-# line but keeps only what analyze reads: an ASN -> country map (one str
-# per distinct code), the provenance and the conflict count.
+# under a header with the record and conflict counts.  load keeps only
+# what analyze reads: an ASN -> country map (one str per distinct code),
+# the provenance and the conflict count.  save also writes a binary
+# country index beside the file (<file>.idx); load takes the map from it
+# while it matches the text byte for byte, and otherwise checks every
+# line of the text.  Deleting the index gives the same map, only slower.
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "asndb.txt"
@@ -68,6 +71,11 @@ with tempfile.TemporaryDirectory() as tmp:
     reloaded = asndb.load(path)
     assert reloaded.countries == {asn: rec.country for asn, rec in db.records.items()}
     assert (reloaded.source_files, reloaded.conflicts) == (db.source_files, db.conflicts)
+    index = Path(f"{path}.idx")
+    print(f"country index: {index.name}, {index.stat().st_size} bytes")
+    index.unlink()
+    assert asndb.load(path) == reloaded
+    print("same map with the index deleted")
     print("AS 12389 ->", reloaded.countries.get(12389))
     print("AS 64512 ->", reloaded.countries.get(64512), "(never delegated, no country)")
     print("reload OK, country map preserved")

@@ -4,7 +4,8 @@ The package turns daily routing-table CSVs from Internet exchange points
 into per-country visibility metrics, baseline-vs-final reachability
 reports and detected outage events, with ASNs attributed to countries via
 RIR delegated-statistics data.  A deterministic synthetic-scenario
-generator provides exact ground truth for end-to-end testing.
+generator (`ixpreach.synth`, imported on its own) provides exact ground
+truth for end-to-end testing.
 """
 
 from .asndb import AsnDb, AsnRecord, MergedRecords, build_from_files, merge, parse_delegated
@@ -32,6 +33,5 @@ from .rtingest import (
     load_series,
     parse_snapshot,
 )
-from .synth import GroundTruth, ScenarioSpec, generate, load_scenario, random_scenario, verify
 
 __version__ = "0.1.0"

@@ -17,13 +17,23 @@ sides:
   `AsnDb`: an ASN -> country map with one shared `str` per distinct code.
   Registry and date live only in the saved file: `load` checks that the
   date parses and keeps neither.
+
+`save` also writes a binary country index beside the text (`<path>.idx`):
+the text's sha256 and record count, the code table, every ASN and its
+code's position in the table.  `load` reads the map from it when it
+matches the text byte for byte, and otherwise parses the text a line at
+a time.  Deleting the index only makes `load` slower.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import logging
+import os
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -37,6 +47,16 @@ _KEPT_STATUSES = frozenset({"allocated", "assigned"})
 ASN_MAX = 2**32 - 1
 
 _CC_RE = re.compile(r"^[A-Z]{2}$")
+
+# The country index `save` writes beside the text: this line, then
+# `sha256 <hex>`, `records <n>` and `codes <cc> <cc> ...` lines, then the
+# ASNs as array("I") and each ASN's code position as array("H"), both
+# little-endian and in the text's order.
+_INDEX_SUFFIX = ".idx"
+_INDEX_MAGIC = b"# asndb index 1: u32le asns, u16le code positions\n"
+_INDEX_LINE_MAX = 4096
+
+log = logging.getLogger(__name__)
 
 
 class AsnRecord(NamedTuple):
@@ -216,26 +236,131 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
     return merge(parsed, sources=provenance), skipped
 
 
+def _index_path(path: str | Path) -> Path:
+    return Path(f"{path}{_INDEX_SUFFIX}")
+
+
 def save(db: MergedRecords, path: str | Path) -> None:
-    """Write the database as sorted `asn|country|registry|date` rows."""
+    """Write the database as sorted `asn|country|registry|date` rows under
+    the provenance and `# records N conflicts M` header, and its country
+    index at `<path>.idx`.
+
+    The index is written only when `load` would read the same map from it
+    as from the text: every code is two capital letters (so the code table
+    fits array("H")), every registry is one of REGISTRIES and every ASN
+    fits array("I").  Otherwise an index left from an earlier save is
+    removed.
+    """
     lines = ["# asndb 1"]
     for registry, digest in db.source_files:
         lines.append(f"# source {registry} {digest}")
     lines.append(f"# records {len(db.records)} conflicts {db.conflicts}")
     date_texts: dict[dt.date | None, str] = {None: ""}
+    codes: dict[str, int] = {}
+    registries = set()
+    asns, positions = [], []
     for asn in sorted(db.records):
-        rec = db.records[asn]
-        date = date_texts.get(rec.date)
-        if date is None:
-            date = date_texts[rec.date] = rec.date.strftime("%Y%m%d")
-        lines.append(f"{rec.asn}|{rec.country}|{rec.registry}|{date}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        number, country, registry, date = db.records[asn]
+        date_text = date_texts.get(date)
+        if date_text is None:
+            date_text = date_texts[date] = f"{date.year:04d}{date.month:02d}{date.day:02d}"
+        lines.append(f"{number}|{country}|{registry}|{date_text}")
+        position = codes.get(country)
+        if position is None:
+            position = codes[country] = len(codes)
+        registries.add(registry)
+        asns.append(number)
+        positions.append(position)
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(path).write_bytes(text)
+
+    index = _index_path(path)
+    indexable = registries.issubset(REGISTRIES) and all(map(_CC_RE.match, codes))
+    try:
+        asn_array, position_array = array("I", asns), array("H", positions)
+    except (OverflowError, TypeError):
+        indexable = False
+    if not indexable:
+        index.unlink(missing_ok=True)
+        return
+    if sys.byteorder == "big":
+        asn_array.byteswap()
+        position_array.byteswap()
+    header = (f"sha256 {hashlib.sha256(text).hexdigest()}\nrecords {len(asns)}\n"
+              f"codes {' '.join(codes)}\n")
+    with open(index, "wb") as handle:
+        handle.write(_INDEX_MAGIC + header.encode("ascii"))
+        asn_array.tofile(handle)
+        position_array.tofile(handle)
+
+
+def _index_line(handle, key: str) -> str:
+    """The value of the next index header line, which must be `<key> <value>`."""
+    line = handle.readline(_INDEX_LINE_MAX)
+    name, _, value = line.decode("ascii").partition(" ")
+    if name != key or not value.endswith("\n"):
+        raise ValueError(f"no {key!r} line")
+    return value[:-1]
+
+
+def _read_index(handle, path: str | Path, expected: int) -> dict[int, str]:
+    """The country map in the open index `handle` of the text database at
+    `path`, whose header says `expected` records; ValueError or EOFError
+    if the index does not belong to that text or does not check out."""
+    if handle.readline(len(_INDEX_MAGIC)) != _INDEX_MAGIC:
+        raise ValueError("not an asndb index")
+    digest = _index_line(handle, "sha256")
+    count = int(_index_line(handle, "records"))
+    if count != expected:
+        raise ValueError(f"{count} records, the text header says {expected}")
+    table = _index_line(handle, "codes").split()
+    if len(set(table)) != len(table) or not all(map(_CC_RE.match, table)):
+        raise ValueError("bad code table")
+    with open(path, "rb") as text:
+        if hashlib.file_digest(text, "sha256").hexdigest() != digest:
+            raise ValueError("the text changed after the index was written")
+    asns, positions = array("I"), array("H")
+    size = os.fstat(handle.fileno()).st_size - handle.tell()
+    if size != count * (asns.itemsize + positions.itemsize):
+        raise ValueError(f"{size} bytes of arrays for {count} records")
+    asns.fromfile(handle, count)
+    positions.fromfile(handle, count)
+    if sys.byteorder == "big":
+        asns.byteswap()
+        positions.byteswap()
+    if positions and max(positions) >= len(table):
+        raise ValueError("a code position past the code table")
+    countries = dict(zip(asns, map(table.__getitem__, positions)))
+    if len(countries) != count:
+        raise ValueError("duplicate ASNs")
+    return countries
+
+
+def _load_index(path: str | Path, expected: int) -> dict[int, str] | None:
+    """The country map from the index beside the text database at `path`,
+    or None when there is none or it does not check out; the latter is
+    logged."""
+    index = _index_path(path)
+    try:
+        with open(index, "rb") as handle:
+            return _read_index(handle, path, expected)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, EOFError) as exc:
+        log.warning("%s: not used (%s); reading %s line by line", index, exc, path)
+        return None
 
 
 def load(path: str | Path) -> AsnDb:
     """Read a database previously written by :func:`save` as an AsnDb.
 
-    The file is streamed a line at a time.  Each record line must hold the
+    The header lines give the provenance, the conflict count and the
+    record count.  If the index beside the file (see `save`) holds that
+    count and the sha256 of the file's exact bytes, and its sizes and code
+    positions check out, the map is read from it: the text, which `save`
+    wrote from checked records, is then only hashed.  Otherwise, with one
+    logged warning unless there is no index, the file is streamed a line
+    at a time.  Each record line must hold the
     four `asn|country|registry|date` fields, an integer ASN and a date
     text that parses; registry and date are then dropped, and equal
     country codes share one `str`.  A malformed line raises
@@ -264,6 +389,9 @@ def load(path: str | Path) -> AsnDb:
                     elif parts[:1] == ["records"] and len(parts) == 4:
                         expected = int(parts[1])
                         conflicts = int(parts[3])
+                        if not countries and (indexed := _load_index(path, expected)) is not None:
+                            countries = indexed
+                            break
                     continue
                 asn_text, country, _registry, date_text = line.split("|")
                 asn = int(asn_text)

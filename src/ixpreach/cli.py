@@ -16,7 +16,7 @@ import datetime as dt
 import sys
 from pathlib import Path
 
-from . import asndb, metrics, outage, pipeline, svgchart, synth
+from . import asndb, metrics, outage, pipeline, svgchart
 from .metrics import METRIC_NAMES
 
 EXIT_OK = 0
@@ -199,6 +199,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth  # only this subcommand needs the generator
+
     spec = synth.load_scenario(args.spec)
     synth.generate(spec, args.out)
     gt_path = Path(args.out) / "ground_truth.json"

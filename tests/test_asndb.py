@@ -1,10 +1,17 @@
 import datetime as dt
 import io
+import logging
+import os
 import random
 import re
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
+import ixpreach
 from ixpreach import asndb
 from ixpreach.asndb import AsnRecord, REGISTRIES
 
@@ -58,6 +65,11 @@ def as_loaded(db):
 def save_and_load(db, path):
     asndb.save(db, path)
     return asndb.load(path)
+
+
+def index_of(path):
+    """Where `save` puts the country index of the database at `path`."""
+    return Path(f"{path}.idx")
 
 
 class TestParseDelegated:
@@ -321,7 +333,203 @@ class TestPersistence:
             db, _ = asndb.build_from_files(shuffled)
             path = tmp_path / f"db{i}.txt"
             asndb.save(db, path)
-            blobs.add(path.read_bytes())
+            blobs.add((path.read_bytes(), index_of(path).read_bytes()))
+        assert len(blobs) == 1
+
+
+def fixture_db(delegated_dir):
+    db, _ = asndb.build_from_files(
+        [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)])
+    return db
+
+
+def bench_sized_db(seed=20220224, size=115_000):
+    """About as many ASNs as the benchmark's databases, in ranges under 200
+    codes, from every registry, partly above 2**31 and partly dated twice."""
+    rng = random.Random(seed)
+    codes = [a + b for a in "ABCDEFGHIJ" for b in "ABCDEFGHIJKLMNOPQRST"]
+    records, asn = [], 1
+    while len(records) < size:
+        if len(records) > size // 2 and asn < 2**31:
+            asn = asndb.ASN_MAX - 2 * size
+        count = rng.randint(1, 40)
+        cc, registry = rng.choice(codes), rng.choice(REGISTRIES)
+        date = None if rng.random() < 0.05 else dt.date(1990 + rng.randrange(33), 1 + rng.randrange(12),
+                                                      1 + rng.randrange(28))
+        records += [AsnRecord(a, cc, registry, date) for a in range(asn, asn + count)]
+        asn += count + rng.randrange(50)
+    redelegated = [rec._replace(country=rng.choice(codes), date=dt.date(2023, 1, 1))
+                   for rec in rng.sample(records, 500)]
+    return asndb.merge([records, redelegated], sources=[("ripencc", "sha256:" + "ab" * 32)])
+
+
+def spy_on_index(monkeypatch):
+    """The maps the index reader returns from now on, one per load that used it."""
+    maps = []
+    read = asndb._read_index
+
+    def spy(*args):
+        maps.append(read(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(asndb, "_read_index", spy)
+    return maps
+
+
+def load_without_index(path):
+    index_of(path).unlink()
+    return asndb.load(path)
+
+
+def assert_same_db(got, want):
+    assert got == want
+    assert len({id(cc) for cc in got.countries.values()}) == len(set(want.countries.values()))
+
+
+def read_index(path):
+    """The header lines, ASN array and code positions of the index of `path`."""
+    *header, body = index_of(path).read_bytes().split(b"\n", 4)
+    count = int(header[2].split()[1])
+    asns, positions = array("I", body[:4 * count]), array("H", body[4 * count:])
+    if sys.byteorder == "big":
+        asns.byteswap()
+        positions.byteswap()
+    return header, asns, positions
+
+
+def write_index(path, header, asns, positions):
+    if sys.byteorder == "big":
+        asns.byteswap()
+        positions.byteswap()
+    index_of(path).write_bytes(b"\n".join(header) + b"\n" + asns.tobytes() + positions.tobytes())
+
+
+def edit_text(path):
+    path.write_text(path.read_text().replace("12389|RU|", "12389|UA|"))
+
+
+def truncate_index(path):
+    index_of(path).write_bytes(index_of(path).read_bytes()[:-1])
+
+
+def replace_magic(path):
+    header, asns, positions = read_index(path)
+    write_index(path, [b"# asndb index 2"] + header[1:], asns, positions)
+
+
+def position_past_table(path):
+    header, asns, positions = read_index(path)
+    positions[3] = len(header[3].split()) - 1
+    write_index(path, header, asns, positions)
+
+
+def count_off_by_one(path):
+    header, asns, positions = read_index(path)
+    header[2] = f"records {len(asns) + 1}".encode()
+    write_index(path, header, asns, positions)
+
+
+def duplicate_asn(path):
+    header, asns, positions = read_index(path)
+    asns[1] = asns[0]
+    write_index(path, header, asns, positions)
+
+
+class TestCountryIndex:
+    def test_fixture_map_equals_the_text_parse(self, tmp_path, delegated_dir, monkeypatch, caplog):
+        path = tmp_path / "asndb.txt"
+        asndb.save(fixture_db(delegated_dir), path)
+        used = spy_on_index(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="ixpreach.asndb"):
+            indexed = asndb.load(path)
+            assert len(used) == 1
+            assert_same_db(indexed, load_without_index(path))
+            assert len(used) == 1
+        assert caplog.records == []
+        assert indexed.countries[65000] == "AR"
+
+    def test_bench_sized_map_equals_the_text_parse(self, tmp_path, monkeypatch):
+        db = bench_sized_db()
+        path = tmp_path / "asndb.txt"
+        used = spy_on_index(monkeypatch)
+        indexed = save_and_load(db, path)
+        assert len(used) == 1
+        assert max(indexed.countries) > 2**31
+        assert_same_db(indexed, load_without_index(path))
+        assert indexed == as_loaded(db)
+
+    @pytest.mark.parametrize("corrupt,reason", [
+        (edit_text, "the text changed after the index was written"),
+        (truncate_index, "101 bytes of arrays for 17 records"),
+        (replace_magic, "not an asndb index"),
+        (position_past_table, "a code position past the code table"),
+        (count_off_by_one, "18 records, the text header says 17"),
+        (duplicate_asn, "duplicate ASNs"),
+    ], ids=["text-edited", "index-truncated", "wrong-magic", "position-past-table", "count-differs",
+            "duplicate-asn"])
+    def test_index_that_does_not_check_out_is_ignored_with_one_warning(self, tmp_path, delegated_dir,
+                                                                          caplog, corrupt, reason):
+        path = tmp_path / "asndb.txt"
+        asndb.save(fixture_db(delegated_dir), path)
+        corrupt(path)
+        with caplog.at_level(logging.WARNING, logger="ixpreach.asndb"):
+            loaded = asndb.load(path)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{index_of(path)}: not used ({reason}); reading {path} line by line"]
+            caplog.clear()
+            assert_same_db(loaded, load_without_index(path))
+        assert caplog.records == []
+
+    def test_edited_text_wins_over_its_stale_index(self, tmp_path, delegated_dir):
+        path = tmp_path / "asndb.txt"
+        asndb.save(fixture_db(delegated_dir), path)
+        edit_text(path)
+        assert asndb.load(path).countries[12389] == "UA"
+
+    def test_malformed_line_beside_a_stale_index_names_file_and_line(self, tmp_path, delegated_dir):
+        path = tmp_path / "asndb.txt"
+        asndb.save(fixture_db(delegated_dir), path)
+        lines = path.read_text().splitlines()
+        lineno = lines.index("1221|AU|apnic|20000401") + 1
+        lines[lineno - 1] = "1221|AU|apnic|2000-04-01"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: malformed asndb line")):
+            asndb.load(path)
+
+    @pytest.mark.parametrize("record", [
+        AsnRecord(7, "ZZZ", "ripencc"),
+        AsnRecord(7, "UA", "whois"),
+        AsnRecord(asndb.ASN_MAX + 1, "UA", "ripencc"),
+    ], ids=["three-letter-code", "unknown-registry", "asn-past-32-bits"])
+    def test_records_outside_the_index_types_leave_no_index(self, tmp_path, delegated_dir, caplog, record):
+        path = tmp_path / "asndb.txt"
+        asndb.save(fixture_db(delegated_dir), path)
+        assert index_of(path).exists()
+        db = asndb.merge([[record, AsnRecord(25133, "UA", "ripencc")]])
+        with caplog.at_level(logging.WARNING, logger="ixpreach.asndb"):
+            assert save_and_load(db, path) == as_loaded(db)
+        assert not index_of(path).exists()
+        assert caplog.records == []
+
+    def test_dates_before_year_1000_read_back(self, tmp_path):
+        records = [AsnRecord(7, "UA", "ripencc", dt.date(1, 1, 1)),
+                   AsnRecord(8, "RU", "ripencc", dt.date(999, 12, 31))]
+        db = asndb.merge([records])
+        path = tmp_path / "asndb.txt"
+        asndb.save(db, path)
+        assert path.read_text().splitlines()[-2:] == ["7|UA|ripencc|00010101", "8|RU|ripencc|09991231"]
+        assert load_without_index(path) == as_loaded(db)
+
+    def test_index_bytes_independent_of_hash_seed(self, tmp_path, delegated_dir):
+        src = Path(ixpreach.__file__).resolve().parent.parent
+        rir = [arg for r in sorted(FIXTURE_RECORDS_PER_FILE) for arg in ("--rir", f"{r}={delegated_dir / f'{r}.txt'}")]
+        blobs = set()
+        for seed in ("1", "2", "3"):
+            out = tmp_path / f"asndb-{seed}.txt"
+            subprocess.run([sys.executable, "-m", "ixpreach.cli", "build-asndb", *rir, "--out", str(out)],
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src)),
+                           check=True, capture_output=True)
+            blobs.add((out.read_bytes(), index_of(out).read_bytes()))
         assert len(blobs) == 1
 
 

@@ -1,12 +1,16 @@
 import datetime as dt
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import ixpreach
 from ixpreach import cli, outage, pipeline, synth
 from ixpreach.rtingest import DateRange
 from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
@@ -480,3 +484,12 @@ class TestSynthCommand:
         spec_path = tmp_path / "scenario.json"
         spec_path.write_text(json.dumps({"seed": 1}))
         assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "scen")]) == 2
+
+    def test_cli_import_leaves_the_generator_unloaded(self):
+        src = Path(ixpreach.__file__).resolve().parent.parent
+        probe = subprocess.run(
+            [sys.executable, "-c", "import json, sys, ixpreach.cli; print(json.dumps(list(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True, text=True)
+        loaded = json.loads(probe.stdout)
+        assert "ixpreach.cli" in loaded and "ixpreach.asndb" in loaded
+        assert "ixpreach.synth" not in loaded

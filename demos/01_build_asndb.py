@@ -60,8 +60,9 @@ print("AS 25133 ->", db.records[25133])
 # what analyze reads: an ASN -> country map (one str per distinct code),
 # the provenance and the conflict count.  save also writes a binary
 # country index beside the file (<file>.idx); load takes the map from it
-# while it matches the text byte for byte, and otherwise checks every
-# line of the text.  Deleting the index gives the same map, only slower.
+# while its digest holds for the text and the index byte for byte, and
+# otherwise checks every line of the text.  Deleting the index gives the
+# same map, only slower.
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "asndb.txt"

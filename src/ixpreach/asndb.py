@@ -19,18 +19,19 @@ sides:
   date parses and keeps neither.
 
 `save` also writes a binary country index beside the text (`<path>.idx`):
-the text's sha256 and record count, the code table, every ASN and its
-code's position in the table.  `load` reads the map from it when it
-matches the text byte for byte, and otherwise parses the text a line at
-a time.  Deleting the index only makes `load` slower.
+a sha256 of the text and of the rest of the index, the record count, the
+code table, every ASN and its code's position in the table.  `load` reads
+the map from it when that digest holds for both files byte for byte, and
+otherwise parses the text a line at a time.  Deleting the index only
+makes `load` slower.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import io
 import logging
-import os
 import re
 import sys
 from array import array
@@ -46,14 +47,16 @@ _KEPT_STATUSES = frozenset({"allocated", "assigned"})
 
 ASN_MAX = 2**32 - 1
 
-_CC_RE = re.compile(r"^[A-Z]{2}$")
+# A country code as the delegated files write it, used with fullmatch.
+COUNTRY_RE = re.compile(r"[A-Z]{2}")
 
 # The country index `save` writes beside the text: this line, then
 # `sha256 <hex>`, `records <n>` and `codes <cc> <cc> ...` lines, then the
 # ASNs as array("I") and each ASN's code position as array("H"), both
-# little-endian and in the text's order.
+# little-endian and in the text's order.  The sha256 is of the text's
+# bytes followed by every index byte after the sha256 line.
 _INDEX_SUFFIX = ".idx"
-_INDEX_MAGIC = b"# asndb index 1: u32le asns, u16le code positions\n"
+_INDEX_MAGIC = b"# asndb index 2: u32le asns, u16le code positions\n"
 _INDEX_LINE_MAX = 4096
 
 log = logging.getLogger(__name__)
@@ -162,7 +165,7 @@ def parse_delegated(source: Iterable[str]) -> tuple[list[AsnRecord], list[tuple[
         if row_registry not in REGISTRIES:
             skipped.append((lineno, f"unknown registry {row_registry!r}"))
             continue
-        if not _CC_RE.match(cc):
+        if not COUNTRY_RE.fullmatch(cc):
             skipped.append((lineno, f"bad country code {cc!r}"))
             continue
         try:
@@ -275,7 +278,7 @@ def save(db: MergedRecords, path: str | Path) -> None:
     Path(path).write_bytes(text)
 
     index = _index_path(path)
-    indexable = registries.issubset(REGISTRIES) and all(map(_CC_RE.match, codes))
+    indexable = registries.issubset(REGISTRIES) and all(map(COUNTRY_RE.fullmatch, codes))
     try:
         asn_array, position_array = array("I", asns), array("H", positions)
     except (OverflowError, TypeError):
@@ -286,10 +289,12 @@ def save(db: MergedRecords, path: str | Path) -> None:
     if sys.byteorder == "big":
         asn_array.byteswap()
         position_array.byteswap()
-    header = (f"sha256 {hashlib.sha256(text).hexdigest()}\nrecords {len(asns)}\n"
-              f"codes {' '.join(codes)}\n")
+    header = f"records {len(asns)}\ncodes {' '.join(codes)}\n".encode("ascii")
+    digest = hashlib.sha256(text)
+    for part in (header, asn_array, position_array):
+        digest.update(part)
     with open(index, "wb") as handle:
-        handle.write(_INDEX_MAGIC + header.encode("ascii"))
+        handle.write(_INDEX_MAGIC + f"sha256 {digest.hexdigest()}\n".encode("ascii") + header)
         asn_array.tofile(handle)
         position_array.tofile(handle)
 
@@ -303,28 +308,27 @@ def _index_line(handle, key: str) -> str:
     return value[:-1]
 
 
-def _read_index(handle, path: str | Path, expected: int) -> dict[int, str]:
-    """The country map in the open index `handle` of the text database at
-    `path`, whose header says `expected` records; ValueError or EOFError
+def _read_index(data: bytes, path: str | Path, expected: int) -> dict[int, str]:
+    """The country map in the bytes `data` of the index of the text
+    database at `path`, whose header says `expected` records; ValueError
     if the index does not belong to that text or does not check out."""
+    handle = io.BytesIO(data)
     if handle.readline(len(_INDEX_MAGIC)) != _INDEX_MAGIC:
         raise ValueError("not an asndb index")
     digest = _index_line(handle, "sha256")
+    hashed = memoryview(data)[handle.tell():]  # all that follows the digest
     count = int(_index_line(handle, "records"))
     if count != expected:
         raise ValueError(f"{count} records, the text header says {expected}")
     table = _index_line(handle, "codes").split()
-    if len(set(table)) != len(table) or not all(map(_CC_RE.match, table)):
+    if len(set(table)) != len(table) or not all(map(COUNTRY_RE.fullmatch, table)):
         raise ValueError("bad code table")
-    with open(path, "rb") as text:
-        if hashlib.file_digest(text, "sha256").hexdigest() != digest:
-            raise ValueError("the text changed after the index was written")
     asns, positions = array("I"), array("H")
-    size = os.fstat(handle.fileno()).st_size - handle.tell()
-    if size != count * (asns.itemsize + positions.itemsize):
-        raise ValueError(f"{size} bytes of arrays for {count} records")
-    asns.fromfile(handle, count)
-    positions.fromfile(handle, count)
+    arrays = memoryview(data)[handle.tell():]
+    if len(arrays) != count * (asns.itemsize + positions.itemsize):
+        raise ValueError(f"{len(arrays)} bytes of arrays for {count} records")
+    asns.frombytes(arrays[:count * asns.itemsize])
+    positions.frombytes(arrays[count * asns.itemsize:])
     if sys.byteorder == "big":
         asns.byteswap()
         positions.byteswap()
@@ -333,6 +337,11 @@ def _read_index(handle, path: str | Path, expected: int) -> dict[int, str]:
     countries = dict(zip(asns, map(table.__getitem__, positions)))
     if len(countries) != count:
         raise ValueError("duplicate ASNs")
+    with open(path, "rb") as text:
+        hasher = hashlib.file_digest(text, "sha256")
+    hasher.update(hashed)
+    if hasher.hexdigest() != digest:
+        raise ValueError("the text or the index changed after the index was written")
     return countries
 
 
@@ -342,11 +351,10 @@ def _load_index(path: str | Path, expected: int) -> dict[int, str] | None:
     logged."""
     index = _index_path(path)
     try:
-        with open(index, "rb") as handle:
-            return _read_index(handle, path, expected)
+        return _read_index(index.read_bytes(), path, expected)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError) as exc:
         log.warning("%s: not used (%s); reading %s line by line", index, exc, path)
         return None
 
@@ -356,11 +364,11 @@ def load(path: str | Path) -> AsnDb:
 
     The header lines give the provenance, the conflict count and the
     record count.  If the index beside the file (see `save`) holds that
-    count and the sha256 of the file's exact bytes, and its sizes and code
-    positions check out, the map is read from it: the text, which `save`
-    wrote from checked records, is then only hashed.  Otherwise, with one
-    logged warning unless there is no index, the file is streamed a line
-    at a time.  Each record line must hold the
+    count and the sha256 of the file's exact bytes and its own, and its
+    sizes and code positions check out, the map is read from it: the
+    text, which `save` wrote from checked records, is then only hashed.
+    Otherwise, with one logged warning unless there is no index, the file
+    is streamed a line at a time.  Each record line must hold the
     four `asn|country|registry|date` fields, an integer ASN and a date
     text that parses; registry and date are then dropped, and equal
     country codes share one `str`.  A malformed line raises

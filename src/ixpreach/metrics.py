@@ -31,25 +31,22 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import IO, Iterable
 
-from .asndb import AsnDb
+from .asndb import COUNTRY_RE, AsnDb
 from .rtingest import SnapshotSeries
 
 METRIC_NAMES = ("announcements", "distinct_origins", "distinct_prefixes", "distinct_neighbors")
 
 METRICS_CSV_HEADER = ("ixp", "country", "date") + METRIC_NAMES
 
-_COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
-
 
 def check_country(country: str) -> str:
     """Reject filter codes that can never name a real country."""
-    if not _COUNTRY_RE.match(country) or country == "ZZ":
+    if not COUNTRY_RE.fullmatch(country) or country == "ZZ":
         raise ValueError(f"not a usable country filter: {country!r}")
     return country
 

@@ -14,13 +14,13 @@ record on the line it starts on, without reading past it, the key is that
 raw line, so a repeated line costs one dict lookup and never reaches csv;
 otherwise the key is the row's mapped cells, so unmapped columns that
 change from row to row do not defeat the memo.  A new row's prefix and
-AS-path cells are parsed through per-cell memos; the path memo keeps only
-a path's two endpoints, packed into one int, as no row reads the ASNs
-between them.  A kept row gets the next dense row id, whose prefix,
-origin and neighbor the table records once in its columns.  A day is
-then the tuple of its rows' ids plus a skip count.  `load_series` keeps
-one table per IXP for the whole series and hands its columns to the
-SnapshotSeries; the memos are dropped once the series is loaded.
+AS-path cells are parsed on the spot, and of the path only its two
+endpoints are kept, as no row reads the ASNs between them.  A kept row
+gets the next dense row id, whose prefix, origin and neighbor the table
+records once in its columns.  A day is then the tuple of its rows' ids
+plus a skip count.  `load_series` keeps one table per IXP for the whole
+series and hands its columns to the SnapshotSeries; the memo is dropped
+once the series is loaded.
 """
 
 from __future__ import annotations
@@ -142,20 +142,17 @@ Cells = tuple[str | None, ...]
 
 @dataclass
 class InternTable:
-    """The parsed form of every distinct raw cell and row seen so far.
+    """The parsed form of every distinct row seen so far.
 
-    `prefixes` maps a raw prefix cell to its canonical CIDR text and
-    `paths` a raw AS-path cell to `origin << 32 | neighbor`, its last and
-    first ASN packed into one int (an ASN fits in 32 bits), None marking
-    a defective cell in either memo.  `rows` maps a column layout to a
-    memo from a row key to the row's id, or None for a counted skip.  The
-    key of a row is its raw physical line, terminator included, when the
-    header maps every one of its columns and csv ended the record on that
-    line without reading past it, so the line alone holds its mapped
-    cells; otherwise it is the row's mapped `Cells`, so unmapped columns
-    play no part in it.  What a key of either kind decides depends only on
-    the layout, and a layout has its own memo because a line means other
-    cells under another header.
+    `rows` maps a column layout to a memo from a row key to the row's id,
+    or None for a counted skip.  The key of a row is its raw physical
+    line, terminator included, when the header maps every one of its
+    columns and csv ended the record on that line without reading past
+    it, so the line alone holds its mapped cells; otherwise it is the
+    row's mapped `Cells`, so unmapped columns play no part in it.  What a
+    key of either kind decides depends only on the layout, and a layout
+    has its own memo because a line means other cells under another
+    header.  A row's cells are parsed once, when its key is first seen.
 
     Row ids are dense, from 0, one per memo key that decided a kept row;
     `prefix_of`, `origin_of` and `neighbor_of` hold each id's fields, the
@@ -164,8 +161,6 @@ class InternTable:
     their endpoints) and then hold two ids.
     """
 
-    prefixes: dict[str, str | None] = field(default_factory=dict)
-    paths: dict[str, int | None] = field(default_factory=dict)
     rows: dict[Layout, dict[str | Cells, int | None]] = field(default_factory=dict)
     prefix_of: list[str] = field(default_factory=list)
     origin_of: array = field(default_factory=lambda: array("I"))
@@ -175,17 +170,13 @@ class InternTable:
         """A new row id for a row's mapped cells, or None when its path or
         prefix is defective or a mapped origin/neighbor cell disagrees with
         the path."""
-        path = self.paths.get(cells[1], _UNSEEN)
-        if path is _UNSEEN:
-            path = self.paths[cells[1]] = _parse_path(cells[1])
+        path = _parse_path(cells[1])
         if path is None:
             return None
-        prefix = self.prefixes.get(cells[0], _UNSEEN)
-        if prefix is _UNSEEN:
-            prefix = self.prefixes[cells[0]] = _normalize_prefix(cells[0])
+        prefix = _normalize_prefix(cells[0])
         if prefix is None:
             return None
-        origin, neighbor = path >> 32, path & ASN_MAX
+        origin, neighbor = path
         if len(cells) > 2:  # an origin or neighbor column is mapped
             for cell, asn in zip(cells[2:], (origin, neighbor)):
                 if cell is not None and cell.strip() != str(asn):
@@ -242,11 +233,11 @@ def _normalize_prefix(text: str) -> str | None:
         return None
 
 
-def _parse_path(text: str) -> int | None:
-    """`origin << 32 | neighbor` for an AS-path cell (its last and first
-    ASN), or None when it is empty or holds a token that is not a plain
-    ASN (brace-delimited AS_SETs included) or is above ASN_MAX.  Every
-    token is checked, but only the endpoints are kept."""
+def _parse_path(text: str) -> tuple[int, int] | None:
+    """`(origin, neighbor)` for an AS-path cell (its last and first ASN),
+    or None when it is empty or holds a token that is not a plain ASN
+    (brace-delimited AS_SETs included) or is above ASN_MAX.  Every token
+    is checked, but only the endpoints are kept."""
     first = None
     for token in text.split():
         if not (token.isascii() and token.isdigit()):
@@ -261,7 +252,7 @@ def _parse_path(text: str) -> int | None:
             first = asn
     if first is None:
         return None
-    return asn << 32 | first
+    return asn, first
 
 
 def _resolve_column(header: list[str], name: str) -> int:

@@ -413,8 +413,16 @@ def truncate_index(path):
 
 
 def replace_magic(path):
+    """The index as the previous format version labels it."""
     header, asns, positions = read_index(path)
-    write_index(path, [b"# asndb index 2"] + header[1:], asns, positions)
+    write_index(path, [b"# asndb index 1: u32le asns, u16le code positions"] + header[1:], asns, positions)
+
+
+def move_asn_to_another_code(path):
+    """A well-formed edit of the arrays: 12389 (RU) takes 25133's code (UA)."""
+    header, asns, positions = read_index(path)
+    positions[asns.index(12389)] = positions[asns.index(25133)]
+    write_index(path, header, asns, positions)
 
 
 def position_past_table(path):
@@ -459,14 +467,15 @@ class TestCountryIndex:
         assert indexed == as_loaded(db)
 
     @pytest.mark.parametrize("corrupt,reason", [
-        (edit_text, "the text changed after the index was written"),
+        (edit_text, "the text or the index changed after the index was written"),
+        (move_asn_to_another_code, "the text or the index changed after the index was written"),
         (truncate_index, "101 bytes of arrays for 17 records"),
         (replace_magic, "not an asndb index"),
         (position_past_table, "a code position past the code table"),
         (count_off_by_one, "18 records, the text header says 17"),
         (duplicate_asn, "duplicate ASNs"),
-    ], ids=["text-edited", "index-truncated", "wrong-magic", "position-past-table", "count-differs",
-            "duplicate-asn"])
+    ], ids=["text-edited", "index-arrays-edited", "index-truncated", "wrong-magic", "position-past-table",
+            "count-differs", "duplicate-asn"])
     def test_index_that_does_not_check_out_is_ignored_with_one_warning(self, tmp_path, delegated_dir,
                                                                           caplog, corrupt, reason):
         path = tmp_path / "asndb.txt"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -125,6 +126,31 @@ class TestAnalyze:
         assert files1 == files2
         for rel in files1:
             assert (tmp_path / "out1" / rel).read_bytes() == (tmp_path / "out2" / rel).read_bytes()
+
+    def test_output_and_stdout_are_independent_of_hash_seed(self, analyzed_scenario):
+        tmp_path, scen, gt = analyzed_scenario
+        src = Path(ixpreach.__file__).resolve().parent.parent
+        out = tmp_path / "out"
+        # Two seeds under which a set of the scenario's country codes
+        # iterates in different orders.
+        orders = {}
+        for seed in map(str, range(1, 100)):
+            if len(orders) == 2:
+                break
+            order = subprocess.run([sys.executable, "-c", f"print(*set({gt.countries!r}))"],
+                                   env=dict(os.environ, PYTHONHASHSEED=seed),
+                                   check=True, capture_output=True, text=True).stdout
+            orders.setdefault(order, seed)
+        assert len(orders) == 2
+        runs = []
+        for seed in orders.values():
+            done = subprocess.run([sys.executable, "-m", "ixpreach.cli", *self.analyze_args(tmp_path, scen, gt)],
+                                  env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src)),
+                                  check=True, capture_output=True, text=True)
+            runs.append((done.stdout, {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}))
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
+        assert runs[0][0].startswith(f"wrote {len(runs[0][1])} files under {out}")
 
     def test_seed_catalog_matches_the_packaged_file(self, analyzed_scenario):
         tmp_path, scen, gt = analyzed_scenario

@@ -92,6 +92,10 @@ class TestComputeDaily:
         with pytest.raises(ValueError):
             build_series(make_series({BASE: []}), db, ["UA", "ZZ"])
 
+    def test_code_with_a_trailing_newline_is_not_a_country_filter(self):
+        with pytest.raises(ValueError, match="not a usable country filter"):
+            metrics.check_country("UA\n")
+
 
 def brute_masks(daily):
     """Each origin's mask of indices, from one origin set per index."""

@@ -58,16 +58,6 @@ def oracle_rows(text):
     return good, bad
 
 
-def endpoints(intern, path_cell):
-    """The (origin, neighbor) an InternTable keeps for an AS-path cell."""
-    return divmod(intern.paths[path_cell], 1 << 32)
-
-
-def assert_paths_are_packed(intern):
-    """Each parsed AS path is held as one int, not a sequence of ASNs."""
-    assert all(type(packed) is int for packed in intern.paths.values() if packed is not None)
-
-
 def parse_text(text, schema=rtingest.DEFAULT_SCHEMA):
     return parse_snapshot(io.StringIO(text), "testix", BASE, schema)
 
@@ -111,9 +101,8 @@ class TestParseSnapshot:
         assert len(snap.entries) == len(expected_good) == 6
         assert snap.skipped == expected_bad == 4
         for (_, origin, neighbor), (_, path) in zip(rows_of(snap, intern), expected_good, strict=True):
-            assert endpoints(intern, " ".join(map(str, path))) == (path[-1], path[0])
+            assert rtingest._parse_path(" ".join(map(str, path))) == (path[-1], path[0])
             assert (origin, neighbor) == (path[-1], path[0])
-        assert_paths_are_packed(intern)
 
     def test_duplicate_rows_are_retained(self):
         snap = parse_text(
@@ -170,11 +159,12 @@ class TestParseSnapshot:
         for text in (TEN_ROW_FIXTURE, other_day):
             shared = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
             assert (rows_of(shared, intern), shared.skipped) == parse_rows(text)
-        assert endpoints(intern, "174 3216 25133") == (25133, 174)
-        assert intern.prefixes["192.0.2.7/24"] == "192.0.2.0/24"
-        assert intern.prefixes["not-a-prefix"] is None
-        assert intern.paths[""] is None
-        assert_paths_are_packed(intern)
+        memo = intern.rows[(0, 1, None, None)]
+        row = memo["192.0.2.7/24,174 3216 25133\n"]
+        assert (intern.prefix_of[row], intern.origin_of[row], intern.neighbor_of[row]) == (
+            "192.0.2.0/24", 25133, 174)
+        assert memo["not-a-prefix,174 25133\n"] is None
+        assert memo["10.0.0.0/8,\n"] is None
 
     # Each defect in the first, a middle and the last token of a path.
     PATH_DEFECTS = {"as-set": "{64512,64513}", "non-ascii-digit": "２５１３３",
@@ -191,7 +181,7 @@ class TestParseSnapshot:
         text = f'prefix,as_path\n192.0.2.0/24,174 3216 25133\n198.51.100.0/24,"{cell}"\n10.0.0.0/8,"{cell}"\n'
         snap = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
         assert (rows_of(snap, intern), snap.skipped) == ([("192.0.2.0/24", 25133, 174)], 2)
-        assert intern.paths[cell] is None
+        assert rtingest._parse_path(cell) is None
 
     @pytest.mark.parametrize("path, origin, neighbor", [
         (f"0 174 {ASN_MAX}", ASN_MAX, 0),
@@ -205,30 +195,30 @@ class TestParseSnapshot:
         intern = InternTable()
         row = intern.entry(("192.0.2.0/24", path, None, None))
         assert (intern.origin_of[row], intern.neighbor_of[row]) == (origin, neighbor)
-        assert endpoints(intern, path) == (origin, neighbor)
+        assert rtingest._parse_path(path) == (origin, neighbor)
         schema = SnapshotSchema(origin="origin", neighbor="neighbor")
         text = (f"prefix,as_path,origin,neighbor\n192.0.2.0/24,{path},{origin},{neighbor}\n"
                 f"192.0.2.0/24,{path},{neighbor + 1},{neighbor}\n192.0.2.0/24,{path},{origin},{origin + 1}\n")
         assert parse_rows(text, schema) == ([("192.0.2.0/24", origin, neighbor)], 2)
 
-    def test_repeated_path_cell_is_a_memo_hit_with_the_same_endpoints(self, monkeypatch):
+    def test_repeated_line_is_a_row_memo_hit_and_a_new_line_is_parsed(self, monkeypatch):
         parsed = []
-        real_parse_path = rtingest._parse_path
-
-        def counted_parse_path(text):
-            parsed.append(text)
-            return real_parse_path(text)
-
-        monkeypatch.setattr(rtingest, "_parse_path", counted_parse_path)
+        for name in ("_parse_path", "_normalize_prefix"):
+            def counted(text, real=getattr(rtingest, name)):
+                parsed.append(text)
+                return real(text)
+            monkeypatch.setattr(rtingest, name, counted)
         path = f"{ASN_MAX} 3216 0"
         intern = InternTable()
-        first = parse_snapshot(io.StringIO(f"prefix,as_path\n192.0.2.0/24,{path}\n198.51.100.0/24,{path}\n"),
+        first = parse_snapshot(io.StringIO(f"prefix,as_path\n192.0.2.0/24,{path}\n"),
                                "testix", day(0), intern=intern)
-        later = parse_snapshot(io.StringIO(f"prefix,as_path\n203.0.113.0/24,{path}\n"),
+        parsed.clear()
+        # Day 1 repeats day 0's line and adds one that shares its path cell.
+        later = parse_snapshot(io.StringIO(f"prefix,as_path\n192.0.2.0/24,{path}\n198.51.100.0/24,{path}\n"),
                                "testix", day(1), intern=intern)
-        assert parsed == [path]
-        assert rows_of(first, intern) + rows_of(later, intern) == [
-            (prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24", "203.0.113.0/24")]
+        assert sorted(parsed) == sorted([path, "198.51.100.0/24"])
+        assert later.entries[0] == first.entries[0]
+        assert rows_of(later, intern) == [(prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24")]
 
     SCHEMA_KEYS = {f.name for f in fields(SnapshotSchema)}
 
@@ -370,7 +360,7 @@ class TestLoadSeries:
             assert snapshot.entries == first.entries
         assert len(series.origin_of) == 2
 
-    def test_repeated_cells_are_parsed_once_past_the_old_cache_bound(self, tmp_path, monkeypatch):
+    def test_each_distinct_row_is_parsed_once_past_the_old_cache_bound(self, tmp_path, monkeypatch):
         n = (1 << 16) + 4_000
         v6 = 500
         prefixes = [f"{10 + (i >> 16)}.{(i >> 8) & 255}.{i & 255}.0/24" for i in range(n)]
@@ -393,15 +383,16 @@ class TestLoadSeries:
         monkeypatch.setattr(rtingest, "_normalize_prefix", counted_normalize)
         monkeypatch.setattr(ipaddress, "ip_network", counted_network)
         series = load_series(tmp_path, "amsix", DateRange(BASE, day(1)))
-        # Each distinct prefix cell is parsed once, and the fast path takes
-        # both families: no cell reaches ipaddress.
-        assert normalized[0] == n + v6
+        # Each distinct row is parsed once, so a prefix cell is parsed again
+        # only behind a new path, and the fast path takes both families: no
+        # cell reaches ipaddress.
+        assert normalized[0] == (n + v6) * 3 // 2
         assert networks[0] == 0
         first, second = series.snapshots
         assert len(first.entries) == len(second.entries) == n + v6
         prefix_of = series.prefix_of
         assert prefix_of[first.entries[-1]] == f"2001:db8:{v6 - 1:x}::/48"
-        assert all(prefix_of[a] is prefix_of[b] for a, b in zip(first.entries, second.entries))
+        assert all(prefix_of[a] == prefix_of[b] for a, b in zip(first.entries, second.entries))
         assert all((a == b) == (i % 2 == 0) for i, (a, b) in enumerate(zip(first.entries, second.entries)))
         assert len(prefix_of) == len(set(first.entries + second.entries)) == (n + v6) * 3 // 2
 

@@ -314,6 +314,7 @@ class TestScenarioIO:
         (lambda d: d.update(detector={"window": 7}), "unexpected keyword argument 'window'"),
         (lambda d: d.update(confirmation_window=-1), "confirmation window must be >= 0"),
         (lambda d: d["countries"].update(ZZ={"origin_count": 3}), "not a usable country filter: 'ZZ'"),
+        (lambda d: d["countries"].update({"UA\n": {"origin_count": 3}}), r"not a usable country filter: 'UA\\n'"),
     ])
     def test_validation_rejects_bad_scenarios(self, tmp_path, mutate, message):
         doc = {

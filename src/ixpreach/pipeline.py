@@ -77,10 +77,11 @@ def read_settings(path: str | Path, known: Container[str]) -> dict[str, str]:
 
     `#` starts a comment and blank lines are skipped; the last value for a
     key wins.  A line without `=`, or whose key is not in `known`, raises
-    ValueError naming `<path>:<lineno>`.
+    ValueError naming `<path>:<lineno>`.  A leading byte-order mark is
+    dropped.
     """
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

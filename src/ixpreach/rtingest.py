@@ -1,21 +1,22 @@
 """Parse daily route-server snapshot CSVs into row ids.
 
-A snapshot file is one IXP's routing table for one day: a UTF-8 CSV with a
-header row, where one column holds the announced prefix and another the
-space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
+A snapshot file is one IXP's routing table for one day: a UTF-8 CSV (a
+leading byte-order mark is dropped) with a header row, where one column
+holds the announced prefix and another the space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
 Parsing goes through an `InternTable`.  One `csv.reader` per file reads
 the header and every line not seen before, so quoted and multi-line
 records and csv errors behave exactly as with a plain reader.  Each row
 is looked up in a memo kept per column layout, so a row repeated from an
 earlier day yields the row id (or the skip) decided when it was first
-seen.  When the header maps every one of its columns and csv ends a
-record on the line it starts on, without reading past it, the key is that
-raw line, so a repeated line costs one dict lookup and never reaches csv;
-otherwise the key is the row's mapped cells, so unmapped columns that
-change from row to row do not defeat the memo.  A new row's prefix and
-AS-path cells are parsed on the spot, and of the path only its two
-endpoints are kept, as no row reads the ASNs between them.  A kept row
+seen.  When the header holds only the prefix and AS-path columns and csv
+ends a record on the line it starts on, without reading past it, the key
+is that raw line, so a repeated line costs one dict lookup and never
+reaches csv; otherwise the key is the row's prefix and AS-path cells, so
+other columns that change from row to row do not defeat the memo.  A new
+row's two cells are parsed on the spot, and of the path only its two
+endpoints are kept: they are the row's origin (the last ASN) and
+neighbor (the first), and no row reads the ASNs between them.  A kept row
 gets the next dense row id, whose prefix, origin and neighbor the table
 records once in its columns.  A day is then the tuple of its rows' ids
 plus a skip count.  `load_series` keeps one table per IXP for the whole
@@ -112,17 +113,15 @@ class SnapshotSeries:
 
 @dataclass(frozen=True)
 class SnapshotSchema:
-    """Maps logical snapshot fields to CSV column names.
-
-    `origin` and `neighbor` may name columns carrying precomputed values;
-    when mapped, rows whose cells disagree with the path endpoints are
-    treated as defective and skipped.
-    """
+    """The CSV column names of a snapshot's prefix and AS path; a row's
+    origin and neighbor are the two ends of its path."""
 
     prefix: str = "prefix"
     as_path: str = "as_path"
-    origin: str | None = None
-    neighbor: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.prefix == self.as_path:
+            raise ValueError(f"schema maps prefix and as_path to the same column {self.prefix!r}")
 
 
 DEFAULT_SCHEMA = SnapshotSchema()
@@ -130,14 +129,11 @@ DEFAULT_SCHEMA = SnapshotSchema()
 
 _UNSEEN = object()
 
-# Column indices (prefix, as_path, origin, neighbor) of one header; origin
-# and neighbor are None when not mapped.
-Layout = tuple[int, int, int | None, int | None]
+# Column indices (prefix, as_path) of one header.
+Layout = tuple[int, int]
 
-# A row's mapped cells: (prefix, as_path) when neither origin nor neighbor
-# is mapped, else (prefix, as_path, origin, neighbor) with None for the one
-# not mapped.
-Cells = tuple[str | None, ...]
+# A row's (prefix, as_path) cells.
+Cells = tuple[str, str]
 
 
 @dataclass
@@ -146,13 +142,12 @@ class InternTable:
 
     `rows` maps a column layout to a memo from a row key to the row's id,
     or None for a counted skip.  The key of a row is its raw physical
-    line, terminator included, when the header maps every one of its
-    columns and csv ended the record on that line without reading past
-    it, so the line alone holds its mapped cells; otherwise it is the
-    row's mapped `Cells`, so unmapped columns play no part in it.  What a
-    key of either kind decides depends only on the layout, and a layout
-    has its own memo because a line means other cells under another
-    header.  A row's cells are parsed once, when its key is first seen.
+    line, terminator included, when the header holds only the prefix and
+    AS-path columns and csv ended the record on that line without reading
+    past it, so the line alone holds both cells; otherwise it is the row's
+    `Cells`, so other columns play no part in it.  What a key of either
+    kind decides depends only on the layout, and a layout has its own memo
+    because a line means other cells under another header.  A row's cells are parsed once, when its key is first seen.
 
     Row ids are dense, from 0, one per memo key that decided a kept row;
     `prefix_of`, `origin_of` and `neighbor_of` hold each id's fields, the
@@ -167,9 +162,8 @@ class InternTable:
     neighbor_of: array = field(default_factory=lambda: array("I"))
 
     def entry(self, cells: Cells) -> int | None:
-        """A new row id for a row's mapped cells, or None when its path or
-        prefix is defective or a mapped origin/neighbor cell disagrees with
-        the path."""
+        """A new row id for a row's cells, or None when its path or prefix
+        is defective."""
         path = _parse_path(cells[1])
         if path is None:
             return None
@@ -177,10 +171,6 @@ class InternTable:
         if prefix is None:
             return None
         origin, neighbor = path
-        if len(cells) > 2:  # an origin or neighbor column is mapped
-            for cell, asn in zip(cells[2:], (origin, neighbor)):
-                if cell is not None and cell.strip() != str(asn):
-                    return None
         self.prefix_of.append(prefix)
         self.origin_of.append(origin)
         self.neighbor_of.append(neighbor)
@@ -295,14 +285,13 @@ def parse_snapshot(
 
     Every data row yields either its row id in `intern` or a +1 on the
     skipped counter; blank lines are ignored and duplicate rows are kept,
-    each being one announcement.  Rows too short to hold every mapped
-    column, with empty paths, non-numeric path tokens (including
-    brace-delimited AS_SET segments), unparseable prefixes or mapped
-    origin/neighbor cells that disagree with the path are skipped.  One
-    `csv.reader` reads the header and every line the memo has not decided.
-    `intern` is shared by the snapshots of one series, and its columns
-    give each id's fields; when None a fresh table is used, and the ids
-    then serve only to count rows.
+    each being one announcement.  Rows too short to hold both mapped
+    columns, with empty paths, non-numeric path tokens (including
+    brace-delimited AS_SET segments) or unparseable prefixes are skipped.
+    One `csv.reader` reads the header and every line the memo has not
+    decided.  `intern` is shared by the snapshots of one series, and its
+    columns give each id's fields; when None a fresh table is used, and
+    the ids then serve only to count rows.
     """
     lines = iter(source)
     feed = _LineFeed(lines)
@@ -310,27 +299,15 @@ def parse_snapshot(
     header = next(reader, None)
     if header is None:
         raise ValueError(f"snapshot for {ixp} {date} has no header row")
-    layout: Layout = (
-        _resolve_column(header, schema.prefix),
-        _resolve_column(header, schema.as_path),
-        _resolve_column(header, schema.origin) if schema.origin else None,
-        _resolve_column(header, schema.neighbor) if schema.neighbor else None,
-    )
-    p_idx, a_idx, o_idx, n_idx = layout
-    if o_idx is None and n_idx is None:
-        cells_of = operator.itemgetter(p_idx, a_idx)
-    else:
-        def cells_of(row: list[str]) -> Cells:
-            return (row[p_idx], row[a_idx],
-                    None if o_idx is None else row[o_idx],
-                    None if n_idx is None else row[n_idx])
-
+    layout: Layout = (_resolve_column(header, schema.prefix), _resolve_column(header, schema.as_path))
+    cells_of = operator.itemgetter(*layout)
     if intern is None:
         intern = InternTable()
     memo = intern.rows.setdefault(layout, {})
-    # A line that holds nothing but mapped cells is its own memo key, so a
-    # repeated one costs a single lookup.
-    by_line = len(header) == len({p_idx, a_idx, o_idx, n_idx} - {None})
+    # A line that holds nothing but the two mapped cells is its own memo
+    # key, so a repeated one costs a single lookup.  The schema's two names
+    # differ, so they resolve to two columns.
+    by_line = len(header) == len(layout)
     entries: list[int] = []
     skipped = 0
     for line in lines:
@@ -342,14 +319,14 @@ def parse_snapshot(
                 continue
             try:
                 cells = cells_of(row)
-            except IndexError:  # a row short of any mapped column is skipped
+            except IndexError:  # a row short of a mapped column is skipped
                 skipped += 1
                 continue
             if by_line and not feed.read_on:
                 # The line just missed the memo and is the row's key.
                 entry = memo[line] = intern.entry(cells)
             else:
-                # Under a header with unmapped columns, or for a record
+                # Under a header with other columns, or for a record
                 # csv did not end on this line (it read on into the next
                 # lines, or to the end of the file), the key is the cells.
                 entry = memo.get(cells, _UNSEEN)
@@ -387,7 +364,9 @@ def load_series(
     for day in window.days():
         path = ixp_dir / f"{day.isoformat()}.csv"
         try:
-            with open(path, newline="", encoding="utf-8") as handle:
+            # utf-8-sig drops a leading byte-order mark, which would
+            # otherwise become part of the first column's name.
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 snapshots.append(parse_snapshot(handle, ixp, day, schema, intern))
         except FileNotFoundError:
             gaps.append(day)

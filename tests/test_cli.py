@@ -317,12 +317,39 @@ class TestAnalyze:
             assert run(["analyze", "--config", str(config)]) == 1
             assert f"{config}:2:" in capsys.readouterr().err
 
-    def test_bad_schema_file_is_data_error(self, analyzed_scenario, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("med = MED\n", "{schema}:1:"),
+        ("prefix = as_path\n", "prefix and as_path to the same column 'as_path'"),
+    ], ids=["unknown-key", "same-column"])
+    def test_bad_schema_file_is_data_error(self, analyzed_scenario, capsys, text, message):
         tmp_path, scen, gt = analyzed_scenario
         schema = tmp_path / "schema.cfg"
-        schema.write_text("med = MED\n")
+        schema.write_text(text)
         assert run(self.analyze_args(tmp_path, scen, gt) + ["--schema", str(schema)]) == 2
-        assert f"{schema}:1:" in capsys.readouterr().err
+        assert message.format(schema=schema) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_file_maps_renamed_columns(self, analyzed_scenario, capsys):
+        # The renamed tree adds an unmapped age column that changes on every
+        # row, so every row is keyed by its cells, not by its line.
+        tmp_path, scen, gt = analyzed_scenario
+        renamed = tmp_path / "renamed"
+        shutil.copytree(scen / "snapshots", renamed)
+        for path in renamed.rglob("*.csv"):
+            header, *rows = path.read_text().splitlines()
+            assert header == "prefix,as_path"
+            path.write_text("Prefix,ASPath,age\n" + "".join(f"{row},{i}s\n" for i, row in enumerate(rows)))
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("prefix = Prefix\nas_path = ASPath\n")
+        args = self.analyze_args(tmp_path, scen, gt)
+        out = tmp_path / "out"
+        runs = []
+        for extra in ([], ["--snapshots", str(renamed), "--schema", str(schema)]):
+            assert run(args + extra) == 0
+            runs.append((capsys.readouterr().out, {p.relative_to(out): p.read_bytes()
+                                                   for p in out.rglob("*") if p.is_file()}))
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
 
     def test_missing_required_settings_is_usage_error(self):
         assert run(["analyze"]) == 1

@@ -58,8 +58,8 @@ def oracle_rows(text):
     return good, bad
 
 
-def parse_text(text, schema=rtingest.DEFAULT_SCHEMA):
-    return parse_snapshot(io.StringIO(text), "testix", BASE, schema)
+def parse_text(text):
+    return parse_snapshot(io.StringIO(text), "testix", BASE)
 
 
 def parse_rows(text, schema=rtingest.DEFAULT_SCHEMA):
@@ -72,7 +72,7 @@ def parse_rows(text, schema=rtingest.DEFAULT_SCHEMA):
 class TestRouteEntry:
     def test_origin_is_last_neighbor_is_first(self):
         intern = InternTable()
-        row = intern.entry(("192.0.2.0/24", "174 3216 25133", None, None))
+        row = intern.entry(("192.0.2.0/24", "174 3216 25133"))
         assert (intern.prefix_of[row], intern.origin_of[row], intern.neighbor_of[row]) == (
             "192.0.2.0/24", 25133, 174)
 
@@ -131,21 +131,17 @@ class TestParseSnapshot:
         rows, _ = parse_rows("nexthop,pfx,aspath\n10.0.0.1,192.0.2.0/24,174 25133\n", schema)
         assert rows == [("192.0.2.0/24", 25133, 174)]
 
-    def test_precomputed_origin_column_must_agree(self):
-        schema = SnapshotSchema(origin="origin")
-        text = "prefix,as_path,origin\n192.0.2.0/24,174 25133,25133\n198.51.100.0/24,174 25133,99\n"
-        snap = parse_text(text, schema)
-        assert len(snap.entries) == 1
-        assert snap.skipped == 1
-
-    @pytest.mark.parametrize("column", ["origin", "neighbor"])
-    def test_row_short_of_a_mapped_column_is_skipped(self, column):
-        schema = SnapshotSchema(**{column: column})
-        good = "25133" if column == "origin" else "174"
-        text = f"prefix,as_path,{column}\n192.0.2.0/24,174 25133\n198.51.100.0/24,174 25133,{good}\n"
-        rows, skipped = parse_rows(text, schema)
+    def test_row_short_of_a_mapped_column_is_skipped(self):
+        text = "age,prefix,as_path\n1h,192.0.2.0/24\n2h,198.51.100.0/24,174 25133\n"
+        rows, skipped = parse_rows(text)
         assert [prefix for prefix, _, _ in rows] == ["198.51.100.0/24"]
         assert skipped == 1
+
+    def test_schema_rejects_one_column_for_both_fields(self):
+        with pytest.raises(ValueError, match="prefix and as_path to the same column 'route'"):
+            SnapshotSchema(prefix="route", as_path="route")
+        with pytest.raises(ValueError, match="same column 'as_path'"):
+            SnapshotSchema(prefix="as_path")
 
     def test_parse_is_deterministic(self):
         a = parse_text(TEN_ROW_FIXTURE)
@@ -159,7 +155,7 @@ class TestParseSnapshot:
         for text in (TEN_ROW_FIXTURE, other_day):
             shared = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
             assert (rows_of(shared, intern), shared.skipped) == parse_rows(text)
-        memo = intern.rows[(0, 1, None, None)]
+        memo = intern.rows[(0, 1)]
         row = memo["192.0.2.7/24,174 3216 25133\n"]
         assert (intern.prefix_of[row], intern.origin_of[row], intern.neighbor_of[row]) == (
             "192.0.2.0/24", 25133, 174)
@@ -193,13 +189,9 @@ class TestParseSnapshot:
     ])
     def test_path_endpoints_at_the_asn_bounds(self, path, origin, neighbor):
         intern = InternTable()
-        row = intern.entry(("192.0.2.0/24", path, None, None))
+        row = intern.entry(("192.0.2.0/24", path))
         assert (intern.origin_of[row], intern.neighbor_of[row]) == (origin, neighbor)
         assert rtingest._parse_path(path) == (origin, neighbor)
-        schema = SnapshotSchema(origin="origin", neighbor="neighbor")
-        text = (f"prefix,as_path,origin,neighbor\n192.0.2.0/24,{path},{origin},{neighbor}\n"
-                f"192.0.2.0/24,{path},{neighbor + 1},{neighbor}\n192.0.2.0/24,{path},{origin},{origin + 1}\n")
-        assert parse_rows(text, schema) == ([("192.0.2.0/24", origin, neighbor)], 2)
 
     def test_repeated_line_is_a_row_memo_hit_and_a_new_line_is_parsed(self, monkeypatch):
         parsed = []
@@ -225,15 +217,21 @@ class TestParseSnapshot:
     def test_schema_file_round_trip(self, tmp_path):
         path = tmp_path / "schema.cfg"
         path.write_text("# looking-glass export\nprefix = Prefix\n\nas_path = AS_Path  # x\n"
-                        "origin = Origin\norigin = OriginAS\n")
+                        "as_path = ASPath\n")
         schema = SnapshotSchema(**pipeline.read_settings(path, self.SCHEMA_KEYS))
-        assert schema == SnapshotSchema(prefix="Prefix", as_path="AS_Path", origin="OriginAS")
+        assert schema == SnapshotSchema(prefix="Prefix", as_path="ASPath")
+
+    def test_schema_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "schema.cfg"
+        path.write_text("\ufeffprefix = Prefix\nas_path = ASPath\n", encoding="utf-8")
+        assert pipeline.read_settings(path, self.SCHEMA_KEYS) == {"prefix": "Prefix", "as_path": "ASPath"}
 
     def test_schema_file_rejects_unknown_field(self, tmp_path):
         path = tmp_path / "schema.cfg"
-        for text in ("prefix = Prefix\nmed = MED\n", "prefix = Prefix\nmed\n"):
+        for text, key in (("prefix = Prefix\nmed = MED\n", "med"), ("prefix = Prefix\nmed\n", "med"),
+                          ("prefix = Prefix\norigin = OriginAS\n", "origin")):
             path.write_text(text)
-            with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*med"):
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + f".*{key}"):
                 pipeline.read_settings(path, self.SCHEMA_KEYS)
 
 
@@ -324,6 +322,21 @@ class TestLoadSeries:
                 "2h,192.0.2.0\x00/24,174 25133\n3h,192.0.2.0/24,174 \x0025133\n")
         snapshot = parse_snapshot(io.StringIO(text), "amsix", BASE)
         assert (snapshot.entries, snapshot.skipped) == ((0,), 2)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, caplog):
+        series = {}
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            for offset in range(2):
+                write_snapshot_file(tmp_path / name, "amsix", day(offset),
+                                    [("192.0.2.0/24", [174, 25133]), ("198.51.100.0/24", [6939, 31133 + offset])])
+            path = tmp_path / name / "amsix" / f"{BASE.isoformat()}.csv"
+            path.write_bytes(bom + path.read_bytes())
+            with caplog.at_level(logging.WARNING, logger="ixpreach.rtingest"):
+                series[name] = load_series(tmp_path / name, "amsix", DateRange(BASE, day(1)))
+        assert not caplog.records
+        assert series["bom"].gaps == ()
+        assert series["bom"] == series["plain"]
+        assert len(series["bom"].snapshots) == 2
 
     def test_quarantined_baseline_still_fails_the_run(self, tmp_path):
         for offset in range(3):
@@ -549,7 +562,7 @@ def test_ipv4_tail_forms_and_odd_lengths_reach_ipaddress(monkeypatch):
     assert calls == fallback
 
 
-def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):
+def reference_parse(lines):
     """(prefix, origin, neighbor) rows and the skip count of a snapshot
     stream, from one csv.reader over the whole stream and the documented
     row rules, with no memo."""
@@ -557,27 +570,21 @@ def reference_parse(lines, schema=rtingest.DEFAULT_SCHEMA):
     header = next(reader, None)
     if header is None:
         raise ValueError("no header row")
-    columns = []
-    for name in (schema.prefix, schema.as_path, schema.origin, schema.neighbor):
-        if name is not None and name not in header:
+    for name in ("prefix", "as_path"):
+        if name not in header:
             raise ValueError(f"missing mapped column {name!r}")
-        columns.append(None if name is None else header.index(name))
-    p_idx, a_idx, o_idx, n_idx = columns
-    width = 1 + max(i for i in columns if i is not None)
+    p_idx, a_idx = header.index("prefix"), header.index("as_path")
     entries, skipped = [], 0
     for row in reader:
         if not row:
             continue
         entry = None
-        if len(row) >= width:
+        if len(row) > max(p_idx, a_idx):
             tokens = row[a_idx].split()
             if tokens and all(t.isascii() and t.isdigit() and int(t) <= ASN_MAX for t in tokens):
-                path = tuple(int(t) for t in tokens)
                 prefix = reference_prefix(row[p_idx])
-                if (prefix is not None
-                        and (o_idx is None or row[o_idx].strip() == str(path[-1]))
-                        and (n_idx is None or row[n_idx].strip() == str(path[0]))):
-                    entry = (prefix, path[-1], path[0])
+                if prefix is not None:
+                    entry = (prefix, int(tokens[-1]), int(tokens[0]))
         if entry is None:
             skipped += 1
         else:
@@ -601,53 +608,42 @@ def outcome(parse, table=None):
 
 
 FIELD_LIMIT = csv.field_size_limit()
-ORIGIN_NEIGHBOR = SnapshotSchema(origin="origin", neighbor="neighbor")
 
 # One IXP's days, in order: each memo is warm with the lines of the days
 # before it.  Every day holds lines a split on commas would misread.
 ADVERSARIAL_DAYS = [
-    (rtingest.DEFAULT_SCHEMA, [
-        b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.7/24,174 3216 25133\nnot-a-prefix,174\n25133\n",
-        # A quoted record whose middle line equals a line memoised by its raw text.
-        b'prefix,as_path\n192.0.2.0/24,"174\n10.0.0.0/8,174 25133\n25133"\n10.0.0.0/8,174 25133\n',
-        b'prefix,as_path\n"10.0.0.0/8","174 25133"\n"192.0.2.0/24",174 "3216"\n10.0.0.0/8,"174 ""25133"\n',
-        # A quoted field left open at the end of the file; the next day's
-        # same line opens a record that reads on into the line after it.
-        b'prefix,as_path\n10.0.0.0/8,"174 25133\n',
-        b'prefix,as_path\n10.0.0.0/8,"174 25133\n192.0.2.0/24,174\n',
-        b"prefix,as_path\r\n10.0.0.0/8,174 25133\r\n198.51.100.0/24,6939\r\n10.0.0.0/8,174 25133\n",
-        b"prefix,as_path\r10.0.0.0/8,174 25133\r198.51.100.0/24,6939\r",
-        b"prefix,as_path\n10.0.0.0/8,174\r25133\n10.0.0.0/8,174 25133\r\r\n198.51.100.0/24,6939",
-        b"prefix,as_path\n\n10.0.0.0/8,174 25133\n   \n\r\n , \n\t\n\n10.0.0.0/8,174 25133\n\n",
-        "prefix,as_path\n10.0.0.0/8,174 25133\x0c\n10.0.0.0/8,174 25133 \n".encode(),
-        b"prefix,as_path\n10.0.0.0/8,174 25133\n10.0.0.0/8,174\x00 25133\n192.0.2.0/24,174\n",
-        b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.0/24," + b"1" * (FIELD_LIMIT + 1) + b"\n",
-        b"prefix,as_path,note\n10.0.0.0/8,174 25133," + b"x" * (FIELD_LIMIT - 5) + b"\n10.0.0.0/8,174 25133,\n",
-        b"as_path,prefix\n174 25133,10.0.0.0/8\n10.0.0.0/8,174 25133\n",
-        b"prefix,as_path,other\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
-        b"other,as_path,prefix\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
-        b"prefix,as_path\n10.0.0.0/8,174 \xff\n",
-        b"",
-        b"\nprefix,as_path\n10.0.0.0/8,174 25133\n",
-        b"prefix,as_path\n",
-    ]),
-    (ORIGIN_NEIGHBOR, [
-        b"prefix,as_path,origin,neighbor\n10.0.0.0/8,174 25133,25133,174\n10.0.0.0/8,174 25133, 25133 ,174\n"
-        b"10.0.0.0/8,174 25133,99,174\n10.0.0.0/8,174 25133,25133,99\n10.0.0.0/8,174 025133,25133,0174\n"
-        b"10.0.0.0/8,174 25133,25133\n10.0.0.0/8,174 25133\n10.0.0.0/8,174 25133,025133,174\n",
-        b"neighbor,origin,as_path,prefix\n174,25133,174 25133,10.0.0.0/8\n10.0.0.0/8,174 25133,25133,174\n"
-        b'174,"25133",174 25133,10.0.0.0/8\n174,25133,174 25133\n',
-        b"prefix,as_path,origin,neighbor\n10.0.0.0/8,174 25133,25133,174\n10.0.0.0/8,174 25133,99,174\n",
-    ]),
+    b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.7/24,174 3216 25133\nnot-a-prefix,174\n25133\n",
+    # A quoted record whose middle line equals a line memoised by its raw text.
+    b'prefix,as_path\n192.0.2.0/24,"174\n10.0.0.0/8,174 25133\n25133"\n10.0.0.0/8,174 25133\n',
+    b'prefix,as_path\n"10.0.0.0/8","174 25133"\n"192.0.2.0/24",174 "3216"\n10.0.0.0/8,"174 ""25133"\n',
+    # A quoted field left open at the end of the file; the next day's
+    # same line opens a record that reads on into the line after it.
+    b'prefix,as_path\n10.0.0.0/8,"174 25133\n',
+    b'prefix,as_path\n10.0.0.0/8,"174 25133\n192.0.2.0/24,174\n',
+    b"prefix,as_path\r\n10.0.0.0/8,174 25133\r\n198.51.100.0/24,6939\r\n10.0.0.0/8,174 25133\n",
+    b"prefix,as_path\r10.0.0.0/8,174 25133\r198.51.100.0/24,6939\r",
+    b"prefix,as_path\n10.0.0.0/8,174\r25133\n10.0.0.0/8,174 25133\r\r\n198.51.100.0/24,6939",
+    b"prefix,as_path\n\n10.0.0.0/8,174 25133\n   \n\r\n , \n\t\n\n10.0.0.0/8,174 25133\n\n",
+    "prefix,as_path\n10.0.0.0/8,174 25133\x0c\n10.0.0.0/8,174 25133 \n".encode(),
+    b"prefix,as_path\n10.0.0.0/8,174 25133\n10.0.0.0/8,174\x00 25133\n192.0.2.0/24,174\n",
+    b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.0/24," + b"1" * (FIELD_LIMIT + 1) + b"\n",
+    b"prefix,as_path,note\n10.0.0.0/8,174 25133," + b"x" * (FIELD_LIMIT - 5) + b"\n10.0.0.0/8,174 25133,\n",
+    b"as_path,prefix\n174 25133,10.0.0.0/8\n10.0.0.0/8,174 25133\n",
+    b"prefix,as_path,other\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
+    b"other,as_path,prefix\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
+    b"prefix,as_path\n10.0.0.0/8,174 \xff\n",
+    b"",
+    b"\nprefix,as_path\n10.0.0.0/8,174 25133\n",
+    b"prefix,as_path\n",
 ]
 
 
-def reference_series(root, ixp, window, schema):
+def reference_series(root, ixp, window):
     snapshots, gaps = [], []
     for d in window.days():
         try:
-            with open(root / ixp / f"{d.isoformat()}.csv", newline="", encoding="utf-8") as handle:
-                snapshots.append((d, outcome(lambda: reference_parse(handle, schema))))
+            with open(root / ixp / f"{d.isoformat()}.csv", newline="", encoding="utf-8-sig") as handle:
+                snapshots.append((d, outcome(lambda: reference_parse(handle))))
         except FileNotFoundError:
             gaps.append(d)
             continue
@@ -658,17 +654,15 @@ def reference_series(root, ixp, window, schema):
 
 
 def test_load_series_matches_a_csv_reader_reference(tmp_path):
-    for schema, days in ADVERSARIAL_DAYS:
-        root = tmp_path / str(len(days))
-        (root / "ix").mkdir(parents=True)
-        window = DateRange(BASE, day(len(days)))  # the last day has no file
-        for offset, content in enumerate(days):
-            (root / "ix" / f"{day(offset).isoformat()}.csv").write_bytes(content)
-        series = load_series(root, "ix", window, schema)
-        snapshots, gaps = reference_series(root, "ix", window, schema)
-        assert [(s.date, outcome(lambda: s, series)) for s in series.snapshots] == snapshots
-        assert list(series.gaps) == gaps
-        assert len(gaps) < len(days)
+    (tmp_path / "ix").mkdir()
+    window = DateRange(BASE, day(len(ADVERSARIAL_DAYS)))  # the last day has no file
+    for offset, content in enumerate(ADVERSARIAL_DAYS):
+        (tmp_path / "ix" / f"{day(offset).isoformat()}.csv").write_bytes(content)
+    series = load_series(tmp_path, "ix", window)
+    snapshots, gaps = reference_series(tmp_path, "ix", window)
+    assert [(s.date, outcome(lambda: s, series)) for s in series.snapshots] == snapshots
+    assert list(series.gaps) == gaps
+    assert len(gaps) < len(ADVERSARIAL_DAYS)
 
 
 def test_parse_snapshot_matches_a_csv_reader_reference():
@@ -677,15 +671,14 @@ def test_parse_snapshot_matches_a_csv_reader_reference():
         yield lambda: text.splitlines(keepends=True)
         yield lambda: io.StringIO(text, newline="")
 
-    for schema, days in ADVERSARIAL_DAYS:
-        shared = InternTable()
-        for content in days:
-            try:
-                text = content.decode("utf-8")
-            except UnicodeDecodeError:
-                continue
-            for source in sources(text):
-                expected = outcome(lambda: reference_parse(source(), schema))
-                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema, shared), shared) == expected
-                fresh = InternTable()
-                assert outcome(lambda: parse_snapshot(source(), "ix", BASE, schema, fresh), fresh) == expected
+    shared = InternTable()
+    for content in ADVERSARIAL_DAYS:
+        try:
+            text = content.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        for source in sources(text):
+            expected = outcome(lambda: reference_parse(source()))
+            assert outcome(lambda: parse_snapshot(source(), "ix", BASE, intern=shared), shared) == expected
+            fresh = InternTable()
+            assert outcome(lambda: parse_snapshot(source(), "ix", BASE, intern=fresh), fresh) == expected

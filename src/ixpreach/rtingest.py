@@ -2,7 +2,8 @@
 
 A snapshot file is one IXP's routing table for one day: a UTF-8 CSV (a
 leading byte-order mark is dropped) with a header row, where one column
-holds the announced prefix and another the space-separated AS path.  Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
+holds the announced prefix and another the space-separated AS path.
+Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
 Parsing goes through an `InternTable`.  One `csv.reader` per file reads
 the header and every line not seen before, so quoted and multi-line
@@ -147,7 +148,8 @@ class InternTable:
     past it, so the line alone holds both cells; otherwise it is the row's
     `Cells`, so other columns play no part in it.  What a key of either
     kind decides depends only on the layout, and a layout has its own memo
-    because a line means other cells under another header.  A row's cells are parsed once, when its key is first seen.
+    because a line means other cells under another header.  A row's cells
+    are parsed once, when its key is first seen.
 
     Row ids are dense, from 0, one per memo key that decided a kept row;
     `prefix_of`, `origin_of` and `neighbor_of` hold each id's fields, the
@@ -299,7 +301,8 @@ def parse_snapshot(
     header = next(reader, None)
     if header is None:
         raise ValueError(f"snapshot for {ixp} {date} has no header row")
-    layout: Layout = (_resolve_column(header, schema.prefix), _resolve_column(header, schema.as_path))
+    layout: Layout = (_resolve_column(header, schema.prefix),
+                      _resolve_column(header, schema.as_path))
     cells_of = operator.itemgetter(*layout)
     if intern is None:
         intern = InternTable()

@@ -214,17 +214,13 @@ class TestParseSnapshot:
 
     SCHEMA_KEYS = {f.name for f in fields(SnapshotSchema)}
 
-    def test_schema_file_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_schema_file_round_trip(self, tmp_path, bom):
         path = tmp_path / "schema.cfg"
-        path.write_text("# looking-glass export\nprefix = Prefix\n\nas_path = AS_Path  # x\n"
-                        "as_path = ASPath\n")
+        path.write_text(f"{bom}prefix = Prefix\n# looking-glass export\n\nas_path = ASPath\n"
+                        "as_path = AS_Path  # x\n", encoding="utf-8")
         schema = SnapshotSchema(**pipeline.read_settings(path, self.SCHEMA_KEYS))
-        assert schema == SnapshotSchema(prefix="Prefix", as_path="ASPath")
-
-    def test_schema_file_with_a_byte_order_mark(self, tmp_path):
-        path = tmp_path / "schema.cfg"
-        path.write_text("\ufeffprefix = Prefix\nas_path = ASPath\n", encoding="utf-8")
-        assert pipeline.read_settings(path, self.SCHEMA_KEYS) == {"prefix": "Prefix", "as_path": "ASPath"}
+        assert schema == SnapshotSchema(prefix="Prefix", as_path="AS_Path")
 
     def test_schema_file_rejects_unknown_field(self, tmp_path):
         path = tmp_path / "schema.cfg"

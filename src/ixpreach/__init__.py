@@ -22,7 +22,6 @@ from .reachability import (
     ReachabilityReport,
     average_pct,
     diff_reachability,
-    offline_days,
     pct_lost,
 )
 from .rtingest import (

@@ -80,11 +80,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plot", help="render a metric series as a self-contained SVG chart")
-    p.add_argument("--metrics", required=True, help="metrics CSV written by analyze")
+    p.add_argument("--metrics", required=True, help="one metrics/<ixp>_<cc>.csv written by analyze")
     p.add_argument("--metric", required=True, help=f"one of: {', '.join(METRIC_NAMES)}")
-    p.add_argument("--ixp", help="filter to one IXP (needed when the CSV has several)")
-    p.add_argument("--country", help="filter to one country")
-    p.add_argument("--events", help="outage events CSV; spans are shaded")
+    p.add_argument("--events", help="outage events CSV (outages/<ixp>_<cc>.csv); spans are shaded")
     p.add_argument("--out", help="output SVG path")
     p.add_argument("--table", action="store_true", help="print the plotted values as text")
     p.set_defaults(func=_cmd_plot)
@@ -161,23 +159,14 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if not args.out and not args.table:
         raise UsageError("nothing to do: pass --out and/or --table")
 
-    with open(args.metrics, encoding="utf-8") as handle:
-        found = [s for s in metrics.read_metrics_csv(handle)
-                 if (not args.ixp or s.ixp == args.ixp)
-                 and (not args.country or s.country == args.country)]
-    if len(found) > 1:
-        listing = ", ".join(f"{s.ixp}/{s.country}" for s in found)
-        raise UsageError(f"metrics CSV covers several series ({listing}); "
-                         "narrow it down with --ixp/--country")
-    if not found:
-        raise ValueError("no metric rows left after filtering")
-    [mseries] = found
+    with open(args.metrics, encoding="utf-8-sig") as handle:
+        mseries = metrics.read_metrics_csv(handle)
     ixp, country = mseries.ixp, mseries.country
     points = list(zip(mseries.dates, map(float, mseries.values(args.metric))))
 
     spans: list[tuple[dt.date, dt.date, str]] = []
     if args.events:
-        with open(args.events, encoding="utf-8") as handle:
+        with open(args.events, encoding="utf-8-sig") as handle:
             for ev in outage.read_events_csv(handle):
                 if ev.ixp == ixp and ev.country == country and ev.metric == args.metric:
                     spans.append((ev.start, ev.end, ev.annotation or "outage"))

@@ -190,30 +190,27 @@ def origin_presence(dates: tuple[dt.date, ...], masks: dict[int, int]) -> Presen
     return PresenceMap(dates, masks)
 
 
-def write_metrics_csv(stream: IO[str], series_list: Iterable[MetricSeries]) -> None:
-    """Emit the plot-data CSV, one row per (ixp, country, day), sorted."""
-    rows = [(s.ixp, s.country, day.isoformat(), *counts)
-            for s in series_list
-            for day, *counts in zip(s.dates, *map(s.values, METRIC_NAMES))]
-    rows.sort()
+def write_metrics_csv(stream: IO[str], series: MetricSeries) -> None:
+    """Emit one series' plot-data CSV, one row per snapshot day in date order."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(METRICS_CSV_HEADER)
-    writer.writerows(rows)
+    writer.writerows((series.ixp, series.country, day.isoformat(), *counts)
+                     for day, *counts in zip(series.dates, *map(series.values, METRIC_NAMES)))
 
 
-def read_metrics_csv(stream: IO[str]) -> list[MetricSeries]:
-    """Read the series written by :func:`write_metrics_csv`: one
-    MetricSeries per (ixp, country), sorted by both, with its days sorted."""
+def read_metrics_csv(stream: IO[str]) -> MetricSeries:
+    """Read the series written by :func:`write_metrics_csv`, with its days
+    sorted.  A file with no rows, or with rows of two (ixp, country)
+    pairs, raises ValueError."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or tuple(header) != METRICS_CSV_HEADER:
         raise ValueError(f"not a metrics CSV (header {header!r})")
-    days: dict[tuple[str, str], list[tuple]] = {}
-    for row in reader:
-        if not row:
-            continue
-        ixp, country, date_text, ann, orig, pref, neigh = row
-        days.setdefault((ixp, country), []).append(
-            (dt.date.fromisoformat(date_text), int(ann), int(orig), int(pref), int(neigh)))
-    return [MetricSeries(ixp, country, *zip(*sorted(rows)))
-            for (ixp, country), rows in sorted(days.items())]
+    rows = [row for row in reader if row]
+    pairs = sorted({(ixp, country) for ixp, country, *_ in rows})
+    if len(pairs) != 1:
+        found = ", ".join(map("/".join, pairs)) or "no rows"
+        raise ValueError(f"metrics CSV should hold one (ixp, country) series, found {found}")
+    days = sorted((dt.date.fromisoformat(date_text), int(ann), int(orig), int(pref), int(neigh))
+                  for _, _, date_text, ann, orig, pref, neigh in rows)
+    return MetricSeries(*pairs[0], *zip(*days))

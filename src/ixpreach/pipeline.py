@@ -108,8 +108,16 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
     if config.catalog_path == SEED_CATALOG:
         catalog = outage.load_seed_catalog()
     elif config.catalog_path is not None:
-        with open(config.catalog_path, encoding="utf-8") as handle:
+        with open(config.catalog_path, encoding="utf-8-sig") as handle:
             catalog = outage.parse_catalog(handle)
+
+    # Loading walks every calendar day of the window, so a missing end file
+    # fails first; one that exists but cannot be used fails after loading.
+    ends = {config.baseline_date: "baseline date", config.final_date: "final date"}
+    for ixp in config.ixps:
+        for day, path in rtingest.snapshot_paths(config.snapshot_root, ixp, ends):
+            if not path.is_file():
+                raise ValueError(f"{ends[day]} {day} has no snapshot for IXP {ixp!r}")
 
     window = rtingest.DateRange(config.baseline_date, config.final_date)
     result = AnalysisResult(config=config)
@@ -158,7 +166,7 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
     for (ixp, country), series in sorted(result.series.items()):
         path = metrics_dir / f"{ixp}_{country}.csv"
         buf = io.StringIO()
-        metrics.write_metrics_csv(buf, [series])
+        metrics.write_metrics_csv(buf, series)
         path.write_text(buf.getvalue(), encoding="utf-8")
         written.append(path)
 

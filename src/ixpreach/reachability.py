@@ -14,12 +14,11 @@ half-up to two decimals.
 from __future__ import annotations
 
 import datetime as dt
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .metrics import PresenceMap
-from .rtingest import DateRange
 
 DEFAULT_CONFIRMATION_WINDOW = 3
 
@@ -62,19 +61,6 @@ def average_pct(pcts: Sequence[float]) -> float:
     if 2 * rem >= len(tenths):
         hundredths += 1
     return hundredths / 100
-
-
-def offline_days(presence: PresenceMap, origin: int, window: DateRange) -> int:
-    """Snapshot days inside the window on which the origin is absent.
-
-    Gap days have no snapshot and are not counted against the origin.
-    """
-    mask = presence.masks.get(origin)
-    if mask is None:
-        raise KeyError(f"origin AS{origin} never appears in the presence map")
-    lo = bisect_left(presence.dates, window.start)
-    hi = bisect_right(presence.dates, window.end)
-    return hi - lo - (mask & (1 << hi) - (1 << lo)).bit_count()
 
 
 def diff_reachability(

@@ -343,6 +343,16 @@ def parse_snapshot(
     return Snapshot(date=date, entries=tuple(entries), skipped=skipped)
 
 
+def snapshot_paths(root: str | Path, ixp: str, days: Iterable[dt.date]) -> Iterator[tuple[dt.date, Path]]:
+    """Each day with the path `<root>/<ixp>/<YYYY-MM-DD>.csv` of its
+    snapshot file, which may not exist.  A missing IXP directory raises
+    FileNotFoundError at the call."""
+    ixp_dir = Path(root) / ixp
+    if not ixp_dir.is_dir():
+        raise FileNotFoundError(f"no snapshot directory for IXP {ixp!r} under {root}")
+    return ((day, ixp_dir / f"{day.isoformat()}.csv") for day in days)
+
+
 def load_series(
     root: str | Path,
     ixp: str,
@@ -358,14 +368,10 @@ def load_series(
     gap.  A missing IXP directory is a hard error.  The series holds the
     row-id columns of the one InternTable its snapshots share.
     """
-    ixp_dir = Path(root) / ixp
-    if not ixp_dir.is_dir():
-        raise FileNotFoundError(f"no snapshot directory for IXP {ixp!r} under {root}")
     intern = InternTable()
     snapshots: list[Snapshot] = []
     gaps: list[dt.date] = []
-    for day in window.days():
-        path = ixp_dir / f"{day.isoformat()}.csv"
+    for day, path in snapshot_paths(root, ixp, window.days()):
         try:
             # utf-8-sig drops a leading byte-order mark, which would
             # otherwise become part of the first column's name.

@@ -103,7 +103,7 @@ class TestAnalyze:
         for ixp in gt.ixps:
             for cc in gt.countries:
                 with open(out / "metrics" / f"{ixp}_{cc}.csv") as handle:
-                    [mseries] = read_metrics_csv(handle)  # parses under its own schema
+                    mseries = read_metrics_csv(handle)  # parses under its own schema
                 assert (mseries.ixp, mseries.country) == (ixp, cc)
                 assert len(mseries.dates) == 13  # 14-day window, one gap
                 with open(out / "outages" / f"{ixp}_{cc}.csv") as handle:
@@ -155,17 +155,37 @@ class TestAnalyze:
     def test_seed_catalog_matches_the_packaged_file(self, analyzed_scenario):
         tmp_path, scen, gt = analyzed_scenario
         packaged = Path(cli.__file__).parent / "data" / "event_catalog.txt"
-        for out, catalog in (("seed", "seed"), ("file", str(packaged))):
+        marked = tmp_path / "bom_catalog.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + packaged.read_bytes())
+        for out, catalog in (("seed", "seed"), ("file", str(packaged)), ("bom", str(marked))):
             args = self.analyze_args(tmp_path, scen, gt, out=out)
             assert run(args + ["--catalog", catalog, "--annotation-slack", "8"]) == 0
-        seed, file = tmp_path / "seed" / "outages", tmp_path / "file" / "outages"
+        seed = tmp_path / "seed" / "outages"
         names = sorted(p.name for p in seed.iterdir())
-        assert names == sorted(p.name for p in file.iterdir()) and names
-        for name in names:
-            assert (seed / name).read_bytes() == (file / name).read_bytes()
+        assert names
+        for out in ("file", "bom"):
+            assert names == sorted(p.name for p in (tmp_path / out / "outages").iterdir())
+            for name in names:
+                assert (seed / name).read_bytes() == (tmp_path / out / "outages" / name).read_bytes()
         with open(seed / "amsix_UA.csv") as handle:
             annotations = {event.annotation for event in outage.read_events_csv(handle)}
         assert annotations and annotations <= {entry.id for entry in outage.load_seed_catalog()}
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--final-date", "9999-12-31"], "final date 9999-12-31 has no snapshot for IXP 'amsix'"),
+        (["--baseline-date", "2022-02-25"], "baseline date 2022-02-25 has no snapshot for IXP 'amsix'"),
+        (["--ixps", "amsix,nosuch"], "no snapshot directory for IXP 'nosuch'"),
+    ], ids=["far-final", "gap-baseline", "missing-ixp"])
+    def test_missing_input_fails_before_any_table_is_read(self, analyzed_scenario, monkeypatch,
+                                                          capsys, extra, message):
+        tmp_path, scen, gt = analyzed_scenario
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_series called")
+
+        monkeypatch.setattr(pipeline.rtingest, "load_series", refuse)
+        assert run(self.analyze_args(tmp_path, scen, gt) + extra) == 2
+        assert message in capsys.readouterr().err
 
     def test_joint_countries_match_single_country_runs(self, tmp_path):
         spec = ScenarioSpec(
@@ -486,7 +506,7 @@ class TestPlot:
         # recompute the expected pixel range from the chart geometry
         from ixpreach.metrics import read_metrics_csv
         with open(csv_path) as handle:
-            [mseries] = read_metrics_csv(handle)
+            mseries = read_metrics_csv(handle)
         first = mseries.dates[0].toordinal()
         last = mseries.dates[-1].toordinal()
         plot_w = svgchart.WIDTH - svgchart.MARGIN_LEFT - svgchart.MARGIN_RIGHT
@@ -506,7 +526,7 @@ class TestPlot:
         assert out.startswith("# amsix UA distinct_origins")
         assert len(out.strip().splitlines()) == 14  # header + 13 days
 
-    def test_ambiguous_series_requires_filters(self, metrics_csv, tmp_path):
+    def test_two_series_file_is_a_data_error(self, metrics_csv, tmp_path, capsys):
         _, csv_path, gt = metrics_csv
         combined = tmp_path / "combined.csv"
         text = csv_path.read_text()
@@ -514,7 +534,24 @@ class TestPlot:
         combined.write_text(text + extra + "\n")
         rc = run(["plot", "--metrics", str(combined), "--metric", "announcements",
                   "--out", str(tmp_path / "x.svg")])
-        assert rc == 1
+        assert rc == 2
+        assert "found amsix/UA, linx/UA" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_byte_order_mark_inputs_plot_like_plain_ones(self, metrics_csv, capsys):
+        tmp_path, csv_path, gt = metrics_csv
+        events_csv = tmp_path / "out" / "outages" / "amsix_UA.csv"
+        chart = tmp_path / "chart.svg"
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            metrics_copy, events_copy = tmp_path / "metrics.csv", tmp_path / "events.csv"
+            metrics_copy.write_bytes(mark + csv_path.read_bytes())
+            events_copy.write_bytes(mark + events_csv.read_bytes())
+            assert run(["plot", "--metrics", str(metrics_copy), "--metric", "announcements",
+                        "--events", str(events_copy), "--out", str(chart), "--table"]) == 0
+            outputs.append((capsys.readouterr().out, chart.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b'class="event"' in outputs[0][1]
 
 
 class TestSynthCommand:

@@ -259,25 +259,30 @@ class TestMetricsCsv:
         db = make_db({20: "UA", 30: "RU"})
         days = {day(i): [("192.0.2.0/24", [20]), ("198.51.100.0/24", [30])] for i in range(3)}
         series = [mseries for mseries, _ in build_series(make_series(days), db, ["UA", "RU"]).values()]
-        buf = io.StringIO()
-        metrics.write_metrics_csv(buf, series)
-        buf.seek(0)
-        loaded = metrics.read_metrics_csv(buf)
-        assert loaded == series
-        assert [s.country for s in loaded] == ["RU", "UA"]
-        assert all(s.announcements == (1, 1, 1) for s in loaded)
+        assert [s.country for s in series] == ["RU", "UA"]
+        for mseries in series:
+            buf = io.StringIO()
+            metrics.write_metrics_csv(buf, mseries)
+            buf.seek(0)
+            loaded = metrics.read_metrics_csv(buf)
+            assert loaded == mseries
+            assert loaded.announcements == (1, 1, 1)
 
-    def test_reader_groups_each_series_and_sorts_its_days(self):
+    def test_reader_sorts_the_days_of_one_series(self):
         import io
-        text = ("ixp,country,date,announcements,distinct_origins,distinct_prefixes,distinct_neighbors\n"
+        header = "ixp,country,date,announcements,distinct_origins,distinct_prefixes,distinct_neighbors\n"
+        text = (header +
                 "linx,UA,2022-02-21,3,3,3,1\n"
-                "amsix,UA,2022-02-20,2,2,2,1\n"
                 "linx,UA,2022-02-19,1,1,1,1\n"
-                "\n")
-        amsix, linx = metrics.read_metrics_csv(io.StringIO(text))
-        assert amsix == MetricSeries("amsix", "UA", (day(1),), (2,), (2,), (2,), (1,))
-        assert linx.dates == (day(0), day(2))
-        assert linx.announcements == (1, 3)
+                "\n"
+                "linx,UA,2022-02-20,2,2,2,1\n")
+        loaded = metrics.read_metrics_csv(io.StringIO(text))
+        assert loaded == MetricSeries("linx", "UA", (day(0), day(1), day(2)),
+                                      (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 1, 1))
+        with pytest.raises(ValueError, match="found amsix/UA, linx/UA"):
+            metrics.read_metrics_csv(io.StringIO(text + "amsix,UA,2022-02-20,2,2,2,1\n"))
+        with pytest.raises(ValueError, match="found no rows"):
+            metrics.read_metrics_csv(io.StringIO(header + "\n"))
 
     def test_reader_rejects_foreign_header(self):
         import io

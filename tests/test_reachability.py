@@ -4,8 +4,7 @@ import random
 import pytest
 
 from ixpreach import reachability
-from ixpreach.reachability import average_pct, offline_days, pct_lost
-from ixpreach.rtingest import DateRange
+from ixpreach.reachability import average_pct, pct_lost
 
 from conftest import BASE, country_series, day, make_db, make_series, origins_by_date, presence_of, reach
 
@@ -180,67 +179,6 @@ class TestPercentages:
     def test_empty_average_is_an_error(self):
         with pytest.raises(ValueError):
             average_pct([])
-
-
-class TestOfflineDays:
-    def test_never_absent(self):
-        present = {day(i): {1} for i in range(70)}
-        series = series_from_presence(present, UA_DB)
-        presence = presence_of(series, UA_DB, "UA")
-        assert offline_days(presence, 1, DateRange(BASE, day(69))) == 0
-
-    def test_fifty_day_absence(self):
-        present = {day(i): ({1, 2} if i < 10 or i >= 60 else {1}) for i in range(70)}
-        series = series_from_presence(present, UA_DB)
-        presence = presence_of(series, UA_DB, "UA")
-        assert offline_days(presence, 2, DateRange(BASE, day(69))) == 50
-
-    def test_present_only_on_baseline_of_ten_snapshots(self):
-        present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(10)}
-        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
-        assert offline_days(presence, 2, DateRange(BASE, day(9))) == 9
-
-    def test_gap_days_are_not_counted(self):
-        present = {day(i): {1} for i in (0, 2, 4)}
-        series = series_from_presence(present, UA_DB, gaps=[day(1), day(3)])
-        presence = presence_of(series, UA_DB, "UA")
-        assert offline_days(presence, 1, DateRange(BASE, day(4))) == 0
-
-    def test_sub_window_counts_only_its_snapshots(self):
-        present = {day(i): ({1, 2} if i < 10 or i >= 20 else {1}) for i in range(30)}
-        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
-        assert offline_days(presence, 2, DateRange(day(5), day(14))) == 5
-        assert offline_days(presence, 2, DateRange(day(12), day(17))) == 6
-        assert offline_days(presence, 2, DateRange(day(20), day(29))) == 0
-        assert offline_days(presence, 2, DateRange(day(40), day(50))) == 0
-
-    def test_gap_days_inside_a_sub_window_are_not_counted(self):
-        present = {day(i): ({1, 2} if i < 3 else {1}) for i in range(10) if i not in (4, 6)}
-        series = series_from_presence(present, UA_DB, gaps=[day(4), day(6)])
-        presence = presence_of(series, UA_DB, "UA")
-        assert offline_days(presence, 2, DateRange(day(2), day(7))) == 3
-
-    def test_matches_brute_force(self):
-        rng = random.Random(29)
-        # The last series is longer than 64 snapshots, so its masks span machine words.
-        for n, span in [(15, 8)] * 40 + [(150, 100)]:
-            present = {day(i): {o for o in range(1, 8) if rng.random() < 0.6} for i in range(n)}
-            gaps = [day(i) for i in range(n) if rng.random() < 0.2]
-            for gap in gaps:
-                del present[gap]
-            presence = presence_of(series_from_presence(present, UA_DB, gaps=gaps), UA_DB, "UA")
-            by_date = origins_by_date(presence)
-            for _ in range(5):
-                start = day(rng.randint(0, n + 1))
-                window = DateRange(start, start + dt.timedelta(days=rng.randint(0, span)))
-                for origin in presence.masks:
-                    want = sum(1 for d, origins in by_date.items() if d in window and origin not in origins)
-                    assert offline_days(presence, origin, window) == want
-
-    def test_unknown_origin_is_an_error(self):
-        presence = presence_of(series_from_presence({BASE: {1}}, UA_DB), UA_DB, "UA")
-        with pytest.raises(KeyError):
-            offline_days(presence, 999, DateRange(BASE, BASE))
 
 
 def neighbor_days(series, db, country):

@@ -264,6 +264,18 @@ class TestVerifySensitivity:
         problems = synth.verify(gt, result)
         assert any("lost origins" in p for p in problems)
 
+    def test_tampered_presence_mask_is_caught(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        masks = result.presence[("amsix", "UA")].masks
+        asn, mask = next(iter(masks.items()))
+        masks[asn] = mask & (mask - 1)  # one present day fewer
+        days = gt.offline["amsix"]["UA"][asn]
+        assert synth.verify(gt, result) == [
+            f"amsix/UA AS{asn}: expected {days} offline days, got {days + 1}"]
+        masks[asn] = mask
+        masks[99999] = 1
+        assert synth.verify(gt, result) == ["amsix/UA: presence covers different origins"]
+
     def test_tampered_outage_span_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
         gt.outages["amsix"]["UA"]["announcements"] = ((day(1), day(2)),)

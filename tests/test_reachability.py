@@ -181,6 +181,58 @@ class TestPercentages:
             average_pct([])
 
 
+def offline_days(presence, origin):
+    """Snapshot days of the whole window on which the origin is absent,
+    counted as synth.verify counts them; a gap day has no snapshot."""
+    return len(presence.dates) - presence.masks[origin].bit_count()
+
+
+class TestOfflineDays:
+    def test_never_absent(self):
+        present = {day(i): {1} for i in range(70)}
+        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
+        assert offline_days(presence, 1) == 0
+
+    def test_fifty_day_absence(self):
+        present = {day(i): ({1, 2} if i < 10 or i >= 60 else {1}) for i in range(70)}
+        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
+        assert offline_days(presence, 2) == 50
+
+    def test_present_only_on_baseline_of_ten_snapshots(self):
+        present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(10)}
+        presence = presence_of(series_from_presence(present, UA_DB), UA_DB, "UA")
+        assert offline_days(presence, 2) == 9
+
+    def test_gap_days_are_not_counted(self):
+        present = {day(i): {1} for i in (0, 2, 4)}
+        series = series_from_presence(present, UA_DB, gaps=[day(1), day(3)])
+        presence = presence_of(series, UA_DB, "UA")
+        assert presence.dates == (day(0), day(2), day(4))
+        assert offline_days(presence, 1) == 0
+
+    def test_matches_brute_force(self):
+        rng = random.Random(29)
+        # The last series is longer than 64 snapshots, so its masks span machine words.
+        for n in [15] * 40 + [150]:
+            present = {day(i): {o for o in range(1, 8) if rng.random() < 0.6} for i in range(n)}
+            gaps = [day(i) for i in range(n) if rng.random() < 0.2]
+            for gap in gaps:
+                del present[gap]
+            presence = presence_of(series_from_presence(present, UA_DB, gaps=gaps), UA_DB, "UA")
+            assert set(presence.masks) == set().union(*present.values())
+            for origin in presence.masks:
+                want = sum(1 for origins in present.values() if origin not in origins)
+                assert offline_days(presence, origin) == want
+
+    def test_unknown_origin_is_an_error(self):
+        # An origin never seen has no mask, rather than an empty one that
+        # would count every snapshot day as offline.
+        presence = presence_of(series_from_presence({BASE: {1}}, UA_DB), UA_DB, "UA")
+        assert set(presence.masks) == {1}
+        with pytest.raises(KeyError):
+            offline_days(presence, 999)
+
+
 def neighbor_days(series, db, country):
     """Snapshot dates on which the country has at least one in-country first hop."""
     mseries = country_series(series, db, country)[0]

@@ -123,8 +123,6 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
     result = AnalysisResult(config=config)
     for ixp in config.ixps:
         series = rtingest.load_series(config.snapshot_root, ixp, window, schema)
-        if not series.snapshots:
-            raise ValueError(f"no snapshots for IXP {ixp!r} inside {window.start}..{window.end}")
         attributed = metrics.build_series(series, db, config.countries)
         del series  # free this IXP's rows before the next IXP's are read
         for country, (mseries, masks) in attributed.items():

@@ -17,6 +17,10 @@ Disruption kinds:
   ``1 - magnitude`` fraction of its prefixes for a date range
 * ``join``: brand-new origins start announcing on a date
 
+A route is withheld on a day if any disruption active that day withholds
+it: overlapping shrinks of one country act as the largest, and a ``join``
+on the window's first day is present from the baseline on.
+
 A scenario file (``load_scenario``) is one JSON object.  ``seed``,
 ``window`` (``{"start": ..., "end": ...}``), ``ixps`` and ``countries``
 are required; ``gap_dates`` (none), ``disruptions`` (none),
@@ -39,13 +43,13 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .asndb import REGISTRIES
 from .metrics import METRIC_NAMES, check_country
 from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW, check_detector
 from .reachability import DEFAULT_CONFIRMATION_WINDOW
-from .rtingest import DateRange, check_ixp
+from .rtingest import DEFAULT_SCHEMA, DateRange, check_ixp, snapshot_paths
 
 if TYPE_CHECKING:
     from .pipeline import AnalysisResult
@@ -137,38 +141,10 @@ class GroundTruth:
     outages: dict[str, dict[str, dict[str, tuple[tuple[dt.date, dt.date], ...]]]]
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "seed": self.seed,
-            "window": [self.window.start.isoformat(), self.window.end.isoformat()],
-            "baseline_date": self.baseline_date.isoformat(),
-            "final_date": self.final_date.isoformat(),
-            "confirmation_window": self.confirmation_window,
-            "ixps": list(self.ixps),
-            "countries": list(self.countries),
-            "gap_dates": [d.isoformat() for d in self.gap_dates],
-            "detector": self.detector,
-            "metrics": {
-                ixp: {cc: {day.isoformat(): list(vals) for day, vals in sorted(per_cc.items())}
-                      for cc, per_cc in sorted(per_ixp.items())}
-                for ixp, per_ixp in sorted(self.metrics.items())
-            },
-            "unreachable": {ixp: {cc: list(v) for cc, v in sorted(per.items())}
-                            for ixp, per in sorted(self.unreachable.items())},
-            "new_origins": {ixp: {cc: list(v) for cc, v in sorted(per.items())}
-                            for ixp, per in sorted(self.new_origins.items())},
-            "offline_days": {
-                ixp: {cc: {str(asn): days for asn, days in sorted(per_cc.items())}
-                      for cc, per_cc in sorted(per.items())}
-                for ixp, per in sorted(self.offline.items())
-            },
-            "outages": {
-                ixp: {cc: {metric: [[a.isoformat(), b.isoformat()] for a, b in spans]
-                           for metric, spans in sorted(per_cc.items())}
-                      for cc, per_cc in sorted(per.items())}
-                for ixp, per in sorted(self.outages.items())
-            },
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["window"] = (self.window.start, self.window.end)
+        doc["offline_days"] = doc.pop("offline")
+        Path(path).write_text(json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
@@ -199,6 +175,17 @@ class GroundTruth:
                            for cc, per_cc in per.items()}
                      for ixp, per in doc["outages"].items()},
         )
+
+
+def _plain(value):
+    """`value` as JSON data: dates as ISO text, tuples as lists, dict keys as text."""
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
 
 
 class ScenarioError(ValueError):
@@ -262,7 +249,6 @@ class _Route:
     mult: int
     prefix_index: int
     prefix_total: int
-    join_date: dt.date | None = None
 
 
 def _country_blocks(spec: ScenarioSpec) -> dict[str, tuple[int, int, int]]:
@@ -301,7 +287,6 @@ def _build_origin_routes(
     prefix_range: tuple[int, int],
     ixp_index: int,
     counter: list[int],
-    join_date: dt.date | None = None,
 ) -> list[_Route]:
     prefixes = []
     for _ in range(rng.randint(*prefix_range)):
@@ -332,9 +317,20 @@ def _build_origin_routes(
     total = len(prefixes)
     return [
         _Route(country, origin, prefix, path_tuple, path_text,
-               2 if rng.random() < 0.08 else 1, j, total, join_date)
+               2 if rng.random() < 0.08 else 1, j, total)
         for j, prefix in enumerate(prefixes)
     ]
+
+
+def _withheld_by(d: Disruption, targets: frozenset[int]) -> Callable[[_Route], bool]:
+    """Whether `d` withholds a route on a day of its entry: by its origin (a
+    removal, a loss, a join before its day), first hop or prefix index."""
+    if d.kind == "prefix_shrink":
+        cc, keep = d.country, 1 - d.magnitude
+        return lambda route: route.country == cc and route.prefix_index >= math.floor(route.prefix_total * keep)
+    if d.kind == "neighbor_disconnect":
+        return lambda route: route.path[0] in targets
+    return lambda route: route.origin in targets
 
 
 def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
@@ -345,7 +341,6 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     _validate(spec)
     out_dir = Path(out)
     snapshots_dir = out_dir / "snapshots"
-    snapshots_dir.mkdir(parents=True, exist_ok=True)
 
     blocks = _country_blocks(spec)
     registered: dict[int, str] = {}
@@ -360,8 +355,6 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     snapshot_days = spec.snapshot_days()
     countries = sorted(spec.countries)
 
-    # Resolve disruption targets up front so sampling never depends on
-    # the day loop.
     origins_at: dict[tuple[str, str], list[int]] = {}
     neighbors_at: dict[tuple[str, str], list[int]] = {}
     for ixp in ixps:
@@ -371,33 +364,29 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
             origins_at[(ixp, cc)] = [start + i for i in range(cspec.origins_at(ixp))]
             neighbors_at[(ixp, cc)] = origins_at[(ixp, cc)][: cspec.neighbor_count]
 
+    # Each disruption is resolved up front, so sampling never depends on
+    # the day loop, into one (first day, last day, test) entry of its IXP.
+    withheld: dict[str, list[tuple[dt.date, dt.date, Callable[[_Route], bool]]]] = {ixp: [] for ixp in ixps}
+    joins: dict[tuple[str, str], list[int]] = {}
     join_pointer = {cc: 0 for cc in countries}
-    removal_spans: dict[str, list[tuple[dt.date, dt.date, frozenset[int]]]] = {ixp: [] for ixp in ixps}
-    disconnect_spans: dict[str, list[tuple[dt.date, dt.date, frozenset[int]]]] = {ixp: [] for ixp in ixps}
-    shrink_spans: dict[str, list[tuple[dt.date, dt.date, str, float]]] = {ixp: [] for ixp in ixps}
-    joins: dict[tuple[str, str], list[tuple[int, dt.date]]] = {}
-
     for i, d in enumerate(spec.disruptions):
-        rng = random.Random(f"disrupt:{spec.seed}:{i}")
-        if d.kind == "prefix_shrink":
-            shrink_spans[d.ixp].append((d.start, d.end, d.country, d.magnitude))
-            continue
+        first, last, targets = d.start, d.end, ()
         if d.kind == "join":
             start, regular, _ = blocks[d.country]
             targets = [start + regular + join_pointer[d.country] + j for j in range(d.count)]
             join_pointer[d.country] += d.count
-            joins.setdefault((d.ixp, d.country), []).extend((asn, d.start) for asn in targets)
-            continue
-        pool = neighbors_at[(d.ixp, d.country)] if d.kind == "neighbor_disconnect" else origins_at[(d.ixp, d.country)]
-        if d.count > len(pool):
-            raise ScenarioError(f"disruption #{i}: count {d.count} exceeds pool of {len(pool)}")
-        targets = frozenset(rng.sample(pool, d.count))
-        end = spec.window.end if d.kind == "permanent_loss" else d.end
-        span = (d.start, end, targets)
-        if d.kind == "neighbor_disconnect":
-            disconnect_spans[d.ixp].append(span)
-        else:
-            removal_spans[d.ixp].append(span)
+            joins.setdefault((d.ixp, d.country), []).extend(targets)
+            if d.start == spec.window.start:
+                continue  # announced from the baseline on
+            first, last = spec.window.start, d.start - dt.timedelta(days=1)
+        elif d.kind != "prefix_shrink":
+            pool = neighbors_at[(d.ixp, d.country)] if d.kind == "neighbor_disconnect" else origins_at[(d.ixp, d.country)]
+            if d.count > len(pool):
+                raise ScenarioError(f"disruption #{i}: count {d.count} exceeds pool of {len(pool)}")
+            targets = random.Random(f"disrupt:{spec.seed}:{i}").sample(pool, d.count)
+            if d.kind == "permanent_loss":
+                last = spec.window.end
+        withheld[d.ixp].append((first, last, _withheld_by(d, frozenset(targets))))
 
     # Build the static route table per IXP.
     routes_by_ixp: dict[str, list[_Route]] = {}
@@ -413,52 +402,30 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
                 routes.extend(_build_origin_routes(
                     rng, cc, origin, idx, neighbors, foreign, transit_pool,
                     cspec.prefixes_per_origin, ixp_index, counter))
-            for idx, (origin, join_date) in enumerate(joins.get((ixp, cc), [])):
+            for idx, origin in enumerate(joins.get((ixp, cc), [])):
                 jrng = random.Random(f"join:{spec.seed}:{ixp}:{cc}:{origin}")
                 routes.extend(_build_origin_routes(
                     jrng, cc, origin, idx, neighbors, foreign, transit_pool,
-                    cspec.prefixes_per_origin, ixp_index, counter, join_date))
+                    cspec.prefixes_per_origin, ixp_index, counter))
         routes_by_ixp[ixp] = routes
 
     # Walk the calendar emitting snapshots and recording outcomes.
     gt_metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]] = {}
     presence: dict[str, dict[int, set[dt.date]]] = {ixp: {} for ixp in ixps}
+    header = f"{DEFAULT_SCHEMA.prefix},{DEFAULT_SCHEMA.as_path}\n"
 
     for ixp in ixps:
-        ixp_snap_dir = snapshots_dir / ixp
-        ixp_snap_dir.mkdir(parents=True, exist_ok=True)
+        (snapshots_dir / ixp).mkdir(parents=True, exist_ok=True)
         gt_metrics[ixp] = {cc: {} for cc in countries}
-        removal = removal_spans[ixp]
-        disconnect = disconnect_spans[ixp]
-        shrink = shrink_spans[ixp]
-        for day in snapshot_days:
-            removed: set[int] = set()
-            for a, b, targets in removal:
-                if a <= day <= b:
-                    removed.update(targets)
-            gone_neighbors: set[int] = set()
-            for a, b, targets in disconnect:
-                if a <= day <= b:
-                    gone_neighbors.update(targets)
-            shrink_today: dict[str, float] = {}
-            for a, b, cc, mag in shrink:
-                if a <= day <= b:
-                    shrink_today[cc] = max(mag, shrink_today.get(cc, 0.0))
-
+        for day, path in snapshot_paths(snapshots_dir, ixp, snapshot_days):
+            tests = [test for first, last, test in withheld[ixp] if first <= day <= last]
             rows: list[str] = []
             first_hops: set[int] = set()
             ann = {cc: 0 for cc in countries}
             day_origins: dict[str, set[int]] = {cc: set() for cc in countries}
             day_prefixes: dict[str, set[str]] = {cc: set() for cc in countries}
             for route in routes_by_ixp[ixp]:
-                if route.join_date is not None and day < route.join_date:
-                    continue
-                if route.origin in removed:
-                    continue
-                if route.path[0] in gone_neighbors:
-                    continue
-                mag = shrink_today.get(route.country)
-                if mag is not None and route.prefix_index >= math.floor(route.prefix_total * (1 - mag)):
+                if tests and any(test(route) for test in tests):
                     continue
                 line = f"{route.prefix},{route.path_text}"
                 for _ in range(route.mult):
@@ -475,8 +442,7 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
                 gt_metrics[ixp][cc][day] = (ann[cc], len(day_origins[cc]), len(day_prefixes[cc]), neigh)
 
             random.Random(f"rows:{spec.seed}:{ixp}:{day.isoformat()}").shuffle(rows)
-            path = ixp_snap_dir / f"{day.isoformat()}.csv"
-            path.write_text("prefix,as_path\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+            path.write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
 
     # Reachability, presence and outage expectations.
     unreachable: dict[str, dict[str, tuple[int, ...]]] = {}

@@ -335,14 +335,19 @@ class TestLoadSeries:
         assert len(series["bom"].snapshots) == 2
 
     def test_quarantined_baseline_still_fails_the_run(self, tmp_path):
-        for offset in range(3):
-            write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
-        (tmp_path / "amsix" / f"{BASE.isoformat()}.csv").write_bytes(b"")
-        config = pipeline.RunConfig(asndb_path=tmp_path / "unused", snapshot_root=tmp_path,
-                                    output_dir=tmp_path / "out", ixps=("amsix",), countries=("UA",),
-                                    baseline_date=BASE, final_date=day(2))
-        with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'amsix'"):
-            pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+        # With every file of the window unusable the series is empty, and
+        # the run still fails on the baseline it cannot use.
+        for empty in (1, 3):
+            root = tmp_path / f"empty-{empty}"
+            for offset in range(3):
+                write_snapshot_file(root, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
+            for offset in range(empty):
+                (root / "amsix" / f"{day(offset).isoformat()}.csv").write_bytes(b"")
+            config = pipeline.RunConfig(asndb_path=root / "unused", snapshot_root=root,
+                                        output_dir=root / "out", ixps=("amsix",), countries=("UA",),
+                                        baseline_date=BASE, final_date=day(2))
+            with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'amsix'"):
+                pipeline.run_analysis(config, db=make_db({25133: "UA"}))
 
     @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all-quoted"])
     @pytest.mark.parametrize("age", [True, False], ids=["unmapped-column", "mapped-only"])

@@ -84,9 +84,10 @@ class TestGenerate:
 
     def test_generated_tree_bytes_are_pinned(self, tmp_path):
         # Benchmark trees are regenerated from this code in each checkout, so
-        # any drift in the generated bytes must show here first.  The
-        # scenario has a gap day and one disruption of every kind.
-        spec = ScenarioSpec(
+        # any drift in the generated bytes must show here first.  Each
+        # scenario has a gap day and one disruption of every kind; the
+        # second adds two overlapping shrinks and a join on the first day.
+        first = ScenarioSpec(
             seed=17,
             window=DateRange(BASE, day(13)),
             ixps=("amsix", "linx"),
@@ -101,22 +102,44 @@ class TestGenerate:
             ),
             gap_dates=(day(6),),
         )
-        assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KINDS)
-        scen = tmp_path / "scen"
-        gt = synth.generate(spec, scen)
-        files = sorted(path for path in scen.rglob("*") if path.is_file())
-        assert [path.relative_to(scen).as_posix() for path in files[:2]] == ["delegated.txt", "ground_truth.json"]
-        assert len(files) == 2 + 2 * 13  # two IXPs, 14 days less the gap
-        digest = hashlib.sha256()
-        for path in files:
-            digest.update(path.relative_to(scen).as_posix().encode() + b"\0" + path.read_bytes())
-        assert digest.hexdigest() == "4dbf31e264c6bf6f62965500cedf0721e1462e37a853b0d83f3ce16753d79fa3"
-        assert synth.verify(gt, analyze_generated(tmp_path, gt)) == []
+        second = ScenarioSpec(
+            seed=23,
+            window=DateRange(BASE, day(13)),
+            ixps=("amsix", "linx"),
+            countries={"UA": CountrySpec(origin_count=12, prefixes_per_origin=(1, 4), neighbor_count=2),
+                       "RU": CountrySpec(origin_count=9, prefixes_per_origin=(2, 3), neighbor_count=2)},
+            disruptions=(
+                Disruption("prefix_shrink", "amsix", "UA", day(2), day(6), magnitude=0.3),
+                Disruption("prefix_shrink", "amsix", "UA", day(4), day(5), magnitude=0.6),
+                Disruption("join", "linx", "RU", day(0), count=2),
+                Disruption("origin_removal", "linx", "UA", day(3), day(8), count=4),
+                Disruption("neighbor_disconnect", "linx", "UA", day(5), day(9), count=1),
+                Disruption("permanent_loss", "amsix", "RU", day(7), count=2),
+            ),
+            gap_dates=(day(6),),
+        )
+        pinned = {"first": (first, "4dbf31e264c6bf6f62965500cedf0721e1462e37a853b0d83f3ce16753d79fa3"),
+                  "second": (second, "2eee8e122e7aceba716ef105ff91cdb8b416d64366fad47a2d8656d36ad4a03f")}
+        for name, (spec, want) in pinned.items():
+            assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KINDS)
+            scen = tmp_path / name
+            gt = synth.generate(spec, scen)
+            files = sorted(path for path in scen.rglob("*") if path.is_file())
+            assert [path.relative_to(scen).as_posix() for path in files[:2]] == ["delegated.txt", "ground_truth.json"]
+            assert len(files) == 2 + 2 * 13  # two IXPs, 14 days less the gap
+            digest = hashlib.sha256()
+            for path in files:
+                digest.update(path.relative_to(scen).as_posix().encode() + b"\0" + path.read_bytes())
+            assert digest.hexdigest() == want, name
+            assert synth.verify(gt, analyze_generated(tmp_path, gt, name)) == []
 
     def test_ground_truth_json_round_trip(self, tmp_path):
         gt = synth.generate(tiny_spec(days=10, origins=6), tmp_path / "scen")
-        loaded = GroundTruth.load(tmp_path / "scen" / "ground_truth.json")
+        saved = tmp_path / "scen" / "ground_truth.json"
+        loaded = GroundTruth.load(saved)
         assert loaded == gt
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == saved.read_bytes()
 
 
 class TestDisruptions:

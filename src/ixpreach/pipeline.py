@@ -150,48 +150,19 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
 
 
 def write_outputs(result: AnalysisResult) -> list[Path]:
-    """Write metrics CSVs, reachability reports, outage CSVs and a summary.
+    """Build the run's files as one table of relative path -> text, write
+    it in sorted name order and return the paths written.
 
-    Output bytes are a function of the analysis inputs only; no paths or
-    timestamps leak into the files.
+    A name the table lacks in a subdirectory it writes into (another
+    run's file) raises ValueError first; nothing is ever deleted.
     """
     config = result.config
-    out = Path(config.output_dir)
-    written: list[Path] = []
-
-    metrics_dir = out / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
-    for (ixp, country), series in sorted(result.series.items()):
-        path = metrics_dir / f"{ixp}_{country}.csv"
-        buf = io.StringIO()
-        metrics.write_metrics_csv(buf, series)
-        path.write_text(buf.getvalue(), encoding="utf-8")
-        written.append(path)
-
-    reach_dir = out / "reachability"
-    reach_dir.mkdir(parents=True, exist_ok=True)
-    for country in sorted(set(c for _, c in result.reports)):
-        reports = [result.reports[(ixp, country)] for ixp in config.ixps]
-        table_path = reach_dir / f"{country}_table.txt"
-        table_path.write_text(reachability.format_report_table(reports), encoding="utf-8")
-        written.append(table_path)
-        records_path = reach_dir / f"{country}_records.txt"
-        records_path.write_text(
-            "".join(reachability.format_report_record(rep) + "\n" for rep in reports),
-            encoding="utf-8")
-        written.append(records_path)
-
-    outage_dir = out / "outages"
-    outage_dir.mkdir(parents=True, exist_ok=True)
-    for (ixp, country), events in sorted(result.events.items()):
-        path = outage_dir / f"{ixp}_{country}.csv"
-        buf = io.StringIO()
-        outage.write_events_csv(buf, events)
-        path.write_text(buf.getvalue(), encoding="utf-8")
-        written.append(path)
-
-    summary_path = out / "summary.txt"
-    lines = [
+    files: dict[str, str] = {}
+    for (ixp, country), series in result.series.items():
+        files[f"metrics/{ixp}_{country}.csv"] = _text(metrics.write_metrics_csv, series)
+        files[f"outages/{ixp}_{country}.csv"] = _text(
+            outage.write_events_csv, result.events[ixp, country])
+    summary = [
         "analysis summary",
         f"baseline {config.baseline_date} final {config.final_date} "
         f"confirmation {config.confirmation_window}d",
@@ -199,9 +170,27 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
         f"detector: trailing_window={config.trailing_window} "
         f"threshold={config.threshold} min_reference={config.min_reference}",
     ]
-    for country in sorted(result.averages):
-        lines.append(f"{country}: average pct lost {result.averages[country]:.2f} "
-                     f"over {len(config.ixps)} IXPs")
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(summary_path)
-    return written
+    for country, average in sorted(result.averages.items()):
+        reports = [result.reports[ixp, country] for ixp in config.ixps]
+        files[f"reachability/{country}_table.txt"] = reachability.format_report_table(
+            reports, average)
+        files[f"reachability/{country}_records.txt"] = "".join(
+            reachability.format_report_record(rep) + "\n" for rep in reports)
+        summary.append(f"{country}: average pct lost {average:.2f} over {len(config.ixps)} IXPs")
+    files["summary.txt"] = "\n".join(summary) + "\n"
+
+    out = Path(config.output_dir)
+    for subdir in sorted({name.rpartition("/")[0] for name in files} - {""}):
+        for entry in sorted((out / subdir).iterdir()) if (out / subdir).is_dir() else ():
+            if f"{subdir}/{entry.name}" not in files:
+                raise ValueError(f"{entry} is not an output of this run; use an empty directory")
+    for name, text in sorted(files.items()):
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name in sorted(files)]
+
+
+def _text(write, value) -> str:
+    buf = io.StringIO()
+    write(buf, value)
+    return buf.getvalue()

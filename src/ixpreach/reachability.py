@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as dt
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .metrics import PresenceMap
 
@@ -129,12 +129,9 @@ def _snapshot_index(dates: tuple[dt.date, ...], day: dt.date, what: str, ixp: st
     return i
 
 
-def format_report_table(reports: Iterable[ReachabilityReport]) -> str:
+def format_report_table(reports: Sequence[ReachabilityReport], average: float) -> str:
     """Human-readable table of unreachable origins across IXPs, with the
-    cross-IXP average on the last line."""
-    reports = list(reports)
-    if not reports:
-        return "(no reports)\n"
+    given cross-IXP `average` on the last line."""
     country = reports[0].country
     lines = [
         f"Unreachable {country} origins "
@@ -144,8 +141,7 @@ def format_report_table(reports: Iterable[ReachabilityReport]) -> str:
     ]
     for rep in reports:
         lines.append(f"{rep.ixp:<10} {rep.total_baseline:>10} {rep.lost:>10} {rep.pct_lost:>7.1f}%")
-    avg = average_pct([rep.pct_lost for rep in reports])
-    lines.append(f"average % lost: {avg:.2f}")
+    lines.append(f"average % lost: {average:.2f}")
     return "\n".join(lines) + "\n"
 
 

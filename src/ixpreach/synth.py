@@ -43,16 +43,14 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .asndb import REGISTRIES
-from .metrics import METRIC_NAMES, check_country
-from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW, check_detector
+from .metrics import METRIC_NAMES
+from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
+from .pipeline import AnalysisResult, RunConfig
 from .reachability import DEFAULT_CONFIRMATION_WINDOW
-from .rtingest import DEFAULT_SCHEMA, DateRange, check_ixp, snapshot_paths
-
-if TYPE_CHECKING:
-    from .pipeline import AnalysisResult
+from .rtingest import DEFAULT_SCHEMA, DateRange, snapshot_paths
 
 DISRUPTION_KINDS = ("origin_removal", "permanent_loss", "neighbor_disconnect", "prefix_shrink", "join")
 
@@ -193,20 +191,13 @@ class ScenarioError(ValueError):
 
 
 def _validate(spec: ScenarioSpec) -> None:
-    if not spec.ixps:
-        raise ScenarioError("scenario needs at least one IXP")
-    if not spec.countries:
-        raise ScenarioError("scenario needs at least one country")
     try:  # what analyze would refuse
-        for ixp in spec.ixps:
-            check_ixp(ixp)
-        for cc in spec.countries:
-            check_country(cc)
-        check_detector(**spec.detector)
+        RunConfig(Path(), Path(), Path(), spec.ixps, tuple(spec.countries), spec.baseline,
+                  spec.final, spec.confirmation_window, **spec.detector)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
-    if spec.confirmation_window < 0:
-        raise ScenarioError("confirmation window must be >= 0")
+    if set(spec.detector) != set(DEFAULT_DETECTOR):  # RunConfig takes other keywords too
+        raise ScenarioError(f"detector: keys must be {', '.join(DEFAULT_DETECTOR)}")
     for day in (spec.baseline, spec.final):
         if day in spec.gap_dates:
             raise ScenarioError(f"{day} cannot be a gap date")
@@ -540,7 +531,7 @@ def _write_delegated(path: Path, spec: ScenarioSpec, blocks) -> None:
     path.write_text("\n".join(lines + rows) + "\n", encoding="utf-8")
 
 
-def verify(gt: GroundTruth, result: "AnalysisResult") -> list[str]:
+def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     """Compare pipeline outputs against ground truth; [] means a clean run."""
     problems: list[str] = []
     for ixp in gt.ixps:

@@ -23,6 +23,11 @@ def run(argv):
     return cli.main(argv)
 
 
+def tree_bytes(root: Path) -> dict[Path, bytes]:
+    """Each file under `root`, by its path relative to `root`, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 # sha256 of the `analyze` output directory of the scenario in
 # TestAnalyze.test_output_bytes_are_pinned, over each file's relative path
 # and bytes in sorted order (as perfbench's gate.digest_dir takes it).
@@ -93,13 +98,15 @@ class TestAnalyze:
             "--final-date", gt.final_date.isoformat(),
         ]
 
-    def test_writes_all_declared_outputs(self, analyzed_scenario):
+    def test_writes_all_declared_outputs(self, analyzed_scenario, capsys):
         from ixpreach.metrics import read_metrics_csv
         from ixpreach.outage import read_events_csv
 
         tmp_path, scen, gt = analyzed_scenario
         assert run(self.analyze_args(tmp_path, scen, gt)) == 0
         out = tmp_path / "out"
+        files = [p for p in out.rglob("*") if p.is_file()]
+        assert capsys.readouterr().out.startswith(f"wrote {len(files)} files under {out}\n")
         for ixp in gt.ixps:
             for cc in gt.countries:
                 with open(out / "metrics" / f"{ixp}_{cc}.csv") as handle:
@@ -119,13 +126,37 @@ class TestAnalyze:
         tmp_path, scen, gt = analyzed_scenario
         assert run(self.analyze_args(tmp_path, scen, gt, out="out1")) == 0
         assert run(self.analyze_args(tmp_path, scen, gt, out="out2")) == 0
-        files1 = sorted(p.relative_to(tmp_path / "out1")
-                        for p in (tmp_path / "out1").rglob("*") if p.is_file())
-        files2 = sorted(p.relative_to(tmp_path / "out2")
-                        for p in (tmp_path / "out2").rglob("*") if p.is_file())
-        assert files1 == files2
-        for rel in files1:
-            assert (tmp_path / "out1" / rel).read_bytes() == (tmp_path / "out2" / rel).read_bytes()
+        first = tree_bytes(tmp_path / "out1")
+        assert first and tree_bytes(tmp_path / "out2") == first
+        # A rerun into a directory holding this run's own files is not refused.
+        assert run(self.analyze_args(tmp_path, scen, gt, out="out1")) == 0
+        assert tree_bytes(tmp_path / "out1") == first
+
+    def test_directory_with_another_runs_files_is_refused(self, analyzed_scenario, capsys):
+        tmp_path, scen, gt = analyzed_scenario
+        assert gt.ixps == ("amsix", "linx") and set(gt.countries) == {"UA", "RU"}
+        out = tmp_path / "out"
+
+        def narrow(out_name):
+            args = self.analyze_args(tmp_path, scen, gt, out=out_name)
+            args[args.index("--ixps") + 1] = "amsix"
+            args[args.index("--countries") + 1] = "UA"
+            return run(args)
+
+        assert run(self.analyze_args(tmp_path, scen, gt)) == 0
+        before = tree_bytes(out)
+        assert len(before) == 13
+        capsys.readouterr()
+        assert narrow("out") == 2
+        err = capsys.readouterr().err
+        stale = [rel for rel in before if "linx" in rel.name or "RU" in rel.name]
+        assert len(stale) == 8
+        assert any(str(out / rel) in err for rel in stale), err
+        assert tree_bytes(out) == before
+        # A directory holding fewer pairs' files is written over.
+        assert narrow("grown") == 0
+        assert run(self.analyze_args(tmp_path, scen, gt, out="grown")) == 0
+        assert tree_bytes(tmp_path / "grown") == before
 
     def test_output_and_stdout_are_independent_of_hash_seed(self, analyzed_scenario):
         tmp_path, scen, gt = analyzed_scenario

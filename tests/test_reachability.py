@@ -323,6 +323,6 @@ class TestDiffReachability:
         present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)}
         series = series_from_presence(present, UA_DB)
         report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
-        table = reachability.format_report_table([report])
+        table = reachability.format_report_table([report], average_pct([report.pct_lost]))
         assert "50.0%" in table
         assert "average % lost: 50.00" in table

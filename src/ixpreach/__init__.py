@@ -8,29 +8,4 @@ generator (`ixpreach.synth`, imported on its own) provides exact ground
 truth for end-to-end testing.
 """
 
-from .asndb import AsnDb, AsnRecord, MergedRecords, build_from_files, merge, parse_delegated
-from .metrics import (
-    METRIC_NAMES,
-    MetricSeries,
-    PresenceMap,
-    build_series,
-    origin_presence,
-)
-from .outage import CatalogEvent, OutageEvent, annotate, detect_dips, load_seed_catalog
-from .pipeline import AnalysisResult, RunConfig, run_analysis, write_outputs
-from .reachability import (
-    ReachabilityReport,
-    average_pct,
-    diff_reachability,
-    pct_lost,
-)
-from .rtingest import (
-    DateRange,
-    Snapshot,
-    SnapshotSchema,
-    SnapshotSeries,
-    load_series,
-    parse_snapshot,
-)
-
 __version__ = "0.1.0"

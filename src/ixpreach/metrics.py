@@ -109,15 +109,13 @@ def _release(counts: dict, key: int | str) -> bool:
 
 def build_series(
     series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
-) -> dict[str, tuple[MetricSeries, dict[int, int]]]:
+) -> dict[str, tuple[MetricSeries, PresenceMap]]:
     """Attribute every snapshot's rows to the given countries.
 
     For each distinct country: its MetricSeries (one count per snapshot
-    in each column, over one dates tuple that every country's series
-    shares) and the mask of snapshot indices on which each in-country
-    origin is present, as `PresenceMap.masks` holds them and
-    `origin_presence` takes them.  The result does not depend on row
-    order or on repeated countries.
+    in each column) and its PresenceMap, both over the one dates tuple
+    that every country shares.  The result does not depend on row order
+    or on repeated countries.
 
     Each row id present on a day holds one reference on its in-country
     origin, (country, prefix) pair and neighbor; a day costs set algebra
@@ -179,14 +177,15 @@ def build_series(
     # One column per metric; a series with no snapshot gets empty ones.
     return {
         cc: (MetricSeries(series.ixp, cc, dates,
-                          *(tuple(zip(*counts[cc])) or ((),) * len(METRIC_NAMES))), masks[cc])
+                          *(tuple(zip(*counts[cc])) or ((),) * len(METRIC_NAMES))),
+             origin_presence(dates, masks[cc]))
         for cc in sorted(wanted)
     }
 
 
 def origin_presence(dates: tuple[dt.date, ...], masks: dict[int, int]) -> PresenceMap:
     """One country's presence from its snapshot dates and the origin masks
-    `build_series` returns for it; the masks are kept, not copied."""
+    `build_series` took for it; the masks are kept, not copied."""
     return PresenceMap(dates, masks)
 
 

@@ -1,9 +1,9 @@
 """End-to-end analysis: snapshots + ASN database -> reports and plot data.
 
-This is the engine behind the `analyze` subcommand; it is also used
-directly when checking pipeline output against synthetic ground truth.
-All outputs are deterministic: rerunning on unchanged inputs produces
-byte-identical files.
+This is the engine behind the `analyze` subcommand; its result, one
+`PairResult` per (IXP, country) pair, is also checked directly against
+synthetic ground truth.  All outputs are deterministic: rerunning on
+unchanged inputs produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import datetime as dt
 import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Container
+from typing import Container, Iterable
 
 from . import asndb, metrics, outage, reachability, rtingest
 
@@ -60,15 +60,22 @@ class RunConfig:
             raise ValueError("annotation slack must be >= 0")
 
 
+@dataclass(frozen=True)
+class PairResult:
+    """One (IXP, country) pair's results.  `presence`, small beside the
+    series, is kept for `synth.verify`, which reads each origin's offline
+    days off its masks."""
+
+    series: metrics.MetricSeries
+    presence: metrics.PresenceMap
+    report: reachability.ReachabilityReport
+    events: list[outage.OutageEvent]
+
+
 @dataclass
 class AnalysisResult:
     config: RunConfig
-    series: dict[tuple[str, str], metrics.MetricSeries] = field(default_factory=dict)
-    reports: dict[tuple[str, str], reachability.ReachabilityReport] = field(default_factory=dict)
-    # Each origin's mask of snapshot days, small beside the series: kept for
-    # `synth.verify`, which reads each origin's offline days off them.
-    presence: dict[tuple[str, str], metrics.PresenceMap] = field(default_factory=dict)
-    events: dict[tuple[str, str], list[outage.OutageEvent]] = field(default_factory=dict)
+    pairs: dict[tuple[str, str], PairResult] = field(default_factory=dict)
     averages: dict[str, float] = field(default_factory=dict)
 
 
@@ -125,11 +132,8 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
         series = rtingest.load_series(config.snapshot_root, ixp, window, schema)
         attributed = metrics.build_series(series, db, config.countries)
         del series  # free this IXP's rows before the next IXP's are read
-        for country, (mseries, masks) in attributed.items():
-            key = (ixp, country)
-            result.series[key] = mseries
-            presence = result.presence[key] = metrics.origin_presence(mseries.dates, masks)
-            result.reports[key] = reachability.diff_reachability(
+        for country, (mseries, presence) in attributed.items():
+            report = reachability.diff_reachability(
                 presence, ixp, country,
                 config.baseline_date, config.final_date, config.confirmation_window)
             events: list[outage.OutageEvent] = []
@@ -141,10 +145,10 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
                     min_reference=config.min_reference))
             if catalog is not None:
                 events = outage.annotate(events, catalog, config.annotation_slack)
-            result.events[key] = events
+            result.pairs[ixp, country] = PairResult(mseries, presence, report, events)
 
     for country in config.countries:
-        pcts = [result.reports[(ixp, country)].pct_lost for ixp in config.ixps]
+        pcts = [result.pairs[ixp, country].report.pct_lost for ixp in config.ixps]
         result.averages[country] = reachability.average_pct(pcts)
     return result
 
@@ -153,15 +157,14 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
     """Build the run's files as one table of relative path -> text, write
     it in sorted name order and return the paths written.
 
-    A name the table lacks in a subdirectory it writes into (another
-    run's file) raises ValueError first; nothing is ever deleted.
+    `check_output_dir` runs first, so a directory holding another run's
+    files is refused before anything is written.
     """
     config = result.config
     files: dict[str, str] = {}
-    for (ixp, country), series in result.series.items():
-        files[f"metrics/{ixp}_{country}.csv"] = _text(metrics.write_metrics_csv, series)
-        files[f"outages/{ixp}_{country}.csv"] = _text(
-            outage.write_events_csv, result.events[ixp, country])
+    for (ixp, country), pair in result.pairs.items():
+        files[f"metrics/{ixp}_{country}.csv"] = _text(metrics.write_metrics_csv, pair.series)
+        files[f"outages/{ixp}_{country}.csv"] = _text(outage.write_events_csv, pair.events)
     summary = [
         "analysis summary",
         f"baseline {config.baseline_date} final {config.final_date} "
@@ -171,7 +174,7 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
         f"threshold={config.threshold} min_reference={config.min_reference}",
     ]
     for country, average in sorted(result.averages.items()):
-        reports = [result.reports[ixp, country] for ixp in config.ixps]
+        reports = [result.pairs[ixp, country].report for ixp in config.ixps]
         files[f"reachability/{country}_table.txt"] = reachability.format_report_table(
             reports, average)
         files[f"reachability/{country}_records.txt"] = "".join(
@@ -180,14 +183,27 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
     files["summary.txt"] = "\n".join(summary) + "\n"
 
     out = Path(config.output_dir)
-    for subdir in sorted({name.rpartition("/")[0] for name in files} - {""}):
-        for entry in sorted((out / subdir).iterdir()) if (out / subdir).is_dir() else ():
-            if f"{subdir}/{entry.name}" not in files:
-                raise ValueError(f"{entry} is not an output of this run; use an empty directory")
+    check_output_dir(out, files)
     for name, text in sorted(files.items()):
         (out / name).parent.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text, encoding="utf-8")
     return [out / name for name in sorted(files)]
+
+
+def check_output_dir(root: Path, names: Iterable[str]) -> None:
+    """Raise ValueError naming the first entry, in a directory below `root`
+    that holds one of the run's files (`names`, relative POSIX paths),
+    that is not on the way to one of them.  `root`'s own entries pass."""
+    allowed: dict[str, set[str]] = {}
+    for name in names:
+        parts = name.split("/")
+        for depth in range(1, len(parts)):
+            allowed.setdefault("/".join(parts[:depth]), set()).add(parts[depth])
+    for subdir, entries in sorted(allowed.items()):
+        directory = root / subdir
+        for entry in sorted(directory.iterdir()) if directory.is_dir() else ():
+            if entry.name not in entries:
+                raise ValueError(f"{entry} is not an output of this run; use an empty directory")
 
 
 def _text(write, value) -> str:

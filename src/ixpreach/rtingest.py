@@ -343,14 +343,18 @@ def parse_snapshot(
     return Snapshot(date=date, entries=tuple(entries), skipped=skipped)
 
 
+def snapshot_name(ixp: str, day: dt.date) -> str:
+    """`<ixp>/<YYYY-MM-DD>.csv`: a day's snapshot file below the root."""
+    return f"{ixp}/{day.isoformat()}.csv"
+
+
 def snapshot_paths(root: str | Path, ixp: str, days: Iterable[dt.date]) -> Iterator[tuple[dt.date, Path]]:
-    """Each day with the path `<root>/<ixp>/<YYYY-MM-DD>.csv` of its
-    snapshot file, which may not exist.  A missing IXP directory raises
+    """Each day with the path `<root>/<snapshot_name>` of its snapshot
+    file, which may not exist.  A missing IXP directory raises
     FileNotFoundError at the call."""
-    ixp_dir = Path(root) / ixp
-    if not ixp_dir.is_dir():
+    if not (Path(root) / ixp).is_dir():
         raise FileNotFoundError(f"no snapshot directory for IXP {ixp!r} under {root}")
-    return ((day, ixp_dir / f"{day.isoformat()}.csv") for day in days)
+    return ((day, Path(root, snapshot_name(ixp, day))) for day in days)
 
 
 def load_series(

@@ -26,12 +26,15 @@ A scenario file (``load_scenario``) is one JSON object.  ``seed``,
 are required; ``gap_dates`` (none), ``disruptions`` (none),
 ``confirmation_window`` (3) and ``detector`` (``trailing_window`` 7,
 ``threshold`` 0.05, ``min_reference`` 10) are optional.  A country takes
-``origin_count`` (one number or an IXP map), ``prefixes_per_origin``
-(``[1, 3]``) and ``neighbor_count`` (1); a disruption takes ``kind``,
-``ixp``, ``country``, ``start`` and, as its kind needs, ``end``,
-``count`` and ``magnitude``.  Any other key is an error, and so is a
-country code or setting ``analyze`` would refuse.  The ground truth's
-baseline and final dates are the window's first and last days.
+``origin_count`` (one integer or a map of exactly the IXPs),
+``prefixes_per_origin`` (``[1, 3]``) and ``neighbor_count`` (1); a
+disruption takes ``kind``, ``ixp``, ``country``, ``start`` and the keys
+its kind has in ``DISRUPTION_KEYS``.  Any other key is an error, and so
+is an integer given as a float, string or bool, a gap given twice or not
+strictly inside the window, or a country code or setting ``analyze``
+would refuse.  The ground truth's baseline and final dates are the window's
+first and last days.  ``generate`` refuses a directory holding another
+scenario's snapshots before writing.
 """
 
 from __future__ import annotations
@@ -48,11 +51,19 @@ from typing import Callable, Iterable
 from .asndb import REGISTRIES
 from .metrics import METRIC_NAMES
 from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
-from .pipeline import AnalysisResult, RunConfig
+from .pipeline import AnalysisResult, RunConfig, check_output_dir
 from .reachability import DEFAULT_CONFIRMATION_WINDOW
-from .rtingest import DEFAULT_SCHEMA, DateRange, snapshot_paths
+from .rtingest import DEFAULT_SCHEMA, DateRange, snapshot_name, snapshot_paths
 
-DISRUPTION_KINDS = ("origin_removal", "permanent_loss", "neighbor_disconnect", "prefix_shrink", "join")
+# Each disruption kind -> the keys it takes besides kind, ixp, country and
+# start.  Each is required, and no other key is allowed.
+DISRUPTION_KEYS = {
+    "origin_removal": ("end", "count"),
+    "permanent_loss": ("count",),
+    "neighbor_disconnect": ("end", "count"),
+    "prefix_shrink": ("end", "magnitude"),
+    "join": ("count",),
+}
 
 DEFAULT_DETECTOR = {"trailing_window": DEFAULT_TRAILING_WINDOW, "threshold": DEFAULT_THRESHOLD,
                     "min_reference": DEFAULT_MIN_REFERENCE}
@@ -190,7 +201,17 @@ class ScenarioError(ValueError):
     pass
 
 
+def _check_number(where: str, value, integer: bool = False) -> None:
+    """Refuse a non-number, or a non-integer if `integer`; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ScenarioError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
+
+
 def _validate(spec: ScenarioSpec) -> None:
+    _check_number("seed", spec.seed, integer=True)
+    _check_number("confirmation_window", spec.confirmation_window, integer=True)
+    for key in DEFAULT_DETECTOR:
+        _check_number(f"detector {key}", spec.detector.get(key), integer=key == "trailing_window")
     try:  # what analyze would refuse
         RunConfig(Path(), Path(), Path(), spec.ixps, tuple(spec.countries), spec.baseline,
                   spec.final, spec.confirmation_window, **spec.detector)
@@ -198,34 +219,49 @@ def _validate(spec: ScenarioSpec) -> None:
         raise ScenarioError(str(exc)) from None
     if set(spec.detector) != set(DEFAULT_DETECTOR):  # RunConfig takes other keywords too
         raise ScenarioError(f"detector: keys must be {', '.join(DEFAULT_DETECTOR)}")
-    for day in (spec.baseline, spec.final):
-        if day in spec.gap_dates:
-            raise ScenarioError(f"{day} cannot be a gap date")
+    gaps = set(spec.gap_dates)
+    if len(gaps) != len(spec.gap_dates) or not all(spec.baseline < day < spec.final for day in gaps):
+        raise ScenarioError("gap dates must be distinct days inside the window, not its first or last")
     if len(spec.snapshot_days()) < spec.detector["trailing_window"] + 1:
         raise ScenarioError("window too short for the dip detector")
     for cc, cspec in spec.countries.items():
         lo, hi = cspec.prefixes_per_origin
+        for value in (lo, hi):
+            _check_number(f"{cc}: prefixes_per_origin", value, integer=True)
         if not 1 <= lo <= hi:
             raise ScenarioError(f"{cc}: bad prefixes_per_origin range {cspec.prefixes_per_origin}")
-        for ixp in spec.ixps:
-            if cspec.neighbor_count > cspec.origins_at(ixp):
+        _check_number(f"{cc}: neighbor_count", cspec.neighbor_count, integer=True)
+        counts = cspec.origin_count
+        if not isinstance(counts, dict):
+            counts = dict.fromkeys(spec.ixps, counts)
+        if counts.keys() != set(spec.ixps):
+            raise ScenarioError(f"{cc}: origin_count must name exactly the IXPs {', '.join(spec.ixps)}")
+        for ixp, count in counts.items():
+            _check_number(f"{cc}: origin_count at {ixp}", count, integer=True)
+            if cspec.neighbor_count > count:
                 raise ScenarioError(f"{cc}: more neighbors than origins at {ixp}")
     for i, d in enumerate(spec.disruptions):
         where = f"disruption #{i} ({d.kind})"
-        if d.kind not in DISRUPTION_KINDS:
+        keys = DISRUPTION_KEYS.get(d.kind)
+        if keys is None:
             raise ScenarioError(f"{where}: unknown kind")
         if d.ixp not in spec.ixps or d.country not in spec.countries:
             raise ScenarioError(f"{where}: unknown ixp or country")
         if d.start not in spec.window:
             raise ScenarioError(f"{where}: start outside window")
-        if d.kind in ("origin_removal", "neighbor_disconnect", "prefix_shrink"):
-            if d.end is None or d.end < d.start or d.end not in spec.window:
-                raise ScenarioError(f"{where}: needs an end date inside the window")
-        if d.kind == "prefix_shrink":
-            if d.magnitude is None or not 0 < d.magnitude <= 1:
+        for key in ("end", "count", "magnitude"):
+            if (getattr(d, key) is None) == (key in keys):
+                raise ScenarioError(f"{where}: {'needs' if key in keys else 'takes no'} {key}")
+        if d.end is not None and (d.end < d.start or d.end not in spec.window):
+            raise ScenarioError(f"{where}: needs an end date inside the window")
+        if d.count is not None:
+            _check_number(f"{where}: count", d.count, integer=True)
+            if d.count < 1:
+                raise ScenarioError(f"{where}: needs a positive count")
+        if d.magnitude is not None:
+            _check_number(f"{where}: magnitude", d.magnitude)
+            if not 0 < d.magnitude <= 1:
                 raise ScenarioError(f"{where}: magnitude must be in (0, 1]")
-        elif d.count is None or d.count < 1:
-            raise ScenarioError(f"{where}: needs a positive count")
         if d.kind == "neighbor_disconnect" and spec.countries[d.country].neighbor_count < 1:
             raise ScenarioError(f"{where}: country has no neighbors to disconnect")
 
@@ -332,6 +368,9 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     _validate(spec)
     out_dir = Path(out)
     snapshots_dir = out_dir / "snapshots"
+    ixps = list(spec.ixps)
+    snapshot_days = spec.snapshot_days()
+    check_output_dir(out_dir, [f"snapshots/{snapshot_name(ixp, day)}" for ixp in ixps for day in snapshot_days])
 
     blocks = _country_blocks(spec)
     registered: dict[int, str] = {}
@@ -342,8 +381,6 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
         registered[asn] = "ZZ"
     transit_pool = _TRANSIT_REGISTERED + _TRANSIT_UNREGISTERED
 
-    ixps = list(spec.ixps)
-    snapshot_days = spec.snapshot_days()
     countries = sorted(spec.countries)
 
     origins_at: dict[tuple[str, str], list[int]] = {}
@@ -536,13 +573,12 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     problems: list[str] = []
     for ixp in gt.ixps:
         for cc in gt.countries:
-            key = (ixp, cc)
             where = f"{ixp}/{cc}"
-
-            series = result.series.get(key)
-            if series is None:
-                problems.append(f"{where}: metric series missing from pipeline output")
+            pair = result.pairs.get((ixp, cc))
+            if pair is None:
+                problems.append(f"{where}: pair missing from pipeline output")
                 continue
+            series = pair.series
             expected = gt.metrics[ixp][cc]
             expected_dates = sorted(expected)
             got_dates = list(series.dates)
@@ -554,21 +590,16 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 if want is not None and got != want:
                     problems.append(f"{where} {day}: expected {want}, got {got}")
 
-            report = result.reports.get(key)
-            if report is None:
-                problems.append(f"{where}: reachability report missing")
-            else:
-                if report.lost_asns != gt.unreachable[ixp][cc]:
-                    problems.append(f"{where}: lost origins differ "
-                                    f"(expected {len(gt.unreachable[ixp][cc])}, got {len(report.lost_asns)})")
-                if report.new_asns != gt.new_origins[ixp][cc]:
-                    problems.append(f"{where}: new origins differ")
+            report = pair.report
+            if report.lost_asns != gt.unreachable[ixp][cc]:
+                problems.append(f"{where}: lost origins differ "
+                                f"(expected {len(gt.unreachable[ixp][cc])}, got {len(report.lost_asns)})")
+            if report.new_asns != gt.new_origins[ixp][cc]:
+                problems.append(f"{where}: new origins differ")
 
-            pres = result.presence.get(key)
+            pres = pair.presence
             expected_offline = gt.offline[ixp][cc]
-            if pres is None:
-                problems.append(f"{where}: presence map missing")
-            elif pres.masks.keys() != expected_offline.keys():
+            if pres.masks.keys() != expected_offline.keys():
                 problems.append(f"{where}: presence covers different origins")
             else:
                 for asn, days in expected_offline.items():
@@ -578,9 +609,8 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                     if got_days != days:
                         problems.append(f"{where} AS{asn}: expected {days} offline days, got {got_days}")
 
-            events = result.events.get(key, [])
             for metric in METRIC_NAMES:
-                got_spans = tuple((e.start, e.end) for e in events if e.metric == metric)
+                got_spans = tuple((e.start, e.end) for e in pair.events if e.metric == metric)
                 want_spans = gt.outages[ixp][cc].get(metric, ())
                 if got_spans != want_spans:
                     problems.append(
@@ -606,48 +636,34 @@ def _check_keys(doc: dict, cls: type, where: str) -> None:
 
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     """A validated scenario from its JSON document; every key must name a
-    field of ScenarioSpec, CountrySpec or Disruption."""
+    field of ScenarioSpec, CountrySpec or Disruption, and dates are ISO
+    text.  A key left out takes the field's default."""
     iso = dt.date.fromisoformat
     try:
         _check_keys(doc, ScenarioSpec, "scenario")
-        window = DateRange(iso(doc["window"]["start"]), iso(doc["window"]["end"]))
         countries = {}
         for cc, c in doc["countries"].items():
             _check_keys(c, CountrySpec, f"country {cc}")
-            count = c["origin_count"]
-            lo, hi = c.get("prefixes_per_origin", (1, 3))
-            countries[cc] = CountrySpec(
-                origin_count=count if isinstance(count, int) else dict(count),
-                prefixes_per_origin=(int(lo), int(hi)),
-                neighbor_count=int(c.get("neighbor_count", 1)),
-            )
+            countries[cc] = CountrySpec(**c)
         disruptions = []
         for i, d in enumerate(doc.get("disruptions", [])):
             _check_keys(d, Disruption, f"disruption #{i}")
-            disruptions.append(Disruption(
-                kind=d["kind"],
-                ixp=d["ixp"],
-                country=d["country"],
-                start=iso(d["start"]),
-                end=iso(d["end"]) if d.get("end") else None,
-                count=d.get("count"),
-                magnitude=d.get("magnitude"),
-            ))
-        detector = dict(DEFAULT_DETECTOR)
-        detector.update(doc.get("detector", {}))
-        spec = ScenarioSpec(
-            seed=int(doc["seed"]),
-            window=window,
-            ixps=tuple(doc["ixps"]),
-            countries=countries,
-            disruptions=tuple(disruptions),
-            gap_dates=tuple(iso(d) for d in doc.get("gap_dates", [])),
-            confirmation_window=int(doc.get("confirmation_window", DEFAULT_CONFIRMATION_WINDOW)),
-            detector=detector,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+            dates = {key: iso(d[key]) for key in ("start", "end") if key in d}
+            disruptions.append(Disruption(**{**d, **dates}))
+        spec = ScenarioSpec(**{
+            **doc,
+            "window": DateRange(iso(doc["window"]["start"]), iso(doc["window"]["end"])),
+            "ixps": tuple(doc["ixps"]),
+            "countries": countries,
+            "disruptions": tuple(disruptions),
+            "gap_dates": tuple(map(iso, doc.get("gap_dates", []))),
+            "detector": {**DEFAULT_DETECTOR, **doc.get("detector", {})},
+        })
+        _validate(spec)
+    except ScenarioError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
-    _validate(spec)
     return spec
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from ixpreach.asndb import AsnDb
-from ixpreach.metrics import METRIC_NAMES, build_series, origin_presence
+from ixpreach.metrics import METRIC_NAMES, build_series
 from ixpreach.reachability import diff_reachability
 from ixpreach.rtingest import Snapshot, SnapshotSeries
 
@@ -54,14 +54,13 @@ def rows_of(snapshot, table):
 
 
 def country_series(series, db, country):
-    """One country's (MetricSeries, origin masks) from build_series."""
+    """One country's (MetricSeries, PresenceMap) from build_series."""
     return build_series(series, db, [country])[country]
 
 
 def presence_of(series, db, country):
-    """The country's origin presence map, built as the pipeline builds it."""
-    mseries, masks = country_series(series, db, country)
-    return origin_presence(mseries.dates, masks)
+    """The country's origin presence map, as build_series gives the pipeline."""
+    return country_series(series, db, country)[1]
 
 
 def day_counts(mseries):

@@ -601,6 +601,44 @@ class TestSynthCommand:
         assert "ground_truth.json" in out
         assert (tmp_path / "scen" / "ground_truth.json").exists()
 
+    def test_directory_with_another_scenarios_files_is_refused(self, tmp_path, capsys):
+        # The README scenario, then narrower ones into the same directory.
+        readme = {
+            "seed": 4, "window": {"start": "2022-02-19", "end": "2022-03-20"},
+            "ixps": ["amsix", "linx"],
+            "countries": {"UA": {"origin_count": 40, "neighbor_count": 3},
+                          "RU": {"origin_count": 30, "neighbor_count": 2}},
+            "gap_dates": ["2022-03-01"],
+            "disruptions": [
+                {"kind": "permanent_loss", "ixp": "amsix", "country": "UA", "start": "2022-03-05", "count": 4},
+                {"kind": "prefix_shrink", "ixp": "linx", "country": "RU",
+                 "start": "2022-03-10", "end": "2022-03-12", "magnitude": 0.5}],
+        }
+        shorter = dict(readme, window={"start": "2022-02-19", "end": "2022-03-10"},
+                       gap_dates=["2022-03-02"], disruptions=[])
+        scen = tmp_path / "scen"
+
+        def synth_run(doc, out=scen):
+            spec_path = tmp_path / "scenario.json"
+            spec_path.write_text(json.dumps(doc))
+            return run(["synth", "--spec", str(spec_path), "--out", str(out)])
+
+        assert synth_run(readme) == 0
+        before = tree_bytes(scen)
+        for doc, stale in ((dict(shorter, ixps=["amsix"]), scen / "snapshots" / "linx"),
+                           (shorter, scen / "snapshots" / "amsix" / "2022-03-02.csv")):
+            capsys.readouterr()
+            assert synth_run(doc) == 2
+            assert f"error: {stale} is not an output of this run" in capsys.readouterr().err
+            assert tree_bytes(scen) == before
+        # The same scenario again, or a wider one, is written over.
+        assert synth_run(readme) == 0
+        assert tree_bytes(scen) == before
+        amsix_only = dict(readme, ixps=["amsix"], disruptions=readme["disruptions"][:1])
+        assert synth_run(amsix_only, tmp_path / "grown") == 0
+        assert synth_run(readme, tmp_path / "grown") == 0
+        assert tree_bytes(tmp_path / "grown") == before
+
     def test_invalid_scenario_is_data_error(self, tmp_path, capsys):
         spec_path = tmp_path / "scenario.json"
         spec_path.write_text(json.dumps({"seed": 1}))

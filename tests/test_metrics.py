@@ -74,8 +74,7 @@ class TestComputeDaily:
             joint = build_series(make_series({BASE: rows}), db, ["UA", "RU", "DE"])
             for cc in ("UA", "RU", "DE"):
                 assert day_counts(joint[cc][0]) == {BASE: brute_counts(rows, countries, cc)}
-                presence = metrics.origin_presence(joint[cc][0].dates, joint[cc][1])
-                assert origins_by_date(presence) == {
+                assert origins_by_date(joint[cc][1]) == {
                     BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
 
     def test_country_totals_bounded_by_entry_count(self):
@@ -111,10 +110,10 @@ class TestBuildSeries:
         db = make_db({20: "UA"})
         days = {day(i): [("192.0.2.0/24", [20])] for i in range(5)}
         series = make_series(days, gaps=[day(5), day(6)])
-        mseries, masks = country_series(series, db, "UA")
+        mseries, presence = country_series(series, db, "UA")
         assert len(mseries.dates) == len(mseries.announcements) == 5
-        assert presence_of(series, db, "UA").dates == tuple(day(i) for i in range(5))
-        assert masks == {20: 0b11111}
+        assert presence.dates == tuple(day(i) for i in range(5))
+        assert presence.masks == {20: 0b11111}
 
     def test_joint_pass_equals_single_country_passes(self):
         rng = random.Random(7)
@@ -125,8 +124,9 @@ class TestBuildSeries:
         series = make_series(days, gaps=[day(6)])
         joint = build_series(series, db, ["UA", "RU", "DE", "FR"])
         assert list(joint) == ["DE", "FR", "RU", "UA"]
-        # One dates tuple for the IXP, shared by every country's series.
-        assert all(joint[cc][0].dates is joint["DE"][0].dates for cc in joint)
+        # One dates tuple for the IXP, shared by every country's series and presence.
+        assert all(mseries.dates is presence.dates is joint["DE"][0].dates
+                   for mseries, presence in joint.values())
         for cc in joint:
             assert joint[cc] == build_series(series, db, [cc])[cc]
         assert build_series(series, db, ["UA", "UA"]) == build_series(series, db, ["UA"])
@@ -160,15 +160,15 @@ class TestBuildSeries:
             gaps = [day(offset) for offset in range(16) if offset not in offsets]
             joint = build_series(make_series(days, gaps=gaps), db, ["UA", "RU", "DE"])
             for cc in ("UA", "RU", "DE"):
-                mseries, masks = joint[cc]
+                mseries, presence = joint[cc]
                 assert mseries.dates == tuple(days)
                 counts = day_counts(mseries)
                 daily = []
                 for d, rows in days.items():
                     assert counts[d] == brute_counts(rows, countries, cc), (cc, d)
                     daily.append({path[-1] for _, path in rows if countries.get(path[-1]) == cc})
+                masks = presence.masks
                 assert masks == brute_masks(daily), cc
-                presence = metrics.origin_presence(mseries.dates, masks)
                 assert origins_by_date(presence) == dict(zip(days, daily))
                 if cc == "UA":  # both leave and return: a 0 bit between two set ones
                     assert "0" in f"{masks[1]:b}".rstrip("0") and "0" in f"{masks[40]:b}".rstrip("0")
@@ -182,7 +182,7 @@ class TestBuildSeries:
                 rows.append(("198.51.100.0/24", [21]))
             days[day(i)] = rows
         every_day = (1 << 70) - 1
-        assert country_series(make_series(days), db, "UA")[1] == {
+        assert country_series(make_series(days), db, "UA")[1].masks == {
             20: every_day, 21: every_day & ~((1 << 40) - (1 << 30))}
 
     def test_origin_moving_between_rows_keeps_one_run(self):
@@ -190,7 +190,7 @@ class TestBuildSeries:
         db = make_db({20: "UA"})
         days = {day(0): [("192.0.2.0/24", [20])], day(1): [("198.51.100.0/24", [7, 20])],
                 day(2): [("198.51.100.0/24", [7, 20])]}
-        assert country_series(make_series(days), db, "UA")[1] == {20: 0b111}
+        assert country_series(make_series(days), db, "UA")[1].masks == {20: 0b111}
 
     def test_single_snapshot_series_equals_hand_counts(self):
         db = make_db({20: "UA"})
@@ -199,9 +199,9 @@ class TestBuildSeries:
 
     def test_series_without_snapshots_has_empty_columns(self):
         db = make_db({20: "UA"})
-        mseries, masks = country_series(make_series({}), db, "UA")
+        mseries, presence = country_series(make_series({}), db, "UA")
         assert mseries == MetricSeries("testix", "UA", (), (), (), (), ())
-        assert masks == {}
+        assert presence == metrics.PresenceMap((), {})
 
     def test_values_accessor_validates_metric_name(self):
         db = make_db({20: "UA"})
@@ -246,9 +246,9 @@ class TestOriginPresence:
 
     def test_keeps_the_runs_of_build_series(self):
         db = make_db({20: "UA"})
-        mseries, masks = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
-        presence = metrics.origin_presence(mseries.dates, masks)
-        assert presence.masks is masks
+        mseries, presence = country_series(make_series({BASE: [("192.0.2.0/24", [20])]}), db, "UA")
+        assert metrics.origin_presence(mseries.dates, presence.masks).masks is presence.masks
+        assert presence.masks == {20: 1}
         assert presence.dates is mseries.dates
         assert presence.dates == (BASE,)
 

@@ -78,8 +78,9 @@ class TestGenerate:
         assert not (tmp_path / "scen" / "snapshots" / "amsix" / f"{day(4).isoformat()}.csv").exists()
         assert day(4) not in gt.metrics["amsix"]["UA"]
         result = analyze_generated(tmp_path, gt)
-        assert day(4) not in result.series[("amsix", "UA")].dates
-        assert result.presence[("amsix", "UA")].dates is result.series[("amsix", "UA")].dates
+        pair = result.pairs["amsix", "UA"]
+        assert day(4) not in pair.series.dates
+        assert pair.presence.dates is pair.series.dates
         assert synth.verify(gt, result) == []
 
     def test_generated_tree_bytes_are_pinned(self, tmp_path):
@@ -121,7 +122,7 @@ class TestGenerate:
         pinned = {"first": (first, "4dbf31e264c6bf6f62965500cedf0721e1462e37a853b0d83f3ce16753d79fa3"),
                   "second": (second, "2eee8e122e7aceba716ef105ff91cdb8b416d64366fad47a2d8656d36ad4a03f")}
         for name, (spec, want) in pinned.items():
-            assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KINDS)
+            assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KEYS)
             scen = tmp_path / name
             gt = synth.generate(spec, scen)
             files = sorted(path for path in scen.rglob("*") if path.is_file())
@@ -157,7 +158,7 @@ class TestDisruptions:
         gt = synth.generate(spec, tmp_path / "scen")
         assert len(gt.unreachable["auix"]["UA"]) == 87
         result = analyze_generated(tmp_path, gt)
-        report = result.reports[("auix", "UA")]
+        report = result.pairs["auix", "UA"].report
         assert report.total_baseline == 1016
         assert report.lost == 87
         assert report.pct_lost == 8.5
@@ -180,7 +181,7 @@ class TestDisruptions:
         gt = synth.generate(spec, tmp_path / "scen")
         assert len(gt.new_origins["amsix"]["UA"]) == 2
         result = analyze_generated(tmp_path, gt)
-        report = result.reports[("amsix", "UA")]
+        report = result.pairs["amsix", "UA"].report
         assert len(report.new_asns) == 2
         assert report.lost == 0
         assert synth.verify(gt, result) == []
@@ -220,9 +221,9 @@ class TestDisruptions:
         gt = synth.generate(spec, tmp_path / "scen")
         result = analyze_generated(tmp_path, gt)
         assert synth.verify(gt, result) == []
-        ua_pcts = {ixp: result.reports[(ixp, "UA")].pct_lost for ixp in ixps}
+        ua_pcts = {ixp: result.pairs[ixp, "UA"].report.pct_lost for ixp in ixps}
         assert ua_pcts == {"auix": 8.5, "linx": 19.0, "amsix": 10.4, "spoixbr": 9.0, "six": 8.7}
-        ru_pcts = {ixp: result.reports[(ixp, "RU")].pct_lost for ixp in ixps}
+        ru_pcts = {ixp: result.pairs[ixp, "RU"].report.pct_lost for ixp in ixps}
         assert ru_pcts == {"auix": 3.1, "linx": 3.7, "amsix": 14.7, "spoixbr": 18.7, "six": 14.5}
         assert result.averages["UA"] == 11.12
         assert result.averages["RU"] == 10.94
@@ -254,7 +255,7 @@ class TestDisruptions:
         gt = synth.generate(spec, tmp_path / "scen")
         assert list(gt.outages["amsix"]["UA"]["announcements"]) == injected
         result = analyze_generated(tmp_path, gt)
-        events = [e for e in result.events[("amsix", "UA")] if e.metric == "announcements"]
+        events = [e for e in result.pairs["amsix", "UA"].events if e.metric == "announcements"]
         assert [(e.start, e.end) for e in events] == injected
         assert synth.verify(gt, result) == []
 
@@ -289,7 +290,7 @@ class TestVerifySensitivity:
 
     def test_tampered_presence_mask_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
-        masks = result.presence[("amsix", "UA")].masks
+        masks = result.pairs["amsix", "UA"].presence.masks
         asn, mask = next(iter(masks.items()))
         masks[asn] = mask & (mask - 1)  # one present day fewer
         days = gt.offline["amsix"]["UA"][asn]
@@ -298,6 +299,11 @@ class TestVerifySensitivity:
         masks[asn] = mask
         masks[99999] = 1
         assert synth.verify(gt, result) == ["amsix/UA: presence covers different origins"]
+
+    def test_missing_pair_is_one_problem(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        del result.pairs["amsix", "UA"]
+        assert synth.verify(gt, result) == ["amsix/UA: pair missing from pipeline output"]
 
     def test_tampered_outage_span_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
@@ -353,6 +359,27 @@ class TestScenarioIO:
         (lambda d: d["countries"].update({"UA\n": {"origin_count": 3}}), r"not a usable country filter: 'UA\\n'"),
         (lambda d: d.update(ixps=[]), "at least one IXP is required"),
         (lambda d: d.update(countries={}), "at least one country is required"),
+        (lambda d: d.update(countries=["UA"]), "bad scenario document"),
+        (lambda d: d.update(seed=4.9), "seed must be an integer, got 4.9"),
+        (lambda d: d.update(confirmation_window=2.9), "confirmation_window must be an integer"),
+        (lambda d: d.update(detector={"trailing_window": 7.5}), "detector trailing_window must be an integer"),
+        (lambda d: d.update(detector={"threshold": "0.05"}), "detector threshold must be a number"),
+        (lambda d: d["countries"]["UA"].update(neighbor_count=2.7), "UA: neighbor_count must be an integer"),
+        (lambda d: d["countries"]["UA"].update(origin_count={"amsix": 10, "linx": 5}),
+         "UA: origin_count must name exactly the IXPs amsix"),
+        (lambda d: (d.update(ixps=["amsix", "linx"]), d["countries"]["UA"].update(origin_count={"amsix": 10})),
+         "UA: origin_count must name exactly the IXPs amsix, linx"),
+        (lambda d: d.update(gap_dates=["2023-01-01"]), "gap dates must be distinct days inside the window"),
+        (lambda d: d.update(gap_dates=["2022-02-25", "2022-02-25"]), "gap dates must be distinct"),
+        (lambda d: d["disruptions"][0].update(count="2"), r"count must be an integer, got '2'"),
+        (lambda d: d["disruptions"][0].update(count=2.5), "count must be an integer, got 2.5"),
+        (lambda d: d["disruptions"][0].update(count=True), "count must be an integer, got True"),
+        (lambda d: d["disruptions"][0].update(kind="permanent_loss"), r"\(permanent_loss\): takes no end"),
+        (lambda d: d["disruptions"][0].update(kind="prefix_shrink", magnitude=0.5), "takes no count"),
+        (lambda d: (d["disruptions"][0].pop("end"), d["disruptions"][0].update(kind="permanent_loss", magnitude=0.5)),
+         r"\(permanent_loss\): takes no magnitude"),
+        (lambda d: (d["disruptions"][0].pop("count"), d["disruptions"][0].update(kind="prefix_shrink", magnitude="0.5")),
+         "magnitude must be a number, got '0.5'"),
     ])
     def test_validation_rejects_bad_scenarios(self, tmp_path, mutate, message):
         doc = {

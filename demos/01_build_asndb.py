@@ -2,13 +2,13 @@
 # Build an ASN-to-country database from RIR delegated-statistics data.
 #
 # The five RIRs publish pipe-separated files describing which country each
-# AS number is delegated to.  This walkthrough parses two tiny inline
-# excerpts, merges them (watching a cross-registry duplicate get resolved),
-# saves the result and reloads it as the country map `analyze` reads.
+# AS number is delegated to.  This walkthrough writes two tiny excerpts,
+# builds the database from them in one pass (watching a cross-registry
+# duplicate get resolved), saves the result and reloads it as the country
+# map `analyze` reads.
 #
 # Run:  python demos/01_build_asndb.py
 
-import io
 import tempfile
 from pathlib import Path
 
@@ -17,7 +17,8 @@ from ixpreach import asndb
 # --- 1) Two miniature delegated files -----------------------------------
 # Real files start with a version line and per-type summary lines; record
 # rows are registry|cc|type|start|value|date|status.  Only `asn` rows with
-# status allocated/assigned matter here; the ipv4 row is ignored.
+# status allocated/assigned matter here; the ipv4 row is ignored, and so
+# is arin's reserved row.
 
 RIPE_DATA = """\
 2|ripencc|20220219|4|19830705|20220218|+0100
@@ -34,38 +35,46 @@ arin|*|asn|*|3|summary
 arin|US|asn|100|5|19950101|assigned
 arin|US|asn|12389|1|20150601|assigned
 arin||asn|399260|2||reserved
+arin|US|asn|400000|1|2015-06-01|assigned
 """
 
-# parse_delegated returns the records plus a log of rows that should have
-# been ASN records but did not parse, as (line number, reason) pairs.
-
-ripe, ripe_skipped = asndb.parse_delegated(io.StringIO(RIPE_DATA))
-arin, _ = asndb.parse_delegated(io.StringIO(ARIN_DATA))
-print(f"ripencc rows parsed: {len(ripe)} records (skipped {len(ripe_skipped)})")
-print(f"arin rows parsed:    {len(arin)} records (note the 100..104 range expansion)")
-
-# --- 2) Merge ------------------------------------------------------------
-# merge takes the record lists and keeps one record per ASN.  AS 12389
-# appears in both files; the record with the *latest* allocation date wins,
-# deterministically, and the conflict is counted.
-
-db = asndb.merge([ripe, arin])
-print(f"\nmerged database: {len(db)} ASNs, {db.conflicts} conflict(s) resolved")
-print("AS 12389 ->", db.records[12389], "(arin's 2015 record beat ripencc's 1998 one)")
-print("AS 25133 ->", db.records[25133])
-
-# --- 3) Persist and reload ------------------------------------------------
-# The on-disk form is a sorted, diffable asn|country|registry|date file
-# under a header with the record and conflict counts.  load keeps only
-# what analyze reads: an ASN -> country map (one str per distinct code),
-# the provenance and the conflict count.  save also writes a binary
-# country index beside the file (<file>.idx); load takes the map from it
-# while its digest holds for the text and the index byte for byte, and
-# otherwise checks every line of the text.  Deleting the index gives the
-# same map, only slower.
-
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "asndb.txt"
+    tmp = Path(tmp)
+    items = []
+    for registry, text in (("ripencc", RIPE_DATA), ("arin", ARIN_DATA)):
+        path = tmp / f"delegated-{registry}.txt"
+        path.write_text(text)
+        items.append((registry, path))
+
+    # --- 2) Build ---------------------------------------------------------
+    # build_from_files reads each file once and folds every ASN row straight
+    # into one ASN -> Delegation map.  A Delegation is what one row gives
+    # each ASN of its range (country, registry, date), so arin's 100..104
+    # range shares one.  AS 12389 appears in both files: the row with the
+    # *latest* allocation date wins (then the registry, then the country
+    # decide a tie), and the duplicate counts as a conflict.  Rows that
+    # should be ASN records but do not parse come back as (registry, line
+    # number, reason).
+
+    db, skipped = asndb.build_from_files(items)
+    print(f"database: {len(db)} ASNs, {db.conflicts} conflict(s) resolved")
+    print("skipped rows:", skipped)
+    print("AS 12389 ->", db.records[12389], "(arin's 2015 row beat ripencc's 1998 one)")
+    print("AS 25133 ->", db.records[25133])
+    assert db.records[100] is db.records[104]
+    print("AS 100..104 share one Delegation:", db.records[100])
+
+    # --- 3) Persist and reload ----------------------------------------------
+    # The on-disk form is a sorted, diffable asn|country|registry|date file
+    # under a header with the record and conflict counts.  load keeps only
+    # what analyze reads: an ASN -> country map (one str per distinct code),
+    # the provenance and the conflict count.  save also writes a binary
+    # country index beside the file (<file>.idx); load takes the map from
+    # it while its digest holds for the text and the index byte for byte,
+    # and otherwise checks every line of the text.  Deleting the index
+    # gives the same map, only slower.
+
+    path = tmp / "asndb.txt"
     asndb.save(db, path)
     print("\npersisted form:")
     print(path.read_text())

@@ -9,9 +9,11 @@ For rows of type ``asn`` the start field is the first AS number and the
 value field the count of consecutive ASNs covered.  The module has two
 sides:
 
-* building (`parse_delegated` -> `merge` -> `save`, the `build-asndb`
-  path) works on `AsnRecord` rows, one per ASN with its country, registry
-  and allocation date, and persists the merged result as a sorted
+* building (`build_from_files` -> `save`, the `build-asndb` path) reads
+  each file once, a line at a time, and folds each ASN row straight into
+  one ASN -> `Delegation` map: every ASN of a row shares the row's
+  country, registry and allocation date, and of two rows that cover an
+  ASN the later date wins.  `save` writes the result as a sorted
   pipe-separated text file;
 * looking up (`load`, what `analyze` reads) turns that file into an
   `AsnDb`: an ASN -> country map with one shared `str` per distinct code.
@@ -32,7 +34,7 @@ import datetime as dt
 import hashlib
 import io
 import logging
-import re
+import string
 import sys
 from array import array
 from dataclasses import dataclass
@@ -47,8 +49,8 @@ _KEPT_STATUSES = frozenset({"allocated", "assigned"})
 
 ASN_MAX = 2**32 - 1
 
-# A country code as the delegated files write it, used with fullmatch.
-COUNTRY_RE = re.compile(r"[A-Z]{2}")
+# Every country code as the delegated files write it: two capital letters.
+COUNTRY_CODES = frozenset(a + b for a in string.ascii_uppercase for b in string.ascii_uppercase)
 
 # The country index `save` writes beside the text: this line, then
 # `sha256 <hex>`, `records <n>` and `codes <cc> <cc> ...` lines, then the
@@ -62,24 +64,31 @@ _INDEX_LINE_MAX = 4096
 log = logging.getLogger(__name__)
 
 
-class AsnRecord(NamedTuple):
-    """One AS number with the country, registry and date it is delegated
-    under: the row `parse_delegated` yields, `merge` picks and `save`
-    writes.  `load` builds none.
+class Delegation(NamedTuple):
+    """What one delegated row gives every ASN of its range: the country,
+    registry and date `save` writes, and the rank that orders it.
+
+    The fields run in the order of preference, so of two delegations of
+    one ASN the smaller tuple is kept: the latest date first (`rank` is
+    minus the date's ordinal, and 0 for a row without a date, which sorts
+    oldest), then the registry, then the country.  `date` is the
+    `YYYYMMDD` text of the rank's date, "" for none, so it never breaks a
+    tie.
     """
 
-    asn: int
-    country: str
+    rank: int
     registry: str
-    date: dt.date | None = None
+    country: str
+    date: str
 
 
 @dataclass(frozen=True)
 class MergedRecords:
-    """The merged build-side database: one AsnRecord per ASN, the
-    provenance and the number of duplicate records `merge` resolved."""
+    """The built database: the kept Delegation of each ASN (the ASNs of a
+    row share one), the provenance and the number of duplicate ASN
+    records the build resolved."""
 
-    records: dict[int, AsnRecord]
+    records: dict[int, Delegation]
     source_files: tuple[tuple[str, str], ...] = ()
     conflicts: int = 0
 
@@ -120,123 +129,88 @@ def _parse_date(text: str) -> dt.date | None:
 
 
 class _DateMemo(dict):
-    """Date text -> parsed date, each distinct text parsed once.
+    """Date text -> (`Delegation.rank`, `Delegation.date`), each distinct
+    text parsed once.
 
-    A database holds about ten times more records than distinct dates.  A
-    text that does not parse raises ValueError on every lookup and is
-    never stored.
+    A build shares one memo across its files, and `load` uses one for the
+    text it reads; a database holds about ten times more rows than
+    distinct dates.  A text that does not parse raises ValueError on every
+    lookup and is never stored.
     """
 
-    def __missing__(self, text: str) -> dt.date | None:
-        date = self[text] = _parse_date(text)
-        return date
-
-
-def parse_delegated(source: Iterable[str]) -> tuple[list[AsnRecord], list[tuple[int, str]]]:
-    """Parse a delegated statistics stream into ASN records.
-
-    Returns the records and the skipped-row log as (line number, reason)
-    pairs.  Each record's registry comes from its row, so combined
-    (NRO-style) files work too.  Comment, version, summary, non-asn and
-    availability/reserved rows are skipped silently; rows that should be
-    ASN records but do not parse are logged.
-    """
-    records: list[AsnRecord] = []
-    skipped: list[tuple[int, str]] = []
-    dates = _DateMemo()
-
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("|")
-        if "summary" in fields:
-            continue
-        if len(fields) < 7:
-            skipped.append((lineno, "expected at least 7 fields"))
-            continue
-        row_registry, cc, rtype, start, value, date_text, status = fields[:7]
-        if rtype != "asn":
-            # ipv4/ipv6 rows and the version header (whose third field is a
-            # serial number) fall out here.
-            continue
-        if status not in _KEPT_STATUSES:
-            continue
-        if row_registry not in REGISTRIES:
-            skipped.append((lineno, f"unknown registry {row_registry!r}"))
-            continue
-        if not COUNTRY_RE.fullmatch(cc):
-            skipped.append((lineno, f"bad country code {cc!r}"))
-            continue
-        try:
-            first = int(start)
-            count = int(value)
-        except ValueError:
-            skipped.append((lineno, "non-numeric asn start or value"))
-            continue
-        if count < 1 or first < 1 or first + count - 1 > ASN_MAX:
-            skipped.append((lineno, "asn range out of bounds"))
-            continue
-        try:
-            date = dates[date_text]
-        except ValueError:
-            skipped.append((lineno, f"bad date {date_text!r}"))
-            continue
-        for asn in range(first, first + count):
-            records.append(AsnRecord(asn, cc, row_registry, date))
-
-    return records, skipped
-
-
-def _preference(rec: AsnRecord) -> tuple:
-    # Latest allocation date wins (missing date sorts oldest); ties broken
-    # by registry and country so the merge is a total order.
-    ordinal = rec.date.toordinal() if rec.date is not None else 0
-    return (-ordinal, rec.registry, rec.country)
-
-
-def merge(
-    inputs: Iterable[Iterable[AsnRecord]],
-    sources: Iterable[tuple[str, str]] = (),
-) -> MergedRecords:
-    """Fold record iterables into one MergedRecords with `sources` as
-    provenance.
-
-    One record survives per ASN; duplicates bump the conflict counter.
-    The result is identical for any permutation of `inputs`.
-    """
-    chosen: dict[int, AsnRecord] = {}
-    total = 0
-    for records in inputs:
-        for rec in records:
-            total += 1
-            current = chosen.get(rec.asn)
-            if current is None or _preference(rec) < _preference(current):
-                chosen[rec.asn] = rec
-    return MergedRecords(
-        records=chosen,
-        source_files=tuple(sorted(set(sources))),
-        conflicts=total - len(chosen),
-    )
+    def __missing__(self, text: str) -> tuple[int, str]:
+        date = _parse_date(text)
+        entry = self[text] = (0, "") if date is None else (
+            -date.toordinal(), f"{date.year:04d}{date.month:02d}{date.day:02d}")
+        return entry
 
 
 def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRecords, list[tuple[str, int, str]]]:
-    """Parse and merge delegated files given as (registry, path) pairs.
+    """Build the database from delegated files given as (registry, path)
+    pairs, in one pass over each file.
 
-    Returns the merged database plus the combined skipped-row log as
-    (registry, line number, reason) entries.  Source file hashes go into
-    the database provenance.
+    Returns it plus the skipped-row log as (registry, line number, reason)
+    entries.  Each row's registry comes from the row, so combined
+    (NRO-style) files work too.  Comment, version, summary, non-asn and
+    availability/reserved rows are skipped silently; rows that should be
+    ASN records but do not parse are logged.  Each ASN keeps the smallest
+    Delegation of the rows that cover it, and every other ASN record
+    counts as a conflict, so the result does not depend on the order of
+    `items` or of their rows.  Source file hashes go into the provenance.
     """
-    parsed = []
+    chosen: dict[int, Delegation] = {}
+    dates = _DateMemo()
     provenance = []
     skipped: list[tuple[str, int, str]] = []
+    total = 0
     for registry, path in items:
         data = Path(path).read_bytes()
         provenance.append((registry, "sha256:" + hashlib.sha256(data).hexdigest()))
-        records, rows_skipped = parse_delegated(data.decode("utf-8", errors="replace").splitlines())
-        parsed.append(records)
-        skipped.extend((registry, lineno, reason) for lineno, reason in rows_skipped)
-    return merge(parsed, sources=provenance), skipped
+        for lineno, line in enumerate(data.decode("utf-8", errors="replace").splitlines(), start=1):
+            if "|asn|" not in line and line.count("|") >= 6:
+                # Seven or more fields but no asn type: an ipv4/ipv6 row or
+                # the version header, most of a real file, skipped unsplit.
+                continue
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("|")
+            if "summary" in fields:
+                continue
+            if len(fields) < 7:
+                skipped.append((registry, lineno, "expected at least 7 fields"))
+                continue
+            row_registry, cc, rtype, start, value, date_text, status = fields[:7]
+            if rtype != "asn" or status not in _KEPT_STATUSES:
+                continue
+            if row_registry not in REGISTRIES:
+                skipped.append((registry, lineno, f"unknown registry {row_registry!r}"))
+                continue
+            if cc not in COUNTRY_CODES:
+                skipped.append((registry, lineno, f"bad country code {cc!r}"))
+                continue
+            try:
+                first = int(start)
+                count = int(value)
+            except ValueError:
+                skipped.append((registry, lineno, "non-numeric asn start or value"))
+                continue
+            if count < 1 or first < 1 or first + count - 1 > ASN_MAX:
+                skipped.append((registry, lineno, "asn range out of bounds"))
+                continue
+            try:
+                rank, date = dates[date_text]
+            except ValueError:
+                skipped.append((registry, lineno, f"bad date {date_text!r}"))
+                continue
+            row = Delegation(rank, row_registry, cc, date)
+            for asn in range(first, first + count):
+                if row < chosen.setdefault(asn, row):
+                    chosen[asn] = row
+            total += count
+    merged = MergedRecords(records=chosen, source_files=tuple(sorted(set(provenance))),
+                           conflicts=total - len(chosen))
+    return merged, skipped
 
 
 def _index_path(path: str | Path) -> Path:
@@ -258,27 +232,16 @@ def save(db: MergedRecords, path: str | Path) -> None:
     for registry, digest in db.source_files:
         lines.append(f"# source {registry} {digest}")
     lines.append(f"# records {len(db.records)} conflicts {db.conflicts}")
-    date_texts: dict[dt.date | None, str] = {None: ""}
-    codes: dict[str, int] = {}
-    registries = set()
-    asns, positions = [], []
-    for asn in sorted(db.records):
-        number, country, registry, date = db.records[asn]
-        date_text = date_texts.get(date)
-        if date_text is None:
-            date_text = date_texts[date] = f"{date.year:04d}{date.month:02d}{date.day:02d}"
-        lines.append(f"{number}|{country}|{registry}|{date_text}")
-        position = codes.get(country)
-        if position is None:
-            position = codes[country] = len(codes)
-        registries.add(registry)
-        asns.append(number)
-        positions.append(position)
+    asns = sorted(db.records)
+    picks = list(map(db.records.__getitem__, asns))
+    lines += [f"{asn}|{pick.country}|{pick.registry}|{pick.date}" for asn, pick in zip(asns, picks)]
     text = ("\n".join(lines) + "\n").encode("utf-8")
     Path(path).write_bytes(text)
 
+    codes: dict[str, int] = {}
+    positions = [codes.setdefault(pick.country, len(codes)) for pick in picks]
     index = _index_path(path)
-    indexable = registries.issubset(REGISTRIES) and all(map(COUNTRY_RE.fullmatch, codes))
+    indexable = {pick.registry for pick in picks}.issubset(REGISTRIES) and codes.keys() <= COUNTRY_CODES
     try:
         asn_array, position_array = array("I", asns), array("H", positions)
     except (OverflowError, TypeError):
@@ -321,7 +284,7 @@ def _read_index(data: bytes, path: str | Path, expected: int) -> dict[int, str]:
     if count != expected:
         raise ValueError(f"{count} records, the text header says {expected}")
     table = _index_line(handle, "codes").split()
-    if len(set(table)) != len(table) or not all(map(COUNTRY_RE.fullmatch, table)):
+    if len(set(table)) != len(table) or not COUNTRY_CODES.issuperset(table):
         raise ValueError("bad code table")
     asns, positions = array("I"), array("H")
     arrays = memoryview(data)[handle.tell():]

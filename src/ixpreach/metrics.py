@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import IO, Iterable
 
-from .asndb import COUNTRY_RE, AsnDb
+from .asndb import COUNTRY_CODES, AsnDb
 from .rtingest import SnapshotSeries
 
 METRIC_NAMES = ("announcements", "distinct_origins", "distinct_prefixes", "distinct_neighbors")
@@ -46,7 +46,7 @@ METRICS_CSV_HEADER = ("ixp", "country", "date") + METRIC_NAMES
 
 def check_country(country: str) -> str:
     """Reject filter codes that can never name a real country."""
-    if not COUNTRY_RE.fullmatch(country) or country == "ZZ":
+    if country not in COUNTRY_CODES or country == "ZZ":
         raise ValueError(f"not a usable country filter: {country!r}")
     return country
 

@@ -29,12 +29,13 @@ are required; ``gap_dates`` (none), ``disruptions`` (none),
 ``origin_count`` (one integer or a map of exactly the IXPs),
 ``prefixes_per_origin`` (``[1, 3]``) and ``neighbor_count`` (1); a
 disruption takes ``kind``, ``ixp``, ``country``, ``start`` and the keys
-its kind has in ``DISRUPTION_KEYS``.  Any other key is an error, and so
-is an integer given as a float, string or bool, a gap given twice or not
-strictly inside the window, or a country code or setting ``analyze``
-would refuse.  The ground truth's baseline and final dates are the window's
-first and last days.  ``generate`` refuses a directory holding another
-scenario's snapshots before writing.
+its kind has in ``DISRUPTION_KEYS``.  Any other key is an error, in
+``window`` too, and so is an integer given as a float, string or bool, a
+negative origin or neighbour count, an IXP named twice, a gap given twice
+or not strictly inside the window, or a country code or setting
+``analyze`` would refuse.  The ground truth's baseline and final dates
+are the window's first and last days.  ``generate`` refuses a directory
+holding another scenario's snapshots before writing.
 """
 
 from __future__ import annotations
@@ -217,6 +218,8 @@ def _validate(spec: ScenarioSpec) -> None:
                   spec.final, spec.confirmation_window, **spec.detector)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
+    if len(set(spec.ixps)) != len(spec.ixps):  # RunConfig drops a repeat
+        raise ScenarioError(f"ixps: an IXP is named twice in {', '.join(spec.ixps)}")
     if set(spec.detector) != set(DEFAULT_DETECTOR):  # RunConfig takes other keywords too
         raise ScenarioError(f"detector: keys must be {', '.join(DEFAULT_DETECTOR)}")
     gaps = set(spec.gap_dates)
@@ -231,6 +234,8 @@ def _validate(spec: ScenarioSpec) -> None:
         if not 1 <= lo <= hi:
             raise ScenarioError(f"{cc}: bad prefixes_per_origin range {cspec.prefixes_per_origin}")
         _check_number(f"{cc}: neighbor_count", cspec.neighbor_count, integer=True)
+        if cspec.neighbor_count < 0:
+            raise ScenarioError(f"{cc}: neighbor_count must be >= 0, got {cspec.neighbor_count}")
         counts = cspec.origin_count
         if not isinstance(counts, dict):
             counts = dict.fromkeys(spec.ixps, counts)
@@ -636,11 +641,13 @@ def _check_keys(doc: dict, cls: type, where: str) -> None:
 
 def scenario_from_dict(doc: dict) -> ScenarioSpec:
     """A validated scenario from its JSON document; every key must name a
-    field of ScenarioSpec, CountrySpec or Disruption, and dates are ISO
-    text.  A key left out takes the field's default."""
+    field of ScenarioSpec, DateRange (in `window`), CountrySpec or
+    Disruption, and dates are ISO text.  A key left out takes the field's
+    default."""
     iso = dt.date.fromisoformat
     try:
         _check_keys(doc, ScenarioSpec, "scenario")
+        _check_keys(doc["window"], DateRange, "window")
         countries = {}
         for cc, c in doc["countries"].items():
             _check_keys(c, CountrySpec, f"country {cc}")

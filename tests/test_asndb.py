@@ -1,5 +1,5 @@
 import datetime as dt
-import io
+import hashlib
 import logging
 import os
 import random
@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import ixpreach
-from ixpreach import asndb
-from ixpreach.asndb import AsnRecord, REGISTRIES
+from ixpreach import asndb, cli
+from ixpreach.asndb import REGISTRIES, Delegation, MergedRecords
 
 # Hand-computed totals for the five fixture files: 4 + 6 + 4 + 2 + 3 raw
 # records, AS 65000 appears in three registries, one arin row is malformed.
@@ -52,8 +52,72 @@ PINNED_FIXTURE_DB = """\
 """
 
 
-def parse_text(text):
-    return asndb.parse_delegated(io.StringIO(text))
+# Files that touch every edge of the delegated-row parser: CRLF and
+# whitespace-padded lines, a comment holding `|asn|`, short lines with and
+# without `asn` (one of six fields), summary rows, all-zero and empty
+# dates, one bad date in both files, and a range that ties with other
+# registries' rows (arin and apnic beat ripencc on 20150101) and, within
+# apnic, with another country.
+EDGE_FILES = {
+    "ripencc": (
+        b"2|ripencc|20220219|9|19830705|20220218|+0100\r\n"
+        b"ripencc|*|asn|*|7|summary\r\n"
+        b"ripencc|*|ipv4|*|1|summary\r\n"
+        b"# withdrawn: ripencc|UA|asn|64599|1|20020701|allocated\r\n"
+        b"  ripencc|UA|asn|64500|4|20150101|allocated  \r\n"
+        b"\tripencc|RU|asn|64600|1|00000000|assigned\r\n"
+        b"ripencc|RU|asn|64601|1||assigned\r\n"
+        b"ripencc|UA|asn|64602|1|20021301|allocated\r\n"
+        b"ripencc|UA|asn|64603\r\n"
+        b"ripencc|UA|ipv4|1.2.3.0|256|20100101\r\n"
+        b"ripencc|NL|ipv4|2.56.0.0|1024|20180312|allocated\r\n"
+        b"ripencc|UA|asn|64502|1|20150101|allocated\r\n"
+    ),
+    "arin": (
+        b"arin|*|asn|*|5|summary\n"
+        b"arin|US|asn|64501|1|20150101|assigned\n"
+        b"arin|US|asn|64603|1|20021301|assigned\n"
+        b"arin|US|asn|64600|1|19990101|assigned\n"
+        b"apnic|JP|asn|64503|1|20150101|allocated\n"
+        b"apnic|CN|asn|64503|1|20150101|allocated\n"
+    ),
+}
+EDGE_SKIPPED = [
+    ("ripencc", 8, "bad date '20021301'"),
+    ("ripencc", 9, "expected at least 7 fields"),
+    ("ripencc", 10, "expected at least 7 fields"),
+    ("arin", 3, "bad date '20021301'"),
+]
+EDGE_STDOUT = "records=6 conflicts=5 skipped=4\n"
+EDGE_TEXT_SHA256 = "1cac58840f8d7a4e8a08fccdc877aebc1fe0126b0b294f110b7c52a47cf8750d"
+EDGE_INDEX_SHA256 = "3fee0048c132ac2849d50633cfc3a94e5c8ffd9cfbc92e22cb7c4a74504678ba"
+EDGE_ROWS = [
+    "64500|UA|ripencc|20150101",
+    "64501|US|arin|20150101",
+    "64502|UA|ripencc|20150101",
+    "64503|CN|apnic|20150101",
+    "64600|US|arin|19990101",
+    "64601|RU|ripencc|",
+]
+
+DATES = asndb._DateMemo()
+
+
+def delegation(country, registry, date_text=""):
+    """The Delegation a delegated row of `date_text` gives its ASNs."""
+    rank, date = DATES[date_text]
+    return Delegation(rank, registry, country, date)
+
+
+def build_text(directory, *texts):
+    """`build_from_files` on `texts` written one file each, labelled with
+    the registries in order."""
+    items = []
+    for registry, text in zip(REGISTRIES, texts):
+        path = directory / f"{registry}.txt"
+        path.write_text(text)
+        items.append((registry, path))
+    return asndb.build_from_files(items)
 
 
 def as_loaded(db):
@@ -72,21 +136,23 @@ def index_of(path):
     return Path(f"{path}.idx")
 
 
-class TestParseDelegated:
-    def test_single_asn_row(self):
-        records, skipped = parse_text("ripencc|UA|asn|25133|1|20020701|allocated\n")
-        assert records == [AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1))]
-        assert skipped == []
+class TestDelegatedRows:
+    def test_single_asn_row(self, tmp_path):
+        db, skipped = build_text(tmp_path, "ripencc|UA|asn|25133|1|20020701|allocated\n")
+        assert db.records == {25133: delegation("UA", "ripencc", "20020701")}
+        assert (db.conflicts, skipped) == (0, [])
 
-    def test_range_row_expands_to_value_many_records(self):
-        records, _ = parse_text("arin|US|asn|100|5|19950101|assigned\n")
-        assert [r.asn for r in records] == [100, 101, 102, 103, 104]
-        assert all(r.country == "US" for r in records)
+    def test_range_row_gives_value_many_asns_one_delegation(self, tmp_path):
+        db, _ = build_text(tmp_path, "arin|US|asn|100|5|19950101|assigned\n")
+        assert sorted(db.records) == [100, 101, 102, 103, 104]
+        assert len({id(rec) for rec in db.records.values()}) == 1
+        assert db.records[104] == delegation("US", "arin", "19950101")
 
-    def test_non_asn_rows_are_skipped_silently(self):
-        assert parse_text("apnic|AU|ipv4|1.0.0.0|256|20110811|allocated\n") == ([], [])
+    def test_non_asn_rows_are_skipped_silently(self, tmp_path):
+        db, skipped = build_text(tmp_path, "apnic|AU|ipv4|1.0.0.0|256|20110811|allocated\n")
+        assert (db.records, skipped) == ({}, [])
 
-    def test_version_summary_comment_and_blank_lines(self):
+    def test_version_summary_comment_and_blank_lines(self, tmp_path):
         text = (
             "2|ripencc|20220219|2|19830705|20220218|+0100\n"
             "ripencc|*|asn|*|1|summary\n"
@@ -94,16 +160,17 @@ class TestParseDelegated:
             "\n"
             "ripencc|UA|asn|25133|1|20020701|allocated\n"
         )
-        records, skipped = parse_text(text)
-        assert len(records) == 1
+        db, skipped = build_text(tmp_path, text)
+        assert len(db) == 1
         assert skipped == []
 
-    def test_reserved_and_available_rows_are_filtered(self):
+    def test_reserved_and_available_rows_are_filtered(self, tmp_path):
         text = (
             "arin||asn|399260|2||reserved\n"
             "arin|US|asn|400000|1|20200101|available\n"
         )
-        assert parse_text(text) == ([], [])
+        db, skipped = build_text(tmp_path, text)
+        assert (db.records, skipped) == ({}, [])
 
     @pytest.mark.parametrize("row,reason_part", [
         ("arin|US|asn|notanumber|1|20010101|assigned", "non-numeric"),
@@ -114,119 +181,155 @@ class TestParseDelegated:
         ("whois|US|asn|100|1|20010101|assigned", "registry"),
         ("too|few|fields", "7 fields"),
     ])
-    def test_malformed_rows_recorded_with_line_number(self, row, reason_part):
-        records, skipped = parse_text(row + "\n")
-        assert records == []
+    def test_malformed_rows_recorded_with_line_number(self, tmp_path, row, reason_part):
+        db, skipped = build_text(tmp_path, row + "\n")
+        assert db.records == {}
         assert len(skipped) == 1
-        lineno, reason = skipped[0]
-        assert lineno == 1
+        registry, lineno, reason = skipped[0]
+        assert (registry, lineno) == ("afrinic", 1)
         assert reason_part in reason
 
-    def test_record_count_matches_sum_of_range_values(self):
+    def test_record_count_matches_sum_of_range_values(self, tmp_path):
         rng = random.Random(20220219)
         rows, expected = [], 0
         for i in range(50):
             value = rng.randint(1, 9)
             rows.append(f"apnic|AU|asn|{1000 + 10 * i}|{value}|20200101|allocated")
             expected += value
-        records, _ = parse_text("\n".join(rows))
-        assert len(records) == expected
+        db, _ = build_text(tmp_path, "\n".join(rows))
+        assert (len(db), db.conflicts) == (expected, 0)
 
-    def test_repeated_bad_date_is_skipped_on_every_row(self):
+    def test_repeated_bad_date_is_skipped_on_every_row(self, tmp_path):
         text = (
             "ripencc|UA|asn|100|1|20021301|allocated\n"
             "ripencc|UA|asn|101|1|20020701|allocated\n"
             "ripencc|UA|asn|102|1|20021301|allocated\n"
             "ripencc|UA|asn|103|1|20020701|allocated\n"
         )
-        records, skipped = parse_text(text)
-        assert [r.asn for r in records] == [101, 103]
-        assert skipped == [(1, "bad date '20021301'"), (3, "bad date '20021301'")]
-        assert all(r.date == dt.date(2002, 7, 1) for r in records)
+        db, skipped = build_text(tmp_path, text, text)
+        assert sorted(db.records) == [101, 103]
+        assert skipped == [(registry, lineno, "bad date '20021301'")
+                           for registry in REGISTRIES[:2] for lineno in (1, 3)]
+        assert all(rec.date == "20020701" for rec in db.records.values())
 
-    def test_combined_file_takes_registry_from_each_row(self):
+    def test_combined_file_takes_registry_from_each_row(self, tmp_path):
         text = (
             "ripencc|UA|asn|25133|1|20020701|allocated\n"
             "arin|US|asn|100|1|19950101|assigned\n"
         )
-        records, _ = parse_text(text)
-        assert [r.registry for r in records] == ["ripencc", "arin"]
+        db, _ = build_text(tmp_path, text)
+        assert {asn: rec.registry for asn, rec in db.records.items()} == {25133: "ripencc", 100: "arin"}
+
+    def test_edge_cases_match_the_pinned_build(self, tmp_path, capsys):
+        """The skip log, printed counts and saved bytes of EDGE_FILES,
+        pinned byte for byte."""
+        items = []
+        for registry, data in EDGE_FILES.items():
+            path = tmp_path / f"{registry}.txt"
+            path.write_bytes(data)
+            items.append((registry, path))
+        assert asndb.build_from_files(items)[1] == EDGE_SKIPPED
+        out = tmp_path / "asndb.txt"
+        capsys.readouterr()
+        assert cli.main(["build-asndb", *(arg for r, p in items for arg in ("--rir", f"{r}={p}")),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().out == EDGE_STDOUT
+        assert out.read_text().splitlines()[-len(EDGE_ROWS):] == EDGE_ROWS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_TEXT_SHA256
+        assert hashlib.sha256(index_of(out).read_bytes()).hexdigest() == EDGE_INDEX_SHA256
 
 
-class TestAsnRecord:
+class TestDelegation:
     def test_fields_cannot_be_assigned(self):
-        rec = AsnRecord(25133, "UA", "ripencc")
+        rec = delegation("UA", "ripencc", "20020701")
         with pytest.raises(AttributeError):
             rec.country = "RU"
 
-    def test_hashable_and_equal_by_value(self):
-        a = AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1))
-        b = AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1))
-        assert hash(a) == hash(b)
-        assert len({a, b, AsnRecord(25133, "UA", "ripencc")}) == 2
+    def test_date_text_is_the_saved_form(self):
+        assert delegation("UA", "ripencc", "20020701").date == "20020701"
+        assert delegation("UA", "ripencc", "00000000") == delegation("UA", "ripencc", "") == (0, "ripencc", "UA", "")
 
-    def test_defaults(self):
-        assert AsnRecord(1, "UA", "ripencc") == AsnRecord(1, "UA", "ripencc", None)
+    def test_tuple_order_is_the_preference(self):
+        ranked = [
+            delegation("RU", "ripencc", "20100101"),
+            delegation("UA", "apnic", "20010101"),
+            delegation("RU", "ripencc", "20010101"),
+            delegation("UA", "ripencc", "20010101"),
+            delegation("AR", "afrinic", ""),
+        ]
+        assert sorted(reversed(ranked)) == ranked
 
 
-class TestMerge:
-    def test_latest_allocation_date_wins(self):
-        a = AsnRecord(65000, "UA", "ripencc", dt.date(2001, 1, 1))
-        b = AsnRecord(65000, "RU", "ripencc", dt.date(2010, 1, 1))
-        db = asndb.merge([[a], [b]])
+class TestPick:
+    def test_latest_allocation_date_wins(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1|20010101|allocated\n",
+                           "ripencc|RU|asn|65000|1|20100101|allocated\n")
         assert db.records[65000].country == "RU"
         assert db.conflicts == 1
 
-    def test_missing_date_loses_to_any_date(self):
-        a = AsnRecord(65000, "UA", "ripencc", None)
-        b = AsnRecord(65000, "RU", "arin", dt.date(1995, 1, 1))
-        assert asndb.merge([[a, b]]).records[65000].country == "RU"
+    def test_missing_date_loses_to_any_date(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1||allocated\narin|RU|asn|65000|1|19950101|assigned\n")
+        assert db.records[65000].country == "RU"
 
-    def test_date_tie_breaks_by_registry_ascending(self):
-        same_day = dt.date(2010, 1, 1)
-        a = AsnRecord(65000, "UA", "ripencc", same_day)
-        b = AsnRecord(65000, "RU", "apnic", same_day)
-        assert asndb.merge([[a], [b]]).records[65000].country == "RU"  # apnic < ripencc
+    def test_date_tie_breaks_by_registry_ascending(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1|20100101|allocated\n",
+                           "apnic|RU|asn|65000|1|20100101|allocated\n")
+        assert db.records[65000].country == "RU"  # apnic < ripencc
 
-    def test_single_input_is_identity_with_zero_conflicts(self):
-        records = [AsnRecord(10 + i, "UA", "ripencc") for i in range(5)]
-        db = asndb.merge([records])
+    def test_date_and_registry_tie_breaks_by_country_ascending(self, tmp_path):
+        db, _ = build_text(tmp_path, "apnic|JP|asn|65000|3|20100101|allocated\n",
+                           "apnic|CN|asn|65001|1|20100101|allocated\n")
+        assert [db.records[asn].country for asn in (65000, 65001, 65002)] == ["JP", "CN", "JP"]
+        assert db.conflicts == 1
+
+    def test_single_file_has_zero_conflicts(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|10|5||allocated\n")
         assert len(db) == 5
         assert db.conflicts == 0
 
-    def test_disjoint_inputs_union(self):
-        left = [AsnRecord(i, "UA", "ripencc") for i in (1, 2, 3)]
-        right = [AsnRecord(i, "RU", "ripencc") for i in (4, 5, 6, 7)]
-        assert len(asndb.merge([left, right])) == 7
+    def test_disjoint_files_union(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|1|3||allocated\n", "ripencc|RU|asn|4|4||allocated\n")
+        assert len(db) == 7
 
-    def test_merge_is_idempotent(self):
-        records = [
-            AsnRecord(65000, "UA", "ripencc", dt.date(2001, 1, 1)),
-            AsnRecord(65000, "RU", "arin", dt.date(2010, 1, 1)),
-            AsnRecord(7, "UA", "ripencc"),
-        ]
-        once = asndb.merge([records])
-        twice = asndb.merge([once.records.values()])
+    def test_rebuild_from_its_saved_rows_is_idempotent(self, tmp_path):
+        once, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1|20010101|allocated\n"
+                                       "arin|RU|asn|65000|1|20100101|assigned\n"
+                                       "ripencc|UA|asn|7|1||allocated\n")
+        path = tmp_path / "asndb.txt"
+        asndb.save(once, path)
+        rows = [line.split("|") for line in path.read_text().splitlines() if not line.startswith("#")]
+        again = tmp_path / "again"
+        again.mkdir()
+        twice, _ = build_text(again, "".join(f"{registry}|{cc}|asn|{asn}|1|{date}|allocated\n"
+                                             for asn, cc, registry, date in rows))
         assert twice.records == once.records
 
-    def test_merge_is_order_independent(self):
+    def test_result_independent_of_file_and_row_order(self, tmp_path):
         rng = random.Random(7)
-        lists = []
-        for i in range(4):
-            lists.append([
-                AsnRecord(rng.randint(1, 40), "UA" if rng.random() < 0.5 else "RU",
-                          REGISTRIES[rng.randrange(5)],
-                          dt.date(2000 + rng.randint(0, 20), 1, 1))
-                for _ in range(15)
-            ])
-        reference = asndb.merge(lists)
-        for _ in range(10):
-            shuffled = lists[:]
-            rng.shuffle(shuffled)
-            assert asndb.merge(shuffled) == reference
+        files = [
+            [f"{REGISTRIES[rng.randrange(5)]}|{rng.choice(['UA', 'RU'])}|asn|{rng.randint(1, 40)}|"
+             f"{rng.randint(1, 3)}|{2000 + rng.randint(0, 20)}0101|allocated" for _ in range(15)]
+            for _ in range(4)
+        ]
+        names = list(REGISTRIES[:4])
+        for i in range(11):
+            directory = tmp_path / str(i)
+            directory.mkdir()
+            items = []
+            for name, rows in zip(names, files):
+                (directory / name).write_text("\n".join(rows))
+                items.append((name, directory / name))
+            db, _ = asndb.build_from_files(items)
+            if i == 0:
+                reference = db
+                assert reference.conflicts > 0
+            assert (db.records, db.conflicts) == (reference.records, reference.conflicts)
+            for rows in files:
+                rng.shuffle(rows)
+            rng.shuffle(names)
 
-    def test_lookup_never_invents_a_country(self):
-        db = asndb.merge([[AsnRecord(25133, "UA", "ripencc")]])
+    def test_lookup_never_invents_a_country(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|25133|1||allocated\n")
         assert db.records[25133].country == "UA"
         assert 12389 not in db.records
 
@@ -234,9 +337,8 @@ class TestMerge:
 class TestFixtureFiles:
     def test_per_file_record_counts(self, delegated_dir):
         for registry, expected in FIXTURE_RECORDS_PER_FILE.items():
-            with open(delegated_dir / f"{registry}.txt") as handle:
-                records, _ = asndb.parse_delegated(handle)
-            assert len(records) == expected, registry
+            db, _ = asndb.build_from_files([(registry, delegated_dir / f"{registry}.txt")])
+            assert len(db) + db.conflicts == expected, registry
 
     def test_merged_totals_and_conflicts(self, delegated_dir):
         items = [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)]
@@ -256,23 +358,18 @@ class TestFixtureFiles:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
-        records = [
-            AsnRecord(25133, "UA", "ripencc", dt.date(2002, 7, 1)),
-            AsnRecord(12389, "RU", "ripencc", None),
-        ]
-        db = asndb.merge([records], sources=[("ripencc", "sha256:feed")])
+        records = {25133: delegation("UA", "ripencc", "20020701"), 12389: delegation("RU", "ripencc")}
+        db = MergedRecords(records=records, source_files=(("ripencc", "sha256:feed"),))
         loaded = save_and_load(db, tmp_path / "asndb.txt")
         assert loaded.countries == {25133: "UA", 12389: "RU"}
         assert loaded.source_files == (("ripencc", "sha256:feed"),)
         assert loaded.conflicts == db.conflicts
 
     def test_round_trip_with_shared_and_missing_dates(self, tmp_path):
-        shared = dt.date(2002, 7, 1)
-        records = [AsnRecord(asn, "UA", "ripencc", shared) for asn in (7, 8, 9)]
-        records += [AsnRecord(10, "RU", "ripencc", None),
-                    AsnRecord(11, "RU", "arin", None),
-                    AsnRecord(12, "RU", "arin", dt.date(1999, 12, 31))]
-        db = asndb.merge([records])
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|7|3|20020701|allocated\n"
+                                     "ripencc|RU|asn|10|1||allocated\n"
+                                     "arin|RU|asn|11|1||assigned\n"
+                                     "arin|RU|asn|12|1|19991231|assigned\n")
         assert save_and_load(db, tmp_path / "asndb.txt") == as_loaded(db)
 
     def test_saved_fixture_database_is_pinned(self, tmp_path, delegated_dir):
@@ -343,24 +440,27 @@ def fixture_db(delegated_dir):
     return db
 
 
-def bench_sized_db(seed=20220224, size=115_000):
-    """About as many ASNs as the benchmark's databases, in ranges under 200
-    codes, from every registry, partly above 2**31 and partly dated twice."""
+def bench_sized_db(directory, seed=20220224, size=115_000):
+    """About as many ASNs as the benchmark's databases, in delegated rows
+    of under 200 codes, from every registry, partly above 2**31 and
+    partly delegated twice."""
     rng = random.Random(seed)
     codes = [a + b for a in "ABCDEFGHIJ" for b in "ABCDEFGHIJKLMNOPQRST"]
-    records, asn = [], 1
-    while len(records) < size:
-        if len(records) > size // 2 and asn < 2**31:
+    rows, asns, asn = [], [], 1
+    while len(asns) < size:
+        if len(asns) > size // 2 and asn < 2**31:
             asn = asndb.ASN_MAX - 2 * size
         count = rng.randint(1, 40)
-        cc, registry = rng.choice(codes), rng.choice(REGISTRIES)
-        date = None if rng.random() < 0.05 else dt.date(1990 + rng.randrange(33), 1 + rng.randrange(12),
-                                                      1 + rng.randrange(28))
-        records += [AsnRecord(a, cc, registry, date) for a in range(asn, asn + count)]
+        date = "" if rng.random() < 0.05 else dt.date(1990 + rng.randrange(33), 1 + rng.randrange(12),
+                                                        1 + rng.randrange(28)).strftime("%Y%m%d")
+        rows.append(f"{rng.choice(REGISTRIES)}|{rng.choice(codes)}|asn|{asn}|{count}|{date}|allocated")
+        asns += range(asn, asn + count)
         asn += count + rng.randrange(50)
-    redelegated = [rec._replace(country=rng.choice(codes), date=dt.date(2023, 1, 1))
-                   for rec in rng.sample(records, 500)]
-    return asndb.merge([records, redelegated], sources=[("ripencc", "sha256:" + "ab" * 32)])
+    rows += [f"{rng.choice(REGISTRIES)}|{rng.choice(codes)}|asn|{a}|1|20230101|assigned"
+             for a in rng.sample(asns, 500)]
+    db, skipped = build_text(directory, "\n".join(rows))
+    assert (len(db), db.conflicts, skipped) == (len(asns), 500, [])
+    return db
 
 
 def spy_on_index(monkeypatch):
@@ -457,7 +557,7 @@ class TestCountryIndex:
         assert indexed.countries[65000] == "AR"
 
     def test_bench_sized_map_equals_the_text_parse(self, tmp_path, monkeypatch):
-        db = bench_sized_db()
+        db = bench_sized_db(tmp_path)
         path = tmp_path / "asndb.txt"
         used = spy_on_index(monkeypatch)
         indexed = save_and_load(db, path)
@@ -505,28 +605,29 @@ class TestCountryIndex:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: malformed asndb line")):
             asndb.load(path)
 
-    @pytest.mark.parametrize("record", [
-        AsnRecord(7, "ZZZ", "ripencc"),
-        AsnRecord(7, "UA", "whois"),
-        AsnRecord(asndb.ASN_MAX + 1, "UA", "ripencc"),
+    @pytest.mark.parametrize("asn,record", [
+        (7, delegation("ZZZ", "ripencc")),
+        (7, delegation("UA", "whois")),
+        (asndb.ASN_MAX + 1, delegation("UA", "ripencc")),
     ], ids=["three-letter-code", "unknown-registry", "asn-past-32-bits"])
-    def test_records_outside_the_index_types_leave_no_index(self, tmp_path, delegated_dir, caplog, record):
+    def test_records_outside_the_index_types_leave_no_index(self, tmp_path, delegated_dir, caplog, asn, record):
         path = tmp_path / "asndb.txt"
         asndb.save(fixture_db(delegated_dir), path)
         assert index_of(path).exists()
-        db = asndb.merge([[record, AsnRecord(25133, "UA", "ripencc")]])
+        db = MergedRecords(records={asn: record, 25133: delegation("UA", "ripencc")})
         with caplog.at_level(logging.WARNING, logger="ixpreach.asndb"):
             assert save_and_load(db, path) == as_loaded(db)
         assert not index_of(path).exists()
         assert caplog.records == []
 
-    def test_dates_before_year_1000_read_back(self, tmp_path):
-        records = [AsnRecord(7, "UA", "ripencc", dt.date(1, 1, 1)),
-                   AsnRecord(8, "RU", "ripencc", dt.date(999, 12, 31))]
-        db = asndb.merge([records])
+    def test_dates_are_saved_as_yyyymmdd_and_read_back(self, tmp_path):
+        db, _ = build_text(tmp_path, "ripencc|UA|asn|7|1|00010101|allocated\n"
+                                     "ripencc|RU|asn|8|1|09991231|allocated\n"
+                                     "ripencc|RU|asn|9|1|2010011|allocated\n")
         path = tmp_path / "asndb.txt"
         asndb.save(db, path)
-        assert path.read_text().splitlines()[-2:] == ["7|UA|ripencc|00010101", "8|RU|ripencc|09991231"]
+        assert path.read_text().splitlines()[-3:] == ["7|UA|ripencc|00010101", "8|RU|ripencc|09991231",
+                                                      "9|RU|ripencc|20100101"]
         assert load_without_index(path) == as_loaded(db)
 
     def test_index_bytes_independent_of_hash_seed(self, tmp_path, delegated_dir):

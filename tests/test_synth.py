@@ -347,6 +347,11 @@ class TestScenarioIO:
         (lambda d: d.update(ixps=["amsix", "../x"]), "not a usable IXP id"),
         (lambda d: d.update(baseline_date="2022-02-22"), "scenario: unknown key 'baseline_date'"),
         (lambda d: d.update(final_date="2022-03-01"), "scenario: unknown key 'final_date'"),
+        (lambda d: d["window"].update(stop="2022-03-01"), "window: unknown key 'stop'"),
+        (lambda d: d["countries"]["UA"].update(origin_count=-3, neighbor_count=0),
+         "UA: more neighbors than origins at amsix"),
+        (lambda d: d["countries"]["UA"].update(neighbor_count=-5), r"UA: neighbor_count must be >= 0, got -5"),
+        (lambda d: d.update(ixps=["amsix", "amsix", "linx"]), "ixps: an IXP is named twice in amsix, amsix, linx"),
         (lambda d: d["disruptions"][0].update(asns=[10000]), "disruption #0: unknown key 'asns'"),
         (lambda d: d["countries"]["UA"].update(neighbour_count=1), "country UA: unknown key 'neighbour_count'"),
         (lambda d: d["countries"]["UA"].update(prefixes_per_origin=2), "cannot unpack"),

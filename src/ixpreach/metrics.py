@@ -36,19 +36,12 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import IO, Iterable
 
-from .asndb import COUNTRY_CODES, AsnDb
+from .asndb import AsnDb
 from .rtingest import SnapshotSeries
 
 METRIC_NAMES = ("announcements", "distinct_origins", "distinct_prefixes", "distinct_neighbors")
 
 METRICS_CSV_HEADER = ("ixp", "country", "date") + METRIC_NAMES
-
-
-def check_country(country: str) -> str:
-    """Reject filter codes that can never name a real country."""
-    if country not in COUNTRY_CODES or country == "ZZ":
-        raise ValueError(f"not a usable country filter: {country!r}")
-    return country
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def build_series(
     An origin's mask changes only when its first reference is taken or
     its last one dropped.
     """
-    wanted = {check_country(cc) for cc in countries}
+    wanted = set(countries)
     country_of: dict[int, str | None] = {}
     for asn in set(series.origin_of).union(series.neighbor_of):
         cc = db.countries.get(asn)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 import statistics
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -61,16 +60,6 @@ class CatalogEvent:
             raise ValueError(f"catalog event {self.id!r} ends before it starts")
 
 
-def check_detector(trailing_window: int, threshold: float, min_reference: float) -> None:
-    """Reject dip-detector parameters that can never describe a dip."""
-    if trailing_window < 1:
-        raise ValueError("trailing_window must be >= 1")
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be a fraction in (0, 1)")
-    if not math.isfinite(min_reference):
-        raise ValueError("min_reference must be a finite number")
-
-
 def detect_dips(
     series: MetricSeries,
     metric: str,
@@ -89,7 +78,6 @@ def detect_dips(
     value and never dips; the next few are judged against the fewer prior
     days they have, so a series of any length is judged.
     """
-    check_detector(trailing_window, threshold, min_reference)
     values = series.values(metric)
     runs: list[list] = []  # [first, last, reference] per run of dip indices
     for i in range(1, len(values)):
@@ -137,8 +125,6 @@ def annotate(
     breaking ties.  Unmatched outages keep an empty annotation.  Dates and
     levels are never altered.
     """
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
     out = []
     for event in events:
         best = None

@@ -2,14 +2,18 @@
 
 This is the engine behind the `analyze` subcommand; its result, one
 `PairResult` per (IXP, country) pair, is also checked directly against
-synthetic ground truth.  All outputs are deterministic: rerunning on
-unchanged inputs produces byte-identical files.
+synthetic ground truth.  `RunConfig` is the one place a setting is
+checked: the stages it feeds trust their arguments, and `write_outputs`
+reads the settings and each pair's key from the config, not from the
+reports.  All outputs are deterministic: rerunning on unchanged inputs
+produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Container, Iterable
@@ -25,7 +29,8 @@ SEED_CATALOG = "seed"  # a catalog_path naming the catalog packaged with ixpreac
 
 @dataclass
 class RunConfig:
-    """Everything one analysis run needs; defaults encode the 2022 study."""
+    """Everything one analysis run needs; defaults encode the 2022 study.
+    Every setting is checked here, and only here, before any file is read."""
 
     asndb_path: Path
     snapshot_root: Path
@@ -54,8 +59,16 @@ class RunConfig:
         if self.confirmation_window < 0:
             raise ValueError("confirmation window must be >= 0")
         for country in self.countries:
-            metrics.check_country(country)
-        outage.check_detector(self.trailing_window, self.threshold, self.min_reference)
+            if country not in asndb.COUNTRY_CODES or country == "ZZ":
+                raise ValueError(f"not a usable country filter: {country!r}")
+        if self.trailing_window < 1:
+            raise ValueError("trailing_window must be >= 1")
+        if not 0 < self.threshold < 1:
+            raise ValueError("threshold must be a fraction in (0, 1)")
+        if not math.isfinite(self.min_reference):
+            raise ValueError("min_reference must be a finite number")
+        if self.min_reference == int(self.min_reference):  # 10.0 renders as 10 does
+            self.min_reference = int(self.min_reference)
         if self.annotation_slack < 0:
             raise ValueError("annotation slack must be >= 0")
 
@@ -134,8 +147,7 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
         del series  # free this IXP's rows before the next IXP's are read
         for country, (mseries, presence) in attributed.items():
             report = reachability.diff_reachability(
-                presence, ixp, country,
-                config.baseline_date, config.final_date, config.confirmation_window)
+                presence, ixp, config.baseline_date, config.final_date, config.confirmation_window)
             events: list[outage.OutageEvent] = []
             for metric in metrics.METRIC_NAMES:
                 events.extend(outage.detect_dips(
@@ -174,11 +186,25 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
         f"threshold={config.threshold} min_reference={config.min_reference}",
     ]
     for country, average in sorted(result.averages.items()):
-        reports = [result.pairs[ixp, country].report for ixp in config.ixps]
-        files[f"reachability/{country}_table.txt"] = reachability.format_report_table(
-            reports, average)
-        files[f"reachability/{country}_records.txt"] = "".join(
-            reachability.format_report_record(rep) + "\n" for rep in reports)
+        table = [
+            f"Unreachable {country} origins (baseline {config.baseline_date}, "
+            f"final {config.final_date}, confirmation {config.confirmation_window}d)",
+            f"{'IXP':<10} {'Total ASes':>10} {'Lost ASes':>10} {'% Lost':>8}",
+        ]
+        records = []
+        for ixp in config.ixps:
+            rep = result.pairs[ixp, country].report
+            lost = len(rep.lost_asns)
+            table.append(f"{ixp:<10} {rep.total_baseline:>10} {lost:>10} {rep.pct_lost:>7.1f}%")
+            records.append(
+                f"ixp={ixp} country={country} baseline_date={config.baseline_date} "
+                f"final_date={config.final_date} confirmation_window={config.confirmation_window} "
+                f"total_baseline={rep.total_baseline} lost={lost} pct_lost={rep.pct_lost:.1f} "
+                f"lost_asns={_asns(rep.lost_asns)} new_asns={_asns(rep.new_asns)} "
+                f"flapping_asns={_asns(rep.flapping_asns)}\n")
+        table.append(f"average % lost: {average:.2f}")
+        files[f"reachability/{country}_table.txt"] = "\n".join(table) + "\n"
+        files[f"reachability/{country}_records.txt"] = "".join(records)
         summary.append(f"{country}: average pct lost {average:.2f} over {len(config.ixps)} IXPs")
     files["summary.txt"] = "\n".join(summary) + "\n"
 
@@ -204,6 +230,10 @@ def check_output_dir(root: Path, names: Iterable[str]) -> None:
         for entry in sorted(directory.iterdir()) if directory.is_dir() else ():
             if entry.name not in entries:
                 raise ValueError(f"{entry} is not an output of this run; use an empty directory")
+
+
+def _asns(values: tuple[int, ...]) -> str:
+    return ",".join(map(str, values))
 
 
 def _text(write, value) -> str:

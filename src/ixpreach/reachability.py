@@ -7,6 +7,9 @@ country's PresenceMap keeps each origin's presence as a bitmask of
 snapshot indices, and the window is one contiguous index range before
 the final snapshot, so a report is one pass over the origins' masks with
 three bit tests per origin; no snapshot is scanned here.
+A report holds only the facts computed here: the run's dates and window
+are `pipeline.RunConfig`'s, which also checks them, and the (IXP,
+country) pair is its key in the run's result.
 Loss percentages truncate to one decimal; cross-IXP averages round
 half-up to two decimals.
 """
@@ -27,19 +30,13 @@ DEFAULT_CONFIRMATION_WINDOW = 3
 class ReachabilityReport:
     """Which in-country origins an IXP lost between baseline and final."""
 
-    ixp: str
-    country: str
-    baseline_date: dt.date
-    final_date: dt.date
-    confirmation_window: int
     total_baseline: int
-    lost: int
     pct_lost: float
     lost_asns: tuple[int, ...]
     new_asns: tuple[int, ...]
     # Origins absent on the final day but seen inside the confirmation
     # window: flaps, not losses.  Reported so the window's effect is visible.
-    flapping_asns: tuple[int, ...] = ()
+    flapping_asns: tuple[int, ...]
 
 
 def pct_lost(total: int, lost: int) -> float:
@@ -66,13 +63,14 @@ def average_pct(pcts: Sequence[float]) -> float:
 def diff_reachability(
     presence: PresenceMap,
     ixp: str,
-    country: str,
     baseline_date: dt.date,
     final_date: dt.date,
     window: int = DEFAULT_CONFIRMATION_WINDOW,
 ) -> ReachabilityReport:
     """Full baseline-vs-final report for one (IXP, country) pair, from the
-    pair's origin presence map.
+    pair's origin presence map; `ixp` only names the IXP in the error
+    for a date without a snapshot.  `window` is not checked: `RunConfig`
+    refuses a negative one.
 
     Lost origins are baseline origins absent on the final day and on every
     available snapshot of the `window` days before it; gap dates inside
@@ -82,8 +80,6 @@ def diff_reachability(
     dates = presence.dates
     b = _snapshot_index(dates, baseline_date, "baseline date", ixp)
     f = _snapshot_index(dates, final_date, "final date", ixp)
-    if window < 0:
-        raise ValueError("confirmation window must be >= 0")
     # The window's snapshots are the indices [w, f).  A window reaching
     # before the first snapshot starts at index 0; the day counts are
     # compared as ints first, since a huge timedelta overflows.
@@ -108,13 +104,7 @@ def diff_reachability(
         else:
             lost.append(origin)
     return ReachabilityReport(
-        ixp=ixp,
-        country=country,
-        baseline_date=baseline_date,
-        final_date=final_date,
-        confirmation_window=window,
         total_baseline=total,
-        lost=len(lost),
         pct_lost=pct_lost(total, len(lost)) if total else 0.0,
         lost_asns=tuple(sorted(lost)),
         new_asns=tuple(sorted(new)),
@@ -128,35 +118,3 @@ def _snapshot_index(dates: tuple[dt.date, ...], day: dt.date, what: str, ixp: st
         raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
     return i
 
-
-def format_report_table(reports: Sequence[ReachabilityReport], average: float) -> str:
-    """Human-readable table of unreachable origins across IXPs, with the
-    given cross-IXP `average` on the last line."""
-    country = reports[0].country
-    lines = [
-        f"Unreachable {country} origins "
-        f"(baseline {reports[0].baseline_date}, final {reports[0].final_date}, "
-        f"confirmation {reports[0].confirmation_window}d)",
-        f"{'IXP':<10} {'Total ASes':>10} {'Lost ASes':>10} {'% Lost':>8}",
-    ]
-    for rep in reports:
-        lines.append(f"{rep.ixp:<10} {rep.total_baseline:>10} {rep.lost:>10} {rep.pct_lost:>7.1f}%")
-    lines.append(f"average % lost: {average:.2f}")
-    return "\n".join(lines) + "\n"
-
-
-def format_report_record(report: ReachabilityReport) -> str:
-    """One machine-readable `key=value` line per report."""
-    def asns(values: tuple[int, ...]) -> str:
-        return ",".join(str(v) for v in values)
-
-    return (
-        f"ixp={report.ixp} country={report.country} "
-        f"baseline_date={report.baseline_date} final_date={report.final_date} "
-        f"confirmation_window={report.confirmation_window} "
-        f"total_baseline={report.total_baseline} lost={report.lost} "
-        f"pct_lost={report.pct_lost:.1f} "
-        f"lost_asns={asns(report.lost_asns)} "
-        f"new_asns={asns(report.new_asns)} "
-        f"flapping_asns={asns(report.flapping_asns)}"
-    )

@@ -482,11 +482,9 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     new_origins: dict[str, dict[str, tuple[int, ...]]] = {}
     offline: dict[str, dict[str, dict[int, int]]] = {}
     outages: dict[str, dict[str, dict[str, tuple[tuple[dt.date, dt.date], ...]]]] = {}
-    confirm_days = [
-        day for day in (
-            spec.final - dt.timedelta(days=back) for back in range(1, spec.confirmation_window + 1)
-        ) if day in spec.window and day not in spec.gap_dates
-    ]
+    # Day counts, not timedeltas: a window of any size stays inside the date type.
+    confirm_days = [day for day in snapshot_days
+                    if 0 < (spec.final - day).days <= spec.confirmation_window]
     n_days = len(snapshot_days)
 
     for ixp in ixps:

@@ -84,8 +84,7 @@ def origins_by_date(presence):
 
 def reach(series, db, country, baseline, final, window=3):
     """The pipeline's reachability report for one (series, country)."""
-    return diff_reachability(presence_of(series, db, country), series.ixp, country,
-                             baseline, final, window)
+    return diff_reachability(presence_of(series, db, country), series.ixp, baseline, final, window)
 
 
 @pytest.fixture

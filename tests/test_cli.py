@@ -132,6 +132,24 @@ class TestAnalyze:
         assert run(self.analyze_args(tmp_path, scen, gt, out="out1")) == 0
         assert tree_bytes(tmp_path / "out1") == first
 
+    def test_defaults_given_explicitly_change_no_byte(self, analyzed_scenario):
+        # Each numeric setting given as its default, by flag and by config
+        # file: the output of leaving it out (a float 10.0 renders as 10).
+        tmp_path, scen, gt = analyzed_scenario
+        defaults = {f.name: f.default for f in fields(pipeline.RunConfig)}
+        given = {key: str(defaults[field]) for key, (field, _, _) in cli._ANALYZE_SETTINGS.items()
+                 if isinstance(defaults[field], (int, float))}
+        assert sorted(given) == ["annotation_slack", "confirmation_window", "min_reference",
+                                 "threshold", "trailing_window"]
+        assert run(self.analyze_args(tmp_path, scen, gt, out="plain")) == 0
+        assert run(self.analyze_args(tmp_path, scen, gt, out="by-flag") + flag_args(given)) == 0
+        by_file = config_args(tmp_path / "defaults.cfg", given)
+        assert run(self.analyze_args(tmp_path, scen, gt, out="by-file") + by_file) == 0
+        plain = tree_bytes(tmp_path / "plain")
+        assert b" min_reference=10\n" in plain[Path("summary.txt")]
+        assert tree_bytes(tmp_path / "by-flag") == plain
+        assert tree_bytes(tmp_path / "by-file") == plain
+
     def test_directory_with_another_runs_files_is_refused(self, analyzed_scenario, capsys):
         tmp_path, scen, gt = analyzed_scenario
         assert gt.ixps == ("amsix", "linx") and set(gt.countries) == {"UA", "RU"}
@@ -344,6 +362,15 @@ class TestAnalyze:
         assert run(args) == 2
         assert "baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"", b"prefix,as_path\n192.0.2.0/24,174 \xff25133\n"],
+                             ids=["empty", "undecodable"])
+    def test_unusable_final_snapshot_is_a_data_error(self, analyzed_scenario, capsys, content):
+        tmp_path, scen, gt = analyzed_scenario
+        (scen / "snapshots" / "amsix" / f"{gt.final_date}.csv").write_bytes(content)
+        assert run(self.analyze_args(tmp_path, scen, gt)) == 2
+        assert f"final date {gt.final_date} has no snapshot for IXP 'amsix'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, analyzed_scenario, capsys):
         tmp_path, scen, gt = analyzed_scenario
         config = tmp_path / "run.cfg"
@@ -463,6 +490,29 @@ class TestAnalyzeSettings:
         for argv in (flag_args(settings), config_args(tmp_path / "run.cfg", settings)):
             assert run(["analyze", *argv]) == 1
             assert f"bad value for {key}: 'x1' (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ixps", (), "at least one IXP is required"),
+        ("ixps", ("../x",), "not a usable IXP id: '../x'"),
+        ("countries", (), "at least one country is required"),
+        ("countries", ("ua",), "not a usable country filter: 'ua'"),
+        ("final_date", BASE, "baseline date must precede the final date"),
+        ("confirmation_window", -1, "confirmation window must be >= 0"),
+        ("trailing_window", 0, "trailing_window must be >= 1"),
+        ("threshold", 0, "threshold must be a fraction in (0, 1)"),
+        ("threshold", 1.0, "threshold must be a fraction in (0, 1)"),
+        ("threshold", float("nan"), "threshold must be a fraction in (0, 1)"),
+        ("min_reference", float("inf"), "min_reference must be a finite number"),
+        ("annotation_slack", -1, "annotation slack must be >= 0"),
+    ])
+    def test_run_config_message_is_word_for_word(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError) as info:
+            pipeline.RunConfig(tmp_path, tmp_path, tmp_path, **{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, text", [(10, "10"), (10.0, "10"), (-3.0, "-3"), (2.5, "2.5")])
+    def test_an_integral_min_reference_is_kept_as_an_int(self, tmp_path, value, text):
+        assert str(pipeline.RunConfig(tmp_path, tmp_path, tmp_path, min_reference=value).min_reference) == text
 
     @pytest.mark.parametrize("bad", [
         ["--threshold", "1.5"],

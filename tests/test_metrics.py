@@ -4,6 +4,7 @@ import pytest
 
 from ixpreach import metrics
 from ixpreach.metrics import MetricSeries, build_series
+from ixpreach.pipeline import RunConfig
 
 from conftest import (BASE, country_series, day, day_counts, make_db, make_series, origins_by_date,
                       presence_of, rows_of)
@@ -86,14 +87,14 @@ class TestComputeDaily:
         total = sum(joint[cc][0].announcements[0] for cc in ("UA", "RU"))
         assert total <= len(rows)
 
-    def test_zz_placeholder_is_not_a_country_filter(self):
-        db = make_db({20: "ZZ", 21: "UA"})
-        with pytest.raises(ValueError):
-            build_series(make_series({BASE: []}), db, ["UA", "ZZ"])
+    # build_series trusts its countries; the run's config refuses these.
+    def test_zz_placeholder_is_not_a_country_filter(self, tmp_path):
+        with pytest.raises(ValueError, match="^not a usable country filter: 'ZZ'$"):
+            RunConfig(tmp_path, tmp_path, tmp_path, countries=("UA", "ZZ"))
 
-    def test_code_with_a_trailing_newline_is_not_a_country_filter(self):
-        with pytest.raises(ValueError, match="not a usable country filter"):
-            metrics.check_country("UA\n")
+    def test_code_with_a_trailing_newline_is_not_a_country_filter(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^not a usable country filter: 'UA\\n'$"):
+            RunConfig(tmp_path, tmp_path, tmp_path, countries=("UA\n",))
 
 
 def brute_masks(daily):

@@ -9,6 +9,7 @@ import pytest
 from ixpreach import outage, synth
 from ixpreach.metrics import METRIC_NAMES, MetricSeries
 from ixpreach.outage import CatalogEvent, OutageEvent, annotate, detect_dips, parse_catalog
+from ixpreach.pipeline import RunConfig
 
 from conftest import BASE, day
 
@@ -73,14 +74,14 @@ class TestDetectDips:
         assert detect_dips(series_of(values, "distinct_neighbors"), "distinct_neighbors") == []
 
     @pytest.mark.parametrize("min_reference", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_min_reference_is_an_error(self, min_reference):
-        # a NaN floor would silently hide this dip: every comparison with it is false
+    def test_non_finite_min_reference_is_an_error(self, tmp_path, min_reference):
+        # a NaN floor would silently hide this dip: every comparison with it
+        # is false.  detect_dips trusts its settings; the run's config refuses it.
         values = [100] * 10 + [60] * 3 + [100] * 10
         assert len(detect_dips(series_of(values), "announcements", min_reference=10)) == 1
-        with pytest.raises(ValueError, match="min_reference"):
-            detect_dips(series_of(values), "announcements", min_reference=min_reference)
-        with pytest.raises(ValueError, match="min_reference"):
-            outage.check_detector(7, 0.05, min_reference)
+        assert detect_dips(series_of(values), "announcements", min_reference=float("nan")) == []
+        with pytest.raises(ValueError, match="^min_reference must be a finite number$"):
+            RunConfig(tmp_path, tmp_path, tmp_path, min_reference=min_reference)
 
     def test_reference_median_ignores_single_spike(self):
         values = [100] * 10 + [400] + [100] * 10

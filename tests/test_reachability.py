@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ixpreach import reachability
+from ixpreach import pipeline, reachability
 from ixpreach.reachability import average_pct, pct_lost
 
 from conftest import BASE, country_series, day, make_db, make_series, origins_by_date, presence_of, reach
@@ -18,6 +18,19 @@ def series_from_presence(present_by_day, db_countries, gaps=()):
 
 
 UA_DB = make_db({o: "UA" for o in range(1, 200)})
+
+
+def written_reachability(tmp_path, present_by_day, final=day(7), window=3):
+    """The records and table text `write_outputs` writes for one testix/UA pair."""
+    mseries, presence = country_series(series_from_presence(present_by_day, UA_DB), UA_DB, "UA")
+    report = reachability.diff_reachability(presence, "testix", BASE, final, window)
+    config = pipeline.RunConfig(tmp_path, tmp_path, tmp_path / "out", ixps=("testix",), countries=("UA",),
+                                baseline_date=BASE, final_date=final, confirmation_window=window)
+    pair = pipeline.PairResult(mseries, presence, report, [])
+    pipeline.write_outputs(pipeline.AnalysisResult(
+        config, {("testix", "UA"): pair}, {"UA": average_pct([report.pct_lost])}))
+    out = tmp_path / "out" / "reachability"
+    return (out / "UA_records.txt").read_text(), (out / "UA_table.txt").read_text()
 
 
 def baseline_origins(series, db, country, baseline):
@@ -269,7 +282,7 @@ class TestDiffReachability:
         series = series_from_presence(present, UA_DB)
         report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
         assert report.total_baseline == 3
-        assert report.lost == len(report.lost_asns) == 2
+        assert len(report.lost_asns) == 2
         assert report.lost_asns == (2, 3)
         assert report.new_asns == (4,)
         assert report.pct_lost == pct_lost(3, 2)
@@ -309,20 +322,17 @@ class TestDiffReachability:
         assert (report.total_baseline, report.lost_asns, report.flapping_asns, report.new_asns) == (
             4, (2,), (3,), (5,))
 
-    def test_record_format_round_trips_key_facts(self):
-        present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)}
-        series = series_from_presence(present, UA_DB)
-        report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
-        record = reachability.format_report_record(report)
-        assert "ixp=testix" in record
-        assert "total_baseline=2" in record
-        assert "lost=1" in record
-        assert "lost_asns=2" in record
+    def test_record_format_round_trips_key_facts(self, tmp_path):
+        records, _ = written_reachability(tmp_path, {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)})
+        assert records == ("ixp=testix country=UA baseline_date=2022-02-19 final_date=2022-02-26 "
+                           "confirmation_window=3 total_baseline=2 lost=1 pct_lost=50.0 "
+                           "lost_asns=2 new_asns= flapping_asns=\n")
 
-    def test_table_reproduces_truncated_percentages(self):
-        present = {day(i): ({1, 2} if i == 0 else {1}) for i in range(8)}
-        series = series_from_presence(present, UA_DB)
-        report = reach(series, UA_DB, "UA", BASE, day(7), window=3)
-        table = reachability.format_report_table([report], average_pct([report.pct_lost]))
-        assert "50.0%" in table
-        assert "average % lost: 50.00" in table
+    def test_table_reproduces_truncated_percentages(self, tmp_path):
+        present = {day(i): ({1, 2, 3} if i == 0 else {1, 4} if i < 6 else {1, 3, 4}) for i in range(8)}
+        records, table = written_reachability(tmp_path, present)
+        assert "lost=1 pct_lost=33.3 lost_asns=2 new_asns=4 flapping_asns=\n" in records
+        assert table == ("Unreachable UA origins (baseline 2022-02-19, final 2022-02-26, confirmation 3d)\n"
+                         "IXP        Total ASes  Lost ASes   % Lost\n"
+                         "testix              3          1    33.3%\n"
+                         "average % lost: 33.30\n")

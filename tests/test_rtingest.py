@@ -349,6 +349,20 @@ class TestLoadSeries:
             with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'amsix'"):
                 pipeline.run_analysis(config, db=make_db({25133: "UA"}))
 
+    @pytest.mark.parametrize("content", [b"", b"prefix,as_path\n192.0.2.0/24,174 \xff25133\n"],
+                             ids=["empty", "undecodable"])
+    def test_quarantined_final_day_still_fails_the_run(self, tmp_path, content):
+        # The baseline and the day before the final one are fine: the run
+        # fails on the final day and never falls back to another day.
+        for offset in range(3):
+            write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
+        (tmp_path / "amsix" / f"{day(2).isoformat()}.csv").write_bytes(content)
+        config = pipeline.RunConfig(asndb_path=tmp_path / "unused", snapshot_root=tmp_path,
+                                    output_dir=tmp_path / "out", ixps=("amsix",), countries=("UA",),
+                                    baseline_date=BASE, final_date=day(2))
+        with pytest.raises(ValueError, match="^final date 2022-02-21 has no snapshot for IXP 'amsix'$"):
+            pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+
     @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all-quoted"])
     @pytest.mark.parametrize("age", [True, False], ids=["unmapped-column", "mapped-only"])
     def test_rows_share_entries_across_days(self, tmp_path, quoting, age):

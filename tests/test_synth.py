@@ -160,7 +160,7 @@ class TestDisruptions:
         result = analyze_generated(tmp_path, gt)
         report = result.pairs["auix", "UA"].report
         assert report.total_baseline == 1016
-        assert report.lost == 87
+        assert len(report.lost_asns) == 87
         assert report.pct_lost == 8.5
         assert synth.verify(gt, result) == []
 
@@ -174,6 +174,19 @@ class TestDisruptions:
         result = analyze_generated(tmp_path, gt)
         assert synth.verify(gt, result) == []
 
+    def test_confirmation_window_past_the_first_date_generates(self, tmp_path):
+        # analyze takes a window reaching back past year 1, so the generator
+        # does too.  The window then covers the baseline, so the permanent
+        # loss is a flap, not a loss, on both sides.
+        spec = tiny_spec(days=12, origins=6, seed=5, confirmation_window=3_000_000, disruptions=[
+            Disruption("permanent_loss", "amsix", "UA", day(6), count=2),
+        ])
+        gt = synth.generate(spec, tmp_path / "scen")
+        assert gt.confirmation_window == 3_000_000 and gt.unreachable["amsix"]["UA"] == ()
+        result = analyze_generated(tmp_path, gt)
+        assert len(result.pairs["amsix", "UA"].report.flapping_asns) == 2
+        assert synth.verify(gt, result) == []
+
     def test_join_creates_new_origins_in_report(self, tmp_path):
         spec = tiny_spec(days=12, origins=6, seed=11, disruptions=[
             Disruption("join", "amsix", "UA", day(8), count=2),
@@ -183,7 +196,7 @@ class TestDisruptions:
         result = analyze_generated(tmp_path, gt)
         report = result.pairs["amsix", "UA"].report
         assert len(report.new_asns) == 2
-        assert report.lost == 0
+        assert len(report.lost_asns) == 0
         assert synth.verify(gt, result) == []
 
     def test_neighbor_disconnect_empties_neighbor_metric(self, tmp_path):

@@ -1,11 +1,16 @@
 """Daily per-IXP per-country visibility counts and origin presence.
 
 Country attribution happens here and only here.  `build_series` looks up
-the country of each distinct row id's origin and neighbor once, then
-follows the series day by day: it diffs each snapshot's set of row ids
-against the day before and applies only the added and removed ids to
-per-country reference counts of origins, prefixes and neighbors, whose
-sizes are three of the counts below.
+the country of each distinct ASN once and gives every row id one byte:
+2 + i when its origin is in the i-th analysed country, 1 when only its
+neighbor is in one, else 0.  A day's codes are then one gather over the
+snapshot's row ids: the ids with a nonzero code are the day's set, and
+the count of byte 2 + i is the i-th country's announcements.  The ids
+that came or went since the day before are applied to per-country
+reference counts of origins, prefixes and neighbors, whose sizes are the
+other three counts below.  Past 254 countries the codes no longer fit a
+byte, so the countries go in sorted blocks of 254, each with its own
+codes and its own walk over the series.
 
 Everything is indexed by snapshot: index i is the IXP's i-th snapshot
 date, and gap days have no index.  A MetricSeries holds the IXP's dates
@@ -31,9 +36,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import IO, Iterable
 
 from .asndb import AsnDb
@@ -100,6 +105,12 @@ def _release(counts: dict, key: int | str) -> bool:
     return True
 
 
+# Countries per block: codes 0 and 1 are taken, and a code is one byte.
+_BLOCK = 254
+_NONZERO = bytes([0] + [1] * 255)  # translate tables: code to 0/1 flag
+_ZERO = bytes([1] + [0] * 255)
+
+
 def build_series(
     series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
 ) -> dict[str, tuple[MetricSeries, PresenceMap]]:
@@ -110,69 +121,96 @@ def build_series(
     that every country shares.  The result does not depend on row order
     or on repeated countries.
 
-    Each row id present on a day holds one reference on its in-country
-    origin, (country, prefix) pair and neighbor; a day costs set algebra
-    over its ids plus the ids that came or went since the day before.
-    Only ids with an in-country origin or neighbor enter the day sets.
-    An origin's mask changes only when its first reference is taken or
-    its last one dropped.
+    The countries go in sorted blocks of up to `_BLOCK`, and each block
+    walks the series with its own code table (`_row_codes`).  A day costs
+    one gather of its ids' code bytes, a set of the ids whose code is not
+    0, one `bytes.count` per country, and the ids that came or went since
+    the day before.  Each id present on a day holds one reference on its
+    in-country origin, (country, prefix) pair and neighbor.  An origin's
+    mask changes only when its first reference is taken or its last one
+    dropped.
     """
-    wanted = set(countries)
-    country_of: dict[int, str | None] = {}
-    for asn in set(series.origin_of).union(series.neighbor_of):
-        cc = db.countries.get(asn)
-        country_of[asn] = cc if cc in wanted else None
-    origin_cc = list(map(country_of.__getitem__, series.origin_of))
-    neighbor_cc = list(map(country_of.__getitem__, series.neighbor_of))
-    keep = bytes(o is not None or n is not None for o, n in zip(origin_cc, neighbor_cc))
-    prefix_of, origin_of, neighbor_of = series.prefix_of, series.origin_of, series.neighbor_of
+    wanted = sorted(set(countries))
+    dates = tuple(snap.date for snap in series.snapshots)
+    attributed: dict[str, tuple[MetricSeries, PresenceMap]] = {}
+    for first in range(0, len(wanted), _BLOCK):
+        attributed.update(_build_block(series, db, wanted[first:first + _BLOCK], dates))
+    return attributed
 
-    origins: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
-    prefixes: dict[str, dict[str, int]] = {cc: {} for cc in wanted}
-    neighbors: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
-    counts: dict[str, list[tuple[int, int, int, int]]] = {cc: [] for cc in wanted}
-    masks: dict[str, dict[int, int]] = {cc: {} for cc in wanted}
+
+def _row_codes(series: SnapshotSeries, db: AsnDb, block: list[str]) -> tuple[bytes, bytes]:
+    """Each row id's code and its neighbor's code for one block.
+
+    An ASN's code is 2 + i when its country is `block[i]`, else 0.  The
+    neighbor codes are the neighbor ASNs' codes; a row's code is its
+    origin's code, or 1 when only its neighbor is in a block country.
+    """
+    asns = set(series.origin_of).union(series.neighbor_of)
+    code_in = {cc: code for code, cc in enumerate(block, 2)}
+    code_of = dict(zip(asns, map(code_in.get, map(db.countries.get, asns), repeat(0))))
+    origin_codes = bytes(map(code_of.__getitem__, series.origin_of))
+    neighbor_codes = bytes(map(code_of.__getitem__, series.neighbor_of))
+    # Byte-wise over whole tables: the origin's code, or the neighbor's 0/1
+    # flag where the origin's code is 0.
+    row = int.from_bytes(origin_codes, "big") | (
+        int.from_bytes(neighbor_codes.translate(_NONZERO), "big")
+        & int.from_bytes(origin_codes.translate(_ZERO), "big"))
+    return row.to_bytes(len(origin_codes), "big"), neighbor_codes
+
+
+def _build_block(
+    series: SnapshotSeries, db: AsnDb, block: list[str], dates: tuple[dt.date, ...]
+) -> dict[str, tuple[MetricSeries, PresenceMap]]:
+    """`build_series` for one block of at most `_BLOCK` sorted countries."""
+    codes, neighbor_codes = _row_codes(series, db, block)
+    prefix_of, origin_of, neighbor_of = series.prefix_of, series.origin_of, series.neighbor_of
+    # Per-country state, indexed by block position: code - 2.
+    origins: list[dict[int, int]] = [{} for _ in block]
+    prefixes: list[dict[str, int]] = [{} for _ in block]
+    neighbors: list[dict[int, int]] = [{} for _ in block]
+    masks: list[dict[int, int]] = [{} for _ in block]
+    counts: list[list[tuple[int, int, int, int]]] = [[] for _ in block]
     present: set[int] = set()
     for index, snap in enumerate(series.snapshots):
-        kept = list(compress(snap.entries, map(keep.__getitem__, snap.entries)))
-        today = set(kept)
+        entries = snap.entries
+        # itemgetter gives a scalar for one key and refuses none.
+        day_codes = (bytes(itemgetter(*entries)(codes)) if len(entries) > 1
+                     else bytes(map(codes.__getitem__, entries)))
+        today = set(compress(entries, day_codes))
         for rid in present - today:
-            cc = origin_cc[rid]
-            if cc is not None:
-                if _release(origins[cc], origin_of[rid]):
-                    masks[cc][origin_of[rid]] &= (1 << index) - 1
-                _release(prefixes[cc], prefix_of[rid])
-            cc = neighbor_cc[rid]
-            if cc is not None:
-                _release(neighbors[cc], neighbor_of[rid])
+            i = codes[rid] - 2
+            if i >= 0:
+                if _release(origins[i], origin_of[rid]):
+                    masks[i][origin_of[rid]] &= (1 << index) - 1
+                _release(prefixes[i], prefix_of[rid])
+            i = neighbor_codes[rid] - 2
+            if i >= 0:
+                _release(neighbors[i], neighbor_of[rid])
         for rid in today - present:
-            cc = origin_cc[rid]
-            if cc is not None:
+            i = codes[rid] - 2
+            if i >= 0:
                 origin = origin_of[rid]
-                if _hold(origins[cc], origin):
+                if _hold(origins[i], origin):
                     # Held, the mask is negative: an open run sets every bit
                     # from `index` up, and the release clears those past it.
-                    masks[cc][origin] = masks[cc].get(origin, 0) | -(1 << index)
-                _hold(prefixes[cc], prefix_of[rid])
-            cc = neighbor_cc[rid]
-            if cc is not None:
-                _hold(neighbors[cc], neighbor_of[rid])
+                    masks[i][origin] = masks[i].get(origin, 0) | -(1 << index)
+                _hold(prefixes[i], prefix_of[rid])
+            i = neighbor_codes[rid] - 2
+            if i >= 0:
+                _hold(neighbors[i], neighbor_of[rid])
         present = today
-        announcements = Counter(map(origin_cc.__getitem__, kept))
-        for cc in wanted:
-            counts[cc].append((announcements[cc], len(origins[cc]),
-                               len(prefixes[cc]), len(neighbors[cc])))
-    every_day = (1 << len(series.snapshots)) - 1
-    for cc in wanted:
-        for origin in origins[cc]:
-            masks[cc][origin] &= every_day
-    dates = tuple(snap.date for snap in series.snapshots)
+        for i, column in enumerate(counts):
+            column.append((day_codes.count(i + 2), len(origins[i]),
+                           len(prefixes[i]), len(neighbors[i])))
+    every_day = (1 << len(dates)) - 1
+    for held, held_masks in zip(origins, masks):
+        for origin in held:
+            held_masks[origin] &= every_day
     # One column per metric; a series with no snapshot gets empty ones.
     return {
-        cc: (MetricSeries(series.ixp, cc, dates,
-                          *(tuple(zip(*counts[cc])) or ((),) * len(METRIC_NAMES))),
-             origin_presence(dates, masks[cc]))
-        for cc in sorted(wanted)
+        cc: (MetricSeries(series.ixp, cc, dates, *(tuple(zip(*column)) or ((),) * len(METRIC_NAMES))),
+             origin_presence(dates, cc_masks))
+        for cc, column, cc_masks in zip(block, counts, masks)
     }
 
 

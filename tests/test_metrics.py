@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ixpreach import metrics
+from ixpreach.asndb import COUNTRY_CODES
 from ixpreach.metrics import MetricSeries, build_series
 from ixpreach.pipeline import RunConfig
 
@@ -15,6 +16,14 @@ def compute_daily(rows, db, country):
     mseries = country_series(make_series({BASE: rows}), db, country)[0]
     assert mseries.dates == (BASE,)
     return day_counts(mseries)[BASE]
+
+
+# 300 analysed codes, more than one block of byte codes holds: DE and RU fall
+# in build_series' first block of 254 and UA in the second.  FR is left out, so an FR
+# row stays foreign.
+WIDE = sorted(["DE", "RU", "UA"] + [cc for cc in sorted(COUNTRY_CODES)
+                                    if cc not in {"DE", "RU", "UA", "FR", "ZZ"}][::2][:297])
+assert len(WIDE) == 300 and WIDE.index("RU") < 254 <= WIDE.index("UA")
 
 
 def brute_counts(rows, countries, country):
@@ -64,19 +73,30 @@ class TestComputeDaily:
 
     def test_matches_brute_force_on_random_snapshots(self):
         rng = random.Random(11)
+        cases = []
         for _ in range(50):
             countries = {i: rng.choice(["UA", "RU", "DE"]) for i in range(1, 25)}
-            db = make_db(countries)
             rows = [
                 (f"10.{rng.randint(0, 9)}.{rng.randint(0, 9)}.0/24",
                  [rng.randint(1, 30) for _ in range(rng.randint(1, 4))])
                 for _ in range(rng.randint(0, 60))
             ]
-            joint = build_series(make_series({BASE: rows}), db, ["UA", "RU", "DE"])
-            for cc in ("UA", "RU", "DE"):
-                assert day_counts(joint[cc][0]) == {BASE: brute_counts(rows, countries, cc)}
-                assert origins_by_date(joint[cc][1]) == {
-                    BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
+            cases.append((countries, rows))
+        countries = {1: "UA", 2: "RU", 3: "DE", 4: "FR"}
+        cases += [
+            (countries, [("192.0.2.0/24", [2, 1])]),  # one row: itemgetter returns a scalar
+            (countries, []),  # no row: itemgetter() with no key raises
+            (countries, [("192.0.2.0/24", [4, 4]), ("198.51.100.0/24", [4, 99])]),  # all foreign
+        ]
+        for countries, rows in cases:
+            db = make_db(countries)
+            for wanted in (["UA", "RU", "DE"], WIDE):
+                joint = build_series(make_series({BASE: rows}), db, wanted)
+                assert list(joint) == sorted(wanted)
+                for cc in ("UA", "RU", "DE"):
+                    assert day_counts(joint[cc][0]) == {BASE: brute_counts(rows, countries, cc)}
+                    assert origins_by_date(joint[cc][1]) == {
+                        BASE: {path[-1] for _, path in rows if countries.get(path[-1]) == cc}}
 
     def test_country_totals_bounded_by_entry_count(self):
         rng = random.Random(13)
@@ -146,7 +166,8 @@ class TestBuildSeries:
                      [rng.randint(1, 30) for _ in range(rng.randint(1, 4))])
                     for _ in range(rng.randint(10, 40))]
             offsets = sorted(rng.sample(range(16), 12))
-            empty = rng.choice(offsets[1:-1])
+            # An empty day, a one-row day and a day of foreign rows only.
+            empty, single, foreign = rng.sample(offsets[1:-1], 3)
             days = {}
             for n, offset in enumerate(offsets):
                 rows = [row for row in pool if rng.random() < 0.7]
@@ -157,22 +178,26 @@ class TestBuildSeries:
                 if n % 4 != 2:
                     rows.append(behind_ru)
                 rng.shuffle(rows)
-                days[day(offset)] = [] if offset == empty else rows
+                days[day(offset)] = {empty: [], single: rows[:1],
+                                     foreign: [("192.0.2.0/24", [41, 42]), ("10.0.0.0/8", [42])]
+                                     }.get(offset, rows)
             gaps = [day(offset) for offset in range(16) if offset not in offsets]
-            joint = build_series(make_series(days, gaps=gaps), db, ["UA", "RU", "DE"])
-            for cc in ("UA", "RU", "DE"):
-                mseries, presence = joint[cc]
-                assert mseries.dates == tuple(days)
-                counts = day_counts(mseries)
-                daily = []
-                for d, rows in days.items():
-                    assert counts[d] == brute_counts(rows, countries, cc), (cc, d)
-                    daily.append({path[-1] for _, path in rows if countries.get(path[-1]) == cc})
-                masks = presence.masks
-                assert masks == brute_masks(daily), cc
-                assert origins_by_date(presence) == dict(zip(days, daily))
-                if cc == "UA":  # both leave and return: a 0 bit between two set ones
-                    assert "0" in f"{masks[1]:b}".rstrip("0") and "0" in f"{masks[40]:b}".rstrip("0")
+            series = make_series(days, gaps=gaps)
+            for wanted in (["UA", "RU", "DE"], WIDE):
+                joint = build_series(series, db, wanted)
+                for cc in ("UA", "RU", "DE"):
+                    mseries, presence = joint[cc]
+                    assert mseries.dates == tuple(days)
+                    counts = day_counts(mseries)
+                    daily = []
+                    for d, rows in days.items():
+                        assert counts[d] == brute_counts(rows, countries, cc), (cc, d)
+                        daily.append({path[-1] for _, path in rows if countries.get(path[-1]) == cc})
+                    masks = presence.masks
+                    assert masks == brute_masks(daily), cc
+                    assert origins_by_date(presence) == dict(zip(days, daily))
+                    if cc == "UA":  # both leave and return: a 0 bit between two set ones
+                        assert "0" in f"{masks[1]:b}".rstrip("0") and "0" in f"{masks[40]:b}".rstrip("0")
 
     def test_presence_marks_each_snapshot_day(self):
         db = make_db({20: "UA", 21: "UA"})

@@ -221,12 +221,6 @@ def save(db: MergedRecords, path: str | Path) -> None:
     """Write the database as sorted `asn|country|registry|date` rows under
     the provenance and `# records N conflicts M` header, and its country
     index at `<path>.idx`.
-
-    The index is written only when `load` would read the same map from it
-    as from the text: every code is two capital letters (so the code table
-    fits array("H")), every registry is one of REGISTRIES and every ASN
-    fits array("I").  Otherwise an index left from an earlier save is
-    removed.
     """
     lines = ["# asndb 1"]
     for registry, digest in db.source_files:
@@ -240,15 +234,7 @@ def save(db: MergedRecords, path: str | Path) -> None:
 
     codes: dict[str, int] = {}
     positions = [codes.setdefault(pick.country, len(codes)) for pick in picks]
-    index = _index_path(path)
-    indexable = {pick.registry for pick in picks}.issubset(REGISTRIES) and codes.keys() <= COUNTRY_CODES
-    try:
-        asn_array, position_array = array("I", asns), array("H", positions)
-    except (OverflowError, TypeError):
-        indexable = False
-    if not indexable:
-        index.unlink(missing_ok=True)
-        return
+    asn_array, position_array = array("I", asns), array("H", positions)
     if sys.byteorder == "big":
         asn_array.byteswap()
         position_array.byteswap()
@@ -256,7 +242,7 @@ def save(db: MergedRecords, path: str | Path) -> None:
     digest = hashlib.sha256(text)
     for part in (header, asn_array, position_array):
         digest.update(part)
-    with open(index, "wb") as handle:
+    with open(_index_path(path), "wb") as handle:
         handle.write(_INDEX_MAGIC + f"sha256 {digest.hexdigest()}\n".encode("ascii") + header)
         asn_array.tofile(handle)
         position_array.tofile(handle)

@@ -7,7 +7,8 @@ gap day, which has no index, neither ends nor extends a run.  Each run is
 one outage event: dated by the series' dates at its ends, with the
 reference of its first day and the least value inside it.  Detected
 events can be annotated from a catalog of known real-world disruptions
-(`id|start|end|label|source` lines, end empty for an open-ended range).
+(`id|start|end|label|source` lines, end empty for an open-ended range)
+whose date ranges overlap theirs.
 """
 
 from __future__ import annotations
@@ -103,34 +104,27 @@ def detect_dips(
     return events
 
 
-def _overlap_days(event: OutageEvent, entry: CatalogEvent, slack: int) -> int:
-    # Day ordinals, not dates: a slack of any size widens the range
-    # without leaving the date type's years 1..9999.
-    lo = entry.start.toordinal() - slack
-    hi = entry.end.toordinal() + slack if entry.end is not None else event.end.toordinal()
-    first = max(event.start.toordinal(), lo)
-    last = min(event.end.toordinal(), hi)
-    return last - first + 1 if last >= first else 0
+def _overlap_days(event: OutageEvent, entry: CatalogEvent) -> int:
+    first = max(event.start, entry.start)
+    last = min(event.end, entry.end or event.end)
+    return (last - first).days + 1 if last >= first else 0
 
 
-def annotate(
-    events: Iterable[OutageEvent],
-    catalog: Sequence[CatalogEvent],
-    slack: int = 0,
-) -> list[OutageEvent]:
+def annotate(events: Iterable[OutageEvent], catalog: Sequence[CatalogEvent]) -> list[OutageEvent]:
     """Attach the best-matching catalog id to each outage.
 
-    Catalog ranges widened by `slack` days must overlap the outage span;
-    the match with the most overlapping days wins, earliest catalog start
-    breaking ties.  Unmatched outages keep an empty annotation.  Dates and
-    levels are never altered.
+    A catalog range must overlap the outage span, both ends inclusive; the
+    match with the most overlapping days wins, earliest catalog start
+    breaking ties.  An approximate event is widened in its own catalog
+    line.  Unmatched outages keep an empty annotation.  Dates and levels
+    are never altered.
     """
     out = []
     for event in events:
         best = None
         best_key = None
         for entry in catalog:
-            days = _overlap_days(event, entry, slack)
+            days = _overlap_days(event, entry)
             if days <= 0:
                 continue
             key = (-days, entry.start, entry.id)
@@ -154,9 +148,9 @@ def parse_catalog(source: Iterable[str]) -> list[CatalogEvent]:
         try:
             start = dt.date.fromisoformat(start_text)
             end = dt.date.fromisoformat(end_text) if end_text else None
+            entries.append(CatalogEvent(event_id, start, end, label, source_text))
         except ValueError as exc:
             raise ValueError(f"catalog line {lineno}: {exc}") from None
-        entries.append(CatalogEvent(event_id, start, end, label, source_text))
     return entries
 
 

@@ -44,7 +44,6 @@ class RunConfig:
     threshold: float = outage.DEFAULT_THRESHOLD
     min_reference: float = outage.DEFAULT_MIN_REFERENCE
     catalog_path: Path | str | None = None  # a file, or the str SEED_CATALOG
-    annotation_slack: int = 0
     schema_path: Path | None = None
 
     def __post_init__(self) -> None:
@@ -69,8 +68,6 @@ class RunConfig:
             raise ValueError("min_reference must be a finite number")
         if self.min_reference == int(self.min_reference):  # 10.0 renders as 10 does
             self.min_reference = int(self.min_reference)
-        if self.annotation_slack < 0:
-            raise ValueError("annotation slack must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
                     threshold=config.threshold,
                     min_reference=config.min_reference))
             if catalog is not None:
-                events = outage.annotate(events, catalog, config.annotation_slack)
+                events = outage.annotate(events, catalog)
             result.pairs[ixp, country] = PairResult(mseries, presence, report, events)
 
     for country in config.countries:

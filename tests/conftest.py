@@ -17,6 +17,14 @@ def day(offset: int) -> dt.date:
     return BASE + dt.timedelta(days=offset)
 
 
+# Catalog lines `parse_catalog` refuses, with the message after its line number.
+BAD_CATALOG_LINES = {
+    "empty-label": ("a|2022-03-01|2022-03-02||src", "catalog event 'a' needs a label"),
+    "end-before-start": ("a|2022-03-02|2022-03-01|label|src", "catalog event 'a' ends before it starts"),
+    "bad-date": ("a|2022-03-01|soon|label|src", "Invalid isoformat string: 'soon'"),
+}
+
+
 def make_db(countries: dict[int, str]) -> AsnDb:
     """In-memory AsnDb from a plain {asn: country} mapping."""
     return AsnDb(countries=dict(countries))

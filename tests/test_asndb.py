@@ -605,21 +605,6 @@ class TestCountryIndex:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: malformed asndb line")):
             asndb.load(path)
 
-    @pytest.mark.parametrize("asn,record", [
-        (7, delegation("ZZZ", "ripencc")),
-        (7, delegation("UA", "whois")),
-        (asndb.ASN_MAX + 1, delegation("UA", "ripencc")),
-    ], ids=["three-letter-code", "unknown-registry", "asn-past-32-bits"])
-    def test_records_outside_the_index_types_leave_no_index(self, tmp_path, delegated_dir, caplog, asn, record):
-        path = tmp_path / "asndb.txt"
-        asndb.save(fixture_db(delegated_dir), path)
-        assert index_of(path).exists()
-        db = MergedRecords(records={asn: record, 25133: delegation("UA", "ripencc")})
-        with caplog.at_level(logging.WARNING, logger="ixpreach.asndb"):
-            assert save_and_load(db, path) == as_loaded(db)
-        assert not index_of(path).exists()
-        assert caplog.records == []
-
     def test_dates_are_saved_as_yyyymmdd_and_read_back(self, tmp_path):
         db, _ = build_text(tmp_path, "ripencc|UA|asn|7|1|00010101|allocated\n"
                                      "ripencc|RU|asn|8|1|09991231|allocated\n"

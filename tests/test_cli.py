@@ -16,7 +16,7 @@ from ixpreach import cli, outage, pipeline, synth
 from ixpreach.rtingest import DateRange
 from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
 
-from conftest import BASE, day
+from conftest import BAD_CATALOG_LINES, BASE, day
 
 
 def run(argv):
@@ -56,6 +56,17 @@ def analyzed_scenario(tmp_path):
               "--out", str(tmp_path / "asndb.txt")])
     assert rc == 0
     return tmp_path, scen, gt
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-asndb", "--out", "db.txt"],
+    ["plot", "--metrics", "metrics.csv", "--metric", "announcements"],
+], ids=["build-asndb-without-rir", "plot-without-out-or-table"])
+def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBuildAsndb:
@@ -139,8 +150,7 @@ class TestAnalyze:
         defaults = {f.name: f.default for f in fields(pipeline.RunConfig)}
         given = {key: str(defaults[field]) for key, (field, _, _) in cli._ANALYZE_SETTINGS.items()
                  if isinstance(defaults[field], (int, float))}
-        assert sorted(given) == ["annotation_slack", "confirmation_window", "min_reference",
-                                 "threshold", "trailing_window"]
+        assert sorted(given) == ["confirmation_window", "min_reference", "threshold", "trailing_window"]
         assert run(self.analyze_args(tmp_path, scen, gt, out="plain")) == 0
         assert run(self.analyze_args(tmp_path, scen, gt, out="by-flag") + flag_args(given)) == 0
         by_file = config_args(tmp_path / "defaults.cfg", given)
@@ -201,14 +211,27 @@ class TestAnalyze:
         assert runs[0] == runs[1]
         assert runs[0][0].startswith(f"wrote {len(runs[0][1])} files under {out}")
 
-    def test_seed_catalog_matches_the_packaged_file(self, analyzed_scenario):
-        tmp_path, scen, gt = analyzed_scenario
+    def test_seed_catalog_matches_the_packaged_file(self, tmp_path):
+        # The removal lies inside the seed catalog's sumy-blackout (2022-03-03..05).
+        spec = ScenarioSpec(
+            seed=8,
+            window=DateRange(BASE, day(20)),
+            ixps=("amsix",),
+            countries={"UA": CountrySpec(origin_count=12, prefixes_per_origin=(1, 2), neighbor_count=2)},
+            disruptions=(
+                Disruption("origin_removal", "amsix", "UA", dt.date(2022, 3, 3), dt.date(2022, 3, 5), count=3),
+            ),
+        )
+        scen = tmp_path / "scen"
+        gt = synth.generate(spec, scen)
+        assert run(["build-asndb", "--rir", f"ripencc={scen / 'delegated.txt'}",
+                    "--out", str(tmp_path / "asndb.txt")]) == 0
         packaged = Path(cli.__file__).parent / "data" / "event_catalog.txt"
         marked = tmp_path / "bom_catalog.txt"
         marked.write_bytes(b"\xef\xbb\xbf" + packaged.read_bytes())
         for out, catalog in (("seed", "seed"), ("file", str(packaged)), ("bom", str(marked))):
             args = self.analyze_args(tmp_path, scen, gt, out=out)
-            assert run(args + ["--catalog", catalog, "--annotation-slack", "8"]) == 0
+            assert run(args + ["--catalog", catalog]) == 0
         seed = tmp_path / "seed" / "outages"
         names = sorted(p.name for p in seed.iterdir())
         assert names
@@ -333,7 +356,6 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("extra", [
         ["--confirmation-window", "1000000"],
-        ["--catalog", "seed", "--annotation-slack", "1000000"],
     ], ids=" ".join)
     def test_huge_day_counts_run_to_the_end(self, analyzed_scenario, extra):
         tmp_path, scen, gt = analyzed_scenario
@@ -390,10 +412,10 @@ class TestAnalyze:
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        for line in ("frobnicate = yes", "countries UA"):
+        for line in ("frobnicate = yes", "countries UA", "annotation_slack = 0"):
             config.write_text(f"# run settings\n{line}\n")
             assert run(["analyze", "--config", str(config)]) == 1
-            assert f"{config}:2:" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"usage error: {config}:2:")
 
     @pytest.mark.parametrize("text, message", [
         ("med = MED\n", "{schema}:1:"),
@@ -405,6 +427,15 @@ class TestAnalyze:
         schema.write_text(text)
         assert run(self.analyze_args(tmp_path, scen, gt) + ["--schema", str(schema)]) == 2
         assert message.format(schema=schema) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, message", BAD_CATALOG_LINES.values(), ids=BAD_CATALOG_LINES)
+    def test_bad_catalog_file_is_data_error(self, analyzed_scenario, capsys, line, message):
+        tmp_path, scen, gt = analyzed_scenario
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"# id|start|end|label|source\n{line}\n")
+        assert run(self.analyze_args(tmp_path, scen, gt) + ["--catalog", str(catalog)]) == 2
+        assert capsys.readouterr().err == f"error: catalog line 2: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_schema_file_maps_renamed_columns(self, analyzed_scenario, capsys):
@@ -447,12 +478,11 @@ SAMPLES = {
     "threshold": ("0.2", "0.3"),
     "min_reference": ("2.5", "3"),
     "catalog": ("seed", "events.txt"),
-    "annotation_slack": ("2", "4"),
     "schema": ("schema-a.cfg", "schema-b.cfg"),
 }
 REQUIRED = {"asndb": "db.txt", "snapshots": "snaps", "out": "out"}
 TYPED = ("baseline_date", "final_date", "confirmation_window", "trailing_window",
-         "threshold", "min_reference", "annotation_slack")
+         "threshold", "min_reference")
 
 
 def flag_args(settings):
@@ -503,7 +533,6 @@ class TestAnalyzeSettings:
         ("threshold", 1.0, "threshold must be a fraction in (0, 1)"),
         ("threshold", float("nan"), "threshold must be a fraction in (0, 1)"),
         ("min_reference", float("inf"), "min_reference must be a finite number"),
-        ("annotation_slack", -1, "annotation slack must be >= 0"),
     ])
     def test_run_config_message_is_word_for_word(self, tmp_path, field, value, message):
         with pytest.raises(ValueError) as info:
@@ -522,8 +551,8 @@ class TestAnalyzeSettings:
         ["--countries", "ZZ"],
         ["--countries", "ua"],
         ["--countries", ","],
-        ["--annotation-slack", "-1", "--catalog", "seed"],
-        ["--annotation-slack", "-1"],
+        ["--annotation-slack", "0"],
+        ["--frobnicate"],
         ["--ixps", "amsix,../x"],
         ["--ixps", "amsix,ams ix"],
     ], ids=" ".join)
@@ -532,7 +561,7 @@ class TestAnalyzeSettings:
         argv = ["analyze", "--asndb", str(tmp_path / "asndb.txt"),
                 "--snapshots", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
         assert run(argv + bad) == 1
-        assert "usage error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "out").exists()
 
 

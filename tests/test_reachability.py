@@ -183,11 +183,14 @@ class TestPercentages:
         assert average_pct([4.2]) == 4.2
 
     def test_average_rounds_half_up(self):
-        # 1.2 + 1.5 -> mean 1.35; half-up gives 1.35 exactly, then
-        # 0.1 + 0.2 -> 0.15, and 0.05 + 0.1 style cases:
+        # These three means are exact in hundredths, so no rounding happens:
         assert average_pct([1.2, 1.5]) == 1.35
         assert average_pct([0.1, 0.2]) == 0.15
         assert average_pct([0.0, 0.1]) == 0.05
+        # These are not: a tie 0.025 and 0.0667 round up, 0.0333 rounds down.
+        assert average_pct([0.1, 0.0, 0.0, 0.0]) == 0.03
+        assert average_pct([0.2, 0.0, 0.0]) == 0.07
+        assert average_pct([0.1, 0.0, 0.0]) == 0.03
 
     def test_empty_average_is_an_error(self):
         with pytest.raises(ValueError):

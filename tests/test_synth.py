@@ -301,6 +301,18 @@ class TestVerifySensitivity:
         problems = synth.verify(gt, result)
         assert any("lost origins" in p for p in problems)
 
+    def test_missing_series_date_is_one_problem(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        expected = gt.metrics["amsix"]["UA"]
+        del expected[sorted(expected)[3]]
+        days = len(result.pairs["amsix", "UA"].series.dates)
+        assert synth.verify(gt, result) == [f"amsix/UA: series covers {days} days, expected {days - 1}"]
+
+    def test_tampered_new_origins_are_caught(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        gt.new_origins["amsix"]["UA"] = (99999,)
+        assert synth.verify(gt, result) == ["amsix/UA: new origins differ"]
+
     def test_tampered_presence_mask_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
         masks = result.pairs["amsix", "UA"].presence.masks
@@ -371,7 +383,7 @@ class TestScenarioIO:
         (lambda d: d.update(detector={"trailing_window": 0}), "trailing_window must be >= 1"),
         (lambda d: d.update(detector={"threshold": 2.0}), "threshold must be a fraction"),
         (lambda d: d.update(detector={"window": 7}), "unexpected keyword argument 'window'"),
-        (lambda d: d.update(detector={"annotation_slack": 0}), "detector: keys must be"),
+        (lambda d: d.update(detector={"schema_path": None}), "detector: keys must be"),
         (lambda d: d.update(confirmation_window=-1), "confirmation window must be >= 0"),
         (lambda d: d["countries"].update(ZZ={"origin_count": 3}), "not a usable country filter: 'ZZ'"),
         (lambda d: d["countries"].update({"UA\n": {"origin_count": 3}}), r"not a usable country filter: 'UA\\n'"),
@@ -398,6 +410,17 @@ class TestScenarioIO:
          r"\(permanent_loss\): takes no magnitude"),
         (lambda d: (d["disruptions"][0].pop("count"), d["disruptions"][0].update(kind="prefix_shrink", magnitude="0.5")),
          "magnitude must be a number, got '0.5'"),
+        (lambda d: d["window"].update(end="2022-02-18"), "date range ends before it starts"),
+        (lambda d: d["countries"]["UA"].update(prefixes_per_origin=[3, 2]), r"UA: bad prefixes_per_origin range \[3, 2\]"),
+        (lambda d: d["disruptions"][0].update(ixp="linx"), r"disruption #0 \(origin_removal\): unknown ixp or country"),
+        (lambda d: d["disruptions"][0].update(country="RU"), r"disruption #0 \(origin_removal\): unknown ixp or country"),
+        (lambda d: d["disruptions"][0].update(end="2022-03-03"), "needs an end date inside the window"),
+        (lambda d: d["disruptions"][0].update(count=0), "needs a positive count"),
+        (lambda d: (d["disruptions"][0].pop("count"), d["disruptions"][0].update(kind="prefix_shrink", magnitude=1.5)),
+         r"magnitude must be in \(0, 1\]"),
+        (lambda d: (d["countries"]["UA"].update(neighbor_count=0), d["disruptions"][0].update(kind="neighbor_disconnect")),
+         "country has no neighbors to disconnect"),
+        (lambda d: d["disruptions"][0].update(count=11), "disruption #0: count 11 exceeds pool of 10"),
     ])
     def test_validation_rejects_bad_scenarios(self, tmp_path, mutate, message):
         doc = {
@@ -413,5 +436,5 @@ class TestScenarioIO:
         mutate(doc)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(synth.ScenarioError, match=message):
-            synth.load_scenario(path)
+        with pytest.raises(synth.ScenarioError, match=message):  # a pool is only sized by generating
+            synth.generate(synth.load_scenario(path), tmp_path / "scen")

@@ -6,7 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -34,28 +34,35 @@ def tree_bytes(root: Path) -> dict[Path, bytes]:
 PINNED_OUTPUT_SHA256 = "b70c427db16b95407229d012cb06f2ea88cbea852cf15c2dbc693d74804ac34f"
 
 
-@pytest.fixture
-def analyzed_scenario(tmp_path):
-    """A small generated scenario plus a built asndb, ready for analyze."""
-    spec = ScenarioSpec(
-        seed=8,
-        window=DateRange(BASE, day(13)),
-        ixps=("amsix", "linx"),
-        countries={
-            "UA": CountrySpec(origin_count=10, prefixes_per_origin=(1, 2), neighbor_count=2),
-            "RU": CountrySpec(origin_count=8, prefixes_per_origin=(1, 2), neighbor_count=1),
-        },
-        gap_dates=(day(6),),
-        disruptions=(
-            Disruption("origin_removal", "amsix", "UA", day(4), day(5), count=2),
-        ),
-    )
+SPEC = ScenarioSpec(
+    seed=8,
+    window=DateRange(BASE, day(13)),
+    ixps=("amsix", "linx"),
+    countries={
+        "UA": CountrySpec(origin_count=10, prefixes_per_origin=(1, 2), neighbor_count=2),
+        "RU": CountrySpec(origin_count=8, prefixes_per_origin=(1, 2), neighbor_count=1),
+    },
+    gap_dates=(day(6),),
+    disruptions=(
+        Disruption("origin_removal", "amsix", "UA", day(4), day(5), count=2),
+    ),
+)
+
+
+def generated(tmp_path, spec=SPEC):
+    """`spec` generated under `tmp_path` plus a built asndb, ready for analyze."""
     scen = tmp_path / "scen"
     gt = synth.generate(spec, scen)
     rc = run(["build-asndb", "--rir", f"ripencc={scen / 'delegated.txt'}",
               "--out", str(tmp_path / "asndb.txt")])
     assert rc == 0
     return tmp_path, scen, gt
+
+
+@pytest.fixture
+def analyzed_scenario(tmp_path):
+    """A small generated scenario plus a built asndb, ready for analyze."""
+    return generated(tmp_path)
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,19 +220,9 @@ class TestAnalyze:
 
     def test_seed_catalog_matches_the_packaged_file(self, tmp_path):
         # The removal lies inside the seed catalog's sumy-blackout (2022-03-03..05).
-        spec = ScenarioSpec(
-            seed=8,
-            window=DateRange(BASE, day(20)),
-            ixps=("amsix",),
-            countries={"UA": CountrySpec(origin_count=12, prefixes_per_origin=(1, 2), neighbor_count=2)},
-            disruptions=(
-                Disruption("origin_removal", "amsix", "UA", dt.date(2022, 3, 3), dt.date(2022, 3, 5), count=3),
-            ),
-        )
-        scen = tmp_path / "scen"
-        gt = synth.generate(spec, scen)
-        assert run(["build-asndb", "--rir", f"ripencc={scen / 'delegated.txt'}",
-                    "--out", str(tmp_path / "asndb.txt")]) == 0
+        removal = Disruption("origin_removal", "amsix", "UA", dt.date(2022, 3, 3), dt.date(2022, 3, 5), count=3)
+        tmp_path, scen, gt = generated(tmp_path, replace(SPEC, window=DateRange(BASE, day(20)),
+                                                         disruptions=(removal,)))
         packaged = Path(cli.__file__).parent / "data" / "event_catalog.txt"
         marked = tmp_path / "bom_catalog.txt"
         marked.write_bytes(b"\xef\xbb\xbf" + packaged.read_bytes())
@@ -354,12 +351,9 @@ class TestAnalyze:
         assert "no '# records N conflicts M' header" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("extra", [
-        ["--confirmation-window", "1000000"],
-    ], ids=" ".join)
-    def test_huge_day_counts_run_to_the_end(self, analyzed_scenario, extra):
+    def test_huge_day_counts_run_to_the_end(self, analyzed_scenario):
         tmp_path, scen, gt = analyzed_scenario
-        assert run(self.analyze_args(tmp_path, scen, gt) + extra) == 0
+        assert run(self.analyze_args(tmp_path, scen, gt) + ["--confirmation-window", "1000000"]) == 0
         assert (tmp_path / "out" / "summary.txt").exists()
 
     def test_sparse_ixp_does_not_abort_the_run(self, analyzed_scenario):

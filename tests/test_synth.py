@@ -420,10 +420,28 @@ class TestScenarioIO:
          r"magnitude must be in \(0, 1\]"),
         (lambda d: (d["countries"]["UA"].update(neighbor_count=0), d["disruptions"][0].update(kind="neighbor_disconnect")),
          "country has no neighbors to disconnect"),
-        (lambda d: d["disruptions"][0].update(count=11), "disruption #0: count 11 exceeds pool of 10"),
     ])
     def test_validation_rejects_bad_scenarios(self, tmp_path, mutate, message):
-        doc = {
+        doc = self.small_doc()
+        mutate(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(synth.ScenarioError, match=message):
+            synth.load_scenario(path)
+
+    def test_count_past_its_pool_fails_when_generated(self, tmp_path):
+        # A disruption's pool is only sized by generating, so the scenario loads.
+        doc = self.small_doc()
+        doc["disruptions"][0]["count"] = 11
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        spec = synth.load_scenario(path)
+        with pytest.raises(synth.ScenarioError, match="disruption #0: count 11 exceeds pool of 10"):
+            synth.generate(spec, tmp_path / "scen")
+
+    @staticmethod
+    def small_doc():
+        return {
             "seed": 4,
             "window": {"start": "2022-02-19", "end": "2022-03-02"},
             "ixps": ["amsix"],
@@ -433,8 +451,3 @@ class TestScenarioIO:
                  "start": "2022-02-22", "end": "2022-02-23", "count": 2},
             ],
         }
-        mutate(doc)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(synth.ScenarioError, match=message):  # a pool is only sized by generating
-            synth.generate(synth.load_scenario(path), tmp_path / "scen")

@@ -39,7 +39,7 @@ import datetime as dt
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, TypeVar
 
 from .asndb import AsnDb
 from .rtingest import SnapshotSeries
@@ -228,19 +228,41 @@ def write_metrics_csv(stream: IO[str], series: MetricSeries) -> None:
                      for day, *counts in zip(series.dates, *map(series.values, METRIC_NAMES)))
 
 
+T = TypeVar("T")
+
+
+def read_csv_rows(stream: IO[str], header: tuple[str, ...], kind: str, parse: Callable[..., T]) -> list[T]:
+    """`parse(*row)` for each non-blank row of a CSV whose first row is
+    `header`.  Another first row ("not <kind>"), a row whose width is not
+    the header's, a csv error, and a ValueError from `parse` each raise
+    ValueError naming `<name>:<line>`: the stream's `name` (the path it
+    was opened from) and the line read last."""
+    reader = csv.reader(stream)
+    parsed = []
+    try:
+        first = next(reader, None)
+        if first is None or tuple(first) != header:
+            raise ValueError(f"not {kind} (header {first!r})")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, expected {len(header)}")
+            parsed.append(parse(*row))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{getattr(stream, 'name', '<stream>')}:{reader.line_num}: {exc}") from None
+    return parsed
+
+
 def read_metrics_csv(stream: IO[str]) -> MetricSeries:
     """Read the series written by :func:`write_metrics_csv`, with its days
     sorted.  A file with no rows, or with rows of two (ixp, country)
-    pairs, raises ValueError."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or tuple(header) != METRICS_CSV_HEADER:
-        raise ValueError(f"not a metrics CSV (header {header!r})")
-    rows = [row for row in reader if row]
-    pairs = sorted({(ixp, country) for ixp, country, *_ in rows})
+    pairs, raises ValueError, and so does a row as `read_csv_rows` says."""
+    rows = read_csv_rows(stream, METRICS_CSV_HEADER, "a metrics CSV",
+                         lambda ixp, country, date_text, *counts:
+                         (ixp, country, dt.date.fromisoformat(date_text), *map(int, counts)))
+    pairs = sorted({row[:2] for row in rows})
     if len(pairs) != 1:
         found = ", ".join(map("/".join, pairs)) or "no rows"
         raise ValueError(f"metrics CSV should hold one (ixp, country) series, found {found}")
-    days = sorted((dt.date.fromisoformat(date_text), int(ann), int(orig), int(pref), int(neigh))
-                  for _, _, date_text, ann, orig, pref, neigh in rows)
-    return MetricSeries(*pairs[0], *zip(*days))
+    return MetricSeries(*pairs[0], *zip(*sorted(row[2:] for row in rows)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import IO, Iterable, Sequence
 
-from .metrics import MetricSeries
+from .metrics import MetricSeries, read_csv_rows
 
 DEFAULT_TRAILING_WINDOW = 7
 DEFAULT_THRESHOLD = 0.05
@@ -172,17 +172,10 @@ def write_events_csv(stream: IO[str], events: Iterable[OutageEvent]) -> None:
 
 
 def read_events_csv(stream: IO[str]) -> list[OutageEvent]:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or tuple(header) != EVENTS_CSV_HEADER:
-        raise ValueError(f"not an events CSV (header {header!r})")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        ixp, country, metric, start, end, reference, minimum, drop, annotation = row
-        out.append(OutageEvent(ixp, country, metric,
-                               dt.date.fromisoformat(start), dt.date.fromisoformat(end),
-                               float(reference), float(minimum), float(drop),
-                               annotation or None))
-    return out
+    """Read the events written by :func:`write_events_csv`; a row that
+    does not parse raises ValueError as `read_csv_rows` says."""
+    return read_csv_rows(
+        stream, EVENTS_CSV_HEADER, "an events CSV",
+        lambda ixp, country, metric, start, end, reference, minimum, drop, annotation: OutageEvent(
+            ixp, country, metric, dt.date.fromisoformat(start), dt.date.fromisoformat(end),
+            float(reference), float(minimum), float(drop), annotation or None))

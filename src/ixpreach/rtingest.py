@@ -5,39 +5,44 @@ leading byte-order mark is dropped) with a header row, where one column
 holds the announced prefix and another the space-separated AS path.
 Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
-Parsing goes through an `InternTable`.  One `csv.reader` per file reads
-the header and every line not seen before, so quoted and multi-line
-records and csv errors behave exactly as with a plain reader.  Each row
-is looked up in a memo kept per column layout, so a row repeated from an
-earlier day yields the row id (or the skip) decided when it was first
-seen.  When the header holds only the prefix and AS-path columns and csv
-ends a record on the line it starts on, without reading past it, the key
-is that raw line, so a repeated line costs one dict lookup and never
-reaches csv; otherwise the key is the row's prefix and AS-path cells, so
-other columns that change from row to row do not defeat the memo.  A new
-row's two cells are parsed on the spot, and of the path only its two
-endpoints are kept: they are the row's origin (the last ASN) and
-neighbor (the first), and no row reads the ASNs between them.  A kept row
-gets the next dense row id, whose prefix, origin and neighbor the table
-records once in its columns.  A day is then the tuple of its rows' ids
-plus a skip count.  `load_series` keeps one table per IXP for the whole
-series and hands its columns to the SnapshotSeries; the memo is dropped
-once the series is loaded.
+Parsing goes through an `InternTable`.  A snapshot is read as bytes and
+split into physical lines as a text file opened with `newline=""` would
+split it (at `\n`, `\r\n` and a lone `\r`, each kept on its line).  Each
+line is looked up as raw bytes in a memo kept per column layout, so a row
+repeated from an earlier day yields the row id (or the skip) decided when
+it was first seen, and is never decoded.  Only the lines the memo has not
+decided are decoded, strictly as UTF-8, and read by the file's one
+`csv.reader`, so quoted and multi-line records, csv errors and decode
+errors behave exactly as with a plain reader over the decoded text.  When
+the header holds only the prefix and AS-path columns and csv ends a record
+on the line it starts on, without reading past it, the key is that raw
+byte line, so a repeated line costs one dict lookup; otherwise the key is
+the row's prefix and AS-path cells, so other columns that change from row
+to row do not defeat the memo.  A new row's two cells are parsed on the
+spot, and of the path only its two endpoints are kept: they are the row's
+origin (the last ASN) and neighbor (the first), and no row reads the ASNs
+between them.  A kept row gets the next dense row id, whose prefix, origin
+and neighbor the table records once in its columns.  A day is then the
+tuple of its rows' ids plus a skip count.  `load_series` keeps one table
+per IXP for the whole series and hands its columns to the SnapshotSeries;
+the memo is dropped once the series is loaded.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import ipaddress
 import logging
 import operator
 import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
-from typing import IO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .asndb import ASN_MAX
 
@@ -143,13 +148,14 @@ class InternTable:
 
     `rows` maps a column layout to a memo from a row key to the row's id,
     or None for a counted skip.  The key of a row is its raw physical
-    line, terminator included, when the header holds only the prefix and
-    AS-path columns and csv ended the record on that line without reading
-    past it, so the line alone holds both cells; otherwise it is the row's
-    `Cells`, so other columns play no part in it.  What a key of either
-    kind decides depends only on the layout, and a layout has its own memo
-    because a line means other cells under another header.  A row's cells
-    are parsed once, when its key is first seen.
+    line as `bytes`, terminator included and not decoded, when the header
+    holds only the prefix and AS-path columns and csv ended the record on
+    that line without reading past it, so the line alone holds both cells;
+    otherwise it is the row's `Cells`, so other columns play no part in
+    it.  What a key of either kind decides depends only on the layout, and
+    a layout has its own memo because a line means other cells under
+    another header.  A line is decoded, and a row's cells parsed, only
+    when its key is first seen.
 
     Row ids are dense, from 0, one per memo key that decided a kept row;
     `prefix_of`, `origin_of` and `neighbor_of` hold each id's fields, the
@@ -158,7 +164,7 @@ class InternTable:
     their endpoints) and then hold two ids.
     """
 
-    rows: dict[Layout, dict[str | Cells, int | None]] = field(default_factory=dict)
+    rows: dict[Layout, dict[bytes | Cells, int | None]] = field(default_factory=dict)
     prefix_of: list[str] = field(default_factory=list)
     origin_of: array = field(default_factory=lambda: array("I"))
     neighbor_of: array = field(default_factory=lambda: array("I"))
@@ -254,15 +260,31 @@ def _resolve_column(header: list[str], name: str) -> int:
         raise ValueError(f"snapshot is missing mapped column {name!r} (header: {header})") from None
 
 
+# The size of a snapshot read; each read is completed to a line end.
+_BLOCK = 1 << 18
+
+
+def _blocks(handle: BinaryIO) -> Iterator[Iterable[bytes]]:
+    """The physical lines of a binary stream, each with its terminator,
+    as a text stream opened with `newline=""` splits them: at `\n`,
+    `\r\n` and a lone `\r`.  They come block by block; a block is
+    completed to a `\n` (or to the end of the stream), so no `\r\n` is
+    cut in two, and one with no `\r` splits at `\n` alone."""
+    while block := handle.read(_BLOCK):
+        if not block.endswith(b"\n"):
+            block += handle.readline()
+        yield block.splitlines(keepends=True) if b"\r" in block else io.BytesIO(block)
+
+
 class _LineFeed:
     """The source of a file's one csv.reader: the line handed to it, or
-    else the next of `lines` (for the header, and for a record that spans
+    else the next of `lines` decoded as UTF-8 (for a record that spans
     lines).  After a record, `read_on` tells whether csv asked past the
     line handed to it, which it does even when `lines` has none left."""
 
     __slots__ = ("lines", "line", "read_on")
 
-    def __init__(self, lines: Iterator[str]) -> None:
+    def __init__(self, lines: Iterator[bytes]) -> None:
         self.lines = lines
         self.line: str | None = None
         self.read_on = False
@@ -273,31 +295,37 @@ class _LineFeed:
     def __next__(self) -> str:
         line, self.line = self.line, None
         self.read_on = line is None
-        return next(self.lines) if line is None else line
+        return next(self.lines).decode() if line is None else line
 
 
 def parse_snapshot(
-    source: IO[str] | Iterable[str],
+    source: BinaryIO,
     ixp: str,
     date: dt.date,
     schema: SnapshotSchema = DEFAULT_SCHEMA,
     intern: InternTable | None = None,
 ) -> Snapshot:
-    """Parse one snapshot CSV stream.
+    """Parse one snapshot CSV from a binary stream.
 
     Every data row yields either its row id in `intern` or a +1 on the
     skipped counter; blank lines are ignored and duplicate rows are kept,
     each being one announcement.  Rows too short to hold both mapped
     columns, with empty paths, non-numeric path tokens (including
     brace-delimited AS_SET segments) or unparseable prefixes are skipped.
-    One `csv.reader` reads the header and every line the memo has not
-    decided.  `intern` is shared by the snapshots of one series, and its
-    columns give each id's fields; when None a fresh table is used, and
-    the ids then serve only to count rows.
+    Each line is looked up in the memo as raw bytes; one `csv.reader`
+    reads the header and every line the memo has not decided, and only
+    those lines are decoded: the first with `utf-8-sig`, which drops a
+    leading byte-order mark, the others as strict UTF-8, so a byte that
+    is not UTF-8 raises UnicodeDecodeError (a ValueError).  `intern` is
+    shared by the snapshots of one series, and its columns give each id's
+    fields; when None a fresh table is used, and the ids then serve only
+    to count rows.
     """
-    lines = iter(source)
+    lines = chain.from_iterable(_blocks(source))
     feed = _LineFeed(lines)
     reader = csv.reader(feed)
+    # An empty file, or one that is only a byte-order mark, has no header.
+    feed.line = next(lines, b"").decode("utf-8-sig") or None
     header = next(reader, None)
     if header is None:
         raise ValueError(f"snapshot for {ixp} {date} has no header row")
@@ -316,7 +344,7 @@ def parse_snapshot(
     for line in lines:
         entry = memo.get(line, _UNSEEN) if by_line else _UNSEEN
         if entry is _UNSEEN:
-            feed.line = line
+            feed.line = line.decode()
             row = next(reader)
             if not row:  # a blank line
                 continue
@@ -363,7 +391,9 @@ def load_series(
     window: DateRange,
     schema: SnapshotSchema = DEFAULT_SCHEMA,
 ) -> SnapshotSeries:
-    """Load every `<root>/<ixp>/<date>.csv` inside the window.
+    """Load every `<root>/<ixp>/<date>.csv` inside the window, each read
+    as bytes by `parse_snapshot`, which decodes only the lines its memo
+    has not decided.
 
     Window days with no file become gaps.  So does a file that cannot be
     used, with a warning naming the file and the reason: one that cannot
@@ -377,9 +407,7 @@ def load_series(
     gaps: list[dt.date] = []
     for day, path in snapshot_paths(root, ixp, window.days()):
         try:
-            # utf-8-sig drops a leading byte-order mark, which would
-            # otherwise become part of the first column's name.
-            with open(path, newline="", encoding="utf-8-sig") as handle:
+            with open(path, "rb") as handle:
                 snapshots.append(parse_snapshot(handle, ixp, day, schema, intern))
         except FileNotFoundError:
             gaps.append(day)

@@ -172,7 +172,7 @@ def test_criterion_6_parser_robustness_fixture(tmp_path):
         path = tmp_path / "snapshot.csv"
         path.write_text("\n".join(lines) + "\n")
         intern = InternTable()
-        with open(path, newline="") as handle:
+        with open(path, "rb") as handle:
             snap = parse_snapshot(handle, "testix", BASE, intern=intern)
         assert len(snap.entries) == 990
         assert snap.skipped == 10

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import hashlib
 import json
@@ -641,6 +642,33 @@ class TestPlot:
         assert rc == 2
         assert "found amsix/UA, linx/UA" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("kind, row, reason", [
+        ("metrics", "amsix,UA,announcements", "3 cells, expected 7"),
+        ("metrics", "amsix,UA,2022-02-19,1,1,1,1,1", "8 cells, expected 7"),
+        ("metrics", "amsix,UA,2022-02-30,1,1,1,1", "day is out of range for month"),
+        ("metrics", "amsix,UA,2022-02-19,1,x,1,1", "'x'"),
+        ("metrics", f'amsix,UA,2022-02-19,1,1,1,"{"1" * (csv.field_size_limit() + 1)}"', "field larger than"),
+        ("events", "amsix,UA,announcements", "3 cells, expected 9"),
+        ("events", "amsix,UA,announcements,2022-02-19,2022-02-19x,100,60,0.4,", "2022-02-19x"),
+        ("events", "amsix,UA,announcements,2022-02-19,2022-02-20,100,sixty,0.4,", "'sixty'"),
+    ], ids=["metrics-short", "metrics-long", "metrics-date", "metrics-count", "metrics-csv-error",
+            "events-short", "events-date", "events-number"])
+    def test_unparseable_row_names_its_file_and_line(self, metrics_csv, capsys, kind, row, reason):
+        tmp_path, csv_path, gt = metrics_csv
+        inputs = {"metrics": csv_path, "events": tmp_path / "out" / "outages" / "amsix_UA.csv"}
+        bad = tmp_path / f"bad-{kind}.csv"
+        text = inputs[kind].read_text()
+        bad.write_text(text + row + "\n")
+        inputs[kind] = bad
+        chart = tmp_path / "x.svg"
+        rc = run(["plot", "--metrics", str(inputs["metrics"]), "--metric", "announcements",
+                  "--events", str(inputs["events"]), "--out", str(chart)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{len(text.splitlines()) + 1}: ")
+        assert reason in err
+        assert not chart.exists()
 
     def test_byte_order_mark_inputs_plot_like_plain_ones(self, metrics_csv, capsys):
         tmp_path, csv_path, gt = metrics_csv

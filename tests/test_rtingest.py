@@ -59,13 +59,13 @@ def oracle_rows(text):
 
 
 def parse_text(text):
-    return parse_snapshot(io.StringIO(text), "testix", BASE)
+    return parse_snapshot(io.BytesIO(text.encode()), "testix", BASE)
 
 
 def parse_rows(text, schema=rtingest.DEFAULT_SCHEMA):
     """The (prefix, origin, neighbor) rows and skip count of one parse."""
     intern = InternTable()
-    snap = parse_snapshot(io.StringIO(text), "testix", BASE, schema, intern)
+    snap = parse_snapshot(io.BytesIO(text.encode()), "testix", BASE, schema, intern)
     return rows_of(snap, intern), snap.skipped
 
 
@@ -97,7 +97,7 @@ class TestParseSnapshot:
     def test_ten_row_fixture_against_oracle(self):
         expected_good, expected_bad = oracle_rows(TEN_ROW_FIXTURE)
         intern = InternTable()
-        snap = parse_snapshot(io.StringIO(TEN_ROW_FIXTURE), "testix", BASE, intern=intern)
+        snap = parse_snapshot(io.BytesIO(TEN_ROW_FIXTURE.encode()), "testix", BASE, intern=intern)
         assert len(snap.entries) == len(expected_good) == 6
         assert snap.skipped == expected_bad == 4
         for (_, origin, neighbor), (_, path) in zip(rows_of(snap, intern), expected_good, strict=True):
@@ -151,16 +151,16 @@ class TestParseSnapshot:
     def test_shared_intern_table_parses_like_a_fresh_one(self):
         intern = InternTable()
         other_day = "prefix,as_path\n192.0.2.7/24,174 3216 25133\n10.0.0.0/8,\n2001:DB8::/32,6939 25133\n"
-        parse_snapshot(io.StringIO(other_day), "testix", day(-1), intern=intern)
+        parse_snapshot(io.BytesIO(other_day.encode()), "testix", day(-1), intern=intern)
         for text in (TEN_ROW_FIXTURE, other_day):
-            shared = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
+            shared = parse_snapshot(io.BytesIO(text.encode()), "testix", BASE, intern=intern)
             assert (rows_of(shared, intern), shared.skipped) == parse_rows(text)
         memo = intern.rows[(0, 1)]
-        row = memo["192.0.2.7/24,174 3216 25133\n"]
+        row = memo[b"192.0.2.7/24,174 3216 25133\n"]
         assert (intern.prefix_of[row], intern.origin_of[row], intern.neighbor_of[row]) == (
             "192.0.2.0/24", 25133, 174)
-        assert memo["not-a-prefix,174 25133\n"] is None
-        assert memo["10.0.0.0/8,\n"] is None
+        assert memo[b"not-a-prefix,174 25133\n"] is None
+        assert memo[b"10.0.0.0/8,\n"] is None
 
     # Each defect in the first, a middle and the last token of a path.
     PATH_DEFECTS = {"as-set": "{64512,64513}", "non-ascii-digit": "２５１３３",
@@ -175,7 +175,7 @@ class TestParseSnapshot:
         intern = InternTable()
         # Quoted, as an AS_SET's comma would otherwise end the cell.
         text = f'prefix,as_path\n192.0.2.0/24,174 3216 25133\n198.51.100.0/24,"{cell}"\n10.0.0.0/8,"{cell}"\n'
-        snap = parse_snapshot(io.StringIO(text), "testix", BASE, intern=intern)
+        snap = parse_snapshot(io.BytesIO(text.encode()), "testix", BASE, intern=intern)
         assert (rows_of(snap, intern), snap.skipped) == ([("192.0.2.0/24", 25133, 174)], 2)
         assert rtingest._parse_path(cell) is None
 
@@ -202,14 +202,17 @@ class TestParseSnapshot:
             monkeypatch.setattr(rtingest, name, counted)
         path = f"{ASN_MAX} 3216 0"
         intern = InternTable()
-        first = parse_snapshot(io.StringIO(f"prefix,as_path\n192.0.2.0/24,{path}\n"),
+        first = parse_snapshot(io.BytesIO(f"prefix,as_path\n192.0.2.0/24,{path}\n".encode()),
                                "testix", day(0), intern=intern)
         parsed.clear()
         # Day 1 repeats day 0's line and adds one that shares its path cell.
-        later = parse_snapshot(io.StringIO(f"prefix,as_path\n192.0.2.0/24,{path}\n198.51.100.0/24,{path}\n"),
+        later = parse_snapshot(io.BytesIO(f"prefix,as_path\n192.0.2.0/24,{path}\n198.51.100.0/24,{path}\n".encode()),
                                "testix", day(1), intern=intern)
         assert sorted(parsed) == sorted([path, "198.51.100.0/24"])
         assert later.entries[0] == first.entries[0]
+        # The memo key is the raw byte line, terminator included.
+        assert intern.rows[(0, 1)] == {f"192.0.2.0/24,{path}\n".encode(): first.entries[0],
+                                       f"198.51.100.0/24,{path}\n".encode(): later.entries[1]}
         assert rows_of(later, intern) == [(prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24")]
 
     SCHEMA_KEYS = {f.name for f in fields(SnapshotSchema)}
@@ -290,7 +293,7 @@ class TestLoadSeries:
         assert series.gaps == (day(1),)
         assert len(caplog.records) == 1
         assert str(bad) in caplog.text and reason in caplog.text
-        with open(bad, newline="", encoding="utf-8") as handle:
+        with open(bad, "rb") as handle:
             with pytest.raises((ValueError, csv.Error), match=reason):
                 parse_snapshot(handle, "amsix", day(1))
 
@@ -316,7 +319,7 @@ class TestLoadSeries:
     def test_nul_skips_only_rows_whose_mapped_cells_hold_one(self, age):
         text = (f"age,prefix,as_path\n{age},192.0.2.0/24,174 25133\n"
                 "2h,192.0.2.0\x00/24,174 25133\n3h,192.0.2.0/24,174 \x0025133\n")
-        snapshot = parse_snapshot(io.StringIO(text), "amsix", BASE)
+        snapshot = parse_snapshot(io.BytesIO(text.encode()), "amsix", BASE)
         assert (snapshot.entries, snapshot.skipped) == ((0,), 2)
 
     def test_byte_order_mark_is_dropped(self, tmp_path, caplog):
@@ -624,6 +627,22 @@ def outcome(parse, table=None):
 
 FIELD_LIMIT = csv.field_size_limit()
 
+
+def crlf_cut_at_the_block_end():
+    """A CRLF file whose byte `_BLOCK - 1` is the `\\r` of a `\\r\\n`, so
+    the first read of a block ends between the two."""
+    line = b"10.0.0.0/8,174 25133\r\n"
+    content = b"prefix,as_path\r\n" + line * ((rtingest._BLOCK - 16) // len(line) - 1)
+    content += b" " * (rtingest._BLOCK + 1 - len(content) - len(line)) + line
+    assert content[rtingest._BLOCK - 1:] == b"\r\n"
+    return content + line + b"192.0.2.0/24,6939\r\n"
+
+
+# Two cells as long as csv allows: space-padded, they still parse.
+LONG_LINE = (b" " * (FIELD_LIMIT - 10) + b"10.0.0.0/8,"
+             + b" " * (FIELD_LIMIT - 9) + b"174 25133")
+assert len(LONG_LINE) > rtingest._BLOCK
+
 # One IXP's days, in order: each memo is warm with the lines of the days
 # before it.  Every day holds lines a split on commas would misread.
 ADVERSARIAL_DAYS = [
@@ -647,9 +666,22 @@ ADVERSARIAL_DAYS = [
     b"prefix,as_path,other\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
     b"other,as_path,prefix\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
     b"prefix,as_path\n10.0.0.0/8,174 \xff\n",
+    # A byte that is not UTF-8 on a line csv reads on into.
+    b'prefix,as_path\n10.0.0.0/8,"174\n25133 \xff"\n',
     b"",
     b"\nprefix,as_path\n10.0.0.0/8,174 25133\n",
     b"prefix,as_path\n",
+    # A byte-order mark alone, and one before a blank first line.
+    b"\xef\xbb\xbf",
+    b"\xef\xbb\xbf\r\nprefix,as_path\r\n10.0.0.0/8,174 25133\r\n",
+    crlf_cut_at_the_block_end(),
+    # Lone-\r line ends past one block, so its read is completed to the end
+    # of the file.
+    b"prefix,as_path\r" + b"10.0.0.0/8,174 25133\r192.0.2.0/24,6939\r" * (rtingest._BLOCK // 32),
+    # A line longer than one block, twice (a memo hit the second time),
+    # with \n and \r\n ends.
+    b"prefix,as_path\n" + LONG_LINE + b"\n" + LONG_LINE + b"\n10.0.0.0/8,174 25133\n",
+    b"prefix,as_path\r\n" + LONG_LINE + b"\r\n" + LONG_LINE + b"\r\n",
 ]
 
 
@@ -668,7 +700,10 @@ def reference_series(root, ixp, window):
     return snapshots, gaps
 
 
-def test_load_series_matches_a_csv_reader_reference(tmp_path):
+@pytest.mark.parametrize("block", [None, 1, 2, 3, 7], ids=["default", "1", "2", "3", "7"])
+def test_load_series_matches_a_csv_reader_reference(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(rtingest, "_BLOCK", block)
     (tmp_path / "ix").mkdir()
     window = DateRange(BASE, day(len(ADVERSARIAL_DAYS)))  # the last day has no file
     for offset, content in enumerate(ADVERSARIAL_DAYS):
@@ -681,19 +716,10 @@ def test_load_series_matches_a_csv_reader_reference(tmp_path):
 
 
 def test_parse_snapshot_matches_a_csv_reader_reference():
-    def sources(text):
-        yield lambda: io.StringIO(text)
-        yield lambda: text.splitlines(keepends=True)
-        yield lambda: io.StringIO(text, newline="")
-
     shared = InternTable()
     for content in ADVERSARIAL_DAYS:
-        try:
-            text = content.decode("utf-8")
-        except UnicodeDecodeError:
-            continue
-        for source in sources(text):
-            expected = outcome(lambda: reference_parse(source()))
-            assert outcome(lambda: parse_snapshot(source(), "ix", BASE, intern=shared), shared) == expected
-            fresh = InternTable()
-            assert outcome(lambda: parse_snapshot(source(), "ix", BASE, intern=fresh), fresh) == expected
+        text = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig", newline="")
+        expected = outcome(lambda: reference_parse(text))
+        assert outcome(lambda: parse_snapshot(io.BytesIO(content), "ix", BASE, intern=shared), shared) == expected
+        fresh = InternTable()
+        assert outcome(lambda: parse_snapshot(io.BytesIO(content), "ix", BASE, intern=fresh), fresh) == expected

@@ -33,11 +33,9 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import io
-import logging
 import string
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -61,8 +59,6 @@ _INDEX_SUFFIX = ".idx"
 _INDEX_MAGIC = b"# asndb index 2: u32le asns, u16le code positions\n"
 _INDEX_LINE_MAX = 4096
 
-log = logging.getLogger(__name__)
-
 
 class Delegation(NamedTuple):
     """What one delegated row gives every ASN of its range: the country,
@@ -82,8 +78,7 @@ class Delegation(NamedTuple):
     date: str
 
 
-@dataclass(frozen=True)
-class MergedRecords:
+class MergedRecords(NamedTuple):
     """The built database: the kept Delegation of each ASN (the ASNs of a
     row share one), the provenance and the number of duplicate ASN
     records the build resolved."""
@@ -92,12 +87,13 @@ class MergedRecords:
     source_files: tuple[tuple[str, str], ...] = ()
     conflicts: int = 0
 
+    # The ASN count, not the field count; `_make` and `_replace` check the
+    # field count through len(), so they fail here.
     def __len__(self) -> int:
         return len(self.records)
 
 
-@dataclass(frozen=True)
-class AsnDb:
+class AsnDb(NamedTuple):
     """The ASN -> country lookup that `load` returns and `analyze` reads.
 
     `countries` maps each ASN to its country code, with one `str` object
@@ -281,9 +277,10 @@ def _read_index(data: bytes, path: str | Path, expected: int) -> dict[int, str]:
     if sys.byteorder == "big":
         asns.byteswap()
         positions.byteswap()
-    if positions and max(positions) >= len(table):
-        raise ValueError("a code position past the code table")
-    countries = dict(zip(asns, map(table.__getitem__, positions)))
+    try:
+        countries = dict(zip(asns, map(table.__getitem__, positions)))
+    except IndexError:
+        raise ValueError("a code position past the code table") from None
     if len(countries) != count:
         raise ValueError("duplicate ASNs")
     with open(path, "rb") as text:
@@ -304,7 +301,8 @@ def _load_index(path: str | Path, expected: int) -> dict[int, str] | None:
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:
-        log.warning("%s: not used (%s); reading %s line by line", index, exc, path)
+        import logging  # only an index that does not check out needs it
+        logging.getLogger(__name__).warning("%s: not used (%s); reading %s line by line", index, exc, path)
         return None
 
 

@@ -16,7 +16,7 @@ import datetime as dt
 import sys
 from pathlib import Path
 
-from . import asndb, metrics, outage, pipeline, svgchart
+from . import asndb, metrics, outage, pipeline
 from .metrics import METRIC_NAMES
 
 EXIT_OK = 0
@@ -171,6 +171,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
                     spans.append((ev.start, ev.end, ev.annotation or "outage"))
 
     if args.out:
+        from . import svgchart  # only a chart needs it
         chart = svgchart.render_chart(
             points,
             title=f"{ixp} {country}: {args.metric}",

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import IO, Callable, Iterable, TypeVar
+from typing import IO, Callable, Iterable, NamedTuple, TypeVar
 
 from .asndb import AsnDb
 from .rtingest import SnapshotSeries
@@ -49,8 +48,7 @@ METRIC_NAMES = ("announcements", "distinct_origins", "distinct_prefixes", "disti
 METRICS_CSV_HEADER = ("ixp", "country", "date") + METRIC_NAMES
 
 
-@dataclass(frozen=True)
-class MetricSeries:
+class MetricSeries(NamedTuple):
     """The four counts of one (IXP, country) pair over the IXP's snapshots.
 
     `dates` holds every snapshot date in order and no gap date; each
@@ -71,8 +69,7 @@ class MetricSeries:
         return getattr(self, metric)
 
 
-@dataclass(frozen=True)
-class PresenceMap:
+class PresenceMap(NamedTuple):
     """One country's in-country origins over the snapshots of one IXP.
 
     `dates` holds every snapshot date in order and no gap date; snapshot

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import statistics
-from dataclasses import dataclass, replace
-from importlib import resources
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .metrics import MetricSeries, read_csv_rows
 
@@ -29,8 +26,7 @@ DEFAULT_MIN_REFERENCE = 10
 EVENTS_CSV_HEADER = ("ixp", "country", "metric", "start", "end", "reference", "min", "drop", "annotation")
 
 
-@dataclass(frozen=True)
-class OutageEvent:
+class OutageEvent(NamedTuple):
     """A contiguous dip in one metric series."""
 
     ixp: str
@@ -44,9 +40,9 @@ class OutageEvent:
     annotation: str | None = None
 
 
-@dataclass(frozen=True)
-class CatalogEvent:
-    """A known real-world disruption to match detected outages against."""
+class CatalogEvent(NamedTuple):
+    """A known real-world disruption to match detected outages against;
+    `parse_catalog` refuses one without a label or ending before it starts."""
 
     id: str
     start: dt.date
@@ -54,11 +50,11 @@ class CatalogEvent:
     label: str
     source: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError(f"catalog event {self.id!r} needs a label")
-        if self.end is not None and self.end < self.start:
-            raise ValueError(f"catalog event {self.id!r} ends before it starts")
+
+def _median(window: Sequence[float]) -> float:
+    """`statistics.median`: the middle sorted value, or the mean of the two middle ones."""
+    ordered, middle = sorted(window), len(window) // 2
+    return ordered[middle] if len(window) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
 
 
 def detect_dips(
@@ -82,7 +78,7 @@ def detect_dips(
     values = series.values(metric)
     runs: list[list] = []  # [first, last, reference] per run of dip indices
     for i in range(1, len(values)):
-        reference = statistics.median(values[max(0, i - trailing_window):i])
+        reference = _median(values[max(0, i - trailing_window):i])
         if reference >= min_reference and values[i] < (1 - threshold) * reference:
             if runs and runs[-1][1] == i - 1:
                 runs[-1][1] = i
@@ -130,7 +126,7 @@ def annotate(events: Iterable[OutageEvent], catalog: Sequence[CatalogEvent]) -> 
             key = (-days, entry.start, entry.id)
             if best_key is None or key < best_key:
                 best, best_key = entry, key
-        out.append(replace(event, annotation=best.id) if best is not None else event)
+        out.append(event._replace(annotation=best.id) if best is not None else event)
     return out
 
 
@@ -148,14 +144,19 @@ def parse_catalog(source: Iterable[str]) -> list[CatalogEvent]:
         try:
             start = dt.date.fromisoformat(start_text)
             end = dt.date.fromisoformat(end_text) if end_text else None
-            entries.append(CatalogEvent(event_id, start, end, label, source_text))
+            if not label:
+                raise ValueError(f"catalog event {event_id!r} needs a label")
+            if end is not None and end < start:
+                raise ValueError(f"catalog event {event_id!r} ends before it starts")
         except ValueError as exc:
             raise ValueError(f"catalog line {lineno}: {exc}") from None
+        entries.append(CatalogEvent(event_id, start, end, label, source_text))
     return entries
 
 
 def load_seed_catalog() -> list[CatalogEvent]:
     """The catalog of known 2022 disruption events bundled with the package."""
+    from importlib import resources  # only the packaged catalog needs it
     text = resources.files("ixpreach").joinpath("data/event_catalog.txt").read_text("utf-8")
     return parse_catalog(text.splitlines())
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 from . import asndb, metrics, outage, reachability, rtingest
 
@@ -27,11 +26,7 @@ DEFAULT_FINAL = dt.date(2022, 4, 29)
 SEED_CATALOG = "seed"  # a catalog_path naming the catalog packaged with ixpreach
 
 
-@dataclass
-class RunConfig:
-    """Everything one analysis run needs; defaults encode the 2022 study.
-    Every setting is checked here, and only here, before any file is read."""
-
+class _Settings(NamedTuple):  # RunConfig's fields; RunConfig checks them
     asndb_path: Path
     snapshot_root: Path
     output_dir: Path
@@ -46,10 +41,18 @@ class RunConfig:
     catalog_path: Path | str | None = None  # a file, or the str SEED_CATALOG
     schema_path: Path | None = None
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_Settings):
+    """Everything one analysis run needs; defaults encode the 2022 study.
+    Every setting is checked here, and only here, before any file is read."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # A repeated IXP is analysed once.
-        self.ixps = tuple(dict.fromkeys(map(rtingest.check_ixp, self.ixps)))
-        if not self.ixps:
+        ixps = tuple(dict.fromkeys(map(rtingest.check_ixp, self.ixps)))
+        if not ixps:
             raise ValueError("at least one IXP is required")
         if not self.countries:
             raise ValueError("at least one country is required")
@@ -67,11 +70,11 @@ class RunConfig:
         if not math.isfinite(self.min_reference):
             raise ValueError("min_reference must be a finite number")
         if self.min_reference == int(self.min_reference):  # 10.0 renders as 10 does
-            self.min_reference = int(self.min_reference)
+            return self._replace(ixps=ixps, min_reference=int(self.min_reference))
+        return self._replace(ixps=ixps)
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     """One (IXP, country) pair's results.  `presence`, small beside the
     series, is kept for `synth.verify`, which reads each origin's offline
     days off its masks."""
@@ -82,11 +85,10 @@ class PairResult:
     events: list[outage.OutageEvent]
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     config: RunConfig
-    pairs: dict[tuple[str, str], PairResult] = field(default_factory=dict)
-    averages: dict[str, float] = field(default_factory=dict)
+    pairs: dict[tuple[str, str], PairResult]
+    averages: dict[str, float]
 
 
 def read_settings(path: str | Path, known: Container[str]) -> dict[str, str]:
@@ -119,8 +121,9 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
         db = asndb.load(config.asndb_path)
     schema = rtingest.DEFAULT_SCHEMA
     if config.schema_path:
-        columns = {f.name for f in fields(rtingest.SnapshotSchema)}
-        schema = rtingest.SnapshotSchema(**read_settings(config.schema_path, columns))
+        schema = rtingest.SnapshotSchema(**read_settings(config.schema_path, rtingest.SnapshotSchema._fields))
+        if schema.prefix == schema.as_path:
+            raise ValueError(f"schema maps prefix and as_path to the same column {schema.prefix!r}")
     catalog = None
     if config.catalog_path == SEED_CATALOG:
         catalog = outage.load_seed_catalog()
@@ -137,7 +140,7 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
                 raise ValueError(f"{ends[day]} {day} has no snapshot for IXP {ixp!r}")
 
     window = rtingest.DateRange(config.baseline_date, config.final_date)
-    result = AnalysisResult(config=config)
+    result = AnalysisResult(config, {}, {})
     for ixp in config.ixps:
         series = rtingest.load_series(config.snapshot_root, ixp, window, schema)
         attributed = metrics.build_series(series, db, config.countries)

@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import datetime as dt
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .metrics import PresenceMap
 
 DEFAULT_CONFIRMATION_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class ReachabilityReport:
+class ReachabilityReport(NamedTuple):
     """Which in-country origins an IXP lost between baseline and final."""
 
     total_baseline: int

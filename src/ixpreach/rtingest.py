@@ -34,31 +34,25 @@ import csv
 import datetime as dt
 import io
 import ipaddress
-import logging
 import operator
 import re
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
-from typing import BinaryIO, Iterable, Iterator, Sequence
+# The C functions themselves: the `socket` module around them takes several
+# times as long to import, and nothing else of it is used.
+from _socket import AF_INET, AF_INET6, inet_ntop, inet_pton
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .asndb import ASN_MAX
 
-log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class DateRange:
-    """Inclusive span of calendar days."""
+class DateRange(NamedTuple):
+    """Inclusive span of calendar days; one that ends before it starts
+    holds none."""
 
     start: dt.date
     end: dt.date
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"date range ends before it starts: {self.start}..{self.end}")
 
     def days(self) -> Iterator[dt.date]:
         # Counted, not stepped to past `end`: the day after date.max overflows.
@@ -79,8 +73,7 @@ def check_ixp(ixp: str) -> str:
     return ixp
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """One IXP's routing table for one day: the row id of every kept row,
     in file order with duplicates kept, and the count of skipped rows.
     The ids index the columns of the InternTable that parsed the day (and
@@ -91,8 +84,7 @@ class Snapshot:
     skipped: int = 0
 
 
-@dataclass(frozen=True)
-class SnapshotSeries:
+class SnapshotSeries(NamedTuple):
     """Date-ordered snapshots for one IXP over a study window.
 
     `prefix_of`, `origin_of` and `neighbor_of` are the row-id columns of
@@ -109,25 +101,15 @@ class SnapshotSeries:
     origin_of: Sequence[int] = ()
     neighbor_of: Sequence[int] = ()
 
-    def __post_init__(self) -> None:
-        dates = [s.date for s in self.snapshots]
-        if any(b <= a for a, b in zip(dates, dates[1:])):
-            raise ValueError("snapshot dates must be strictly increasing")
-        if set(self.gaps) & set(dates):
-            raise ValueError("gap dates overlap snapshot dates")
 
-
-@dataclass(frozen=True)
-class SnapshotSchema:
+class SnapshotSchema(NamedTuple):
     """The CSV column names of a snapshot's prefix and AS path; a row's
-    origin and neighbor are the two ends of its path."""
+    origin and neighbor are the two ends of its path.  The two names
+    differ: `pipeline.run_analysis` refuses a schema file that maps both
+    to one column."""
 
     prefix: str = "prefix"
     as_path: str = "as_path"
-
-    def __post_init__(self) -> None:
-        if self.prefix == self.as_path:
-            raise ValueError(f"schema maps prefix and as_path to the same column {self.prefix!r}")
 
 
 DEFAULT_SCHEMA = SnapshotSchema()
@@ -142,7 +124,6 @@ Layout = tuple[int, int]
 Cells = tuple[str, str]
 
 
-@dataclass
 class InternTable:
     """The parsed form of every distinct row seen so far.
 
@@ -164,10 +145,11 @@ class InternTable:
     their endpoints) and then hold two ids.
     """
 
-    rows: dict[Layout, dict[bytes | Cells, int | None]] = field(default_factory=dict)
-    prefix_of: list[str] = field(default_factory=list)
-    origin_of: array = field(default_factory=lambda: array("I"))
-    neighbor_of: array = field(default_factory=lambda: array("I"))
+    def __init__(self) -> None:
+        self.rows: dict[Layout, dict[bytes | Cells, int | None]] = {}
+        self.prefix_of: list[str] = []
+        self.origin_of = array("I")
+        self.neighbor_of = array("I")
 
     def entry(self, cells: Cells) -> int | None:
         """A new row id for a row's cells, or None when its path or prefix
@@ -260,20 +242,35 @@ def _resolve_column(header: list[str], name: str) -> int:
         raise ValueError(f"snapshot is missing mapped column {name!r} (header: {header})") from None
 
 
-# The size of a snapshot read; each read is completed to a line end.
+# The size of a snapshot read; each block of lines ends at a line end.
 _BLOCK = 1 << 18
 
 
 def _blocks(handle: BinaryIO) -> Iterator[Iterable[bytes]]:
     """The physical lines of a binary stream, each with its terminator,
     as a text stream opened with `newline=""` splits them: at `\n`,
-    `\r\n` and a lone `\r`.  They come block by block; a block is
-    completed to a `\n` (or to the end of the stream), so no `\r\n` is
-    cut in two, and one with no `\r` splits at `\n` alone."""
+    `\r\n` and a lone `\r`.  They come block by block.  A read with no
+    `\r` is completed to a `\n` (or to the end of the stream) and splits
+    at `\n` alone.  One with a `\r` ends at its last line end, and the
+    rest is carried into the next read: a trailing `\r` too, since the
+    next byte may be its `\n`.  So no `\r\n` is cut in two, and a file
+    with lone-`\r` line ends is never held whole."""
+    rest = b""
     while block := handle.read(_BLOCK):
-        if not block.endswith(b"\n"):
-            block += handle.readline()
-        yield block.splitlines(keepends=True) if b"\r" in block else io.BytesIO(block)
+        if rest:
+            block, rest = rest + block, b""
+        if b"\r" in block:
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+            block, rest = block[:cut], block[cut:]
+            yield block.splitlines(keepends=True)
+        elif block.endswith(b"\n"):
+            yield io.BytesIO(block)
+        else:
+            line = handle.readline()
+            block += line
+            yield block.splitlines(keepends=True) if b"\r" in line else io.BytesIO(block)
+    if rest:
+        yield (rest,)
 
 
 class _LineFeed:
@@ -414,7 +411,8 @@ def load_series(
         except (OSError, ValueError, csv.Error) as exc:
             # ValueError covers UnicodeDecodeError and parse_snapshot's
             # missing-header and missing-column rejections.
-            log.warning("treating snapshot %s as a gap: %s", path, exc)
+            import logging  # only a bad file needs it
+            logging.getLogger(__name__).warning("treating snapshot %s as a gap: %s", path, exc)
             gaps.append(day)
     return SnapshotSeries(ixp=ixp, snapshots=tuple(snapshots), gaps=tuple(gaps),
                           prefix_of=intern.prefix_of, origin_of=intern.origin_of,

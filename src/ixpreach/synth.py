@@ -632,7 +632,7 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def _check_keys(doc: dict, cls: type, where: str) -> None:
-    unknown = set(doc) - {f.name for f in fields(cls)}
+    unknown = set(doc).difference(cls._fields if issubclass(cls, tuple) else (f.name for f in fields(cls)))
     if unknown:
         raise ScenarioError(f"{where}: unknown key {', '.join(map(repr, sorted(unknown)))}")
 
@@ -655,9 +655,12 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
             _check_keys(d, Disruption, f"disruption #{i}")
             dates = {key: iso(d[key]) for key in ("start", "end") if key in d}
             disruptions.append(Disruption(**{**d, **dates}))
+        window = DateRange(iso(doc["window"]["start"]), iso(doc["window"]["end"]))
+        if window.end < window.start:
+            raise ValueError(f"date range ends before it starts: {window.start}..{window.end}")
         spec = ScenarioSpec(**{
             **doc,
-            "window": DateRange(iso(doc["window"]["start"]), iso(doc["window"]["end"])),
+            "window": window,
             "ixps": tuple(doc["ixps"]),
             "countries": countries,
             "disruptions": tuple(disruptions),

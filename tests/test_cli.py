@@ -7,7 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,6 +75,31 @@ def test_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+# The standard-library modules the package imports on the `analyze` path.
+# What they load themselves, on whichever Python, is not held against it.
+STDLIB_IMPORTS = ("__future__, _socket, argparse, array, bisect, csv, datetime, hashlib, io, ipaddress, "
+                  "itertools, math, operator, pathlib, re, string, sys, typing")
+# What `analyze` does not use: each benchmark child imports the package
+# inside its clock, and a user pays for every import at each run.
+NOT_IMPORTED_AT_START = {"dataclasses", "logging", "statistics", "socket", "importlib.resources",
+                         "ixpreach.svgchart", "ixpreach.synth"}
+
+
+def modules_after(statement):
+    """The modules a fresh `python -S` holds after `statement`; it writes
+    no bytecode cache, which would speed up later imports of the package."""
+    src = Path(ixpreach.__file__).resolve().parent.parent
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); {statement}; print(*sys.modules)"
+    probe = subprocess.run([sys.executable, "-S", "-B", "-c", code], check=True, capture_output=True, text=True)
+    return set(probe.stdout.split())
+
+
+def test_analyze_imports_only_what_it_uses():
+    added = modules_after("from ixpreach import cli, pipeline") - modules_after(f"import {STDLIB_IMPORTS}")
+    assert {"ixpreach.cli", "ixpreach.pipeline", "ixpreach.rtingest"} <= added
+    assert added & NOT_IMPORTED_AT_START == set()
 
 
 class TestBuildAsndb:
@@ -155,9 +180,9 @@ class TestAnalyze:
         # Each numeric setting given as its default, by flag and by config
         # file: the output of leaving it out (a float 10.0 renders as 10).
         tmp_path, scen, gt = analyzed_scenario
-        defaults = {f.name: f.default for f in fields(pipeline.RunConfig)}
+        defaults = pipeline.RunConfig._field_defaults
         given = {key: str(defaults[field]) for key, (field, _, _) in cli._ANALYZE_SETTINGS.items()
-                 if isinstance(defaults[field], (int, float))}
+                 if isinstance(defaults.get(field), (int, float))}
         assert sorted(given) == ["confirmation_window", "min_reference", "threshold", "trailing_window"]
         assert run(self.analyze_args(tmp_path, scen, gt, out="plain")) == 0
         assert run(self.analyze_args(tmp_path, scen, gt, out="by-flag") + flag_args(given)) == 0
@@ -496,7 +521,7 @@ def run_config(argv):
 class TestAnalyzeSettings:
     def test_each_run_config_field_has_one_row(self):
         table_fields = [field for field, _, _ in cli._ANALYZE_SETTINGS.values()]
-        assert sorted(table_fields) == sorted(f.name for f in fields(pipeline.RunConfig))
+        assert sorted(table_fields) == sorted(pipeline.RunConfig._fields)
         assert set(SAMPLES) == set(cli._ANALYZE_SETTINGS)
 
     @pytest.mark.parametrize("key", SAMPLES)
@@ -744,12 +769,3 @@ class TestSynthCommand:
         spec_path = tmp_path / "scenario.json"
         spec_path.write_text(json.dumps({"seed": 1}))
         assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "scen")]) == 2
-
-    def test_cli_import_leaves_the_generator_unloaded(self):
-        src = Path(ixpreach.__file__).resolve().parent.parent
-        probe = subprocess.run(
-            [sys.executable, "-c", "import json, sys, ixpreach.cli; print(json.dumps(list(sys.modules)))"],
-            env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True, text=True)
-        loaded = json.loads(probe.stdout)
-        assert "ixpreach.cli" in loaded and "ixpreach.asndb" in loaded
-        assert "ixpreach.synth" not in loaded

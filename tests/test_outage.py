@@ -2,7 +2,6 @@ import datetime as dt
 import io
 import random
 import statistics
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +18,17 @@ def series_of(values, metric="announcements", ixp="testix", country="UA", start=
     columns[metric] = tuple(values)
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(values)))
     return MetricSeries(ixp, country, dates, **columns)
+
+
+@pytest.mark.parametrize("pool", [range(7), (-1.5, -0.1, 0.0, 0.1, 0.2, 0.3, 2.5)], ids=["int", "float"])
+def test_median_is_statistics_median(pool):
+    rng = random.Random("median")
+    for length in range(1, 9):
+        for _ in range(50):
+            window = rng.choices(pool, k=length)
+            expected = statistics.median(window)
+            got = outage._median(window)
+            assert (got, type(got)) == (expected, type(expected)), window
 
 
 class TestDetectDips:
@@ -120,7 +130,7 @@ class TestDetectDips:
         values = [100] * 9 + [60, 60] + [100] * 9
         dates = series_of(values).dates
         # drop the point between the dip days to simulate a gap
-        gappy = replace(series_of(values[:10] + values[11:]), dates=dates[:10] + dates[11:])
+        gappy = series_of(values[:10] + values[11:])._replace(dates=dates[:10] + dates[11:])
         events = detect_dips(gappy, "announcements")
         assert len(events) == 1
 

@@ -7,7 +7,8 @@ Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
 Parsing goes through an `InternTable`.  A snapshot is read as bytes and
 split into physical lines as a text file opened with `newline=""` would
-split it (at `\n`, `\r\n` and a lone `\r`, each kept on its line).  Each
+split it (at `\n`, `\r\n` and a lone `\r`, each kept on its line); at
+most one read plus the longest line is held, whatever the line ends.  Each
 line is looked up as raw bytes in a memo kept per column layout, so a row
 repeated from an earlier day yields the row id (or the skip) decided when
 it was first seen, and is never decoded.  Only the lines the memo has not
@@ -249,28 +250,27 @@ _BLOCK = 1 << 18
 def _blocks(handle: BinaryIO) -> Iterator[Iterable[bytes]]:
     """The physical lines of a binary stream, each with its terminator,
     as a text stream opened with `newline=""` splits them: at `\n`,
-    `\r\n` and a lone `\r`.  They come block by block.  A read with no
-    `\r` is completed to a `\n` (or to the end of the stream) and splits
-    at `\n` alone.  One with a `\r` ends at its last line end, and the
-    rest is carried into the next read: a trailing `\r` too, since the
-    next byte may be its `\n`.  So no `\r\n` is cut in two, and a file
-    with lone-`\r` line ends is never held whole."""
-    rest = b""
+    `\r\n` and a lone `\r`.  They come block by block.  Every read is cut
+    at its last line end and the rest is held for the next read: a
+    trailing `\r` too, since the next byte may be its `\n`.  A held `\r`
+    that the next read does not start with `\n` is a line end of its own.
+    A read with no line end is held whole, and the held reads are joined
+    once, at the next cut.  So no `\r\n` is cut in two, and at most one
+    read plus the longest line is held, whatever the line ends.  A block
+    with a `\r` is split by `splitlines`, any other at `\n` alone."""
+    held: list[bytes] = []
     while block := handle.read(_BLOCK):
-        if rest:
-            block, rest = rest + block, b""
-        if b"\r" in block:
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-            block, rest = block[:cut], block[cut:]
-            yield block.splitlines(keepends=True)
-        elif block.endswith(b"\n"):
-            yield io.BytesIO(block)
+        cut = max(lf := block.rfind(b"\n"), block.rfind(b"\r", lf + 1, -1)) + 1
+        if cut or held and held[-1].endswith(b"\r") and not block.startswith(b"\n"):
+            # A read cut short is joined through a view, so it is copied
+            # once; `block` is rebound, so the read is not kept.
+            held.append(block if cut == len(block) else memoryview(block)[:cut])
+            held, block = [block[cut:]], b"".join(held)
+            yield block.splitlines(keepends=True) if b"\r" in block else io.BytesIO(block)
         else:
-            line = handle.readline()
-            block += line
-            yield block.splitlines(keepends=True) if b"\r" in line else io.BytesIO(block)
-    if rest:
-        yield (rest,)
+            held.append(block)
+    # What is held at the end is one line, or none.
+    yield b"".join(held).splitlines(keepends=True)
 
 
 class _LineFeed:

@@ -641,6 +641,36 @@ def crlf_cut_at_the_block_end():
     return content + line + b"192.0.2.0/24,6939\r\n"
 
 
+# A row of about 4 KB; repeated, it keeps the memo at one entry.
+ROW = b"10.0.0.0/8," + b"174 " * 1000 + b"25133"
+
+
+def lf_then_lone_cr(block, reads):
+    """About `reads` reads of `\\n` lines, then lone-`\\r` lines.  The first
+    read ends at a line end and the second inside the first `\\r` line."""
+    header = b"prefix,as_path\n"
+    width = len(ROW) + 1
+    first = header + b" " * ((block - len(header)) % width) + (ROW + b"\n") * ((block - len(header)) // width)
+    assert len(first) == block and block % width
+    return first + (ROW + b"\n") * (block // width) + (ROW + b"\r") * ((reads - 2) * block // width + 2)
+
+
+def long_lone_cr_line(block, span, reads):
+    """About `reads` reads of lone-`\\r` lines, one of them over `span` reads
+    long, each of its fields under csv's field size limit."""
+    pad = min(block, FIELD_LIMIT - 1)
+    long = ROW + (b"," + b" " * pad) * (span * block // pad + 1) + b"\r"
+    return b"prefix,as_path\r" + ROW + b"\r" + long + (ROW + b"\r") * max(1, (reads - span - 1) * block // len(ROW))
+
+
+def lone_cr_lines_a_read_long(block, reads):
+    """`reads` reads of lone-`\\r` lines, each ending on the last byte of a
+    read."""
+    header, row = b"prefix,as_path\r", b"10.0.0.0/8,174 25133\r"
+    first = header + b" " * (block - len(header) - len(row)) + row
+    return first + (b" " * (block - len(row)) + row) * (reads - 1)
+
+
 # Two cells as long as csv allows: space-padded, they still parse.
 LONG_LINE = (b" " * (FIELD_LIMIT - 10) + b"10.0.0.0/8,"
              + b" " * (FIELD_LIMIT - 9) + b"174 25133")
@@ -681,6 +711,10 @@ ADVERSARIAL_DAYS = [
     # Lone-\r line ends past one block, so each read ends at its last line
     # end and the rest is carried into the next.
     b"prefix,as_path\r" + b"10.0.0.0/8,174 25133\r192.0.2.0/24,6939\r" * (rtingest._BLOCK // 32),
+    # A switch from \n to lone-\r line ends inside a read, and a lone-\r
+    # line that spans reads with no line end in them.
+    lf_then_lone_cr(rtingest._BLOCK, 2),
+    long_lone_cr_line(rtingest._BLOCK, 2, 3),
     # A line longer than one block, twice (a memo hit the second time),
     # with \n and \r\n ends.
     b"prefix,as_path\n" + LONG_LINE + b"\n" + LONG_LINE + b"\n10.0.0.0/8,174 25133\n",
@@ -771,19 +805,27 @@ def test_load_series_matches_a_csv_reader_reference_under_fuzzing(tmp_path, monk
 
 
 def test_lone_cr_file_is_read_a_few_blocks_at_a_time(monkeypatch):
-    # A 50-block file with lone-\r line ends: parsing it holds a few blocks,
-    # not the file (each line repeats the first, so the memo stays small).
-    monkeypatch.setattr(rtingest, "_BLOCK", 1 << 16)
-    line = b"10.0.0.0/8," + b"174 " * 1000 + b"25133\r"
-    source = io.BytesIO(b"prefix,as_path\r" + line * (50 * rtingest._BLOCK // len(line)))
-    tracemalloc.start()
-    try:
-        snap = parse_snapshot(source, "ix", BASE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(snap.entries) == 50 * rtingest._BLOCK // len(line)
-    assert peak < 6 * rtingest._BLOCK
+    # Files of 50-60 reads with lone-\r line ends: parsing each holds a few
+    # reads plus its longest line, not the file (the rows repeat, so the
+    # memo stays small).  csv needs about six times the longest line: its
+    # bytes, its text, the cell, and 4 bytes a character while it reads it.
+    shapes = {
+        "lone-cr": (1 << 16, b"prefix,as_path\r" + (ROW + b"\r") * (50 * (1 << 16) // (len(ROW) + 1))),
+        "lf-then-lone-cr": (1 << 16, lf_then_lone_cr(1 << 16, 50)),
+        "long-lone-cr-line": (1 << 14, long_lone_cr_line(1 << 14, 5, 60)),
+        "lone-cr-lines-a-read-long": (1 << 14, lone_cr_lines_a_read_long(1 << 14, 60)),
+    }
+    for name, (block, content) in shapes.items():
+        monkeypatch.setattr(rtingest, "_BLOCK", block)
+        longest = max(map(len, content.splitlines()))
+        tracemalloc.start()
+        try:
+            snap = parse_snapshot(io.BytesIO(content), "ix", BASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(snap.entries) == content.count(b"10.0.0.0/8"), name
+        assert peak < 6 * block + 8 * longest, (name, peak / block, longest / block)
 
 
 def test_parse_snapshot_matches_a_csv_reader_reference():

@@ -66,13 +66,13 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # --- 3) Persist and reload ----------------------------------------------
     # The on-disk form is a sorted, diffable asn|country|registry|date file
-    # under a header with the record and conflict counts.  load keeps only
-    # what analyze reads: an ASN -> country map (one str per distinct code),
-    # the provenance and the conflict count.  save also writes a binary
-    # country index beside the file (<file>.idx); load takes the map from
-    # it while its digest holds for the text and the index byte for byte,
-    # and otherwise checks every line of the text.  Deleting the index
-    # gives the same map, only slower.
+    # under a header with the record and conflict counts.  load returns the
+    # ASN -> country map that analyze reads (one str per distinct code),
+    # with the header's provenance and conflict count.  save also writes a
+    # binary country index beside the file (<file>.idx); load takes the map
+    # from it while its digest holds for the text and the index byte for
+    # byte, and otherwise checks every line of the text.  Deleting the
+    # index gives the same map, only slower.
 
     path = tmp / "asndb.txt"
     asndb.save(db, path)

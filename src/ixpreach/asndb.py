@@ -6,8 +6,8 @@ files listing number-resource allocations:
     registry|cc|type|start|value|date|status[|opaque-id...]
 
 For rows of type ``asn`` the start field is the first AS number and the
-value field the count of consecutive ASNs covered.  The module has two
-sides:
+value field the count of consecutive ASNs covered, both plain ASCII
+digits.  The module has two sides:
 
 * building (`build_from_files` -> `save`, the `build-asndb` path) reads
   each file once, a line at a time, and folds each ASN row straight into
@@ -107,6 +107,15 @@ class AsnDb(NamedTuple):
     conflicts: int = 0
 
 
+def _number(text: str) -> int:
+    """The value of a field of plain ASCII digits.  Any other text raises
+    ValueError, including forms `int()` would take: a sign, spaces, `_`
+    and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not plain ASCII digits: {text!r}")
+    return int(text)
+
+
 def _parse_date(text: str) -> dt.date | None:
     """The date of a `YYYYMMDD` text, or None for an empty or all-zero one.
 
@@ -186,8 +195,8 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
                 skipped.append((registry, lineno, f"bad country code {cc!r}"))
                 continue
             try:
-                first = int(start)
-                count = int(value)
+                first = _number(start)
+                count = _number(value)
             except ValueError:
                 skipped.append((registry, lineno, "non-numeric asn start or value"))
                 continue
@@ -316,14 +325,14 @@ def load(path: str | Path) -> AsnDb:
     text, which `save` wrote from checked records, is then only hashed.
     Otherwise, with one logged warning unless there is no index, the file
     is streamed a line at a time.  Each record line must hold the
-    four `asn|country|registry|date` fields, an integer ASN and a date
-    text that parses; registry and date are then dropped, and equal
-    country codes share one `str`.  A malformed line raises
-    ValueError naming `<path>:<lineno>`.  So does, naming `<path>`, a file
-    without the `# records N conflicts M` header (an empty file would
-    otherwise read as a database that knows no ASN) or one whose distinct
-    ASNs do not number what the header says (a truncated file would
-    otherwise leave ASNs without a country).
+    four `asn|country|registry|date` fields, an ASN of plain ASCII
+    digits and a date text that parses; registry and date are then
+    dropped, and equal country codes share one `str`.  A malformed line
+    raises ValueError naming `<path>:<lineno>`.  So does, naming
+    `<path>`, a file without the `# records N conflicts M` header (an
+    empty file would otherwise read as a database that knows no ASN) or
+    one whose distinct ASNs do not number what the header says (a
+    truncated file would otherwise leave ASNs without a country).
     """
     countries: dict[int, str] = {}
     codes: dict[str, str] = {}
@@ -349,7 +358,7 @@ def load(path: str | Path) -> AsnDb:
                             break
                     continue
                 asn_text, country, _registry, date_text = line.split("|")
-                asn = int(asn_text)
+                asn = _number(asn_text)
                 dates[date_text]  # raises ValueError for a date that does not parse
                 countries[asn] = codes.setdefault(country, country)
             except ValueError as exc:

@@ -58,7 +58,6 @@ _ANALYZE_SETTINGS = {
     "catalog": ("catalog_path", _catalog, "event catalog file for outage annotation; the reserved "
                 f"word {pipeline.SEED_CATALOG!r} names the catalog packaged with ixpreach "
                 f"(write ./{pipeline.SEED_CATALOG} for a file of that name)"),
-    "schema": ("schema_path", Path, "snapshot column-mapping file"),
 }
 
 

@@ -39,7 +39,6 @@ class _Settings(NamedTuple):  # RunConfig's fields; RunConfig checks them
     threshold: float = outage.DEFAULT_THRESHOLD
     min_reference: float = outage.DEFAULT_MIN_REFERENCE
     catalog_path: Path | str | None = None  # a file, or the str SEED_CATALOG
-    schema_path: Path | None = None
 
 
 class RunConfig(_Settings):
@@ -119,11 +118,6 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
     """Run the whole pipeline for every (IXP, country) pair in the config."""
     if db is None:
         db = asndb.load(config.asndb_path)
-    schema = rtingest.DEFAULT_SCHEMA
-    if config.schema_path:
-        schema = rtingest.SnapshotSchema(**read_settings(config.schema_path, rtingest.SnapshotSchema._fields))
-        if schema.prefix == schema.as_path:
-            raise ValueError(f"schema maps prefix and as_path to the same column {schema.prefix!r}")
     catalog = None
     if config.catalog_path == SEED_CATALOG:
         catalog = outage.load_seed_catalog()
@@ -142,7 +136,7 @@ def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisRe
     window = rtingest.DateRange(config.baseline_date, config.final_date)
     result = AnalysisResult(config, {}, {})
     for ixp in config.ixps:
-        series = rtingest.load_series(config.snapshot_root, ixp, window, schema)
+        series = rtingest.load_series(config.snapshot_root, ixp, window)
         attributed = metrics.build_series(series, db, config.countries)
         del series  # free this IXP's rows before the next IXP's are read
         for country, (mseries, presence) in attributed.items():

@@ -1,8 +1,9 @@
 """Parse daily route-server snapshot CSVs into row ids.
 
 A snapshot file is one IXP's routing table for one day: a UTF-8 CSV (a
-leading byte-order mark is dropped) with a header row, where one column
-holds the announced prefix and another the space-separated AS path.
+leading byte-order mark is dropped) with a header row that names the
+column `prefix` (the announced prefix) and the column `as_path` (the
+space-separated AS path), in any order; other columns are ignored.
 Files live under `<root>/<ixp>/<YYYY-MM-DD>.csv`.
 
 Parsing goes through an `InternTable`.  A snapshot is read as bytes and
@@ -103,17 +104,10 @@ class SnapshotSeries(NamedTuple):
     neighbor_of: Sequence[int] = ()
 
 
-class SnapshotSchema(NamedTuple):
-    """The CSV column names of a snapshot's prefix and AS path; a row's
-    origin and neighbor are the two ends of its path.  The two names
-    differ: `pipeline.run_analysis` refuses a schema file that maps both
-    to one column."""
-
-    prefix: str = "prefix"
-    as_path: str = "as_path"
-
-
-DEFAULT_SCHEMA = SnapshotSchema()
+# The header names of a snapshot's prefix and AS-path columns; a row's
+# origin and neighbor are the two ends of its path.
+PREFIX_COLUMN = "prefix"
+AS_PATH_COLUMN = "as_path"
 
 
 _UNSEEN = object()
@@ -299,16 +293,16 @@ def parse_snapshot(
     source: BinaryIO,
     ixp: str,
     date: dt.date,
-    schema: SnapshotSchema = DEFAULT_SCHEMA,
     intern: InternTable | None = None,
 ) -> Snapshot:
     """Parse one snapshot CSV from a binary stream.
 
     Every data row yields either its row id in `intern` or a +1 on the
     skipped counter; blank lines are ignored and duplicate rows are kept,
-    each being one announcement.  Rows too short to hold both mapped
-    columns, with empty paths, non-numeric path tokens (including
-    brace-delimited AS_SET segments) or unparseable prefixes are skipped.
+    each being one announcement.  Rows too short to hold both the
+    `prefix` and the `as_path` column, with empty paths, non-numeric path
+    tokens (including brace-delimited AS_SET segments) or unparseable
+    prefixes are skipped.
     Each line is looked up in the memo as raw bytes; one `csv.reader`
     reads the header and every line the memo has not decided, and only
     those lines are decoded: the first with `utf-8-sig`, which drops a
@@ -326,15 +320,15 @@ def parse_snapshot(
     header = next(reader, None)
     if header is None:
         raise ValueError(f"snapshot for {ixp} {date} has no header row")
-    layout: Layout = (_resolve_column(header, schema.prefix),
-                      _resolve_column(header, schema.as_path))
+    layout: Layout = (_resolve_column(header, PREFIX_COLUMN),
+                      _resolve_column(header, AS_PATH_COLUMN))
     cells_of = operator.itemgetter(*layout)
     if intern is None:
         intern = InternTable()
     memo = intern.rows.setdefault(layout, {})
     # A line that holds nothing but the two mapped cells is its own memo
-    # key, so a repeated one costs a single lookup.  The schema's two names
-    # differ, so they resolve to two columns.
+    # key, so a repeated one costs a single lookup.  The two names differ,
+    # so they resolve to two columns.
     by_line = len(header) == len(layout)
     entries: list[int] = []
     skipped = 0
@@ -386,7 +380,6 @@ def load_series(
     root: str | Path,
     ixp: str,
     window: DateRange,
-    schema: SnapshotSchema = DEFAULT_SCHEMA,
 ) -> SnapshotSeries:
     """Load every `<root>/<ixp>/<date>.csv` inside the window, each read
     as bytes by `parse_snapshot`, which decodes only the lines its memo
@@ -405,7 +398,7 @@ def load_series(
     for day, path in snapshot_paths(root, ixp, window.days()):
         try:
             with open(path, "rb") as handle:
-                snapshots.append(parse_snapshot(handle, ixp, day, schema, intern))
+                snapshots.append(parse_snapshot(handle, ixp, day, intern))
         except FileNotFoundError:
             gaps.append(day)
         except (OSError, ValueError, csv.Error) as exc:

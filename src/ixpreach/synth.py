@@ -54,7 +54,7 @@ from .metrics import METRIC_NAMES
 from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
 from .pipeline import AnalysisResult, RunConfig, check_output_dir
 from .reachability import DEFAULT_CONFIRMATION_WINDOW
-from .rtingest import DEFAULT_SCHEMA, DateRange, snapshot_name, snapshot_paths
+from .rtingest import AS_PATH_COLUMN, PREFIX_COLUMN, DateRange, snapshot_name, snapshot_paths
 
 # Each disruption kind -> the keys it takes besides kind, ixp, country and
 # start.  Each is required, and no other key is allowed.
@@ -445,7 +445,7 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     # Walk the calendar emitting snapshots and recording outcomes.
     gt_metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]] = {}
     presence: dict[str, dict[int, set[dt.date]]] = {ixp: {} for ixp in ixps}
-    header = f"{DEFAULT_SCHEMA.prefix},{DEFAULT_SCHEMA.as_path}\n"
+    header = f"{PREFIX_COLUMN},{AS_PATH_COLUMN}\n"
 
     for ixp in ixps:
         (snapshots_dir / ixp).mkdir(parents=True, exist_ok=True)

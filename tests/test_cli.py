@@ -432,22 +432,13 @@ class TestAnalyze:
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        for line in ("frobnicate = yes", "countries UA", "annotation_slack = 0"):
+        for line, message in (("frobnicate = yes", "unknown key 'frobnicate'"),
+                              ("countries UA", "expected 'key = value', got 'countries UA'"),
+                              ("annotation_slack = 0", "unknown key 'annotation_slack'"),
+                              ("schema = x", "unknown key 'schema'")):
             config.write_text(f"# run settings\n{line}\n")
             assert run(["analyze", "--config", str(config)]) == 1
-            assert capsys.readouterr().err.startswith(f"usage error: {config}:2:")
-
-    @pytest.mark.parametrize("text, message", [
-        ("med = MED\n", "{schema}:1:"),
-        ("prefix = as_path\n", "prefix and as_path to the same column 'as_path'"),
-    ], ids=["unknown-key", "same-column"])
-    def test_bad_schema_file_is_data_error(self, analyzed_scenario, capsys, text, message):
-        tmp_path, scen, gt = analyzed_scenario
-        schema = tmp_path / "schema.cfg"
-        schema.write_text(text)
-        assert run(self.analyze_args(tmp_path, scen, gt) + ["--schema", str(schema)]) == 2
-        assert message.format(schema=schema) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+            assert capsys.readouterr().err == f"usage error: {config}:2: {message}\n"
 
     @pytest.mark.parametrize("line, message", BAD_CATALOG_LINES.values(), ids=BAD_CATALOG_LINES)
     def test_bad_catalog_file_is_data_error(self, analyzed_scenario, capsys, line, message):
@@ -458,22 +449,22 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: catalog line 2: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_schema_file_maps_renamed_columns(self, analyzed_scenario, capsys):
-        # The renamed tree adds an unmapped age column that changes on every
-        # row, so every row is keyed by its cells, not by its line.
+    def test_reordered_header_with_an_extra_column_writes_the_same_files(self, analyzed_scenario, capsys):
+        # The reordered tree adds an unmapped age column that changes on
+        # every row, so every row is keyed by its cells, not by its line.
         tmp_path, scen, gt = analyzed_scenario
-        renamed = tmp_path / "renamed"
-        shutil.copytree(scen / "snapshots", renamed)
-        for path in renamed.rglob("*.csv"):
+        reordered = tmp_path / "reordered"
+        shutil.copytree(scen / "snapshots", reordered)
+        for path in reordered.rglob("*.csv"):
             header, *rows = path.read_text().splitlines()
             assert header == "prefix,as_path"
-            path.write_text("Prefix,ASPath,age\n" + "".join(f"{row},{i}s\n" for i, row in enumerate(rows)))
-        schema = tmp_path / "schema.cfg"
-        schema.write_text("prefix = Prefix\nas_path = ASPath\n")
+            cells = [row.split(",") for row in rows]
+            path.write_text("age,as_path,prefix\n" + "".join(
+                f"{i}s,{as_path},{prefix}\n" for i, (prefix, as_path) in enumerate(cells)))
         args = self.analyze_args(tmp_path, scen, gt)
         out = tmp_path / "out"
         runs = []
-        for extra in ([], ["--snapshots", str(renamed), "--schema", str(schema)]):
+        for extra in ([], ["--snapshots", str(reordered)]):
             assert run(args + extra) == 0
             runs.append((capsys.readouterr().out, {p.relative_to(out): p.read_bytes()
                                                    for p in out.rglob("*") if p.is_file()}))
@@ -498,7 +489,6 @@ SAMPLES = {
     "threshold": ("0.2", "0.3"),
     "min_reference": ("2.5", "3"),
     "catalog": ("seed", "events.txt"),
-    "schema": ("schema-a.cfg", "schema-b.cfg"),
 }
 REQUIRED = {"asndb": "db.txt", "snapshots": "snaps", "out": "out"}
 TYPED = ("baseline_date", "final_date", "confirmation_window", "trailing_window",
@@ -533,6 +523,13 @@ class TestAnalyzeSettings:
         assert run_config(config_args(tmp_path / "run.cfg", {**REQUIRED, key: value})) == by_flag
         overridden = config_args(tmp_path / "run.cfg", {**REQUIRED, key: other}) + flag_args({key: value})
         assert run_config(overridden) == by_flag
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_config_file_round_trip(self, tmp_path, bom):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{bom}asndb = db.txt\n# run settings\n\nsnapshots = snaps\nout = out-a\n"
+                        "out = out-b  # x\n", encoding="utf-8")
+        assert run_config(["--config", str(path)]) == run_config(flag_args({**REQUIRED, "out": "out-b"}))
 
     @pytest.mark.parametrize("key", TYPED)
     def test_bad_typed_value_names_the_key(self, tmp_path, capsys, key):
@@ -572,6 +569,7 @@ class TestAnalyzeSettings:
         ["--countries", "ua"],
         ["--countries", ","],
         ["--annotation-slack", "0"],
+        ["--schema", "x"],
         ["--frobnicate"],
         ["--ixps", "amsix,../x"],
         ["--ixps", "amsix,ams ix"],

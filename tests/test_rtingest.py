@@ -4,7 +4,6 @@ import io
 import ipaddress
 import logging
 import random
-import re
 import tracemalloc
 
 import pytest
@@ -14,7 +13,6 @@ from ixpreach.asndb import ASN_MAX
 from ixpreach.rtingest import (
     DateRange,
     InternTable,
-    SnapshotSchema,
     load_series,
     parse_snapshot,
 )
@@ -62,10 +60,10 @@ def parse_text(text):
     return parse_snapshot(io.BytesIO(text.encode()), "testix", BASE)
 
 
-def parse_rows(text, schema=rtingest.DEFAULT_SCHEMA):
+def parse_rows(text):
     """The (prefix, origin, neighbor) rows and skip count of one parse."""
     intern = InternTable()
-    snap = parse_snapshot(io.BytesIO(text.encode()), "testix", BASE, schema, intern)
+    snap = parse_snapshot(io.BytesIO(text.encode()), "testix", BASE, intern=intern)
     return rows_of(snap, intern), snap.skipped
 
 
@@ -126,9 +124,8 @@ class TestParseSnapshot:
         with pytest.raises(ValueError, match="as_path"):
             parse_text("prefix,path\n192.0.2.0/24,174 25133\n")
 
-    def test_schema_remaps_columns(self):
-        schema = SnapshotSchema(prefix="pfx", as_path="aspath")
-        rows, _ = parse_rows("nexthop,pfx,aspath\n10.0.0.1,192.0.2.0/24,174 25133\n", schema)
+    def test_header_orders_the_columns_and_may_add_others(self):
+        rows, _ = parse_rows("nexthop,as_path,prefix\n10.0.0.1,174 25133,192.0.2.0/24\n")
         assert rows == [("192.0.2.0/24", 25133, 174)]
 
     def test_row_short_of_a_mapped_column_is_skipped(self):
@@ -136,15 +133,6 @@ class TestParseSnapshot:
         rows, skipped = parse_rows(text)
         assert [prefix for prefix, _, _ in rows] == ["198.51.100.0/24"]
         assert skipped == 1
-
-    def test_schema_rejects_one_column_for_both_fields(self, tmp_path):
-        # The run refuses the schema file as it reads it, before any snapshot.
-        config = pipeline.RunConfig(tmp_path / "unused", tmp_path / "no-snapshots", tmp_path / "out",
-                                    schema_path=tmp_path / "schema.cfg")
-        for text, column in (("prefix = route\nas_path = route\n", "route"), ("prefix = as_path\n", "as_path")):
-            config.schema_path.write_text(text)
-            with pytest.raises(ValueError, match=f"^schema maps prefix and as_path to the same column '{column}'$"):
-                pipeline.run_analysis(config, db=make_db({}))
 
     def test_parse_is_deterministic(self):
         a = parse_text(TEN_ROW_FIXTURE)
@@ -217,24 +205,6 @@ class TestParseSnapshot:
         assert intern.rows[(0, 1)] == {f"192.0.2.0/24,{path}\n".encode(): first.entries[0],
                                        f"198.51.100.0/24,{path}\n".encode(): later.entries[1]}
         assert rows_of(later, intern) == [(prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24")]
-
-    SCHEMA_KEYS = SnapshotSchema._fields
-
-    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
-    def test_schema_file_round_trip(self, tmp_path, bom):
-        path = tmp_path / "schema.cfg"
-        path.write_text(f"{bom}prefix = Prefix\n# looking-glass export\n\nas_path = ASPath\n"
-                        "as_path = AS_Path  # x\n", encoding="utf-8")
-        schema = SnapshotSchema(**pipeline.read_settings(path, self.SCHEMA_KEYS))
-        assert schema == SnapshotSchema(prefix="Prefix", as_path="AS_Path")
-
-    def test_schema_file_rejects_unknown_field(self, tmp_path):
-        path = tmp_path / "schema.cfg"
-        for text, key in (("prefix = Prefix\nmed = MED\n", "med"), ("prefix = Prefix\nmed\n", "med"),
-                          ("prefix = Prefix\norigin = OriginAS\n", "origin")):
-            path.write_text(text)
-            with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + f".*{key}"):
-                pipeline.read_settings(path, self.SCHEMA_KEYS)
 
 
 def write_snapshot_file(root, ixp, d, rows):

@@ -383,7 +383,7 @@ class TestScenarioIO:
         (lambda d: d.update(detector={"trailing_window": 0}), "trailing_window must be >= 1"),
         (lambda d: d.update(detector={"threshold": 2.0}), "threshold must be a fraction"),
         (lambda d: d.update(detector={"window": 7}), "unexpected keyword argument 'window'"),
-        (lambda d: d.update(detector={"schema_path": None}), "detector: keys must be"),
+        (lambda d: d.update(detector={"catalog_path": None}), "detector: keys must be"),
         (lambda d: d.update(confirmation_window=-1), "confirmation window must be >= 0"),
         (lambda d: d["countries"].update(ZZ={"origin_count": 3}), "not a usable country filter: 'ZZ'"),
         (lambda d: d["countries"].update({"UA\n": {"origin_count": 3}}), r"not a usable country filter: 'UA\\n'"),

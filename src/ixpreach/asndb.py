@@ -156,12 +156,13 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
 
     Returns it plus the skipped-row log as (registry, line number, reason)
     entries.  Each row's registry comes from the row, so combined
-    (NRO-style) files work too.  Comment, version, summary, non-asn and
-    availability/reserved rows are skipped silently; rows that should be
-    ASN records but do not parse are logged.  Each ASN keeps the smallest
-    Delegation of the rows that cover it, and every other ASN record
-    counts as a conflict, so the result does not depend on the order of
-    `items` or of their rows.  Source file hashes go into the provenance.
+    (NRO-style) files work too.  Comment, version, summary (six fields,
+    the last `summary`), non-asn and availability/reserved rows are
+    skipped silently; rows that should be ASN records but do not parse
+    are logged.  Each ASN keeps the smallest Delegation of the rows that
+    cover it, and every other ASN record counts as a conflict, so the
+    result does not depend on the order of `items` or of their rows.
+    Source file hashes go into the provenance.
     """
     chosen: dict[int, Delegation] = {}
     dates = _DateMemo()
@@ -180,7 +181,7 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
             if not line or line.startswith("#"):
                 continue
             fields = line.split("|")
-            if "summary" in fields:
+            if len(fields) == 6 and fields[5] == "summary":
                 continue
             if len(fields) < 7:
                 skipped.append((registry, lineno, "expected at least 7 fields"))
@@ -326,13 +327,14 @@ def load(path: str | Path) -> AsnDb:
     Otherwise, with one logged warning unless there is no index, the file
     is streamed a line at a time.  Each record line must hold the
     four `asn|country|registry|date` fields, an ASN of plain ASCII
-    digits and a date text that parses; registry and date are then
-    dropped, and equal country codes share one `str`.  A malformed line
-    raises ValueError naming `<path>:<lineno>`.  So does, naming
-    `<path>`, a file without the `# records N conflicts M` header (an
-    empty file would otherwise read as a database that knows no ASN) or
-    one whose distinct ASNs do not number what the header says (a
-    truncated file would otherwise leave ASNs without a country).
+    digits up to `ASN_MAX`, a code in `COUNTRY_CODES` and a date text
+    that parses; registry and date are then dropped, and equal country
+    codes share one `str`.  A malformed line raises ValueError naming
+    `<path>:<lineno>`.  So does, naming `<path>`, a file without the
+    `# records N conflicts M` header (an empty file would otherwise read
+    as a database that knows no ASN) or one whose distinct ASNs do not
+    number what the header says (a truncated file would otherwise leave
+    ASNs without a country).
     """
     countries: dict[int, str] = {}
     codes: dict[str, str] = {}
@@ -359,6 +361,10 @@ def load(path: str | Path) -> AsnDb:
                     continue
                 asn_text, country, _registry, date_text = line.split("|")
                 asn = _number(asn_text)
+                if asn > ASN_MAX:
+                    raise ValueError(f"ASN above {ASN_MAX}")
+                if country not in COUNTRY_CODES:
+                    raise ValueError(f"bad country code {country!r}")
                 dates[date_text]  # raises ValueError for a date that does not parse
                 countries[asn] = codes.setdefault(country, country)
             except ValueError as exc:

@@ -1,9 +1,10 @@
 """End-to-end analysis: snapshots + ASN database -> reports and plot data.
 
-This is the engine behind the `analyze` subcommand; its result, one
-`PairResult` per (IXP, country) pair, is also checked directly against
-synthetic ground truth.  `RunConfig` is the one place a setting is
-checked: the stages it feeds trust their arguments, and `write_outputs`
+This is the engine behind the `analyze` subcommand.  Its result holds
+one `PairResult` per (IXP, country) pair, and `write_outputs` writes
+every field of it; `synth.verify` judges a run by those files alone,
+against synthetic ground truth.  `RunConfig` is the one place a setting
+is checked: the stages it feeds trust their arguments, and `write_outputs`
 reads the settings and each pair's key from the config, not from the
 reports.  All outputs are deterministic: rerunning on unchanged inputs
 produces byte-identical files.
@@ -74,9 +75,9 @@ class RunConfig(_Settings):
 
 
 class PairResult(NamedTuple):
-    """One (IXP, country) pair's results.  `presence`, small beside the
-    series, is kept for `synth.verify`, which reads each origin's offline
-    days off its masks."""
+    """One (IXP, country) pair's results; `write_outputs` writes every
+    field, and `synth.verify` reads those files, not this.  `presence`,
+    small beside the series, is written as the pair's origins CSV."""
 
     series: metrics.MetricSeries
     presence: metrics.PresenceMap
@@ -171,6 +172,7 @@ def write_outputs(result: AnalysisResult) -> list[Path]:
     for (ixp, country), pair in result.pairs.items():
         files[f"metrics/{ixp}_{country}.csv"] = _text(metrics.write_metrics_csv, pair.series)
         files[f"outages/{ixp}_{country}.csv"] = _text(outage.write_events_csv, pair.events)
+        files[f"reachability/{ixp}_{country}_origins.csv"] = _text(reachability.write_origins_csv, pair.presence)
     summary = [
         "analysis summary",
         f"baseline {config.baseline_date} final {config.final_date} "

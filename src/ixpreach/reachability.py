@@ -11,18 +11,22 @@ A report holds only the facts computed here: the run's dates and window
 are `pipeline.RunConfig`'s, which also checks them, and the (IXP,
 country) pair is its key in the run's result.
 Loss percentages truncate to one decimal; cross-IXP averages round
-half-up to two decimals.
+half-up to two decimals.  The origins CSV (`write_origins_csv`) is the
+written form of a PresenceMap: per origin, its first and last snapshot
+dates and its present and offline snapshot days.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from bisect import bisect_left
-from typing import NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
-from .metrics import PresenceMap
+from .metrics import PresenceMap, read_csv_rows
 
 DEFAULT_CONFIRMATION_WINDOW = 3
+
+ORIGINS_CSV_HEADER = ("asn", "first_seen", "last_seen", "days_present", "days_offline")
 
 
 class ReachabilityReport(NamedTuple):
@@ -116,3 +120,27 @@ def _snapshot_index(dates: tuple[dt.date, ...], day: dt.date, what: str, ixp: st
         raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
     return i
 
+
+def write_origins_csv(stream: IO[str], presence: PresenceMap) -> None:
+    """Emit one row per origin in ASN order: the first and last snapshot
+    dates of its mask, and the snapshot days it is present and offline.
+    An offline day is a snapshot day without the origin; a gap day has no
+    snapshot, so it is neither."""
+    iso = [day.isoformat() + "," for day in presence.dates]
+    days = len(iso)
+    # The last two cells of a row, by the origin's present days.
+    counts = [f"{present},{days - present}\n" for present in range(days + 1)]
+    lines = [",".join(ORIGINS_CSV_HEADER) + "\n"]
+    lines += [f"{asn},{iso[(mask & -mask).bit_length() - 1]}{iso[mask.bit_length() - 1]}{counts[mask.bit_count()]}"
+              for asn, mask in sorted(presence.masks.items())]
+    stream.write("".join(lines))
+
+
+def read_origins_csv(stream: IO[str]) -> list[tuple[int, dt.date, dt.date, int, int]]:
+    """The rows written by :func:`write_origins_csv`, in file order, as
+    (asn, first_seen, last_seen, days_present, days_offline); a row that
+    does not parse raises ValueError as `read_csv_rows` says."""
+    iso = dt.date.fromisoformat
+    return read_csv_rows(
+        stream, ORIGINS_CSV_HEADER, "an origins CSV",
+        lambda asn, first, last, present, offline: (int(asn), iso(first), iso(last), int(present), int(offline)))

@@ -47,13 +47,13 @@ import random
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import IO, Callable, Iterable, TypeVar
 
 from .asndb import REGISTRIES
-from .metrics import METRIC_NAMES
-from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW
+from .metrics import METRIC_NAMES, read_metrics_csv
+from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW, read_events_csv
 from .pipeline import AnalysisResult, RunConfig, check_output_dir
-from .reachability import DEFAULT_CONFIRMATION_WINDOW
+from .reachability import DEFAULT_CONFIRMATION_WINDOW, read_origins_csv
 from .rtingest import AS_PATH_COLUMN, PREFIX_COLUMN, DateRange, snapshot_name, snapshot_paths
 
 # Each disruption kind -> the keys it takes besides kind, ixp, country and
@@ -572,16 +572,34 @@ def _write_delegated(path: Path, spec: ScenarioSpec, blocks) -> None:
 
 
 def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
-    """Compare pipeline outputs against ground truth; [] means a clean run."""
+    """Compare the files a run wrote against ground truth; [] means a
+    clean run.
+
+    Of `result` only `config.output_dir` is read.  For each (IXP, country)
+    pair of the ground truth, under that directory: `metrics/<ixp>_<cc>.csv`,
+    `outages/<ixp>_<cc>.csv`, `reachability/<ixp>_<cc>_origins.csv` and
+    the `lost_asns` and `new_asns` of the pair's line in
+    `reachability/<cc>_records.txt`.  A pair without its metrics file is
+    missing; another of its files that is missing or does not parse is
+    one problem naming that file.
+    """
+    out = Path(result.config.output_dir)
     problems: list[str] = []
     for ixp in gt.ixps:
         for cc in gt.countries:
             where = f"{ixp}/{cc}"
-            pair = result.pairs.get((ixp, cc))
-            if pair is None:
+            metrics_path = out / "metrics" / f"{ixp}_{cc}.csv"
+            if not metrics_path.is_file():
                 problems.append(f"{where}: pair missing from pipeline output")
                 continue
-            series = pair.series
+            try:
+                series = _read(metrics_path, read_metrics_csv)
+                events = _read(out / "outages" / f"{ixp}_{cc}.csv", read_events_csv)
+                origins = _read(out / "reachability" / f"{ixp}_{cc}_origins.csv", read_origins_csv)
+                lost_asns, new_asns = _lost_and_new(out / "reachability" / f"{cc}_records.txt", ixp)
+            except (OSError, ValueError) as exc:
+                problems.append(f"{where}: {exc}")
+                continue
             expected = gt.metrics[ixp][cc]
             expected_dates = sorted(expected)
             got_dates = list(series.dates)
@@ -593,33 +611,54 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 if want is not None and got != want:
                     problems.append(f"{where} {day}: expected {want}, got {got}")
 
-            report = pair.report
-            if report.lost_asns != gt.unreachable[ixp][cc]:
+            if lost_asns != gt.unreachable[ixp][cc]:
                 problems.append(f"{where}: lost origins differ "
-                                f"(expected {len(gt.unreachable[ixp][cc])}, got {len(report.lost_asns)})")
-            if report.new_asns != gt.new_origins[ixp][cc]:
+                                f"(expected {len(gt.unreachable[ixp][cc])}, got {len(lost_asns)})")
+            if new_asns != gt.new_origins[ixp][cc]:
                 problems.append(f"{where}: new origins differ")
 
-            pres = pair.presence
             expected_offline = gt.offline[ixp][cc]
-            if pres.masks.keys() != expected_offline.keys():
+            if [row[0] for row in origins] != sorted(expected_offline):
                 problems.append(f"{where}: presence covers different origins")
             else:
-                for asn, days in expected_offline.items():
-                    # Exact once the dates check above passes: the presence
-                    # dates are then the ground truth's snapshot days.
-                    got_days = len(pres.dates) - pres.masks[asn].bit_count()
+                # The writer counts offline days over the series' snapshot
+                # days, which the dates check above holds to the ground
+                # truth's.
+                for asn, *_, got_days in origins:
+                    days = expected_offline[asn]
                     if got_days != days:
                         problems.append(f"{where} AS{asn}: expected {days} offline days, got {got_days}")
 
             for metric in METRIC_NAMES:
-                got_spans = tuple((e.start, e.end) for e in pair.events if e.metric == metric)
+                got_spans = tuple((e.start, e.end) for e in events if e.metric == metric)
                 want_spans = gt.outages[ixp][cc].get(metric, ())
                 if got_spans != want_spans:
                     problems.append(
                         f"{where} {metric}: outage spans {_fmt_spans(got_spans)} "
                         f"!= expected {_fmt_spans(want_spans)}")
     return problems
+
+
+T = TypeVar("T")
+
+
+def _read(path: Path, read: Callable[[IO[str]], T]) -> T:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return read(handle)
+
+
+def _lost_and_new(path: Path, ixp: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The `lost_asns` and `new_asns` of `ixp`'s line of a records file;
+    ValueError naming the file when that line is missing or does not parse."""
+    for line in path.read_text(encoding="utf-8").splitlines():
+        fields = dict(cell.partition("=")[::2] for cell in line.split(" "))
+        if fields.get("ixp") == ixp:
+            try:
+                return tuple(tuple(map(int, filter(None, fields[key].split(","))))
+                             for key in ("lost_asns", "new_asns"))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}: the line for IXP {ixp!r} does not parse: {exc!r}") from None
+    raise ValueError(f"{path}: no line for IXP {ixp!r}")
 
 
 def _fmt_spans(spans: Iterable[tuple[dt.date, dt.date]]) -> str:

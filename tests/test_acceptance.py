@@ -64,7 +64,7 @@ def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
             config = pipeline.RunConfig(
                 asndb_path=tmp_path / "asndb.txt",
                 snapshot_root=scen_dir / "snapshots",
-                output_dir=tmp_path / "out",
+                output_dir=tmp_path / f"out{seed}",
                 ixps=gt.ixps,
                 countries=gt.countries,
                 baseline_date=gt.baseline_date,
@@ -72,6 +72,7 @@ def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
                 confirmation_window=gt.confirmation_window,
             )
             result = pipeline.run_analysis(config)
+            pipeline.write_outputs(result)  # verify reads these files
             problems = synth.verify(gt, result)
             assert problems == [], f"seed {seed}: {problems[:5]}"
         elapsed = time.monotonic() - started

@@ -138,8 +138,10 @@ def index_of(path):
 
 class TestDelegatedRows:
     # delegated-extended rows carry opaque ids after the status.
-    @pytest.mark.parametrize("extra", ["", "|ae2f7b44-6cc5-4d52-8f1b-27d4c2a1b5e0", "|opaque|x"],
-                             ids=["7-fields", "8-fields", "9-fields"])
+    # A real summary line has six fields, `summary` the last; an opaque id
+    # that reads `summary` is still an id.
+    @pytest.mark.parametrize("extra", ["", "|ae2f7b44-6cc5-4d52-8f1b-27d4c2a1b5e0", "|opaque|x", "|summary"],
+                             ids=["7-fields", "8-fields", "9-fields", "extra-summary-field"])
     def test_single_asn_row(self, tmp_path, extra):
         db, skipped = build_text(tmp_path, f"ripencc|UA|asn|25133|1|20020701|allocated{extra}\n")
         assert db.records == {25133: delegation("UA", "ripencc", "20020701")}
@@ -153,12 +155,7 @@ class TestDelegatedRows:
 
     @pytest.mark.parametrize("row", [
         "apnic|AU|ipv4|1.0.0.0|256|20110811|allocated",
-        # Pins today's behaviour, not the intended one: an allocated row whose
-        # opaque id is `summary` should be kept, since a real summary line has
-        # `summary` as its sixth and last field.  Move this case to
-        # test_single_asn_row when build_from_files checks only that field.
-        "apnic|AU|asn|4608|1|20110811|allocated|summary",
-    ], ids=["ipv4", "extra-summary-field"])
+    ], ids=["ipv4"])
     def test_non_asn_rows_are_skipped_silently(self, tmp_path, row):
         db, skipped = build_text(tmp_path, row + "\n")
         assert (db.records, skipped) == ({}, [])
@@ -415,11 +412,14 @@ class TestPersistence:
         "AS25133|UA|ripencc|20020701",
         "+25133|UA|ripencc|20020701",
         "25133|UA|ripencc|2002-07-01",
-    ], ids=["too-few-fields", "too-many-fields", "non-integer-asn", "signed-asn", "bad-date"])
+        "4294967296|UA|ripencc|",
+        "25133|usa|ripencc|20020701",
+    ], ids=["too-few-fields", "too-many-fields", "non-integer-asn", "signed-asn", "bad-date",
+            "asn-above-max", "bad-country-code"])
     def test_malformed_line_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "asndb.txt"
         path.write_text(f"# asndb 1\n# records 2 conflicts 0\n12389|RU|ripencc|\n{row}\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:4:")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: malformed asndb line")):
             asndb.load(path)
 
     @pytest.mark.parametrize("count", [1, 3])

@@ -31,8 +31,10 @@ def tree_bytes(root: Path) -> dict[Path, bytes]:
 
 # sha256 of the `analyze` output directory of the scenario in
 # TestAnalyze.test_output_bytes_are_pinned, over each file's relative path
-# and bytes in sorted order (as perfbench's gate.digest_dir takes it).
+# and bytes in sorted order (as perfbench's gate.digest_dir takes it): the
+# origins CSVs in a digest of their own, every other file in the first.
 PINNED_OUTPUT_SHA256 = "b70c427db16b95407229d012cb06f2ea88cbea852cf15c2dbc693d74804ac34f"
+PINNED_ORIGINS_SHA256 = "ffb4880f0096a30d4b69deef8cc59c4acd162dcf920709412c6a3d70f12227bc"
 
 
 SPEC = ScenarioSpec(
@@ -206,12 +208,12 @@ class TestAnalyze:
 
         assert run(self.analyze_args(tmp_path, scen, gt)) == 0
         before = tree_bytes(out)
-        assert len(before) == 13
+        assert len(before) == 17
         capsys.readouterr()
         assert narrow("out") == 2
         err = capsys.readouterr().err
         stale = [rel for rel in before if "linx" in rel.name or "RU" in rel.name]
-        assert len(stale) == 8
+        assert len(stale) == 11
         assert any(str(out / rel) in err for rel in stale), err
         assert tree_bytes(out) == before
         # A directory holding fewer pairs' files is written over.
@@ -311,8 +313,9 @@ class TestAnalyze:
         joint = analyze("joint", "UA,RU,DE")
         for cc in ("UA", "RU", "DE"):
             alone = analyze(f"alone-{cc}", cc)
-            mine = {rel for rel in joint if rel.endswith(f"_{cc}.csv") or rel.startswith(f"reachability/{cc}_")}
-            assert len(mine) == 2 * len(gt.ixps) + 2
+            mine = {rel for rel in joint if rel.endswith((f"_{cc}.csv", f"_{cc}_origins.csv"))
+                    or rel.startswith(f"reachability/{cc}_")}
+            assert len(mine) == 3 * len(gt.ixps) + 2
             assert mine == {rel for rel in alone if rel != "summary.txt"}
             for rel in mine:
                 assert joint[rel] == alone[rel], rel
@@ -341,11 +344,13 @@ class TestAnalyze:
                     "--out", str(tmp_path / "asndb.txt")]) == 0
         assert run(self.analyze_args(tmp_path, scen, gt)) == 0
         out = tmp_path / "out"
-        digest = hashlib.sha256()
+        digests = {False: hashlib.sha256(), True: hashlib.sha256()}  # by: is an origins CSV
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = digests[path.name.endswith("_origins.csv")]
             digest.update(path.relative_to(out).as_posix().encode() + b"\0")
             digest.update(path.read_bytes())
-        assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+        assert digests[False].hexdigest() == PINNED_OUTPUT_SHA256
+        assert digests[True].hexdigest() == PINNED_ORIGINS_SHA256
 
     def test_repeated_ixp_is_analysed_once(self, analyzed_scenario):
         tmp_path, scen, gt = analyzed_scenario

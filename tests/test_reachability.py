@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 import random
 
 import pytest
@@ -197,10 +198,19 @@ class TestPercentages:
             average_pct([])
 
 
+def written_origins(presence):
+    """The origins CSV written for `presence`, read back: each origin's
+    (first_seen, last_seen, days_present, days_offline), in file order."""
+    buf = io.StringIO()
+    reachability.write_origins_csv(buf, presence)
+    buf.seek(0)
+    return {asn: row for asn, *row in reachability.read_origins_csv(buf)}
+
+
 def offline_days(presence, origin):
-    """Snapshot days of the whole window on which the origin is absent,
-    counted as synth.verify counts them; a gap day has no snapshot."""
-    return len(presence.dates) - presence.masks[origin].bit_count()
+    """Snapshot days of the whole window on which the origin is absent, as
+    the origins CSV gives them; a gap day has no snapshot."""
+    return written_origins(presence)[origin][-1]
 
 
 class TestOfflineDays:
@@ -235,10 +245,11 @@ class TestOfflineDays:
             for gap in gaps:
                 del present[gap]
             presence = presence_of(series_from_presence(present, UA_DB, gaps=gaps), UA_DB, "UA")
-            assert set(presence.masks) == set().union(*present.values())
-            for origin in presence.masks:
-                want = sum(1 for origins in present.values() if origin not in origins)
-                assert offline_days(presence, origin) == want
+            rows = written_origins(presence)
+            assert list(rows) == sorted(set().union(*present.values()))
+            for origin, row in rows.items():
+                seen = [d for d, origins in present.items() if origin in origins]
+                assert row == [seen[0], seen[-1], len(seen), len(present) - len(seen)]
 
     def test_unknown_origin_is_an_error(self):
         # An origin never seen has no mask, rather than an empty one that

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -31,7 +32,7 @@ def analyze_generated(tmp_path, gt, scen_dir="scen"):
     config = pipeline.RunConfig(
         asndb_path=db_path,
         snapshot_root=tmp_path / scen_dir / "snapshots",
-        output_dir=tmp_path / "out",
+        output_dir=tmp_path / f"{scen_dir}-out",
         ixps=gt.ixps,
         countries=gt.countries,
         baseline_date=gt.baseline_date,
@@ -41,7 +42,9 @@ def analyze_generated(tmp_path, gt, scen_dir="scen"):
         threshold=gt.detector["threshold"],
         min_reference=gt.detector["min_reference"],
     )
-    return pipeline.run_analysis(config)
+    result = pipeline.run_analysis(config)
+    pipeline.write_outputs(result)  # verify reads these files
+    return result
 
 
 class TestGenerate:
@@ -273,14 +276,29 @@ class TestDisruptions:
         assert synth.verify(gt, result) == []
 
 
+def edit_row(path, index, edit):
+    """Rewrite row `index` of a written CSV (0 is the header) as `edit(cells)`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[index] = ",".join(edit(lines[index].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestVerifySensitivity:
     def build(self, tmp_path):
-        gt = synth.generate(tiny_spec(days=10, origins=6, seed=2), tmp_path / "scen")
-        result = analyze_generated(tmp_path, gt)
-        return gt, result
+        """Ground truth, and a result that holds nothing but the path of a
+        copy of the files analyze wrote, for a test to tamper with."""
+        gt = synth.generate(tiny_spec(days=10, origins=6, seed=2, disruptions=[
+            Disruption("permanent_loss", "amsix", "UA", day(5), count=1),
+            Disruption("join", "amsix", "UA", day(6), count=1),
+        ]), tmp_path / "scen")
+        written = analyze_generated(tmp_path, gt).config
+        shutil.copytree(written.output_dir, tmp_path / "copy")
+        return gt, pipeline.AnalysisResult(written._replace(output_dir=tmp_path / "copy"), {}, {})
 
     def test_untampered_run_is_clean(self, tmp_path):
         gt, result = self.build(tmp_path)
+        assert gt.unreachable["amsix"]["UA"] and gt.new_origins["amsix"]["UA"]
+        assert gt.outages["amsix"]["UA"]
         assert synth.verify(gt, result) == []
 
     def test_single_edited_metric_point_yields_one_discrepancy(self, tmp_path):
@@ -295,17 +313,39 @@ class TestVerifySensitivity:
             assert len(problems) == 1
             assert str(target) in problems[0]
 
+    def test_tampered_metrics_cell_is_caught(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        target = sorted(gt.metrics["amsix"]["UA"])[3]
+        want = gt.metrics["amsix"]["UA"][target]
+        edit_row(result.config.output_dir / "metrics" / "amsix_UA.csv", 4,
+                 lambda cells: cells[:5] + [str(int(cells[5]) + 1)] + cells[6:])
+        got = (want[0], want[1], want[2] + 1, want[3])
+        assert synth.verify(gt, result) == [f"amsix/UA {target}: expected {want}, got {got}"]
+
     def test_tampered_unreachable_set_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
         gt.unreachable["amsix"]["UA"] = (99999,)
         problems = synth.verify(gt, result)
         assert any("lost origins" in p for p in problems)
 
+    def test_tampered_records_are_caught(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "reachability" / "UA_records.txt"
+        text = path.read_text(encoding="utf-8")
+        lost = ",".join(map(str, gt.unreachable["amsix"]["UA"]))
+        new = ",".join(map(str, gt.new_origins["amsix"]["UA"]))
+        assert text.count(f" lost_asns={lost} new_asns={new} ") == 1
+        path.write_text(text.replace(f" lost_asns={lost} new_asns={new} ", " lost_asns= new_asns=99999 "),
+                        encoding="utf-8")
+        assert synth.verify(gt, result) == [
+            f"amsix/UA: lost origins differ (expected {len(gt.unreachable['amsix']['UA'])}, got 0)",
+            "amsix/UA: new origins differ"]
+
     def test_missing_series_date_is_one_problem(self, tmp_path):
         gt, result = self.build(tmp_path)
         expected = gt.metrics["amsix"]["UA"]
+        days = len(expected)
         del expected[sorted(expected)[3]]
-        days = len(result.pairs["amsix", "UA"].series.dates)
         assert synth.verify(gt, result) == [f"amsix/UA: series covers {days} days, expected {days - 1}"]
 
     def test_tampered_new_origins_are_caught(self, tmp_path):
@@ -313,28 +353,49 @@ class TestVerifySensitivity:
         gt.new_origins["amsix"]["UA"] = (99999,)
         assert synth.verify(gt, result) == ["amsix/UA: new origins differ"]
 
-    def test_tampered_presence_mask_is_caught(self, tmp_path):
+    def test_tampered_offline_days_are_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
-        masks = result.pairs["amsix", "UA"].presence.masks
-        asn, mask = next(iter(masks.items()))
-        masks[asn] = mask & (mask - 1)  # one present day fewer
+        path = result.config.output_dir / "reachability" / "amsix_UA_origins.csv"
+        edit_row(path, 1, lambda cells: cells[:4] + [str(int(cells[4]) + 1)])
+        asn = min(gt.offline["amsix"]["UA"])
         days = gt.offline["amsix"]["UA"][asn]
         assert synth.verify(gt, result) == [
             f"amsix/UA AS{asn}: expected {days} offline days, got {days + 1}"]
-        masks[asn] = mask
-        masks[99999] = 1
+
+    def test_extra_origin_row_is_caught(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "reachability" / "amsix_UA_origins.csv"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(f"99999,{BASE},{BASE},1,{len(gt.metrics['amsix']['UA']) - 1}\n")
         assert synth.verify(gt, result) == ["amsix/UA: presence covers different origins"]
 
-    def test_missing_pair_is_one_problem(self, tmp_path):
+    def test_deleted_metrics_file_is_one_problem(self, tmp_path):
         gt, result = self.build(tmp_path)
-        del result.pairs["amsix", "UA"]
+        (result.config.output_dir / "metrics" / "amsix_UA.csv").unlink()
         assert synth.verify(gt, result) == ["amsix/UA: pair missing from pipeline output"]
+
+    def test_deleted_origins_file_is_one_problem(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "reachability" / "amsix_UA_origins.csv"
+        path.unlink()
+        problems = synth.verify(gt, result)
+        assert len(problems) == 1 and problems[0].startswith("amsix/UA: ") and str(path) in problems[0]
 
     def test_tampered_outage_span_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
         gt.outages["amsix"]["UA"]["announcements"] = ((day(1), day(2)),)
         problems = synth.verify(gt, result)
         assert any("outage spans" in p for p in problems)
+
+    def test_tampered_event_span_is_caught(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "outages" / "amsix_UA.csv"
+        metric, start, end = path.read_text(encoding="utf-8").splitlines()[1].split(",")[2:5]
+        edit_row(path, 1, lambda cells: cells[:4] + [start] + cells[5:])
+        want = synth._fmt_spans(gt.outages["amsix"]["UA"][metric])
+        got = want.replace(f"{start}..{end}", f"{start}..{start}", 1)
+        assert start != end and got != want
+        assert synth.verify(gt, result) == [f"amsix/UA {metric}: outage spans {got} != expected {want}"]
 
 
 class TestScenarioIO:

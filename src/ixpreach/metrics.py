@@ -1,14 +1,14 @@
 """Daily per-IXP per-country visibility counts and origin presence.
 
 Country attribution happens here and only here.  `build_series` looks up
-the country of each distinct ASN once and gives every row id one byte:
-2 + i when its origin is in the i-th analysed country, 1 when only its
-neighbor is in one, else 0.  A day's codes are then one gather over the
-snapshot's row ids: the ids with a nonzero code are the day's set, and
-the count of byte 2 + i is the i-th country's announcements.  The ids
-that came or went since the day before are applied to per-country
-reference counts of origins, prefixes and neighbors, whose sizes are the
-other three counts below.  Past 254 countries the codes no longer fit a
+the country of each row id's origin and neighbor and gives every row id
+one byte: 2 + i when its origin is in the i-th analysed country, 1 when
+only its neighbor is in one, else 0.  A day's codes are then one gather
+over the snapshot's row ids: the ids with a nonzero code are the day's
+set, and the count of byte 2 + i is the i-th country's announcements.
+The ids that came or went since the day before are applied to
+per-country reference counts of origins, prefixes and neighbors, whose
+sizes are the other three counts below.  Past 254 countries the codes no longer fit a
 byte, so the countries go in sorted blocks of 254, each with its own
 codes and its own walk over the series.
 
@@ -141,12 +141,12 @@ def _row_codes(series: SnapshotSeries, db: AsnDb, block: list[str]) -> tuple[byt
     An ASN's code is 2 + i when its country is `block[i]`, else 0.  The
     neighbor codes are the neighbor ASNs' codes; a row's code is its
     origin's code, or 1 when only its neighbor is in a block country.
+    Each row's two ASNs go straight through the country map and the
+    block's code table, at C level.
     """
-    asns = set(series.origin_of).union(series.neighbor_of)
     code_in = {cc: code for code, cc in enumerate(block, 2)}
-    code_of = dict(zip(asns, map(code_in.get, map(db.countries.get, asns), repeat(0))))
-    origin_codes = bytes(map(code_of.__getitem__, series.origin_of))
-    neighbor_codes = bytes(map(code_of.__getitem__, series.neighbor_of))
+    origin_codes = bytes(map(code_in.get, map(db.countries.get, series.origin_of), repeat(0)))
+    neighbor_codes = bytes(map(code_in.get, map(db.countries.get, series.neighbor_of), repeat(0)))
     # Byte-wise over whole tables: the origin's code, or the neighbor's 0/1
     # flag where the origin's code is 0.
     row = int.from_bytes(origin_codes, "big") | (

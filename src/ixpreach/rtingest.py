@@ -12,21 +12,26 @@ split it (at `\n`, `\r\n` and a lone `\r`, each kept on its line); at
 most one read plus the longest line is held, whatever the line ends.  Each
 line is looked up as raw bytes in a memo kept per column layout, so a row
 repeated from an earlier day yields the row id (or the skip) decided when
-it was first seen, and is never decoded.  Only the lines the memo has not
-decided are decoded, strictly as UTF-8, and read by the file's one
-`csv.reader`, so quoted and multi-line records, csv errors and decode
-errors behave exactly as with a plain reader over the decoded text.  When
-the header holds only the prefix and AS-path columns and csv ends a record
-on the line it starts on, without reading past it, the key is that raw
-byte line, so a repeated line costs one dict lookup; otherwise the key is
-the row's prefix and AS-path cells, so other columns that change from row
-to row do not defeat the memo.  A new row's two cells are parsed on the
-spot, and of the path only its two endpoints are kept: they are the row's
-origin (the last ASN) and neighbor (the first), and no row reads the ASNs
-between them.  A kept row gets the next dense row id, whose prefix, origin
-and neighbor the table records once in its columns.  A day is then the
-tuple of its rows' ids plus a skip count.  `load_series` keeps one table
-per IXP for the whole series and hands its columns to the SnapshotSeries;
+it was first seen, and is never decoded.  Under a `prefix,as_path` header
+a line the memo has not decided is first matched against one pattern for
+a plain line (a prefix of hex digits, dots and colons with a length, then
+ASNs of at most nine digits separated by single spaces), which holds no
+quote, so csv would read it as just these two cells; such a line is
+decided from the match alone.  Only the other lines are decoded, strictly
+as UTF-8, and read by the file's one `csv.reader`, so quoted and
+multi-line records, csv errors and decode errors behave exactly as with a
+plain reader over the decoded text.  When the header holds only the
+prefix and AS-path columns and csv ends a record on the line it starts
+on, without reading past it, the key is that raw byte line, so a repeated
+line costs one dict lookup; otherwise the key is the row's prefix and
+AS-path cells, so other columns that change from row to row do not
+defeat the memo.  A new row's two cells are parsed on the spot, and of
+the path only its two endpoints are kept: they are the row's origin (the
+last ASN) and neighbor (the first), and no row reads the ASNs between
+them.  A kept row gets the next dense row id, whose prefix, origin and
+neighbor the table records once in its columns.  A day is then the tuple
+of its rows' ids plus a skip count.  `load_series` keeps one table per
+IXP for the whole series and hands its columns to the SnapshotSeries;
 the memo is dropped once the series is loaded.
 """
 
@@ -152,10 +157,14 @@ class InternTable:
         path = _parse_path(cells[1])
         if path is None:
             return None
-        prefix = _normalize_prefix(cells[0])
+        return self.add(cells[0], *path)
+
+    def add(self, prefix_text: str, origin: int, neighbor: int) -> int | None:
+        """A new row id for a checked path's endpoints, or None when the
+        prefix is defective."""
+        prefix = _normalize_prefix(prefix_text)
         if prefix is None:
             return None
-        origin, neighbor = path
         self.prefix_of.append(prefix)
         self.origin_of.append(origin)
         self.neighbor_of.append(neighbor)
@@ -228,6 +237,14 @@ def _parse_path(text: str) -> tuple[int, int] | None:
     if first is None:
         return None
     return asn, first
+
+
+# A plain line: a prefix of hex digits, dots and colons with a length, a
+# comma, and ASNs of at most nine digits (so within ASN_MAX) separated by
+# single spaces, then at most one line end.  It holds no quote, so csv
+# reads it as these two cells; group 3 is the last ASN after the first.
+_plain_line = re.compile(
+    rb"([0-9A-Fa-f.:]+/[0-9]{1,3}),([0-9]{1,9})(?: ([0-9]{1,9}))*(?:\r\n|\n|\r)?").fullmatch
 
 
 def _resolve_column(header: list[str], name: str) -> int:
@@ -303,14 +320,17 @@ def parse_snapshot(
     `prefix` and the `as_path` column, with empty paths, non-numeric path
     tokens (including brace-delimited AS_SET segments) or unparseable
     prefixes are skipped.
-    Each line is looked up in the memo as raw bytes; one `csv.reader`
-    reads the header and every line the memo has not decided, and only
-    those lines are decoded: the first with `utf-8-sig`, which drops a
-    leading byte-order mark, the others as strict UTF-8, so a byte that
-    is not UTF-8 raises UnicodeDecodeError (a ValueError).  `intern` is
-    shared by the snapshots of one series, and its columns give each id's
-    fields; when None a fresh table is used, and the ids then serve only
-    to count rows.
+    Each line is looked up in the memo as raw bytes.  Under a
+    `prefix,as_path` header a line the memo has not decided that is a
+    plain line, no longer than csv's field limit, is decided from one
+    match of `_plain_line`.  One `csv.reader` reads the header and every
+    other line the memo has not decided, and only those lines are
+    decoded: the first with `utf-8-sig`, which drops a leading byte-order
+    mark, the others as strict UTF-8, so a byte that is not UTF-8 raises
+    UnicodeDecodeError (a ValueError).  `intern` is shared by the
+    snapshots of one series, and its columns give each id's fields; when
+    None a fresh table is used, and the ids then serve only to count
+    rows.
     """
     lines = chain.from_iterable(_blocks(source))
     feed = _LineFeed(lines)
@@ -330,30 +350,42 @@ def parse_snapshot(
     # key, so a repeated one costs a single lookup.  The two names differ,
     # so they resolve to two columns.
     by_line = len(header) == len(layout)
+    # Under a `prefix,as_path` header a plain line is decided from one
+    # match.  csv refuses a cell longer than its field limit, so a longer
+    # line is left to csv.
+    plain = _plain_line if by_line and layout == (0, 1) else None
+    limit = csv.field_size_limit()
     entries: list[int] = []
     skipped = 0
     for line in lines:
         entry = memo.get(line, _UNSEEN) if by_line else _UNSEEN
         if entry is _UNSEEN:
-            feed.line = line.decode()
-            row = next(reader)
-            if not row:  # a blank line
-                continue
-            try:
-                cells = cells_of(row)
-            except IndexError:  # a row short of a mapped column is skipped
-                skipped += 1
-                continue
-            if by_line and not feed.read_on:
-                # The line just missed the memo and is the row's key.
-                entry = memo[line] = intern.entry(cells)
+            if plain and (match := plain(line)) and len(line) <= limit:
+                # csv would end the record on this line with these two
+                # cells, so the line is the row's key.
+                prefix, neighbor, origin = match.groups()
+                entry = memo[line] = intern.add(prefix.decode(), int(origin or neighbor), int(neighbor))
             else:
-                # Under a header with other columns, or for a record
-                # csv did not end on this line (it read on into the next
-                # lines, or to the end of the file), the key is the cells.
-                entry = memo.get(cells, _UNSEEN)
-                if entry is _UNSEEN:
-                    entry = memo[cells] = intern.entry(cells)
+                feed.line = line.decode()
+                row = next(reader)
+                if not row:  # a blank line
+                    continue
+                try:
+                    cells = cells_of(row)
+                except IndexError:  # a row short of a mapped column is skipped
+                    skipped += 1
+                    continue
+                if by_line and not feed.read_on:
+                    # The line just missed the memo and is the row's key.
+                    entry = memo[line] = intern.entry(cells)
+                else:
+                    # Under a header with other columns, or for a record
+                    # csv did not end on this line (it read on into the
+                    # next lines, or to the end of the file), the key is
+                    # the cells.
+                    entry = memo.get(cells, _UNSEEN)
+                    if entry is _UNSEEN:
+                        entry = memo[cells] = intern.entry(cells)
         if entry is None:
             skipped += 1
         else:

@@ -147,6 +147,9 @@ class GroundTruth:
     metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]]
     unreachable: dict[str, dict[str, tuple[int, ...]]]
     new_origins: dict[str, dict[str, tuple[int, ...]]]
+    # Baseline origins absent on the final day but present on a snapshot
+    # of the confirmation window before it: flaps, not losses.
+    flapping_origins: dict[str, dict[str, tuple[int, ...]]]
     offline: dict[str, dict[str, dict[int, int]]]
     outages: dict[str, dict[str, dict[str, tuple[tuple[dt.date, dt.date], ...]]]]
 
@@ -177,6 +180,8 @@ class GroundTruth:
                          for ixp, per in doc["unreachable"].items()},
             new_origins={ixp: {cc: tuple(v) for cc, v in per.items()}
                          for ixp, per in doc["new_origins"].items()},
+            flapping_origins={ixp: {cc: tuple(v) for cc, v in per.items()}
+                              for ixp, per in doc["flapping_origins"].items()},
             offline={ixp: {cc: {int(asn): days for asn, days in per_cc.items()}
                            for cc, per_cc in per.items()}
                      for ixp, per in doc["offline_days"].items()},
@@ -444,13 +449,16 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
 
     # Walk the calendar emitting snapshots and recording outcomes.
     gt_metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]] = {}
-    presence: dict[str, dict[int, set[dt.date]]] = {ixp: {} for ixp in ixps}
+    # presence[ixp][origin] has bit i set when the origin is announced on
+    # snapshot day i: the baseline is bit 0 and the final day the last bit.
+    presence: dict[str, dict[int, int]] = {ixp: {} for ixp in ixps}
     header = f"{PREFIX_COLUMN},{AS_PATH_COLUMN}\n"
 
     for ixp in ixps:
         (snapshots_dir / ixp).mkdir(parents=True, exist_ok=True)
         gt_metrics[ixp] = {cc: {} for cc in countries}
-        for day, path in snapshot_paths(snapshots_dir, ixp, snapshot_days):
+        seen = presence[ixp]
+        for index, (day, path) in enumerate(snapshot_paths(snapshots_dir, ixp, snapshot_days)):
             tests = [test for first, last, test in withheld[ixp] if first <= day <= last]
             rows: list[str] = []
             first_hops: set[int] = set()
@@ -468,7 +476,7 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
                 day_origins[cc].add(route.origin)
                 day_prefixes[cc].add(route.prefix)
                 first_hops.add(route.path[0])
-                presence[ixp].setdefault(route.origin, set()).add(day)
+                seen[route.origin] = seen.get(route.origin, 0) | 1 << index
 
             for cc in countries:
                 neigh = sum(1 for hop in first_hops if registered.get(hop) == cc)
@@ -480,30 +488,31 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     # Reachability, presence and outage expectations.
     unreachable: dict[str, dict[str, tuple[int, ...]]] = {}
     new_origins: dict[str, dict[str, tuple[int, ...]]] = {}
+    flapping: dict[str, dict[str, tuple[int, ...]]] = {}
     offline: dict[str, dict[str, dict[int, int]]] = {}
     outages: dict[str, dict[str, dict[str, tuple[tuple[dt.date, dt.date], ...]]]] = {}
     # Day counts, not timedeltas: a window of any size stays inside the date type.
-    confirm_days = [day for day in snapshot_days
-                    if 0 < (spec.final - day).days <= spec.confirmation_window]
+    confirm = sum(1 << index for index, day in enumerate(snapshot_days)
+                  if 0 < (spec.final - day).days <= spec.confirmation_window)
     n_days = len(snapshot_days)
+    final_bit = 1 << (n_days - 1)
 
     for ixp in ixps:
         unreachable[ixp] = {}
         new_origins[ixp] = {}
+        flapping[ixp] = {}
         offline[ixp] = {}
         outages[ixp] = {}
         seen = presence[ixp]
         for cc in countries:
             ever = {asn for asn in seen if registered.get(asn) == cc}
-            base = {asn for asn in ever if spec.baseline in seen[asn]}
-            final_present = {asn for asn in ever if spec.final in seen[asn]}
-            lost = {
-                asn for asn in base
-                if spec.final not in seen[asn] and all(day not in seen[asn] for day in confirm_days)
-            }
+            base = {asn for asn in ever if seen[asn] & 1}
+            final_present = {asn for asn in ever if seen[asn] & final_bit}
+            lost = {asn for asn in base if not seen[asn] & (final_bit | confirm)}
             unreachable[ixp][cc] = tuple(sorted(lost))
             new_origins[ixp][cc] = tuple(sorted(final_present - base))
-            offline[ixp][cc] = {asn: n_days - len(seen[asn]) for asn in sorted(ever)}
+            flapping[ixp][cc] = tuple(sorted(base - final_present - lost))
+            offline[ixp][cc] = {asn: n_days - seen[asn].bit_count() for asn in sorted(ever)}
             per_metric = {}
             day_list = sorted(gt_metrics[ixp][cc])
             for mi, metric in enumerate(METRIC_NAMES):
@@ -529,6 +538,7 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
         metrics=gt_metrics,
         unreachable=unreachable,
         new_origins=new_origins,
+        flapping_origins=flapping,
         offline=offline,
         outages=outages,
     )
@@ -578,7 +588,7 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     Of `result` only `config.output_dir` is read.  For each (IXP, country)
     pair of the ground truth, under that directory: `metrics/<ixp>_<cc>.csv`,
     `outages/<ixp>_<cc>.csv`, `reachability/<ixp>_<cc>_origins.csv` and
-    the `lost_asns` and `new_asns` of the pair's line in
+    the `lost_asns`, `new_asns` and `flapping_asns` of the pair's line in
     `reachability/<cc>_records.txt`.  A pair without its metrics file is
     missing; another of its files that is missing or does not parse is
     one problem naming that file.
@@ -596,7 +606,7 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 series = _read(metrics_path, read_metrics_csv)
                 events = _read(out / "outages" / f"{ixp}_{cc}.csv", read_events_csv)
                 origins = _read(out / "reachability" / f"{ixp}_{cc}_origins.csv", read_origins_csv)
-                lost_asns, new_asns = _lost_and_new(out / "reachability" / f"{cc}_records.txt", ixp)
+                lost_asns, new_asns, flapping_asns = _records_asns(out / "reachability" / f"{cc}_records.txt", ixp)
             except (OSError, ValueError) as exc:
                 problems.append(f"{where}: {exc}")
                 continue
@@ -604,8 +614,11 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
             expected_dates = sorted(expected)
             got_dates = list(series.dates)
             if got_dates != expected_dates:
+                missing = min(set(expected_dates) - set(got_dates), default="none")
+                extra = min(set(got_dates) - set(expected_dates), default="none")
                 problems.append(
-                    f"{where}: series covers {len(got_dates)} days, expected {len(expected_dates)}")
+                    f"{where}: series covers {len(got_dates)} days, expected {len(expected_dates)}; "
+                    f"first missing {missing}, first extra {extra}")
             for day, got in zip(series.dates, zip(*map(series.values, METRIC_NAMES))):
                 want = expected.get(day)
                 if want is not None and got != want:
@@ -616,6 +629,8 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                                 f"(expected {len(gt.unreachable[ixp][cc])}, got {len(lost_asns)})")
             if new_asns != gt.new_origins[ixp][cc]:
                 problems.append(f"{where}: new origins differ")
+            if flapping_asns != gt.flapping_origins[ixp][cc]:
+                problems.append(f"{where}: flapping origins differ")
 
             expected_offline = gt.offline[ixp][cc]
             if [row[0] for row in origins] != sorted(expected_offline):
@@ -647,15 +662,16 @@ def _read(path: Path, read: Callable[[IO[str]], T]) -> T:
         return read(handle)
 
 
-def _lost_and_new(path: Path, ixp: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The `lost_asns` and `new_asns` of `ixp`'s line of a records file;
-    ValueError naming the file when that line is missing or does not parse."""
+def _records_asns(path: Path, ixp: str) -> tuple[tuple[int, ...], ...]:
+    """The `lost_asns`, `new_asns` and `flapping_asns` of `ixp`'s line of a
+    records file; ValueError naming the file when that line is missing or
+    does not parse."""
     for line in path.read_text(encoding="utf-8").splitlines():
         fields = dict(cell.partition("=")[::2] for cell in line.split(" "))
         if fields.get("ixp") == ixp:
             try:
                 return tuple(tuple(map(int, filter(None, fields[key].split(","))))
-                             for key in ("lost_asns", "new_asns"))
+                             for key in ("lost_asns", "new_asns", "flapping_asns"))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: the line for IXP {ixp!r} does not parse: {exc!r}") from None
     raise ValueError(f"{path}: no line for IXP {ixp!r}")

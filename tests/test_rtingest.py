@@ -206,6 +206,47 @@ class TestParseSnapshot:
                                        f"198.51.100.0/24,{path}\n".encode(): later.entries[1]}
         assert rows_of(later, intern) == [(prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24")]
 
+    # (prefix, as_path, plain): rows on both sides of the plain-line
+    # pattern.  A plain line is decided from one match, any other by csv.
+    BOUNDARY_ROWS = [
+        ("192.0.2.7/24", "174 3216 25133", True),
+        ("2001:DB8:ABCD::1/48", "6939 999999999", True),
+        ("FE80::1:ABCD/64", "0", True),
+        ("10.1.2.3/8", "007 0174", True),
+        ("::ffff:192.0.2.7/120", "25133", True),
+        ("198.51.100.0/024", "174 25133", True),
+        ("300.0.0.0/8", "174", True),
+        ("192.0.2.0/33", "174 25133", True),
+        ("192.0.2.0/24", "174 4294967295", False),
+        ("192.0.2.0/24", "174 4294967296", False),
+        ("198.51.100.0/24", "174  25133", False),
+        ("198.51.100.0/24", " 174", False),
+        ("198.51.100.0/24", "174 25133 ", False),
+        ("192.0.2.0/24", "", False),
+        ("192.0.2.0/24", "174 {64512 64513}", False),
+        ("192.0.2.0", "174", False),
+        (" 192.0.2.0/24", "174", False),
+        ("192.0.2.0/24", "174 25133", True),
+    ]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_plain_and_quoted_forms_give_equal_rows(self, monkeypatch, end):
+        by_csv = []
+        real_entry = InternTable.entry
+        monkeypatch.setattr(InternTable, "entry", lambda table, cells: by_csv.append(cells) or real_entry(table, cells))
+        cells = [("prefix", "as_path")] + [(prefix, path) for prefix, path, _ in self.BOUNDARY_ROWS]
+        plain = "".join(f"{prefix},{path}{end}" for prefix, path in cells)
+        quoted = "".join(f'"{prefix}","{path}"{end}' for prefix, path in cells)
+        not_plain = [(prefix, path) for prefix, path, is_plain in self.BOUNDARY_ROWS if not is_plain]
+        expected = reference_parse(io.StringIO(plain, newline=""))
+        assert expected[1] == 5
+        # Only the rows that are not plain take csv, with or without the
+        # last line's end; every quoted row takes csv.
+        for text, through_csv in ((plain, not_plain), (plain.rstrip(end), not_plain), (quoted, cells[1:])):
+            by_csv.clear()
+            assert parse_rows(text) == expected
+            assert by_csv == through_csv
+
 
 def write_snapshot_file(root, ixp, d, rows):
     ixp_dir = root / ixp
@@ -646,6 +687,10 @@ LONG_LINE = (b" " * (FIELD_LIMIT - 10) + b"10.0.0.0/8,"
              + b" " * (FIELD_LIMIT - 9) + b"174 25133")
 assert len(LONG_LINE) > rtingest._BLOCK
 
+# A path of single-spaced ASNs exactly as long as csv's field limit.
+PLAIN_PATH_AT_LIMIT = b"174 " * (FIELD_LIMIT // 4 - 1) + b"25133"[:FIELD_LIMIT % 4 + 4]
+assert len(PLAIN_PATH_AT_LIMIT) == FIELD_LIMIT
+
 # One IXP's days, in order: each memo is warm with the lines of the days
 # before it.  Every day holds lines a split on commas would misread.
 ADVERSARIAL_DAYS = [
@@ -664,6 +709,10 @@ ADVERSARIAL_DAYS = [
     "prefix,as_path\n10.0.0.0/8,174 25133\x0c\n10.0.0.0/8,174 25133 \n".encode(),
     b"prefix,as_path\n10.0.0.0/8,174 25133\n10.0.0.0/8,174\x00 25133\n192.0.2.0/24,174\n",
     b"prefix,as_path\n10.0.0.0/8,174 25133\n192.0.2.0/24," + b"1" * (FIELD_LIMIT + 1) + b"\n",
+    # Plain lines whose path is as long as csv's field limit, and one byte
+    # longer: csv reads the first and refuses the second.
+    b"prefix,as_path\n10.0.0.0/8," + PLAIN_PATH_AT_LIMIT + b"\n",
+    b"prefix,as_path\n10.0.0.0/8," + PLAIN_PATH_AT_LIMIT + b"0\n",
     b"prefix,as_path,note\n10.0.0.0/8,174 25133," + b"x" * (FIELD_LIMIT - 5) + b"\n10.0.0.0/8,174 25133,\n",
     b"as_path,prefix\n174 25133,10.0.0.0/8\n10.0.0.0/8,174 25133\n",
     b"prefix,as_path,other\n10.0.0.0/8,174 25133,192.0.2.0/24\n",
@@ -724,9 +773,13 @@ def test_load_series_matches_a_csv_reader_reference(tmp_path, monkeypatch, block
 
 # The fuzzer's alphabet: good and bad cells, separators, quotes, each line
 # end, NUL, a byte that is not UTF-8, a byte-order mark and a tab.
-FUZZ_CELLS = [b"10.0.0.0/8", b"192.0.2.7/24", b"2001:DB8::/32", b"::ffff:192.0.2.7/120"]
-FUZZ_PIECES = FUZZ_CELLS + [b"x", b"174", b"25133", b" ", b"174 25133", b"{64512,64513}", str(ASN_MAX + 1).encode(),
-                            b",", b'"', b"\n", b"\r\n", b"\r", b"\x00", b"\xff", b"\t", b"\xef\xbb\xbf"]
+FUZZ_CELLS = [b"10.0.0.0/8", b"192.0.2.7/24", b"2001:DB8::/32", b"::ffff:192.0.2.7/120",
+              b"FE80::1:ABCD/64", b"203.0.113.77/16"]
+# Paths on both sides of the plain-line pattern: nine and ten digits, ASN_MAX
+# and past it, and two spaces.
+FUZZ_PATHS = [b"174 25133", b"25133", b"6939 174 25133", b"174 999999999", str(ASN_MAX).encode(), b"174  25133"]
+FUZZ_PIECES = FUZZ_CELLS + FUZZ_PATHS + [b"x", b"174", b" ", b"{64512,64513}", str(ASN_MAX + 1).encode(),
+                                         b",", b'"', b"\n", b"\r\n", b"\r", b"\x00", b"\xff", b"\t", b"\xef\xbb\xbf"]
 FUZZ_HEADERS = [b"prefix,as_path", b"as_path,prefix", b"prefix,as_path,note", b'"prefix","as_path"', b"prefix,path"]
 FUZZ_ENDS = [b"\n", b"\r\n", b"\r"]
 FUZZ_BLOCKS = [1, 2, 3, 5, 7, 16, 64, 1 << 18]
@@ -738,7 +791,7 @@ def fuzz_days(rng):
     pool = []
     for _ in range(rng.randint(1, 6)):
         if rng.random() < 0.5:
-            line = rng.choice(FUZZ_CELLS) + b"," + rng.choice([b"174 25133", b"25133", b"6939 174 25133"])
+            line = rng.choice(FUZZ_CELLS) + b"," + rng.choice(FUZZ_PATHS)
         else:
             line = b"".join(rng.choices(FUZZ_PIECES, k=rng.randint(1, 6)))
         pool.append(line + rng.choice(FUZZ_ENDS))

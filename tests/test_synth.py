@@ -1,3 +1,4 @@
+import datetime as dt
 import filecmp
 import hashlib
 import json
@@ -122,19 +123,25 @@ class TestGenerate:
             ),
             gap_dates=(day(6),),
         )
-        pinned = {"first": (first, "4dbf31e264c6bf6f62965500cedf0721e1462e37a853b0d83f3ce16753d79fa3"),
-                  "second": (second, "2eee8e122e7aceba716ef105ff91cdb8b416d64366fad47a2d8656d36ad4a03f")}
-        for name, (spec, want) in pinned.items():
+        # Two digests each: the program's inputs (the delegated file and the
+        # snapshots), and the ground truth, which the inputs do not depend on.
+        pinned = {"first": (first, "45d7830b0789d152e238b030519c97b08ae8c9d4ec07c10d470f825e4f436e42",
+                            "6f95f220a4deae0ed3cc49c41904b1476f9787710356abf0488ef237b43e8a9d"),
+                  "second": (second, "1956f96052dd27f1a8b9c6ed65d4ae9c67ed2f9528d53acde89dcfad8d116bef",
+                             "083345c3e44b971028a8ffbd74524253fd8ef172d4f0fa2acddac8673263cd84")}
+        for name, (spec, want_inputs, want_truth) in pinned.items():
             assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KEYS)
             scen = tmp_path / name
             gt = synth.generate(spec, scen)
             files = sorted(path for path in scen.rglob("*") if path.is_file())
             assert [path.relative_to(scen).as_posix() for path in files[:2]] == ["delegated.txt", "ground_truth.json"]
             assert len(files) == 2 + 2 * 13  # two IXPs, 14 days less the gap
-            digest = hashlib.sha256()
+            digests = {"inputs": hashlib.sha256(), "truth": hashlib.sha256()}
             for path in files:
-                digest.update(path.relative_to(scen).as_posix().encode() + b"\0" + path.read_bytes())
-            assert digest.hexdigest() == want, name
+                part = "truth" if path.name == "ground_truth.json" else "inputs"
+                digests[part].update(path.relative_to(scen).as_posix().encode() + b"\0" + path.read_bytes())
+            assert {part: digest.hexdigest() for part, digest in digests.items()} == {
+                "inputs": want_inputs, "truth": want_truth}, name
             assert synth.verify(gt, analyze_generated(tmp_path, gt, name)) == []
 
     def test_ground_truth_json_round_trip(self, tmp_path):
@@ -186,9 +193,35 @@ class TestDisruptions:
         ])
         gt = synth.generate(spec, tmp_path / "scen")
         assert gt.confirmation_window == 3_000_000 and gt.unreachable["amsix"]["UA"] == ()
+        assert len(gt.flapping_origins["amsix"]["UA"]) == 2
         result = analyze_generated(tmp_path, gt)
-        assert len(result.pairs["amsix", "UA"].report.flapping_asns) == 2
+        assert result.pairs["amsix", "UA"].report.flapping_asns == gt.flapping_origins["amsix"]["UA"]
         assert synth.verify(gt, result) == []
+
+    def test_flap_in_the_confirmation_window_is_recorded_and_checked(self, tmp_path):
+        # Two origins withheld on the final day only: seen on the days of the
+        # confirmation window before it, so they flap and are not lost.
+        spec = tiny_spec(days=10, origins=6, seed=4, confirmation_window=2, disruptions=[
+            Disruption("origin_removal", "amsix", "UA", day(9), day(9), count=2),
+            Disruption("permanent_loss", "amsix", "UA", day(5), count=1),
+        ])
+        gt = synth.generate(spec, tmp_path / "scen")
+        flapping = gt.flapping_origins["amsix"]["UA"]
+        assert len(flapping) == 2 and len(gt.unreachable["amsix"]["UA"]) == 1
+        result = analyze_generated(tmp_path, gt)
+        assert result.pairs["amsix", "UA"].report.flapping_asns == flapping
+        assert synth.verify(gt, result) == []
+        # A records line that counts the flaps as losses is caught.
+        path = result.config.output_dir / "reachability" / "UA_records.txt"
+        text = path.read_text(encoding="utf-8")
+        lost = ",".join(map(str, gt.unreachable["amsix"]["UA"]))
+        flaps = ",".join(map(str, flapping))
+        assert text.count(f" lost_asns={lost} ") == 1 and text.endswith(f" flapping_asns={flaps}\n")
+        merged = ",".join(map(str, sorted(gt.unreachable["amsix"]["UA"] + flapping)))
+        path.write_text(text.replace(f" lost_asns={lost} ", f" lost_asns={merged} ")
+                        .replace(f" flapping_asns={flaps}\n", " flapping_asns=\n"), encoding="utf-8")
+        assert synth.verify(gt, result) == [
+            "amsix/UA: lost origins differ (expected 1, got 3)", "amsix/UA: flapping origins differ"]
 
     def test_join_creates_new_origins_in_report(self, tmp_path):
         spec = tiny_spec(days=12, origins=6, seed=11, disruptions=[
@@ -345,8 +378,21 @@ class TestVerifySensitivity:
         gt, result = self.build(tmp_path)
         expected = gt.metrics["amsix"]["UA"]
         days = len(expected)
-        del expected[sorted(expected)[3]]
-        assert synth.verify(gt, result) == [f"amsix/UA: series covers {days} days, expected {days - 1}"]
+        extra = sorted(expected)[3]
+        del expected[extra]
+        assert synth.verify(gt, result) == [
+            f"amsix/UA: series covers {days} days, expected {days - 1}; first missing none, first extra {extra}"]
+
+    def test_shifted_series_date_names_both_dates(self, tmp_path):
+        # As many days as expected, one of them a day late.
+        gt, result = self.build(tmp_path)
+        last = max(gt.metrics["amsix"]["UA"])
+        later = last + dt.timedelta(days=1)
+        path = result.config.output_dir / "metrics" / "amsix_UA.csv"
+        edit_row(path, len(gt.metrics["amsix"]["UA"]), lambda cells: cells[:2] + [later.isoformat()] + cells[3:])
+        days = len(gt.metrics["amsix"]["UA"])
+        assert synth.verify(gt, result) == [
+            f"amsix/UA: series covers {days} days, expected {days}; first missing {last}, first extra {later}"]
 
     def test_tampered_new_origins_are_caught(self, tmp_path):
         gt, result = self.build(tmp_path)

@@ -48,21 +48,23 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # --- 2) Build ---------------------------------------------------------
     # build_from_files reads each file once and folds every ASN row straight
-    # into one ASN -> Delegation map.  A Delegation is what one row gives
-    # each ASN of its range (country, registry, date), so arin's 100..104
-    # range shares one.  AS 12389 appears in both files: the row with the
-    # *latest* allocation date wins (then the registry, then the country
-    # decide a tie), and the duplicate counts as a conflict.  Rows that
-    # should be ASN records but do not parse come back as (registry, line
-    # number, reason).
+    # into one ASN -> record map.  A record is the plain tuple
+    # (rank, registry, country, date) that one row gives each ASN of its
+    # range, so arin's 100..104 range shares one; rank is minus the date's
+    # day number, so the smaller tuple is the one kept.  AS 12389 appears
+    # in both files: the row with the *latest* allocation date wins (then
+    # the registry, then the country decide a tie), and the duplicate
+    # counts as a conflict.  Rows that should be ASN records but do not
+    # parse come back as (registry, line number, reason).
 
     db, skipped = asndb.build_from_files(items)
     print(f"database: {len(db)} ASNs, {db.conflicts} conflict(s) resolved")
     print("skipped rows:", skipped)
-    print("AS 12389 ->", db.records[12389], "(arin's 2015 row beat ripencc's 1998 one)")
-    print("AS 25133 ->", db.records[25133])
+    _, registry, country, date = db.records[12389]
+    print(f"AS 12389 -> {country} ({registry} {date}: arin's 2015 row beat ripencc's 1998 one)")
+    print("AS 25133 -> (rank, registry, country, date) =", db.records[25133])
     assert db.records[100] is db.records[104]
-    print("AS 100..104 share one Delegation:", db.records[100])
+    print("AS 100..104 share one record tuple:", db.records[100])
 
     # --- 3) Persist and reload ----------------------------------------------
     # The on-disk form is a sorted, diffable asn|country|registry|date file
@@ -79,7 +81,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\npersisted form:")
     print(path.read_text())
     reloaded = asndb.load(path)
-    assert reloaded.countries == {asn: rec.country for asn, rec in db.records.items()}
+    assert reloaded.countries == {asn: country for asn, (_, _, country, _) in db.records.items()}
     assert (reloaded.source_files, reloaded.conflicts) == (db.source_files, db.conflicts)
     index = Path(f"{path}.idx")
     print(f"country index: {index.name}, {index.stat().st_size} bytes")

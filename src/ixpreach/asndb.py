@@ -11,10 +11,10 @@ digits.  The module has two sides:
 
 * building (`build_from_files` -> `save`, the `build-asndb` path) reads
   each file once, a line at a time, and folds each ASN row straight into
-  one ASN -> `Delegation` map: every ASN of a row shares the row's
-  country, registry and allocation date, and of two rows that cover an
-  ASN the later date wins.  `save` writes the result as a sorted
-  pipe-separated text file;
+  one ASN -> record map.  A record is a plain `(rank, registry, country,
+  date)` tuple (see `MergedRecords`): every ASN of a row shares the
+  row's one tuple, and of two rows that cover an ASN the later date
+  wins.  `save` writes the result as a sorted pipe-separated text file;
 * looking up (`load`, what `analyze` reads) turns that file into an
   `AsnDb`: an ASN -> country map with one shared `str` per distinct code.
   Registry and date live only in the saved file: `load` checks that the
@@ -60,30 +60,22 @@ _INDEX_MAGIC = b"# asndb index 2: u32le asns, u16le code positions\n"
 _INDEX_LINE_MAX = 4096
 
 
-class Delegation(NamedTuple):
-    """What one delegated row gives every ASN of its range: the country,
-    registry and date `save` writes, and the rank that orders it.
+class MergedRecords(NamedTuple):
+    """The built database: the kept record of each ASN (the ASNs of a row
+    share one), the provenance and the number of duplicate ASN records
+    the build resolved.
 
-    The fields run in the order of preference, so of two delegations of
-    one ASN the smaller tuple is kept: the latest date first (`rank` is
-    minus the date's ordinal, and 0 for a row without a date, which sorts
-    oldest), then the registry, then the country.  `date` is the
-    `YYYYMMDD` text of the rank's date, "" for none, so it never breaks a
-    tie.
+    A record is the plain tuple `(rank, registry, country, date)` that
+    one delegated row gives every ASN of its range.  Its fields run in
+    the order of preference, so of two records of one ASN the smaller
+    tuple is kept: the latest date first (`rank` is minus the date's
+    ordinal, and 0 for a row without a date, which sorts oldest), then
+    the registry, then the country.  `date` is the `YYYYMMDD` text of the
+    rank's date, "" for none, so it never breaks a tie.  `save` writes
+    the country, registry and date as they are.
     """
 
-    rank: int
-    registry: str
-    country: str
-    date: str
-
-
-class MergedRecords(NamedTuple):
-    """The built database: the kept Delegation of each ASN (the ASNs of a
-    row share one), the provenance and the number of duplicate ASN
-    records the build resolved."""
-
-    records: dict[int, Delegation]
+    records: dict[int, tuple[int, str, str, str]]
     source_files: tuple[tuple[str, str], ...] = ()
     conflicts: int = 0
 
@@ -134,8 +126,8 @@ def _parse_date(text: str) -> dt.date | None:
 
 
 class _DateMemo(dict):
-    """Date text -> (`Delegation.rank`, `Delegation.date`), each distinct
-    text parsed once.
+    """Date text -> the `(rank, date)` fields of a record tuple (see
+    `MergedRecords`), each distinct text parsed once.
 
     A build shares one memo across its files, and `load` uses one for the
     text it reads; a database holds about ten times more rows than
@@ -159,12 +151,12 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
     (NRO-style) files work too.  Comment, version, summary (six fields,
     the last `summary`), non-asn and availability/reserved rows are
     skipped silently; rows that should be ASN records but do not parse
-    are logged.  Each ASN keeps the smallest Delegation of the rows that
-    cover it, and every other ASN record counts as a conflict, so the
-    result does not depend on the order of `items` or of their rows.
+    are logged.  Each ASN keeps the smallest record tuple of the rows
+    that cover it, and every other ASN record counts as a conflict, so
+    the result does not depend on the order of `items` or of their rows.
     Source file hashes go into the provenance.
     """
-    chosen: dict[int, Delegation] = {}
+    chosen: dict[int, tuple[int, str, str, str]] = {}
     dates = _DateMemo()
     provenance = []
     skipped: list[tuple[str, int, str]] = []
@@ -195,12 +187,11 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
             if cc not in COUNTRY_CODES:
                 skipped.append((registry, lineno, f"bad country code {cc!r}"))
                 continue
-            try:
-                first = _number(start)
-                count = _number(value)
-            except ValueError:
+            # The test `_number` makes, inline: this runs once per ASN row.
+            if not (start.isascii() and start.isdigit() and value.isascii() and value.isdigit()):
                 skipped.append((registry, lineno, "non-numeric asn start or value"))
                 continue
+            first, count = int(start), int(value)
             if count < 1 or first < 1 or first + count - 1 > ASN_MAX:
                 skipped.append((registry, lineno, "asn range out of bounds"))
                 continue
@@ -209,10 +200,15 @@ def build_from_files(items: Iterable[tuple[str, str | Path]]) -> tuple[MergedRec
             except ValueError:
                 skipped.append((registry, lineno, f"bad date {date_text!r}"))
                 continue
-            row = Delegation(rank, row_registry, cc, date)
-            for asn in range(first, first + count):
-                if row < chosen.setdefault(asn, row):
-                    chosen[asn] = row
+            row = (rank, row_registry, cc, date)
+            if count == 1:  # most rows: one lookup, no range
+                kept = chosen.get(first)
+                if kept is None or row < kept:
+                    chosen[first] = row
+            else:
+                for asn in range(first, first + count):
+                    if row < chosen.setdefault(asn, row):
+                        chosen[asn] = row
             total += count
     merged = MergedRecords(records=chosen, source_files=tuple(sorted(set(provenance))),
                            conflicts=total - len(chosen))
@@ -234,12 +230,12 @@ def save(db: MergedRecords, path: str | Path) -> None:
     lines.append(f"# records {len(db.records)} conflicts {db.conflicts}")
     asns = sorted(db.records)
     picks = list(map(db.records.__getitem__, asns))
-    lines += [f"{asn}|{pick.country}|{pick.registry}|{pick.date}" for asn, pick in zip(asns, picks)]
+    lines += [f"{asn}|{country}|{registry}|{date}" for asn, (_, registry, country, date) in zip(asns, picks)]
     text = ("\n".join(lines) + "\n").encode("utf-8")
     Path(path).write_bytes(text)
 
     codes: dict[str, int] = {}
-    positions = [codes.setdefault(pick.country, len(codes)) for pick in picks]
+    positions = [codes.setdefault(country, len(codes)) for _, _, country, _ in picks]
     asn_array, position_array = array("I", asns), array("H", positions)
     if sys.byteorder == "big":
         asn_array.byteswap()

@@ -13,7 +13,7 @@ import pytest
 
 import ixpreach
 from ixpreach import asndb, cli
-from ixpreach.asndb import REGISTRIES, Delegation, MergedRecords
+from ixpreach.asndb import REGISTRIES, MergedRecords
 
 # Hand-computed totals for the five fixture files: 4 + 6 + 4 + 2 + 3 raw
 # records, AS 65000 appears in three registries, one arin row is malformed.
@@ -104,9 +104,9 @@ DATES = asndb._DateMemo()
 
 
 def delegation(country, registry, date_text=""):
-    """The Delegation a delegated row of `date_text` gives its ASNs."""
+    """The record tuple a delegated row of `date_text` gives its ASNs."""
     rank, date = DATES[date_text]
-    return Delegation(rank, registry, country, date)
+    return (rank, registry, country, date)
 
 
 def build_text(directory, *texts):
@@ -122,7 +122,7 @@ def build_text(directory, *texts):
 
 def as_loaded(db):
     """The AsnDb that `load` returns for a saved MergedRecords `db`."""
-    countries = {asn: rec.country for asn, rec in db.records.items()}
+    countries = {asn: country for asn, (_, _, country, _) in db.records.items()}
     return asndb.AsnDb(countries=countries, source_files=db.source_files, conflicts=db.conflicts)
 
 
@@ -224,7 +224,7 @@ class TestDelegatedRows:
         assert sorted(db.records) == [101, 103]
         assert skipped == [(registry, lineno, "bad date '20021301'")
                            for registry in REGISTRIES[:2] for lineno in (1, 3)]
-        assert all(rec.date == "20020701" for rec in db.records.values())
+        assert all(date == "20020701" for _, _, _, date in db.records.values())
 
     def test_combined_file_takes_registry_from_each_row(self, tmp_path):
         text = (
@@ -232,7 +232,7 @@ class TestDelegatedRows:
             "arin|US|asn|100|1|19950101|assigned\n"
         )
         db, _ = build_text(tmp_path, text)
-        assert {asn: rec.registry for asn, rec in db.records.items()} == {25133: "ripencc", 100: "arin"}
+        assert {asn: registry for asn, (_, registry, _, _) in db.records.items()} == {25133: "ripencc", 100: "arin"}
 
     def test_edge_cases_match_the_pinned_build(self, tmp_path, capsys):
         """The skip log, printed counts and saved bytes of EDGE_FILES,
@@ -256,11 +256,11 @@ class TestDelegatedRows:
 class TestDelegation:
     def test_fields_cannot_be_assigned(self):
         rec = delegation("UA", "ripencc", "20020701")
-        with pytest.raises(AttributeError):
-            rec.country = "RU"
+        with pytest.raises(TypeError):
+            rec[2] = "RU"
 
     def test_date_text_is_the_saved_form(self):
-        assert delegation("UA", "ripencc", "20020701").date == "20020701"
+        assert delegation("UA", "ripencc", "20020701")[3] == "20020701"
         assert delegation("UA", "ripencc", "00000000") == delegation("UA", "ripencc", "") == (0, "ripencc", "UA", "")
 
     def test_tuple_order_is_the_preference(self):
@@ -278,22 +278,23 @@ class TestPick:
     def test_latest_allocation_date_wins(self, tmp_path):
         db, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1|20010101|allocated\n",
                            "ripencc|RU|asn|65000|1|20100101|allocated\n")
-        assert db.records[65000].country == "RU"
+        assert db.records[65000] == delegation("RU", "ripencc", "20100101")
         assert db.conflicts == 1
 
     def test_missing_date_loses_to_any_date(self, tmp_path):
         db, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1||allocated\narin|RU|asn|65000|1|19950101|assigned\n")
-        assert db.records[65000].country == "RU"
+        assert db.records[65000] == delegation("RU", "arin", "19950101")
 
     def test_date_tie_breaks_by_registry_ascending(self, tmp_path):
         db, _ = build_text(tmp_path, "ripencc|UA|asn|65000|1|20100101|allocated\n",
                            "apnic|RU|asn|65000|1|20100101|allocated\n")
-        assert db.records[65000].country == "RU"  # apnic < ripencc
+        assert db.records[65000] == delegation("RU", "apnic", "20100101")  # apnic < ripencc
 
     def test_date_and_registry_tie_breaks_by_country_ascending(self, tmp_path):
         db, _ = build_text(tmp_path, "apnic|JP|asn|65000|3|20100101|allocated\n",
                            "apnic|CN|asn|65001|1|20100101|allocated\n")
-        assert [db.records[asn].country for asn in (65000, 65001, 65002)] == ["JP", "CN", "JP"]
+        assert [db.records[asn] for asn in (65000, 65001, 65002)] == [
+            delegation(cc, "apnic", "20100101") for cc in ("JP", "CN", "JP")]
         assert db.conflicts == 1
 
     def test_single_file_has_zero_conflicts(self, tmp_path):
@@ -342,9 +343,33 @@ class TestPick:
                 rng.shuffle(rows)
             rng.shuffle(names)
 
+    # A one-ASN row is folded by one lookup, not a range loop: it must keep
+    # the same record and count the same conflict as a range row would.
+    @pytest.mark.parametrize("single_date,range_date", [
+        ("20150101", "20010101"), ("20010101", "20150101"), ("20100101", "20100101"),
+    ], ids=["single-later", "range-later", "same-date"])
+    @pytest.mark.parametrize("single_first", [True, False], ids=["single-file-first", "range-file-first"])
+    def test_one_asn_row_folds_like_a_range_row(self, tmp_path, single_date, range_date, single_first):
+        range_row = f"ripencc|UA|asn|65000|3|{range_date}|allocated\n"
+
+        def build(directory, other_row):
+            directory.mkdir()
+            return build_text(directory, *((other_row, range_row) if single_first else (range_row, other_row)))
+
+        db, skipped = build(tmp_path / "single", f"arin|US|asn|65000|1|{single_date}|assigned\n")
+        # The same pair with the one-ASN row widened to a range that ends on
+        # AS 65000, so only that ASN is shared.
+        reference, _ = build(tmp_path / "ranges", f"arin|US|asn|64999|2|{single_date}|assigned\n")
+        assert skipped == []
+        assert db.records == {asn: rec for asn, rec in reference.records.items() if asn != 64999}
+        assert db.conflicts == reference.conflicts == 1
+        # arin sorts before ripencc, so it also wins the same-date tie.
+        assert db.records[65000] == (delegation("US", "arin", single_date) if single_date >= range_date
+                                     else delegation("UA", "ripencc", range_date))
+
     def test_lookup_never_invents_a_country(self, tmp_path):
         db, _ = build_text(tmp_path, "ripencc|UA|asn|25133|1||allocated\n")
-        assert db.records[25133].country == "UA"
+        assert db.records[25133] == delegation("UA", "ripencc")
         assert 12389 not in db.records
 
 
@@ -365,9 +390,10 @@ class TestFixtureFiles:
     def test_duplicate_as65000_resolves_to_latest_date(self, delegated_dir):
         items = [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)]
         db, _ = asndb.build_from_files(items)
-        assert db.records[65000].country == "AR"  # lacnic row, 2010, beats arin 2001 and apnic 1998
-        assert db.records[25133].country == "UA"
-        assert db.records[12389].country == "RU"
+        # lacnic row, 2010, beats arin 2001 and apnic 1998
+        assert db.records[65000] == delegation("AR", "lacnic", "20100101")
+        assert db.records[25133] == delegation("UA", "ripencc", "20020701")
+        assert db.records[12389] == delegation("RU", "ripencc", "19981230")
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from ixpreach import asndb, pipeline, synth
+from ixpreach import asndb, pipeline, reachability, synth
 from ixpreach.rtingest import DateRange, load_series
 from ixpreach.synth import CountrySpec, Disruption, GroundTruth, ScenarioSpec
 
@@ -222,6 +222,45 @@ class TestDisruptions:
                         .replace(f" flapping_asns={flaps}\n", " flapping_asns=\n"), encoding="utf-8")
         assert synth.verify(gt, result) == [
             "amsix/UA: lost origins differ (expected 1, got 3)", "amsix/UA: flapping origins differ"]
+
+    def test_flaps_at_two_ixps_are_judged(self, tmp_path, monkeypatch):
+        # Final day 13, confirmation window days 10-12, day 11 a gap.  At
+        # each IXP one removal ends inside the window (back by the final
+        # day) and one on the final day; of the latter, origins seen on a
+        # window snapshot flap and the others are lost.
+        spec = ScenarioSpec(
+            seed=3,
+            window=DateRange(BASE, day(13)),
+            ixps=("amsix", "linx"),
+            countries={"RU": CountrySpec(origin_count=8), "UA": CountrySpec(origin_count=12)},
+            gap_dates=(day(11),),
+            disruptions=(
+                Disruption("origin_removal", "amsix", "UA", day(9), day(10), count=2),
+                Disruption("origin_removal", "amsix", "UA", day(12), day(13), count=2),
+                Disruption("origin_removal", "amsix", "UA", day(10), day(13), count=1),
+                Disruption("origin_removal", "linx", "RU", day(11), day(12), count=2),
+                Disruption("origin_removal", "linx", "RU", day(13), day(13), count=2),
+            ),
+        )
+        gt = synth.generate(spec, tmp_path / "scen")
+        assert gt.flapping_origins["amsix"]["UA"] and gt.flapping_origins["linx"]["RU"]
+        assert gt.unreachable["amsix"]["UA"]
+        assert synth.verify(gt, analyze_generated(tmp_path, gt)) == []
+
+        # A reachability diff that counts flaps as losses is caught.
+        diff = reachability.diff_reachability
+
+        def flaps_as_losses(*args, **kwargs):
+            report = diff(*args, **kwargs)
+            lost = tuple(sorted(report.lost_asns + report.flapping_asns))
+            return report._replace(lost_asns=lost, flapping_asns=(),
+                                   pct_lost=reachability.pct_lost(report.total_baseline, len(lost)))
+
+        monkeypatch.setattr(reachability, "diff_reachability", flaps_as_losses)
+        gt = synth.generate(spec, tmp_path / "again")
+        problems = synth.verify(gt, analyze_generated(tmp_path, gt, "again"))
+        assert "amsix/UA: flapping origins differ" in problems
+        assert "linx/RU: flapping origins differ" in problems
 
     def test_join_creates_new_origins_in_report(self, tmp_path):
         spec = tiny_spec(days=12, origins=6, seed=11, disruptions=[

@@ -111,18 +111,14 @@ def _number(text: str) -> int:
 def _parse_date(text: str) -> dt.date | None:
     """The date of a `YYYYMMDD` text, or None for an empty or all-zero one.
 
-    Eight ASCII digits are split by position; any other text, and one
-    that is not a valid date, goes to `strptime`, which decides it and
-    words its ValueError.
+    Only eight ASCII digits that form a real date are read; any other text
+    raises ValueError, so a short text is never guessed at.
     """
     if not text or text == "00000000":
         return None
-    if len(text) == 8 and text.isascii() and text.isdigit():
-        try:
-            return dt.date(int(text[:4]), int(text[4:6]), int(text[6:]))
-        except ValueError:
-            pass
-    return dt.datetime.strptime(text, "%Y%m%d").date()
+    if not (len(text) == 8 and text.isascii() and text.isdigit()):
+        raise ValueError(f"not a YYYYMMDD date: {text!r}")
+    return dt.date(int(text[:4]), int(text[4:6]), int(text[6:]))
 
 
 class _DateMemo(dict):
@@ -137,8 +133,7 @@ class _DateMemo(dict):
 
     def __missing__(self, text: str) -> tuple[int, str]:
         date = _parse_date(text)
-        entry = self[text] = (0, "") if date is None else (
-            -date.toordinal(), f"{date.year:04d}{date.month:02d}{date.day:02d}")
+        entry = self[text] = (0, "") if date is None else (-date.toordinal(), text)
         return entry
 
 

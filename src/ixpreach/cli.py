@@ -3,10 +3,8 @@
 Subcommands: `build-asndb`, `analyze`, `plot`, `synth`.  Exit codes:
 0 success, 1 usage error, 2 data error.
 
-`analyze --config FILE` reads `key = value` lines, one setting each; the
-keys are the flag names with `_` for `-` (`baseline_date = 2022-02-19`).
-`#` starts a comment, the last line for a key wins and flags override
-the file.
+`analyze` takes every setting as a flag; only `--asndb`, `--snapshots`
+and `--out` are required, and the others default to the paper's study.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ def _catalog(text: str) -> Path | str:
     return text if text == pipeline.SEED_CATALOG else Path(text)
 
 
-# Each `analyze` setting once: config key (the flag is `--key` with `_`
-# written as `-`) -> (RunConfig field, converter, help).
+# Each `analyze` setting once: key (the flag is `--key` with `_` written
+# as `-`) -> (RunConfig field, converter, help).
 _ANALYZE_SETTINGS = {
     "asndb": ("asndb_path", Path, "ASN database file (from build-asndb)"),
     "snapshots": ("snapshot_root", Path, "snapshot root directory (<root>/<ixp>/<date>.csv)"),
@@ -72,9 +70,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_build_asndb)
 
     p = sub.add_parser("analyze", help="run the full per-IXP per-country analysis")
-    p.add_argument("--config", help="key = value config file; flags override it")
-    for key, (_, _, help_text) in _ANALYZE_SETTINGS.items():
-        p.add_argument("--" + key.replace("_", "-"), help=help_text)
+    for key, (field, _, help_text) in _ANALYZE_SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), help=help_text,
+                       required=field not in pipeline.RunConfig._field_defaults)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plot", help="render a metric series as a self-contained SVG chart")
@@ -110,27 +108,18 @@ def _cmd_build_asndb(args: argparse.Namespace) -> int:
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_DATA
     asndb.save(db, args.out)
+    for registry, lineno, reason in skipped:
+        print(f"warning: {registry}:{lineno}: {reason}", file=sys.stderr)
     print(f"records={len(db)} conflicts={db.conflicts} skipped={len(skipped)}")
     return EXIT_OK
 
 
 def _build_run_config(args: argparse.Namespace) -> pipeline.RunConfig:
-    values: dict[str, str] = {}
-    if args.config:
-        try:
-            values = pipeline.read_settings(args.config, _ANALYZE_SETTINGS)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    values.update((key, getattr(args, key)) for key in _ANALYZE_SETTINGS
-                  if getattr(args, key) is not None)
-    missing = [key for key in ("asndb", "snapshots", "out") if key not in values]
-    if missing:
-        raise UsageError(f"missing required setting(s): {', '.join(missing)} "
-                         "(set via flag or config file)")
-
     kwargs = {}
-    for key, text in values.items():
-        field, convert, help_text = _ANALYZE_SETTINGS[key]
+    for key, (field, convert, help_text) in _ANALYZE_SETTINGS.items():
+        text = getattr(args, key)
+        if text is None:
+            continue
         try:
             kwargs[field] = convert(text)
         except ValueError:

@@ -16,7 +16,7 @@ import datetime as dt
 import io
 import math
 from pathlib import Path
-from typing import Container, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import asndb, metrics, outage, reachability, rtingest
 
@@ -89,30 +89,6 @@ class AnalysisResult(NamedTuple):
     config: RunConfig
     pairs: dict[tuple[str, str], PairResult]
     averages: dict[str, float]
-
-
-def read_settings(path: str | Path, known: Container[str]) -> dict[str, str]:
-    """The `key = value` lines of a settings file, by key.
-
-    `#` starts a comment and blank lines are skipped; the last value for a
-    key wins.  A line without `=`, or whose key is not in `known`, raises
-    ValueError naming `<path>:<lineno>`.  A leading byte-order mark is
-    dropped.
-    """
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
-    return values
 
 
 def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisResult:

@@ -194,6 +194,8 @@ class TestDelegatedRows:
         ("arin|US|asn|100|1|2001-01-01|assigned", "date"),
         ("whois|US|asn|100|1|20010101|assigned", "registry"),
         ("too|few|fields", "7 fields"),
+        ("arin|US|asn|100|1|2010011|assigned", "bad date '2010011'"),
+        ("arin|US|asn|100|1|202211|assigned", "bad date '202211'"),
     ])
     def test_malformed_rows_recorded_with_line_number(self, tmp_path, row, reason_part):
         db, skipped = build_text(tmp_path, row + "\n")
@@ -247,7 +249,8 @@ class TestDelegatedRows:
         capsys.readouterr()
         assert cli.main(["build-asndb", *(arg for r, p in items for arg in ("--rir", f"{r}={p}")),
                          "--out", str(out)]) == 0
-        assert capsys.readouterr().out == EDGE_STDOUT
+        assert capsys.readouterr() == (EDGE_STDOUT, "".join(
+            f"warning: {registry}:{lineno}: {reason}\n" for registry, lineno, reason in EDGE_SKIPPED))
         assert out.read_text().splitlines()[-len(EDGE_ROWS):] == EDGE_ROWS
         assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_TEXT_SHA256
         assert hashlib.sha256(index_of(out).read_bytes()).hexdigest() == EDGE_INDEX_SHA256
@@ -440,8 +443,9 @@ class TestPersistence:
         "25133|UA|ripencc|2002-07-01",
         "4294967296|UA|ripencc|",
         "25133|usa|ripencc|20020701",
+        "25133|UA|ripencc|2010011",
     ], ids=["too-few-fields", "too-many-fields", "non-integer-asn", "signed-asn", "bad-date",
-            "asn-above-max", "bad-country-code"])
+            "asn-above-max", "bad-country-code", "short-date"])
     def test_malformed_line_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "asndb.txt"
         path.write_text(f"# asndb 1\n# records 2 conflicts 0\n12389|RU|ripencc|\n{row}\n")
@@ -650,13 +654,13 @@ class TestCountryIndex:
             asndb.load(path)
 
     def test_dates_are_saved_as_yyyymmdd_and_read_back(self, tmp_path):
-        db, _ = build_text(tmp_path, "ripencc|UA|asn|7|1|00010101|allocated\n"
-                                     "ripencc|RU|asn|8|1|09991231|allocated\n"
-                                     "ripencc|RU|asn|9|1|2010011|allocated\n")
+        db, skipped = build_text(tmp_path, "ripencc|UA|asn|7|1|00010101|allocated\n"
+                                           "ripencc|RU|asn|8|1|09991231|allocated\n"
+                                           "ripencc|RU|asn|9|1|2010011|allocated\n")
+        assert skipped == [("afrinic", 3, "bad date '2010011'")]
         path = tmp_path / "asndb.txt"
         asndb.save(db, path)
-        assert path.read_text().splitlines()[-3:] == ["7|UA|ripencc|00010101", "8|RU|ripencc|09991231",
-                                                      "9|RU|ripencc|20100101"]
+        assert path.read_text().splitlines()[-2:] == ["7|UA|ripencc|00010101", "8|RU|ripencc|09991231"]
         assert load_without_index(path) == as_loaded(db)
 
     def test_index_bytes_independent_of_hash_seed(self, tmp_path, delegated_dir):
@@ -675,23 +679,27 @@ class TestCountryIndex:
 def date_outcome(parse, text):
     try:
         return parse(text)
-    except ValueError as exc:
-        return ValueError, str(exc)
+    except ValueError:
+        return ValueError
 
 
-def strptime_date(text):
-    return dt.datetime.strptime(text, "%Y%m%d").date()
+def exact_date(text):
+    return dt.date(int(text[:4]), int(text[4:6]), int(text[6:]))
 
 
-def test_parse_date_matches_strptime():
+def test_parse_date_reads_exactly_yyyymmdd():
     texts = [f"{year:04d}{mmdd:04d}" for year in (1999, 2000, 2001) for mmdd in range(10_000)]
     texts += [f"{year}{month:02d}{d:02d}" for year in ("0000", "0001", "1900", "2024", "2100", "9999")
               for month in range(14) for d in range(33)]
-    texts += ["00000101", "20100230", "20101301", "2010011", "٢٠١٠٠١٠١", "2010-1-1", "201001011",
-              " 20100101", "20100101 ", "+2010101", "2010_101", "１２３４０１０１", "20100000", "0"]
-    assert sum(isinstance(date_outcome(strptime_date, t), dt.date) for t in texts) > 1000
+    texts += ["00000101", "20100230", "20101301", "20100000"]
+    assert sum(isinstance(date_outcome(exact_date, t), dt.date) for t in texts) > 1000
     for text in texts:
         if text != "00000000":
-            assert date_outcome(asndb._parse_date, text) == date_outcome(strptime_date, text), text
+            assert date_outcome(asndb._parse_date, text) == date_outcome(exact_date, text), text
+    # `strptime` would guess 2010-01-01, 2010-10-01 and 2022-01-01 for the first three.
+    for text in ["2010011", "2010101", "202211", "201001011", "0", "2010-1-1", "2010-01-01",
+                 " 20100101", "20100101 ", "+2010101", "-2010101", "2010_101", "٢٠١٠٠١٠١",
+                 "１２３４０１０１", "२०१००१०१"]:
+        assert date_outcome(asndb._parse_date, text) is ValueError, text
     assert asndb._parse_date("00000000") is None
     assert asndb._parse_date("") is None

@@ -179,8 +179,8 @@ class TestAnalyze:
         assert tree_bytes(tmp_path / "out1") == first
 
     def test_defaults_given_explicitly_change_no_byte(self, analyzed_scenario):
-        # Each numeric setting given as its default, by flag and by config
-        # file: the output of leaving it out (a float 10.0 renders as 10).
+        # Each numeric setting given as its default by flag: the output of
+        # leaving it out (a float 10.0 renders as 10).
         tmp_path, scen, gt = analyzed_scenario
         defaults = pipeline.RunConfig._field_defaults
         given = {key: str(defaults[field]) for key, (field, _, _) in cli._ANALYZE_SETTINGS.items()
@@ -188,12 +188,9 @@ class TestAnalyze:
         assert sorted(given) == ["confirmation_window", "min_reference", "threshold", "trailing_window"]
         assert run(self.analyze_args(tmp_path, scen, gt, out="plain")) == 0
         assert run(self.analyze_args(tmp_path, scen, gt, out="by-flag") + flag_args(given)) == 0
-        by_file = config_args(tmp_path / "defaults.cfg", given)
-        assert run(self.analyze_args(tmp_path, scen, gt, out="by-file") + by_file) == 0
         plain = tree_bytes(tmp_path / "plain")
         assert b" min_reference=10\n" in plain[Path("summary.txt")]
         assert tree_bytes(tmp_path / "by-flag") == plain
-        assert tree_bytes(tmp_path / "by-file") == plain
 
     def test_directory_with_another_runs_files_is_refused(self, analyzed_scenario, capsys):
         tmp_path, scen, gt = analyzed_scenario
@@ -418,33 +415,6 @@ class TestAnalyze:
         assert f"final date {gt.final_date} has no snapshot for IXP 'amsix'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_config_file_with_flag_override(self, analyzed_scenario, capsys):
-        tmp_path, scen, gt = analyzed_scenario
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            f"asndb = {tmp_path / 'asndb.txt'}\n"
-            f"snapshots = {scen / 'snapshots'}\n"
-            f"out = {tmp_path / 'outcfg'}\n"
-            f"ixps = amsix,linx\n"
-            "countries = UA\n"
-            f"baseline_date = {gt.baseline_date}\n"
-            f"final_date = {gt.final_date}\n"
-        )
-        # flag overrides the config's country list
-        assert run(["analyze", "--config", str(config), "--countries", "UA,RU"]) == 0
-        out = capsys.readouterr().out
-        assert "RU" in out
-
-    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        for line, message in (("frobnicate = yes", "unknown key 'frobnicate'"),
-                              ("countries UA", "expected 'key = value', got 'countries UA'"),
-                              ("annotation_slack = 0", "unknown key 'annotation_slack'"),
-                              ("schema = x", "unknown key 'schema'")):
-            config.write_text(f"# run settings\n{line}\n")
-            assert run(["analyze", "--config", str(config)]) == 1
-            assert capsys.readouterr().err == f"usage error: {config}:2: {message}\n"
-
     @pytest.mark.parametrize("line, message", BAD_CATALOG_LINES.values(), ids=BAD_CATALOG_LINES)
     def test_bad_catalog_file_is_data_error(self, analyzed_scenario, capsys, line, message):
         tmp_path, scen, gt = analyzed_scenario
@@ -476,24 +446,36 @@ class TestAnalyze:
             shutil.rmtree(out)
         assert runs[0] == runs[1]
 
-    def test_missing_required_settings_is_usage_error(self):
+    def test_missing_required_settings_is_usage_error(self, capsys):
         assert run(["analyze"]) == 1
+        assert capsys.readouterr().err == ("usage error: the following arguments are required: "
+                                           "--asndb, --snapshots, --out\n")
+
+    @pytest.mark.parametrize("key", ["asndb", "snapshots", "out"])
+    def test_one_missing_required_path_is_usage_error(self, analyzed_scenario, capsys, key):
+        tmp_path, scen, gt = analyzed_scenario
+        args = self.analyze_args(tmp_path, scen, gt)
+        flag = "--" + key
+        del args[args.index(flag):args.index(flag) + 2]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"usage error: the following arguments are required: {flag}\n"
+        assert not (tmp_path / "out").exists()
 
 
-# Per `analyze` setting: a value unlike the default, and a second value.
+# Per `analyze` setting: a value unlike the default (or unlike REQUIRED's).
 SAMPLES = {
-    "asndb": ("db-a.txt", "db-b.txt"),
-    "snapshots": ("snaps-a", "snaps-b"),
-    "out": ("out-a", "out-b"),
-    "ixps": ("amsix, linx", "six"),
-    "countries": ("DE,FR", "UA"),
-    "baseline_date": ("2022-03-01", "2022-03-02"),
-    "final_date": ("2022-03-30", "2022-03-31"),
-    "confirmation_window": ("5", "1"),
-    "trailing_window": ("4", "9"),
-    "threshold": ("0.2", "0.3"),
-    "min_reference": ("2.5", "3"),
-    "catalog": ("seed", "events.txt"),
+    "asndb": "db-a.txt",
+    "snapshots": "snaps-a",
+    "out": "out-a",
+    "ixps": "amsix, linx",
+    "countries": "DE,FR",
+    "baseline_date": "2022-03-01",
+    "final_date": "2022-03-30",
+    "confirmation_window": "5",
+    "trailing_window": "4",
+    "threshold": "0.2",
+    "min_reference": "2.5",
+    "catalog": "seed",
 }
 REQUIRED = {"asndb": "db.txt", "snapshots": "snaps", "out": "out"}
 TYPED = ("baseline_date", "final_date", "confirmation_window", "trailing_window",
@@ -502,11 +484,6 @@ TYPED = ("baseline_date", "final_date", "confirmation_window", "trailing_window"
 
 def flag_args(settings):
     return [arg for key, value in settings.items() for arg in ("--" + key.replace("_", "-"), value)]
-
-
-def config_args(path, settings):
-    path.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
-    return ["--config", str(path)]
 
 
 def run_config(argv):
@@ -520,28 +497,17 @@ class TestAnalyzeSettings:
         assert set(SAMPLES) == set(cli._ANALYZE_SETTINGS)
 
     @pytest.mark.parametrize("key", SAMPLES)
-    def test_flag_equals_config_line_and_overrides_it(self, tmp_path, key):
-        value, other = SAMPLES[key]
+    def test_each_flag_sets_its_own_field(self, key):
         field = cli._ANALYZE_SETTINGS[key][0]
-        by_flag = run_config(flag_args({**REQUIRED, key: value}))
-        assert getattr(by_flag, field) != getattr(run_config(flag_args(REQUIRED)), field)
-        assert run_config(config_args(tmp_path / "run.cfg", {**REQUIRED, key: value})) == by_flag
-        overridden = config_args(tmp_path / "run.cfg", {**REQUIRED, key: other}) + flag_args({key: value})
-        assert run_config(overridden) == by_flag
-
-    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
-    def test_config_file_round_trip(self, tmp_path, bom):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{bom}asndb = db.txt\n# run settings\n\nsnapshots = snaps\nout = out-a\n"
-                        "out = out-b  # x\n", encoding="utf-8")
-        assert run_config(["--config", str(path)]) == run_config(flag_args({**REQUIRED, "out": "out-b"}))
+        plain = run_config(flag_args(REQUIRED))
+        by_flag = run_config(flag_args({**REQUIRED, key: SAMPLES[key]}))
+        assert getattr(by_flag, field) != getattr(plain, field)
+        assert by_flag._replace(**{field: getattr(plain, field)}) == plain
 
     @pytest.mark.parametrize("key", TYPED)
-    def test_bad_typed_value_names_the_key(self, tmp_path, capsys, key):
-        settings = {**REQUIRED, key: "x1"}
-        for argv in (flag_args(settings), config_args(tmp_path / "run.cfg", settings)):
-            assert run(["analyze", *argv]) == 1
-            assert f"bad value for {key}: 'x1' (" in capsys.readouterr().err
+    def test_bad_typed_value_names_the_key(self, capsys, key):
+        assert run(["analyze", *flag_args({**REQUIRED, key: "x1"})]) == 1
+        assert f"bad value for {key}: 'x1' (" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
         ("ixps", (), "at least one IXP is required"),
@@ -575,6 +541,7 @@ class TestAnalyzeSettings:
         ["--countries", ","],
         ["--annotation-slack", "0"],
         ["--schema", "x"],
+        ["--config", "run.cfg"],
         ["--frobnicate"],
         ["--ixps", "amsix,../x"],
         ["--ixps", "amsix,ams ix"],

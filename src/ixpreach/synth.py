@@ -5,7 +5,10 @@ neighbor counts, prefix fan-out) plus a list of injected disruptions.
 ``generate`` decides every outcome first and then emits routing-table
 CSVs, a matching delegated-statistics file and a ground-truth JSON file,
 all as a pure function of the scenario, so the analysis pipeline can be
-checked against exact expected values without reimplementing it.
+checked against exact expected values without reimplementing it.  The
+ground truth holds each fact once: the daily counts, the lost, new and
+flapping origins, and each origin's presence mask; ``verify`` derives the
+origins rows from the masks and the expected dips from the counts.
 
 Disruption kinds:
 
@@ -131,7 +134,9 @@ class ScenarioSpec:
 
 @dataclass
 class GroundTruth:
-    """Expected pipeline outputs for one generated scenario."""
+    """Expected pipeline outputs for one generated scenario, each fact
+    stored once: what `verify` can derive (origins rows, dip spans) is
+    not stored."""
 
     seed: int
     window: DateRange
@@ -150,13 +155,13 @@ class GroundTruth:
     # Baseline origins absent on the final day but present on a snapshot
     # of the confirmation window before it: flaps, not losses.
     flapping_origins: dict[str, dict[str, tuple[int, ...]]]
-    offline: dict[str, dict[str, dict[int, int]]]
-    outages: dict[str, dict[str, dict[str, tuple[tuple[dt.date, dt.date], ...]]]]
+    # presence[ixp][country][asn] has bit i set when the origin is announced
+    # on the i-th snapshot day (the window less the gap dates).
+    presence: dict[str, dict[str, dict[int, int]]]
 
     def save(self, path: str | Path) -> None:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["window"] = (self.window.start, self.window.end)
-        doc["offline_days"] = doc.pop("offline")
         Path(path).write_text(json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     @classmethod
@@ -182,13 +187,9 @@ class GroundTruth:
                          for ixp, per in doc["new_origins"].items()},
             flapping_origins={ixp: {cc: tuple(v) for cc, v in per.items()}
                               for ixp, per in doc["flapping_origins"].items()},
-            offline={ixp: {cc: {int(asn): days for asn, days in per_cc.items()}
-                           for cc, per_cc in per.items()}
-                     for ixp, per in doc["offline_days"].items()},
-            outages={ixp: {cc: {metric: tuple((iso(a), iso(b)) for a, b in spans)
-                                for metric, spans in per_cc.items()}
-                           for cc, per_cc in per.items()}
-                     for ixp, per in doc["outages"].items()},
+            presence={ixp: {cc: {int(asn): mask for asn, mask in per_cc.items()}
+                            for cc, per_cc in per.items()}
+                      for ixp, per in doc["presence"].items()},
         )
 
 
@@ -449,15 +450,12 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
 
     # Walk the calendar emitting snapshots and recording outcomes.
     gt_metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]] = {}
-    # presence[ixp][origin] has bit i set when the origin is announced on
-    # snapshot day i: the baseline is bit 0 and the final day the last bit.
-    presence: dict[str, dict[int, int]] = {ixp: {} for ixp in ixps}
+    presence: dict[str, dict[str, dict[int, int]]] = {ixp: {cc: {} for cc in countries} for ixp in ixps}
     header = f"{PREFIX_COLUMN},{AS_PATH_COLUMN}\n"
 
     for ixp in ixps:
         (snapshots_dir / ixp).mkdir(parents=True, exist_ok=True)
         gt_metrics[ixp] = {cc: {} for cc in countries}
-        seen = presence[ixp]
         for index, (day, path) in enumerate(snapshot_paths(snapshots_dir, ixp, snapshot_days)):
             tests = [test for first, last, test in withheld[ixp] if first <= day <= last]
             rows: list[str] = []
@@ -476,52 +474,38 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
                 day_origins[cc].add(route.origin)
                 day_prefixes[cc].add(route.prefix)
                 first_hops.add(route.path[0])
-                seen[route.origin] = seen.get(route.origin, 0) | 1 << index
 
             for cc in countries:
                 neigh = sum(1 for hop in first_hops if registered.get(hop) == cc)
                 gt_metrics[ixp][cc][day] = (ann[cc], len(day_origins[cc]), len(day_prefixes[cc]), neigh)
+                masks = presence[ixp][cc]
+                for asn in day_origins[cc]:
+                    masks[asn] = masks.get(asn, 0) | 1 << index
 
             random.Random(f"rows:{spec.seed}:{ixp}:{day.isoformat()}").shuffle(rows)
             path.write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
 
-    # Reachability, presence and outage expectations.
+    # Reachability expectations.
     unreachable: dict[str, dict[str, tuple[int, ...]]] = {}
     new_origins: dict[str, dict[str, tuple[int, ...]]] = {}
     flapping: dict[str, dict[str, tuple[int, ...]]] = {}
-    offline: dict[str, dict[str, dict[int, int]]] = {}
-    outages: dict[str, dict[str, dict[str, tuple[tuple[dt.date, dt.date], ...]]]] = {}
     # Day counts, not timedeltas: a window of any size stays inside the date type.
     confirm = sum(1 << index for index, day in enumerate(snapshot_days)
                   if 0 < (spec.final - day).days <= spec.confirmation_window)
-    n_days = len(snapshot_days)
-    final_bit = 1 << (n_days - 1)
+    final_bit = 1 << (len(snapshot_days) - 1)
 
     for ixp in ixps:
         unreachable[ixp] = {}
         new_origins[ixp] = {}
         flapping[ixp] = {}
-        offline[ixp] = {}
-        outages[ixp] = {}
-        seen = presence[ixp]
         for cc in countries:
-            ever = {asn for asn in seen if registered.get(asn) == cc}
-            base = {asn for asn in ever if seen[asn] & 1}
-            final_present = {asn for asn in ever if seen[asn] & final_bit}
-            lost = {asn for asn in base if not seen[asn] & (final_bit | confirm)}
+            masks = presence[ixp][cc]
+            base = {asn for asn, mask in masks.items() if mask & 1}
+            final_present = {asn for asn, mask in masks.items() if mask & final_bit}
+            lost = {asn for asn in base if not masks[asn] & (final_bit | confirm)}
             unreachable[ixp][cc] = tuple(sorted(lost))
             new_origins[ixp][cc] = tuple(sorted(final_present - base))
             flapping[ixp][cc] = tuple(sorted(base - final_present - lost))
-            offline[ixp][cc] = {asn: n_days - seen[asn].bit_count() for asn in sorted(ever)}
-            per_metric = {}
-            day_list = sorted(gt_metrics[ixp][cc])
-            for mi, metric in enumerate(METRIC_NAMES):
-                values = [gt_metrics[ixp][cc][day][mi] for day in day_list]
-                per_metric[metric] = tuple(_expected_dip_spans(
-                    day_list, values,
-                    spec.detector["trailing_window"], spec.detector["threshold"],
-                    spec.detector["min_reference"]))
-            outages[ixp][cc] = per_metric
 
     _write_delegated(out_dir / "delegated.txt", spec, blocks)
 
@@ -539,21 +523,20 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
         unreachable=unreachable,
         new_origins=new_origins,
         flapping_origins=flapping,
-        offline=offline,
-        outages=outages,
+        presence=presence,
     )
     gt.save(out_dir / "ground_truth.json")
     return gt
 
 
-def _expected_dip_spans(dates, values, trailing, threshold, min_reference):
+def _expected_dip_spans(dates, values, trailing_window, threshold, min_reference):
     """The documented dip rule applied plainly to one value list."""
     spans = []
     current = None
     for i, value in enumerate(values):
         dip = False
         if i > 0:
-            reference = statistics.median(values[max(0, i - trailing):i])
+            reference = statistics.median(values[max(0, i - trailing_window):i])
             dip = reference >= min_reference and value < (1 - threshold) * reference
         if dip:
             current = [dates[i], dates[i]] if current is None else [current[0], dates[i]]
@@ -592,8 +575,16 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     `reachability/<cc>_records.txt`.  A pair without its metrics file is
     missing; another of its files that is missing or does not parse is
     one problem naming that file.
+
+    Each origins row (asn, first_seen, last_seen, days_present,
+    days_offline) is derived from the origin's presence mask over the
+    truth's snapshot days, the window less its gap dates, and compared
+    whole.  Each metric's expected outage spans are the documented dip
+    rule applied to the truth's daily counts with its detector settings.
     """
     out = Path(result.config.output_dir)
+    gaps = set(gt.gap_dates)
+    days = [day for day in gt.window.days() if day not in gaps]
     problems: list[str] = []
     for ixp in gt.ixps:
         for cc in gt.countries:
@@ -632,21 +623,21 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
             if flapping_asns != gt.flapping_origins[ixp][cc]:
                 problems.append(f"{where}: flapping origins differ")
 
-            expected_offline = gt.offline[ixp][cc]
-            if [row[0] for row in origins] != sorted(expected_offline):
+            want_rows = [(asn, days[(mask & -mask).bit_length() - 1], days[mask.bit_length() - 1],
+                          mask.bit_count(), len(days) - mask.bit_count())
+                         for asn, mask in sorted(gt.presence[ixp][cc].items())]
+            if [row[0] for row in origins] != [row[0] for row in want_rows]:
                 problems.append(f"{where}: presence covers different origins")
             else:
-                # The writer counts offline days over the series' snapshot
-                # days, which the dates check above holds to the ground
-                # truth's.
-                for asn, *_, got_days in origins:
-                    days = expected_offline[asn]
-                    if got_days != days:
-                        problems.append(f"{where} AS{asn}: expected {days} offline days, got {got_days}")
+                for got, want in zip(origins, want_rows):
+                    if got != want:
+                        problems.append(f"{where} AS{want[0]}: origins row {','.join(map(str, got))} "
+                                        f"!= expected {','.join(map(str, want))}")
 
-            for metric in METRIC_NAMES:
+            columns = zip(*(expected[day] for day in expected_dates))
+            for metric, values in zip(METRIC_NAMES, columns):
                 got_spans = tuple((e.start, e.end) for e in events if e.metric == metric)
-                want_spans = gt.outages[ixp][cc].get(metric, ())
+                want_spans = tuple(_expected_dip_spans(expected_dates, values, **gt.detector))
                 if got_spans != want_spans:
                     problems.append(
                         f"{where} {metric}: outage spans {_fmt_spans(got_spans)} "

@@ -460,8 +460,8 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(f"{path}: header says {count} records but 2")):
             asndb.load(path)
 
-    @pytest.mark.parametrize("text", ["", "# asndb 1\n12389|RU|ripencc|\n25133|UA|ripencc|20020701\n"],
-                             ids=["empty", "records-only"])
+    @pytest.mark.parametrize("text", ["", "\n \n", "# asndb 1\n12389|RU|ripencc|\n25133|UA|ripencc|20020701\n"],
+                             ids=["empty", "blank-lines", "records-only"])
     def test_file_without_header_is_rejected(self, tmp_path, text):
         path = tmp_path / "asndb.txt"
         path.write_text(text)
@@ -579,6 +579,18 @@ def position_past_table(path):
     write_index(path, header, asns, positions)
 
 
+def digest_line_mislabelled(path):
+    header, asns, positions = read_index(path)
+    header[1] = header[1].replace(b"sha256 ", b"sha512 ")
+    write_index(path, header, asns, positions)
+
+
+def code_named_twice(path):
+    header, asns, positions = read_index(path)
+    header[3] += b" " + header[3].split()[1]
+    write_index(path, header, asns, positions)
+
+
 def count_off_by_one(path):
     header, asns, positions = read_index(path)
     header[2] = f"records {len(asns) + 1}".encode()
@@ -622,8 +634,10 @@ class TestCountryIndex:
         (position_past_table, "a code position past the code table"),
         (count_off_by_one, "18 records, the text header says 17"),
         (duplicate_asn, "duplicate ASNs"),
+        (digest_line_mislabelled, "no 'sha256' line"),
+        (code_named_twice, "bad code table"),
     ], ids=["text-edited", "index-arrays-edited", "index-truncated", "wrong-magic", "position-past-table",
-            "count-differs", "duplicate-asn"])
+            "count-differs", "duplicate-asn", "no-digest-line", "bad-code-table"])
     def test_index_that_does_not_check_out_is_ignored_with_one_warning(self, tmp_path, delegated_dir,
                                                                           caplog, corrupt, reason):
         path = tmp_path / "asndb.txt"

@@ -580,6 +580,11 @@ class TestPlot:
         svg = out.read_text()
         assert svg.count("<polyline") == 2  # one gap -> two runs
 
+    def test_empty_series_is_refused(self):
+        from ixpreach import svgchart
+        with pytest.raises(ValueError, match="cannot chart an empty series"):
+            svgchart.render_chart([])
+
     def test_unknown_metric_lists_valid_ones(self, metrics_csv, capsys):
         tmp_path, csv_path, gt = metrics_csv
         rc = run(["plot", "--metrics", str(csv_path), "--metric", "bananas",

@@ -7,6 +7,7 @@ import shutil
 import pytest
 
 from ixpreach import asndb, pipeline, reachability, synth
+from ixpreach.metrics import METRIC_NAMES
 from ixpreach.rtingest import DateRange, load_series
 from ixpreach.synth import CountrySpec, Disruption, GroundTruth, ScenarioSpec
 
@@ -23,6 +24,14 @@ def tiny_spec(days=12, origins=5, disruptions=(), seed=1, neighbor_count=1, **kw
         disruptions=tuple(disruptions),
         **kwargs,
     )
+
+
+def expected_spans(gt, ixp, cc, metric):
+    """The dip spans `verify` expects for one metric of a pair."""
+    per_day = gt.metrics[ixp][cc]
+    dates = sorted(per_day)
+    column = METRIC_NAMES.index(metric)
+    return synth._expected_dip_spans(dates, [per_day[d][column] for d in dates], **gt.detector)
 
 
 def analyze_generated(tmp_path, gt, scen_dir="scen"):
@@ -126,9 +135,9 @@ class TestGenerate:
         # Two digests each: the program's inputs (the delegated file and the
         # snapshots), and the ground truth, which the inputs do not depend on.
         pinned = {"first": (first, "45d7830b0789d152e238b030519c97b08ae8c9d4ec07c10d470f825e4f436e42",
-                            "6f95f220a4deae0ed3cc49c41904b1476f9787710356abf0488ef237b43e8a9d"),
+                            "4ee32bbe4451a3b9fb45f5d537481556e813aed15912c552213bb608c76c1b47"),
                   "second": (second, "1956f96052dd27f1a8b9c6ed65d4ae9c67ed2f9528d53acde89dcfad8d116bef",
-                             "083345c3e44b971028a8ffbd74524253fd8ef172d4f0fa2acddac8673263cd84")}
+                             "d2fc7c1066700017b92d60a5a0821f6265a786334827cc2da9450743b2c00f18")}
         for name, (spec, want_inputs, want_truth) in pinned.items():
             assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KEYS)
             scen = tmp_path / name
@@ -179,8 +188,8 @@ class TestDisruptions:
             Disruption("origin_removal", "amsix", "UA", day(4), day(8), count=3),
         ])
         gt = synth.generate(spec, tmp_path / "scen")
-        offline = gt.offline["amsix"]["UA"]
-        assert sorted(offline.values(), reverse=True)[:3] == [5, 5, 5]
+        offline = [14 - mask.bit_count() for mask in gt.presence["amsix"]["UA"].values()]
+        assert sorted(offline, reverse=True)[:4] == [5, 5, 5, 0]
         result = analyze_generated(tmp_path, gt)
         assert synth.verify(gt, result) == []
 
@@ -341,7 +350,7 @@ class TestDisruptions:
             ),
         )
         gt = synth.generate(spec, tmp_path / "scen")
-        assert list(gt.outages["amsix"]["UA"]["announcements"]) == injected
+        assert expected_spans(gt, "amsix", "UA", "announcements") == injected
         result = analyze_generated(tmp_path, gt)
         events = [e for e in result.pairs["amsix", "UA"].events if e.metric == "announcements"]
         assert [(e.start, e.end) for e in events] == injected
@@ -370,7 +379,7 @@ class TestVerifySensitivity:
     def test_untampered_run_is_clean(self, tmp_path):
         gt, result = self.build(tmp_path)
         assert gt.unreachable["amsix"]["UA"] and gt.new_origins["amsix"]["UA"]
-        assert gt.outages["amsix"]["UA"]
+        assert expected_spans(gt, "amsix", "UA", "announcements")
         assert synth.verify(gt, result) == []
 
     def test_single_edited_metric_point_yields_one_discrepancy(self, tmp_path):
@@ -438,14 +447,27 @@ class TestVerifySensitivity:
         gt.new_origins["amsix"]["UA"] = (99999,)
         assert synth.verify(gt, result) == ["amsix/UA: new origins differ"]
 
-    def test_tampered_offline_days_are_caught(self, tmp_path):
+    @pytest.mark.parametrize("column", reachability.ORIGINS_CSV_HEADER[1:])
+    def test_tampered_origins_row_is_caught(self, tmp_path, column):
+        # The lost origin's row: each cell is judged, not only its offline days.
         gt, result = self.build(tmp_path)
+        (asn,) = gt.unreachable["amsix"]["UA"]
+        index = 1 + sorted(gt.presence["amsix"]["UA"]).index(asn)
         path = result.config.output_dir / "reachability" / "amsix_UA_origins.csv"
-        edit_row(path, 1, lambda cells: cells[:4] + [str(int(cells[4]) + 1)])
-        asn = min(gt.offline["amsix"]["UA"])
-        days = gt.offline["amsix"]["UA"][asn]
-        assert synth.verify(gt, result) == [
-            f"amsix/UA AS{asn}: expected {days} offline days, got {days + 1}"]
+        want = path.read_text(encoding="utf-8").splitlines()[index]
+        cell = reachability.ORIGINS_CSV_HEADER.index(column)
+
+        def edit(cells):
+            if column.endswith("_seen"):
+                cells[cell] = (dt.date.fromisoformat(cells[cell]) + dt.timedelta(days=1)).isoformat()
+            else:
+                cells[cell] = str(int(cells[cell]) + 1)
+            return cells
+
+        edit_row(path, index, edit)
+        got = path.read_text(encoding="utf-8").splitlines()[index]
+        assert want.startswith(f"{asn},") and got != want
+        assert synth.verify(gt, result) == [f"amsix/UA AS{asn}: origins row {got} != expected {want}"]
 
     def test_extra_origin_row_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
@@ -466,18 +488,30 @@ class TestVerifySensitivity:
         problems = synth.verify(gt, result)
         assert len(problems) == 1 and problems[0].startswith("amsix/UA: ") and str(path) in problems[0]
 
-    def test_tampered_outage_span_is_caught(self, tmp_path):
+    def test_unparseable_records_line_is_one_problem(self, tmp_path):
         gt, result = self.build(tmp_path)
-        gt.outages["amsix"]["UA"]["announcements"] = ((day(1), day(2)),)
+        path = result.config.output_dir / "reachability" / "UA_records.txt"
+        text = path.read_text(encoding="utf-8")
+        assert text.count(" lost_asns=") == 1
+        path.write_text(text.replace(" lost_asns=", " lost_asns=x"), encoding="utf-8")
         problems = synth.verify(gt, result)
-        assert any("outage spans" in p for p in problems)
+        assert len(problems) == 1
+        assert problems[0].startswith(f"amsix/UA: {path}: the line for IXP 'amsix' does not parse: ")
+
+    def test_tampered_outage_span_is_caught(self, tmp_path):
+        # A detector that finds no dip expects no span, so each written one
+        # is a problem, and nothing else is.
+        gt, result = self.build(tmp_path)
+        gt.detector["min_reference"] = 10**9
+        problems = synth.verify(gt, result)
+        assert problems and all(" outage spans " in p and p.endswith("!= expected []") for p in problems)
 
     def test_tampered_event_span_is_caught(self, tmp_path):
         gt, result = self.build(tmp_path)
         path = result.config.output_dir / "outages" / "amsix_UA.csv"
         metric, start, end = path.read_text(encoding="utf-8").splitlines()[1].split(",")[2:5]
         edit_row(path, 1, lambda cells: cells[:4] + [start] + cells[5:])
-        want = synth._fmt_spans(gt.outages["amsix"]["UA"][metric])
+        want = synth._fmt_spans(expected_spans(gt, "amsix", "UA", metric))
         got = want.replace(f"{start}..{end}", f"{start}..{start}", 1)
         assert start != end and got != want
         assert synth.verify(gt, result) == [f"amsix/UA {metric}: outage spans {got} != expected {want}"]
@@ -527,6 +561,7 @@ class TestScenarioIO:
         (lambda d: d["countries"]["UA"].update(neighbour_count=1), "country UA: unknown key 'neighbour_count'"),
         (lambda d: d["countries"]["UA"].update(prefixes_per_origin=2), "cannot unpack"),
         (lambda d: d.update(detector={"trailing_window": 0}), "trailing_window must be >= 1"),
+        (lambda d: d.update(detector={"trailing_window": 12}), "window too short for the dip detector"),
         (lambda d: d.update(detector={"threshold": 2.0}), "threshold must be a fraction"),
         (lambda d: d.update(detector={"window": 7}), "unexpected keyword argument 'window'"),
         (lambda d: d.update(detector={"catalog_path": None}), "detector: keys must be"),
@@ -584,6 +619,12 @@ class TestScenarioIO:
         spec = synth.load_scenario(path)
         with pytest.raises(synth.ScenarioError, match="disruption #0: count 11 exceeds pool of 10"):
             synth.generate(spec, tmp_path / "scen")
+
+    @pytest.mark.parametrize("prefix", [synth._v4_prefix, synth._v6_prefix])
+    def test_prefix_counter_past_16_bits_is_refused(self, prefix):
+        assert prefix(0, (1 << 16) - 1)
+        with pytest.raises(synth.ScenarioError, match="too many prefixes for one IXP"):
+            prefix(0, 1 << 16)
 
     @staticmethod
     def small_doc():

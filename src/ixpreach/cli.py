@@ -92,18 +92,21 @@ def build_parser() -> _Parser:
 
 
 def _cmd_build_asndb(args: argparse.Namespace) -> int:
-    items = []
+    items: dict[Path, tuple[str, Path]] = {}  # by resolved path: a file read twice counts its ASNs as conflicts
     for spec in args.rir:
         registry, sep, path = spec.partition("=")
         if not sep or not registry or not path:
             raise UsageError(f"--rir wants REGISTRY=PATH, got {spec!r}")
         if registry not in asndb.REGISTRIES:
             raise UsageError(f"unknown registry {registry!r}; expected one of {', '.join(asndb.REGISTRIES)}")
-        items.append((registry, Path(path)))
+        resolved = Path(path).resolve()
+        if resolved in items:
+            raise UsageError(f"--rir names {resolved} twice; name each file once")
+        items[resolved] = (registry, Path(path))
     try:
-        db, skipped = asndb.build_from_files(items)
+        db, skipped = asndb.build_from_files(items.values())
     except OSError as exc:
-        registry = next((r for r, p in items if str(p) == getattr(exc, "filename", None)), None)
+        registry = next((r for r, p in items.values() if str(p) == getattr(exc, "filename", None)), None)
         prefix = f"{registry}: " if registry else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return EXIT_DATA

@@ -6,9 +6,10 @@ neighbor counts, prefix fan-out) plus a list of injected disruptions.
 CSVs, a matching delegated-statistics file and a ground-truth JSON file,
 all as a pure function of the scenario, so the analysis pipeline can be
 checked against exact expected values without reimplementing it.  The
-ground truth holds each fact once: the daily counts, the lost, new and
-flapping origins, and each origin's presence mask; ``verify`` derives the
-origins rows from the masks and the expected dips from the counts.
+ground truth saves each fact once (the settings, the daily counts and each
+origin's presence mask) and derives the lost, new and flapping origins
+from the masks; ``verify`` derives the origins rows from the masks and the
+expected dips from the counts.
 
 Disruption kinds:
 
@@ -134,14 +135,13 @@ class ScenarioSpec:
 
 @dataclass
 class GroundTruth:
-    """Expected pipeline outputs for one generated scenario, each fact
-    stored once: what `verify` can derive (origins rows, dip spans) is
-    not stored."""
+    """Expected pipeline outputs for one generated scenario.  Saved, each
+    fact once: what `generate` decided, the settings, the daily counts and
+    each origin's presence mask.  Derived on construction: the snapshot
+    days and each pair's lost, new and flapping origins."""
 
     seed: int
     window: DateRange
-    baseline_date: dt.date
-    final_date: dt.date
     confirmation_window: int
     ixps: tuple[str, ...]
     countries: tuple[str, ...]
@@ -150,17 +150,45 @@ class GroundTruth:
     # metrics[ixp][country][date] = (announcements, distinct_origins,
     #                                distinct_prefixes, distinct_neighbors)
     metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]]
-    unreachable: dict[str, dict[str, tuple[int, ...]]]
-    new_origins: dict[str, dict[str, tuple[int, ...]]]
+    # presence[ixp][country][asn] has bit i set when the origin is announced
+    # on the i-th snapshot day.
+    presence: dict[str, dict[str, dict[int, int]]]
+    # The window less the gap dates, in order.
+    snapshot_days: tuple[dt.date, ...] = field(init=False)
+    unreachable: dict[str, dict[str, tuple[int, ...]]] = field(init=False)
+    new_origins: dict[str, dict[str, tuple[int, ...]]] = field(init=False)
     # Baseline origins absent on the final day but present on a snapshot
     # of the confirmation window before it: flaps, not losses.
-    flapping_origins: dict[str, dict[str, tuple[int, ...]]]
-    # presence[ixp][country][asn] has bit i set when the origin is announced
-    # on the i-th snapshot day (the window less the gap dates).
-    presence: dict[str, dict[str, dict[int, int]]]
+    flapping_origins: dict[str, dict[str, tuple[int, ...]]] = field(init=False)
+
+    @property
+    def baseline_date(self) -> dt.date:
+        return self.window.start
+
+    @property
+    def final_date(self) -> dt.date:
+        return self.window.end
+
+    def __post_init__(self) -> None:
+        gaps = set(self.gap_dates)
+        self.snapshot_days = tuple(day for day in self.window.days() if day not in gaps)
+        # Day counts, not timedeltas: a window of any size stays inside the date type.
+        confirm = sum(1 << index for index, day in enumerate(self.snapshot_days)
+                      if 0 < (self.final_date - day).days <= self.confirmation_window)
+        final_bit = 1 << (len(self.snapshot_days) - 1)
+        self.unreachable, self.new_origins, self.flapping_origins = {}, {}, {}
+        for ixp, per in self.presence.items():
+            self.unreachable[ixp], self.new_origins[ixp], self.flapping_origins[ixp] = {}, {}, {}
+            for cc, masks in per.items():
+                base = {asn for asn, mask in masks.items() if mask & 1}
+                final_present = {asn for asn, mask in masks.items() if mask & final_bit}
+                lost = {asn for asn in base if not masks[asn] & (final_bit | confirm)}
+                self.unreachable[ixp][cc] = tuple(sorted(lost))
+                self.new_origins[ixp][cc] = tuple(sorted(final_present - base))
+                self.flapping_origins[ixp][cc] = tuple(sorted(base - final_present - lost))
 
     def save(self, path: str | Path) -> None:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         doc["window"] = (self.window.start, self.window.end)
         Path(path).write_text(json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -171,8 +199,6 @@ class GroundTruth:
         return cls(
             seed=doc["seed"],
             window=DateRange(iso(doc["window"][0]), iso(doc["window"][1])),
-            baseline_date=iso(doc["baseline_date"]),
-            final_date=iso(doc["final_date"]),
             confirmation_window=doc["confirmation_window"],
             ixps=tuple(doc["ixps"]),
             countries=tuple(doc["countries"]),
@@ -181,12 +207,6 @@ class GroundTruth:
             metrics={ixp: {cc: {iso(day): tuple(vals) for day, vals in per_cc.items()}
                            for cc, per_cc in per.items()}
                      for ixp, per in doc["metrics"].items()},
-            unreachable={ixp: {cc: tuple(v) for cc, v in per.items()}
-                         for ixp, per in doc["unreachable"].items()},
-            new_origins={ixp: {cc: tuple(v) for cc, v in per.items()}
-                         for ixp, per in doc["new_origins"].items()},
-            flapping_origins={ixp: {cc: tuple(v) for cc, v in per.items()}
-                              for ixp, per in doc["flapping_origins"].items()},
             presence={ixp: {cc: {int(asn): mask for asn, mask in per_cc.items()}
                             for cc, per_cc in per.items()}
                       for ixp, per in doc["presence"].items()},
@@ -485,44 +505,17 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
             random.Random(f"rows:{spec.seed}:{ixp}:{day.isoformat()}").shuffle(rows)
             path.write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
 
-    # Reachability expectations.
-    unreachable: dict[str, dict[str, tuple[int, ...]]] = {}
-    new_origins: dict[str, dict[str, tuple[int, ...]]] = {}
-    flapping: dict[str, dict[str, tuple[int, ...]]] = {}
-    # Day counts, not timedeltas: a window of any size stays inside the date type.
-    confirm = sum(1 << index for index, day in enumerate(snapshot_days)
-                  if 0 < (spec.final - day).days <= spec.confirmation_window)
-    final_bit = 1 << (len(snapshot_days) - 1)
-
-    for ixp in ixps:
-        unreachable[ixp] = {}
-        new_origins[ixp] = {}
-        flapping[ixp] = {}
-        for cc in countries:
-            masks = presence[ixp][cc]
-            base = {asn for asn, mask in masks.items() if mask & 1}
-            final_present = {asn for asn, mask in masks.items() if mask & final_bit}
-            lost = {asn for asn in base if not masks[asn] & (final_bit | confirm)}
-            unreachable[ixp][cc] = tuple(sorted(lost))
-            new_origins[ixp][cc] = tuple(sorted(final_present - base))
-            flapping[ixp][cc] = tuple(sorted(base - final_present - lost))
-
     _write_delegated(out_dir / "delegated.txt", spec, blocks)
 
     gt = GroundTruth(
         seed=spec.seed,
         window=spec.window,
-        baseline_date=spec.baseline,
-        final_date=spec.final,
         confirmation_window=spec.confirmation_window,
         ixps=tuple(ixps),
         countries=tuple(countries),
         gap_dates=tuple(sorted(spec.gap_dates)),
         detector=dict(spec.detector),
         metrics=gt_metrics,
-        unreachable=unreachable,
-        new_origins=new_origins,
-        flapping_origins=flapping,
         presence=presence,
     )
     gt.save(out_dir / "ground_truth.json")
@@ -583,8 +576,7 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     rule applied to the truth's daily counts with its detector settings.
     """
     out = Path(result.config.output_dir)
-    gaps = set(gt.gap_dates)
-    days = [day for day in gt.window.days() if day not in gaps]
+    days = gt.snapshot_days
     problems: list[str] = []
     for ixp in gt.ixps:
         for cc in gt.countries:

@@ -130,6 +130,21 @@ class TestBuildAsndb:
     def test_malformed_rir_argument(self, tmp_path):
         assert run(["build-asndb", "--rir", "justapath", "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("first, second", [
+        ("ripencc=F", "ripencc=F"),
+        ("ripencc=F", "arin=F"),
+        ("ripencc=./F", "ripencc=F"),
+    ], ids=["same-label", "two-labels", "dot-slash"])
+    def test_file_named_twice_is_usage_error(self, tmp_path, delegated_dir, monkeypatch, capsys, first, second):
+        # Read twice, each of the file's ASNs would count as a conflict.
+        shutil.copy(delegated_dir / "ripencc.txt", tmp_path / "F")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.asndb, "build_from_files", lambda items: pytest.fail("a file was read"))
+        assert run(["build-asndb", "--rir", first, "--rir", "apnic=other", "--rir", second, "--out", "db.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --rir names {tmp_path.resolve() / 'F'} twice; name each file once\n"
+        assert os.listdir(tmp_path) == ["F"]
+
 
 class TestAnalyze:
     def analyze_args(self, tmp_path, scen, gt, out="out"):

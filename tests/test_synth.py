@@ -1,8 +1,11 @@
+import csv
 import datetime as dt
 import filecmp
 import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,65 @@ def expected_spans(gt, ixp, cc, metric):
     dates = sorted(per_day)
     column = METRIC_NAMES.index(metric)
     return synth._expected_dip_spans(dates, [per_day[d][column] for d in dates], **gt.detector)
+
+
+# Final day 13, confirmation window days 10-12, day 11 a gap.  At each IXP
+# one removal ends inside the window (back by the final day) and one on the
+# final day; of the latter, origins seen on a window snapshot flap and the
+# others are lost.  Every RU origin at linx is out on days 9-10 as well, so
+# its flaps are seen on day 12 alone.
+FLAP_SPEC = ScenarioSpec(
+    seed=3,
+    window=DateRange(BASE, day(13)),
+    ixps=("amsix", "linx"),
+    countries={"RU": CountrySpec(origin_count=8), "UA": CountrySpec(origin_count=12)},
+    gap_dates=(day(11),),
+    disruptions=(
+        Disruption("origin_removal", "amsix", "UA", day(9), day(10), count=2),
+        Disruption("origin_removal", "amsix", "UA", day(12), day(13), count=2),
+        Disruption("origin_removal", "amsix", "UA", day(10), day(13), count=1),
+        Disruption("origin_removal", "linx", "RU", day(9), day(10), count=8),
+        Disruption("origin_removal", "linx", "RU", day(11), day(12), count=2),
+        Disruption("origin_removal", "linx", "RU", day(13), day(13), count=2),
+    ),
+)
+
+
+def readme_spec():
+    """The scenario of README.md's JSON block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return synth.scenario_from_dict(json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1)))
+
+
+def recount_reachability(scen, gt):
+    """(lost, new, flapping) origins per (IXP, country), recounted from the
+    written snapshot CSVs and delegated file, not from the masks: an origin
+    is the last AS path token, its country the delegated range holding it,
+    and a window day a snapshot day 1..confirmation_window calendar days
+    before the final date."""
+    ranges = []
+    for line in (scen / "delegated.txt").read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if len(cells) == 7 and cells[2] == "asn":
+            ranges.append((int(cells[3]), int(cells[3]) + int(cells[4]), cells[1]))
+    counts = {}
+    for ixp in gt.ixps:
+        seen = {}  # snapshot day -> country -> origins
+        for path in sorted((scen / "snapshots" / ixp).glob("*.csv")):
+            per_cc = seen[dt.date.fromisoformat(path.stem)] = {}
+            with open(path, newline="", encoding="utf-8") as handle:
+                for row in csv.DictReader(handle):
+                    asn = int(row["as_path"].split()[-1])
+                    cc = next((cc for lo, hi, cc in ranges if lo <= asn < hi), None)
+                    per_cc.setdefault(cc, set()).add(asn)
+        baseline, final = min(seen), max(seen)
+        assert (baseline, final) == (gt.baseline_date, gt.final_date)
+        window = [d for d in seen if 1 <= (final - d).days <= gt.confirmation_window]
+        for cc in gt.countries:
+            base, last = seen[baseline].get(cc, set()), seen[final].get(cc, set())
+            lost = base - last - set().union(*(seen[d].get(cc, set()) for d in window))
+            counts[ixp, cc] = tuple(tuple(sorted(asns)) for asns in (lost, last - base, base - last - lost))
+    return counts
 
 
 def analyze_generated(tmp_path, gt, scen_dir="scen"):
@@ -135,9 +197,9 @@ class TestGenerate:
         # Two digests each: the program's inputs (the delegated file and the
         # snapshots), and the ground truth, which the inputs do not depend on.
         pinned = {"first": (first, "45d7830b0789d152e238b030519c97b08ae8c9d4ec07c10d470f825e4f436e42",
-                            "4ee32bbe4451a3b9fb45f5d537481556e813aed15912c552213bb608c76c1b47"),
+                            "98a66505b49f405b9b432b5599312e971f44611d529eb361d4053166611a0fa6"),
                   "second": (second, "1956f96052dd27f1a8b9c6ed65d4ae9c67ed2f9528d53acde89dcfad8d116bef",
-                             "d2fc7c1066700017b92d60a5a0821f6265a786334827cc2da9450743b2c00f18")}
+                             "9c082c67e773a9508d48747ce5f78b12cbdac71e10bb7fdcc55ee7466ad8763d")}
         for name, (spec, want_inputs, want_truth) in pinned.items():
             assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KEYS)
             scen = tmp_path / name
@@ -154,9 +216,19 @@ class TestGenerate:
             assert synth.verify(gt, analyze_generated(tmp_path, gt, name)) == []
 
     def test_ground_truth_json_round_trip(self, tmp_path):
-        gt = synth.generate(tiny_spec(days=10, origins=6), tmp_path / "scen")
+        gt = synth.generate(tiny_spec(days=10, origins=6, seed=4, confirmation_window=2, disruptions=[
+            Disruption("origin_removal", "amsix", "UA", day(9), day(9), count=1),
+            Disruption("permanent_loss", "amsix", "UA", day(5), count=1),
+            Disruption("join", "amsix", "UA", day(6), count=1),
+        ]), tmp_path / "scen")
         saved = tmp_path / "scen" / "ground_truth.json"
+        # Only what generate decided is saved; the rest is derived on load.
+        assert not {"baseline_date", "final_date", "unreachable", "new_origins",
+                    "flapping_origins"} & json.loads(saved.read_text(encoding="utf-8")).keys()
         loaded = GroundTruth.load(saved)
+        derived = ("baseline_date", "final_date", "snapshot_days", "unreachable", "new_origins", "flapping_origins")
+        assert [getattr(loaded, name) for name in derived] == [getattr(gt, name) for name in derived]
+        assert all(getattr(gt, name)["amsix"]["UA"] for name in derived[3:])
         assert loaded == gt
         loaded.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == saved.read_bytes()
@@ -233,25 +305,7 @@ class TestDisruptions:
             "amsix/UA: lost origins differ (expected 1, got 3)", "amsix/UA: flapping origins differ"]
 
     def test_flaps_at_two_ixps_are_judged(self, tmp_path, monkeypatch):
-        # Final day 13, confirmation window days 10-12, day 11 a gap.  At
-        # each IXP one removal ends inside the window (back by the final
-        # day) and one on the final day; of the latter, origins seen on a
-        # window snapshot flap and the others are lost.
-        spec = ScenarioSpec(
-            seed=3,
-            window=DateRange(BASE, day(13)),
-            ixps=("amsix", "linx"),
-            countries={"RU": CountrySpec(origin_count=8), "UA": CountrySpec(origin_count=12)},
-            gap_dates=(day(11),),
-            disruptions=(
-                Disruption("origin_removal", "amsix", "UA", day(9), day(10), count=2),
-                Disruption("origin_removal", "amsix", "UA", day(12), day(13), count=2),
-                Disruption("origin_removal", "amsix", "UA", day(10), day(13), count=1),
-                Disruption("origin_removal", "linx", "RU", day(11), day(12), count=2),
-                Disruption("origin_removal", "linx", "RU", day(13), day(13), count=2),
-            ),
-        )
-        gt = synth.generate(spec, tmp_path / "scen")
+        gt = synth.generate(FLAP_SPEC, tmp_path / "scen")
         assert gt.flapping_origins["amsix"]["UA"] and gt.flapping_origins["linx"]["RU"]
         assert gt.unreachable["amsix"]["UA"]
         assert synth.verify(gt, analyze_generated(tmp_path, gt)) == []
@@ -266,10 +320,22 @@ class TestDisruptions:
                                    pct_lost=reachability.pct_lost(report.total_baseline, len(lost)))
 
         monkeypatch.setattr(reachability, "diff_reachability", flaps_as_losses)
-        gt = synth.generate(spec, tmp_path / "again")
+        gt = synth.generate(FLAP_SPEC, tmp_path / "again")
         problems = synth.verify(gt, analyze_generated(tmp_path, gt, "again"))
         assert "amsix/UA: flapping origins differ" in problems
         assert "linx/RU: flapping origins differ" in problems
+
+    @pytest.mark.parametrize("spec", [
+        readme_spec(),
+        FLAP_SPEC,
+        tiny_spec(days=12, origins=6, seed=11, disruptions=[Disruption("join", "amsix", "UA", day(8), count=2)]),
+    ], ids=["readme", "flaps", "join"])
+    def test_derived_reachability_matches_the_snapshot_files(self, tmp_path, spec):
+        gt = synth.generate(spec, tmp_path / "scen")
+        derived = {(ixp, cc): (gt.unreachable[ixp][cc], gt.new_origins[ixp][cc], gt.flapping_origins[ixp][cc])
+                   for ixp in gt.ixps for cc in gt.countries}
+        assert recount_reachability(tmp_path / "scen", gt) == derived
+        assert any(any(sets) for sets in derived.values())
 
     def test_join_creates_new_origins_in_report(self, tmp_path):
         spec = tiny_spec(days=12, origins=6, seed=11, disruptions=[

@@ -68,9 +68,10 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # --- 3) Persist and reload ----------------------------------------------
     # The on-disk form is a sorted, diffable asn|country|registry|date file
-    # under a header with the record and conflict counts.  load returns the
-    # ASN -> country map that analyze reads (one str per distinct code),
-    # with the header's provenance and conflict count.  save also writes a
+    # under a header with the provenance (# source lines) and the record
+    # and conflict counts.  load returns only the ASN -> country map that
+    # analyze reads (one str per distinct code); of the header it reads
+    # just the record count, to check the file is whole.  save also writes a
     # binary country index beside the file (<file>.idx); load takes the map
     # from it while its digest holds for the text and the index byte for
     # byte, and otherwise checks every line of the text.  Deleting the
@@ -81,13 +82,12 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\npersisted form:")
     print(path.read_text())
     reloaded = asndb.load(path)
-    assert reloaded.countries == {asn: country for asn, (_, _, country, _) in db.records.items()}
-    assert (reloaded.source_files, reloaded.conflicts) == (db.source_files, db.conflicts)
+    assert reloaded == {asn: country for asn, (_, _, country, _) in db.records.items()}
     index = Path(f"{path}.idx")
     print(f"country index: {index.name}, {index.stat().st_size} bytes")
     index.unlink()
     assert asndb.load(path) == reloaded
     print("same map with the index deleted")
-    print("AS 12389 ->", reloaded.countries.get(12389))
-    print("AS 64512 ->", reloaded.countries.get(64512), "(never delegated, no country)")
+    print("AS 12389 ->", reloaded[12389])
+    print("AS 64512 ->", reloaded.get(64512), "(never delegated, no country)")
     print("reload OK, country map preserved")

@@ -15,10 +15,10 @@ digits.  The module has two sides:
   date)` tuple (see `MergedRecords`): every ASN of a row shares the
   row's one tuple, and of two rows that cover an ASN the later date
   wins.  `save` writes the result as a sorted pipe-separated text file;
-* looking up (`load`, what `analyze` reads) turns that file into an
-  `AsnDb`: an ASN -> country map with one shared `str` per distinct code.
-  Registry and date live only in the saved file: `load` checks that the
-  date parses and keeps neither.
+* looking up (`load`, what `analyze` reads) turns that file into the
+  ASN -> country map, with one shared `str` per distinct code.  Registry,
+  date and the `# source` provenance live only in the saved file: `load`
+  checks that the date parses and keeps none of them.
 
 `save` also writes a binary country index beside the text (`<path>.idx`):
 a sha256 of the text and of the rest of the index, the record count, the
@@ -83,20 +83,6 @@ class MergedRecords(NamedTuple):
     # field count through len(), so they fail here.
     def __len__(self) -> int:
         return len(self.records)
-
-
-class AsnDb(NamedTuple):
-    """The ASN -> country lookup that `load` returns and `analyze` reads.
-
-    `countries` maps each ASN to its country code, with one `str` object
-    shared by every ASN of a code; an ASN that is not a key is unknown.
-    Registry and allocation date are kept only in the saved file.
-    Provenance and conflict count are the saved header's.
-    """
-
-    countries: dict[int, str]
-    source_files: tuple[tuple[str, str], ...] = ()
-    conflicts: int = 0
 
 
 def _number(text: str) -> int:
@@ -307,33 +293,33 @@ def _load_index(path: str | Path, expected: int) -> dict[int, str] | None:
         return None
 
 
-def load(path: str | Path) -> AsnDb:
-    """Read a database previously written by :func:`save` as an AsnDb.
+def load(path: str | Path) -> dict[int, str]:
+    """Read a database previously written by :func:`save` as its ASN ->
+    country map: an ASN that is not a key is unknown, and equal country
+    codes share one `str`.
 
-    The header lines give the provenance, the conflict count and the
-    record count.  If the index beside the file (see `save`) holds that
-    count and the sha256 of the file's exact bytes and its own, and its
-    sizes and code positions check out, the map is read from it: the
-    text, which `save` wrote from checked records, is then only hashed.
-    Otherwise, with one logged warning unless there is no index, the file
-    is streamed a line at a time.  Each record line must hold the
-    four `asn|country|registry|date` fields, an ASN of plain ASCII
-    digits up to `ASN_MAX`, a code in `COUNTRY_CODES` and a date text
-    that parses; registry and date are then dropped, and equal country
-    codes share one `str`.  A malformed line raises ValueError naming
-    `<path>:<lineno>`.  So does, naming `<path>`, a file without the
-    `# records N conflicts M` header (an empty file would otherwise read
-    as a database that knows no ASN) or one whose distinct ASNs do not
-    number what the header says (a truncated file would otherwise leave
-    ASNs without a country).
+    Of the header only the record count is read; the `# source` lines are
+    skipped.  A UTF-8 byte-order mark before the first line is allowed.
+    If the index beside the file (see `save`) holds that count and the
+    sha256 of the file's exact bytes and its own, and its sizes and code
+    positions check out, the map is read from it: the text, which `save`
+    wrote from checked records, is then only hashed.  Otherwise, with one
+    logged warning unless there is no index, the file is streamed a line
+    at a time.  Each record line must hold the four
+    `asn|country|registry|date` fields, an ASN of plain ASCII digits up
+    to `ASN_MAX`, a code in `COUNTRY_CODES` and a date text that parses;
+    registry and date are then dropped.  A malformed line, among them a
+    `# records N conflicts M` header whose N or M is not an integer,
+    raises ValueError naming `<path>:<lineno>`.  So does, naming `<path>`, a file without that
+    header (an empty file would otherwise read as a database that knows no
+    ASN) or one whose distinct ASNs do not number what the header says (a
+    truncated file would otherwise leave ASNs without a country).
     """
     countries: dict[int, str] = {}
     codes: dict[str, str] = {}
-    source_files: list[tuple[str, str]] = []
-    conflicts = 0
     expected: int | None = None
     dates = _DateMemo()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -341,11 +327,9 @@ def load(path: str | Path) -> AsnDb:
             try:
                 if line.startswith("#"):
                     parts = line[1:].split()
-                    if parts[:1] == ["source"] and len(parts) == 3:
-                        source_files.append((parts[1], parts[2]))
-                    elif parts[:1] == ["records"] and len(parts) == 4:
+                    if parts[:1] == ["records"] and len(parts) == 4:
                         expected = int(parts[1])
-                        conflicts = int(parts[3])
+                        int(parts[3])  # the conflict count is not kept, but must parse
                         if not countries and (indexed := _load_index(path, expected)) is not None:
                             countries = indexed
                             break
@@ -364,4 +348,4 @@ def load(path: str | Path) -> AsnDb:
         raise ValueError(f"{path}: no '# records N conflicts M' header; not a saved asndb")
     if len(countries) != expected:
         raise ValueError(f"{path}: header says {expected} records but {len(countries)} were read")
-    return AsnDb(countries=countries, source_files=tuple(sorted(source_files)), conflicts=conflicts)
+    return countries

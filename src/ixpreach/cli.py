@@ -103,6 +103,9 @@ def _cmd_build_asndb(args: argparse.Namespace) -> int:
         if resolved in items:
             raise UsageError(f"--rir names {resolved} twice; name each file once")
         items[resolved] = (registry, Path(path))
+    for written in (Path(args.out).resolve(), asndb._index_path(args.out).resolve()):
+        if written in items:
+            raise UsageError(f"--out {args.out} would overwrite the --rir file {written}; name another output")
     try:
         db, skipped = asndb.build_from_files(items.values())
     except OSError as exc:

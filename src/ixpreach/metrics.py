@@ -40,7 +40,6 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import IO, Callable, Iterable, NamedTuple, TypeVar
 
-from .asndb import AsnDb
 from .rtingest import SnapshotSeries
 
 METRIC_NAMES = ("announcements", "distinct_origins", "distinct_prefixes", "distinct_neighbors")
@@ -109,9 +108,10 @@ _ZERO = bytes([1] + [0] * 255)
 
 
 def build_series(
-    series: SnapshotSeries, db: AsnDb, countries: Iterable[str]
+    series: SnapshotSeries, db: dict[int, str], countries: Iterable[str]
 ) -> dict[str, tuple[MetricSeries, PresenceMap]]:
-    """Attribute every snapshot's rows to the given countries.
+    """Attribute every snapshot's rows to the given countries, each ASN's
+    country read from `db`, the ASN -> country map `asndb.load` returns.
 
     For each distinct country: its MetricSeries (one count per snapshot
     in each column) and its PresenceMap, both over the one dates tuple
@@ -135,7 +135,7 @@ def build_series(
     return attributed
 
 
-def _row_codes(series: SnapshotSeries, db: AsnDb, block: list[str]) -> tuple[bytes, bytes]:
+def _row_codes(series: SnapshotSeries, db: dict[int, str], block: list[str]) -> tuple[bytes, bytes]:
     """Each row id's code and its neighbor's code for one block.
 
     An ASN's code is 2 + i when its country is `block[i]`, else 0.  The
@@ -145,8 +145,8 @@ def _row_codes(series: SnapshotSeries, db: AsnDb, block: list[str]) -> tuple[byt
     block's code table, at C level.
     """
     code_in = {cc: code for code, cc in enumerate(block, 2)}
-    origin_codes = bytes(map(code_in.get, map(db.countries.get, series.origin_of), repeat(0)))
-    neighbor_codes = bytes(map(code_in.get, map(db.countries.get, series.neighbor_of), repeat(0)))
+    origin_codes = bytes(map(code_in.get, map(db.get, series.origin_of), repeat(0)))
+    neighbor_codes = bytes(map(code_in.get, map(db.get, series.neighbor_of), repeat(0)))
     # Byte-wise over whole tables: the origin's code, or the neighbor's 0/1
     # flag where the origin's code is 0.
     row = int.from_bytes(origin_codes, "big") | (
@@ -156,7 +156,7 @@ def _row_codes(series: SnapshotSeries, db: AsnDb, block: list[str]) -> tuple[byt
 
 
 def _build_block(
-    series: SnapshotSeries, db: AsnDb, block: list[str], dates: tuple[dt.date, ...]
+    series: SnapshotSeries, db: dict[int, str], block: list[str], dates: tuple[dt.date, ...]
 ) -> dict[str, tuple[MetricSeries, PresenceMap]]:
     """`build_series` for one block of at most `_BLOCK` sorted countries."""
     codes, neighbor_codes = _row_codes(series, db, block)

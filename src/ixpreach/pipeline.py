@@ -91,7 +91,7 @@ class AnalysisResult(NamedTuple):
     averages: dict[str, float]
 
 
-def run_analysis(config: RunConfig, db: asndb.AsnDb | None = None) -> AnalysisResult:
+def run_analysis(config: RunConfig, db: dict[int, str] | None = None) -> AnalysisResult:
     """Run the whole pipeline for every (IXP, country) pair in the config."""
     if db is None:
         db = asndb.load(config.asndb_path)

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from ixpreach.asndb import AsnDb
 from ixpreach.metrics import METRIC_NAMES, build_series
 from ixpreach.reachability import diff_reachability
 from ixpreach.rtingest import Snapshot, SnapshotSeries
@@ -25,9 +24,9 @@ BAD_CATALOG_LINES = {
 }
 
 
-def make_db(countries: dict[int, str]) -> AsnDb:
-    """In-memory AsnDb from a plain {asn: country} mapping."""
-    return AsnDb(countries=dict(countries))
+def make_db(countries: dict[int, str]) -> dict[int, str]:
+    """A copy of a plain {asn: country} mapping, as `asndb.load` returns it."""
+    return dict(countries)
 
 
 def make_series(days_rows, ixp="testix", gaps=()) -> SnapshotSeries:

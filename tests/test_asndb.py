@@ -121,9 +121,8 @@ def build_text(directory, *texts):
 
 
 def as_loaded(db):
-    """The AsnDb that `load` returns for a saved MergedRecords `db`."""
-    countries = {asn: country for asn, (_, _, country, _) in db.records.items()}
-    return asndb.AsnDb(countries=countries, source_files=db.source_files, conflicts=db.conflicts)
+    """The ASN -> country map that `load` returns for a saved MergedRecords `db`."""
+    return {asn: country for asn, (_, _, country, _) in db.records.items()}
 
 
 def save_and_load(db, path):
@@ -403,10 +402,10 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         records = {25133: delegation("UA", "ripencc", "20020701"), 12389: delegation("RU", "ripencc")}
         db = MergedRecords(records=records, source_files=(("ripencc", "sha256:feed"),))
-        loaded = save_and_load(db, tmp_path / "asndb.txt")
-        assert loaded.countries == {25133: "UA", 12389: "RU"}
-        assert loaded.source_files == (("ripencc", "sha256:feed"),)
-        assert loaded.conflicts == db.conflicts
+        path = tmp_path / "asndb.txt"
+        assert save_and_load(db, path) == {25133: "UA", 12389: "RU"}
+        # The provenance and conflict count stay in the saved header only.
+        assert path.read_text().splitlines()[1:3] == ["# source ripencc sha256:feed", "# records 2 conflicts 0"]
 
     def test_round_trip_with_shared_and_missing_dates(self, tmp_path):
         db, _ = build_text(tmp_path, "ripencc|UA|asn|7|3|20020701|allocated\n"
@@ -431,9 +430,9 @@ class TestPersistence:
         db, _ = asndb.build_from_files(
             [(r, delegated_dir / f"{r}.txt") for r in sorted(FIXTURE_RECORDS_PER_FILE)])
         loaded = save_and_load(db, tmp_path / "asndb.txt")
-        codes = set(loaded.countries.values())
+        codes = set(loaded.values())
         assert len(codes) == 10
-        assert len({id(cc) for cc in loaded.countries.values()}) == len(codes)
+        assert len({id(cc) for cc in loaded.values()}) == len(codes)
 
     @pytest.mark.parametrize("row", [
         "25133|UA|ripencc",
@@ -450,6 +449,12 @@ class TestPersistence:
         path = tmp_path / "asndb.txt"
         path.write_text(f"# asndb 1\n# records 2 conflicts 0\n12389|RU|ripencc|\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: malformed asndb line")):
+            asndb.load(path)
+
+    def test_conflict_count_must_be_an_integer(self, tmp_path):
+        path = tmp_path / "asndb.txt"
+        path.write_text("# asndb 1\n# records 2 conflicts x\n12389|RU|ripencc|\n25133|UA|ripencc|20020701\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed asndb line")):
             asndb.load(path)
 
     @pytest.mark.parametrize("count", [1, 3])
@@ -531,7 +536,7 @@ def load_without_index(path):
 
 def assert_same_db(got, want):
     assert got == want
-    assert len({id(cc) for cc in got.countries.values()}) == len(set(want.countries.values()))
+    assert len({id(cc) for cc in got.values()}) == len(set(want.values()))
 
 
 def read_index(path):
@@ -614,7 +619,7 @@ class TestCountryIndex:
             assert_same_db(indexed, load_without_index(path))
             assert len(used) == 1
         assert caplog.records == []
-        assert indexed.countries[65000] == "AR"
+        assert indexed[65000] == "AR"
 
     def test_bench_sized_map_equals_the_text_parse(self, tmp_path, monkeypatch):
         db = bench_sized_db(tmp_path)
@@ -622,7 +627,7 @@ class TestCountryIndex:
         used = spy_on_index(monkeypatch)
         indexed = save_and_load(db, path)
         assert len(used) == 1
-        assert max(indexed.countries) > 2**31
+        assert max(indexed) > 2**31
         assert_same_db(indexed, load_without_index(path))
         assert indexed == as_loaded(db)
 
@@ -651,11 +656,26 @@ class TestCountryIndex:
             assert_same_db(loaded, load_without_index(path))
         assert caplog.records == []
 
+    @pytest.mark.parametrize("with_index", [False, True], ids=["no-index", "original-index"])
+    def test_byte_order_mark_reads_the_same_map(self, tmp_path, delegated_dir, caplog, with_index):
+        path = tmp_path / "asndb.txt"
+        asndb.save(fixture_db(delegated_dir), path)
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        if with_index:  # the mark is hashed too, so the copied index no longer checks out
+            index_of(bom).write_bytes(index_of(path).read_bytes())
+        with caplog.at_level(logging.WARNING, logger="ixpreach.asndb"):
+            loaded = asndb.load(bom)
+        reason = "the text or the index changed after the index was written"
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"{index_of(bom)}: not used ({reason}); reading {bom} line by line"] if with_index else [])
+        assert_same_db(loaded, asndb.load(path))
+
     def test_edited_text_wins_over_its_stale_index(self, tmp_path, delegated_dir):
         path = tmp_path / "asndb.txt"
         asndb.save(fixture_db(delegated_dir), path)
         edit_text(path)
-        assert asndb.load(path).countries[12389] == "UA"
+        assert asndb.load(path)[12389] == "UA"
 
     def test_malformed_line_beside_a_stale_index_names_file_and_line(self, tmp_path, delegated_dir):
         path = tmp_path / "asndb.txt"

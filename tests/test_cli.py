@@ -145,6 +145,23 @@ class TestBuildAsndb:
         assert err == f"usage error: --rir names {tmp_path.resolve() / 'F'} twice; name each file once\n"
         assert os.listdir(tmp_path) == ["F"]
 
+    @pytest.mark.parametrize("rir, out", [
+        ("F", "F"),
+        ("F", "./F"),
+        ("D.idx", "D"),
+    ], ids=["same-path", "dot-slash", "index-path"])
+    def test_output_naming_an_input_is_usage_error(self, tmp_path, delegated_dir, monkeypatch, capsys, rir, out):
+        # Written first, the database would replace the file it is built from.
+        shutil.copy(delegated_dir / "ripencc.txt", tmp_path / rir)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.asndb, "build_from_files", lambda items: pytest.fail("a file was read"))
+        assert run(["build-asndb", "--rir", f"ripencc={rir}", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --out {out} would overwrite the --rir file {tmp_path.resolve() / rir}; " \
+                      "name another output\n"
+        assert os.listdir(tmp_path) == [rir]
+        assert (tmp_path / rir).read_bytes() == (delegated_dir / "ripencc.txt").read_bytes()
+
 
 class TestAnalyze:
     def analyze_args(self, tmp_path, scen, gt, out="out"):

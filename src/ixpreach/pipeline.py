@@ -16,7 +16,7 @@ import datetime as dt
 import io
 import math
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from . import asndb, metrics, outage, reachability, rtingest
 
@@ -92,7 +92,10 @@ class AnalysisResult(NamedTuple):
 
 
 def run_analysis(config: RunConfig, db: dict[int, str] | None = None) -> AnalysisResult:
-    """Run the whole pipeline for every (IXP, country) pair in the config."""
+    """Run the whole pipeline for every (IXP, country) pair in the config.
+    Each IXP needs a usable snapshot on the baseline and the final date:
+    a missing end file fails before any table is read, an unusable one (a
+    gap) right after that IXP's window is loaded, before its attribution."""
     if db is None:
         db = asndb.load(config.asndb_path)
     catalog = None
@@ -102,23 +105,21 @@ def run_analysis(config: RunConfig, db: dict[int, str] | None = None) -> Analysi
         with open(config.catalog_path, encoding="utf-8-sig") as handle:
             catalog = outage.parse_catalog(handle)
 
-    # Loading walks every calendar day of the window, so a missing end file
-    # fails first; one that exists but cannot be used fails after loading.
     ends = {config.baseline_date: "baseline date", config.final_date: "final date"}
     for ixp in config.ixps:
-        for day, path in rtingest.snapshot_paths(config.snapshot_root, ixp, ends):
-            if not path.is_file():
-                raise ValueError(f"{ends[day]} {day} has no snapshot for IXP {ixp!r}")
+        paths = rtingest.snapshot_paths(config.snapshot_root, ixp, ends)
+        _require_ends(ends, ixp, {day for day, path in paths if path.is_file()})
 
     window = rtingest.DateRange(config.baseline_date, config.final_date)
     result = AnalysisResult(config, {}, {})
     for ixp in config.ixps:
         series = rtingest.load_series(config.snapshot_root, ixp, window)
+        # With an end day a gap the series starts or ends on another day, or is empty.
+        _require_ends(ends, ixp, {snap.date for snap in series.snapshots[:1] + series.snapshots[-1:]})
         attributed = metrics.build_series(series, db, config.countries)
         del series  # free this IXP's rows before the next IXP's are read
         for country, (mseries, presence) in attributed.items():
-            report = reachability.diff_reachability(
-                presence, ixp, config.baseline_date, config.final_date, config.confirmation_window)
+            report = reachability.diff_reachability(presence, config.confirmation_window)
             events: list[outage.OutageEvent] = []
             for metric in metrics.METRIC_NAMES:
                 events.extend(outage.detect_dips(
@@ -134,6 +135,13 @@ def run_analysis(config: RunConfig, db: dict[int, str] | None = None) -> Analysi
         pcts = [result.pairs[ixp, country].report.pct_lost for ixp in config.ixps]
         result.averages[country] = reachability.average_pct(pcts)
     return result
+
+
+def _require_ends(ends: dict[dt.date, str], ixp: str, days: Container[dt.date]) -> None:
+    """Raise ValueError for the first end day (`ends` names each) not in `days`."""
+    for day, what in ends.items():
+        if day not in days:
+            raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
 
 
 def write_outputs(result: AnalysisResult) -> list[Path]:

@@ -4,9 +4,10 @@ An origin is pronounced unreachable when it was visible in the baseline
 snapshot but is absent from the final one, confirmed by also being absent
 on the available snapshots of the preceding confirmation window.  The
 country's PresenceMap keeps each origin's presence as a bitmask of
-snapshot indices, and the window is one contiguous index range before
-the final snapshot, so a report is one pass over the origins' masks with
-three bit tests per origin; no snapshot is scanned here.
+snapshot indices.  Its first and last snapshots are the baseline and the
+final one (`pipeline.run_analysis` requires both), and the window is one
+contiguous index range before the last, so a report is one pass over the
+origins' masks with three bit tests per origin; no snapshot is scanned.
 A report holds only the facts computed here: the run's dates and window
 are `pipeline.RunConfig`'s, which also checks them, and the (IXP,
 country) pair is its key in the run's result.
@@ -62,17 +63,11 @@ def average_pct(pcts: Sequence[float]) -> float:
     return hundredths / 100
 
 
-def diff_reachability(
-    presence: PresenceMap,
-    ixp: str,
-    baseline_date: dt.date,
-    final_date: dt.date,
-    window: int = DEFAULT_CONFIRMATION_WINDOW,
-) -> ReachabilityReport:
+def diff_reachability(presence: PresenceMap, window: int = DEFAULT_CONFIRMATION_WINDOW) -> ReachabilityReport:
     """Full baseline-vs-final report for one (IXP, country) pair, from the
-    pair's origin presence map; `ixp` only names the IXP in the error
-    for a date without a snapshot.  `window` is not checked: `RunConfig`
-    refuses a negative one.
+    pair's origin presence map: its first snapshot is the baseline, its
+    last the final one.  `window` is not checked: `RunConfig` refuses a
+    negative one.
 
     Lost origins are baseline origins absent on the final day and on every
     available snapshot of the `window` days before it; gap dates inside
@@ -80,21 +75,20 @@ def diff_reachability(
     absent on the final day but seen inside the window are flapping.
     """
     dates = presence.dates
-    b = _snapshot_index(dates, baseline_date, "baseline date", ixp)
-    f = _snapshot_index(dates, final_date, "final date", ixp)
+    f = len(dates) - 1  # the final snapshot's index; the baseline's is 0
     # The window's snapshots are the indices [w, f).  A window reaching
-    # before the first snapshot starts at index 0; the day counts are
+    # back to the baseline starts at index 0; the day counts are
     # compared as ints first, since a huge timedelta overflows.
-    if window >= (final_date - dates[0]).days:
+    if window >= (dates[f] - dates[0]).days:
         w = 0
     else:
-        w = bisect_left(dates, final_date - dt.timedelta(days=window))
+        w = bisect_left(dates, dates[f] - dt.timedelta(days=window))
     in_window = (1 << f) - (1 << w)
     total = 0
     lost, new, flapping = [], [], []
     for origin, mask in presence.masks.items():
         at_final = mask >> f & 1
-        if not mask >> b & 1:
+        if not mask & 1:
             if at_final:
                 new.append(origin)
             continue
@@ -112,13 +106,6 @@ def diff_reachability(
         new_asns=tuple(sorted(new)),
         flapping_asns=tuple(sorted(flapping)),
     )
-
-
-def _snapshot_index(dates: tuple[dt.date, ...], day: dt.date, what: str, ixp: str) -> int:
-    i = bisect_left(dates, day)
-    if i == len(dates) or dates[i] != day:
-        raise ValueError(f"{what} {day} has no snapshot for IXP {ixp!r}")
-    return i
 
 
 def write_origins_csv(stream: IO[str], presence: PresenceMap) -> None:

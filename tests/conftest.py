@@ -90,8 +90,14 @@ def origins_by_date(presence):
 
 
 def reach(series, db, country, baseline, final, window=3):
-    """The pipeline's reachability report for one (series, country)."""
-    return diff_reachability(presence_of(series, db, country), series.ixp, baseline, final, window)
+    """The pipeline's reachability report for one (series, country), over
+    the series cut to the days from `baseline` to `final`: as in
+    `run_analysis`, both must be snapshot days."""
+    snapshots = tuple(snap for snap in series.snapshots if baseline <= snap.date <= final)
+    assert (snapshots[0].date, snapshots[-1].date) == (baseline, final)
+    window_series = series._replace(snapshots=snapshots,
+                                    gaps=tuple(d for d in series.gaps if baseline <= d <= final))
+    return diff_reachability(presence_of(window_series, db, country), window)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from ixpreach.metrics import MetricSeries
 from ixpreach.outage import detect_dips
 from ixpreach.reachability import average_pct, pct_lost
 from ixpreach.rtingest import DateRange, InternTable, parse_snapshot
-from ixpreach.synth import CountrySpec, ScenarioSpec
+from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
 
 from conftest import BASE, day, make_db, make_series, reach, rows_of
 
@@ -51,32 +51,80 @@ def test_criterion_2_ru_table_arithmetic_and_truncation():
         assert average_pct(got) == 10.94
 
 
+def _analyzed_and_verified(tmp_path, spec):
+    """Generate `spec`, build its database, run the analysis, write the
+    outputs and return the run's result once `synth.verify` finds no
+    problem in them."""
+    scen_dir = tmp_path / f"scen{spec.seed}"
+    gt = synth.generate(spec, scen_dir)
+    db, skipped = asndb.build_from_files([("ripencc", scen_dir / "delegated.txt")])
+    assert skipped == []
+    asndb.save(db, tmp_path / "asndb.txt")
+    config = pipeline.RunConfig(
+        asndb_path=tmp_path / "asndb.txt",
+        snapshot_root=scen_dir / "snapshots",
+        output_dir=tmp_path / f"out{spec.seed}",
+        ixps=gt.ixps,
+        countries=gt.countries,
+        baseline_date=gt.baseline_date,
+        final_date=gt.final_date,
+        confirmation_window=gt.confirmation_window,
+    )
+    result = pipeline.run_analysis(config)
+    pipeline.write_outputs(result)  # verify reads these files
+    problems = synth.verify(gt, result)
+    assert problems == [], f"seed {spec.seed}: {problems[:5]}"
+    return result
+
+
 def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
     with criterion(3, "20 randomized scenarios, zero verify discrepancies, under 60 s"):
         started = time.monotonic()
         for seed in range(101, 121):
-            spec = synth.random_scenario(seed)
-            scen_dir = tmp_path / f"scen{seed}"
-            gt = synth.generate(spec, scen_dir)
-            db, skipped = asndb.build_from_files([("ripencc", scen_dir / "delegated.txt")])
-            assert skipped == []
-            asndb.save(db, tmp_path / "asndb.txt")
-            config = pipeline.RunConfig(
-                asndb_path=tmp_path / "asndb.txt",
-                snapshot_root=scen_dir / "snapshots",
-                output_dir=tmp_path / f"out{seed}",
-                ixps=gt.ixps,
-                countries=gt.countries,
-                baseline_date=gt.baseline_date,
-                final_date=gt.final_date,
-                confirmation_window=gt.confirmation_window,
-            )
-            result = pipeline.run_analysis(config)
-            pipeline.write_outputs(result)  # verify reads these files
-            problems = synth.verify(gt, result)
-            assert problems == [], f"seed {seed}: {problems[:5]}"
+            _analyzed_and_verified(tmp_path, synth.random_scenario(seed))
         elapsed = time.monotonic() - started
         assert elapsed < 60, f"took {elapsed:.1f} s"
+
+
+def flap_scenario(seed):
+    """A seeded scenario whose removals meet the final day.  Each (IXP,
+    country) pair gets one removal that starts inside the confirmation
+    window, on any of its days, and one that starts before it; both last
+    through the final day.  The first makes flaps, or losses where it
+    starts on the window's first day or the window's earlier days are
+    gaps; the second makes losses.  Gaps fall on the day after the
+    baseline and inside the window."""
+    rng = random.Random(f"flaps:{seed}")
+    days = rng.randint(14, 24)
+    final = day(days - 1)
+    confirmation = rng.randint(2, 4)
+    in_window = [final - dt.timedelta(days=k) for k in range(1, confirmation + 1)]
+    gaps = {day(1), *rng.sample(in_window, rng.randint(0, confirmation - 1))}
+    countries = {"UA": CountrySpec(origin_count=rng.randint(10, 20), neighbor_count=rng.randint(0, 2)),
+                 "RU": CountrySpec(origin_count=rng.randint(8, 16))}
+    ixps = ("amsix", "linx")
+    disruptions = []
+    for ixp in ixps:
+        for cc in countries:
+            flap_start = final - dt.timedelta(days=rng.randint(1, confirmation))
+            loss_start = day(rng.randint(1, days - 2 - confirmation))
+            for start in (flap_start, loss_start):
+                disruptions.append(Disruption("origin_removal", ixp, cc, start, final, count=rng.randint(1, 3)))
+    return ScenarioSpec(seed=seed, window=DateRange(BASE, final), ixps=ixps,
+                        countries=countries, disruptions=tuple(disruptions),
+                        gap_dates=tuple(sorted(gaps)), confirmation_window=confirmation)
+
+
+def test_criterion_3_oracle_equivalence_on_flap_scenarios(tmp_path):
+    with criterion(3, "12 scenarios with removals through the final day: zero verify discrepancies, "
+                      "flaps and losses both occur"):
+        flapping = lost = 0
+        for seed in range(1, 13):
+            result = _analyzed_and_verified(tmp_path, flap_scenario(seed))
+            for pair in result.pairs.values():
+                flapping += len(pair.report.flapping_asns)
+                lost += len(pair.report.lost_asns)
+        assert flapping and lost
 
 
 def _presence_series(present_by_day, db):

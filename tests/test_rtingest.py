@@ -380,6 +380,32 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="^final date 2022-02-21 has no snapshot for IXP 'amsix'$"):
             pipeline.run_analysis(config, db=make_db({25133: "UA"}))
 
+    @pytest.mark.parametrize("content", [b"", b"prefix,as_path\n192.0.2.0/24,174 \xff25133\n"],
+                             ids=["empty", "undecodable"])
+    @pytest.mark.parametrize("end", ["baseline", "final"])
+    def test_unusable_end_file_fails_before_attribution(self, tmp_path, monkeypatch, end, content):
+        # amsix is fine; linx's end file exists but is unusable, so the run
+        # fails right after linx's window is loaded, before its attribution.
+        for ixp in ("amsix", "linx"):
+            for offset in range(3):
+                write_snapshot_file(tmp_path, ixp, day(offset), [("192.0.2.0/24", [174, 25133])])
+        bad = {"baseline": BASE, "final": day(2)}[end]
+        (tmp_path / "linx" / f"{bad.isoformat()}.csv").write_bytes(content)
+        attributed = []
+        build_series = pipeline.metrics.build_series
+
+        def spy(series, *args):
+            attributed.append(series.ixp)
+            return build_series(series, *args)
+
+        monkeypatch.setattr(pipeline.metrics, "build_series", spy)
+        config = pipeline.RunConfig(asndb_path=tmp_path / "unused", snapshot_root=tmp_path,
+                                    output_dir=tmp_path / "out", ixps=("amsix", "linx"), countries=("UA",),
+                                    baseline_date=BASE, final_date=day(2))
+        with pytest.raises(ValueError, match=f"^{end} date {bad} has no snapshot for IXP 'linx'$"):
+            pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+        assert attributed == ["amsix"]
+
     @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all-quoted"])
     @pytest.mark.parametrize("age", [True, False], ids=["unmapped-column", "mapped-only"])
     def test_rows_share_entries_across_days(self, tmp_path, quoting, age):

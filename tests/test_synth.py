@@ -390,6 +390,14 @@ class TestDisruptions:
         assert ru_pcts == {"auix": 3.1, "linx": 3.7, "amsix": 14.7, "spoixbr": 18.7, "six": 14.5}
         assert result.averages["UA"] == 11.12
         assert result.averages["RU"] == 10.94
+        # The averages weight every IXP equally; pooled over the IXPs the
+        # losses are 11.4 % (UA) and 5.4 % (RU), whose average rests on the
+        # three IXPs with 415-421 RU origins.
+        for cc, total, lost in (("UA", 6039, 693), ("RU", 7890, 427)):
+            reports = [result.pairs[ixp, cc].report for ixp in ixps]
+            assert sum(report.total_baseline for report in reports) == total
+            assert sum(len(report.lost_asns) for report in reports) == lost
+        assert (reachability.pct_lost(6039, 693), reachability.pct_lost(7890, 427)) == (11.4, 5.4)
 
     def test_five_injected_outages_detected_exactly(self, tmp_path):
         # strong, well-separated, short dips over a flat base: the injected

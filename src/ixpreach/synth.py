@@ -35,7 +35,8 @@ are required; ``gap_dates`` (none), ``disruptions`` (none),
 disruption takes ``kind``, ``ixp``, ``country``, ``start`` and the keys
 its kind has in ``DISRUPTION_KEYS``.  Any other key is an error, in
 ``window`` too, and so is an integer given as a float, string or bool, a
-negative origin or neighbour count, an IXP named twice, a gap given twice
+negative origin or neighbour count, an IXP named twice, more than 245
+IXPs, country ASN blocks reaching the transit ASNs, a gap given twice
 or not strictly inside the window, or a country code or setting
 ``analyze`` would refuse.  The ground truth's baseline and final dates
 are the window's first and last days.  ``generate`` refuses a directory
@@ -74,6 +75,7 @@ DEFAULT_DETECTOR = {"trailing_window": DEFAULT_TRAILING_WINDOW, "threshold": DEF
                     "min_reference": DEFAULT_MIN_REFERENCE}
 
 _COUNTRY_BLOCK_BASE = 10000
+_FIRST_OCTET = 11  # IXP i's IPv4 prefixes are /24s of first octet _FIRST_OCTET + i
 _TRANSIT_REGISTERED = tuple(range(900000, 900006))  # registered under the ZZ placeholder
 _TRANSIT_UNREGISTERED = tuple(range(900010, 900016))
 _FOREIGN_NEIGHBOR_BASE = 950000  # per-IXP pool of unregistered first hops
@@ -246,6 +248,9 @@ def _validate(spec: ScenarioSpec) -> None:
         raise ScenarioError(str(exc)) from None
     if len(set(spec.ixps)) != len(spec.ixps):  # RunConfig drops a repeat
         raise ScenarioError(f"ixps: an IXP is named twice in {', '.join(spec.ixps)}")
+    if len(spec.ixps) > 256 - _FIRST_OCTET:
+        raise ScenarioError(f"ixps: at most {256 - _FIRST_OCTET} IXPs (IXP i's IPv4 prefixes take first octet "
+                            f"{_FIRST_OCTET} + i), got {len(spec.ixps)}")
     if set(spec.detector) != set(DEFAULT_DETECTOR):  # RunConfig takes other keywords too
         raise ScenarioError(f"detector: keys must be {', '.join(DEFAULT_DETECTOR)}")
     gaps = set(spec.gap_dates)
@@ -295,6 +300,10 @@ def _validate(spec: ScenarioSpec) -> None:
                 raise ScenarioError(f"{where}: magnitude must be in (0, 1]")
         if d.kind == "neighbor_disconnect" and spec.countries[d.country].neighbor_count < 1:
             raise ScenarioError(f"{where}: country has no neighbors to disconnect")
+    *_, (start, regular, reserve) = _country_blocks(spec).values()
+    if start + regular + reserve > _TRANSIT_REGISTERED[0]:
+        raise ScenarioError(f"countries: origin and join ASNs must stay below the transit ASNs from "
+                            f"{_TRANSIT_REGISTERED[0]}; the last block ends at {start + regular + reserve - 1}")
 
 
 @dataclass(frozen=True)
@@ -302,15 +311,15 @@ class _Route:
     country: str
     origin: int
     prefix: str
-    path: tuple[int, ...]
-    path_text: str
+    first_hop: int
+    line: str  # the written row: prefix,as_path
     mult: int
     prefix_index: int
     prefix_total: int
 
 
 def _country_blocks(spec: ScenarioSpec) -> dict[str, tuple[int, int, int]]:
-    """country -> (block start, regular size, reserve size for joins)."""
+    """country -> (block start, regular size, reserve size for joins), in code order."""
     blocks = {}
     next_start = _COUNTRY_BLOCK_BASE
     for cc in sorted(spec.countries):
@@ -321,17 +330,14 @@ def _country_blocks(spec: ScenarioSpec) -> dict[str, tuple[int, int, int]]:
     return blocks
 
 
-def _v4_prefix(ixp_index: int, counter: int) -> str:
-    if counter >= 1 << 16:
+def _prefix(ixp_index: int, counter: list[int], v6: bool) -> str:
+    """The IXP's next prefix, a /64 if `v6` else a /24; `counter[0]` is
+    how many it has handed out."""
+    n = counter[0]
+    if n >= 1 << 16:
         raise ScenarioError("too many prefixes for one IXP")
-    octet1 = 11 + ixp_index
-    return f"{octet1}.{counter >> 8}.{counter & 0xFF}.0/24"
-
-
-def _v6_prefix(ixp_index: int, counter: int) -> str:
-    if counter >= 1 << 16:
-        raise ScenarioError("too many prefixes for one IXP")
-    return f"2001:db8:{ixp_index:x}:{counter:x}::/64"
+    counter[0] = n + 1
+    return f"2001:db8:{ixp_index:x}:{n:x}::/64" if v6 else f"{_FIRST_OCTET + ixp_index}.{n >> 8}.{n & 0xFF}.0/24"
 
 
 def _build_origin_routes(
@@ -346,13 +352,9 @@ def _build_origin_routes(
     ixp_index: int,
     counter: list[int],
 ) -> list[_Route]:
-    prefixes = []
-    for _ in range(rng.randint(*prefix_range)):
-        prefixes.append(_v4_prefix(ixp_index, counter[0]))
-        counter[0] += 1
+    prefixes = [_prefix(ixp_index, counter, False) for _ in range(rng.randint(*prefix_range))]
     if origin_index % 7 == 3:
-        prefixes.append(_v6_prefix(ixp_index, counter[0]))
-        counter[0] += 1
+        prefixes.append(_prefix(ixp_index, counter, True))
 
     if origin in neighbors:
         home = origin
@@ -370,11 +372,10 @@ def _build_origin_routes(
     if rng.random() < 0.15:
         path = [path[0]] + path  # announced with a prepended first hop
 
-    path_tuple = tuple(path)
-    path_text = " ".join(str(a) for a in path_tuple)
+    path_text = " ".join(map(str, path))
     total = len(prefixes)
     return [
-        _Route(country, origin, prefix, path_tuple, path_text,
+        _Route(country, origin, prefix, path[0], f"{prefix},{path_text}",
                2 if rng.random() < 0.08 else 1, j, total)
         for j, prefix in enumerate(prefixes)
     ]
@@ -387,7 +388,7 @@ def _withheld_by(d: Disruption, targets: frozenset[int]) -> Callable[[_Route], b
         cc, keep = d.country, 1 - d.magnitude
         return lambda route: route.country == cc and route.prefix_index >= math.floor(route.prefix_total * keep)
     if d.kind == "neighbor_disconnect":
-        return lambda route: route.path[0] in targets
+        return lambda route: route.first_hop in targets
     return lambda route: route.origin in targets
 
 
@@ -404,12 +405,11 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     check_output_dir(out_dir, [f"snapshots/{snapshot_name(ixp, day)}" for ixp in ixps for day in snapshot_days])
 
     blocks = _country_blocks(spec)
-    registered: dict[int, str] = {}
-    for cc, (start, regular, reserve) in blocks.items():
-        for asn in range(start, start + regular + reserve):
-            registered[asn] = cc
-    for asn in _TRANSIT_REGISTERED:
-        registered[asn] = "ZZ"
+    # (registry, country, first ASN, count, status) of each delegated row.
+    delegations = [(REGISTRIES[idx % len(REGISTRIES)], cc, start, regular + reserve, "assigned")
+                   for idx, (cc, (start, regular, reserve)) in enumerate(blocks.items())]
+    delegations.append(("arin", "ZZ", _TRANSIT_REGISTERED[0], len(_TRANSIT_REGISTERED), "allocated"))
+    registered = {asn: cc for _, cc, first, count, _ in delegations for asn in range(first, first + count)}
     transit_pool = _TRANSIT_REGISTERED + _TRANSIT_UNREGISTERED
 
     countries = sorted(spec.countries)
@@ -486,14 +486,13 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
             for route in routes_by_ixp[ixp]:
                 if tests and any(test(route) for test in tests):
                     continue
-                line = f"{route.prefix},{route.path_text}"
                 for _ in range(route.mult):
-                    rows.append(line)
+                    rows.append(route.line)
                 cc = route.country
                 ann[cc] += route.mult
                 day_origins[cc].add(route.origin)
                 day_prefixes[cc].add(route.prefix)
-                first_hops.add(route.path[0])
+                first_hops.add(route.first_hop)
 
             for cc in countries:
                 neigh = sum(1 for hop in first_hops if registered.get(hop) == cc)
@@ -505,7 +504,7 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
             random.Random(f"rows:{spec.seed}:{ixp}:{day.isoformat()}").shuffle(rows)
             path.write_text(header + "".join(r + "\n" for r in rows), encoding="utf-8")
 
-    _write_delegated(out_dir / "delegated.txt", spec, blocks)
+    _write_delegated(out_dir / "delegated.txt", delegations)
 
     gt = GroundTruth(
         seed=spec.seed,
@@ -541,14 +540,10 @@ def _expected_dip_spans(dates, values, trailing_window, threshold, min_reference
     return spans
 
 
-def _write_delegated(path: Path, spec: ScenarioSpec, blocks) -> None:
-    """One combined delegated-statistics file covering every scenario ASN."""
-    rows = []
-    for idx, cc in enumerate(sorted(blocks)):
-        start, regular, reserve = blocks[cc]
-        registry = REGISTRIES[idx % len(REGISTRIES)]
-        rows.append(f"{registry}|{cc}|asn|{start}|{regular + reserve}|20200101|assigned")
-    rows.append(f"arin|ZZ|asn|{_TRANSIT_REGISTERED[0]}|{len(_TRANSIT_REGISTERED)}|20200101|allocated")
+def _write_delegated(path: Path, delegations: list[tuple[str, str, int, int, str]]) -> None:
+    """One combined delegated-statistics file, a row per delegation."""
+    rows = [f"{registry}|{cc}|asn|{first}|{count}|20200101|{status}"
+            for registry, cc, first, count, status in delegations]
     lines = [
         "2|ripencc|20220219|{}|20200101|20220218|+0000".format(len(rows)),
         "# synthetic delegated statistics",

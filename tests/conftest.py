@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ixpreach import asndb, pipeline
 from ixpreach.metrics import METRIC_NAMES, build_series
 from ixpreach.reachability import diff_reachability
 from ixpreach.rtingest import Snapshot, SnapshotSeries
@@ -98,6 +99,31 @@ def reach(series, db, country, baseline, final, window=3):
     window_series = series._replace(snapshots=snapshots,
                                     gaps=tuple(d for d in series.gaps if baseline <= d <= final))
     return diff_reachability(presence_of(window_series, db, country), window)
+
+
+def analyze_generated(tmp_path, gt, scen_dir="scen"):
+    """Build the database of the tree `synth.generate` wrote for `gt` under
+    `tmp_path / scen_dir`, analyse the tree with the truth's confirmation
+    window and detector settings, write the outputs `synth.verify` reads
+    and return the run's result."""
+    db, skipped = asndb.build_from_files([("ripencc", tmp_path / scen_dir / "delegated.txt")])
+    assert skipped == []
+    db_path = tmp_path / f"{scen_dir}-asndb.txt"
+    asndb.save(db, db_path)
+    config = pipeline.RunConfig(
+        asndb_path=db_path,
+        snapshot_root=tmp_path / scen_dir / "snapshots",
+        output_dir=tmp_path / f"{scen_dir}-out",
+        ixps=gt.ixps,
+        countries=gt.countries,
+        baseline_date=gt.baseline_date,
+        final_date=gt.final_date,
+        confirmation_window=gt.confirmation_window,
+        **gt.detector,
+    )
+    result = pipeline.run_analysis(config)
+    pipeline.write_outputs(result)  # verify reads these files
+    return result
 
 
 @pytest.fixture

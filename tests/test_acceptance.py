@@ -13,14 +13,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from ixpreach import asndb, cli, pipeline, synth
+from ixpreach import asndb, cli, synth
 from ixpreach.metrics import MetricSeries
 from ixpreach.outage import detect_dips
 from ixpreach.reachability import average_pct, pct_lost
 from ixpreach.rtingest import DateRange, InternTable, parse_snapshot
 from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
 
-from conftest import BASE, day, make_db, make_series, reach, rows_of
+from conftest import BASE, analyze_generated, day, make_db, make_series, reach, rows_of
 
 
 @contextmanager
@@ -51,37 +51,12 @@ def test_criterion_2_ru_table_arithmetic_and_truncation():
         assert average_pct(got) == 10.94
 
 
-def _analyzed_and_verified(tmp_path, spec):
-    """Generate `spec`, build its database, run the analysis, write the
-    outputs and return the run's result once `synth.verify` finds no
-    problem in them."""
-    scen_dir = tmp_path / f"scen{spec.seed}"
-    gt = synth.generate(spec, scen_dir)
-    db, skipped = asndb.build_from_files([("ripencc", scen_dir / "delegated.txt")])
-    assert skipped == []
-    asndb.save(db, tmp_path / "asndb.txt")
-    config = pipeline.RunConfig(
-        asndb_path=tmp_path / "asndb.txt",
-        snapshot_root=scen_dir / "snapshots",
-        output_dir=tmp_path / f"out{spec.seed}",
-        ixps=gt.ixps,
-        countries=gt.countries,
-        baseline_date=gt.baseline_date,
-        final_date=gt.final_date,
-        confirmation_window=gt.confirmation_window,
-    )
-    result = pipeline.run_analysis(config)
-    pipeline.write_outputs(result)  # verify reads these files
-    problems = synth.verify(gt, result)
-    assert problems == [], f"seed {spec.seed}: {problems[:5]}"
-    return result
-
-
 def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
     with criterion(3, "20 randomized scenarios, zero verify discrepancies, under 60 s"):
         started = time.monotonic()
         for seed in range(101, 121):
-            _analyzed_and_verified(tmp_path, synth.random_scenario(seed))
+            gt = synth.generate(synth.random_scenario(seed), tmp_path / f"scen{seed}")
+            assert synth.verify(gt, analyze_generated(tmp_path, gt, f"scen{seed}")) == [], seed
         elapsed = time.monotonic() - started
         assert elapsed < 60, f"took {elapsed:.1f} s"
 
@@ -92,8 +67,10 @@ def flap_scenario(seed):
     window, on any of its days, and one that starts before it; both last
     through the final day.  The first makes flaps, or losses where it
     starts on the window's first day or the window's earlier days are
-    gaps; the second makes losses.  Gaps fall on the day after the
-    baseline and inside the window."""
+    gaps; the second makes losses.  A third removal starts on the day one
+    of the two starts and ends on a day of the window, so its origins are
+    back by the final day.  Gaps fall on the day after the baseline and
+    inside the window."""
     rng = random.Random(f"flaps:{seed}")
     days = rng.randint(14, 24)
     final = day(days - 1)
@@ -110,21 +87,39 @@ def flap_scenario(seed):
             loss_start = day(rng.randint(1, days - 2 - confirmation))
             for start in (flap_start, loss_start):
                 disruptions.append(Disruption("origin_removal", ixp, cc, start, final, count=rng.randint(1, 3)))
+            start = rng.choice((flap_start, loss_start))
+            end = final - dt.timedelta(days=rng.randint(1, min(confirmation, (final - start).days)))
+            disruptions.append(Disruption("origin_removal", ixp, cc, start, end, count=rng.randint(1, 3)))
     return ScenarioSpec(seed=seed, window=DateRange(BASE, final), ixps=ixps,
                         countries=countries, disruptions=tuple(disruptions),
                         gap_dates=tuple(sorted(gaps)), confirmation_window=confirmation)
 
 
 def test_criterion_3_oracle_equivalence_on_flap_scenarios(tmp_path):
-    with criterion(3, "12 scenarios with removals through the final day: zero verify discrepancies, "
-                      "flaps and losses both occur"):
-        flapping = lost = 0
+    with criterion(3, "12 scenarios with removals through the final day and back inside the "
+                      "confirmation window: zero verify discrepancies, every shape occurs"):
+        flapping = lost = ends_in_window = same_start = returned = 0
         for seed in range(1, 13):
-            result = _analyzed_and_verified(tmp_path, flap_scenario(seed))
+            spec = flap_scenario(seed)
+            ends_in_window += sum(1 <= (spec.final - d.end).days <= spec.confirmation_window
+                                  for d in spec.disruptions)
+            starts = [(d.ixp, d.country, d.start) for d in spec.disruptions]
+            same_start += len(starts) - len(set(starts))
+            gt = synth.generate(spec, tmp_path / f"scen{seed}")
+            result = analyze_generated(tmp_path, gt, f"scen{seed}")
+            assert synth.verify(gt, result) == [], seed
             for pair in result.pairs.values():
                 flapping += len(pair.report.flapping_asns)
                 lost += len(pair.report.lost_asns)
-        assert flapping and lost
+                # Origins on the baseline and final day that miss a window day.
+                dates = pair.presence.dates
+                ends = 1 | 1 << len(dates) - 1
+                window = sum(1 << i for i, d in enumerate(dates)
+                             if 1 <= (spec.final - d).days <= spec.confirmation_window)
+                returned += sum(mask & ends == ends and mask & window != window
+                                for mask in pair.presence.masks.values())
+        print(f"flapping {flapping}, lost {lost}, back on the final day after a window absence {returned}")
+        assert flapping and lost and ends_in_window and same_start and returned
 
 
 def _presence_series(present_by_day, db):

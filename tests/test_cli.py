@@ -617,6 +617,13 @@ class TestPlot:
         with pytest.raises(ValueError, match="cannot chart an empty series"):
             svgchart.render_chart([])
 
+    def test_event_spans_outside_the_plotted_dates_are_not_drawn(self):
+        from ixpreach import svgchart
+        points = [(day(i), 10.0) for i in range(10)]
+        events = [(day(-5), day(-1), "before"), (day(3), day(4), "inside"), (day(10), day(20), "after")]
+        svg = svgchart.render_chart(points, events=events)
+        assert re.findall(r'<rect class="event" .*?<title>(.*?)</title>', svg) == ["inside"]
+
     def test_unknown_metric_lists_valid_ones(self, metrics_csv, capsys):
         tmp_path, csv_path, gt = metrics_csv
         rc = run(["plot", "--metrics", str(csv_path), "--metric", "bananas",

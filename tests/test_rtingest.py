@@ -19,7 +19,7 @@ from ixpreach.rtingest import (
 
 from conftest import BASE, day, make_db, make_series, origins_by_date, presence_of, rows_of
 
-# Ten data rows exercising every defect class; the oracle below classifies
+# Ten data rows exercising every defect class; `reference_parse` classifies
 # them independently of the parser.
 TEN_ROW_FIXTURE = """\
 prefix,as_path
@@ -34,26 +34,6 @@ not-a-prefix,174 25133
 100.64.0.0/10,174 bad 25133
 192.88.99.0/24,12389
 """
-
-
-def oracle_rows(text):
-    """Row-by-row expectation, built only from the stated defect rules."""
-    import ipaddress
-    good, bad = [], 0
-    for line in text.splitlines()[1:]:
-        prefix, _, path_cell = line.partition(",")
-        tokens = path_cell.split()
-        ok = bool(tokens) and all(t.isdigit() for t in tokens)
-        if ok:
-            try:
-                ipaddress.ip_network(prefix, strict=False)
-            except ValueError:
-                ok = False
-        if ok:
-            good.append((prefix, [int(t) for t in tokens]))
-        else:
-            bad += 1
-    return good, bad
 
 
 def parse_text(text):
@@ -93,14 +73,9 @@ class TestParseSnapshot:
         assert snap.skipped == 1
 
     def test_ten_row_fixture_against_oracle(self):
-        expected_good, expected_bad = oracle_rows(TEN_ROW_FIXTURE)
-        intern = InternTable()
-        snap = parse_snapshot(io.BytesIO(TEN_ROW_FIXTURE.encode()), "testix", BASE, intern=intern)
-        assert len(snap.entries) == len(expected_good) == 6
-        assert snap.skipped == expected_bad == 4
-        for (_, origin, neighbor), (_, path) in zip(rows_of(snap, intern), expected_good, strict=True):
-            assert rtingest._parse_path(" ".join(map(str, path))) == (path[-1], path[0])
-            assert (origin, neighbor) == (path[-1], path[0])
+        expected_rows, expected_skipped = reference_parse(io.StringIO(TEN_ROW_FIXTURE, newline=""))
+        assert (len(expected_rows), expected_skipped) == (6, 4)
+        assert parse_rows(TEN_ROW_FIXTURE) == (expected_rows, expected_skipped)
 
     def test_duplicate_rows_are_retained(self):
         snap = parse_text(

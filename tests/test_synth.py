@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from ixpreach.metrics import METRIC_NAMES
 from ixpreach.rtingest import DateRange, load_series
 from ixpreach.synth import CountrySpec, Disruption, GroundTruth, ScenarioSpec
 
-from conftest import BASE, day
+from conftest import BASE, analyze_generated, day
 
 
 def tiny_spec(days=12, origins=5, disruptions=(), seed=1, neighbor_count=1, **kwargs):
@@ -94,29 +95,6 @@ def recount_reachability(scen, gt):
             lost = base - last - set().union(*(seen[d].get(cc, set()) for d in window))
             counts[ixp, cc] = tuple(tuple(sorted(asns)) for asns in (lost, last - base, base - last - lost))
     return counts
-
-
-def analyze_generated(tmp_path, gt, scen_dir="scen"):
-    db, skipped = asndb.build_from_files([("ripencc", tmp_path / scen_dir / "delegated.txt")])
-    assert skipped == []
-    db_path = tmp_path / f"{scen_dir}-asndb.txt"
-    asndb.save(db, db_path)
-    config = pipeline.RunConfig(
-        asndb_path=db_path,
-        snapshot_root=tmp_path / scen_dir / "snapshots",
-        output_dir=tmp_path / f"{scen_dir}-out",
-        ixps=gt.ixps,
-        countries=gt.countries,
-        baseline_date=gt.baseline_date,
-        final_date=gt.final_date,
-        confirmation_window=gt.confirmation_window,
-        trailing_window=gt.detector["trailing_window"],
-        threshold=gt.detector["threshold"],
-        min_reference=gt.detector["min_reference"],
-    )
-    result = pipeline.run_analysis(config)
-    pipeline.write_outputs(result)  # verify reads these files
-    return result
 
 
 class TestGenerate:
@@ -572,6 +550,15 @@ class TestVerifySensitivity:
         assert len(problems) == 1
         assert problems[0].startswith(f"amsix/UA: {path}: the line for IXP 'amsix' does not parse: ")
 
+    def test_records_file_without_the_ixps_line_is_one_problem(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "reachability" / "UA_records.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if "ixp=amsix " not in line]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept), encoding="utf-8")
+        assert synth.verify(gt, result) == [f"amsix/UA: {path}: no line for IXP 'amsix'"]
+
     def test_tampered_outage_span_is_caught(self, tmp_path):
         # A detector that finds no dip expects no span, so each written one
         # is a problem, and nothing else is.
@@ -694,11 +681,37 @@ class TestScenarioIO:
         with pytest.raises(synth.ScenarioError, match="disruption #0: count 11 exceeds pool of 10"):
             synth.generate(spec, tmp_path / "scen")
 
-    @pytest.mark.parametrize("prefix", [synth._v4_prefix, synth._v6_prefix])
-    def test_prefix_counter_past_16_bits_is_refused(self, prefix):
-        assert prefix(0, (1 << 16) - 1)
+    def test_more_ixps_than_ipv4_first_octets_is_refused(self):
+        # IXP i's IPv4 prefixes take first octet 11 + i: the 246th would write 256.x.y.0/24.
+        def spec(n):
+            return ScenarioSpec(seed=1, window=DateRange(BASE, day(9)), ixps=tuple(f"ix{i}" for i in range(n)),
+                                countries={"UA": CountrySpec(origin_count=1, neighbor_count=0)})
+        synth._validate(spec(245))
+        with pytest.raises(synth.ScenarioError, match=r"ixps: at most 245 IXPs \(.*\), got 246"):
+            synth._validate(spec(246))
+
+    def test_country_blocks_reaching_the_transit_asns_are_refused(self):
+        # Each country's block starts on the next multiple of 1,000: one
+        # 57,000-origin country at each of 16 IXPs puts the 16th block at
+        # 880000-936999, over the transit ASNs from 900000.
+        ixps = tuple(f"ix{i}" for i in range(16))
+        countries = {cc: CountrySpec({ixp: 57_000 if ixp == own else 0 for ixp in ixps}, neighbor_count=0)
+                     for cc, own in zip(sorted(asndb.COUNTRY_CODES - {"ZZ"}), ixps)}
+        with pytest.raises(synth.ScenarioError, match="transit ASNs from 900000; the last block ends at 936999"):
+            synth._validate(ScenarioSpec(seed=1, window=DateRange(BASE, day(9)), ixps=ixps, countries=countries))
+        # A block may end at 899999, and a join's reserve counts.
+        spec = tiny_spec(days=10, origins=890_000)
+        synth._validate(spec)
+        with pytest.raises(synth.ScenarioError, match="block ends at 900000"):
+            synth._validate(replace(spec, disruptions=(Disruption("join", "amsix", "UA", day(5), count=1),)))
+
+    @pytest.mark.parametrize("v6", [False, True], ids=["v4", "v6"])
+    def test_prefix_counter_past_16_bits_is_refused(self, v6):
+        counter = [(1 << 16) - 1]
+        assert synth._prefix(0, counter, v6) and counter == [1 << 16]
         with pytest.raises(synth.ScenarioError, match="too many prefixes for one IXP"):
-            prefix(0, 1 << 16)
+            synth._prefix(0, counter, v6)
+        assert counter == [1 << 16]
 
     @staticmethod
     def small_doc():

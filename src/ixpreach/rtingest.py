@@ -185,13 +185,14 @@ def _normalize_prefix(text: str) -> str | None:
     leading zeros, up to 32 for IPv4 and 128 for IPv6) and an address the
     C library's `inet_pton` accepts: four dotted decimal octets up to 255
     without leading zeros, or an IPv6 address in any case, compressed or
-    exploded.  It masks the host bits and formats the network with
-    `inet_ntop`, which for these forms gives the text ipaddress would.
-    Every other text goes to `ipaddress.ip_network(..., strict=False)`:
-    lengths written otherwise or as a netmask, an address without a length,
-    scope ids and whatever `inet_pton` rejects.  So does an IPv6 network
-    that `inet_ntop` writes with a dotted IPv4 tail (the IPv4-mapped and
-    IPv4-compatible forms), where ipaddress writes hextets.
+    exploded.  An IPv4 cell with no host bits set is its own canonical
+    text; an IPv6 one is masked and formatted with `inet_ntop`, which for
+    these forms gives the text ipaddress would.  Every other text goes to
+    `ipaddress.ip_network(..., strict=False)`: an IPv4 cell with host bits
+    set, lengths written otherwise or as a netmask, an address without a
+    length, scope ids and whatever `inet_pton` rejects.  So does an IPv6
+    network that `inet_ntop` writes with a dotted IPv4 tail (the
+    IPv4-mapped and IPv4-compatible forms), where ipaddress writes hextets.
     """
     text = text.strip()
     address, _, length_text = text.partition("/")
@@ -205,10 +206,8 @@ def _normalize_prefix(text: str) -> str | None:
                     return f"{network}/{length_text}"
             elif length <= 32:
                 value = int.from_bytes(inet_pton(AF_INET, address), "big")
-                masked = value & _MASKS_V4[length]
-                if masked == value:
+                if value & _MASKS_V4[length] == value:
                     return text
-                return f"{inet_ntop(AF_INET, masked.to_bytes(4, 'big'))}/{length_text}"
         except (OSError, ValueError):  # ValueError: a NUL or a lone surrogate
             pass
     try:
@@ -310,7 +309,7 @@ def parse_snapshot(
     source: BinaryIO,
     ixp: str,
     date: dt.date,
-    intern: InternTable | None = None,
+    intern: InternTable,
 ) -> Snapshot:
     """Parse one snapshot CSV from a binary stream.
 
@@ -328,9 +327,7 @@ def parse_snapshot(
     decoded: the first with `utf-8-sig`, which drops a leading byte-order
     mark, the others as strict UTF-8, so a byte that is not UTF-8 raises
     UnicodeDecodeError (a ValueError).  `intern` is shared by the
-    snapshots of one series, and its columns give each id's fields; when
-    None a fresh table is used, and the ids then serve only to count
-    rows.
+    snapshots of one series, and its columns give each id's fields.
     """
     lines = chain.from_iterable(_blocks(source))
     feed = _LineFeed(lines)
@@ -343,8 +340,6 @@ def parse_snapshot(
     layout: Layout = (_resolve_column(header, PREFIX_COLUMN),
                       _resolve_column(header, AS_PATH_COLUMN))
     cells_of = operator.itemgetter(*layout)
-    if intern is None:
-        intern = InternTable()
     memo = intern.rows.setdefault(layout, {})
     # A line that holds nothing but the two mapped cells is its own memo
     # key, so a repeated one costs a single lookup.  The two names differ,
@@ -375,17 +370,15 @@ def parse_snapshot(
                 except IndexError:  # a row short of a mapped column is skipped
                     skipped += 1
                     continue
-                if by_line and not feed.read_on:
-                    # The line just missed the memo and is the row's key.
-                    entry = memo[line] = intern.entry(cells)
-                else:
-                    # Under a header with other columns, or for a record
-                    # csv did not end on this line (it read on into the
-                    # next lines, or to the end of the file), the key is
-                    # the cells.
-                    entry = memo.get(cells, _UNSEEN)
-                    if entry is _UNSEEN:
-                        entry = memo[cells] = intern.entry(cells)
+                # The line is the row's key when it holds only the two
+                # cells and csv ended the record on it; under a header with
+                # other columns, or for a record csv read on past the line
+                # (into the next lines, or to the end of the file), the key
+                # is the cells.
+                key = line if by_line and not feed.read_on else cells
+                entry = memo.get(key, _UNSEEN)
+                if entry is _UNSEEN:
+                    entry = memo[key] = intern.entry(cells)
         if entry is None:
             skipped += 1
         else:

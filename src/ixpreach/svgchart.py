@@ -25,9 +25,9 @@ def _fmt(value: float) -> str:
 def render_chart(
     points: Sequence[tuple[dt.date, float]],
     *,
-    title: str = "",
-    y_label: str = "",
-    events: Sequence[tuple[dt.date, dt.date, str]] = (),
+    title: str,
+    y_label: str,
+    events: Sequence[tuple[dt.date, dt.date, str]],
 ) -> str:
     """Render a date/value series as an SVG document string.
 
@@ -55,13 +55,10 @@ def render_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="18" text-anchor="middle" font-size="14">{_escape(title)}</text>',
+        f'<text x="14" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="18" text-anchor="middle" '
-                     f'font-size="14">{_escape(title)}</text>')
-    if y_label:
-        parts.append(f'<text x="14" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-                     f'transform="rotate(-90 14 {MARGIN_TOP + plot_h / 2:.0f})">{_escape(y_label)}</text>')
 
     # Shaded outage spans sit behind everything else; half-day padding
     # keeps one-day events visible.

@@ -36,11 +36,13 @@ disruption takes ``kind``, ``ixp``, ``country``, ``start`` and the keys
 its kind has in ``DISRUPTION_KEYS``.  Any other key is an error, in
 ``window`` too, and so is an integer given as a float, string or bool, a
 negative origin or neighbour count, an IXP named twice, more than 245
-IXPs, country ASN blocks reaching the transit ASNs, a gap given twice
-or not strictly inside the window, or a country code or setting
-``analyze`` would refuse.  The ground truth's baseline and final dates
-are the window's first and last days.  ``generate`` refuses a directory
-holding another scenario's snapshots before writing.
+IXPs, country ASN blocks reaching the transit ASNs, an IXP whose
+origins and joins need more than 65,536 prefixes at the low end of
+``prefixes_per_origin``, a gap given twice or not strictly inside the
+window, or a country code or setting ``analyze`` would refuse.  The
+ground truth's baseline and final dates are the window's first and last
+days.  ``generate`` refuses a directory holding another scenario's
+snapshots before writing.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ _FIRST_OCTET = 11  # IXP i's IPv4 prefixes are /24s of first octet _FIRST_OCTET 
 _TRANSIT_REGISTERED = tuple(range(900000, 900006))  # registered under the ZZ placeholder
 _TRANSIT_UNREGISTERED = tuple(range(900010, 900016))
 _FOREIGN_NEIGHBOR_BASE = 950000  # per-IXP pool of unregistered first hops
+_PREFIX_LIMIT = 1 << 16  # prefixes one IXP hands out: its counter fills two octets or one hextet
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,6 @@ class GroundTruth:
 
     def save(self, path: str | Path) -> None:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        doc["window"] = (self.window.start, self.window.end)
         Path(path).write_text(json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     @classmethod
@@ -300,6 +302,17 @@ def _validate(spec: ScenarioSpec) -> None:
                 raise ScenarioError(f"{where}: magnitude must be in (0, 1]")
         if d.kind == "neighbor_disconnect" and spec.countries[d.country].neighbor_count < 1:
             raise ScenarioError(f"{where}: country has no neighbors to disconnect")
+    # Each origin has at least `low` IPv4 prefixes, and every seventh (index
+    # 3 mod 7) of a pair's origins and of its joins one IPv6 prefix more.
+    joined: dict[tuple[str, str], int] = {}
+    for d in spec.disruptions:
+        if d.kind == "join":
+            joined[d.ixp, d.country] = joined.get((d.ixp, d.country), 0) + d.count
+    for ixp in spec.ixps:
+        least = sum(n * cspec.prefixes_per_origin[0] + (n + 3) // 7 for cc, cspec in spec.countries.items()
+                    for n in (cspec.origins_at(ixp), joined.get((ixp, cc), 0)))
+        if least > _PREFIX_LIMIT:
+            raise ScenarioError(f"{ixp}: needs at least {least} prefixes, over the {_PREFIX_LIMIT} one IXP can hold")
     *_, (start, regular, reserve) = _country_blocks(spec).values()
     if start + regular + reserve > _TRANSIT_REGISTERED[0]:
         raise ScenarioError(f"countries: origin and join ASNs must stay below the transit ASNs from "
@@ -334,7 +347,7 @@ def _prefix(ixp_index: int, counter: list[int], v6: bool) -> str:
     """The IXP's next prefix, a /64 if `v6` else a /24; `counter[0]` is
     how many it has handed out."""
     n = counter[0]
-    if n >= 1 << 16:
+    if n >= _PREFIX_LIMIT:
         raise ScenarioError("too many prefixes for one IXP")
     counter[0] = n + 1
     return f"2001:db8:{ixp_index:x}:{n:x}::/64" if v6 else f"{_FIRST_OCTET + ixp_index}.{n >> 8}.{n & 0xFF}.0/24"
@@ -706,60 +719,3 @@ def scenario_from_dict(doc: dict) -> ScenarioSpec:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad scenario document: {exc}") from exc
     return spec
-
-
-def random_scenario(seed: int) -> ScenarioSpec:
-    """A randomized but valid scenario over the study's 5 IXPs and 70 days,
-    for oracle-equivalence testing."""
-    ixps = ("amsix", "linx", "six", "auix", "spoixbr")
-    countries = ("UA", "RU", "DE")
-    days = 70
-    start = dt.date(2022, 2, 19)
-    rng = random.Random(f"scenario:{seed}")
-    window = DateRange(start, start + dt.timedelta(days=days - 1))
-    country_specs = {}
-    for cc in countries:
-        country_specs[cc] = CountrySpec(
-            origin_count=rng.randint(18, 45),
-            prefixes_per_origin=(1, rng.randint(2, 4)),
-            neighbor_count=rng.randint(0, 3),
-        )
-
-    interior = [start + dt.timedelta(days=off) for off in range(3, days - 5)]
-    gap_dates = tuple(sorted(rng.sample(interior, rng.randint(0, 2))))
-
-    disruptions = []
-    for ixp in ixps:
-        for cc in countries:
-            cspec = country_specs[cc]
-            for _ in range(rng.randint(0, 2)):
-                kinds = ["origin_removal", "permanent_loss", "prefix_shrink", "join"]
-                if cspec.neighbor_count >= 1:
-                    kinds.append("neighbor_disconnect")
-                kind = rng.choice(kinds)
-                day0 = start + dt.timedelta(days=rng.randint(4, days - 10))
-                if kind == "origin_removal":
-                    disruptions.append(Disruption(
-                        kind, ixp, cc, day0, day0 + dt.timedelta(days=rng.randint(0, 5)),
-                        count=rng.randint(1, max(1, cspec.max_origins() // 5))))
-                elif kind == "permanent_loss":
-                    disruptions.append(Disruption(
-                        kind, ixp, cc, day0, count=rng.randint(1, max(1, cspec.max_origins() // 6))))
-                elif kind == "prefix_shrink":
-                    disruptions.append(Disruption(
-                        kind, ixp, cc, day0, day0 + dt.timedelta(days=rng.randint(0, 3)),
-                        magnitude=round(rng.uniform(0.2, 0.5), 2)))
-                elif kind == "join":
-                    disruptions.append(Disruption(kind, ixp, cc, day0, count=rng.randint(1, 2)))
-                else:
-                    disruptions.append(Disruption(
-                        kind, ixp, cc, day0, day0 + dt.timedelta(days=rng.randint(0, 2)), count=1))
-
-    return ScenarioSpec(
-        seed=seed,
-        window=window,
-        ixps=ixps,
-        countries=country_specs,
-        disruptions=tuple(disruptions),
-        gap_dates=gap_dates,
-    )

@@ -7,6 +7,7 @@ check (absolute 0.001).
 """
 
 import datetime as dt
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -18,9 +19,10 @@ from ixpreach.metrics import MetricSeries
 from ixpreach.outage import detect_dips
 from ixpreach.reachability import average_pct, pct_lost
 from ixpreach.rtingest import DateRange, InternTable, parse_snapshot
-from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
+from ixpreach.synth import CountrySpec, ScenarioSpec
 
-from conftest import BASE, analyze_generated, day, make_db, make_series, reach, rows_of
+from conftest import (BASE, analyze_generated, day, flap_scenario, make_db, make_series, random_scenario,
+                      reach, rows_of)
 
 
 @contextmanager
@@ -55,44 +57,17 @@ def test_criterion_3_oracle_equivalence_on_randomized_scenarios(tmp_path):
     with criterion(3, "20 randomized scenarios, zero verify discrepancies, under 60 s"):
         started = time.monotonic()
         for seed in range(101, 121):
-            gt = synth.generate(synth.random_scenario(seed), tmp_path / f"scen{seed}")
+            gt = synth.generate(random_scenario(seed), tmp_path / f"scen{seed}")
             assert synth.verify(gt, analyze_generated(tmp_path, gt, f"scen{seed}")) == [], seed
         elapsed = time.monotonic() - started
         assert elapsed < 60, f"took {elapsed:.1f} s"
 
 
-def flap_scenario(seed):
-    """A seeded scenario whose removals meet the final day.  Each (IXP,
-    country) pair gets one removal that starts inside the confirmation
-    window, on any of its days, and one that starts before it; both last
-    through the final day.  The first makes flaps, or losses where it
-    starts on the window's first day or the window's earlier days are
-    gaps; the second makes losses.  A third removal starts on the day one
-    of the two starts and ends on a day of the window, so its origins are
-    back by the final day.  Gaps fall on the day after the baseline and
-    inside the window."""
-    rng = random.Random(f"flaps:{seed}")
-    days = rng.randint(14, 24)
-    final = day(days - 1)
-    confirmation = rng.randint(2, 4)
-    in_window = [final - dt.timedelta(days=k) for k in range(1, confirmation + 1)]
-    gaps = {day(1), *rng.sample(in_window, rng.randint(0, confirmation - 1))}
-    countries = {"UA": CountrySpec(origin_count=rng.randint(10, 20), neighbor_count=rng.randint(0, 2)),
-                 "RU": CountrySpec(origin_count=rng.randint(8, 16))}
-    ixps = ("amsix", "linx")
-    disruptions = []
-    for ixp in ixps:
-        for cc in countries:
-            flap_start = final - dt.timedelta(days=rng.randint(1, confirmation))
-            loss_start = day(rng.randint(1, days - 2 - confirmation))
-            for start in (flap_start, loss_start):
-                disruptions.append(Disruption("origin_removal", ixp, cc, start, final, count=rng.randint(1, 3)))
-            start = rng.choice((flap_start, loss_start))
-            end = final - dt.timedelta(days=rng.randint(1, min(confirmation, (final - start).days)))
-            disruptions.append(Disruption("origin_removal", ixp, cc, start, end, count=rng.randint(1, 3)))
-    return ScenarioSpec(seed=seed, window=DateRange(BASE, final), ixps=ixps,
-                        countries=countries, disruptions=tuple(disruptions),
-                        gap_dates=tuple(sorted(gaps)), confirmation_window=confirmation)
+def test_criterion_3_randomized_scenarios_are_pinned():
+    with criterion(3, "the 20 randomized scenarios are the worlds they were when pinned"):
+        text = "\n".join(repr(random_scenario(seed)) for seed in range(101, 121))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ad6d2cd9339856cd6f709995cd79fe828e167fe848ef6363c78e30504483a155")
 
 
 def test_criterion_3_oracle_equivalence_on_flap_scenarios(tmp_path):

@@ -313,6 +313,17 @@ class TestAnalyze:
         assert run(self.analyze_args(tmp_path, scen, gt) + extra) == 2
         assert message in capsys.readouterr().err
 
+    def test_a_key_error_is_a_defect_not_a_data_error(self, tmp_path, monkeypatch):
+        # Bad input raises OSError or ValueError (exit 2); a KeyError is the
+        # program's own fault and propagates.
+        def broken(config):
+            raise KeyError("x")
+
+        monkeypatch.setattr(pipeline, "run_analysis", broken)
+        with pytest.raises(KeyError):
+            run(["analyze", "--asndb", str(tmp_path / "asndb.txt"), "--snapshots", str(tmp_path),
+                 "--out", str(tmp_path / "out")])
+
     def test_joint_countries_match_single_country_runs(self, tmp_path):
         spec = ScenarioSpec(
             seed=21,
@@ -615,13 +626,13 @@ class TestPlot:
     def test_empty_series_is_refused(self):
         from ixpreach import svgchart
         with pytest.raises(ValueError, match="cannot chart an empty series"):
-            svgchart.render_chart([])
+            svgchart.render_chart([], title="linx RU: announcements", y_label="announcements", events=())
 
     def test_event_spans_outside_the_plotted_dates_are_not_drawn(self):
         from ixpreach import svgchart
         points = [(day(i), 10.0) for i in range(10)]
         events = [(day(-5), day(-1), "before"), (day(3), day(4), "inside"), (day(10), day(20), "after")]
-        svg = svgchart.render_chart(points, events=events)
+        svg = svgchart.render_chart(points, title="testix UA: announcements", y_label="announcements", events=events)
         assert re.findall(r'<rect class="event" .*?<title>(.*?)</title>', svg) == ["inside"]
 
     def test_unknown_metric_lists_valid_ones(self, metrics_csv, capsys):

@@ -37,7 +37,7 @@ not-a-prefix,174 25133
 
 
 def parse_text(text):
-    return parse_snapshot(io.BytesIO(text.encode()), "testix", BASE)
+    return parse_snapshot(io.BytesIO(text.encode()), "testix", BASE, InternTable())
 
 
 def parse_rows(text):
@@ -159,7 +159,9 @@ class TestParseSnapshot:
         assert (intern.origin_of[row], intern.neighbor_of[row]) == (origin, neighbor)
         assert rtingest._parse_path(path) == (origin, neighbor)
 
-    def test_repeated_line_is_a_row_memo_hit_and_a_new_line_is_parsed(self, monkeypatch):
+    @pytest.mark.parametrize("header, layout", [("prefix,as_path", (0, 1)), ("as_path,prefix", (1, 0))],
+                             ids=["prefix-first", "path-first"])
+    def test_repeated_line_is_a_row_memo_hit_and_a_new_line_is_parsed(self, monkeypatch, header, layout):
         parsed = []
         for name in ("_parse_path", "_normalize_prefix"):
             def counted(text, real=getattr(rtingest, name)):
@@ -167,18 +169,23 @@ class TestParseSnapshot:
                 return real(text)
             monkeypatch.setattr(rtingest, name, counted)
         path = f"{ASN_MAX} 3216 0"
+
+        def line(prefix):
+            return f"{prefix},{path}\n" if layout == (0, 1) else f"{path},{prefix}\n"
+
         intern = InternTable()
-        first = parse_snapshot(io.BytesIO(f"prefix,as_path\n192.0.2.0/24,{path}\n".encode()),
+        first = parse_snapshot(io.BytesIO(f"{header}\n{line('192.0.2.0/24')}".encode()),
                                "testix", day(0), intern=intern)
         parsed.clear()
         # Day 1 repeats day 0's line and adds one that shares its path cell.
-        later = parse_snapshot(io.BytesIO(f"prefix,as_path\n192.0.2.0/24,{path}\n198.51.100.0/24,{path}\n".encode()),
+        later = parse_snapshot(io.BytesIO(f"{header}\n{line('192.0.2.0/24')}{line('198.51.100.0/24')}".encode()),
                                "testix", day(1), intern=intern)
         assert sorted(parsed) == sorted([path, "198.51.100.0/24"])
         assert later.entries[0] == first.entries[0]
-        # The memo key is the raw byte line, terminator included.
-        assert intern.rows[(0, 1)] == {f"192.0.2.0/24,{path}\n".encode(): first.entries[0],
-                                       f"198.51.100.0/24,{path}\n".encode(): later.entries[1]}
+        # Under either column order the memo key is the raw byte line,
+        # terminator included.
+        assert intern.rows == {layout: {line("192.0.2.0/24").encode(): first.entries[0],
+                                        line("198.51.100.0/24").encode(): later.entries[1]}}
         assert rows_of(later, intern) == [(prefix, 0, ASN_MAX) for prefix in ("192.0.2.0/24", "198.51.100.0/24")]
 
     # (prefix, as_path, plain): rows on both sides of the plain-line
@@ -284,7 +291,7 @@ class TestLoadSeries:
         assert str(bad) in caplog.text and reason in caplog.text
         with open(bad, "rb") as handle:
             with pytest.raises((ValueError, csv.Error), match=reason):
-                parse_snapshot(handle, "amsix", day(1))
+                parse_snapshot(handle, "amsix", day(1), InternTable())
 
     @pytest.mark.parametrize("row", [
         "192.0.2.0\x00/24,174 25133",
@@ -308,7 +315,7 @@ class TestLoadSeries:
     def test_nul_skips_only_rows_whose_mapped_cells_hold_one(self, age):
         text = (f"age,prefix,as_path\n{age},192.0.2.0/24,174 25133\n"
                 "2h,192.0.2.0\x00/24,174 25133\n3h,192.0.2.0/24,174 \x0025133\n")
-        snapshot = parse_snapshot(io.BytesIO(text.encode()), "amsix", BASE)
+        snapshot = parse_snapshot(io.BytesIO(text.encode()), "amsix", BASE, InternTable())
         assert (snapshot.entries, snapshot.skipped) == ((0,), 2)
 
     def test_byte_order_mark_is_dropped(self, tmp_path, caplog):
@@ -580,8 +587,9 @@ def test_normalize_prefix_matches_ipaddress_on_random_cells():
 
 def test_ipv4_tail_forms_and_odd_lengths_reach_ipaddress(monkeypatch):
     fallback = ["::ffff:192.0.2.7/120", "::192.0.2.7/128", "::ffff:c000:207/128", "2001:db8::/064",
-                "192.0.2.0/024", "192.0.2.0", "10.0.0.0/255.0.0.0", "fe80::1%eth0/64", "192.0.2.0\x00/24"]
-    fast = ["2001:DB8:0:0:0:0:0:1/64", "::/0", "::1/128", "192.0.2.7/24", "1:2:3:4:5:6:192.0.2.7/128"]
+                "192.0.2.0/024", "192.0.2.0", "10.0.0.0/255.0.0.0", "fe80::1%eth0/64", "192.0.2.0\x00/24",
+                "192.0.2.7/24"]
+    fast = ["2001:DB8:0:0:0:0:0:1/64", "::/0", "::1/128", "192.0.2.0/24", "1:2:3:4:5:6:192.0.2.7/128"]
     expected = {text: reference_prefix(text) for text in fallback + fast}
     calls = []
     real_network = ipaddress.ip_network
@@ -844,7 +852,7 @@ def test_lone_cr_file_is_read_a_few_blocks_at_a_time(monkeypatch):
         longest = max(map(len, content.splitlines()))
         tracemalloc.start()
         try:
-            snap = parse_snapshot(io.BytesIO(content), "ix", BASE)
+            snap = parse_snapshot(io.BytesIO(content), "ix", BASE, InternTable())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

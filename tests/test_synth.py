@@ -15,7 +15,7 @@ from ixpreach.metrics import METRIC_NAMES
 from ixpreach.rtingest import DateRange, load_series
 from ixpreach.synth import CountrySpec, Disruption, GroundTruth, ScenarioSpec
 
-from conftest import BASE, analyze_generated, day
+from conftest import BASE, FLAP_SPEC, analyze_generated, day
 
 
 def tiny_spec(days=12, origins=5, disruptions=(), seed=1, neighbor_count=1, **kwargs):
@@ -36,28 +36,6 @@ def expected_spans(gt, ixp, cc, metric):
     dates = sorted(per_day)
     column = METRIC_NAMES.index(metric)
     return synth._expected_dip_spans(dates, [per_day[d][column] for d in dates], **gt.detector)
-
-
-# Final day 13, confirmation window days 10-12, day 11 a gap.  At each IXP
-# one removal ends inside the window (back by the final day) and one on the
-# final day; of the latter, origins seen on a window snapshot flap and the
-# others are lost.  Every RU origin at linx is out on days 9-10 as well, so
-# its flaps are seen on day 12 alone.
-FLAP_SPEC = ScenarioSpec(
-    seed=3,
-    window=DateRange(BASE, day(13)),
-    ixps=("amsix", "linx"),
-    countries={"RU": CountrySpec(origin_count=8), "UA": CountrySpec(origin_count=12)},
-    gap_dates=(day(11),),
-    disruptions=(
-        Disruption("origin_removal", "amsix", "UA", day(9), day(10), count=2),
-        Disruption("origin_removal", "amsix", "UA", day(12), day(13), count=2),
-        Disruption("origin_removal", "amsix", "UA", day(10), day(13), count=1),
-        Disruption("origin_removal", "linx", "RU", day(9), day(10), count=8),
-        Disruption("origin_removal", "linx", "RU", day(11), day(12), count=2),
-        Disruption("origin_removal", "linx", "RU", day(13), day(13), count=2),
-    ),
-)
 
 
 def readme_spec():
@@ -695,15 +673,43 @@ class TestScenarioIO:
         # 57,000-origin country at each of 16 IXPs puts the 16th block at
         # 880000-936999, over the transit ASNs from 900000.
         ixps = tuple(f"ix{i}" for i in range(16))
-        countries = {cc: CountrySpec({ixp: 57_000 if ixp == own else 0 for ixp in ixps}, neighbor_count=0)
-                     for cc, own in zip(sorted(asndb.COUNTRY_CODES - {"ZZ"}), ixps)}
+        codes = sorted(asndb.COUNTRY_CODES - {"ZZ"})[:16]
+
+        def spec(sizes):
+            countries = {cc: CountrySpec({ixp: n if ixp == own else 0 for ixp in ixps}, neighbor_count=0)
+                         for cc, own, n in zip(codes, ixps, sizes)}
+            return ScenarioSpec(seed=1, window=DateRange(BASE, day(9)), ixps=ixps, countries=countries)
+
         with pytest.raises(synth.ScenarioError, match="transit ASNs from 900000; the last block ends at 936999"):
-            synth._validate(ScenarioSpec(seed=1, window=DateRange(BASE, day(9)), ixps=ixps, countries=countries))
-        # A block may end at 899999, and a join's reserve counts.
-        spec = tiny_spec(days=10, origins=890_000)
-        synth._validate(spec)
+            synth._validate(spec([57_000] * 16))
+        # A block may end at 899999 (15 blocks of 56,000 from 10000, then
+        # 50,000 origins), and a join's reserve counts.
+        fits = spec([55_000] * 15 + [50_000])
+        synth._validate(fits)
         with pytest.raises(synth.ScenarioError, match="block ends at 900000"):
-            synth._validate(replace(spec, disruptions=(Disruption("join", "amsix", "UA", day(5), count=1),)))
+            synth._validate(replace(fits, disruptions=(Disruption("join", ixps[15], codes[15], day(5), count=1),)))
+
+    @pytest.mark.parametrize("origins, low, joins, least", [
+        (890_000, 1, 0, 1_017_143),
+        (65_000, 1, 0, 74_286),
+        (57_345, 1, 0, 65_537),
+        (57_343, 1, 2, 65_537),
+        (21_000, 3, 0, 66_000),
+    ])
+    def test_an_ixp_that_needs_more_than_65536_prefixes_is_refused(self, origins, low, joins, least):
+        # At least `low` IPv4 prefixes an origin, and one IPv6 prefix for
+        # every seventh of the origins and of the joins.
+        spec = replace(tiny_spec(days=10), countries={"UA": CountrySpec(origins, prefixes_per_origin=(low, low + 1))},
+                       disruptions=(Disruption("join", "amsix", "UA", day(5), count=joins),) if joins else ())
+        with pytest.raises(synth.ScenarioError, match=f"amsix: needs at least {least} prefixes, over the 65536 "):
+            synth._validate(spec)
+
+    def test_an_ixp_at_65536_prefixes_is_accepted(self):
+        # 57,344 + 57,347 // 7 = 65,536, and so is 57,343 + 57,346 // 7 + 1.
+        spec = replace(tiny_spec(days=10), countries={"UA": CountrySpec(57_344, prefixes_per_origin=(1, 1))})
+        synth._validate(spec)
+        synth._validate(replace(spec, countries={"UA": CountrySpec(57_343, prefixes_per_origin=(1, 1))},
+                                disruptions=(Disruption("join", "amsix", "UA", day(5), count=1),)))
 
     @pytest.mark.parametrize("v6", [False, True], ids=["v4", "v6"])
     def test_prefix_counter_past_16_bits_is_refused(self, v6):

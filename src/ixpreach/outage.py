@@ -42,7 +42,8 @@ class OutageEvent(NamedTuple):
 
 class CatalogEvent(NamedTuple):
     """A known real-world disruption to match detected outages against;
-    `parse_catalog` refuses one without a label or ending before it starts."""
+    `parse_catalog` refuses one without an id or a label, with another
+    entry's id, or ending before it starts."""
 
     id: str
     start: dt.date
@@ -131,8 +132,10 @@ def annotate(events: Iterable[OutageEvent], catalog: Sequence[CatalogEvent]) -> 
 
 
 def parse_catalog(source: Iterable[str]) -> list[CatalogEvent]:
-    """Parse `id|start|end|label|source` lines; `#` starts a comment."""
+    """Parse `id|start|end|label|source` lines; `#` starts a comment.
+    Each id is non-empty and names one entry, so an annotation names one event."""
     entries = []
+    seen: dict[str, int] = {}  # id -> its line
     for lineno, line in enumerate(source, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -142,6 +145,10 @@ def parse_catalog(source: Iterable[str]) -> list[CatalogEvent]:
             raise ValueError(f"catalog line {lineno}: expected 5 pipe-separated fields")
         event_id, start_text, end_text, label, source_text = (p.strip() for p in parts)
         try:
+            if not event_id:
+                raise ValueError("catalog event needs an id")
+            if event_id in seen:
+                raise ValueError(f"catalog event {event_id!r} repeats the id of line {seen[event_id]}")
             start = dt.date.fromisoformat(start_text)
             end = dt.date.fromisoformat(end_text) if end_text else None
             if not label:
@@ -150,6 +157,7 @@ def parse_catalog(source: Iterable[str]) -> list[CatalogEvent]:
                 raise ValueError(f"catalog event {event_id!r} ends before it starts")
         except ValueError as exc:
             raise ValueError(f"catalog line {lineno}: {exc}") from None
+        seen[event_id] = lineno
         entries.append(CatalogEvent(event_id, start, end, label, source_text))
     return entries
 

@@ -35,8 +35,10 @@ are required; ``gap_dates`` (none), ``disruptions`` (none),
 disruption takes ``kind``, ``ixp``, ``country``, ``start`` and the keys
 its kind has in ``DISRUPTION_KEYS``.  Any other key is an error, in
 ``window`` too, and so is an integer given as a float, string or bool, a
-negative origin or neighbour count, an IXP named twice, more than 245
-IXPs, country ASN blocks reaching the transit ASNs, an IXP whose
+negative origin or neighbour count, a disruption ``count`` over its pool
+(the country's origins at its IXP, or its ``neighbor_count`` for a
+``neighbor_disconnect``), an IXP named twice, more than 245 IXPs,
+country ASN blocks reaching the transit ASNs, an IXP whose
 origins and joins need more than 65,536 prefixes at the low end of
 ``prefixes_per_origin``, a gap given twice or not strictly inside the
 window, or a country code or setting ``analyze`` would refuse.  The
@@ -53,6 +55,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import IO, Callable, Iterable, TypeVar
 
@@ -302,6 +305,11 @@ def _validate(spec: ScenarioSpec) -> None:
                 raise ScenarioError(f"{where}: magnitude must be in (0, 1]")
         if d.kind == "neighbor_disconnect" and spec.countries[d.country].neighbor_count < 1:
             raise ScenarioError(f"{where}: country has no neighbors to disconnect")
+        if d.count is not None and d.kind != "join":  # a join draws new ASNs
+            cspec = spec.countries[d.country]
+            pool = cspec.neighbor_count if d.kind == "neighbor_disconnect" else cspec.origins_at(d.ixp)
+            if d.count > pool:
+                raise ScenarioError(f"disruption #{i}: count {d.count} exceeds pool of {pool}")
     # Each origin has at least `low` IPv4 prefixes, and every seventh (index
     # 3 mod 7) of a pair's origins and of its joins one IPv6 prefix more.
     joined: dict[tuple[str, str], int] = {}
@@ -453,8 +461,6 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
             first, last = spec.window.start, d.start - dt.timedelta(days=1)
         elif d.kind != "prefix_shrink":
             pool = neighbors_at[(d.ixp, d.country)] if d.kind == "neighbor_disconnect" else origins_at[(d.ixp, d.country)]
-            if d.count > len(pool):
-                raise ScenarioError(f"disruption #{i}: count {d.count} exceeds pool of {len(pool)}")
             targets = random.Random(f"disrupt:{spec.seed}:{i}").sample(pool, d.count)
             if d.kind == "permanent_loss":
                 last = spec.window.end
@@ -572,20 +578,33 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     Of `result` only `config.output_dir` is read.  For each (IXP, country)
     pair of the ground truth, under that directory: `metrics/<ixp>_<cc>.csv`,
     `outages/<ixp>_<cc>.csv`, `reachability/<ixp>_<cc>_origins.csv` and
-    the `lost_asns`, `new_asns` and `flapping_asns` of the pair's line in
-    `reachability/<cc>_records.txt`.  A pair without its metrics file is
-    missing; another of its files that is missing or does not parse is
-    one problem naming that file.
+    the pair's line in `reachability/<cc>_records.txt`.  A pair without
+    its metrics file is missing; another of its files that is missing or
+    does not parse is one problem naming that file.  For each country:
+    the IXP rows and the average of `reachability/<cc>_table.txt`, and its
+    line of `summary.txt`.
 
     Each origins row (asn, first_seen, last_seen, days_present,
     days_offline) is derived from the origin's presence mask over the
     truth's snapshot days, the window less its gap dates, and compared
     whole.  Each metric's expected outage spans are the documented dip
     rule applied to the truth's daily counts with its detector settings.
+    Every key of a records line is compared: an IXP's baseline total is
+    its origins with bit 0 set, its loss share `1000 * lost // total`
+    tenths of a percent (0 when the total is 0), and a country's average
+    over n IXPs, with S the sum of their tenths, `(20 * S + n) // (2 * n)`
+    hundredths: truncated, then rounded half-up, in integers.
     """
     out = Path(result.config.output_dir)
     days = gt.snapshot_days
     problems: list[str] = []
+    # (total, lost, tenths of a percent lost) per (IXP, country).
+    losses = {}
+    for ixp in gt.ixps:
+        for cc in gt.countries:
+            total = sum(mask & 1 for mask in gt.presence[ixp][cc].values())
+            lost = len(gt.unreachable[ixp][cc])
+            losses[ixp, cc] = (total, lost, 1000 * lost // total if total else 0)
     for ixp in gt.ixps:
         for cc in gt.countries:
             where = f"{ixp}/{cc}"
@@ -597,7 +616,7 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 series = _read(metrics_path, read_metrics_csv)
                 events = _read(out / "outages" / f"{ixp}_{cc}.csv", read_events_csv)
                 origins = _read(out / "reachability" / f"{ixp}_{cc}_origins.csv", read_origins_csv)
-                lost_asns, new_asns, flapping_asns = _records_asns(out / "reachability" / f"{cc}_records.txt", ixp)
+                record = _records_line(out / "reachability" / f"{cc}_records.txt", ixp)
             except (OSError, ValueError) as exc:
                 problems.append(f"{where}: {exc}")
                 continue
@@ -615,12 +634,19 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 if want is not None and got != want:
                     problems.append(f"{where} {day}: expected {want}, got {got}")
 
-            if lost_asns != gt.unreachable[ixp][cc]:
+            total, lost, tenths = losses[ixp, cc]
+            want_record = {"ixp": ixp, "country": cc, "baseline_date": str(gt.baseline_date),
+                           "final_date": str(gt.final_date), "confirmation_window": str(gt.confirmation_window),
+                           "total_baseline": str(total), "lost": str(lost), "pct_lost": _decimal(tenths, 1)}
+            for key in dict.fromkeys([*want_record, *record]):
+                if key not in _RECORD_LISTS and record.get(key) != want_record.get(key):
+                    problems.append(f"{where}: records {key}={record.get(key)} != expected {want_record.get(key)}")
+            if record["lost_asns"] != gt.unreachable[ixp][cc]:
                 problems.append(f"{where}: lost origins differ "
-                                f"(expected {len(gt.unreachable[ixp][cc])}, got {len(lost_asns)})")
-            if new_asns != gt.new_origins[ixp][cc]:
+                                f"(expected {len(gt.unreachable[ixp][cc])}, got {len(record['lost_asns'])})")
+            if record["new_asns"] != gt.new_origins[ixp][cc]:
                 problems.append(f"{where}: new origins differ")
-            if flapping_asns != gt.flapping_origins[ixp][cc]:
+            if record["flapping_asns"] != gt.flapping_origins[ixp][cc]:
                 problems.append(f"{where}: flapping origins differ")
 
             want_rows = [(asn, days[(mask & -mask).bit_length() - 1], days[mask.bit_length() - 1],
@@ -642,10 +668,42 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                     problems.append(
                         f"{where} {metric}: outage spans {_fmt_spans(got_spans)} "
                         f"!= expected {_fmt_spans(want_spans)}")
+
+    n = len(gt.ixps)
+    try:
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        problems.append(str(exc))
+        summary = None
+    for cc in gt.countries:
+        average = _decimal((20 * sum(losses[ixp, cc][2] for ixp in gt.ixps) + n) // (2 * n), 2)
+        # The table's rows after its title and column heads, as words.
+        want_rows = []
+        for ixp in gt.ixps:
+            total, lost, tenths = losses[ixp, cc]
+            want_rows.append([ixp, str(total), str(lost), _decimal(tenths, 1) + "%"])
+        want_rows.append(["average", "%", "lost:", average])
+        path = out / "reachability" / f"{cc}_table.txt"
+        try:
+            got_rows = [line.split() for line in path.read_text(encoding="utf-8").splitlines()[2:]]
+        except OSError as exc:
+            problems.append(f"{cc}: {exc}")
+        else:
+            for got, want in zip_longest(got_rows, want_rows, fillvalue=[]):
+                if got != want:
+                    problems.append(f"{cc}: {path.name} row '{' '.join(got)}' != expected '{' '.join(want)}'")
+        if summary is not None:
+            want = f"{cc}: average pct lost {average} over {n} IXPs"
+            got = next((line for line in summary if line.startswith(f"{cc}: ")), None)
+            if got != want:
+                problems.append(f"{cc}: summary line {got!r} != expected {want!r}")
     return problems
 
 
 T = TypeVar("T")
+
+# The keys of a records line that list ASNs.
+_RECORD_LISTS = ("lost_asns", "new_asns", "flapping_asns")
 
 
 def _read(path: Path, read: Callable[[IO[str]], T]) -> T:
@@ -653,19 +711,26 @@ def _read(path: Path, read: Callable[[IO[str]], T]) -> T:
         return read(handle)
 
 
-def _records_asns(path: Path, ixp: str) -> tuple[tuple[int, ...], ...]:
-    """The `lost_asns`, `new_asns` and `flapping_asns` of `ixp`'s line of a
-    records file; ValueError naming the file when that line is missing or
-    does not parse."""
+def _records_line(path: Path, ixp: str) -> dict:
+    """The cells of `ixp`'s line of a records file by key, each text but
+    the `_RECORD_LISTS`, which are tuples of ASNs; ValueError naming the
+    file when that line is missing or its lists do not parse."""
     for line in path.read_text(encoding="utf-8").splitlines():
         fields = dict(cell.partition("=")[::2] for cell in line.split(" "))
         if fields.get("ixp") == ixp:
             try:
-                return tuple(tuple(map(int, filter(None, fields[key].split(","))))
-                             for key in ("lost_asns", "new_asns", "flapping_asns"))
+                for key in _RECORD_LISTS:
+                    fields[key] = tuple(map(int, filter(None, fields[key].split(","))))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: the line for IXP {ixp!r} does not parse: {exc!r}") from None
+            return fields
     raise ValueError(f"{path}: no line for IXP {ixp!r}")
+
+
+def _decimal(units: int, places: int) -> str:
+    """`units` hundredths (`places` 2) or tenths (1), not negative, as decimal text."""
+    whole, part = divmod(units, 10 ** places)
+    return f"{whole}.{part:0{places}d}"
 
 
 def _fmt_spans(spans: Iterable[tuple[dt.date, dt.date]]) -> str:

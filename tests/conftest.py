@@ -1,5 +1,7 @@
 import datetime as dt
+import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -21,10 +23,17 @@ def day(offset: int) -> dt.date:
 
 # Catalog lines `parse_catalog` refuses, with the message after its line number.
 BAD_CATALOG_LINES = {
+    "empty-id": ("|2022-03-01|2022-03-02|label|src", "catalog event needs an id"),
     "empty-label": ("a|2022-03-01|2022-03-02||src", "catalog event 'a' needs a label"),
     "end-before-start": ("a|2022-03-02|2022-03-01|label|src", "catalog event 'a' ends before it starts"),
     "bad-date": ("a|2022-03-01|soon|label|src", "Invalid isoformat string: 'soon'"),
 }
+
+
+def readme_scenario() -> dict:
+    """The scenario document of README.md's JSON block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
 
 
 def make_db(countries: dict[int, str]) -> dict[int, str]:

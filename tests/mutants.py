@@ -7,7 +7,8 @@ Run from the repository root:
 
 The runner generates a fixed set of scenarios once, in a temporary
 directory, and builds each one's ASN database: `random_scenario` seeds
-101-103, `flap_scenario` seeds 1-4 and `FLAP_SPEC`.  `FLAP_SPEC` is
+101-103, `flap_scenario` seeds 1-4, a four-IXP scenario whose average
+loss is a half-up tie, and `FLAP_SPEC`.  `FLAP_SPEC` is
 analysed a second time among 300 country codes, so `build_series` walks
 two blocks of countries.  Then, one mutant after another, never in
 parallel, it copies `src/ixpreach` to a temporary directory, applies the
@@ -49,6 +50,12 @@ MUTANTS = [
      "iso[(mask & -mask).bit_length() - 1]", "iso[mask.bit_length() - 1]"),
     ("days_offline + 1", "reachability.py",
      '{days - present}\\n"', '{days - present + 1}\\n"'),
+    ("pct_lost rounded, not truncated", "reachability.py",
+     "return (1000 * lost // total) / 10", "return round(1000 * lost / total) / 10"),
+    ("total_baseline + 1", "reachability.py",
+     "total_baseline=total,", "total_baseline=total + 1,"),
+    ("average rounded half-down", "reachability.py",
+     "if 2 * rem >= len(tenths):", "if 2 * rem > len(tenths):"),
     ("an event's end written as its start", "outage.py",
      "ev.start.isoformat(), ev.end.isoformat(),", "ev.start.isoformat(), ev.start.isoformat(),"),
     ("the first event of a series dropped", "outage.py",
@@ -105,11 +112,20 @@ def _scenarios(work: Path):
     """[(name, ground truth, snapshot root, database, countries)], each
     scenario generated and its database built under `work`."""
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import FLAP_SPEC, flap_scenario, random_scenario
+    from conftest import BASE, FLAP_SPEC, day, flap_scenario, random_scenario
     from ixpreach import asndb, synth
+    from ixpreach.rtingest import DateRange
 
     specs = {f"random-{seed}": random_scenario(seed) for seed in (101, 102, 103)}
     specs.update({f"flap-{seed}": flap_scenario(seed) for seed in (1, 2, 3, 4)})
+    # One of four IXPs loses 1 of its 3 origins: 33.3 %, so the average is
+    # 333 / 40 = 8.325, a tie that rounds half-up to 8.33.  Over n IXPs the
+    # half-up rule can tie only for n = 4 or 8 (n = 1..8), so the other
+    # scenarios' 2 and 5 IXPs never reach it.
+    specs["tie-4-ixps"] = synth.ScenarioSpec(
+        seed=1, window=DateRange(BASE, day(9)), ixps=("amsix", "linx", "six", "auix"),
+        countries={"UA": synth.CountrySpec(origin_count=3)},
+        disruptions=(synth.Disruption("permanent_loss", "amsix", "UA", day(5), count=1),))
     specs["FLAP_SPEC"] = FLAP_SPEC
     runs = []
     for name, spec in specs.items():

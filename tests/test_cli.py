@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import ixpreach
-from ixpreach import cli, outage, pipeline, synth
+from ixpreach import asndb, cli, metrics, outage, pipeline, synth
 from ixpreach.rtingest import DateRange
 from ixpreach.synth import CountrySpec, Disruption, ScenarioSpec
 
-from conftest import BAD_CATALOG_LINES, BASE, day
+from conftest import BAD_CATALOG_LINES, BASE, day, readme_scenario
 
 
 def run(argv):
@@ -351,6 +351,11 @@ class TestAnalyze:
             return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
         joint = analyze("joint", "UA,RU,DE")
+        # Among 300 codes, RU falls in build_series' first block of countries and UA in its second.
+        wide_codes = sorted({"UA", "RU", *sorted(asndb.COUNTRY_CODES - {"UA", "RU", "ZZ"})[::2][:298]})
+        assert len(wide_codes) == 300 and wide_codes.index("RU") < metrics._BLOCK <= wide_codes.index("UA")
+        wide = analyze("wide", ",".join(wide_codes))
+        assert sum(rel.startswith("metrics/") for rel in wide) == 300 * len(gt.ixps)
         for cc in ("UA", "RU", "DE"):
             alone = analyze(f"alone-{cc}", cc)
             mine = {rel for rel in joint if rel.endswith((f"_{cc}.csv", f"_{cc}_origins.csv"))
@@ -358,8 +363,28 @@ class TestAnalyze:
             assert len(mine) == 3 * len(gt.ixps) + 2
             assert mine == {rel for rel in alone if rel != "summary.txt"}
             for rel in mine:
-                assert joint[rel] == alone[rel], rel
+                assert joint[rel] == wide[rel] == alone[rel], rel
         assert analyze("twice", "UA,UA") == analyze("once", "UA")
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda lines: "".join(line + "\r\n" for line in lines),
+        lambda lines: "".join(line + "\r" for line in lines),
+        lambda lines: "".join(line + ("\n" if 2 * i < len(lines) else "\r") for i, line in enumerate(lines)),
+        lambda lines: "".join('"{}","{}"\n'.format(*line.split(",", 1)) for line in lines),
+    ], ids=["crlf", "cr", "mixed", "quoted"])
+    def test_line_ends_and_quoting_write_the_same_files(self, analyzed_scenario, rewrite):
+        # CRLF, lone CR, LF for the first half of each file's lines then lone
+        # CR, and every cell quoted (so csv reads every line): the same tables.
+        tmp_path, scen, gt = analyzed_scenario
+        copy = tmp_path / "copy"
+        shutil.copytree(scen / "snapshots", copy)
+        for path in copy.rglob("*.csv"):
+            path.write_bytes(rewrite(path.read_text(encoding="utf-8").splitlines()).encode())
+        assert run(self.analyze_args(tmp_path, scen, gt, out="plain")) == 0
+        assert run(self.analyze_args(tmp_path, scen, gt, out="copy-out") + ["--snapshots", str(copy)]) == 0
+        assert tree_bytes(tmp_path / "copy-out") == tree_bytes(tmp_path / "plain")
+        config = pipeline.RunConfig(tmp_path, copy, tmp_path / "copy-out")
+        assert synth.verify(gt, pipeline.AnalysisResult(config, {}, {})) == []
 
     def test_output_bytes_are_pinned(self, tmp_path):
         spec = ScenarioSpec(
@@ -538,6 +563,13 @@ class TestAnalyzeSettings:
         table_fields = [field for field, _, _ in cli._ANALYZE_SETTINGS.values()]
         assert sorted(table_fields) == sorted(pipeline.RunConfig._fields)
         assert set(SAMPLES) == set(cli._ANALYZE_SETTINGS)
+
+    def test_help_lists_every_setting_and_no_other_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["analyze", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help"} | {"--" + key.replace("_", "-") for key in cli._ANALYZE_SETTINGS}
+        assert not flags & {"--config", "--annotation-slack", "--schema"}
 
     @pytest.mark.parametrize("key", SAMPLES)
     def test_each_flag_sets_its_own_field(self, key):
@@ -752,19 +784,22 @@ class TestSynthCommand:
         assert "ground_truth.json" in out
         assert (tmp_path / "scen" / "ground_truth.json").exists()
 
+    def test_tree_bytes_are_independent_of_hash_seed(self, tmp_path):
+        spec_path = tmp_path / "scenario.json"
+        spec_path.write_text(json.dumps(readme_scenario()))
+        src = Path(ixpreach.__file__).resolve().parent.parent
+        trees = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"scen-{seed}"
+            subprocess.run([sys.executable, "-m", "ixpreach.cli", "synth", "--spec", str(spec_path), "--out", str(out)],
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src)),
+                           check=True, capture_output=True)
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1]
+
     def test_directory_with_another_scenarios_files_is_refused(self, tmp_path, capsys):
         # The README scenario, then narrower ones into the same directory.
-        readme = {
-            "seed": 4, "window": {"start": "2022-02-19", "end": "2022-03-20"},
-            "ixps": ["amsix", "linx"],
-            "countries": {"UA": {"origin_count": 40, "neighbor_count": 3},
-                          "RU": {"origin_count": 30, "neighbor_count": 2}},
-            "gap_dates": ["2022-03-01"],
-            "disruptions": [
-                {"kind": "permanent_loss", "ixp": "amsix", "country": "UA", "start": "2022-03-05", "count": 4},
-                {"kind": "prefix_shrink", "ixp": "linx", "country": "RU",
-                 "start": "2022-03-10", "end": "2022-03-12", "magnitude": 0.5}],
-        }
+        readme = readme_scenario()
         shorter = dict(readme, window={"start": "2022-02-19", "end": "2022-03-10"},
                        gap_dates=["2022-03-02"], disruptions=[])
         scen = tmp_path / "scen"

@@ -205,6 +205,13 @@ class TestCatalog:
             parse_catalog(io.StringIO(f"# comment\n{line}\n"))
         assert str(info.value) == f"catalog line 2: {message}"
 
+    def test_repeated_id_names_both_lines(self):
+        # An annotation names its entry by id, so two entries cannot share one.
+        text = "a|2022-03-01|2022-03-02|First|src\n# comment\na|2022-03-05||Second|src\n"
+        with pytest.raises(ValueError) as info:
+            parse_catalog(io.StringIO(text))
+        assert str(info.value) == "catalog line 3: catalog event 'a' repeats the id of line 1"
+
     def test_seed_catalog_loads(self):
         entries = outage.load_seed_catalog()
         ids = {e.id for e in entries}

@@ -3,10 +3,8 @@ import datetime as dt
 import filecmp
 import hashlib
 import json
-import re
 import shutil
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +13,7 @@ from ixpreach.metrics import METRIC_NAMES
 from ixpreach.rtingest import DateRange, load_series
 from ixpreach.synth import CountrySpec, Disruption, GroundTruth, ScenarioSpec
 
-from conftest import BASE, FLAP_SPEC, analyze_generated, day
+from conftest import BASE, FLAP_SPEC, analyze_generated, day, readme_scenario
 
 
 def tiny_spec(days=12, origins=5, disruptions=(), seed=1, neighbor_count=1, **kwargs):
@@ -40,8 +38,7 @@ def expected_spans(gt, ixp, cc, metric):
 
 def readme_spec():
     """The scenario of README.md's JSON block."""
-    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    return synth.scenario_from_dict(json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1)))
+    return synth.scenario_from_dict(readme_scenario())
 
 
 def recount_reachability(scen, gt):
@@ -394,6 +391,13 @@ def edit_row(path, index, edit):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def replace_once(path, old, new):
+    """Replace the one occurrence of `old` in a written file by `new`."""
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, (path, old)
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
 class TestVerifySensitivity:
     def build(self, tmp_path):
         """Ground truth, and a result that holds nothing but the path of a
@@ -451,6 +455,34 @@ class TestVerifySensitivity:
         assert synth.verify(gt, result) == [
             f"amsix/UA: lost origins differ (expected {len(gt.unreachable['amsix']['UA'])}, got 0)",
             "amsix/UA: new origins differ"]
+
+    @pytest.mark.parametrize("old, new, problem", [
+        (" total_baseline=6 ", " total_baseline=7 ", "records total_baseline=7 != expected 6"),
+        (" lost=1 ", " lost=2 ", "records lost=2 != expected 1"),
+        (" pct_lost=16.6 ", " pct_lost=16.7 ", "records pct_lost=16.7 != expected 16.6"),
+        (" confirmation_window=3 ", " confirmation_window=4 ", "records confirmation_window=4 != expected 3"),
+        (" lost_asns=", " extra=1 lost_asns=", "records extra=1 != expected None"),
+    ], ids=["total_baseline", "lost", "pct_lost", "confirmation_window", "extra-key"])
+    def test_tampered_records_figure_is_caught(self, tmp_path, old, new, problem):
+        gt, result = self.build(tmp_path)
+        replace_once(result.config.output_dir / "reachability" / "UA_records.txt", old, new)
+        assert synth.verify(gt, result) == [f"amsix/UA: {problem}"]
+
+    @pytest.mark.parametrize("name, old, new, problem", [
+        ("UA_table.txt", " 1    16.6%", " 2    16.6%",
+         "UA: UA_table.txt row 'amsix 6 2 16.6%' != expected 'amsix 6 1 16.6%'"),
+        ("UA_table.txt", "lost: 16.60", "lost: 16.70",
+         "UA: UA_table.txt row 'average % lost: 16.70' != expected 'average % lost: 16.60'"),
+        ("UA_table.txt", "average % lost: 16.60\n", "",
+         "UA: UA_table.txt row '' != expected 'average % lost: 16.60'"),
+        ("../summary.txt", "lost 16.60 over", "lost 16.61 over",
+         "UA: summary line 'UA: average pct lost 16.61 over 1 IXPs' != "
+         "expected 'UA: average pct lost 16.60 over 1 IXPs'"),
+    ], ids=["table-row", "table-average", "table-average-missing", "summary-average"])
+    def test_tampered_loss_table_is_caught(self, tmp_path, name, old, new, problem):
+        gt, result = self.build(tmp_path)
+        replace_once(result.config.output_dir / "reachability" / name, old, new)
+        assert synth.verify(gt, result) == [problem]
 
     def test_missing_series_date_is_one_problem(self, tmp_path):
         gt, result = self.build(tmp_path)
@@ -649,15 +681,22 @@ class TestScenarioIO:
         with pytest.raises(synth.ScenarioError, match=message):
             synth.load_scenario(path)
 
-    def test_count_past_its_pool_fails_when_generated(self, tmp_path):
-        # A disruption's pool is only sized by generating, so the scenario loads.
+    @pytest.mark.parametrize("kind, pool", [
+        ("origin_removal", 10), ("permanent_loss", 10), ("neighbor_disconnect", 2),
+    ])
+    def test_count_past_its_pool_is_refused_at_load(self, tmp_path, kind, pool):
+        # The pool is the country's origins at the IXP, or its neighbours.
         doc = self.small_doc()
-        doc["disruptions"][0]["count"] = 11
+        doc["disruptions"][0].update(kind=kind, count=pool)
+        if kind == "permanent_loss":
+            del doc["disruptions"][0]["end"]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
-        spec = synth.load_scenario(path)
-        with pytest.raises(synth.ScenarioError, match="disruption #0: count 11 exceeds pool of 10"):
-            synth.generate(spec, tmp_path / "scen")
+        synth.load_scenario(path)
+        doc["disruptions"][0]["count"] = pool + 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(synth.ScenarioError, match=f"disruption #0: count {pool + 1} exceeds pool of {pool}$"):
+            synth.load_scenario(path)
 
     def test_more_ixps_than_ipv4_first_octets_is_refused(self):
         # IXP i's IPv4 prefixes take first octet 11 + i: the 246th would write 256.x.y.0/24.

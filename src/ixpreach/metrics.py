@@ -254,10 +254,18 @@ def read_csv_rows(stream: IO[str], header: tuple[str, ...], kind: str, parse: Ca
 def read_metrics_csv(stream: IO[str]) -> MetricSeries:
     """Read the series written by :func:`write_metrics_csv`, with its days
     sorted.  A file with no rows, or with rows of two (ixp, country)
-    pairs, raises ValueError, and so does a row as `read_csv_rows` says."""
-    rows = read_csv_rows(stream, METRICS_CSV_HEADER, "a metrics CSV",
-                         lambda ixp, country, date_text, *counts:
-                         (ixp, country, dt.date.fromisoformat(date_text), *map(int, counts)))
+    pairs, raises ValueError, and so does a row as `read_csv_rows` says,
+    a second row for one pair's day among them."""
+    seen: set[tuple[str, str, dt.date]] = set()
+
+    def parse(ixp, country, date_text, *counts):
+        row = (ixp, country, dt.date.fromisoformat(date_text), *map(int, counts))
+        if row[:3] in seen:
+            raise ValueError(f"a second row for {row[2]}")
+        seen.add(row[:3])
+        return row
+
+    rows = read_csv_rows(stream, METRICS_CSV_HEADER, "a metrics CSV", parse)
     pairs = sorted({row[:2] for row in rows})
     if len(pairs) != 1:
         found = ", ".join(map("/".join, pairs)) or "no rows"

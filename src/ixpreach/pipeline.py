@@ -91,13 +91,12 @@ class AnalysisResult(NamedTuple):
     averages: dict[str, float]
 
 
-def run_analysis(config: RunConfig, db: dict[int, str] | None = None) -> AnalysisResult:
+def run_analysis(config: RunConfig) -> AnalysisResult:
     """Run the whole pipeline for every (IXP, country) pair in the config.
     Each IXP needs a usable snapshot on the baseline and the final date:
     a missing end file fails before any table is read, an unusable one (a
     gap) right after that IXP's window is loaded, before its attribution."""
-    if db is None:
-        db = asndb.load(config.asndb_path)
+    db = asndb.load(config.asndb_path)
     catalog = None
     if config.catalog_path == SEED_CATALOG:
         catalog = outage.load_seed_catalog()

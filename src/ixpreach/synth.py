@@ -2,14 +2,15 @@
 
 A scenario describes a small multi-IXP world (countries, origin counts,
 neighbor counts, prefix fan-out) plus a list of injected disruptions.
-``generate`` decides every outcome first and then emits routing-table
-CSVs, a matching delegated-statistics file and a ground-truth JSON file,
-all as a pure function of the scenario, so the analysis pipeline can be
-checked against exact expected values without reimplementing it.  The
-ground truth saves each fact once (the settings, the daily counts and each
-origin's presence mask) and derives the lost, new and flapping origins
-from the masks; ``verify`` derives the origins rows from the masks and the
-expected dips from the counts.
+``generate`` decides each IXP's outcomes before it writes that IXP's
+routing-table CSVs, then a matching delegated-statistics file and a
+ground-truth JSON file, all as a pure function of the scenario, so the
+analysis pipeline can be checked against exact expected values without
+reimplementing it.  The ground truth saves each fact once (the settings,
+the daily counts and each origin's presence mask) and derives the lost,
+new and flapping origins from the masks; ``verify`` derives the origins
+rows from the masks and the expected dips, with their levels, from the
+counts.
 
 Disruption kinds:
 
@@ -55,12 +56,12 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field, fields
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import IO, Callable, Iterable, TypeVar
 
 from .asndb import REGISTRIES
-from .metrics import METRIC_NAMES, read_metrics_csv
+from .metrics import METRIC_NAMES, METRICS_CSV_HEADER, read_csv_rows, read_metrics_csv
 from .outage import DEFAULT_MIN_REFERENCE, DEFAULT_THRESHOLD, DEFAULT_TRAILING_WINDOW, read_events_csv
 from .pipeline import AnalysisResult, RunConfig, check_output_dir
 from .reachability import DEFAULT_CONFIRMATION_WINDOW, read_origins_csv
@@ -82,7 +83,7 @@ DEFAULT_DETECTOR = {"trailing_window": DEFAULT_TRAILING_WINDOW, "threshold": DEF
 _COUNTRY_BLOCK_BASE = 10000
 _FIRST_OCTET = 11  # IXP i's IPv4 prefixes are /24s of first octet _FIRST_OCTET + i
 _TRANSIT_REGISTERED = tuple(range(900000, 900006))  # registered under the ZZ placeholder
-_TRANSIT_UNREGISTERED = tuple(range(900010, 900016))
+_TRANSIT = _TRANSIT_REGISTERED + tuple(range(900010, 900016))  # the rest unregistered
 _FOREIGN_NEIGHBOR_BASE = 950000  # per-IXP pool of unregistered first hops
 _PREFIX_LIMIT = 1 << 16  # prefixes one IXP hands out: its counter fills two octets or one hextet
 
@@ -366,9 +367,8 @@ def _build_origin_routes(
     country: str,
     origin: int,
     origin_index: int,
-    neighbors: list[int],
+    neighbors: range,
     foreign: list[int],
-    transit: tuple[int, ...],
     prefix_range: tuple[int, int],
     ixp_index: int,
     counter: list[int],
@@ -387,7 +387,7 @@ def _build_origin_routes(
     if home == origin:
         path = [origin]
     elif rng.random() < 0.35:
-        path = [home, transit[rng.randrange(len(transit))], origin]
+        path = [home, _TRANSIT[rng.randrange(len(_TRANSIT))], origin]
     else:
         path = [home, origin]
     if rng.random() < 0.15:
@@ -416,14 +416,16 @@ def _withheld_by(d: Disruption, targets: frozenset[int]) -> Callable[[_Route], b
 def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     """Write snapshot CSVs, a delegated file and ground truth under `out`.
 
-    Output is byte-for-byte a pure function of the scenario.
+    Output is byte-for-byte a pure function of the scenario.  The facts
+    shared by the IXPs (the country blocks, the delegations and each join's
+    ASNs) are decided first; then each IXP in turn decides its origins, its
+    withheld entries and its routes, and writes and records its days.
     """
     _validate(spec)
     out_dir = Path(out)
     snapshots_dir = out_dir / "snapshots"
-    ixps = list(spec.ixps)
     snapshot_days = spec.snapshot_days()
-    check_output_dir(out_dir, [f"snapshots/{snapshot_name(ixp, day)}" for ixp in ixps for day in snapshot_days])
+    check_output_dir(out_dir, [f"snapshots/{snapshot_name(ixp, day)}" for ixp in spec.ixps for day in snapshot_days])
 
     blocks = _country_blocks(spec)
     # (registry, country, first ASN, count, status) of each delegated row.
@@ -431,78 +433,63 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
                    for idx, (cc, (start, regular, reserve)) in enumerate(blocks.items())]
     delegations.append(("arin", "ZZ", _TRANSIT_REGISTERED[0], len(_TRANSIT_REGISTERED), "allocated"))
     registered = {asn: cc for _, cc, first, count, _ in delegations for asn in range(first, first + count)}
-    transit_pool = _TRANSIT_REGISTERED + _TRANSIT_UNREGISTERED
-
     countries = sorted(spec.countries)
+    # Disruption index -> the new ASNs of that join: each country's joins
+    # take its reserve in spec order, whatever their IXP.
+    reserves = {cc: iter(range(start + regular, start + regular + reserve))
+                for cc, (start, regular, reserve) in blocks.items()}
+    join_asns = {i: list(islice(reserves[d.country], d.count))
+                 for i, d in enumerate(spec.disruptions) if d.kind == "join"}
 
-    origins_at: dict[tuple[str, str], list[int]] = {}
-    neighbors_at: dict[tuple[str, str], list[int]] = {}
-    for ixp in ixps:
-        for cc in countries:
-            start, _, _ = blocks[cc]
-            cspec = spec.countries[cc]
-            origins_at[(ixp, cc)] = [start + i for i in range(cspec.origins_at(ixp))]
-            neighbors_at[(ixp, cc)] = origins_at[(ixp, cc)][: cspec.neighbor_count]
-
-    # Each disruption is resolved up front, so sampling never depends on
-    # the day loop, into one (first day, last day, test) entry of its IXP.
-    withheld: dict[str, list[tuple[dt.date, dt.date, Callable[[_Route], bool]]]] = {ixp: [] for ixp in ixps}
-    joins: dict[tuple[str, str], list[int]] = {}
-    join_pointer = {cc: 0 for cc in countries}
-    for i, d in enumerate(spec.disruptions):
-        first, last, targets = d.start, d.end, ()
-        if d.kind == "join":
-            start, regular, _ = blocks[d.country]
-            targets = [start + regular + join_pointer[d.country] + j for j in range(d.count)]
-            join_pointer[d.country] += d.count
-            joins.setdefault((d.ixp, d.country), []).extend(targets)
-            if d.start == spec.window.start:
-                continue  # announced from the baseline on
-            first, last = spec.window.start, d.start - dt.timedelta(days=1)
-        elif d.kind != "prefix_shrink":
-            pool = neighbors_at[(d.ixp, d.country)] if d.kind == "neighbor_disconnect" else origins_at[(d.ixp, d.country)]
-            targets = random.Random(f"disrupt:{spec.seed}:{i}").sample(pool, d.count)
-            if d.kind == "permanent_loss":
-                last = spec.window.end
-        withheld[d.ixp].append((first, last, _withheld_by(d, frozenset(targets))))
-
-    # Build the static route table per IXP.
-    routes_by_ixp: dict[str, list[_Route]] = {}
-    for ixp_index, ixp in enumerate(ixps):
+    gt_metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]] = {}
+    presence: dict[str, dict[str, dict[int, int]]] = {}
+    header = f"{PREFIX_COLUMN},{AS_PATH_COLUMN}\n"
+    for ixp_index, ixp in enumerate(spec.ixps):
         counter = [0]
         foreign = [_FOREIGN_NEIGHBOR_BASE + 10 * ixp_index + k for k in range(3)]
         routes: list[_Route] = []
+        # Each disruption is resolved before the day loop, so sampling never
+        # depends on it, into one (first day, last day, test) entry.
+        entries: list[tuple[dt.date, dt.date, Callable[[_Route], bool]]] = []
         for cc in countries:
             cspec = spec.countries[cc]
+            start = blocks[cc][0]
+            origins = range(start, start + cspec.origins_at(ixp))
+            neighbors = origins[:cspec.neighbor_count]
+            mine = [(i, d) for i, d in enumerate(spec.disruptions) if d.ixp == ixp and d.country == cc]
+            joined = [asn for i, d in mine if d.kind == "join" for asn in join_asns[i]]
             rng = random.Random(f"world:{spec.seed}:{ixp}:{cc}")
-            neighbors = neighbors_at[(ixp, cc)]
-            for idx, origin in enumerate(origins_at[(ixp, cc)]):
+            for idx, origin in enumerate(origins):
                 routes.extend(_build_origin_routes(
-                    rng, cc, origin, idx, neighbors, foreign, transit_pool,
-                    cspec.prefixes_per_origin, ixp_index, counter))
-            for idx, origin in enumerate(joins.get((ixp, cc), [])):
+                    rng, cc, origin, idx, neighbors, foreign, cspec.prefixes_per_origin, ixp_index, counter))
+            for idx, origin in enumerate(joined):
                 jrng = random.Random(f"join:{spec.seed}:{ixp}:{cc}:{origin}")
                 routes.extend(_build_origin_routes(
-                    jrng, cc, origin, idx, neighbors, foreign, transit_pool,
-                    cspec.prefixes_per_origin, ixp_index, counter))
-        routes_by_ixp[ixp] = routes
+                    jrng, cc, origin, idx, neighbors, foreign, cspec.prefixes_per_origin, ixp_index, counter))
+            for i, d in mine:
+                first, last, targets = d.start, d.end, ()
+                if d.kind == "join":
+                    if d.start == spec.window.start:
+                        continue  # announced from the baseline on
+                    first, last, targets = spec.window.start, d.start - dt.timedelta(days=1), join_asns[i]
+                elif d.kind != "prefix_shrink":
+                    pool = neighbors if d.kind == "neighbor_disconnect" else origins
+                    targets = random.Random(f"disrupt:{spec.seed}:{i}").sample(pool, d.count)
+                    if d.kind == "permanent_loss":
+                        last = spec.window.end
+                entries.append((first, last, _withheld_by(d, frozenset(targets))))
 
-    # Walk the calendar emitting snapshots and recording outcomes.
-    gt_metrics: dict[str, dict[str, dict[dt.date, tuple[int, int, int, int]]]] = {}
-    presence: dict[str, dict[str, dict[int, int]]] = {ixp: {cc: {} for cc in countries} for ixp in ixps}
-    header = f"{PREFIX_COLUMN},{AS_PATH_COLUMN}\n"
-
-    for ixp in ixps:
         (snapshots_dir / ixp).mkdir(parents=True, exist_ok=True)
         gt_metrics[ixp] = {cc: {} for cc in countries}
+        presence[ixp] = {cc: {} for cc in countries}
         for index, (day, path) in enumerate(snapshot_paths(snapshots_dir, ixp, snapshot_days)):
-            tests = [test for first, last, test in withheld[ixp] if first <= day <= last]
+            tests = [test for first, last, test in entries if first <= day <= last]
             rows: list[str] = []
             first_hops: set[int] = set()
             ann = {cc: 0 for cc in countries}
             day_origins: dict[str, set[int]] = {cc: set() for cc in countries}
             day_prefixes: dict[str, set[str]] = {cc: set() for cc in countries}
-            for route in routes_by_ixp[ixp]:
+            for route in routes:
                 if tests and any(test(route) for test in tests):
                     continue
                 for _ in range(route.mult):
@@ -529,7 +516,7 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
         seed=spec.seed,
         window=spec.window,
         confirmation_window=spec.confirmation_window,
-        ixps=tuple(ixps),
+        ixps=tuple(spec.ixps),
         countries=tuple(countries),
         gap_dates=tuple(sorted(spec.gap_dates)),
         detector=dict(spec.detector),
@@ -540,9 +527,12 @@ def generate(spec: ScenarioSpec, out: str | Path) -> GroundTruth:
     return gt
 
 
-def _expected_dip_spans(dates, values, trailing_window, threshold, min_reference):
-    """The documented dip rule applied plainly to one value list."""
-    spans = []
+def _expected_dips(dates, values, trailing_window, threshold, min_reference):
+    """The documented dip rule applied plainly to one value list: each run
+    of dip days as (start, end, reference, least value, relative drop), the
+    reference the median of up to `trailing_window` values before its
+    first day."""
+    runs = []
     current = None
     for i, value in enumerate(values):
         dip = False
@@ -550,13 +540,17 @@ def _expected_dip_spans(dates, values, trailing_window, threshold, min_reference
             reference = statistics.median(values[max(0, i - trailing_window):i])
             dip = reference >= min_reference and value < (1 - threshold) * reference
         if dip:
-            current = [dates[i], dates[i]] if current is None else [current[0], dates[i]]
+            current = [i, i, reference] if current is None else [current[0], i, current[2]]
         elif current is not None:
-            spans.append((current[0], current[1]))
+            runs.append(current)
             current = None
     if current is not None:
-        spans.append((current[0], current[1]))
-    return spans
+        runs.append(current)
+    dips = []
+    for first, last, reference in runs:
+        low = min(values[first:last + 1])
+        dips.append((dates[first], dates[last], reference, low, (reference - low) / reference))
+    return dips
 
 
 def _write_delegated(path: Path, delegations: list[tuple[str, str, int, int, str]]) -> None:
@@ -587,8 +581,13 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
     Each origins row (asn, first_seen, last_seen, days_present,
     days_offline) is derived from the origin's presence mask over the
     truth's snapshot days, the window less its gap dates, and compared
-    whole.  Each metric's expected outage spans are the documented dip
-    rule applied to the truth's daily counts with its detector settings.
+    whole.  The days of the metrics file's rows must strictly increase, in
+    the order written.  Each metric's expected outage events are the
+    documented dip rule applied to the truth's daily counts with its
+    detector settings: first their spans, then, where the spans agree, each
+    event's `reference` (the median of up to `trailing_window` counts
+    before its first day), `min` (its least count) and `drop` (`(reference
+    - min) / reference`) cells, compared as written (`.6g`, `.6g`, `.6f`).
     Every key of a records line is compared: an IXP's baseline total is
     its origins with bit 0 set, its loss share `1000 * lost // total`
     tenths of a percent (0 when the total is 0), and a country's average
@@ -614,6 +613,8 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 continue
             try:
                 series = _read(metrics_path, read_metrics_csv)
+                written_days = _read(metrics_path, lambda handle: read_csv_rows(
+                    handle, METRICS_CSV_HEADER, "a metrics CSV", lambda *row: dt.date.fromisoformat(row[2])))
                 events = _read(out / "outages" / f"{ixp}_{cc}.csv", read_events_csv)
                 origins = _read(out / "reachability" / f"{ixp}_{cc}_origins.csv", read_origins_csv)
                 record = _records_line(out / "reachability" / f"{cc}_records.txt", ixp)
@@ -629,6 +630,8 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
                 problems.append(
                     f"{where}: series covers {len(got_dates)} days, expected {len(expected_dates)}; "
                     f"first missing {missing}, first extra {extra}")
+            if any(later <= earlier for earlier, later in zip(written_days, written_days[1:])):
+                problems.append(f"{where}: {metrics_path}: the days of its rows do not strictly increase")
             for day, got in zip(series.dates, zip(*map(series.values, METRIC_NAMES))):
                 want = expected.get(day)
                 if want is not None and got != want:
@@ -662,12 +665,21 @@ def verify(gt: GroundTruth, result: AnalysisResult) -> list[str]:
 
             columns = zip(*(expected[day] for day in expected_dates))
             for metric, values in zip(METRIC_NAMES, columns):
-                got_spans = tuple((e.start, e.end) for e in events if e.metric == metric)
-                want_spans = tuple(_expected_dip_spans(expected_dates, values, **gt.detector))
+                got = [e for e in events if e.metric == metric]
+                want = _expected_dips(expected_dates, values, **gt.detector)
+                got_spans = [(e.start, e.end) for e in got]
+                want_spans = [dip[:2] for dip in want]
                 if got_spans != want_spans:
                     problems.append(
                         f"{where} {metric}: outage spans {_fmt_spans(got_spans)} "
                         f"!= expected {_fmt_spans(want_spans)}")
+                    continue
+                for e, (start, end, *levels) in zip(got, want):
+                    got_cells = _level_cells(e.reference_level, e.min_value, e.relative_drop)
+                    want_cells = _level_cells(*levels)
+                    if got_cells != want_cells:
+                        problems.append(f"{where} {metric} {start}..{end}: reference, min, drop "
+                                        f"{','.join(got_cells)} != expected {','.join(want_cells)}")
 
     n = len(gt.ixps)
     try:
@@ -731,6 +743,11 @@ def _decimal(units: int, places: int) -> str:
     """`units` hundredths (`places` 2) or tenths (1), not negative, as decimal text."""
     whole, part = divmod(units, 10 ** places)
     return f"{whole}.{part:0{places}d}"
+
+
+def _level_cells(reference: float, low: float, drop: float) -> tuple[str, str, str]:
+    """An event's reference, min and drop cells as `write_events_csv` writes them."""
+    return format(reference, ".6g"), format(low, ".6g"), format(drop, ".6f")
 
 
 def _fmt_spans(spans: Iterable[tuple[dt.date, dt.date]]) -> str:

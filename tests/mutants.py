@@ -64,12 +64,21 @@ MUTANTS = [
      "for i in range(1, len(values)):", "for i in range(trailing_window, len(values)):"),
     ("a looser dip threshold", "outage.py",
      "values[i] < (1 - threshold) * reference", "values[i] < (1 - threshold / 2) * reference"),
+    ("an event's least value taken on its first day", "outage.py",
+     "low = min(values[first:last + 1])", "low = values[first]"),
+    ("the drop taken relative to the least value", "outage.py",
+     "relative_drop=(reference - low) / reference,", "relative_drop=(reference - low) / max(low, 1),"),
+    ("an event's reference taken from the day before", "outage.py",
+     "runs.append([i, i, reference])", "runs.append([i, i, values[i - 1]])"),
     ("the lost list short by one", "pipeline.py",
      "lost_asns={_asns(rep.lost_asns)}", "lost_asns={_asns(rep.lost_asns[:-1])}"),
     ("new origins left out", "pipeline.py",
      "new_asns={_asns(rep.new_asns)}", "new_asns={_asns(())}"),
     ("a metrics date shifted a day", "metrics.py",
      "series.country, day.isoformat(), *counts", "series.country, (day + dt.timedelta(days=1)).isoformat(), *counts"),
+    ("metrics rows written newest first", "metrics.py",
+     "in zip(series.dates, *map(series.values, METRIC_NAMES))",
+     "in reversed(list(zip(series.dates, *map(series.values, METRIC_NAMES))))"),
     ("announcements + 1", "metrics.py",
      "column.append((day_codes.count(i + 2),", "column.append((day_codes.count(i + 2) + 1,"),
     ("masks never cleared on release", "metrics.py",

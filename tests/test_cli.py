@@ -730,11 +730,13 @@ class TestPlot:
         ("metrics", "amsix,UA,2022-02-19,1,1,1,1,1", "8 cells, expected 7"),
         ("metrics", "amsix,UA,2022-02-30,1,1,1,1", "day is out of range for month"),
         ("metrics", "amsix,UA,2022-02-19,1,x,1,1", "'x'"),
+        ("metrics", "amsix,UA,2022-02-19,1,1,1,1", "a second row for 2022-02-19"),
         ("metrics", f'amsix,UA,2022-02-19,1,1,1,"{"1" * (csv.field_size_limit() + 1)}"', "field larger than"),
         ("events", "amsix,UA,announcements", "3 cells, expected 9"),
         ("events", "amsix,UA,announcements,2022-02-19,2022-02-19x,100,60,0.4,", "2022-02-19x"),
         ("events", "amsix,UA,announcements,2022-02-19,2022-02-20,100,sixty,0.4,", "'sixty'"),
-    ], ids=["metrics-short", "metrics-long", "metrics-date", "metrics-count", "metrics-csv-error",
+    ], ids=["metrics-short", "metrics-long", "metrics-date", "metrics-count", "metrics-repeated-day",
+            "metrics-csv-error",
             "events-short", "events-date", "events-number"])
     def test_unparseable_row_names_its_file_and_line(self, metrics_csv, capsys, kind, row, reason):
         tmp_path, csv_path, gt = metrics_csv

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -309,6 +310,17 @@ class TestMetricsCsv:
             metrics.read_metrics_csv(io.StringIO(text + "amsix,UA,2022-02-20,2,2,2,1\n"))
         with pytest.raises(ValueError, match="found no rows"):
             metrics.read_metrics_csv(io.StringIO(header + "\n"))
+
+    def test_reader_refuses_a_repeated_day(self, tmp_path):
+        # Two rows for one day would be two points on one day of a chart.
+        path = tmp_path / "linx_RU.csv"
+        path.write_text("ixp,country,date,announcements,distinct_origins,distinct_prefixes,distinct_neighbors\n"
+                        "linx,RU,2022-02-19,5,5,5,1\n"
+                        "linx,RU,2022-02-20,6,6,6,1\n"
+                        "linx,RU,2022-02-19,9,9,9,1\n", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as handle:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: a second row for 2022-02-19$"):
+                metrics.read_metrics_csv(handle)
 
     def test_reader_rejects_foreign_header(self):
         import io

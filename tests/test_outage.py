@@ -112,7 +112,8 @@ class TestDetectDips:
                 trailing = rng.randint(1, 9)
                 series = series_of(values)
                 events = detect_dips(series, "announcements", trailing_window=trailing)
-                assert [(e.start, e.end) for e in events] == synth._expected_dip_spans(
+                assert [(e.start, e.end, e.reference_level, e.min_value, e.relative_drop)
+                        for e in events] == synth._expected_dips(
                     series.dates, values, trailing, outage.DEFAULT_THRESHOLD, outage.DEFAULT_MIN_REFERENCE)
                 for e in events:
                     first, last = series.dates.index(e.start), series.dates.index(e.end)

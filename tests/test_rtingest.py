@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ixpreach import pipeline, rtingest
+from ixpreach import asndb, pipeline, rtingest
 from ixpreach.asndb import ASN_MAX
 from ixpreach.rtingest import (
     DateRange,
@@ -237,6 +237,13 @@ def write_snapshot_file(root, ixp, d, rows):
     (ixp_dir / f"{d.isoformat()}.csv").write_text("\n".join(lines) + "\n")
 
 
+def save_ua_db(root):
+    """A saved one-ASN database, 25133 -> UA; its path, for RunConfig."""
+    path = root / "asndb.txt"
+    asndb.save(asndb.MergedRecords({25133: (0, "ripencc", "UA", "")}), path)
+    return path
+
+
 class TestDateRange:
     def test_range_ending_on_date_max_yields_each_day(self):
         last = dt.date.max
@@ -342,11 +349,11 @@ class TestLoadSeries:
                 write_snapshot_file(root, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
             for offset in range(empty):
                 (root / "amsix" / f"{day(offset).isoformat()}.csv").write_bytes(b"")
-            config = pipeline.RunConfig(asndb_path=root / "unused", snapshot_root=root,
+            config = pipeline.RunConfig(asndb_path=save_ua_db(root), snapshot_root=root,
                                         output_dir=root / "out", ixps=("amsix",), countries=("UA",),
                                         baseline_date=BASE, final_date=day(2))
             with pytest.raises(ValueError, match="baseline date 2022-02-19 has no snapshot for IXP 'amsix'"):
-                pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+                pipeline.run_analysis(config)
 
     @pytest.mark.parametrize("content", [b"", b"prefix,as_path\n192.0.2.0/24,174 \xff25133\n"],
                              ids=["empty", "undecodable"])
@@ -356,11 +363,11 @@ class TestLoadSeries:
         for offset in range(3):
             write_snapshot_file(tmp_path, "amsix", day(offset), [("192.0.2.0/24", [174, 25133])])
         (tmp_path / "amsix" / f"{day(2).isoformat()}.csv").write_bytes(content)
-        config = pipeline.RunConfig(asndb_path=tmp_path / "unused", snapshot_root=tmp_path,
+        config = pipeline.RunConfig(asndb_path=save_ua_db(tmp_path), snapshot_root=tmp_path,
                                     output_dir=tmp_path / "out", ixps=("amsix",), countries=("UA",),
                                     baseline_date=BASE, final_date=day(2))
         with pytest.raises(ValueError, match="^final date 2022-02-21 has no snapshot for IXP 'amsix'$"):
-            pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+            pipeline.run_analysis(config)
 
     @pytest.mark.parametrize("content", [b"", b"prefix,as_path\n192.0.2.0/24,174 \xff25133\n"],
                              ids=["empty", "undecodable"])
@@ -381,11 +388,11 @@ class TestLoadSeries:
             return build_series(series, *args)
 
         monkeypatch.setattr(pipeline.metrics, "build_series", spy)
-        config = pipeline.RunConfig(asndb_path=tmp_path / "unused", snapshot_root=tmp_path,
+        config = pipeline.RunConfig(asndb_path=save_ua_db(tmp_path), snapshot_root=tmp_path,
                                     output_dir=tmp_path / "out", ixps=("amsix", "linx"), countries=("UA",),
                                     baseline_date=BASE, final_date=day(2))
         with pytest.raises(ValueError, match=f"^{end} date {bad} has no snapshot for IXP 'linx'$"):
-            pipeline.run_analysis(config, db=make_db({25133: "UA"}))
+            pipeline.run_analysis(config)
         assert attributed == ["amsix"]
 
     @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "all-quoted"])

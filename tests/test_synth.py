@@ -33,7 +33,8 @@ def expected_spans(gt, ixp, cc, metric):
     per_day = gt.metrics[ixp][cc]
     dates = sorted(per_day)
     column = METRIC_NAMES.index(metric)
-    return synth._expected_dip_spans(dates, [per_day[d][column] for d in dates], **gt.detector)
+    return [(start, end) for start, end, *_ in
+            synth._expected_dips(dates, [per_day[d][column] for d in dates], **gt.detector)]
 
 
 def readme_spec():
@@ -116,6 +117,9 @@ class TestGenerate:
         # any drift in the generated bytes must show here first.  Each
         # scenario has a gap day and one disruption of every kind; the
         # second adds two overlapping shrinks and a join on the first day.
+        # The third has three IXPs, and UA joins at linx, amsix and linx
+        # again with an RU join between them: each country's join ASNs
+        # follow its joins' spec order across IXPs.
         first = ScenarioSpec(
             seed=17,
             window=DateRange(BASE, day(13)),
@@ -147,19 +151,40 @@ class TestGenerate:
             ),
             gap_dates=(day(6),),
         )
+        third = ScenarioSpec(
+            seed=29,
+            window=DateRange(BASE, day(13)),
+            ixps=("amsix", "linx", "six"),
+            countries={"UA": CountrySpec(origin_count={"amsix": 10, "linx": 8, "six": 11}, neighbor_count=2),
+                       "RU": CountrySpec(origin_count={"amsix": 6, "linx": 9, "six": 7},
+                                         prefixes_per_origin=(1, 2), neighbor_count=1)},
+            disruptions=(
+                Disruption("join", "linx", "UA", day(3), count=2),
+                Disruption("join", "linx", "RU", day(5), count=1),
+                Disruption("join", "amsix", "UA", day(4), count=2),
+                Disruption("join", "linx", "UA", day(9), count=1),
+                Disruption("neighbor_disconnect", "six", "UA", day(6), day(8), count=1),
+                Disruption("origin_removal", "six", "RU", day(2), day(3), count=2),
+                Disruption("permanent_loss", "amsix", "RU", day(10), count=1),
+                Disruption("prefix_shrink", "linx", "UA", day(7), day(8), magnitude=0.4),
+            ),
+            gap_dates=(day(11),),
+        )
         # Two digests each: the program's inputs (the delegated file and the
         # snapshots), and the ground truth, which the inputs do not depend on.
         pinned = {"first": (first, "45d7830b0789d152e238b030519c97b08ae8c9d4ec07c10d470f825e4f436e42",
                             "98a66505b49f405b9b432b5599312e971f44611d529eb361d4053166611a0fa6"),
                   "second": (second, "1956f96052dd27f1a8b9c6ed65d4ae9c67ed2f9528d53acde89dcfad8d116bef",
-                             "9c082c67e773a9508d48747ce5f78b12cbdac71e10bb7fdcc55ee7466ad8763d")}
+                             "9c082c67e773a9508d48747ce5f78b12cbdac71e10bb7fdcc55ee7466ad8763d"),
+                  "third": (third, "6069dfb5b9b8d0c74d814fcc6107a115a8c200f1e03183be292cea9923018583",
+                            "0eb8e2c877dde5d5e04a5049ba67eaeb33d40b92d1d55faf84c3095213436775")}
         for name, (spec, want_inputs, want_truth) in pinned.items():
             assert {d.kind for d in spec.disruptions} == set(synth.DISRUPTION_KEYS)
             scen = tmp_path / name
             gt = synth.generate(spec, scen)
             files = sorted(path for path in scen.rglob("*") if path.is_file())
             assert [path.relative_to(scen).as_posix() for path in files[:2]] == ["delegated.txt", "ground_truth.json"]
-            assert len(files) == 2 + 2 * 13  # two IXPs, 14 days less the gap
+            assert len(files) == 2 + len(spec.ixps) * 13  # 14 days less the gap at each IXP
             digests = {"inputs": hashlib.sha256(), "truth": hashlib.sha256()}
             for path in files:
                 part = "truth" if path.name == "ground_truth.json" else "inputs"
@@ -586,6 +611,27 @@ class TestVerifySensitivity:
         got = want.replace(f"{start}..{end}", f"{start}..{start}", 1)
         assert start != end and got != want
         assert synth.verify(gt, result) == [f"amsix/UA {metric}: outage spans {got} != expected {want}"]
+
+
+    @pytest.mark.parametrize("column", [5, 6, 7], ids=["reference", "min", "drop"])
+    def test_tampered_event_level_is_caught(self, tmp_path, column):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "outages" / "amsix_UA.csv"
+        cells = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        metric, start, end, want = cells[2], cells[3], cells[4], cells[5:8]
+        got = list(want)
+        got[column - 5] = "0.500000" if column == 7 else "3"
+        assert got != want
+        edit_row(path, 1, lambda cells: cells[:5] + got + cells[8:])
+        assert synth.verify(gt, result) == [f"amsix/UA {metric} {start}..{end}: reference, min, drop "
+                                            f"{','.join(got)} != expected {','.join(want)}"]
+
+    def test_metrics_rows_out_of_date_order_are_one_problem(self, tmp_path):
+        gt, result = self.build(tmp_path)
+        path = result.config.output_dir / "metrics" / "amsix_UA.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+        assert synth.verify(gt, result) == [f"amsix/UA: {path}: the days of its rows do not strictly increase"]
 
 
 class TestScenarioIO:
